@@ -16,12 +16,11 @@ domains, which is the part of the classification that remains checkable.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping
 
-from .ambient import AmbientSpace, ConnectionKind, Signature
+from .ambient import AmbientSpace
 from .curvature import mean_curvature_from_jets
 from .errors import DomainError, EmptyDomain, ParameterConstraintViolation
 from .jets import (
@@ -37,7 +36,7 @@ from .jets import (
     profile_quadrature,
 )
 from .ode import OdeCase, OdeId
-from .pde import CaseId, residual
+from .pde import CASE_SPACE, CaseId, residual
 from .sampling import SplitMix64
 from .surface import TranslationSurface, TranslationType
 
@@ -108,7 +107,6 @@ def make_family(fid: FamilyId, branch: Branch | str = Branch.PLUS,
 class AdmissibleDomain:
     u: Interval
     v: Interval
-    exclusions: tuple[str, ...] = ()
 
     def sampling_box(self, cap: float = SAMPLING_CAP) -> tuple[Interval, Interval]:
         return self.u.clipped(cap), self.v.clipped(cap)
@@ -120,22 +118,23 @@ class FamilyBuild:
     surface: TranslationSurface
     case: CaseId
     domain: AdmissibleDomain
-    quadrature_backed: bool
-    ode_checks: tuple[tuple[OdeCase, str], ...]
 
 
 @dataclass(frozen=True)
 class _Assembly:
-    family: SolutionFamily
     ttype: TranslationType
     space: AmbientSpace
     f: Profile
     g: Profile
     case: CaseId
-    quadrature_backed: bool
     ode_checks: tuple[tuple[OdeCase, str], ...]
     admissible: AdmissibleDomain | None
     empty_reason: str | None
+
+    @property
+    def tolerance(self) -> float:
+        """Verification tolerance: quadrature-backed families get the looser bound."""
+        return 1e-6 if self.f.quadrature or self.g.quadrature else 1e-8
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,6 @@ class FamilyReport:
     tolerance: float
     verdict: bool
     empty_reason: str | None
-    elapsed_ms: float
 
 
 _DEFAULTS: dict[FamilyId, dict[str, float]] = {
@@ -173,10 +171,6 @@ _DEFAULTS: dict[FamilyId, dict[str, float]] = {
     FamilyId.F3_38: {"c0": 1.0, "c_hat": -1.0, "c_hat1": -1.0, "a": 0.0},
     FamilyId.F3_41: {"c1": 0.5, "c2": 2.0, "c3": 0.0},
     FamilyId.F3_43: {"c0_bar": 1.0, "c3": 1.0, "c4": 0.0, "b": 0.0},
-}
-
-PARAM_NAMES: dict[FamilyId, tuple[str, ...]] = {
-    fid: tuple(sorted(defaults)) for fid, defaults in _DEFAULTS.items()
 }
 
 BRANCHED_FAMILIES = frozenset({FamilyId.F2_39, FamilyId.F3_30})
@@ -202,11 +196,6 @@ def _sorted_interval(a: float, b: float) -> Interval:
     return Interval(min(a, b), max(a, b))
 
 
-def _cos_component(q: float, a: float) -> Interval:
-    """Component of cos(q*u - a) != 0 around q*u - a = 0, no guard applied."""
-    return _sorted_interval((a - math.pi / 2.0) / q, (a + math.pi / 2.0) / q)
-
-
 # Derivative cap for admissible boxes of log|cos| profiles.  Past it the
 # residual is a difference of terms ~ slope^4 and double rounding alone would
 # exceed the closed-form verification tolerance.
@@ -220,142 +209,39 @@ def _cos_admissible(k: float, q: float, a: float) -> Interval:
     return _sorted_interval((a - theta_half) / q, (a + theta_half) / q)
 
 
-_EUC_METRIC = AmbientSpace(Signature.EUCLIDEAN, ConnectionKind.SEMI_SYMMETRIC_METRIC)
-_EUC_NONMETRIC = AmbientSpace(Signature.EUCLIDEAN, ConnectionKind.SEMI_SYMMETRIC_NON_METRIC)
-_LOR_METRIC = AmbientSpace(Signature.LORENTZIAN, ConnectionKind.SEMI_SYMMETRIC_METRIC)
-_LOR_NONMETRIC = AmbientSpace(Signature.LORENTZIAN, ConnectionKind.SEMI_SYMMETRIC_NON_METRIC)
-
-
-def _build_f2_23(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
-    scale = p["c3"] ** 2 + 1.0
-    q = 2.0 / math.sqrt(scale)
-    raw = _cos_component(q, p["a"])
-    f = log_abs_cos_profile(-scale / 2.0, q, p["a"],
-                            domain=raw.shrunk(SINGULARITY_GUARD), label="F2_23.f")
-    g = affine_profile(p["c3"], p["c5"], label="F2_23.g")
-    dom = AdmissibleDomain(_cos_admissible(-scale / 2.0, q, p["a"]), REAL_LINE,
-                           (f"cos argument vanishes at u = {raw.lo:.6g} and {raw.hi:.6g}",))
-    return _Assembly(fam, TranslationType.I, _EUC_METRIC, f, g, CaseId.E_M_I,
-                     False, ((OdeCase.of(OdeId.O2_21, c3=p["c3"]), "f"),), dom, None)
-
-
-def _build_f2_24(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
-    scale = p["c3_bar"] ** 2 + 1.0
-    q = 2.0 / math.sqrt(scale)
-    raw = _cos_component(q, p["a1"])
-    f = affine_profile(p["c3_bar"], p["c6"], label="F2_24.f")
-    g = log_abs_cos_profile(-scale / 2.0, q, p["a1"],
-                            domain=raw.shrunk(SINGULARITY_GUARD), label="F2_24.g")
-    dom = AdmissibleDomain(REAL_LINE, _cos_admissible(-scale / 2.0, q, p["a1"]),
-                           (f"cos argument vanishes at v = {raw.lo:.6g} and {raw.hi:.6g}",))
-    return _Assembly(fam, TranslationType.I, _EUC_METRIC, f, g, CaseId.E_M_I,
-                     False, ((OdeCase.of(OdeId.O2_21, c3=p["c3_bar"]), "g"),), dom, None)
-
-
-def _build_f2_35(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
-    c0t = p["c0_tilde"]
-    _require(c0t != 0.0, "F2_35 requires c0_tilde != 0")
-    scale = c0t * c0t + 1.0
-    q = 2.0 * c0t / math.sqrt(scale)
-    raw = _cos_component(q, p["a_tilde"])
-    f = log_abs_cos_profile(scale / (2.0 * c0t), q, p["a_tilde"], p["b_tilde"],
-                            domain=raw.shrunk(SINGULARITY_GUARD), label="F2_35.f")
-    g = affine_profile(c0t, 0.0, label="F2_35.g")
-    dom = AdmissibleDomain(_cos_admissible(scale / (2.0 * c0t), q, p["a_tilde"]),
-                           REAL_LINE,
-                           (f"cos argument vanishes at u = {raw.lo:.6g} and {raw.hi:.6g}",))
-    return _Assembly(fam, TranslationType.II, _EUC_METRIC, f, g, CaseId.E_M_II_III,
-                     False, ((OdeCase.of(OdeId.O2_33, c0_tilde=c0t), "f"),), dom, None)
-
-
-def _quadrature_anchor(domain: Interval) -> float:
+def _quad(integrand: Callable[[float], float], integrand_d1: Callable[[float], float],
+          domain: Interval, base: float = 0.0) -> Profile:
+    """Catalog quadrature profile, anchored at 0 or else at a point inside its domain."""
     if domain.contains(0.0):
-        return 0.0
-    if math.isfinite(domain.lo) and math.isfinite(domain.hi):
-        return domain.midpoint
-    if math.isfinite(domain.lo):
-        return domain.lo + 1.0
-    return domain.hi - 1.0
+        anchor = 0.0
+    elif math.isfinite(domain.lo) and math.isfinite(domain.hi):
+        anchor = domain.midpoint
+    elif math.isfinite(domain.lo):
+        anchor = domain.lo + 1.0
+    else:
+        anchor = domain.hi - 1.0
+    return profile_quadrature(integrand, integrand_d1, base=base, spec=_QUAD_SPEC,
+                              domain=domain, base_point=anchor)
 
 
-def _build_f2_39(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
-    c0h, ah = p["c0_hat"], p["a_hat"]
-    _require(ah > 0.0, "F2_39 requires a_hat > 0")
-    kk = 1.0 / (c0h * c0h + 1.0)
-    sign = 1.0 if fam.branch is Branch.PLUS else -1.0
-    v_star = 0.25 * math.log(kk / ah)
-    prof_lo = 0.25 * math.log((kk + 1e-9) / ah)
-
-    def radicand(x: float) -> float:
-        return ah * math.exp(4.0 * x) - kk
+def _radicand_integrands(fid: str, sign: float, ah: float, rate: float, shift: float):
+    """g' = sign / sqrt(ah*e^(rate*v) + shift) and its derivative (F2_39, F3_30)."""
+    coeff = -0.5 * rate * sign
 
     def integrand(x: float) -> float:
-        r = radicand(x)
+        r = ah * math.exp(rate * x) + shift
         if r <= 0.0:
-            raise DomainError(f"F2_39: radicand {r!r} nonpositive at v={x!r}")
+            raise DomainError(f"{fid}: radicand {r!r} nonpositive at v={x!r}")
         return sign / math.sqrt(r)
 
     def integrand_d1(x: float) -> float:
-        r = radicand(x)
+        e = math.exp(rate * x)
+        r = ah * e + shift
         if r <= 0.0:
-            raise DomainError(f"F2_39: radicand {r!r} nonpositive at v={x!r}")
-        return -sign * 2.0 * ah * math.exp(4.0 * x) * r ** -1.5
+            raise DomainError(f"{fid}: radicand {r!r} nonpositive at v={x!r}")
+        return coeff * ah * e * r ** -1.5
 
-    domain = Interval(prof_lo, math.inf)
-    g = profile_quadrature(integrand, integrand_d1, base=p["b_hat"], spec=_QUAD_SPEC,
-                           domain=domain, base_point=_quadrature_anchor(domain),
-                           label="F2_39.g")
-    f = affine_profile(c0h, 0.0, label="F2_39.f")
-    dom = AdmissibleDomain(REAL_LINE, Interval(v_star + EDGE_MARGIN, math.inf),
-                           (f"radicand vanishes at v = {v_star:.6g}",))
-    return _Assembly(fam, TranslationType.II, _EUC_METRIC, f, g, CaseId.E_M_II_III,
-                     True, ((OdeCase.of(OdeId.O2_36, c0_hat=c0h), "g"),), dom, None)
-
-
-def _build_f2_40(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
-    f = affine_profile(p["c0_prime"], p["b_prime"], label="F2_40.f")
-    g = affine_profile(0.0, 0.0, label="F2_40.g")
-    return _Assembly(fam, TranslationType.II, _EUC_METRIC, f, g, CaseId.E_M_II_III,
-                     False, (), AdmissibleDomain(REAL_LINE, REAL_LINE), None)
-
-
-def _build_f2_50(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
-    f = affine_profile(p["c0"], 0.0, label="F2_50.f")
-    g = affine_profile(p["c1"], p["c2"], label="F2_50.g")
-    return _Assembly(fam, TranslationType.I, _EUC_NONMETRIC, f, g, CaseId.E_NM_ALL,
-                     False, (), AdmissibleDomain(REAL_LINE, REAL_LINE), None)
-
-
-def _build_f2_51(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
-    c = p["c"]
-    _require(c != 0.0, "F2_51 requires c != 0")
-    raw_u = _cos_component(c, p["c3"])
-    raw_v = _cos_component(c, p["c4"])
-    f = log_abs_cos_profile(1.0 / c, c, p["c3"],
-                            domain=raw_u.shrunk(SINGULARITY_GUARD), label="F2_51.f")
-    g = log_abs_cos_profile(-1.0 / c, c, p["c4"], p["c5"],
-                            domain=raw_v.shrunk(SINGULARITY_GUARD), label="F2_51.g")
-    dom = AdmissibleDomain(
-        _cos_admissible(1.0 / c, c, p["c3"]), _cos_admissible(1.0 / c, c, p["c4"]),
-        (f"cos argument vanishes at u = {raw_u.lo:.6g} and {raw_u.hi:.6g}",
-         f"cos argument vanishes at v = {raw_v.lo:.6g} and {raw_v.hi:.6g}"),
-    )
-    return _Assembly(fam, TranslationType.I, _EUC_NONMETRIC, f, g, CaseId.E_NM_ALL,
-                     False, (), dom, None)
-
-
-def _build_f3_10(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
-    c = p["c"]
-    _require(c * c > 1.0, "F3_10 requires c^2 > 1")
-    scale = c * c - 1.0
-    q = 2.0 / math.sqrt(scale)
-    raw = _cos_component(q, p["a"])
-    f = log_abs_cos_profile(-scale / 2.0, q, p["a"],
-                            domain=raw.shrunk(SINGULARITY_GUARD), label="F3_10.f")
-    g = affine_profile(c, p["b_bar"], label="F3_10.g")
-    reason = f"no spacelike points: 1 - f'^2 - g'^2 <= 1 - c^2 = {1.0 - c * c:.6g} < 0"
-    return _Assembly(fam, TranslationType.I, _LOR_METRIC, f, g, CaseId.L_M_I,
-                     False, ((OdeCase.of(OdeId.O3_8, c=c), "f"),), None, reason)
+    return integrand, integrand_d1
 
 
 def _tanh_ratio_integrands(s: float, coeff: float, rate: float):
@@ -390,265 +276,208 @@ def _ratio_domain(coeff: float, rate: float) -> Interval:
     return Interval(SINGULARITY_GUARD, math.inf)
 
 
-def _build_f3_12(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
-    c, ct = p["c"], p["c_tilde"]
-    _require(c * c < 1.0, "F3_12 requires c^2 < 1")
-    _require(ct != 0.0, "F3_12 requires c_tilde != 0")
+# A builder maps (parameters, branch sign) to what varies between families:
+# (f, g, reduced-ODE checks, admissible domain or the reason it is empty).
+# Profile labels, the surface type, the case and the ambient space are added
+# by `_assemble` from the `_FAMILIES` table.
+_Parts = tuple[Profile, Profile, tuple[tuple[OdeCase, str], ...], AdmissibleDomain | str]
+_EVERYWHERE = AdmissibleDomain(REAL_LINE, REAL_LINE)
+
+
+def _swap(parts: _Parts) -> _Parts:
+    """Mirror a family: exchange f and g, u and v, and the side of each ODE check."""
+    f, g, checks, domain = parts
+    checks = tuple((case, "g" if side == "f" else "f") for case, side in checks)
+    if isinstance(domain, AdmissibleDomain):
+        domain = AdmissibleDomain(domain.v, domain.u)
+    return g, f, checks, domain
+
+
+def _plane(f: Profile, g: Profile, gap: float, gap_text: str) -> _Parts:
+    """Affine f and g: spacelike everywhere when gap = EG - F^2 clears the floor, else nowhere."""
+    if gap >= SPACELIKE_FLOOR:
+        return f, g, (), _EVERYWHERE
+    return f, g, (), f"no spacelike points: {gap_text} = {gap:.6g} <= 0"
+
+
+def _f2_23(c3: float, a: float, c5: float) -> _Parts:
+    """F2_23: log-cos f, affine g; F2_24 is its mirror."""
+    scale = c3 ** 2 + 1.0
+    q = 2.0 / math.sqrt(scale)
+    return (log_abs_cos_profile(-scale / 2.0, q, a), affine_profile(c3, c5),
+            ((OdeCase.of(OdeId.O2_21, c3=c3), "f"),),
+            AdmissibleDomain(_cos_admissible(-scale / 2.0, q, a), REAL_LINE))
+
+
+def _build_f2_35(p: Mapping[str, float], sign: float) -> _Parts:
+    c0t = p["c0_tilde"]
+    _require(c0t != 0.0, "F2_35 requires c0_tilde != 0")
+    scale = c0t * c0t + 1.0
+    k, q = scale / (2.0 * c0t), 2.0 * c0t / math.sqrt(scale)
+    return (log_abs_cos_profile(k, q, p["a_tilde"], p["b_tilde"]), affine_profile(c0t, 0.0),
+            ((OdeCase.of(OdeId.O2_33, c0_tilde=c0t), "f"),),
+            AdmissibleDomain(_cos_admissible(k, q, p["a_tilde"]), REAL_LINE))
+
+
+def _build_f2_39(p: Mapping[str, float], sign: float) -> _Parts:
+    c0h, ah = p["c0_hat"], p["a_hat"]
+    _require(ah > 0.0, "F2_39 requires a_hat > 0")
+    kk = 1.0 / (c0h * c0h + 1.0)
+    v_star = 0.25 * math.log(kk / ah)
+    prof_lo = 0.25 * math.log((kk + 1e-9) / ah)
+    g = _quad(*_radicand_integrands("F2_39", sign, ah, 4.0, -kk),
+              Interval(prof_lo, math.inf), p["b_hat"])
+    return (affine_profile(c0h, 0.0), g, ((OdeCase.of(OdeId.O2_36, c0_hat=c0h), "g"),),
+            AdmissibleDomain(REAL_LINE, Interval(v_star + EDGE_MARGIN, math.inf)))
+
+
+def _build_f2_51(p: Mapping[str, float], sign: float) -> _Parts:
+    c = p["c"]
+    _require(c != 0.0, "F2_51 requires c != 0")
+    return (log_abs_cos_profile(1.0 / c, c, p["c3"]),
+            log_abs_cos_profile(-1.0 / c, c, p["c4"], p["c5"]), (),
+            AdmissibleDomain(_cos_admissible(1.0 / c, c, p["c3"]),
+                             _cos_admissible(1.0 / c, c, p["c4"])))
+
+
+def _f3_10(fid: str, c_name: str, c: float, a: float, b: float) -> _Parts:
+    """F3_10: log-cos f, affine g of slope c, never spacelike; F3_13 is its mirror."""
+    _require(c * c > 1.0, f"{fid} requires {c_name}^2 > 1")
+    scale = c * c - 1.0
+    return (log_abs_cos_profile(-scale / 2.0, 2.0 / math.sqrt(scale), a),
+            affine_profile(c, b), ((OdeCase.of(OdeId.O3_8, c=c), "f"),),
+            f"no spacelike points: 1 - f'^2 - g'^2 <= 1 - {c_name}^2 = {1.0 - c * c:.6g} < 0")
+
+
+def _f3_12(fid: str, side: str, c_name: str, ct_name: str, c: float, ct: float,
+           b_quad: float, b_line: float) -> _Parts:
+    """F3_12: integral f, affine g of slope c; F3_14 is its mirror.
+
+    `side` and the parameter names keep the messages in the caller's own terms.
+    """
+    _require(c * c < 1.0, f"{fid} requires {c_name}^2 < 1")
+    _require(ct != 0.0, f"{fid} requires {ct_name} != 0")
     s = math.sqrt(1.0 - c * c)
     rate = -4.0 / s
-    integrand, integrand_d1 = _tanh_ratio_integrands(s, ct, rate)
-    domain = _ratio_domain(ct, rate)
-    f = profile_quadrature(integrand, integrand_d1, base=0.0, spec=_QUAD_SPEC,
-                           domain=domain, base_point=_quadrature_anchor(domain),
-                           label="F3_12.f")
-    g = affine_profile(c, p["b_tilde"], label="F3_12.g")
-    checks = ((OdeCase.of(OdeId.O3_8, c=c), "f"),)
+    f = _quad(*_tanh_ratio_integrands(s, ct, rate), _ratio_domain(ct, rate), b_quad)
+    parts = (f, affine_profile(c, b_line), ((OdeCase.of(OdeId.O3_8, c=c), "f"),))
     if ct > 0.0:
-        reason = "no spacelike points: f'^2 > 1 - c^2 everywhere for c_tilde > 0"
-        return _Assembly(fam, TranslationType.I, _LOR_METRIC, f, g, CaseId.L_M_I,
-                         True, checks, None, reason)
+        return *parts, (f"no spacelike points: {side}'^2 > 1 - {c_name}^2 "
+                        f"everywhere for {ct_name} > 0")
     if 100.0 * s <= 1.02:
-        reason = f"spacelike margin below floor: 1 - c^2 = {s * s:.3g}"
-        return _Assembly(fam, TranslationType.I, _LOR_METRIC, f, g, CaseId.L_M_I,
-                         True, checks, None, reason)
+        return *parts, f"spacelike margin below floor: 1 - {c_name}^2 = {s * s:.3g}"
     # f' = s*tanh(2u/s - ln|ct|/2); keep s^2 sech^2 >= floor
     y_max = math.acosh(100.0 * s)
     shift = 0.5 * math.log(-ct)
-    u_interval = _sorted_interval(0.5 * s * (-y_max + shift), 0.5 * s * (y_max + shift))
-    dom = AdmissibleDomain(u_interval, REAL_LINE,
-                           ("EG - F^2 decays to 0 as |u| grows",))
-    return _Assembly(fam, TranslationType.I, _LOR_METRIC, f, g, CaseId.L_M_I,
-                     True, checks, dom, None)
+    box = _sorted_interval(0.5 * s * (-y_max + shift), 0.5 * s * (y_max + shift))
+    return *parts, AdmissibleDomain(box, REAL_LINE)
 
 
-def _build_f3_13(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
-    ch = p["c_hat"]
-    _require(ch * ch > 1.0, "F3_13 requires c_hat^2 > 1")
-    scale = ch * ch - 1.0
-    q = 2.0 / math.sqrt(scale)
-    raw = _cos_component(q, p["a1"])
-    f = affine_profile(ch, p["b_bar1"], label="F3_13.f")
-    g = log_abs_cos_profile(-scale / 2.0, q, p["a1"],
-                            domain=raw.shrunk(SINGULARITY_GUARD), label="F3_13.g")
-    reason = f"no spacelike points: 1 - f'^2 - g'^2 <= 1 - c_hat^2 = {1.0 - ch * ch:.6g} < 0"
-    return _Assembly(fam, TranslationType.I, _LOR_METRIC, f, g, CaseId.L_M_I,
-                     False, ((OdeCase.of(OdeId.O3_8, c=ch), "g"),), None, reason)
-
-
-def _build_f3_14(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
-    ch, ct1 = p["c_hat"], p["c_tilde1"]
-    _require(ch * ch < 1.0, "F3_14 requires c_hat^2 < 1")
-    _require(ct1 != 0.0, "F3_14 requires c_tilde1 != 0")
-    s = math.sqrt(1.0 - ch * ch)
-    rate = -4.0 / s
-    integrand, integrand_d1 = _tanh_ratio_integrands(s, ct1, rate)
-    domain = _ratio_domain(ct1, rate)
-    g = profile_quadrature(integrand, integrand_d1, base=p["b_tilde"], spec=_QUAD_SPEC,
-                           domain=domain, base_point=_quadrature_anchor(domain),
-                           label="F3_14.g")
-    f = affine_profile(ch, 0.0, label="F3_14.f")
-    checks = ((OdeCase.of(OdeId.O3_8, c=ch), "g"),)
-    if ct1 > 0.0:
-        reason = "no spacelike points: g'^2 > 1 - c_hat^2 everywhere for c_tilde1 > 0"
-        return _Assembly(fam, TranslationType.I, _LOR_METRIC, f, g, CaseId.L_M_I,
-                         True, checks, None, reason)
-    if 100.0 * s <= 1.02:
-        reason = f"spacelike margin below floor: 1 - c_hat^2 = {s * s:.3g}"
-        return _Assembly(fam, TranslationType.I, _LOR_METRIC, f, g, CaseId.L_M_I,
-                         True, checks, None, reason)
-    y_max = math.acosh(100.0 * s)
-    shift = 0.5 * math.log(-ct1)
-    v_interval = _sorted_interval(0.5 * s * (-y_max + shift), 0.5 * s * (y_max + shift))
-    dom = AdmissibleDomain(REAL_LINE, v_interval,
-                           ("EG - F^2 decays to 0 as |v| grows",))
-    return _Assembly(fam, TranslationType.I, _LOR_METRIC, f, g, CaseId.L_M_I,
-                     True, checks, dom, None)
-
-
-def _build_f3_25(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
+def _build_f3_25(p: Mapping[str, float], sign: float) -> _Parts:
     c0t = p["c0_tilde"]
     _require(c0t != 0.0 and c0t * c0t < 1.0, "F3_25 requires 0 < c0_tilde^2 < 1")
     s = math.sqrt(1.0 - c0t * c0t)
-    q = 2.0 * c0t / s
-    raw = _cos_component(q, p["a_tilde"])
-    f = log_abs_cos_profile((1.0 - c0t * c0t) / (2.0 * c0t), q, p["a_tilde"], p["b_tilde"],
-                            domain=raw.shrunk(SINGULARITY_GUARD), label="F3_25.f")
-    g = affine_profile(c0t, 0.0, label="F3_25.g")
-    reason = (f"no spacelike points: g'^2 - f'^2 - 1 <= c0_tilde^2 - 1 = "
-              f"{c0t * c0t - 1.0:.6g} < 0")
-    return _Assembly(fam, TranslationType.II, _LOR_METRIC, f, g, CaseId.L_M_II_III,
-                     False, ((OdeCase.of(OdeId.O3_23, c0_tilde=c0t), "f"),), None, reason)
+    f = log_abs_cos_profile((1.0 - c0t * c0t) / (2.0 * c0t), 2.0 * c0t / s,
+                            p["a_tilde"], p["b_tilde"])
+    return (f, affine_profile(c0t, 0.0), ((OdeCase.of(OdeId.O3_23, c0_tilde=c0t), "f"),),
+            f"no spacelike points: g'^2 - f'^2 - 1 <= c0_tilde^2 - 1 = "
+            f"{c0t * c0t - 1.0:.6g} < 0")
 
 
-def _build_f3_27(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
+def _build_f3_27(p: Mapping[str, float], sign: float) -> _Parts:
     c0t, c1 = p["c0_tilde"], p["c1"]
     _require(c0t * c0t > 1.0, "F3_27 requires c0_tilde^2 > 1")
     _require(c1 != 0.0, "F3_27 requires c1 != 0")
     s = math.sqrt(c0t * c0t - 1.0)
     rate = 4.0 * c0t / s
-    integrand, integrand_d1 = _tanh_ratio_integrands(s, c1, rate)
-    domain = _ratio_domain(c1, rate)
-    f = profile_quadrature(integrand, integrand_d1, base=0.0, spec=_QUAD_SPEC,
-                           domain=domain, base_point=_quadrature_anchor(domain),
-                           label="F3_27.f")
-    g = affine_profile(c0t, p["b_bar1"], label="F3_27.g")
-    checks = ((OdeCase.of(OdeId.O3_23, c0_tilde=c0t), "f"),)
+    f = _quad(*_tanh_ratio_integrands(s, c1, rate), _ratio_domain(c1, rate))
+    parts = (f, affine_profile(c0t, p["b_bar1"]),
+             ((OdeCase.of(OdeId.O3_23, c0_tilde=c0t), "f"),))
     if c1 > 0.0:
-        reason = "no spacelike points: f'^2 > c0_tilde^2 - 1 everywhere for c1 > 0"
-        return _Assembly(fam, TranslationType.II, _LOR_METRIC, f, g, CaseId.L_M_II_III,
-                         True, checks, None, reason)
+        return *parts, "no spacelike points: f'^2 > c0_tilde^2 - 1 everywhere for c1 > 0"
     if 100.0 * s <= 1.02:
-        reason = f"spacelike margin below floor: c0_tilde^2 - 1 = {s * s:.3g}"
-        return _Assembly(fam, TranslationType.II, _LOR_METRIC, f, g, CaseId.L_M_II_III,
-                         True, checks, None, reason)
+        return *parts, f"spacelike margin below floor: c0_tilde^2 - 1 = {s * s:.3g}"
     # f' = s*tanh(y) with y = -(rate*u + ln|c1|)/2
     y_max = math.acosh(100.0 * s)
     shift = math.log(-c1)
-    u_interval = _sorted_interval(-(2.0 * y_max + shift) / rate,
-                                  (2.0 * y_max - shift) / rate)
-    dom = AdmissibleDomain(u_interval, REAL_LINE,
-                           ("EG - F^2 decays to 0 as |u| grows",))
-    return _Assembly(fam, TranslationType.II, _LOR_METRIC, f, g, CaseId.L_M_II_III,
-                     True, checks, dom, None)
+    box = _sorted_interval(-(2.0 * y_max + shift) / rate, (2.0 * y_max - shift) / rate)
+    return *parts, AdmissibleDomain(box, REAL_LINE)
 
 
-def _build_f3_30(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
+def _build_f3_30(p: Mapping[str, float], sign: float) -> _Parts:
     c0h, ah = p["c0_hat"], p["a_hat"]
     _require(ah != 0.0, "F3_30 requires a_hat != 0")
     kk = 1.0 / (c0h * c0h + 1.0)
-    sign = 1.0 if fam.branch is Branch.PLUS else -1.0
-
-    def radicand(x: float) -> float:
-        return ah * math.exp(-4.0 * x) + kk
-
-    def integrand(x: float) -> float:
-        r = radicand(x)
-        if r <= 0.0:
-            raise DomainError(f"F3_30: radicand {r!r} nonpositive at v={x!r}")
-        return sign / math.sqrt(r)
-
-    def integrand_d1(x: float) -> float:
-        r = radicand(x)
-        if r <= 0.0:
-            raise DomainError(f"F3_30: radicand {r!r} nonpositive at v={x!r}")
-        return sign * 2.0 * ah * math.exp(-4.0 * x) * r ** -1.5
-
+    integrands = _radicand_integrands("F3_30", sign, ah, -4.0, kk)
+    f = affine_profile(c0h, 0.0)
     checks = ((OdeCase.of(OdeId.O3_28, c0_hat=c0h), "g"),)
-    f = affine_profile(c0h, 0.0, label="F3_30.f")
     if ah > 0.0:
-        g = profile_quadrature(integrand, integrand_d1, base=p["b_hat"], spec=_QUAD_SPEC,
-                               domain=REAL_LINE, base_point=0.0, label="F3_30.g")
-        reason = "no spacelike points: g'^2 < 1 + c0_hat^2 everywhere for a_hat > 0"
-        return _Assembly(fam, TranslationType.II, _LOR_METRIC, f, g, CaseId.L_M_II_III,
-                         True, checks, None, reason)
+        return (f, _quad(*integrands, REAL_LINE, p["b_hat"]), checks,
+                "no spacelike points: g'^2 < 1 + c0_hat^2 everywhere for a_hat > 0")
     v_star = 0.25 * math.log(-ah / kk)
     prof_lo = -0.25 * math.log((kk - 1e-9) / -ah)
     v_hi = 0.25 * math.log(-ah / (SPACELIKE_FLOOR * kk * kk))
-    domain = Interval(prof_lo, math.inf)
-    g = profile_quadrature(integrand, integrand_d1, base=p["b_hat"], spec=_QUAD_SPEC,
-                           domain=domain, base_point=_quadrature_anchor(domain),
-                           label="F3_30.g")
-    dom = AdmissibleDomain(REAL_LINE, Interval(v_star + EDGE_MARGIN, v_hi),
-                           (f"radicand vanishes at v = {v_star:.6g}",
-                            "EG - F^2 decays to 0 as v grows"))
-    return _Assembly(fam, TranslationType.II, _LOR_METRIC, f, g, CaseId.L_M_II_III,
-                     True, checks, dom, None)
+    g = _quad(*integrands, Interval(prof_lo, math.inf), p["b_hat"])
+    return f, g, checks, AdmissibleDomain(REAL_LINE, Interval(v_star + EDGE_MARGIN, v_hi))
 
 
-def _build_f3_31(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
+def _build_f3_31(p: Mapping[str, float], sign: float) -> _Parts:
     c0p, c1p = p["c0_prime"], p["c1_prime"]
     _require(c1p == 0.0 or abs(c1p * c1p - c0p * c0p - 2.0) < 1e-9,
              "F3_31 requires c1_prime = 0 or c1_prime^2 - c0_prime^2 - 2 = 0")
-    f = affine_profile(c0p, p["b_prime"], label="F3_31.f")
-    g = affine_profile(c1p, 0.0, label="F3_31.g")
-    beta_sq = c1p * c1p - c0p * c0p - 1.0
-    if beta_sq >= SPACELIKE_FLOOR:
-        dom = AdmissibleDomain(REAL_LINE, REAL_LINE)
-        return _Assembly(fam, TranslationType.II, _LOR_METRIC, f, g,
-                         CaseId.L_M_II_III, False, (), dom, None)
-    reason = f"no spacelike points: g'^2 - f'^2 - 1 = {beta_sq:.6g} <= 0"
-    return _Assembly(fam, TranslationType.II, _LOR_METRIC, f, g,
-                     CaseId.L_M_II_III, False, (), None, reason)
+    return _plane(affine_profile(c0p, p["b_prime"]), affine_profile(c1p, 0.0),
+                  c1p * c1p - c0p * c0p - 1.0, "g'^2 - f'^2 - 1")
 
 
-def _build_f3_36(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
+def _build_f3_36(p: Mapping[str, float], sign: float) -> _Parts:
     c1, c2 = p["c1"], p["c2"]
-    f = affine_profile(c1, 0.0, label="F3_36.f")
-    g = affine_profile(c2, p["c3"], label="F3_36.g")
-    alpha_sq = 1.0 - c1 * c1 - c2 * c2
-    if alpha_sq >= SPACELIKE_FLOOR:
-        dom = AdmissibleDomain(REAL_LINE, REAL_LINE)
-        return _Assembly(fam, TranslationType.I, _LOR_NONMETRIC, f, g,
-                         CaseId.L_NM_I, False, (), dom, None)
-    reason = f"no spacelike points: 1 - f'^2 - g'^2 = {alpha_sq:.6g} <= 0"
-    return _Assembly(fam, TranslationType.I, _LOR_NONMETRIC, f, g,
-                     CaseId.L_NM_I, False, (), None, reason)
+    return _plane(affine_profile(c1, 0.0), affine_profile(c2, p["c3"]),
+                  1.0 - c1 * c1 - c2 * c2, "1 - f'^2 - g'^2")
 
 
-def _build_f3_38(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
+def _build_f3_38(p: Mapping[str, float], sign: float) -> _Parts:
     c0, ch, ch1 = p["c0"], p["c_hat"], p["c_hat1"]
     _require(c0 != 0.0, "F3_38 requires c0 != 0")
     _require(ch != 0.0 and ch1 != 0.0, "F3_38 requires c_hat, c_hat1 != 0")
-    f = log_abs_exp_profile(1.0 / c0, c0, 1.0, -ch, p["a"], label="F3_38.f")
-    g = log_abs_exp_profile(-1.0 / c0, c0, -ch1, 1.0, 0.0, label="F3_38.g")
-    checks = ((OdeCase.of(OdeId.O3_37F, c0=c0), "f"),
-              (OdeCase.of(OdeId.O3_37G, c0=c0), "g"))
+    parts = (log_abs_exp_profile(1.0 / c0, c0, 1.0, -ch, p["a"]),
+             log_abs_exp_profile(-1.0 / c0, c0, -ch1, 1.0, 0.0),
+             ((OdeCase.of(OdeId.O3_37F, c0=c0), "f"), (OdeCase.of(OdeId.O3_37G, c0=c0), "g")))
     if ch > 0.0:
-        reason = "no spacelike points: 1 - f'^2 < 0 everywhere for c_hat > 0"
-        return _Assembly(fam, TranslationType.I, _LOR_NONMETRIC, f, g,
-                         CaseId.L_NM_I, False, checks, None, reason)
+        return *parts, "no spacelike points: 1 - f'^2 < 0 everywhere for c_hat > 0"
     if ch1 > 0.0:
-        reason = "no spacelike points: 1 - g'^2 < 0 everywhere for c_hat1 > 0"
-        return _Assembly(fam, TranslationType.I, _LOR_NONMETRIC, f, g,
-                         CaseId.L_NM_I, False, checks, None, reason)
+        return *parts, "no spacelike points: 1 - g'^2 < 0 everywhere for c_hat1 > 0"
     # f' = tanh(c0*u - ln|ch|/2), g' = -tanh(c0*v + ln|ch1|/2); boxes with
     # |f'|, |g'| <= 0.7 keep 1 - f'^2 - g'^2 >= 0.02.
     reach = math.atanh(0.7)
     fu_center = 0.5 * math.log(-ch) / c0
     gv_center = -0.5 * math.log(-ch1) / c0
-    u_interval = _sorted_interval(fu_center - reach / c0, fu_center + reach / c0)
-    v_interval = _sorted_interval(gv_center - reach / c0, gv_center + reach / c0)
-    dom = AdmissibleDomain(u_interval, v_interval,
-                           ("box keeps |f'|, |g'| <= 0.7 so the spacelike bound holds jointly",))
-    return _Assembly(fam, TranslationType.I, _LOR_NONMETRIC, f, g,
-                     CaseId.L_NM_I, False, checks, dom, None)
+    return *parts, AdmissibleDomain(
+        _sorted_interval(fu_center - reach / c0, fu_center + reach / c0),
+        _sorted_interval(gv_center - reach / c0, gv_center + reach / c0))
 
 
-def _build_f3_41(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
+def _build_f3_41(p: Mapping[str, float], sign: float) -> _Parts:
     c1, c2 = p["c1"], p["c2"]
-    f = affine_profile(c1, p["c3"], label="F3_41.f")
-    g = affine_profile(c2, 0.0, label="F3_41.g")
-    beta_sq = c2 * c2 - c1 * c1 - 1.0
-    if beta_sq >= SPACELIKE_FLOOR:
-        dom = AdmissibleDomain(REAL_LINE, REAL_LINE)
-        return _Assembly(fam, TranslationType.II, _LOR_NONMETRIC, f, g,
-                         CaseId.L_NM_II_III, False, (), dom, None)
-    reason = f"no spacelike points: g'^2 - f'^2 - 1 = {beta_sq:.6g} <= 0"
-    return _Assembly(fam, TranslationType.II, _LOR_NONMETRIC, f, g,
-                     CaseId.L_NM_II_III, False, (), None, reason)
+    return _plane(affine_profile(c1, p["c3"]), affine_profile(c2, 0.0),
+                  c2 * c2 - c1 * c1 - 1.0, "g'^2 - f'^2 - 1")
 
 
-def _build_f3_43(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
+def _build_f3_43(p: Mapping[str, float], sign: float) -> _Parts:
     c0b, c3 = p["c0_bar"], p["c3"]
     _require(c0b != 0.0, "F3_43 requires c0_bar != 0")
     _require(c3 != 0.0, "F3_43 requires c3 != 0")
-    raw_u = _cos_component(c0b, -p["c4"])
-    f = log_abs_cos_profile(-1.0 / c0b, c0b, -p["c4"],
-                            domain=raw_u.shrunk(SINGULARITY_GUARD), label="F3_43.f")
+    f = log_abs_cos_profile(-1.0 / c0b, c0b, -p["c4"])
     checks = ((OdeCase.of(OdeId.O3_42F, c0_bar=c0b), "f"),
               (OdeCase.of(OdeId.O3_42G, c0_bar=c0b), "g"))
     if c3 < 0.0:
-        g = log_abs_exp_profile(1.0 / c0b, c0b, 1.0, -c3, p["b"], label="F3_43.g")
-        reason = "no spacelike points: g'^2 < 1 <= 1 + f'^2 everywhere for c3 < 0"
-        return _Assembly(fam, TranslationType.II, _LOR_NONMETRIC, f, g,
-                         CaseId.L_NM_II_III, False, checks, None, reason)
+        return (f, log_abs_exp_profile(1.0 / c0b, c0b, 1.0, -c3, p["b"]), checks,
+                "no spacelike points: g'^2 < 1 <= 1 + f'^2 everywhere for c3 < 0")
     # g' = (A + c3)/(A - c3) with A = e^(2*c0b*v); stay on the A > c3 side where
     # g' > 1, between the singularity and the point where g'^2 = 2 + 0.02.
     v_star = 0.5 * math.log(c3) / c0b
     g_domain = (Interval(v_star + SINGULARITY_GUARD, math.inf) if c0b > 0.0
                 else Interval(-math.inf, v_star - SINGULARITY_GUARD))
-    g = log_abs_exp_profile(1.0 / c0b, c0b, 1.0, -c3, p["b"],
-                            domain=g_domain, label="F3_43.g")
+    g = log_abs_exp_profile(1.0 / c0b, c0b, 1.0, -c3, p["b"], domain=g_domain)
     rho = math.sqrt(2.0 + 0.02)
     v_far = 0.5 * math.log(c3 * (rho + 1.0) / (rho - 1.0)) / c0b
     if v_star < v_far:
@@ -658,35 +487,41 @@ def _build_f3_43(fam: SolutionFamily, p: Mapping[str, float]) -> _Assembly:
     # |f'| <= 1 on the u box, so g'^2 - f'^2 - 1 >= rho^2 - 2 = 0.02 there.
     quarter = _sorted_interval((-math.pi / 4.0 - p["c4"]) / c0b,
                                (math.pi / 4.0 - p["c4"]) / c0b)
-    dom = AdmissibleDomain(
-        quarter, v_interval,
-        (f"cos argument vanishes at u = {raw_u.lo:.6g} and {raw_u.hi:.6g}",
-         f"g' blows up at v = {v_star:.6g}"),
-    )
-    return _Assembly(fam, TranslationType.II, _LOR_NONMETRIC, f, g,
-                     CaseId.L_NM_II_III, False, checks, dom, None)
+    return f, g, checks, AdmissibleDomain(quarter, v_interval)
 
 
-_BUILDERS: dict[FamilyId, Callable[[SolutionFamily, Mapping[str, float]], _Assembly]] = {
-    FamilyId.F2_23: _build_f2_23,
-    FamilyId.F2_24: _build_f2_24,
-    FamilyId.F2_35: _build_f2_35,
-    FamilyId.F2_39: _build_f2_39,
-    FamilyId.F2_40: _build_f2_40,
-    FamilyId.F2_50: _build_f2_50,
-    FamilyId.F2_51: _build_f2_51,
-    FamilyId.F3_10: _build_f3_10,
-    FamilyId.F3_12: _build_f3_12,
-    FamilyId.F3_13: _build_f3_13,
-    FamilyId.F3_14: _build_f3_14,
-    FamilyId.F3_25: _build_f3_25,
-    FamilyId.F3_27: _build_f3_27,
-    FamilyId.F3_30: _build_f3_30,
-    FamilyId.F3_31: _build_f3_31,
-    FamilyId.F3_36: _build_f3_36,
-    FamilyId.F3_38: _build_f3_38,
-    FamilyId.F3_41: _build_f3_41,
-    FamilyId.F3_43: _build_f3_43,
+_I, _II = TranslationType.I, TranslationType.II
+
+# Surface type, minimality case and builder of every family; the ambient
+# space follows from the case.
+_FAMILIES: dict[FamilyId, tuple[TranslationType, CaseId,
+                                Callable[[Mapping[str, float], float], _Parts]]] = {
+    FamilyId.F2_23: (_I, CaseId.E_M_I, lambda p, sign: _f2_23(p["c3"], p["a"], p["c5"])),
+    FamilyId.F2_24: (_I, CaseId.E_M_I,
+                     lambda p, sign: _swap(_f2_23(p["c3_bar"], p["a1"], p["c6"]))),
+    FamilyId.F2_35: (_II, CaseId.E_M_II_III, _build_f2_35),
+    FamilyId.F2_39: (_II, CaseId.E_M_II_III, _build_f2_39),
+    FamilyId.F2_40: (_II, CaseId.E_M_II_III, lambda p, sign: (
+        affine_profile(p["c0_prime"], p["b_prime"]), affine_profile(0.0, 0.0), (), _EVERYWHERE)),
+    FamilyId.F2_50: (_I, CaseId.E_NM_ALL, lambda p, sign: (
+        affine_profile(p["c0"], 0.0), affine_profile(p["c1"], p["c2"]), (), _EVERYWHERE)),
+    FamilyId.F2_51: (_I, CaseId.E_NM_ALL, _build_f2_51),
+    FamilyId.F3_10: (_I, CaseId.L_M_I,
+                     lambda p, sign: _f3_10("F3_10", "c", p["c"], p["a"], p["b_bar"])),
+    FamilyId.F3_12: (_I, CaseId.L_M_I, lambda p, sign: _f3_12(
+        "F3_12", "f", "c", "c_tilde", p["c"], p["c_tilde"], 0.0, p["b_tilde"])),
+    FamilyId.F3_13: (_I, CaseId.L_M_I, lambda p, sign: _swap(
+        _f3_10("F3_13", "c_hat", p["c_hat"], p["a1"], p["b_bar1"]))),
+    FamilyId.F3_14: (_I, CaseId.L_M_I, lambda p, sign: _swap(_f3_12(
+        "F3_14", "g", "c_hat", "c_tilde1", p["c_hat"], p["c_tilde1"], p["b_tilde"], 0.0))),
+    FamilyId.F3_25: (_II, CaseId.L_M_II_III, _build_f3_25),
+    FamilyId.F3_27: (_II, CaseId.L_M_II_III, _build_f3_27),
+    FamilyId.F3_30: (_II, CaseId.L_M_II_III, _build_f3_30),
+    FamilyId.F3_31: (_II, CaseId.L_M_II_III, _build_f3_31),
+    FamilyId.F3_36: (_I, CaseId.L_NM_I, _build_f3_36),
+    FamilyId.F3_38: (_I, CaseId.L_NM_I, _build_f3_38),
+    FamilyId.F3_41: (_II, CaseId.L_NM_II_III, _build_f3_41),
+    FamilyId.F3_43: (_II, CaseId.L_NM_II_III, _build_f3_43),
 }
 
 
@@ -698,7 +533,15 @@ def _assemble(fam: SolutionFamily) -> _Assembly:
                 f"{fam.family_id.value} has no parameter {key!r}"
             )
         params[key] = value
-    return _BUILDERS[fam.family_id](fam, params)
+    ttype, case, builder = _FAMILIES[fam.family_id]
+    f, g, checks, domain = builder(params, 1.0 if fam.branch is Branch.PLUS else -1.0)
+    admissible, reason = ((domain, None) if isinstance(domain, AdmissibleDomain)
+                          else (None, domain))
+    signature, connection, _ = CASE_SPACE[case]
+    name = fam.family_id.value
+    return _Assembly(ttype, AmbientSpace(signature, connection),
+                     replace(f, label=f"{name}.f"), replace(g, label=f"{name}.g"),
+                     case, checks, admissible, reason)
 
 
 def build(fam: SolutionFamily) -> FamilyBuild:
@@ -707,8 +550,7 @@ def build(fam: SolutionFamily) -> FamilyBuild:
     if asm.admissible is None:
         raise EmptyDomain(f"{fam.family_id.value}: {asm.empty_reason}")
     surface = TranslationSurface(asm.ttype, asm.f, asm.g, asm.space)
-    return FamilyBuild(fam, surface, asm.case, asm.admissible,
-                       asm.quadrature_backed, asm.ode_checks)
+    return FamilyBuild(fam, surface, asm.case, asm.admissible)
 
 
 def default_settings(fid: FamilyId) -> tuple[SolutionFamily, ...]:
@@ -766,7 +608,7 @@ _DEFAULT_SETTINGS: dict[FamilyId, tuple[SolutionFamily, ...]] = {
 
 def family_tolerance(fam: SolutionFamily) -> float:
     """Verification tolerance: quadrature-backed families get the looser bound."""
-    return 1e-6 if _assemble(fam).quadrature_backed else 1e-8
+    return _assemble(fam).tolerance
 
 
 def perturb_profile(profile: Profile, eps: float) -> Profile:
@@ -775,7 +617,7 @@ def perturb_profile(profile: Profile, eps: float) -> Profile:
     def fn(u: float) -> Jet2:
         return profile.fn(u) + Jet2(eps * u * u, 2.0 * eps * u, 2.0 * eps)
 
-    return Profile(fn, profile.domain, f"{profile.label}+{eps:g}u^2")
+    return replace(profile, fn=fn, label=f"{profile.label}+{eps:g}u^2")
 
 
 def _moderate_box(profile: Profile, max_slope: float = 2.0,
@@ -785,28 +627,30 @@ def _moderate_box(profile: Profile, max_slope: float = 2.0,
     Used for residual-only sampling of families whose spacelike region is
     empty and for finite-difference oracles: it keeps evaluations away from
     poles where cancellation or stencil truncation would swamp the check.
+    A profile steeper than max_slope at every candidate (a steep line, say)
+    gets the box under the gentlest slope found instead.
     """
 
-    def slope_ok(u: float) -> bool:
+    def slope(u: float) -> float:
         try:
-            return abs(profile.at(u).d1) <= max_slope
+            return abs(profile.at(u).d1)
         except DomainError:
-            return False
+            return math.inf
 
-    start = None
     clipped = profile.domain.clipped(SAMPLING_CAP)
-    for candidate in [0.0, clipped.midpoint] + [
+    candidates = [c for c in [0.0, clipped.midpoint] + [
         clipped.lo + k * clipped.width / 40.0 for k in range(1, 40)
-    ]:
-        if profile.domain.contains(candidate) and slope_ok(candidate):
-            start = candidate
-            break
+    ] if profile.domain.contains(c)]
+    start = next((c for c in candidates if slope(c) <= max_slope), None)
     if start is None:
-        raise DomainError(f"{profile.label}: no moderate-slope point found")
+        gentlest = min(map(slope, candidates), default=math.inf)
+        if math.isinf(gentlest):
+            raise DomainError(f"{profile.label}: no moderate-slope point found")
+        return _moderate_box(profile, gentlest, half_width, step)
     lo = hi = start
-    while hi - start < half_width and slope_ok(hi + step):
+    while hi - start < half_width and slope(hi + step) <= max_slope:
         hi += step
-    while start - lo < half_width and slope_ok(lo - step):
+    while start - lo < half_width and slope(lo - step) <= max_slope:
         lo -= step
     if hi - lo < step:
         lo, hi = start - 0.5 * step, start + 0.5 * step
@@ -822,11 +666,10 @@ def _residual_box(asm: _Assembly) -> tuple[Interval, Interval]:
 def verify_family(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
                   tolerance: float | None = None) -> FamilyReport:
     """Sample the admissible box; report worst |numerator| and |residual|."""
-    t0 = time.perf_counter()
     asm = _assemble(fam)
     if asm.admissible is None:
         raise EmptyDomain(f"{fam.family_id.value}: {asm.empty_reason}")
-    tol = tolerance if tolerance is not None else (1e-6 if asm.quadrature_backed else 1e-8)
+    tol = tolerance if tolerance is not None else asm.tolerance
     box_u, box_v = asm.admissible.sampling_box()
     rng = SplitMix64(rng_seed)
     worst_num = 0.0
@@ -839,19 +682,17 @@ def verify_family(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
         report = mean_curvature_from_jets(asm.ttype, asm.space, kind, fj, gj)
         worst_num = max(worst_num, abs(report.numerator))
         worst_res = max(worst_res, abs(residual(asm.case, fj, gj)))
-    elapsed = (time.perf_counter() - t0) * 1e3
     return FamilyReport(
         fam.family_id.value, fam.param_dict, fam.branch.value, n_samples, "full",
-        worst_num, worst_res, tol, worst_num <= tol and worst_res <= tol, None, elapsed,
+        worst_num, worst_res, tol, worst_num <= tol and worst_res <= tol, None,
     )
 
 
 def verify_residual(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
                     tolerance: float | None = None, perturb: float = 0.0) -> FamilyReport:
     """Sample the PDE residual only; works for empty-domain families and controls."""
-    t0 = time.perf_counter()
     asm = _assemble(fam)
-    tol = tolerance if tolerance is not None else (1e-6 if asm.quadrature_backed else 1e-8)
+    tol = tolerance if tolerance is not None else asm.tolerance
     box_u, box_v = _residual_box(asm)
     f = perturb_profile(asm.f, perturb) if perturb else asm.f
     rng = SplitMix64(rng_seed)
@@ -860,11 +701,9 @@ def verify_residual(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0
         u = rng.uniform(box_u.lo, box_u.hi)
         v = rng.uniform(box_v.lo, box_v.hi)
         worst_res = max(worst_res, abs(residual(asm.case, f.at(u), asm.g.at(v))))
-    elapsed = (time.perf_counter() - t0) * 1e3
     return FamilyReport(
         fam.family_id.value, fam.param_dict, fam.branch.value, n_samples,
-        "residual-only", None, worst_res, tol, worst_res <= tol,
-        asm.empty_reason, elapsed,
+        "residual-only", None, worst_res, tol, worst_res <= tol, asm.empty_reason,
     )
 
 

@@ -12,6 +12,8 @@ import dataclasses
 import json
 import math
 import sys
+import types
+import typing
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -20,6 +22,8 @@ from .catalog import (
     FamilyId,
     FamilyReport,
     THEOREM_SUITES,
+    _DEFAULTS,
+    _assemble,
     all_default_settings,
     build,
     default_settings,
@@ -27,14 +31,8 @@ from .catalog import (
     ode_reference_runs,
     verify_auto,
 )
-from .errors import (
-    DomainError,
-    EmptyDomain,
-    ParameterConstraintViolation,
-    UnknownCase,
-    VerifierError,
-)
-from .jets import Jet2
+from .errors import EmptyDomain, VerifierError
+from .jets import Interval, Jet2
 from .ode import OdeCase, OdeId, compare_profile, integrate
 from .pde import CaseId, equivalence_sweep, residual
 from .sampling import child_seed
@@ -50,12 +48,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_PARAM_FLAGS = (
-    "a", "a1", "a_hat", "a_tilde", "b", "b_bar", "b_bar1", "b_hat", "b_prime",
-    "b_tilde", "c", "c0", "c0_bar", "c0_hat", "c0_prime", "c0_tilde", "c1",
-    "c1_prime", "c2", "c3", "c3_bar", "c4", "c5", "c6", "c_hat", "c_hat1",
-    "c_tilde", "c_tilde1",
-)
+_PARAM_FLAGS = sorted({name for defaults in _DEFAULTS.values() for name in defaults})
 
 
 @dataclass
@@ -80,6 +73,17 @@ class RunConfig:
     format: str = "json"
     output: str | None = None
 
+    def __post_init__(self) -> None:
+        """Every way in (flags, config file, library call) is checked here, once."""
+        hints = typing.get_type_hints(RunConfig)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _conforms(value, hints[f.name]):
+                raise UsageError(f"{f.name} must be {f.type} (finite numbers only), "
+                                 f"got {value!r}")
+        if self.samples < 1:
+            raise UsageError(f"samples must be >= 1, got {self.samples}")
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -93,76 +97,33 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        fields = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(data) - fields
+        unknown = set(data) - _CONFIG_FIELDS
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         return RunConfig(**data)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="ssmin", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"ssmin {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, fmt=("json", "markdown")):
-        p.add_argument("--config", default=None, help="JSON config file; overrides flags")
-        p.add_argument("--format", choices=fmt, default=fmt[0])
-        p.add_argument("--output", default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=200)
-
-    p_res = sub.add_parser("residual", help="evaluate one closed-form minimality residual")
-    common(p_res)
-    p_res.add_argument("--case", required=False)
-    p_res.add_argument("--fjet", default=None, help="f jet as v,d1,d2")
-    p_res.add_argument("--gjet", default=None, help="g jet as v,d1,d2")
-
-    p_ver = sub.add_parser("verify", help="verify classified solution families")
-    common(p_ver)
-    p_ver.add_argument("--family", default=None)
-    p_ver.add_argument("--all", action="store_true")
-    p_ver.add_argument("--branch", choices=("plus", "minus"), default=None)
-    p_ver.add_argument("--tolerance", type=float, default=None)
-    p_ver.add_argument("--perturb", type=float, default=0.0)
-    for name in _PARAM_FLAGS:
-        p_ver.add_argument(f"--{name.replace('_', '-')}", dest=f"param_{name}",
-                           type=float, default=None)
-
-    p_eq = sub.add_parser("equivalence", help="check residual vs mean-curvature numerator")
-    common(p_eq)
-    p_eq.add_argument("--case", default=None)
-    p_eq.add_argument("--all", action="store_true")
-    p_eq.add_argument("--tolerance", type=float, default=None)
-
-    p_ode = sub.add_parser("ode-compare", help="RK4 trajectories against closed forms")
-    common(p_ode)
-    p_ode.add_argument("--step", type=float, default=1e-3)
-    p_ode.add_argument("--tolerance", type=float, default=None)
-
-    p_mesh = sub.add_parser("mesh", help="export a surface mesh")
-    common(p_mesh, fmt=("obj", "csv"))
-    p_mesh.add_argument("--family", required=False)
-    p_mesh.add_argument("--branch", choices=("plus", "minus"), default=None)
-    p_mesh.add_argument("--nu", type=int, default=64)
-    p_mesh.add_argument("--nv", type=int, default=64)
-    p_mesh.add_argument("--u-range", default=None, help="lo:hi")
-    p_mesh.add_argument("--v-range", default=None, help="lo:hi")
-    for name in _PARAM_FLAGS:
-        p_mesh.add_argument(f"--{name.replace('_', '-')}", dest=f"param_{name}",
-                            type=float, default=None)
-
-    p_rep = sub.add_parser("report", help="full verification report")
-    common(p_rep)
-    p_rep.add_argument("--all", action="store_true")
-    p_rep.add_argument("--step", type=float, default=1e-3)
-    p_rep.add_argument("--perturb", type=float, default=0.0)
-    return parser
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
 
-def _parse_range(text: str | None) -> list[float] | None:
-    if text is None:
-        return None
+def _conforms(value, hint) -> bool:
+    """Whether value has the declared type `hint`; floats must also be finite."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_conforms(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_conforms(item, args[0]) for item in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _conforms(k, args[0]) and _conforms(v, args[1]) for k, v in value.items())
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    if hint is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, hint)
+
+
+def _parse_range(text: str) -> list[float]:
     try:
         lo, hi = (float(part) for part in text.split(":"))
     except ValueError:
@@ -172,82 +133,107 @@ def _parse_range(text: str | None) -> list[float] | None:
     return [lo, hi]
 
 
-def _parse_jet(text: str | None) -> list[float] | None:
-    if text is None:
-        return None
+def _parse_jet(text: str) -> list[float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError(f"jet must be v,d1,d2, got {text!r}")
     return [float(part) for part in parts]
 
 
+def _build_parser() -> _Parser:
+    """Flags left unset stay None, so RunConfig's own defaults apply to them."""
+    parser = _Parser(prog="ssmin", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"ssmin {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help, fmt=("json", "markdown")):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="JSON config file; overrides flags")
+        p.add_argument("--format", choices=fmt, default=fmt[0])
+        p.add_argument("--output")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--samples", type=int)
+        return p
+
+    def family_flags(p):
+        p.add_argument("--family")
+        p.add_argument("--branch", choices=("plus", "minus"))
+        for name in _PARAM_FLAGS:
+            p.add_argument(f"--{name.replace('_', '-')}", dest=f"param_{name}", type=float)
+
+    p_res = command("residual", "evaluate one closed-form minimality residual")
+    p_res.add_argument("--case")
+    p_res.add_argument("--fjet", type=_parse_jet, help="f jet as v,d1,d2")
+    p_res.add_argument("--gjet", type=_parse_jet, help="g jet as v,d1,d2")
+
+    p_ver = command("verify", "verify classified solution families")
+    family_flags(p_ver)
+    p_ver.add_argument("--all", action="store_true")
+    p_ver.add_argument("--tolerance", type=float)
+    p_ver.add_argument("--perturb", type=float)
+
+    p_eq = command("equivalence", "check residual vs mean-curvature numerator")
+    p_eq.add_argument("--case")
+    p_eq.add_argument("--all", action="store_true")
+    p_eq.add_argument("--tolerance", type=float)
+    p_eq.set_defaults(samples=1000)
+
+    p_ode = command("ode-compare", "RK4 trajectories against closed forms")
+    p_ode.add_argument("--step", type=float)
+    p_ode.add_argument("--tolerance", type=float)
+
+    p_mesh = command("mesh", "export a surface mesh", fmt=("obj", "csv"))
+    family_flags(p_mesh)
+    p_mesh.add_argument("--nu", type=int)
+    p_mesh.add_argument("--nv", type=int)
+    p_mesh.add_argument("--u-range", type=_parse_range, help="lo:hi")
+    p_mesh.add_argument("--v-range", type=_parse_range, help="lo:hi")
+
+    p_rep = command("report", "full verification report")
+    p_rep.add_argument("--all", action="store_true")
+    p_rep.add_argument("--step", type=float)
+    p_rep.add_argument("--perturb", type=float)
+    return parser
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {
-        name: getattr(args, f"param_{name}")
-        for name in _PARAM_FLAGS
-        if getattr(args, f"param_{name}", None) is not None
-    }
-    cfg = RunConfig(
-        command=args.command,
-        family=getattr(args, "family", None),
-        params=params,
-        branch=getattr(args, "branch", None),
-        case=getattr(args, "case", None),
-        fjet=_parse_jet(getattr(args, "fjet", None)),
-        gjet=_parse_jet(getattr(args, "gjet", None)),
-        all=getattr(args, "all", False),
-        samples=args.samples,
-        seed=args.seed,
-        tolerance=getattr(args, "tolerance", None),
-        perturb=getattr(args, "perturb", 0.0),
-        nu=getattr(args, "nu", 64),
-        nv=getattr(args, "nv", 64),
-        u_range=_parse_range(getattr(args, "u_range", None)),
-        v_range=_parse_range(getattr(args, "v_range", None)),
-        step=getattr(args, "step", 1e-3),
-        format=args.format,
-        output=args.output,
-    )
+    given = vars(args)
+    values = {key: value for key, value in given.items()
+              if key in _CONFIG_FIELDS and value is not None}
+    values["params"] = {name: given[f"param_{name}"] for name in _PARAM_FLAGS
+                        if given.get(f"param_{name}") is not None}
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 override = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {args.config!r}: {exc}") from None
-        merged = cfg.to_dict()
-        merged.update(override)
-        cfg = RunConfig.from_dict(merged)
-    return cfg
+        if not isinstance(override, dict):
+            raise UsageError(f"config {args.config!r} must hold a JSON object")
+        values.update(override)
+    return RunConfig.from_dict(values)
 
 
-def _family_id(name: str | None) -> FamilyId:
+def _member(enum, name: str | None, flag: str):
     if name is None:
-        raise UsageError("--family is required (or use --all)")
+        raise UsageError(f"--{flag} is required (or use --all)")
     try:
-        return FamilyId(name)
+        return enum(name)
     except ValueError:
         raise UsageError(
-            f"unknown family {name!r}; known: {', '.join(f.value for f in FamilyId)}"
-        ) from None
-
-
-def _case_id(name: str | None) -> CaseId:
-    if name is None:
-        raise UsageError("--case is required (or use --all)")
-    try:
-        return CaseId(name)
-    except ValueError:
-        raise UsageError(
-            f"unknown case {name!r}; known: {', '.join(c.value for c in CaseId)}"
+            f"unknown {flag} {name!r}; known: {', '.join(m.value for m in enum)}"
         ) from None
 
 
 def _family_from_config(cfg: RunConfig):
-    fid = _family_id(cfg.family)
-    branch = cfg.branch or "plus"
+    fid = _member(FamilyId, cfg.family, "family")
     if cfg.branch is not None and fid not in BRANCHED_FAMILIES:
         raise UsageError(f"{fid.value} has no +- branch")
-    return make_family(fid, branch=branch, **cfg.params)
+    return make_family(fid, branch=cfg.branch or "plus", **cfg.params)
+
+
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "fail"
 
 
 def _report_record(rep: FamilyReport, theorem: str | None = None) -> dict:
@@ -260,12 +246,52 @@ def _report_record(rep: FamilyReport, theorem: str | None = None) -> dict:
         "max_abs_numerator": rep.max_abs_numerator,
         "max_abs_residual": rep.max_abs_residual,
         "tolerance": rep.tolerance,
-        "verdict": "pass" if rep.verdict else "fail",
+        "verdict": _verdict(rep.verdict),
         "empty_reason": rep.empty_reason,
     }
     if theorem is not None:
         record = {"theorem": theorem, **record}
     return record
+
+
+def _equivalence_records(cases, n_samples: int, seed: int, tol: float,
+                         first_tag: int = 0) -> list[dict]:
+    records = []
+    for tag, case in enumerate(cases, first_tag):
+        rec = equivalence_sweep(case, n_samples, child_seed(seed, tag))
+        records.append({
+            "case": case.value,
+            "n_samples": rec.n_samples,
+            "attempts": rec.attempts,
+            "acceptance_rate": rec.acceptance_rate,
+            "max_rel_deviation": rec.max_rel_deviation,
+            "tolerance": tol,
+            "verdict": _verdict(rec.max_rel_deviation <= tol),
+        })
+    return records
+
+
+def _ode_records(step: float, tol: float) -> list[dict]:
+    return [{
+        "ode_case": rec.ode_case,
+        "family_id": rec.family_id,
+        "profile": rec.which,
+        "t_span": list(rec.t_span),
+        "step": rec.step,
+        "max_abs_error": rec.max_abs_error,
+        "tolerance": tol,
+        "verdict": _verdict(rec.max_abs_error <= tol),
+    } for rec in ode_reference_runs(step)]
+
+
+def _pick(records: list[dict], *keys: str) -> list[dict]:
+    return [{key: record[key] for key in keys} for record in records]
+
+
+def _family_summary(records: list[dict]) -> dict:
+    n_pass = sum(1 for r in records if r["verdict"] == "pass")
+    return {"n_records": len(records), "n_pass": n_pass,
+            "n_fail": len(records) - n_pass, "all_pass": n_pass == len(records)}
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
@@ -285,8 +311,18 @@ def _emit_payload(payload: dict, cfg: RunConfig, markdown_renderer=None) -> None
         _emit(json.dumps(payload, indent=2) + "\n", cfg)
 
 
+def _emit_records(cfg: RunConfig, records: list[dict], markdown_renderer,
+                  ok: bool = True, **extra) -> int:
+    """Emit a single-table command's payload; exit 0 only if every record passes."""
+    summary = _family_summary(records)
+    payload = {"version": __version__, "command": cfg.command, "config": cfg.echo_dict(),
+               "records": records, **extra, "summary": summary}
+    _emit_payload(payload, cfg, markdown_renderer)
+    return 0 if ok and summary["all_pass"] else 2
+
+
 def cmd_residual(cfg: RunConfig) -> int:
-    case = _case_id(cfg.case)
+    case = _member(CaseId, cfg.case, "case")
     if cfg.fjet is None or cfg.gjet is None:
         raise UsageError("residual needs --fjet and --gjet as v,d1,d2")
     value = residual(case, Jet2(*cfg.fjet), Jet2(*cfg.gjet))
@@ -306,61 +342,20 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.all:
         if cfg.params:
             raise UsageError("--all does not take family parameters")
-        families = list(all_default_settings())
+        families = all_default_settings()
     else:
         families = [_family_from_config(cfg)]
-    records = []
-    ok = True
-    for index, fam in enumerate(families):
-        rep = verify_auto(fam, cfg.samples, child_seed(cfg.seed, index),
-                          cfg.tolerance, cfg.perturb)
-        ok = ok and rep.verdict
-        records.append(_report_record(rep))
-    payload = {
-        "version": __version__,
-        "command": "verify",
-        "config": cfg.echo_dict(),
-        "records": records,
-        "summary": _family_summary(records),
-    }
-    _emit_payload(payload, cfg, _render_verify_markdown)
-    return 0 if ok else 2
-
-
-def _family_summary(records: list[dict]) -> dict:
-    n_pass = sum(1 for r in records if r["verdict"] == "pass")
-    return {"n_records": len(records), "n_pass": n_pass,
-            "n_fail": len(records) - n_pass, "all_pass": n_pass == len(records)}
+    records = [_report_record(verify_auto(fam, cfg.samples, child_seed(cfg.seed, index),
+                                          cfg.tolerance, cfg.perturb))
+               for index, fam in enumerate(families)]
+    return _emit_records(cfg, records, _render_verify_markdown)
 
 
 def cmd_equivalence(cfg: RunConfig) -> int:
-    cases = list(CaseId) if cfg.all else [_case_id(cfg.case)]
+    cases = list(CaseId) if cfg.all else [_member(CaseId, cfg.case, "case")]
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-10
-    n = cfg.samples if cfg.samples != 200 else 1000
-    records = []
-    ok = True
-    for index, case in enumerate(cases):
-        rec = equivalence_sweep(case, n, child_seed(cfg.seed, index))
-        verdict = rec.max_rel_deviation <= tol
-        ok = ok and verdict
-        records.append({
-            "case": case.value,
-            "n_samples": rec.n_samples,
-            "attempts": rec.attempts,
-            "acceptance_rate": rec.acceptance_rate,
-            "max_rel_deviation": rec.max_rel_deviation,
-            "tolerance": tol,
-            "verdict": "pass" if verdict else "fail",
-        })
-    payload = {
-        "version": __version__,
-        "command": "equivalence",
-        "config": cfg.echo_dict(),
-        "records": records,
-        "summary": _family_summary(records),
-    }
-    _emit_payload(payload, cfg, _render_equivalence_markdown)
-    return 0 if ok else 2
+    records = _equivalence_records(cases, cfg.samples, cfg.seed, tol)
+    return _emit_records(cfg, records, _render_equivalence_markdown)
 
 
 _ORDER_PROBES = (
@@ -370,8 +365,6 @@ _ORDER_PROBES = (
 
 
 def _convergence_orders(coarse: float = 0.02) -> list[dict]:
-    from .catalog import _assemble  # intra-package helper
-
     out = []
     for case, fid, which, span in _ORDER_PROBES:
         asm = _assemble(make_family(fid))
@@ -390,33 +383,10 @@ def _convergence_orders(coarse: float = 0.02) -> list[dict]:
 
 def cmd_ode_compare(cfg: RunConfig) -> int:
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
-    records = []
-    ok = True
-    for rec in ode_reference_runs(cfg.step):
-        verdict = rec.max_abs_error <= tol
-        ok = ok and verdict
-        records.append({
-            "ode_case": rec.ode_case,
-            "family_id": rec.family_id,
-            "profile": rec.which,
-            "t_span": list(rec.t_span),
-            "step": rec.step,
-            "max_abs_error": rec.max_abs_error,
-            "tolerance": tol,
-            "verdict": "pass" if verdict else "fail",
-        })
+    records = _ode_records(cfg.step, tol)
     orders = _convergence_orders()
-    ok = ok and all(o["observed_order"] >= 3.8 for o in orders)
-    payload = {
-        "version": __version__,
-        "command": "ode-compare",
-        "config": cfg.echo_dict(),
-        "records": records,
-        "convergence": orders,
-        "summary": _family_summary(records),
-    }
-    _emit_payload(payload, cfg, _render_ode_markdown)
-    return 0 if ok else 2
+    return _emit_records(cfg, records, _render_ode_markdown,
+                         all(o["observed_order"] >= 3.8 for o in orders), convergence=orders)
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:
@@ -425,41 +395,32 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def cmd_mesh(cfg: RunConfig) -> int:
-    fam = _family_from_config(cfg)
-    built = build(fam)  # EmptyDomain propagates as a usage-level failure
-    box_u, box_v = built.domain.sampling_box()
-    if cfg.u_range is not None:
-        lo, hi = cfg.u_range
-        if not (built.domain.u.contains(lo) and built.domain.u.contains(hi)):
-            raise EmptyDomain(
-                f"u range [{lo:g}, {hi:g}] leaves the admissible domain; "
-                f"suggested clipped range [{box_u.lo:.6g}, {box_u.hi:.6g}]"
-            )
-        box_u = type(box_u)(lo, hi)
-    if cfg.v_range is not None:
-        lo, hi = cfg.v_range
-        if not (built.domain.v.contains(lo) and built.domain.v.contains(hi)):
-            raise EmptyDomain(
-                f"v range [{lo:g}, {hi:g}] leaves the admissible domain; "
-                f"suggested clipped range [{box_v.lo:.6g}, {box_v.hi:.6g}]"
-            )
-        box_v = type(box_v)(lo, hi)
+def _mesh_box(axis: str, allowed: Interval, box: Interval,
+              chosen: list[float] | None) -> Interval:
+    if chosen is None:
+        return box
+    lo, hi = chosen
+    if not (allowed.contains(lo) and allowed.contains(hi)):
+        raise EmptyDomain(
+            f"{axis} range [{lo:g}, {hi:g}] leaves the admissible domain; "
+            f"suggested clipped range [{box.lo:.6g}, {box.hi:.6g}]"
+        )
+    return Interval(lo, hi)
 
+
+def cmd_mesh(cfg: RunConfig) -> int:
+    built = build(_family_from_config(cfg))  # EmptyDomain propagates as a usage-level failure
+    box_u, box_v = built.domain.sampling_box()
+    box_u = _mesh_box("u", built.domain.u, box_u, cfg.u_range)
+    box_v = _mesh_box("v", built.domain.v, box_v, cfg.v_range)
     us = _grid(box_u.lo, box_u.hi, cfg.nu)
     vs = _grid(box_v.lo, box_v.hi, cfg.nv)
-    lines = []
+    points = ((u, v, immersion(built.surface, u, v)) for u in us for v in vs)
     if cfg.format == "csv":
-        lines.append("u,v,x,y,z")
-        for u in us:
-            for v in vs:
-                pt = immersion(built.surface, u, v)
-                lines.append(f"{u:.17g},{v:.17g},{pt.c1:.17g},{pt.c2:.17g},{pt.c3:.17g}")
+        lines = ["u,v,x,y,z"] + [f"{u:.17g},{v:.17g},{pt.c1:.17g},{pt.c2:.17g},{pt.c3:.17g}"
+                                 for u, v, pt in points]
     else:
-        for u in us:
-            for v in vs:
-                pt = immersion(built.surface, u, v)
-                lines.append(f"v {pt.c1:.17g} {pt.c2:.17g} {pt.c3:.17g}")
+        lines = [f"v {pt.c1:.17g} {pt.c2:.17g} {pt.c3:.17g}" for _, _, pt in points]
         for i in range(cfg.nu - 1):
             for j in range(cfg.nv - 1):
                 base = i * cfg.nv + j + 1
@@ -469,40 +430,22 @@ def cmd_mesh(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    family_records = []
-    index = 0
-    for theorem, fids in THEOREM_SUITES.items():
-        for fid in fids:
-            for fam in default_settings(fid):
-                rep = verify_auto(fam, cfg.samples, child_seed(cfg.seed, index),
-                                  cfg.tolerance, cfg.perturb)
-                family_records.append(_report_record(rep, theorem))
-                index += 1
-    eq_records = []
-    for offset, case in enumerate(CaseId):
-        rec = equivalence_sweep(case, max(cfg.samples, 500), child_seed(cfg.seed, 1000 + offset))
-        verdict = rec.max_rel_deviation <= 1e-10
-        eq_records.append({
-            "case": case.value,
-            "n_samples": rec.n_samples,
-            "acceptance_rate": rec.acceptance_rate,
-            "max_rel_deviation": rec.max_rel_deviation,
-            "verdict": "pass" if verdict else "fail",
-        })
-    ode_records = []
-    for rec in ode_reference_runs(cfg.step):
-        ode_records.append({
-            "ode_case": rec.ode_case,
-            "family_id": rec.family_id,
-            "profile": rec.which,
-            "max_abs_error": rec.max_abs_error,
-            "verdict": "pass" if rec.max_abs_error <= 1e-6 else "fail",
-        })
-    all_pass = (
-        all(r["verdict"] == "pass" for r in family_records)
-        and all(r["verdict"] == "pass" for r in eq_records)
-        and all(r["verdict"] == "pass" for r in ode_records)
-    )
+    suites = [(theorem, fam) for theorem, fids in THEOREM_SUITES.items()
+              for fid in fids for fam in default_settings(fid)]
+    family_records = [
+        _report_record(verify_auto(fam, cfg.samples, child_seed(cfg.seed, index),
+                                   cfg.tolerance, cfg.perturb), theorem)
+        for index, (theorem, fam) in enumerate(suites)
+    ]
+    eq_records = _pick(
+        _equivalence_records(list(CaseId), max(cfg.samples, 500), cfg.seed, 1e-10, 1000),
+        "case", "n_samples", "acceptance_rate", "max_rel_deviation", "verdict")
+    ode_records = _pick(_ode_records(cfg.step, 1e-6),
+                        "ode_case", "family_id", "profile", "max_abs_error", "verdict")
+    summary = {"families": _family_summary(family_records),
+               "equivalence": _family_summary(eq_records),
+               "ode": _family_summary(ode_records)}
+    all_pass = all(part["all_pass"] for part in summary.values())
     payload = {
         "version": __version__,
         "command": "report",
@@ -510,12 +453,7 @@ def cmd_report(cfg: RunConfig) -> int:
         "records": family_records,
         "equivalence": eq_records,
         "ode": ode_records,
-        "summary": {
-            "families": _family_summary(family_records),
-            "equivalence": _family_summary(eq_records),
-            "ode": _family_summary(ode_records),
-            "all_pass": all_pass,
-        },
+        "summary": {**summary, "all_pass": all_pass},
     }
     _emit_payload(payload, cfg, _render_report_markdown)
     return 0 if all_pass else 2
@@ -543,6 +481,32 @@ def _family_table(records: list[dict]) -> list[str]:
     return lines
 
 
+def _equivalence_table(records: list[dict]) -> list[str]:
+    lines = [
+        "| case | samples | acceptance | max rel deviation | verdict |",
+        "|---|---|---|---|---|",
+    ]
+    for r in records:
+        lines.append(
+            f"| {r['case']} | {r['n_samples']} | {r['acceptance_rate']:.3f} "
+            f"| {_fmt_float(r['max_rel_deviation'])} | {r['verdict']} |"
+        )
+    return lines
+
+
+def _ode_table(records: list[dict]) -> list[str]:
+    lines = [
+        "| ode case | family | profile | max abs error | verdict |",
+        "|---|---|---|---|---|",
+    ]
+    for r in records:
+        lines.append(
+            f"| {r['ode_case']} | {r['family_id']} | {r['profile']} "
+            f"| {_fmt_float(r['max_abs_error'])} | {r['verdict']} |"
+        )
+    return lines
+
+
 def _render_verify_markdown(payload: dict) -> str:
     lines = [f"# ssmin verify (v{payload['version']})", ""]
     lines += _family_table(payload["records"])
@@ -552,32 +516,13 @@ def _render_verify_markdown(payload: dict) -> str:
 
 
 def _render_equivalence_markdown(payload: dict) -> str:
-    lines = [
-        f"# ssmin equivalence (v{payload['version']})",
-        "",
-        "| case | samples | acceptance | max rel deviation | verdict |",
-        "|---|---|---|---|---|",
-    ]
-    for r in payload["records"]:
-        lines.append(
-            f"| {r['case']} | {r['n_samples']} | {r['acceptance_rate']:.3f} "
-            f"| {_fmt_float(r['max_rel_deviation'])} | {r['verdict']} |"
-        )
-    return "\n".join(lines + [""])
+    lines = [f"# ssmin equivalence (v{payload['version']})", ""]
+    return "\n".join(lines + _equivalence_table(payload["records"]) + [""])
 
 
 def _render_ode_markdown(payload: dict) -> str:
-    lines = [
-        f"# ssmin ode-compare (v{payload['version']})",
-        "",
-        "| ode case | family | profile | max abs error | verdict |",
-        "|---|---|---|---|---|",
-    ]
-    for r in payload["records"]:
-        lines.append(
-            f"| {r['ode_case']} | {r['family_id']} | {r['profile']} "
-            f"| {_fmt_float(r['max_abs_error'])} | {r['verdict']} |"
-        )
+    lines = [f"# ssmin ode-compare (v{payload['version']})", ""]
+    lines += _ode_table(payload["records"])
     lines += ["", "| ode case | coarse error | fine error | observed order |", "|---|---|---|---|"]
     for o in payload["convergence"]:
         lines.append(
@@ -588,49 +533,19 @@ def _render_ode_markdown(payload: dict) -> str:
 
 
 def _render_report_markdown(payload: dict) -> str:
-    lines = [f"# ssmin verification report (v{payload['version']})", ""]
-    seed = payload["config"]["seed"]
-    lines += [f"- seed: {seed}", f"- samples per family: {payload['config']['samples']}", ""]
+    config = payload["config"]
+    lines = [f"# ssmin verification report (v{payload['version']})", "",
+             f"- seed: {config['seed']}", f"- samples per family: {config['samples']}", ""]
     for theorem in THEOREM_SUITES:
         rows = [r for r in payload["records"] if r["theorem"] == theorem]
-        lines.append(f"## Theorem {theorem}")
-        lines.append("")
-        lines += _family_table(rows)
-        lines.append("")
-    lines.append("## Minimality equivalence sweeps")
-    lines.append("")
-    lines += [
-        "| case | samples | acceptance | max rel deviation | verdict |",
-        "|---|---|---|---|---|",
-    ]
-    for r in payload["equivalence"]:
-        lines.append(
-            f"| {r['case']} | {r['n_samples']} | {r['acceptance_rate']:.3f} "
-            f"| {_fmt_float(r['max_rel_deviation'])} | {r['verdict']} |"
-        )
-    lines.append("")
-    lines.append("## Reduced-ODE cross-checks")
-    lines.append("")
-    lines += [
-        "| ode case | family | profile | max abs error | verdict |",
-        "|---|---|---|---|---|",
-    ]
-    for r in payload["ode"]:
-        lines.append(
-            f"| {r['ode_case']} | {r['family_id']} | {r['profile']} "
-            f"| {_fmt_float(r['max_abs_error'])} | {r['verdict']} |"
-        )
-    lines.append("")
-    lines.append("## Summary")
-    lines.append("")
-    verdict = "PASS" if payload["summary"]["all_pass"] else "FAIL"
-    fam_summary = payload["summary"]["families"]
-    lines.append(f"- families: {fam_summary['n_pass']}/{fam_summary['n_records']} pass")
-    eq_summary = payload["summary"]["equivalence"]
-    lines.append(f"- equivalence: {eq_summary['n_pass']}/{eq_summary['n_records']} pass")
-    ode_summary = payload["summary"]["ode"]
-    lines.append(f"- ode: {ode_summary['n_pass']}/{ode_summary['n_records']} pass")
-    lines.append(f"- overall: {verdict}")
+        lines += [f"## Theorem {theorem}", "", *_family_table(rows), ""]
+    lines += ["## Minimality equivalence sweeps", "", *_equivalence_table(payload["equivalence"]),
+              "", "## Reduced-ODE cross-checks", "", *_ode_table(payload["ode"]),
+              "", "## Summary", ""]
+    summary = payload["summary"]
+    for part in ("families", "equivalence", "ode"):
+        lines.append(f"- {part}: {summary[part]['n_pass']}/{summary[part]['n_records']} pass")
+    lines.append(f"- overall: {'PASS' if summary['all_pass'] else 'FAIL'}")
     return "\n".join(lines + [""])
 
 
@@ -652,9 +567,6 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[cfg.command](cfg)
     except UsageError as exc:
         print(f"ssmin: error: {exc}", file=sys.stderr)
-        return 1
-    except (ParameterConstraintViolation, UnknownCase, EmptyDomain, DomainError) as exc:
-        print(f"ssmin: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except VerifierError as exc:
         print(f"ssmin: {type(exc).__name__}: {exc}", file=sys.stderr)

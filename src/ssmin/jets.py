@@ -219,6 +219,7 @@ class Profile:
     fn: Callable[[float], Jet2]
     domain: Interval = REAL_LINE
     label: str = "profile"
+    quadrature: bool = False  # value comes from adaptive Simpson
 
     def at(self, u: float) -> Jet2:
         if not self.domain.contains(u):
@@ -374,4 +375,4 @@ def profile_quadrature(integrand: Callable[[float], float],
         value = base + adaptive_simpson(integrand, base_point, u, spec)
         return Jet2(value, d1, d2)
 
-    return Profile(fn, domain, label)
+    return Profile(fn, domain, label, quadrature=True)

@@ -205,12 +205,6 @@ def integrate_profile_scalar(phi: Callable[[float], float], value0: float,
     return Profile(fn, Interval(t0 - 1e-9, t_end + 1e-9), label)
 
 
-def integrate_profile(case: OdeCase, value0: float, h0: float,
-                      t_span: tuple[float, float], step: float) -> Profile:
-    return integrate_profile_scalar(case.rhs(), value0, h0, t_span, step,
-                                    label=f"rk4[{case.kind.value}]")
-
-
 def substitution_check(case: OdeCase, h0: float, v_span: tuple[float, float],
                        n_samples: int = 40, step: float = 1e-4) -> float:
     """Verify the reciprocal-square substitution W = h^-2 linearizes the cubic cases.

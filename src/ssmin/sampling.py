@@ -27,10 +27,6 @@ class SplitMix64:
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0 ** -53)
 
-    def spawn(self, tag: int) -> "SplitMix64":
-        """Deterministic child stream for the given integer tag."""
-        return SplitMix64((self.next_u64() ^ (tag * _GOLDEN)) & _MASK)
-
 
 def child_seed(seed: int, tag: int) -> int:
     """Stable derived seed for per-family / per-case streams."""

@@ -8,6 +8,7 @@ from ssmin.catalog import (
     Branch,
     FamilyId,
     THEOREM_SUITES,
+    _assemble,
     all_default_settings,
     build,
     default_settings,
@@ -147,14 +148,32 @@ def test_perturbation_controls_every_family():
         assert not report.verdict
 
 
+MIRROR_PAIRS = [
+    (make_family(FamilyId.F2_23, c3=0.7, a=0.2, c5=0.0),
+     make_family(FamilyId.F2_24, c3_bar=0.7, a1=0.2, c6=0.0)),
+    (make_family(FamilyId.F3_10, c=1.5, a=0.2, b_bar=0.0),
+     make_family(FamilyId.F3_13, c_hat=1.5, a1=0.2, b_bar1=0.0)),
+    (make_family(FamilyId.F3_12, c=0.5, c_tilde=-1.0, b_tilde=0.0),
+     make_family(FamilyId.F3_14, c_hat=0.5, c_tilde1=-1.0, b_tilde=0.0)),
+]
+
+
 def test_swapped_profile_roles_match():
-    # the v-profile family mirrors the u-profile family under argument swap
-    f23 = build(make_family(FamilyId.F2_23, c3=0.7, a=0.2, c5=0.0))
-    f24 = build(make_family(FamilyId.F2_24, c3_bar=0.7, a1=0.2, c6=0.0))
-    for s, t in [(0.1, -0.4), (0.3, 0.8), (0.0, 0.0)]:
-        r_uv = residual(f23.case, f23.surface.f.at(s), f23.surface.g.at(t))
-        r_vu = residual(f24.case, f24.surface.f.at(t), f24.surface.g.at(s))
-        assert r_uv == pytest.approx(r_vu, abs=1e-13)
+    # the v-profile family mirrors the u-profile family under argument swap;
+    # profiles come from _assemble since F3_10/F3_13 have no spacelike domain
+    for fam, mirror in MIRROR_PAIRS:
+        uv, vu = _assemble(fam), _assemble(mirror)
+        assert uv.case is vu.case
+        for s, t in [(0.1, -0.4), (0.3, 0.8), (0.0, 0.0)]:
+            assert uv.f.at(s) == vu.g.at(s) and uv.g.at(t) == vu.f.at(t)
+            r_uv = residual(uv.case, uv.f.at(s), uv.g.at(t))
+            r_vu = residual(vu.case, vu.f.at(t), vu.g.at(s))
+            assert r_uv == pytest.approx(r_vu, abs=1e-13)
+        assert [(c, "g" if w == "f" else "f") for c, w in uv.ode_checks] == list(vu.ode_checks)
+        if uv.admissible is None:
+            assert vu.admissible is None
+        else:
+            assert (uv.admissible.u, uv.admissible.v) == (vu.admissible.v, vu.admissible.u)
 
 
 def test_f3_43_negative_orientation_parameter():

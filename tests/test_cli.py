@@ -3,6 +3,7 @@
 import json
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ssmin.cli import RunConfig, main
@@ -62,6 +63,17 @@ def test_equivalence_command(tmp_path):
     record = json.loads(text)["records"][0]
     assert record["max_rel_deviation"] <= 1e-10
     assert record["acceptance_rate"] == 1.0
+
+
+def test_equivalence_runs_the_samples_given(tmp_path):
+    # an explicit --samples 200 is run as given; a bare call defaults to 1000
+    code, text = run(tmp_path, "equivalence", "--case", "E_M_I", "--samples", "200")
+    assert code == 0
+    assert json.loads(text)["records"][0]["n_samples"] == 200
+    code, text = run(tmp_path, "equivalence", "--case", "E_M_I")
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["config"]["samples"] == payload["records"][0]["n_samples"] == 1000
 
 
 def test_equivalence_spacelike_rejection_rate(tmp_path):
@@ -153,6 +165,22 @@ def test_mesh_empty_domain_family(capsys):
     assert "spacelike" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "F3_10", "--c", "3"],
+    ["verify", "--family", "F3_13", "--c-hat", "-2.2"],
+    ["verify", "--family", "F3_31", "--c0-prime", "3"],
+    ["verify", "--family", "F3_36", "--c1", "3"],
+    ["verify", "--family", "F3_41", "--c1", "3"],
+])
+def test_verify_steep_affine_profile_residual_only(tmp_path, argv):
+    # a line steeper than the moderate-slope cap still gets a residual box
+    code, text = run(tmp_path, *argv, "--samples", "50")
+    assert code == 0
+    record = json.loads(text)["records"][0]
+    assert record["mode"] == "residual-only"
+    assert record["verdict"] == "pass"
+
+
 def test_report_determinism(tmp_path):
     args = ["report", "--all", "--format", "json", "--seed", "42",
             "--samples", "60"]
@@ -226,3 +254,23 @@ BAD_INVOCATIONS = [
 @given(st.sampled_from(BAD_INVOCATIONS))
 def test_usage_errors_exit_one(argv):
     assert main(argv) == 1
+
+
+@pytest.mark.parametrize("argv,config,field", [
+    (["verify", "--all", "--samples", "0"], None, "samples"),
+    (["verify", "--family", "F2_23", "--samples", "-5"], None, "samples"),
+    (["equivalence", "--all", "--samples", "0"], None, "samples"),
+    (["verify", "--family", "F2_23", "--c3", "nan"], None, "params"),
+    (["verify", "--family", "F2_23", "--tolerance", "inf"], None, "tolerance"),
+    (["verify", "--family", "F2_23"], {"samples": "abc"}, "samples"),
+    (["verify", "--family", "F2_23"], ["samples"], "JSON object"),
+])
+def test_bad_input_rejected_once(tmp_path, capsys, argv, config, field):
+    # no vacuous pass, no traceback: RunConfig rejects the input with exit 1
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ssmin: error: ") and field in err
