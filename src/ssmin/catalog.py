@@ -229,17 +229,23 @@ def _radicand_integrands(fid: str, sign: float, ah: float, rate: float, shift: f
     coeff = -0.5 * rate * sign
 
     def integrand(x: float) -> float:
-        r = ah * math.exp(rate * x) + shift
-        if r <= 0.0:
-            raise DomainError(f"{fid}: radicand {r!r} nonpositive at v={x!r}")
-        return sign / math.sqrt(r)
+        try:
+            r = ah * math.exp(rate * x) + shift
+            if r <= 0.0:
+                raise DomainError(f"{fid}: radicand {r!r} nonpositive at v={x!r}")
+            return sign / math.sqrt(r)
+        except OverflowError:
+            raise DomainError(f"{fid}: radicand overflows at v={x!r}") from None
 
     def integrand_d1(x: float) -> float:
-        e = math.exp(rate * x)
-        r = ah * e + shift
-        if r <= 0.0:
-            raise DomainError(f"{fid}: radicand {r!r} nonpositive at v={x!r}")
-        return coeff * ah * e * r ** -1.5
+        try:
+            e = math.exp(rate * x)
+            r = ah * e + shift
+            if r <= 0.0:
+                raise DomainError(f"{fid}: radicand {r!r} nonpositive at v={x!r}")
+            return coeff * ah * e * r ** -1.5
+        except OverflowError:
+            raise DomainError(f"{fid}: radicand overflows at v={x!r}") from None
 
     return integrand, integrand_d1
 
@@ -248,18 +254,24 @@ def _tanh_ratio_integrands(s: float, coeff: float, rate: float):
     """f' = s (1 + coeff*e^(rate*x)) / (1 - coeff*e^(rate*x)) and its derivative."""
 
     def integrand(x: float) -> float:
-        t = coeff * math.exp(rate * x)
-        den = 1.0 - t
-        if abs(den) < 1e-12:
-            raise DomainError(f"ratio denominator vanishes at x={x!r}")
-        return s * (1.0 + t) / den
+        try:
+            t = coeff * math.exp(rate * x)
+            den = 1.0 - t
+            if abs(den) < 1e-12:
+                raise DomainError(f"ratio denominator vanishes at x={x!r}")
+            return s * (1.0 + t) / den
+        except OverflowError:
+            raise DomainError(f"ratio exponential overflows at x={x!r}") from None
 
     def integrand_d1(x: float) -> float:
-        t = coeff * math.exp(rate * x)
-        den = 1.0 - t
-        if abs(den) < 1e-12:
-            raise DomainError(f"ratio denominator vanishes at x={x!r}")
-        return 2.0 * s * rate * t / (den * den)
+        try:
+            t = coeff * math.exp(rate * x)
+            den = 1.0 - t
+            if abs(den) < 1e-12:
+                raise DomainError(f"ratio denominator vanishes at x={x!r}")
+            return 2.0 * s * rate * t / (den * den)
+        except OverflowError:
+            raise DomainError(f"ratio exponential overflows at x={x!r}") from None
 
     return integrand, integrand_d1
 
@@ -746,30 +758,35 @@ class OdeComparisonRecord:
     max_abs_error: float
 
 
+# (family at its defaults, profile, t span) of each RK4 reference run.
+_ODE_REFERENCE_RUNS: tuple[tuple[FamilyId, str, tuple[float, float]], ...] = (
+    (FamilyId.F2_23, "f", (0.0, 0.6)),
+    (FamilyId.F2_35, "f", (0.0, 0.4)),
+    (FamilyId.F2_39, "g", (0.0, 1.0)),
+    (FamilyId.F3_12, "f", (0.0, 1.0)),
+    (FamilyId.F3_27, "f", (0.0, 0.8)),
+    (FamilyId.F3_30, "g", (0.0, 1.0)),
+    (FamilyId.F3_38, "f", (0.0, 1.0)),
+    (FamilyId.F3_38, "g", (0.0, 1.0)),
+    (FamilyId.F3_43, "f", (0.0, 0.6)),
+    (FamilyId.F3_43, "g", (0.3, 1.5)),
+)
+# An RK4 step must be shorter than this for every reference run to take one.
+SHORTEST_ODE_SPAN = min(hi - lo for _, _, (lo, hi) in _ODE_REFERENCE_RUNS)
+
+
 def ode_reference_runs(step: float = 1e-3) -> tuple[OdeComparisonRecord, ...]:
     """RK4 trajectories of every reduced ODE against its closed-form profile."""
     from .ode import compare_profile, integrate
 
-    runs: list[tuple[SolutionFamily, str, tuple[float, float]]] = [
-        (make_family(FamilyId.F2_23), "f", (0.0, 0.6)),
-        (make_family(FamilyId.F2_35), "f", (0.0, 0.4)),
-        (make_family(FamilyId.F2_39), "g", (0.0, 1.0)),
-        (make_family(FamilyId.F3_12), "f", (0.0, 1.0)),
-        (make_family(FamilyId.F3_27), "f", (0.0, 0.8)),
-        (make_family(FamilyId.F3_30), "g", (0.0, 1.0)),
-        (make_family(FamilyId.F3_38), "f", (0.0, 1.0)),
-        (make_family(FamilyId.F3_38), "g", (0.0, 1.0)),
-        (make_family(FamilyId.F3_43), "f", (0.0, 0.6)),
-        (make_family(FamilyId.F3_43), "g", (0.3, 1.5)),
-    ]
     records = []
-    for fam, which, span in runs:
-        asm = _assemble(fam)
+    for fid, which, span in _ODE_REFERENCE_RUNS:
+        asm = _assemble(make_family(fid))
         profile = asm.f if which == "f" else asm.g
         case = next(c for c, w in asm.ode_checks if w == which)
         h0 = profile.at(span[0]).d1
         traj = integrate(case, h0, span, step)
         err = compare_profile(traj, profile)
-        records.append(OdeComparisonRecord(case.kind.value, fam.family_id.value,
-                                           which, span, step, err))
+        records.append(OdeComparisonRecord(case.kind.value, fid.value, which, span,
+                                           step, err))
     return tuple(records)

@@ -14,13 +14,14 @@ import math
 import sys
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .catalog import (
     BRANCHED_FAMILIES,
     FamilyId,
     FamilyReport,
+    SHORTEST_ODE_SPAN,
     THEOREM_SUITES,
     _DEFAULTS,
     _assemble,
@@ -32,7 +33,7 @@ from .catalog import (
     verify_auto,
 )
 from .errors import EmptyDomain, VerifierError
-from .jets import Interval, Jet2
+from .jets import Interval, Jet2, Profile
 from .ode import OdeCase, OdeId, compare_profile, integrate
 from .pde import CaseId, equivalence_sweep, residual
 from .sampling import child_seed
@@ -81,8 +82,21 @@ class RunConfig:
             if not _conforms(value, hints[f.name]):
                 raise UsageError(f"{f.name} must be {f.type} (finite numbers only), "
                                  f"got {value!r}")
+        if self.command not in _COMMANDS:
+            raise UsageError(f"unknown command {self.command!r}; known: {', '.join(_COMMANDS)}")
         if self.samples < 1:
             raise UsageError(f"samples must be >= 1, got {self.samples}")
+        for name in ("fjet", "gjet"):
+            jet = getattr(self, name)
+            if jet is not None and len(jet) != 3:
+                raise UsageError(f"{name} must be v,d1,d2, got {jet!r}")
+        for name in ("u_range", "v_range"):
+            span = getattr(self, name)
+            if span is not None and not (len(span) == 2 and span[0] < span[1]):
+                raise UsageError(f"{name} must be an increasing lo:hi, got {span!r}")
+        if not 0.0 < self.step < SHORTEST_ODE_SPAN:
+            raise UsageError(f"step must lie in (0, {SHORTEST_ODE_SPAN:g}), the shortest "
+                             f"reference ODE span; got {self.step!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -123,21 +137,14 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _parse_range(text: str) -> list[float]:
-    try:
-        lo, hi = (float(part) for part in text.split(":"))
-    except ValueError:
-        raise UsageError(f"range must be lo:hi, got {text!r}") from None
-    if not lo < hi:
-        raise UsageError(f"range must be increasing, got {text!r}")
-    return [lo, hi]
-
-
-def _parse_jet(text: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"jet must be v,d1,d2, got {text!r}")
-    return [float(part) for part in parts]
+def _float_list(sep: str):
+    """argparse type for numbers joined by sep; RunConfig checks length and order."""
+    def parse(text: str) -> list[float]:
+        try:
+            return [float(part) for part in text.split(sep)]
+        except ValueError:
+            raise UsageError(f"expected numbers separated by {sep!r}, got {text!r}") from None
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -163,8 +170,8 @@ def _build_parser() -> _Parser:
 
     p_res = command("residual", "evaluate one closed-form minimality residual")
     p_res.add_argument("--case")
-    p_res.add_argument("--fjet", type=_parse_jet, help="f jet as v,d1,d2")
-    p_res.add_argument("--gjet", type=_parse_jet, help="g jet as v,d1,d2")
+    p_res.add_argument("--fjet", type=_float_list(","), help="f jet as v,d1,d2")
+    p_res.add_argument("--gjet", type=_float_list(","), help="g jet as v,d1,d2")
 
     p_ver = command("verify", "verify classified solution families")
     family_flags(p_ver)
@@ -186,8 +193,8 @@ def _build_parser() -> _Parser:
     family_flags(p_mesh)
     p_mesh.add_argument("--nu", type=int)
     p_mesh.add_argument("--nv", type=int)
-    p_mesh.add_argument("--u-range", type=_parse_range, help="lo:hi")
-    p_mesh.add_argument("--v-range", type=_parse_range, help="lo:hi")
+    p_mesh.add_argument("--u-range", type=_float_list(":"), help="lo:hi")
+    p_mesh.add_argument("--v-range", type=_float_list(":"), help="lo:hi")
 
     p_rep = command("report", "full verification report")
     p_rep.add_argument("--all", action="store_true")
@@ -408,6 +415,12 @@ def _mesh_box(axis: str, allowed: Interval, box: Interval,
     return Interval(lo, hi)
 
 
+def _tabulated(profile: Profile, xs: list[float]) -> Profile:
+    """The profile evaluated once at each grid line xs, served from that table."""
+    table = {x: profile.at(x) for x in xs}
+    return replace(profile, fn=table.__getitem__)
+
+
 def cmd_mesh(cfg: RunConfig) -> int:
     built = build(_family_from_config(cfg))  # EmptyDomain propagates as a usage-level failure
     box_u, box_v = built.domain.sampling_box()
@@ -415,7 +428,9 @@ def cmd_mesh(cfg: RunConfig) -> int:
     box_v = _mesh_box("v", built.domain.v, box_v, cfg.v_range)
     us = _grid(box_u.lo, box_u.hi, cfg.nu)
     vs = _grid(box_v.lo, box_v.hi, cfg.nv)
-    points = ((u, v, immersion(built.surface, u, v)) for u in us for v in vs)
+    surface = replace(built.surface, f=_tabulated(built.surface.f, us),
+                      g=_tabulated(built.surface.g, vs))
+    points = ((u, v, immersion(surface, u, v)) for u in us for v in vs)
     if cfg.format == "csv":
         lines = ["u,v,x,y,z"] + [f"{u:.17g},{v:.17g},{pt.c1:.17g},{pt.c2:.17g},{pt.c3:.17g}"
                                  for u, v, pt in points]

@@ -222,7 +222,7 @@ class Profile:
     quadrature: bool = False  # value comes from adaptive Simpson
 
     def at(self, u: float) -> Jet2:
-        if not self.domain.contains(u):
+        if not (self.domain.contains(u) and math.isfinite(u)):
             raise DomainError(
                 f"{self.label}: u={u!r} outside domain [{self.domain.lo!r}, {self.domain.hi!r}]"
             )
@@ -319,6 +319,12 @@ class QuadratureSpec:
 # estimate on a wide panel.
 _MIN_SPLITS = 4
 
+# Quadrature profiles cache cumulative integrals at nodes this far apart,
+# out to _MAX_NODES nodes on each side of the anchor; farther points integrate
+# the rest from the last cached node.
+_NODE_WIDTH = 1.0 / 32.0
+_MAX_NODES = 4096
+
 
 def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
                      spec: QuadratureSpec = QuadratureSpec()) -> float:
@@ -364,15 +370,35 @@ def profile_quadrature(integrand: Callable[[float], float],
     """Profile u -> base + integral of integrand from base_point to u.
 
     Only the value needs quadrature; d1 is the integrand itself and d2 its
-    supplied closed-form derivative.
+    supplied closed-form derivative.  Integrals from base_point to the nodes
+    base_point + k*_NODE_WIDTH are cached as they are first needed, one
+    panel at a time, so an evaluation integrates only from the last node
+    between base_point and u.  The node is never past u, so the integrand is
+    only ever evaluated on [base_point, u], and each panel is integrated on
+    its own, so a value does not depend on the order of evaluations.
     """
     if not domain.contains(base_point):
         raise DomainError(f"{label}: base point {base_point!r} outside domain")
+    # cumulative[side][k]: integral from base_point to base_point + side*k*_NODE_WIDTH
+    cumulative = {1.0: [0.0], -1.0: [0.0]}
 
     def fn(u: float) -> Jet2:
         d1 = integrand(u)
         d2 = integrand_d1(u)
-        value = base + adaptive_simpson(integrand, base_point, u, spec)
+        k = int((u - base_point) / _NODE_WIDTH)
+        side = -1.0 if k < 0 else 1.0
+        k = min(abs(k), _MAX_NODES)
+        node = base_point + side * k * _NODE_WIDTH
+        if k and side * (node - u) > 0.0:  # rounding put the node past u
+            k -= 1
+            node = base_point + side * k * _NODE_WIDTH
+        sums = cumulative[side]
+        while len(sums) <= k:
+            n = len(sums)
+            lo = base_point + side * (n - 1) * _NODE_WIDTH
+            hi = base_point + side * n * _NODE_WIDTH
+            sums.append(sums[-1] + adaptive_simpson(integrand, lo, hi, spec))
+        value = base + sums[k] + adaptive_simpson(integrand, node, u, spec)
         return Jet2(value, d1, d2)
 
     return Profile(fn, domain, label, quadrature=True)

@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ssmin.catalog import build
 from ssmin.cli import RunConfig, main
 
 
@@ -264,6 +266,14 @@ def test_usage_errors_exit_one(argv):
     (["verify", "--family", "F2_23", "--tolerance", "inf"], None, "tolerance"),
     (["verify", "--family", "F2_23"], {"samples": "abc"}, "samples"),
     (["verify", "--family", "F2_23"], ["samples"], "JSON object"),
+    (["verify", "--family", "F2_23"], {"command": "bogus"}, "command"),
+    (["residual", "--case", "E_M_I", "--gjet", "0,0,0"], {"fjet": [1.0, 2.0]}, "fjet"),
+    (["residual", "--case", "E_M_I", "--fjet", "0,0,0"], {"gjet": [0.0] * 4}, "gjet"),
+    (["mesh", "--family", "F2_23"], {"u_range": [1.0, 0.0]}, "u_range"),
+    (["mesh", "--family", "F2_23"], {"v_range": [0.0]}, "v_range"),
+    (["ode-compare", "--step", "1e9"], None, "step"),
+    (["ode-compare", "--step", "0"], None, "step"),
+    (["report", "--all", "--step", "0.4"], None, "step"),
 ])
 def test_bad_input_rejected_once(tmp_path, capsys, argv, config, field):
     # no vacuous pass, no traceback: RunConfig rejects the input with exit 1
@@ -274,3 +284,43 @@ def test_bad_input_rejected_once(tmp_path, capsys, argv, config, field):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("ssmin: error: ") and field in err
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    # the admissible box itself reaches where a_hat*e^(4v) overflows
+    (["verify", "--family", "F2_39", "--a-hat", "1e-300"], 1),
+    # overflowing probes of the residual-only box search count as off-domain
+    (["verify", "--family", "F3_12", "--c", "0.99995"], 0),
+    (["verify", "--family", "F3_14", "--c-hat", "0.99995"], 0),
+])
+def test_integrand_overflow_is_a_domain_error(tmp_path, capsys, argv, exit_code):
+    code, text = run(tmp_path, *argv, "--samples", "50")
+    assert code == exit_code
+    if exit_code:
+        assert capsys.readouterr().err.startswith("ssmin: DomainError: ")
+    else:
+        assert json.loads(text)["summary"]["all_pass"] is True
+
+
+def test_mesh_evaluates_each_profile_once_per_grid_line(tmp_path, monkeypatch):
+    import ssmin.cli as cli
+
+    calls = []
+
+    def counted(profile, axis):
+        def fn(x):
+            calls.append(axis)
+            return profile.fn(x)
+        return replace(profile, fn=fn)
+
+    def counting_build(fam):
+        built = build(fam)
+        surface = replace(built.surface, f=counted(built.surface.f, "u"),
+                          g=counted(built.surface.g, "v"))
+        return replace(built, surface=surface)
+
+    monkeypatch.setattr(cli, "build", counting_build)
+    code, text = run(tmp_path, "mesh", "--family", "F2_39", "--nu", "9", "--nv", "7",
+                     "--format", "csv", name="m.csv")
+    assert code == 0 and len(text.splitlines()) == 1 + 9 * 7
+    assert (calls.count("u"), calls.count("v")) == (9, 7)

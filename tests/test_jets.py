@@ -1,12 +1,16 @@
 """Jet arithmetic, elementary functions, profiles, and quadrature."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ssmin import catalog
 from ssmin.errors import DomainError, QuadratureFailure
 from ssmin.jets import (
+    _MAX_NODES,
+    _NODE_WIDTH,
     Interval,
     Jet2,
     QuadratureSpec,
@@ -175,6 +179,9 @@ def test_profile_quadrature_examples():
 
     p = profile_quadrature(math.cos, lambda x: -math.sin(x))
     assert abs(p.at(math.pi / 2.0).v - 1.0) <= 1e-10
+    # an infinite end of the domain is not a point of it
+    with pytest.raises(DomainError):
+        p.at(math.inf)
 
 
 def test_quadrature_against_scipy_oracle():
@@ -203,3 +210,78 @@ def test_quadrature_profile_derivatives_are_closed_form(scale, shift):
     assert jet.d2 == scale * math.cos(scale * u + shift)
     exact = (math.cos(shift) - math.cos(scale * u + shift)) / scale
     assert abs(jet.v - exact) <= 1e-9
+
+
+def _catalog_quadratures():
+    """(profile, integrand, anchor, box) of every quadrature profile of the
+    catalog's default settings; the profiles are fresh, never evaluated."""
+    made = {}
+
+    def recording(integrand, integrand_d1, **kwargs):
+        profile = profile_quadrature(integrand, integrand_d1, **kwargs)
+        made[profile.fn] = (integrand, kwargs["base_point"])
+        return profile
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "profile_quadrature", recording)
+        for fam in catalog.all_default_settings():
+            # the box search evaluates profiles, so sample a second assembly
+            box_u, box_v = catalog._residual_box(catalog._assemble(fam))
+            asm = catalog._assemble(fam)
+            for profile, box in ((asm.f, box_u), (asm.g, box_v)):
+                if profile.quadrature:
+                    out.append((profile, *made[profile.fn], box))
+    return out
+
+
+def _cache_points(anchor, box):
+    """Box points on both sides of the anchor, the anchor and nodes, in the box."""
+    nodes = [anchor + k * _NODE_WIDTH for k in range(-200, 201)]
+    spread = [box.lo + box.width * i / 16.0 for i in range(17)]
+    on_nodes = [x for x in nodes if box.lo <= x <= box.hi][::7]
+    return sorted({x for x in spread + on_nodes + [anchor] if box.lo <= x <= box.hi})
+
+
+def test_catalog_quadrature_profiles_match_one_shot_simpson():
+    profiles = _catalog_quadratures()
+    assert {p.label.split(".")[0] for p, *_ in profiles} == {
+        "F2_39", "F3_12", "F3_14", "F3_27", "F3_30"}
+    sides = set()
+    for profile, integrand, anchor, box in profiles:
+        base = profile.at(anchor).v
+        for u in _cache_points(anchor, box):
+            one_shot = base + adaptive_simpson(integrand, anchor, u, catalog._QUAD_SPEC)
+            assert abs(profile.at(u).v - one_shot) <= 1e-12, (profile.label, u)
+            sides.add((u > anchor) - (u < anchor))
+    assert sides == {-1, 0, 1}
+
+
+def test_quadrature_cache_is_order_independent():
+    rng = random.Random(11)
+    orders = [lambda xs: xs, lambda xs: xs[::-1], lambda xs: rng.sample(xs, len(xs))]
+    results = []
+    for order in orders:
+        jets = {}
+        for index, (profile, _, anchor, box) in enumerate(_catalog_quadratures()):
+            for u in order(_cache_points(anchor, box)):
+                jets[index, u] = profile.at(u)
+        results.append(jets)
+    assert results[0] == results[1] == results[2]
+
+
+def test_quadrature_cache_stops_at_max_nodes():
+    # past the last cached node the rest is one adaptive Simpson call, so a far
+    # point costs about _MAX_NODES panels, not one panel per node width
+    calls = []
+
+    def integrand(x):
+        calls.append(x)
+        return 1.0
+
+    far = 10.0 * _MAX_NODES * _NODE_WIDTH
+    p = profile_quadrature(integrand, lambda x: 0.0)
+    assert abs(p.at(far).v - far) <= 1e-9
+    assert abs(p.at(-far).v + far) <= 1e-9
+    assert len(calls) < 2 * 100 * _MAX_NODES  # two sides, < 100 evaluations a panel
+    assert min(calls) == -far and max(calls) == far
