@@ -15,7 +15,7 @@ it adds nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -73,9 +73,6 @@ class AmbientSpace:
 
     signature: Signature
     connection: ConnectionKind
-
-    def with_connection(self, kind: ConnectionKind) -> "AmbientSpace":
-        return replace(self, connection=kind)
 
 
 def metric_inner(sig: Signature, a: Vec3, b: Vec3) -> float:

@@ -37,7 +37,7 @@ from .jets import (
 )
 from .ode import OdeCase, OdeId
 from .pde import CASE_SPACE, CaseId, residual
-from .sampling import SplitMix64
+from .sampling import SplitMix64, _worse
 from .surface import TranslationSurface, TranslationType
 
 # Admissible boxes keep this much distance (in u or v) from closed-form
@@ -692,8 +692,8 @@ def verify_family(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
         v = rng.uniform(box_v.lo, box_v.hi)
         fj, gj = asm.f.at(u), asm.g.at(v)
         report = mean_curvature_from_jets(asm.ttype, asm.space, kind, fj, gj)
-        worst_num = max(worst_num, abs(report.numerator))
-        worst_res = max(worst_res, abs(residual(asm.case, fj, gj)))
+        worst_num = _worse(worst_num, abs(report.numerator))
+        worst_res = _worse(worst_res, abs(residual(asm.case, fj, gj)))
     return FamilyReport(
         fam.family_id.value, fam.param_dict, fam.branch.value, n_samples, "full",
         worst_num, worst_res, tol, worst_num <= tol and worst_res <= tol, None,
@@ -712,7 +712,7 @@ def verify_residual(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0
     for _ in range(n_samples):
         u = rng.uniform(box_u.lo, box_u.hi)
         v = rng.uniform(box_v.lo, box_v.hi)
-        worst_res = max(worst_res, abs(residual(asm.case, f.at(u), asm.g.at(v))))
+        worst_res = _worse(worst_res, abs(residual(asm.case, f.at(u), asm.g.at(v))))
     return FamilyReport(
         fam.family_id.value, fam.param_dict, fam.branch.value, n_samples,
         "residual-only", None, worst_res, tol, worst_res <= tol, asm.empty_reason,
@@ -744,7 +744,7 @@ def ode_pointwise_max(fam: SolutionFamily, n_samples: int = 200, rng_seed: int =
         box = box_u if which == "f" else box_v
         for _ in range(n_samples):
             jet = profile.at(rng.uniform(box.lo, box.hi))
-            worst = max(worst, abs(jet.d2 - phi(jet.d1)))
+            worst = _worse(worst, abs(jet.d2 - phi(jet.d1)))
     return worst
 
 

@@ -12,21 +12,27 @@ curvature is
 
 applied verbatim in both signatures; the numerator is reported alongside H so
 minimality checks never divide by a small EG - F^2.
+
+`_curvature_kernel` evaluates this from the four jet derivatives with plain
+floats.  It performs the floating-point operations of `frame_from_jets`,
+`covariant_derivative` and `metric_inner` in the same order, leaving out only
+products with an exact 0.0 and factors of 1.0, so its values equal theirs
+(up to the sign of a zero); the test suite checks that equality exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .ambient import AmbientSpace, ConnectionKind, covariant_derivative, metric_inner
+from .ambient import AmbientSpace, ConnectionKind, Signature
 from .jets import Jet2
 from .surface import (
     FirstFundamental,
-    FramePoint,
     TranslationSurface,
     TranslationType,
-    _fundamental,
-    frame_from_jets,
+    _require_regular,
+    frame_from_jets,  # noqa: F401  perfbench's tracer test patches it in this namespace
 )
 
 
@@ -44,28 +50,64 @@ class CurvatureReport:
     H: float
     numerator: float
     first: FirstFundamental
+    normalizer: float
 
 
-def sigma_from_frame(space: AmbientSpace, kind: ConnectionKind, fr: FramePoint) -> SigmaMatrix:
-    """Project the four covariant derivatives of the frame onto the normal."""
-    conn = space.with_connection(kind)
-    sig = space.signature
-    n11 = covariant_derivative(conn, fr.Fu, fr.Fu, fr.dFu_du)
-    n12 = covariant_derivative(conn, fr.Fu, fr.Fv, fr.dFv_du)
-    n21 = covariant_derivative(conn, fr.Fv, fr.Fu, fr.dFu_dv)
-    n22 = covariant_derivative(conn, fr.Fv, fr.Fv, fr.dFv_dv)
-    return SigmaMatrix(
-        metric_inner(sig, n11, fr.N),
-        metric_inner(sig, n12, fr.N),
-        metric_inner(sig, n21, fr.N),
-        metric_inner(sig, n22, fr.N),
-    )
+def _curvature_kernel(ttype: TranslationType, sig: Signature, kind: ConnectionKind,
+                      f1: float, f2: float, g1: float, g2: float) -> tuple[float, ...]:
+    """(E, F, G, det, normalizer, s11, s12, s21, s22, numerator) at one point.
+
+    With e = <X3, X3> = +-1, the tangents, normal and second partials are
+    those of `surface._tangents`, `_normal_direction` and `_second_partials`.
+    The torsion part of nabla_{E_i} E_j is E_i <E_j, X3>, so `tor` is e for
+    both semi-symmetric kinds and 0.0 for Levi-Civita; the metric kind also
+    subtracts X3 <E_i, E_j>, carried by m11, m12, m22.
+    """
+    e = 1.0 if sig is Signature.EUCLIDEAN else -1.0
+    tor = 0.0 if kind is ConnectionKind.LEVI_CIVITA else e
+    if ttype is TranslationType.I:
+        E = 1.0 + e * (f1 * f1)
+        F = e * (f1 * g1)
+        G = 1.0 + e * (g1 * g1)
+    else:
+        E = 1.0 + f1 * f1
+        F = f1 * g1
+        G = g1 * g1 + e
+    det = E * G - F * F
+    _require_regular(sig, det, f1, g1)
+    normalizer = math.sqrt(det)
+    inv = 1.0 / normalizer
+    if kind is ConnectionKind.SEMI_SYMMETRIC_METRIC:
+        m11, m12, m22 = E, F, G
+    else:
+        m11 = m12 = m22 = 0.0
+    if ttype is TranslationType.I:
+        # Fu = (1, 0, f1), Fv = (0, 1, g1), N = (-f1, -g1, e) / normalizer.
+        a, b = tor * f1, tor * g1
+        n1, n2, n3 = -f1 * inv, -g1 * inv, e * inv
+        s11 = a * n1 + e * (((f2 + f1 * a) - m11) * n3)
+        s12 = b * n1 + e * ((f1 * b - m12) * n3)
+        s21 = a * n2 + e * ((g1 * a - m12) * n3)
+        s22 = b * n2 + e * (((g2 + g1 * b) - m22) * n3)
+    else:
+        # Type II: Fu = (1, f1, 0), Fv = (0, g1, 1), N = (f1, -1, e g1) / normalizer.
+        # Type III swaps the first two slots and negates N, so each sigma_ij is
+        # the Type II sum negated term by term: nf is N in the slot holding
+        # f', g', f'', g'', nc in the other planar slot.
+        o = 1.0 if ttype is TranslationType.II else -1.0
+        nf, nc, n3 = -o * inv, o * (f1 * inv), (o * (e * g1)) * inv
+        s11 = f2 * nf - e * (m11 * n3)
+        s12 = (tor * nc + (tor * f1) * nf) - e * (m12 * n3)
+        s21 = -(e * (m12 * n3))
+        s22 = (g2 + g1 * tor) * nf + e * ((tor - m22) * n3)
+    numerator = G * s11 - F * s12 - F * s21 + E * s22
+    return E, F, G, det, normalizer, s11, s12, s21, s22, numerator
 
 
 def second_form_from_jets(ttype: TranslationType, space: AmbientSpace,
                           kind: ConnectionKind, fj: Jet2, gj: Jet2) -> SigmaMatrix:
-    fr = frame_from_jets(ttype, space, fj, gj)
-    return sigma_from_frame(space, kind, fr)
+    k = _curvature_kernel(ttype, space.signature, kind, fj.d1, fj.d2, gj.d1, gj.d2)
+    return SigmaMatrix(*k[5:9])
 
 
 def second_form(surface: TranslationSurface, kind: ConnectionKind,
@@ -77,13 +119,11 @@ def second_form(surface: TranslationSurface, kind: ConnectionKind,
 
 def mean_curvature_from_jets(ttype: TranslationType, space: AmbientSpace,
                              kind: ConnectionKind, fj: Jet2, gj: Jet2) -> CurvatureReport:
-    fr = frame_from_jets(ttype, space, fj, gj)
-    sm = sigma_from_frame(space, kind, fr)
-    first = _fundamental(space.signature, fr.Fu, fr.Fv)
-    numerator = (
-        first.G * sm.s11 - first.F * sm.s12 - first.F * sm.s21 + first.E * sm.s22
+    E, F, G, det, normalizer, s11, s12, s21, s22, numerator = _curvature_kernel(
+        ttype, space.signature, kind, fj.d1, fj.d2, gj.d1, gj.d2
     )
-    return CurvatureReport(sm, numerator / (2.0 * first.det), numerator, first)
+    return CurvatureReport(SigmaMatrix(s11, s12, s21, s22), numerator / (2.0 * det),
+                           numerator, FirstFundamental(E, F, G), normalizer)
 
 
 def mean_curvature(surface: TranslationSurface, kind: ConnectionKind,

@@ -25,6 +25,7 @@ from .errors import (
     UnknownCase,
 )
 from .jets import Interval, Jet2, Profile
+from .sampling import _worse
 
 BLOWUP_THRESHOLD = 1e12
 
@@ -256,7 +257,7 @@ def compare_profile(numeric: Trajectory, analytic: Profile) -> float:
                 f"trajectory node t={t!r} outside profile domain "
                 f"[{analytic.domain.lo!r}, {analytic.domain.hi!r}]"
             )
-        worst = max(worst, abs(h - analytic.at(t).d1))
+        worst = _worse(worst, abs(h - analytic.at(t).d1))
     return worst
 
 

@@ -3,6 +3,7 @@
 Reports and property sweeps must be byte-identical across runs and platforms,
 so sampling is built on splitmix64 (pure 64-bit integer arithmetic) instead of
 a platform RNG.  Every consumer derives child streams from an explicit seed.
+Sampled checks fold their per-sample errors with `_worse`.
 """
 
 from __future__ import annotations
@@ -31,3 +32,12 @@ class SplitMix64:
 def child_seed(seed: int, tag: int) -> int:
     """Stable derived seed for per-family / per-case streams."""
     return ((seed * _GOLDEN) ^ ((tag + 1) * 0xBF58476D1CE4E5B9)) & _MASK
+
+
+def _worse(worst: float, sample: float) -> float:
+    """Running worst of sampled errors, like ``max`` but a NaN sample sticks.
+
+    ``max(worst, nan)`` keeps ``worst``, so a NaN sample would pass a check
+    vacuously; here it becomes the worst and fails every ``<= tolerance`` test.
+    """
+    return sample if sample > worst or sample != sample else worst

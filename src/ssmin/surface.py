@@ -105,18 +105,20 @@ def _fundamental(sig: Signature, Fu: Vec3, Fv: Vec3) -> FirstFundamental:
     )
 
 
+def _require_regular(sig: Signature, det: float, f1: float, g1: float) -> None:
+    """Raise unless EG - F^2 clears the margin; a NaN determinant never does."""
+    if not det >= DEGENERACY_MARGIN:
+        reason = "degenerate" if sig is Signature.EUCLIDEAN else "degenerate or not spacelike"
+        raise DegenerateSurface(f"{reason}: EG - F^2 = {det!r} at f'={f1!r}, g'={g1!r}")
+
+
 def frame_from_jets(ttype: TranslationType, space: AmbientSpace,
                     fj: Jet2, gj: Jet2) -> FramePoint:
     """Frame built directly from profile jets; raises on degenerate points."""
     sig = space.signature
     Fu, Fv = _tangents(ttype, fj.d1, gj.d1)
-    first = _fundamental(sig, Fu, Fv)
-    det = first.det
-    if det < DEGENERACY_MARGIN:
-        reason = "degenerate" if sig is Signature.EUCLIDEAN else "degenerate or not spacelike"
-        raise DegenerateSurface(
-            f"{reason}: EG - F^2 = {det!r} at f'={fj.d1!r}, g'={gj.d1!r}"
-        )
+    det = _fundamental(sig, Fu, Fv).det
+    _require_regular(sig, det, fj.d1, gj.d1)
     duu, dvv = _second_partials(ttype, fj.d2, gj.d2)
     normalizer = math.sqrt(det)
     n = _normal_direction(ttype, sig, fj.d1, gj.d1) * (1.0 / normalizer)
@@ -131,8 +133,7 @@ def first_fundamental_from_jets(ttype: TranslationType, space: AmbientSpace,
                                 fj: Jet2, gj: Jet2) -> FirstFundamental:
     Fu, Fv = _tangents(ttype, fj.d1, gj.d1)
     first = _fundamental(space.signature, Fu, Fv)
-    if first.det < DEGENERACY_MARGIN:
-        raise DegenerateSurface(f"EG - F^2 = {first.det!r}")
+    _require_regular(space.signature, first.det, fj.d1, gj.d1)
     return first
 
 

@@ -1,9 +1,11 @@
 """Solution-family construction, constraints, domains, and verification."""
 
+import itertools
 import math
 
 import pytest
 
+from ssmin import catalog, curvature
 from ssmin.catalog import (
     Branch,
     FamilyId,
@@ -19,7 +21,9 @@ from ssmin.catalog import (
     verify_residual,
 )
 from ssmin.errors import DomainError, EmptyDomain, ParameterConstraintViolation
-from ssmin.pde import CaseId, residual
+from ssmin.cli import _equivalence_records
+from ssmin.pde import CaseId, equivalence_sweep, residual
+from ssmin.sampling import _worse
 from ssmin.surface import TranslationType
 
 
@@ -225,3 +229,52 @@ def test_all_defaults_verify_within_tolerance():
     for fam in all_default_settings():
         report = verify_auto(fam, 120, 1234)
         assert report.verdict, (fam.family_id, report)
+
+
+def _nan_at(fn, index, pick=lambda value: math.nan):
+    """`fn` with its result passed through `pick` on call number `index`."""
+    calls = itertools.count()
+
+    def patched(*args):
+        value = fn(*args)
+        return pick(value) if next(calls) == index else value
+    return patched
+
+
+def _nan_numerator(kernel_result):
+    return kernel_result[:-1] + (math.nan,)
+
+
+def test_worse_matches_max_and_keeps_nan():
+    for a, b in ((0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (0.0, -0.0), (-0.0, 0.0),
+                 (1.0, math.inf)):
+        got = _worse(a, b)
+        assert got == max(a, b)
+        assert math.copysign(1.0, got) == math.copysign(1.0, max(a, b))
+    assert math.isnan(_worse(0.0, math.nan))
+    assert math.isnan(_worse(math.nan, 1.0))
+
+
+def test_nan_residual_sample_fails_the_record(monkeypatch):
+    fam = make_family(FamilyId.F2_51, c=1.0)
+    assert verify_family(fam, 20, 7).verdict and verify_residual(fam, 20, 7).verdict
+    for check in (verify_family, verify_residual):
+        monkeypatch.setattr(catalog, "residual", _nan_at(residual, 5))
+        report = check(fam, 20, 7)
+        assert math.isnan(report.max_abs_residual)
+        assert report.verdict is False
+
+
+def test_nan_numerator_sample_fails_the_record(monkeypatch):
+    fam = make_family(FamilyId.F2_51, c=1.0)
+    kernel = curvature._curvature_kernel
+    monkeypatch.setattr(curvature, "_curvature_kernel", _nan_at(kernel, 5, _nan_numerator))
+    report = verify_family(fam, 20, 7)
+    assert math.isnan(report.max_abs_numerator)
+    assert report.verdict is False
+
+    monkeypatch.setattr(curvature, "_curvature_kernel", _nan_at(kernel, 5, _nan_numerator))
+    assert math.isnan(equivalence_sweep(CaseId.E_NM_ALL, 20, 7).max_rel_deviation)
+    monkeypatch.setattr(curvature, "_curvature_kernel", _nan_at(kernel, 5, _nan_numerator))
+    [record] = _equivalence_records([CaseId.E_NM_ALL], 20, 7, 1e-10)
+    assert record["verdict"] == "fail"

@@ -15,6 +15,7 @@ from ssmin.ambient import (
 )
 from ssmin.catalog import FamilyId, build, make_family
 from ssmin.curvature import (
+    _curvature_kernel,
     mean_curvature,
     mean_curvature_from_jets,
     second_form,
@@ -193,3 +194,35 @@ def test_euclidean_metric_offset_identity():
         fr = frame_from_jets(ttype, space, fj, gj)
         offset = -metric_inner(E, Vec3(0, 0, 1), fr.N)
         assert abs((h_metric - h_flat) - offset) <= 1e-10
+
+
+@pytest.mark.parametrize("ttype", TYPES, ids=lambda t: t.value)
+@pytest.mark.parametrize("sig", (E, L), ids=lambda s: s.value)
+@pytest.mark.parametrize("kind", (LC, SSM, SSNM), ids=lambda k: k.value)
+def test_scalar_kernel_equals_frame_oracle_exactly(ttype, sig, kind):
+    # The kernel must reproduce the frame / covariant-derivative / inner-product
+    # chain bit for bit; == (not approx) is what keeps reports byte-identical.
+    rng = SplitMix64(4242)
+    space = AmbientSpace(sig, kind)
+    for _ in range(400):
+        f1, g1 = _admissible_sample(rng, sig, ttype)
+        fj = Jet2(0.0, f1, rng.uniform(-3, 3))
+        gj = Jet2(0.0, g1, rng.uniform(-3, 3))
+        fr = frame_from_jets(ttype, space, fj, gj)
+        s11, s12, s21, s22 = (
+            metric_inner(sig, covariant_derivative(space, x, w, dw), fr.N)
+            for x, w, dw in ((fr.Fu, fr.Fu, fr.dFu_du), (fr.Fu, fr.Fv, fr.dFv_du),
+                             (fr.Fv, fr.Fu, fr.dFu_dv), (fr.Fv, fr.Fv, fr.dFv_dv))
+        )
+        e_, f_, g_ = (metric_inner(sig, fr.Fu, fr.Fu), metric_inner(sig, fr.Fu, fr.Fv),
+                      metric_inner(sig, fr.Fv, fr.Fv))
+        det = e_ * g_ - f_ * f_
+        numerator = g_ * s11 - f_ * s12 - f_ * s21 + e_ * s22
+        got = _curvature_kernel(ttype, sig, kind, fj.d1, fj.d2, gj.d1, gj.d2)
+        assert got == (e_, f_, g_, det, fr.normalizer, s11, s12, s21, s22, numerator)
+        rep = mean_curvature_from_jets(ttype, space, kind, fj, gj)
+        assert (rep.sigma.s11, rep.sigma.s12, rep.sigma.s21, rep.sigma.s22) == got[5:9]
+        assert (rep.first.E, rep.first.F, rep.first.G, rep.first.det) == got[:4]
+        assert (rep.numerator, rep.normalizer) == (numerator, fr.normalizer)
+        assert rep.H == numerator / (2.0 * det)
+        assert second_form_from_jets(ttype, space, kind, fj, gj) == rep.sigma

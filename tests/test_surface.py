@@ -5,7 +5,7 @@ import math
 import pytest
 
 from ssmin.ambient import AmbientSpace, ConnectionKind, Signature, Vec3, metric_inner
-from ssmin.curvature import second_form_from_jets
+from ssmin.curvature import mean_curvature_from_jets, second_form_from_jets
 from ssmin.errors import DegenerateSurface
 from ssmin.jets import Jet2, affine_profile
 from ssmin.sampling import SplitMix64
@@ -153,3 +153,15 @@ def test_type_ii_iii_duality():
             assert abs(s2.s12 + s3.s12) <= 1e-12
             assert abs(s2.s21 + s3.s21) <= 1e-12
             assert abs(s2.s22 + s3.s22) <= 1e-12
+
+
+def test_nan_determinant_is_degenerate():
+    # E = F = G = inf, so EG - F^2 = inf - inf = NaN, which compares False with any margin.
+    huge = Jet2(0.0, 1e200, 0.0)
+    space = _space(E)
+    with pytest.raises(DegenerateSurface, match=r"degenerate: EG - F\^2 = nan at f'=1e\+200"):
+        frame_from_jets(TranslationType.I, space, huge, huge)
+    with pytest.raises(DegenerateSurface):
+        first_fundamental_from_jets(TranslationType.I, space, huge, huge)
+    with pytest.raises(DegenerateSurface):
+        mean_curvature_from_jets(TranslationType.I, space, SSM, huge, huge)
