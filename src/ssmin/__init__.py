@@ -23,10 +23,8 @@ from .jets import (
     QuadratureSpec,
     adaptive_simpson,
     affine_profile,
-    jet_elementary,
     log_abs_cos_profile,
     log_abs_exp_profile,
-    profile_closed,
     profile_quadrature,
 )
 from .surface import (

@@ -35,7 +35,7 @@ from .jets import (
     log_abs_exp_profile,
     profile_quadrature,
 )
-from .ode import OdeCase, OdeId
+from .ode import OdeCase, OdeId, compare_profile, integrate
 from .pde import CASE_SPACE, CaseId, residual
 from .sampling import SplitMix64, _worse
 from .surface import TranslationSurface, TranslationType
@@ -45,6 +45,11 @@ from .surface import TranslationSurface, TranslationType
 EDGE_MARGIN = 1e-3
 SPACELIKE_FLOOR = 1e-4
 SAMPLING_CAP = 3.0
+
+# Verification tolerances on |numerator| and |residual|: quadrature-backed
+# families get the looser bound.
+CLOSED_FORM_TOLERANCE = 1e-8
+QUADRATURE_TOLERANCE = 1e-6
 
 # Catalog quadrature runs tighter than the default spec so finite-difference
 # oracles on profile values stay well below their tolerances.
@@ -134,14 +139,16 @@ class _Assembly:
     @property
     def tolerance(self) -> float:
         """Verification tolerance: quadrature-backed families get the looser bound."""
-        return 1e-6 if self.f.quadrature or self.g.quadrature else 1e-8
+        if self.f.quadrature or self.g.quadrature:
+            return QUADRATURE_TOLERANCE
+        return CLOSED_FORM_TOLERANCE
 
 
 @dataclass(frozen=True)
 class FamilyReport:
     family_id: str
-    params: dict[str, float]
     branch: str
+    params: dict[str, float]
     n_samples: int
     mode: str  # "full" or "residual-only"
     max_abs_numerator: float | None
@@ -574,47 +581,34 @@ def all_default_settings() -> tuple[SolutionFamily, ...]:
     return tuple(fam for fid in FamilyId for fam in _DEFAULT_SETTINGS[fid])
 
 
+# The second representative setting of every family; the first is its
+# defaults.  Branched families take their minus branch in the second.
+_SECOND_SETTINGS: dict[FamilyId, dict[str, float]] = {
+    FamilyId.F2_23: {"c3": 1.5, "a": 0.4, "c5": 2.0},
+    FamilyId.F2_24: {"c3_bar": -0.8, "a1": -0.2, "c6": 1.0},
+    FamilyId.F2_35: {"c0_tilde": -2.0, "a_tilde": 0.3, "b_tilde": -1.0},
+    FamilyId.F2_39: {"c0_hat": 0.5, "a_hat": 1.5, "b_hat": 0.5},
+    FamilyId.F2_40: {"c0_prime": -2.0, "b_prime": 3.0},
+    FamilyId.F2_50: {"c0": -0.5, "c1": 0.25, "c2": 1.0},
+    FamilyId.F2_51: {"c": 2.0, "c3": 0.2, "c4": -0.3, "c5": 1.0},
+    FamilyId.F3_10: {"c": -2.0, "a": 0.5, "b_bar": 1.0},
+    FamilyId.F3_12: {"c": -0.6, "c_tilde": -0.2, "b_tilde": 1.0},
+    FamilyId.F3_13: {"c_hat": -1.2, "a1": 0.3, "b_bar1": -1.0},
+    FamilyId.F3_14: {"c_hat": 0.0, "c_tilde1": -2.0, "b_tilde": 0.5},
+    FamilyId.F3_25: {"c0_tilde": -0.7, "a_tilde": 0.1, "b_tilde": 0.5},
+    FamilyId.F3_27: {"c0_tilde": -2.0, "c1": -0.5, "b_bar1": 1.0},
+    FamilyId.F3_30: {"c0_hat": 0.0, "a_hat": -0.5, "b_hat": 1.0},
+    FamilyId.F3_31: {"c0_prime": 0.5, "c1_prime": 0.0, "b_prime": 2.0},
+    FamilyId.F3_36: {"c1": 0.0, "c2": 0.0, "c3": 5.0},
+    FamilyId.F3_38: {"c0": 2.0, "c_hat": -0.5, "c_hat1": -2.0, "a": 1.0},
+    FamilyId.F3_41: {"c1": 0.0, "c2": 1.5, "c3": -1.0},
+    FamilyId.F3_43: {"c0_bar": 0.5, "c3": 2.0, "c4": 0.3, "b": 1.0},
+}
+
 _DEFAULT_SETTINGS: dict[FamilyId, tuple[SolutionFamily, ...]] = {
-    FamilyId.F2_23: (make_family(FamilyId.F2_23),
-                     make_family(FamilyId.F2_23, c3=1.5, a=0.4, c5=2.0)),
-    FamilyId.F2_24: (make_family(FamilyId.F2_24),
-                     make_family(FamilyId.F2_24, c3_bar=-0.8, a1=-0.2, c6=1.0)),
-    FamilyId.F2_35: (make_family(FamilyId.F2_35),
-                     make_family(FamilyId.F2_35, c0_tilde=-2.0, a_tilde=0.3, b_tilde=-1.0)),
-    FamilyId.F2_39: (make_family(FamilyId.F2_39, branch=Branch.PLUS),
-                     make_family(FamilyId.F2_39, branch=Branch.MINUS,
-                                 c0_hat=0.5, a_hat=1.5, b_hat=0.5)),
-    FamilyId.F2_40: (make_family(FamilyId.F2_40),
-                     make_family(FamilyId.F2_40, c0_prime=-2.0, b_prime=3.0)),
-    FamilyId.F2_50: (make_family(FamilyId.F2_50),
-                     make_family(FamilyId.F2_50, c0=-0.5, c1=0.25, c2=1.0)),
-    FamilyId.F2_51: (make_family(FamilyId.F2_51),
-                     make_family(FamilyId.F2_51, c=2.0, c3=0.2, c4=-0.3, c5=1.0)),
-    FamilyId.F3_10: (make_family(FamilyId.F3_10),
-                     make_family(FamilyId.F3_10, c=-2.0, a=0.5, b_bar=1.0)),
-    FamilyId.F3_12: (make_family(FamilyId.F3_12),
-                     make_family(FamilyId.F3_12, c=-0.6, c_tilde=-0.2, b_tilde=1.0)),
-    FamilyId.F3_13: (make_family(FamilyId.F3_13),
-                     make_family(FamilyId.F3_13, c_hat=-1.2, a1=0.3, b_bar1=-1.0)),
-    FamilyId.F3_14: (make_family(FamilyId.F3_14),
-                     make_family(FamilyId.F3_14, c_hat=0.0, c_tilde1=-2.0, b_tilde=0.5)),
-    FamilyId.F3_25: (make_family(FamilyId.F3_25),
-                     make_family(FamilyId.F3_25, c0_tilde=-0.7, a_tilde=0.1, b_tilde=0.5)),
-    FamilyId.F3_27: (make_family(FamilyId.F3_27),
-                     make_family(FamilyId.F3_27, c0_tilde=-2.0, c1=-0.5, b_bar1=1.0)),
-    FamilyId.F3_30: (make_family(FamilyId.F3_30, branch=Branch.PLUS),
-                     make_family(FamilyId.F3_30, branch=Branch.MINUS,
-                                 c0_hat=0.0, a_hat=-0.5, b_hat=1.0)),
-    FamilyId.F3_31: (make_family(FamilyId.F3_31),
-                     make_family(FamilyId.F3_31, c0_prime=0.5, c1_prime=0.0, b_prime=2.0)),
-    FamilyId.F3_36: (make_family(FamilyId.F3_36),
-                     make_family(FamilyId.F3_36, c1=0.0, c2=0.0, c3=5.0)),
-    FamilyId.F3_38: (make_family(FamilyId.F3_38),
-                     make_family(FamilyId.F3_38, c0=2.0, c_hat=-0.5, c_hat1=-2.0, a=1.0)),
-    FamilyId.F3_41: (make_family(FamilyId.F3_41),
-                     make_family(FamilyId.F3_41, c1=0.0, c2=1.5, c3=-1.0)),
-    FamilyId.F3_43: (make_family(FamilyId.F3_43),
-                     make_family(FamilyId.F3_43, c0_bar=0.5, c3=2.0, c4=0.3, b=1.0)),
+    fid: (make_family(fid), make_family(
+        fid, Branch.MINUS if fid in BRANCHED_FAMILIES else Branch.PLUS, **second))
+    for fid, second in _SECOND_SETTINGS.items()
 }
 
 
@@ -695,7 +689,7 @@ def verify_family(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
         worst_num = _worse(worst_num, abs(report.numerator))
         worst_res = _worse(worst_res, abs(residual(asm.case, fj, gj)))
     return FamilyReport(
-        fam.family_id.value, fam.param_dict, fam.branch.value, n_samples, "full",
+        fam.family_id.value, fam.branch.value, fam.param_dict, n_samples, "full",
         worst_num, worst_res, tol, worst_num <= tol and worst_res <= tol, None,
     )
 
@@ -714,7 +708,7 @@ def verify_residual(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0
         v = rng.uniform(box_v.lo, box_v.hi)
         worst_res = _worse(worst_res, abs(residual(asm.case, f.at(u), asm.g.at(v))))
     return FamilyReport(
-        fam.family_id.value, fam.param_dict, fam.branch.value, n_samples,
+        fam.family_id.value, fam.branch.value, fam.param_dict, n_samples,
         "residual-only", None, worst_res, tol, worst_res <= tol, asm.empty_reason,
     )
 
@@ -748,14 +742,35 @@ def ode_pointwise_max(fam: SolutionFamily, n_samples: int = 200, rng_seed: int =
     return worst
 
 
+# Bounds of the RK4 cross-checks: the sup-norm gap between a reference run
+# and its closed form, and the observed order of convergence of a probe.
+ODE_TOLERANCE = 1e-6
+MIN_CONVERGENCE_ORDER = 3.8
+
+
 @dataclass(frozen=True)
 class OdeComparisonRecord:
     ode_case: str
     family_id: str
-    which: str
+    profile: str
     t_span: tuple[float, float]
     step: float
     max_abs_error: float
+    tolerance: float
+    verdict: bool
+
+
+@dataclass(frozen=True)
+class ConvergenceRecord:
+    ode_case: str
+    coarse_step: float
+    coarse_error: float
+    fine_error: float
+    observed_order: float
+
+    @property
+    def verdict(self) -> bool:
+        return self.observed_order >= MIN_CONVERGENCE_ORDER
 
 
 # (family at its defaults, profile, t span) of each RK4 reference run.
@@ -773,20 +788,38 @@ _ODE_REFERENCE_RUNS: tuple[tuple[FamilyId, str, tuple[float, float]], ...] = (
 )
 # An RK4 step must be shorter than this for every reference run to take one.
 SHORTEST_ODE_SPAN = min(hi - lo for _, _, (lo, hi) in _ODE_REFERENCE_RUNS)
+# The reference runs whose observed convergence order is measured.
+_ORDER_PROBES = ((FamilyId.F2_23, "f"), (FamilyId.F3_38, "f"))
 
 
-def ode_reference_runs(step: float = 1e-3) -> tuple[OdeComparisonRecord, ...]:
+def _run_errors(fid: FamilyId, which: str, span: tuple[float, float],
+                steps: tuple[float, ...]) -> tuple[OdeCase, list[float]]:
+    """The reduced ODE of a reference run and its RK4 sup-norm error at each step."""
+    asm = _assemble(make_family(fid))
+    profile = asm.f if which == "f" else asm.g
+    case = next(c for c, w in asm.ode_checks if w == which)
+    h0 = profile.at(span[0]).d1
+    return case, [compare_profile(integrate(case, h0, span, step), profile) for step in steps]
+
+
+def ode_reference_runs(step: float = 1e-3,
+                       tolerance: float | None = None) -> tuple[OdeComparisonRecord, ...]:
     """RK4 trajectories of every reduced ODE against its closed-form profile."""
-    from .ode import compare_profile, integrate
-
+    tol = tolerance if tolerance is not None else ODE_TOLERANCE
     records = []
     for fid, which, span in _ODE_REFERENCE_RUNS:
-        asm = _assemble(make_family(fid))
-        profile = asm.f if which == "f" else asm.g
-        case = next(c for c, w in asm.ode_checks if w == which)
-        h0 = profile.at(span[0]).d1
-        traj = integrate(case, h0, span, step)
-        err = compare_profile(traj, profile)
+        case, [err] = _run_errors(fid, which, span, (step,))
         records.append(OdeComparisonRecord(case.kind.value, fid.value, which, span,
-                                           step, err))
+                                           step, err, tol, err <= tol))
+    return tuple(records)
+
+
+def convergence_orders(coarse: float = 0.02) -> tuple[ConvergenceRecord, ...]:
+    """Observed RK4 order of each probe run from its errors at step coarse and coarse/2."""
+    spans = {(fid, which): span for fid, which, span in _ODE_REFERENCE_RUNS}
+    records = []
+    for probe in _ORDER_PROBES:
+        case, (err, fine) = _run_errors(*probe, spans[probe], (coarse, coarse / 2.0))
+        order = math.log2(err / fine) if fine > 0.0 else math.inf
+        records.append(ConvergenceRecord(case.kind.value, coarse, err, fine, order))
     return tuple(records)

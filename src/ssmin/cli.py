@@ -15,27 +15,26 @@ import sys
 import types
 import typing
 from dataclasses import dataclass, field, replace
+from enum import Enum
 
 from . import __version__
 from .catalog import (
     BRANCHED_FAMILIES,
     FamilyId,
-    FamilyReport,
     SHORTEST_ODE_SPAN,
     THEOREM_SUITES,
     _DEFAULTS,
-    _assemble,
     all_default_settings,
     build,
+    convergence_orders,
     default_settings,
     make_family,
     ode_reference_runs,
     verify_auto,
 )
-from .errors import EmptyDomain, VerifierError
+from .errors import DomainError, EmptyDomain, VerifierError
 from .jets import Interval, Jet2, Profile
-from .ode import OdeCase, OdeId, compare_profile, integrate
-from .pde import CaseId, equivalence_sweep, residual
+from .pde import CaseId, EquivalenceRecord, equivalence_sweep, residual
 from .sampling import child_seed
 from .surface import immersion
 
@@ -71,7 +70,7 @@ class RunConfig:
     u_range: list[float] | None = None
     v_range: list[float] | None = None
     step: float = 1e-3
-    format: str = "json"
+    format: str | None = None  # None: the command's first format
     output: str | None = None
 
     def __post_init__(self) -> None:
@@ -84,8 +83,17 @@ class RunConfig:
                                  f"got {value!r}")
         if self.command not in _COMMANDS:
             raise UsageError(f"unknown command {self.command!r}; known: {', '.join(_COMMANDS)}")
+        formats = _COMMANDS[self.command][1]
+        if self.format is None:
+            self.format = formats[0]
+        if self.format not in formats:
+            raise UsageError(f"format of {self.command} must be one of {', '.join(formats)}; "
+                             f"got {self.format!r}")
         if self.samples < 1:
             raise UsageError(f"samples must be >= 1, got {self.samples}")
+        for name in ("nu", "nv"):
+            if getattr(self, name) < 2:
+                raise UsageError(f"{name} must be >= 2 grid points, got {getattr(self, name)}")
         for name in ("fjet", "gjet"):
             jet = getattr(self, name)
             if jet is not None and len(jet) != 3:
@@ -153,10 +161,10 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"ssmin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, fmt=("json", "markdown")):
+    def command(name, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file; overrides flags")
-        p.add_argument("--format", choices=fmt, default=fmt[0])
+        p.add_argument("--format", choices=_COMMANDS[name][1])
         p.add_argument("--output")
         p.add_argument("--seed", type=int)
         p.add_argument("--samples", type=int)
@@ -189,7 +197,7 @@ def _build_parser() -> _Parser:
     p_ode.add_argument("--step", type=float)
     p_ode.add_argument("--tolerance", type=float)
 
-    p_mesh = command("mesh", "export a surface mesh", fmt=("obj", "csv"))
+    p_mesh = command("mesh", "export a surface mesh")
     family_flags(p_mesh)
     p_mesh.add_argument("--nu", type=int)
     p_mesh.add_argument("--nv", type=int)
@@ -239,60 +247,30 @@ def _family_from_config(cfg: RunConfig):
     return make_family(fid, branch=cfg.branch or "plus", **cfg.params)
 
 
-def _verdict(ok: bool) -> str:
-    return "pass" if ok else "fail"
+def _record(rec) -> dict:
+    """An engine record as serialized: its fields in order, enums by value and
+    the verdict as pass/fail."""
+    out = {}
+    for f in dataclasses.fields(rec):
+        value = getattr(rec, f.name)
+        if f.name == "verdict":
+            value = "pass" if value else "fail"
+        elif isinstance(value, Enum):
+            value = value.value
+        out[f.name] = value
+    return out
 
 
-def _report_record(rep: FamilyReport, theorem: str | None = None) -> dict:
-    record = {
-        "family_id": rep.family_id,
-        "branch": rep.branch,
-        "params": rep.params,
-        "n_samples": rep.n_samples,
-        "mode": rep.mode,
-        "max_abs_numerator": rep.max_abs_numerator,
-        "max_abs_residual": rep.max_abs_residual,
-        "tolerance": rep.tolerance,
-        "verdict": _verdict(rep.verdict),
-        "empty_reason": rep.empty_reason,
-    }
-    if theorem is not None:
-        record = {"theorem": theorem, **record}
-    return record
+def _sweeps(cases, n_samples: int, seed: int, tolerance: float | None = None,
+            first_tag: int = 0) -> list[EquivalenceRecord]:
+    """One equivalence sweep per case, each on child stream first_tag + its index."""
+    return [equivalence_sweep(case, n_samples, child_seed(seed, tag), tolerance)
+            for tag, case in enumerate(cases, first_tag)]
 
 
-def _equivalence_records(cases, n_samples: int, seed: int, tol: float,
-                         first_tag: int = 0) -> list[dict]:
-    records = []
-    for tag, case in enumerate(cases, first_tag):
-        rec = equivalence_sweep(case, n_samples, child_seed(seed, tag))
-        records.append({
-            "case": case.value,
-            "n_samples": rec.n_samples,
-            "attempts": rec.attempts,
-            "acceptance_rate": rec.acceptance_rate,
-            "max_rel_deviation": rec.max_rel_deviation,
-            "tolerance": tol,
-            "verdict": _verdict(rec.max_rel_deviation <= tol),
-        })
-    return records
-
-
-def _ode_records(step: float, tol: float) -> list[dict]:
-    return [{
-        "ode_case": rec.ode_case,
-        "family_id": rec.family_id,
-        "profile": rec.which,
-        "t_span": list(rec.t_span),
-        "step": rec.step,
-        "max_abs_error": rec.max_abs_error,
-        "tolerance": tol,
-        "verdict": _verdict(rec.max_abs_error <= tol),
-    } for rec in ode_reference_runs(step)]
-
-
-def _pick(records: list[dict], *keys: str) -> list[dict]:
-    return [{key: record[key] for key in keys} for record in records]
+def _pick(records: list[dict], columns) -> list[dict]:
+    """The compact records of a table: only the keys its columns show."""
+    return [{key: record[key] for _, key, _ in columns} for record in records]
 
 
 def _family_summary(records: list[dict]) -> dict:
@@ -312,15 +290,16 @@ def _emit(text: str, cfg: RunConfig) -> None:
 
 
 def _emit_payload(payload: dict, cfg: RunConfig, markdown_renderer=None) -> None:
-    if cfg.format == "markdown" and markdown_renderer is not None:
+    if cfg.format == "markdown":
         _emit(markdown_renderer(payload), cfg)
     else:
         _emit(json.dumps(payload, indent=2) + "\n", cfg)
 
 
-def _emit_records(cfg: RunConfig, records: list[dict], markdown_renderer,
+def _emit_records(cfg: RunConfig, engine_records, markdown_renderer,
                   ok: bool = True, **extra) -> int:
     """Emit a single-table command's payload; exit 0 only if every record passes."""
+    records = [_record(r) for r in engine_records]
     summary = _family_summary(records)
     payload = {"version": __version__, "command": cfg.command, "config": cfg.echo_dict(),
                "records": records, **extra, "summary": summary}
@@ -333,6 +312,9 @@ def cmd_residual(cfg: RunConfig) -> int:
     if cfg.fjet is None or cfg.gjet is None:
         raise UsageError("residual needs --fjet and --gjet as v,d1,d2")
     value = residual(case, Jet2(*cfg.fjet), Jet2(*cfg.gjet))
+    if not math.isfinite(value):
+        raise DomainError(f"{case.value} residual is {value!r} at fjet={cfg.fjet}, "
+                          f"gjet={cfg.gjet}: the jets overflow")
     payload = {
         "version": __version__,
         "command": "residual",
@@ -352,53 +334,26 @@ def cmd_verify(cfg: RunConfig) -> int:
         families = all_default_settings()
     else:
         families = [_family_from_config(cfg)]
-    records = [_report_record(verify_auto(fam, cfg.samples, child_seed(cfg.seed, index),
-                                          cfg.tolerance, cfg.perturb))
+    records = [verify_auto(fam, cfg.samples, child_seed(cfg.seed, index),
+                           cfg.tolerance, cfg.perturb)
                for index, fam in enumerate(families)]
     return _emit_records(cfg, records, _render_verify_markdown)
 
 
 def cmd_equivalence(cfg: RunConfig) -> int:
     cases = list(CaseId) if cfg.all else [_member(CaseId, cfg.case, "case")]
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-10
-    records = _equivalence_records(cases, cfg.samples, cfg.seed, tol)
-    return _emit_records(cfg, records, _render_equivalence_markdown)
-
-
-_ORDER_PROBES = (
-    (OdeCase.of(OdeId.O2_21, c3=0.0), FamilyId.F2_23, "f", (0.0, 0.6)),
-    (OdeCase.of(OdeId.O3_37F, c0=1.0), FamilyId.F3_38, "f", (0.0, 1.0)),
-)
-
-
-def _convergence_orders(coarse: float = 0.02) -> list[dict]:
-    out = []
-    for case, fid, which, span in _ORDER_PROBES:
-        asm = _assemble(make_family(fid))
-        profile = asm.f if which == "f" else asm.g
-        h0 = profile.at(span[0]).d1
-        errs = []
-        for step in (coarse, coarse / 2.0):
-            traj = integrate(case, h0, span, step)
-            errs.append(compare_profile(traj, profile))
-        order = math.log2(errs[0] / errs[1]) if errs[1] > 0.0 else float("inf")
-        out.append({"ode_case": case.kind.value, "coarse_step": coarse,
-                    "coarse_error": errs[0], "fine_error": errs[1],
-                    "observed_order": order})
-    return out
+    return _emit_records(cfg, _sweeps(cases, cfg.samples, cfg.seed, cfg.tolerance),
+                         _render_equivalence_markdown)
 
 
 def cmd_ode_compare(cfg: RunConfig) -> int:
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
-    records = _ode_records(cfg.step, tol)
-    orders = _convergence_orders()
-    return _emit_records(cfg, records, _render_ode_markdown,
-                         all(o["observed_order"] >= 3.8 for o in orders), convergence=orders)
+    records = ode_reference_runs(cfg.step, cfg.tolerance)
+    orders = convergence_orders()
+    return _emit_records(cfg, records, _render_ode_markdown, all(o.verdict for o in orders),
+                         convergence=[_record(o) for o in orders])
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:
-    if n < 2:
-        raise UsageError("grid needs at least 2 points per axis")
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
@@ -448,15 +403,13 @@ def cmd_report(cfg: RunConfig) -> int:
     suites = [(theorem, fam) for theorem, fids in THEOREM_SUITES.items()
               for fid in fids for fam in default_settings(fid)]
     family_records = [
-        _report_record(verify_auto(fam, cfg.samples, child_seed(cfg.seed, index),
-                                   cfg.tolerance, cfg.perturb), theorem)
+        {"theorem": theorem, **_record(verify_auto(fam, cfg.samples, child_seed(cfg.seed, index),
+                                                   cfg.tolerance, cfg.perturb))}
         for index, (theorem, fam) in enumerate(suites)
     ]
-    eq_records = _pick(
-        _equivalence_records(list(CaseId), max(cfg.samples, 500), cfg.seed, 1e-10, 1000),
-        "case", "n_samples", "acceptance_rate", "max_rel_deviation", "verdict")
-    ode_records = _pick(_ode_records(cfg.step, 1e-6),
-                        "ode_case", "family_id", "profile", "max_abs_error", "verdict")
+    sweeps = _sweeps(list(CaseId), max(cfg.samples, 500), cfg.seed, first_tag=1000)
+    eq_records = _pick([_record(r) for r in sweeps], _EQUIVALENCE_COLUMNS)
+    ode_records = _pick([_record(r) for r in ode_reference_runs(cfg.step)], _ODE_COLUMNS)
     summary = {"families": _family_summary(family_records),
                "equivalence": _family_summary(eq_records),
                "ode": _family_summary(ode_records)}
@@ -482,69 +435,56 @@ def _fmt_float(x: float | None) -> str:
     return "-" if x is None else f"{x:.3e}"
 
 
-def _family_table(records: list[dict]) -> list[str]:
-    lines = [
-        "| family | branch | params | mode | max abs numerator | max abs residual | verdict |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    for r in records:
-        lines.append(
-            f"| {r['family_id']} | {r['branch']} | {_fmt_params(r['params'])} "
-            f"| {r['mode']} | {_fmt_float(r['max_abs_numerator'])} "
-            f"| {_fmt_float(r['max_abs_residual'])} | {r['verdict']} |"
-        )
-    return lines
+# One markdown table per record kind: (header, record key, cell format) per column.
+_FAMILY_COLUMNS = (
+    ("family", "family_id", str), ("branch", "branch", str), ("params", "params", _fmt_params),
+    ("mode", "mode", str), ("max abs numerator", "max_abs_numerator", _fmt_float),
+    ("max abs residual", "max_abs_residual", _fmt_float), ("verdict", "verdict", str),
+)
+_EQUIVALENCE_COLUMNS = (
+    ("case", "case", str), ("samples", "n_samples", str),
+    ("acceptance", "acceptance_rate", "{:.3f}".format),
+    ("max rel deviation", "max_rel_deviation", _fmt_float), ("verdict", "verdict", str),
+)
+_ODE_COLUMNS = (
+    ("ode case", "ode_case", str), ("family", "family_id", str), ("profile", "profile", str),
+    ("max abs error", "max_abs_error", _fmt_float), ("verdict", "verdict", str),
+)
+_CONVERGENCE_COLUMNS = (
+    ("ode case", "ode_case", str), ("coarse error", "coarse_error", _fmt_float),
+    ("fine error", "fine_error", _fmt_float),
+    ("observed order", "observed_order", "{:.2f}".format),
+)
 
 
-def _equivalence_table(records: list[dict]) -> list[str]:
-    lines = [
-        "| case | samples | acceptance | max rel deviation | verdict |",
-        "|---|---|---|---|---|",
-    ]
-    for r in records:
-        lines.append(
-            f"| {r['case']} | {r['n_samples']} | {r['acceptance_rate']:.3f} "
-            f"| {_fmt_float(r['max_rel_deviation'])} | {r['verdict']} |"
-        )
-    return lines
+def _table(records: list[dict], columns) -> list[str]:
+    def row(cells):
+        return "| " + " | ".join(cells) + " |"
+    return [row(header for header, _, _ in columns), "|" + "---|" * len(columns),
+            *(row(fmt(r[key]) for _, key, fmt in columns) for r in records)]
 
 
-def _ode_table(records: list[dict]) -> list[str]:
-    lines = [
-        "| ode case | family | profile | max abs error | verdict |",
-        "|---|---|---|---|---|",
-    ]
-    for r in records:
-        lines.append(
-            f"| {r['ode_case']} | {r['family_id']} | {r['profile']} "
-            f"| {_fmt_float(r['max_abs_error'])} | {r['verdict']} |"
-        )
-    return lines
+def _markdown(payload: dict, *tables) -> str:
+    """A command's title followed by its (records, columns) tables."""
+    lines = [f"# ssmin {payload['command']} (v{payload['version']})"]
+    for records, columns in tables:
+        lines += ["", *_table(records, columns)]
+    return "\n".join(lines + [""])
 
 
 def _render_verify_markdown(payload: dict) -> str:
-    lines = [f"# ssmin verify (v{payload['version']})", ""]
-    lines += _family_table(payload["records"])
     summary = payload["summary"]
-    lines += ["", f"**{summary['n_pass']}/{summary['n_records']} records pass.**", ""]
-    return "\n".join(lines)
+    return (_markdown(payload, (payload["records"], _FAMILY_COLUMNS))
+            + f"\n**{summary['n_pass']}/{summary['n_records']} records pass.**\n")
 
 
 def _render_equivalence_markdown(payload: dict) -> str:
-    lines = [f"# ssmin equivalence (v{payload['version']})", ""]
-    return "\n".join(lines + _equivalence_table(payload["records"]) + [""])
+    return _markdown(payload, (payload["records"], _EQUIVALENCE_COLUMNS))
 
 
 def _render_ode_markdown(payload: dict) -> str:
-    lines = [f"# ssmin ode-compare (v{payload['version']})", ""]
-    lines += _ode_table(payload["records"])
-    lines += ["", "| ode case | coarse error | fine error | observed order |", "|---|---|---|---|"]
-    for o in payload["convergence"]:
-        lines.append(
-            f"| {o['ode_case']} | {_fmt_float(o['coarse_error'])} "
-            f"| {_fmt_float(o['fine_error'])} | {o['observed_order']:.2f} |"
-        )
-    return "\n".join(lines + [""])
+    return _markdown(payload, (payload["records"], _ODE_COLUMNS),
+                     (payload["convergence"], _CONVERGENCE_COLUMNS))
 
 
 def _render_report_markdown(payload: dict) -> str:
@@ -553,9 +493,10 @@ def _render_report_markdown(payload: dict) -> str:
              f"- seed: {config['seed']}", f"- samples per family: {config['samples']}", ""]
     for theorem in THEOREM_SUITES:
         rows = [r for r in payload["records"] if r["theorem"] == theorem]
-        lines += [f"## Theorem {theorem}", "", *_family_table(rows), ""]
-    lines += ["## Minimality equivalence sweeps", "", *_equivalence_table(payload["equivalence"]),
-              "", "## Reduced-ODE cross-checks", "", *_ode_table(payload["ode"]),
+        lines += [f"## Theorem {theorem}", "", *_table(rows, _FAMILY_COLUMNS), ""]
+    lines += ["## Minimality equivalence sweeps", "",
+              *_table(payload["equivalence"], _EQUIVALENCE_COLUMNS),
+              "", "## Reduced-ODE cross-checks", "", *_table(payload["ode"], _ODE_COLUMNS),
               "", "## Summary", ""]
     summary = payload["summary"]
     for part in ("families", "equivalence", "ode"):
@@ -564,13 +505,14 @@ def _render_report_markdown(payload: dict) -> str:
     return "\n".join(lines + [""])
 
 
+# Every command with its output formats, the first being the default.
 _COMMANDS = {
-    "residual": cmd_residual,
-    "verify": cmd_verify,
-    "equivalence": cmd_equivalence,
-    "ode-compare": cmd_ode_compare,
-    "mesh": cmd_mesh,
-    "report": cmd_report,
+    "residual": (cmd_residual, ("json",)),
+    "verify": (cmd_verify, ("json", "markdown")),
+    "equivalence": (cmd_equivalence, ("json", "markdown")),
+    "ode-compare": (cmd_ode_compare, ("json", "markdown")),
+    "mesh": (cmd_mesh, ("obj", "csv")),
+    "report": (cmd_report, ("json", "markdown")),
 }
 
 
@@ -579,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except UsageError as exc:
         print(f"ssmin: error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from .errors import DomainError, QuadratureFailure
 
@@ -68,18 +68,6 @@ class Jet2:
     def __rtruediv__(self, other) -> "Jet2":
         return _lift(other) * _reciprocal(self)
 
-    def __pow__(self, n: int) -> "Jet2":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("jet powers must be nonnegative integers")
-        out = Jet2.constant(1.0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def is_finite(self) -> bool:
         return math.isfinite(self.v) and math.isfinite(self.d1) and math.isfinite(self.d2)
 
@@ -102,11 +90,6 @@ def _reciprocal(x: Jet2) -> Jet2:
 def _chain(fv: float, f1: float, f2: float, x: Jet2) -> Jet2:
     """Compose the outer derivatives (fv, f1, f2) at x.v with the inner jet."""
     return Jet2(fv, f1 * x.d1, f2 * x.d1 * x.d1 + f1 * x.d2)
-
-
-def jet_sin(x: Jet2) -> Jet2:
-    s = math.sin(x.v)
-    return _chain(s, math.cos(x.v), -s, x)
 
 
 def jet_cos(x: Jet2) -> Jet2:
@@ -153,27 +136,6 @@ def jet_log_abs_cos(x: Jet2) -> Jet2:
     return jet_log_abs(jet_cos(x))
 
 
-ELEMENTARY: Mapping[str, Callable[[Jet2], Jet2]] = {
-    "sin": jet_sin,
-    "cos": jet_cos,
-    "tan": jet_tan,
-    "exp": jet_exp,
-    "ln": jet_log,
-    "log_abs": jet_log_abs,
-    "sqrt": jet_sqrt,
-    "log_abs_cos": jet_log_abs_cos,
-}
-
-
-def jet_elementary(fn: str, x: Jet2) -> Jet2:
-    """Apply a named elementary function with the exact second-order chain rule."""
-    try:
-        impl = ELEMENTARY[fn]
-    except KeyError:
-        raise ValueError(f"unknown elementary function {fn!r}") from None
-    return impl(x)
-
-
 @dataclass(frozen=True)
 class Interval:
     lo: float
@@ -185,9 +147,6 @@ class Interval:
 
     def contains(self, u: float, margin: float = 0.0) -> bool:
         return self.lo + margin <= u <= self.hi - margin
-
-    def shrunk(self, margin: float) -> "Interval":
-        return Interval(self.lo + margin, self.hi - margin)
 
     def clipped(self, cap: float) -> "Interval":
         """Finite interval for sampling: infinite ends are cut at +-cap."""
@@ -290,22 +249,6 @@ def log_abs_exp_profile(k: float, q: float, coeff_pos: float, coeff_neg: float,
         return k * jet_log_abs(arg) + offset
 
     return Profile(fn, domain, label)
-
-
-def profile_closed(template: str, params: Mapping[str, float],
-                   domain: Interval | None = None) -> Profile:
-    """Construct a closed-form profile from one of the catalog templates."""
-    if template == "affine":
-        return affine_profile(params["slope"], params.get("intercept", 0.0),
-                              domain or REAL_LINE)
-    if template == "log_abs_cos":
-        return log_abs_cos_profile(params["k"], params["q"], params.get("a", 0.0),
-                                   params.get("offset", 0.0), domain)
-    if template == "log_abs_exp":
-        return log_abs_exp_profile(params["k"], params["q"], params["coeff_pos"],
-                                   params["coeff_neg"], params.get("offset", 0.0),
-                                   domain)
-    raise ValueError(f"unknown profile template {template!r}")
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,10 @@ def separation_check(case: CaseId, f: Profile, g: Profile,
     return SeparationConstants(float(solution[0]), float(solution[1]), c2, deviation)
 
 
+# Bound on the relative deviation |lambda * numerator - residual| / (1 + |residual|).
+EQUIVALENCE_TOLERANCE = 1e-10
+
+
 @dataclass(frozen=True)
 class EquivalenceRecord:
     case: CaseId
@@ -194,6 +198,8 @@ class EquivalenceRecord:
     attempts: int
     acceptance_rate: float
     max_rel_deviation: float
+    tolerance: float
+    verdict: bool
 
 
 def _draw_first_derivatives(rng: SplitMix64, sig: Signature,
@@ -213,7 +219,8 @@ def _admissible(sig: Signature, ttype: TranslationType, f1: float, g1: float) ->
     return g1 * g1 - f1 * f1 - 1.0 >= 1e-3
 
 
-def equivalence_sweep(case: CaseId, n_samples: int, seed: int) -> EquivalenceRecord:
+def equivalence_sweep(case: CaseId, n_samples: int, seed: int,
+                      tolerance: float | None = None) -> EquivalenceRecord:
     """Check lambda * numerator = residual on seeded admissible jet samples.
 
     Cases spanning Types II and III alternate between the two types so both
@@ -244,4 +251,6 @@ def equivalence_sweep(case: CaseId, n_samples: int, seed: int) -> EquivalenceRec
         dev = abs(lam * report.numerator - res) / (1.0 + abs(res))
         worst = _worse(worst, dev)
         accepted += 1
-    return EquivalenceRecord(case, n_samples, attempts, accepted / attempts, worst)
+    tol = tolerance if tolerance is not None else EQUIVALENCE_TOLERANCE
+    return EquivalenceRecord(case, n_samples, attempts, accepted / attempts, worst,
+                             tol, worst <= tol)

@@ -21,7 +21,7 @@ from ssmin.catalog import (
     verify_residual,
 )
 from ssmin.errors import DomainError, EmptyDomain, ParameterConstraintViolation
-from ssmin.cli import _equivalence_records
+from ssmin.cli import _record, _sweeps
 from ssmin.pde import CaseId, equivalence_sweep, residual
 from ssmin.sampling import _worse
 from ssmin.surface import TranslationType
@@ -276,5 +276,5 @@ def test_nan_numerator_sample_fails_the_record(monkeypatch):
     monkeypatch.setattr(curvature, "_curvature_kernel", _nan_at(kernel, 5, _nan_numerator))
     assert math.isnan(equivalence_sweep(CaseId.E_NM_ALL, 20, 7).max_rel_deviation)
     monkeypatch.setattr(curvature, "_curvature_kernel", _nan_at(kernel, 5, _nan_numerator))
-    [record] = _equivalence_records([CaseId.E_NM_ALL], 20, 7, 1e-10)
+    [record] = [_record(r) for r in _sweeps([CaseId.E_NM_ALL], 20, 7, 1e-10)]
     assert record["verdict"] == "fail"

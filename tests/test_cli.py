@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, formats, determinism, and config handling."""
 
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -7,8 +8,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ssmin.catalog import build
+from ssmin import cli
+from ssmin.catalog import ConvergenceRecord, FamilyReport, OdeComparisonRecord, build
 from ssmin.cli import RunConfig, main
+from ssmin.pde import EquivalenceRecord
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -58,6 +61,61 @@ def test_residual_command(tmp_path):
     assert json.loads(text)["residual"] == -2.0
 
 
+@pytest.mark.parametrize("case,fjet,gjet", [
+    ("E_M_I", "0,1e200,0", "0,1e200,1"),  # 0 * inf: NaN
+    ("E_NM_ALL", "0,1e200,1e200", "0,1e200,1e200"),  # inf
+])
+def test_residual_overflow_is_a_domain_error(capsys, case, fjet, gjet):
+    # finite jets whose residual overflows print no NaN or Infinity
+    assert main(["residual", "--case", case, "--fjet", fjet, "--gjet", gjet]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ssmin: DomainError: ")
+
+
+def _fields(record_type):
+    return [f.name for f in dataclasses.fields(record_type)]
+
+
+def _header(columns):
+    return ["| " + " | ".join(header for header, _, _ in columns) + " |",
+            "|" + "---|" * len(columns)]
+
+
+def _has_lines(text, lines):
+    all_lines = text.splitlines()
+    return any(all_lines[i:i + len(lines)] == lines for i in range(len(all_lines)))
+
+
+@pytest.mark.parametrize("argv,record_type,columns", [
+    (["verify", "--all", "--samples", "10"], FamilyReport, cli._FAMILY_COLUMNS),
+    (["equivalence", "--all", "--samples", "20"], EquivalenceRecord,
+     cli._EQUIVALENCE_COLUMNS),
+    (["ode-compare", "--step", "0.01"], OdeComparisonRecord, cli._ODE_COLUMNS),
+], ids=["verify", "equivalence", "ode-compare"])
+def test_records_follow_their_engine_schema(tmp_path, argv, record_type, columns):
+    # JSON keys are the engine record's fields in order; tables come from one spec
+    code, text = run(tmp_path, *argv)
+    assert code == 0
+    payload = json.loads(text)
+    assert all(list(record) == _fields(record_type) for record in payload["records"])
+    code, markdown = run(tmp_path, *argv, "--format", "markdown", name="out.md")
+    assert code == 0
+    assert _has_lines(markdown, _header(columns))
+    if record_type is OdeComparisonRecord:
+        assert all(list(o) == _fields(ConvergenceRecord) for o in payload["convergence"])
+        assert _has_lines(markdown, _header(cli._CONVERGENCE_COLUMNS))
+
+
+def test_report_compact_records_follow_their_columns(tmp_path):
+    code, text = run(tmp_path, "report", "--all", "--samples", "10")
+    assert code == 0
+    payload = json.loads(text)
+    assert all(list(r) == ["theorem", *_fields(FamilyReport)] for r in payload["records"])
+    for part, columns in (("equivalence", cli._EQUIVALENCE_COLUMNS), ("ode", cli._ODE_COLUMNS)):
+        assert all(list(r) == [key for _, key, _ in columns] for r in payload[part])
+
+
 def test_equivalence_command(tmp_path):
     code, text = run(tmp_path, "equivalence", "--case", "E_M_I",
                      "--samples", "1000", "--seed", "1")
@@ -97,6 +155,16 @@ def test_ode_compare(tmp_path):
     payload = json.loads(text)
     assert all(r["verdict"] == "pass" for r in payload["records"])
     assert all(o["observed_order"] >= 3.8 for o in payload["convergence"])
+
+
+def test_ode_compare_fails_below_the_convergence_order(tmp_path, monkeypatch):
+    # negative control: the observed orders (about 4.0 and 4.1) miss a bound of 5
+    from ssmin import catalog
+
+    monkeypatch.setattr(catalog, "MIN_CONVERGENCE_ORDER", 5.0)
+    code, text = run(tmp_path, "ode-compare", "--step", "0.01")
+    assert code == 2
+    assert json.loads(text)["summary"]["all_pass"] is True
 
 
 def _parse_obj(text):
@@ -215,6 +283,7 @@ def test_run_config_round_trip():
                     branch="plus", samples=123, seed=9, u_range=[0.0, 0.5])
     data = json.loads(json.dumps(cfg.to_dict()))
     assert RunConfig.from_dict(data) == cfg
+    assert (cfg.format, RunConfig(command="mesh").format) == ("json", "obj")
 
 
 def test_config_file_overrides_flags(tmp_path):
@@ -274,6 +343,13 @@ def test_usage_errors_exit_one(argv):
     (["ode-compare", "--step", "1e9"], None, "step"),
     (["ode-compare", "--step", "0"], None, "step"),
     (["report", "--all", "--step", "0.4"], None, "step"),
+    (["mesh", "--family", "F2_23"], {"format": "xml"}, "format"),
+    (["equivalence", "--case", "E_M_I"], {"format": "xml"}, "format"),
+    (["verify", "--family", "F2_23"], {"format": "csv"}, "format"),
+    (["residual", "--case", "E_M_I", "--fjet", "0,0,0", "--gjet", "0,0,0",
+      "--format", "markdown"], None, "format"),
+    (["mesh", "--family", "F2_23", "--nu", "1"], None, "nu"),
+    (["mesh", "--family", "F2_23"], {"nv": 0}, "nv"),
 ])
 def test_bad_input_rejected_once(tmp_path, capsys, argv, config, field):
     # no vacuous pass, no traceback: RunConfig rejects the input with exit 1
@@ -303,8 +379,6 @@ def test_integrand_overflow_is_a_domain_error(tmp_path, capsys, argv, exit_code)
 
 
 def test_mesh_evaluates_each_profile_once_per_grid_line(tmp_path, monkeypatch):
-    import ssmin.cli as cli
-
     calls = []
 
     def counted(profile, axis):
