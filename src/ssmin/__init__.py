@@ -32,20 +32,11 @@ from .surface import (
     FramePoint,
     TranslationSurface,
     TranslationType,
-    first_fundamental,
-    frame,
     immersion,
 )
-from .curvature import CurvatureReport, SigmaMatrix, mean_curvature, second_form
-from .pde import (
-    CaseId,
-    SeparationConstants,
-    equivalence_factor,
-    equivalence_sweep,
-    residual,
-    separation_check,
-)
-from .ode import OdeCase, OdeId, Trajectory, compare_profile, integrate, substitution_check
+from .curvature import CurvatureReport, SigmaMatrix
+from .pde import CaseId, equivalence_sweep, residual
+from .ode import OdeCase, OdeId, Trajectory, compare_profile, integrate
 from .catalog import (
     AdmissibleDomain,
     Branch,

@@ -612,11 +612,6 @@ _DEFAULT_SETTINGS: dict[FamilyId, tuple[SolutionFamily, ...]] = {
 }
 
 
-def family_tolerance(fam: SolutionFamily) -> float:
-    """Verification tolerance: quadrature-backed families get the looser bound."""
-    return _assemble(fam).tolerance
-
-
 def perturb_profile(profile: Profile, eps: float) -> Profile:
     """Profile plus eps*u^2; the negative control for family verification."""
 
@@ -722,24 +717,6 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
     if asm.admissible is None:
         return verify_residual(fam, n_samples, rng_seed, tolerance)
     return verify_family(fam, n_samples, rng_seed, tolerance)
-
-
-def ode_pointwise_max(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0) -> float:
-    """Worst |h' - phi(h)| over samples, for every reduced-ODE binding of the family."""
-    asm = _assemble(fam)
-    if not asm.ode_checks:
-        return 0.0
-    box_u, box_v = _residual_box(asm)
-    worst = 0.0
-    rng = SplitMix64(rng_seed)
-    for case, which in asm.ode_checks:
-        phi = case.rhs()
-        profile = asm.f if which == "f" else asm.g
-        box = box_u if which == "f" else box_v
-        for _ in range(n_samples):
-            jet = profile.at(rng.uniform(box.lo, box.hi))
-            worst = _worse(worst, abs(jet.d2 - phi(jet.d1)))
-    return worst
 
 
 # Bounds of the RK4 cross-checks: the sup-norm gap between a reference run

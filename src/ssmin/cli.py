@@ -89,6 +89,9 @@ class RunConfig:
         if self.format not in formats:
             raise UsageError(f"format of {self.command} must be one of {', '.join(formats)}; "
                              f"got {self.format!r}")
+        if self.command == "report" and self.tolerance is not None:
+            raise UsageError("report judges families, equivalence sweeps and ODE runs by "
+                             "their own bounds; it takes no tolerance")
         if self.samples < 1:
             raise UsageError(f"samples must be >= 1, got {self.samples}")
         for name in ("nu", "nv"):
@@ -404,7 +407,7 @@ def cmd_report(cfg: RunConfig) -> int:
               for fid in fids for fam in default_settings(fid)]
     family_records = [
         {"theorem": theorem, **_record(verify_auto(fam, cfg.samples, child_seed(cfg.seed, index),
-                                                   cfg.tolerance, cfg.perturb))}
+                                                   perturb=cfg.perturb))}
         for index, (theorem, fam) in enumerate(suites)
     ]
     sweeps = _sweeps(list(CaseId), max(cfg.samples, 500), cfg.seed, first_tag=1000)

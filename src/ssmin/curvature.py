@@ -29,7 +29,6 @@ from .ambient import AmbientSpace, ConnectionKind, Signature
 from .jets import Jet2
 from .surface import (
     FirstFundamental,
-    TranslationSurface,
     TranslationType,
     _require_regular,
     frame_from_jets,  # noqa: F401  perfbench's tracer test patches it in this namespace
@@ -104,19 +103,6 @@ def _curvature_kernel(ttype: TranslationType, sig: Signature, kind: ConnectionKi
     return E, F, G, det, normalizer, s11, s12, s21, s22, numerator
 
 
-def second_form_from_jets(ttype: TranslationType, space: AmbientSpace,
-                          kind: ConnectionKind, fj: Jet2, gj: Jet2) -> SigmaMatrix:
-    k = _curvature_kernel(ttype, space.signature, kind, fj.d1, fj.d2, gj.d1, gj.d2)
-    return SigmaMatrix(*k[5:9])
-
-
-def second_form(surface: TranslationSurface, kind: ConnectionKind,
-                u: float, v: float) -> SigmaMatrix:
-    return second_form_from_jets(
-        surface.ttype, surface.space, kind, surface.f.at(u), surface.g.at(v)
-    )
-
-
 def mean_curvature_from_jets(ttype: TranslationType, space: AmbientSpace,
                              kind: ConnectionKind, fj: Jet2, gj: Jet2) -> CurvatureReport:
     E, F, G, det, normalizer, s11, s12, s21, s22, numerator = _curvature_kernel(
@@ -125,9 +111,3 @@ def mean_curvature_from_jets(ttype: TranslationType, space: AmbientSpace,
     return CurvatureReport(SigmaMatrix(s11, s12, s21, s22), numerator / (2.0 * det),
                            numerator, FirstFundamental(E, F, G), normalizer)
 
-
-def mean_curvature(surface: TranslationSurface, kind: ConnectionKind,
-                   u: float, v: float) -> CurvatureReport:
-    return mean_curvature_from_jets(
-        surface.ttype, surface.space, kind, surface.f.at(u), surface.g.at(v)
-    )

@@ -42,15 +42,9 @@ class Jet2:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Jet2":
-        return Jet2(-self.v, -self.d1, -self.d2)
-
     def __sub__(self, other) -> "Jet2":
         o = _lift(other)
         return Jet2(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
-
-    def __rsub__(self, other) -> "Jet2":
-        return _lift(other) - self
 
     def __mul__(self, other) -> "Jet2":
         o = _lift(other)
@@ -61,12 +55,6 @@ class Jet2:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Jet2":
-        return self * _reciprocal(_lift(other))
-
-    def __rtruediv__(self, other) -> "Jet2":
-        return _lift(other) * _reciprocal(self)
 
     def is_finite(self) -> bool:
         return math.isfinite(self.v) and math.isfinite(self.d1) and math.isfinite(self.d2)
@@ -80,13 +68,6 @@ def _lift(x) -> Jet2:
     raise TypeError(f"cannot mix Jet2 with {type(x).__name__}")
 
 
-def _reciprocal(x: Jet2) -> Jet2:
-    if x.v == 0.0:
-        raise DomainError("jet division by zero")
-    r = 1.0 / x.v
-    return Jet2(r, -x.d1 * r * r, (2.0 * x.d1 * x.d1 - x.v * x.d2) * r * r * r)
-
-
 def _chain(fv: float, f1: float, f2: float, x: Jet2) -> Jet2:
     """Compose the outer derivatives (fv, f1, f2) at x.v with the inner jet."""
     return Jet2(fv, f1 * x.d1, f2 * x.d1 * x.d1 + f1 * x.d2)
@@ -97,24 +78,9 @@ def jet_cos(x: Jet2) -> Jet2:
     return _chain(c, -math.sin(x.v), -c, x)
 
 
-def jet_tan(x: Jet2) -> Jet2:
-    if math.cos(x.v) == 0.0:
-        raise DomainError("tan at an odd multiple of pi/2")
-    t = math.tan(x.v)
-    sec2 = 1.0 + t * t
-    return _chain(t, sec2, 2.0 * t * sec2, x)
-
-
 def jet_exp(x: Jet2) -> Jet2:
     e = math.exp(x.v)
     return _chain(e, e, e, x)
-
-
-def jet_log(x: Jet2) -> Jet2:
-    if x.v <= 0.0:
-        raise DomainError(f"log of nonpositive value {x.v!r}")
-    r = 1.0 / x.v
-    return _chain(math.log(x.v), r, -r * r, x)
 
 
 def jet_log_abs(x: Jet2) -> Jet2:
@@ -123,13 +89,6 @@ def jet_log_abs(x: Jet2) -> Jet2:
         raise DomainError("log|x| at zero")
     r = 1.0 / x.v
     return _chain(math.log(abs(x.v)), r, -r * r, x)
-
-
-def jet_sqrt(x: Jet2) -> Jet2:
-    if x.v <= 0.0:
-        raise DomainError(f"sqrt of nonpositive value {x.v!r}")
-    r = math.sqrt(x.v)
-    return _chain(r, 0.5 / r, -0.25 / (r * x.v), x)
 
 
 def jet_log_abs_cos(x: Jet2) -> Jet2:

@@ -12,19 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
-import numpy as np
-
-from .errors import (
-    BlowUp,
-    DomainError,
-    DomainMismatch,
-    IllConditionedFit,
-    InvalidStep,
-    UnknownCase,
-)
-from .jets import Interval, Jet2, Profile
+from .errors import BlowUp, DomainMismatch, InvalidStep, UnknownCase
+from .jets import Profile
 from .sampling import _worse
 
 BLOWUP_THRESHOLD = 1e12
@@ -168,86 +159,6 @@ def integrate(case: OdeCase, y0: float, t_span: tuple[float, float],
     return integrate_scalar(case.rhs(), y0, t_span, step, label=case.kind.value)
 
 
-def integrate_profile_scalar(phi: Callable[[float], float], value0: float,
-                             h0: float, t_span: tuple[float, float], step: float,
-                             label: str = "rk4-profile") -> Profile:
-    """Joint RK4 on (value, h) yielding a node-lookup profile.
-
-    The returned profile evaluates only at trajectory node times; d2 comes
-    from the right-hand side, so the profile is an RK4-backed oracle for
-    closed forms fitted elsewhere.
-    """
-    _check_span_step(t_span, step)
-    t0, t1 = t_span
-    n_full = int(math.floor((t1 - t0) / step + 1e-9))
-    values = [value0]
-    slopes = [h0]
-    y, h = value0, h0
-    for _ in range(n_full):
-        # one RK4 step of the joint system y' = h, h' = phi(h)
-        k1y, k1h = h, phi(h)
-        k2y, k2h = h + 0.5 * step * k1h, phi(h + 0.5 * step * k1h)
-        k3y, k3h = h + 0.5 * step * k2h, phi(h + 0.5 * step * k2h)
-        k4y, k4h = h + step * k3h, phi(h + step * k3h)
-        y = y + step / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        h = _rk4_step(phi, h, step)
-        if not (math.isfinite(y) and math.isfinite(h)) or abs(h) > BLOWUP_THRESHOLD:
-            raise BlowUp(f"{label}: blow-up during joint integration")
-        values.append(y)
-        slopes.append(h)
-    t_end = t0 + n_full * step
-
-    def fn(u: float) -> Jet2:
-        i = round((u - t0) / step)
-        if i < 0 or i > n_full or abs(t0 + i * step - u) > 1e-9:
-            raise DomainError(f"trajectory profile defined only at node times, got {u!r}")
-        return Jet2(values[i], slopes[i], phi(slopes[i]))
-
-    return Profile(fn, Interval(t0 - 1e-9, t_end + 1e-9), label)
-
-
-def substitution_check(case: OdeCase, h0: float, v_span: tuple[float, float],
-                       n_samples: int = 40, step: float = 1e-4) -> float:
-    """Verify the reciprocal-square substitution W = h^-2 linearizes the cubic cases.
-
-    Along an RK4 trajectory of h, W' (by five-point finite differences of the
-    discrete W) must follow W' = 4/(c^2+1) + 4 W for O2_36 and
-    W' = 4/(c^2+1) - 4 W for O3_28.  Returns the worst of: pointwise deviation
-    from the known line and the error of the least-squares fitted (a, b)
-    against the known coefficients.
-    """
-    if case.kind is OdeId.O2_36:
-        slope = 4.0
-    elif case.kind is OdeId.O3_28:
-        slope = -4.0
-    else:
-        raise UnknownCase(f"substitution check applies to O2_36/O3_28, not {case.kind.value}")
-    intercept = 4.0 / (case.param("c0_hat") ** 2 + 1.0)
-
-    traj = integrate(case, h0, v_span, step)
-    ts = np.asarray(traj.times)
-    hs = np.asarray(traj.values)
-    # the stencil needs a uniform grid: drop the shorter tail step, if any
-    if len(ts) >= 2 and abs((ts[-1] - ts[-2]) - step) > 1e-12:
-        hs = hs[:-1]
-    if np.min(np.abs(hs)) < 1e-8:
-        raise DomainError("h crosses zero; W = h^-2 undefined")
-    w = 1.0 / (hs * hs)
-    if len(w) < 5:
-        raise InvalidStep("span too short for the difference stencil")
-    # five-point central first derivative on the uniform grid
-    dw = (-w[4:] + 8.0 * w[3:-1] - 8.0 * w[1:-3] + w[:-4]) / (12.0 * step)
-    w_in = w[2:-2]
-    idx = np.linspace(0, len(w_in) - 1, min(n_samples, len(w_in))).astype(int)
-    w_s, dw_s = w_in[idx], dw[idx]
-    if float(np.max(w_s) - np.min(w_s)) < 1e-9:
-        raise IllConditionedFit("W is constant along the trajectory")
-    design = np.column_stack([np.ones_like(w_s), w_s])
-    (a_fit, b_fit), _, _, _ = np.linalg.lstsq(design, dw_s, rcond=None)
-    pointwise = float(np.max(np.abs(dw_s - (intercept + slope * w_s))))
-    return max(abs(a_fit - intercept), abs(b_fit - slope), pointwise)
-
-
 def compare_profile(numeric: Trajectory, analytic: Profile) -> float:
     """Sup-norm gap between trajectory h-values and the profile's first derivative."""
     worst = 0.0
@@ -260,7 +171,3 @@ def compare_profile(numeric: Trajectory, analytic: Profile) -> float:
         worst = _worse(worst, abs(h - analytic.at(t).d1))
     return worst
 
-
-def sampled_trajectory(profile: Profile, times: Sequence[float], step: float) -> Trajectory:
-    """Trajectory whose nodes copy the profile's own derivative (for controls)."""
-    return Trajectory(tuple((t, profile.at(t).d1) for t in times), step)

@@ -16,17 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
 
 from .ambient import AmbientSpace, ConnectionKind, Signature
 from .curvature import mean_curvature_from_jets
 from .errors import IllConditionedFit, UnknownCase
-from .jets import Jet2, Profile
+from .jets import Jet2
 from .sampling import SplitMix64, _worse
 from .surface import (
-    FramePoint,
     TranslationType,
     frame_from_jets,  # noqa: F401  perfbench's tracer test patches it in this namespace
 )
@@ -74,13 +70,6 @@ CASE_SPACE: dict[CaseId, tuple[Signature, ConnectionKind, tuple[TranslationType,
 }
 
 
-def case_for(sig: Signature, kind: ConnectionKind, ttype: TranslationType) -> CaseId:
-    for case, (csig, ckind, types) in CASE_SPACE.items():
-        if csig is sig and ckind is kind and ttype in types:
-            return case
-    raise UnknownCase(f"no classified case for ({sig}, {kind}, type {ttype.value})")
-
-
 def residual(case: CaseId, fj: Jet2, gj: Jet2) -> float:
     """Closed-form minimality residual; zero exactly on minimal surfaces."""
     f1, f2 = fj.d1, fj.d2
@@ -121,70 +110,6 @@ _EQUIVALENCE_SIGN: dict[tuple[CaseId, TranslationType], float] = {
     (CaseId.L_NM_II_III, TranslationType.II): 1.0,
     (CaseId.L_NM_II_III, TranslationType.III): -1.0,
 }
-
-
-def _equivalence_sign(case: CaseId, ttype: TranslationType) -> float:
-    try:
-        return _EQUIVALENCE_SIGN[(case, ttype)]
-    except KeyError:
-        raise UnknownCase(
-            f"case {case.value} does not apply to surface type {ttype.value}"
-        ) from None
-
-
-def equivalence_factor(case: CaseId, fr: FramePoint) -> float:
-    """Signed factor lambda with lambda * numerator = residual at the frame point."""
-    return _equivalence_sign(case, fr.ttype) * fr.normalizer
-
-
-@dataclass(frozen=True)
-class SeparationConstants:
-    c0: float
-    c1: float
-    c2: float | None
-    deviation: float
-
-
-def separation_check(case: CaseId, f: Profile, g: Profile,
-                     u_samples: Sequence[float],
-                     v_samples: Sequence[float]) -> SeparationConstants:
-    """Fit the separated reduced form of a case by least squares.
-
-    E_M_I fits f'' = (c0/2) f'^2 + c1 together with g'' = -(c0/2) g'^2 + c2
-    (shared c0).  E_M_II_III and L_M_II_III fit the profile-f side
-    f'' = (c0/2) f'^2 + c1 only; their g-side separation is third order and is
-    certified through the reduced-ODE checks instead.  A deviation below 1e-8
-    certifies membership in the separated family.
-    """
-    if case not in (CaseId.E_M_I, CaseId.E_M_II_III, CaseId.L_M_II_III):
-        raise UnknownCase(f"no separated form is fitted for case {case.value}")
-    if len(u_samples) < 3:
-        raise IllConditionedFit("need at least 3 u samples")
-
-    fjets = [f.at(u) for u in u_samples]
-    fsq = [j.d1 * j.d1 for j in fjets]
-    if max(fsq) - min(fsq) < 1e-9:
-        raise IllConditionedFit("f'^2 is constant across samples")
-
-    with_g = case is CaseId.E_M_I and len(v_samples) > 0
-    rows, rhs = [], []
-    for j, s in zip(fjets, fsq):
-        rows.append([0.5 * s, 1.0, 0.0] if with_g else [0.5 * s, 1.0])
-        rhs.append(j.d2)
-    if with_g:
-        for v in v_samples:
-            gj = g.at(v)
-            rows.append([-0.5 * gj.d1 * gj.d1, 0.0, 1.0])
-            rhs.append(gj.d2)
-
-    a = np.asarray(rows, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < a.shape[1]:
-        raise IllConditionedFit("separation fit is rank deficient")
-    deviation = float(np.max(np.abs(a @ solution - b)))
-    c2 = float(solution[2]) if with_g else None
-    return SeparationConstants(float(solution[0]), float(solution[1]), c2, deviation)
 
 
 # Bound on the relative deviation |lambda * numerator - residual| / (1 + |residual|).
@@ -229,7 +154,7 @@ def equivalence_sweep(case: CaseId, n_samples: int, seed: int,
     """
     sig, kind, types = CASE_SPACE[case]
     space = AmbientSpace(sig, kind)
-    signs = tuple(_equivalence_sign(case, ttype) for ttype in types)
+    signs = tuple(_EQUIVALENCE_SIGN[(case, ttype)] for ttype in types)
     rng = SplitMix64(seed)
     worst = 0.0
     attempts = 0

@@ -125,22 +125,12 @@ def frame_from_jets(ttype: TranslationType, space: AmbientSpace,
     return FramePoint(ttype, Fu, Fv, duu, ZERO, ZERO, dvv, n, normalizer)
 
 
-def frame(surface: TranslationSurface, u: float, v: float) -> FramePoint:
-    return frame_from_jets(surface.ttype, surface.space, surface.f.at(u), surface.g.at(v))
-
-
 def first_fundamental_from_jets(ttype: TranslationType, space: AmbientSpace,
                                 fj: Jet2, gj: Jet2) -> FirstFundamental:
     Fu, Fv = _tangents(ttype, fj.d1, gj.d1)
     first = _fundamental(space.signature, Fu, Fv)
     _require_regular(space.signature, first.det, fj.d1, gj.d1)
     return first
-
-
-def first_fundamental(surface: TranslationSurface, u: float, v: float) -> FirstFundamental:
-    return first_fundamental_from_jets(
-        surface.ttype, surface.space, surface.f.at(u), surface.g.at(v)
-    )
 
 
 def immersion(surface: TranslationSurface, u: float, v: float) -> Vec3:

@@ -1,0 +1,176 @@
+"""Test-side oracles: least-squares separation and substitution fits, an
+RK4-backed profile, and the pointwise reduced-ODE check of a family.
+
+No command runs these; the tests use them as checks that do not share the
+code path they verify.  The least-squares fits use numpy, which the package
+itself does not import.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+
+from ssmin.catalog import SolutionFamily, _assemble, _residual_box
+from ssmin.errors import (
+    BlowUp,
+    DomainError,
+    IllConditionedFit,
+    InvalidStep,
+    UnknownCase,
+)
+from ssmin.jets import Interval, Jet2, Profile
+from ssmin.ode import BLOWUP_THRESHOLD, OdeCase, OdeId, _check_span_step, _rk4_step, integrate
+from ssmin.pde import CaseId
+from ssmin.sampling import SplitMix64, _worse
+
+
+@dataclass(frozen=True)
+class SeparationConstants:
+    c0: float
+    c1: float
+    c2: float | None
+    deviation: float
+
+
+def separation_check(case: CaseId, f: Profile, g: Profile,
+                     u_samples: Sequence[float],
+                     v_samples: Sequence[float]) -> SeparationConstants:
+    """Fit the separated reduced form of a case by least squares.
+
+    E_M_I fits f'' = (c0/2) f'^2 + c1 together with g'' = -(c0/2) g'^2 + c2
+    (shared c0).  E_M_II_III and L_M_II_III fit the profile-f side
+    f'' = (c0/2) f'^2 + c1 only; their g-side separation is third order and is
+    certified through the reduced-ODE checks instead.  A deviation below 1e-8
+    certifies membership in the separated family.
+    """
+    if case not in (CaseId.E_M_I, CaseId.E_M_II_III, CaseId.L_M_II_III):
+        raise UnknownCase(f"no separated form is fitted for case {case.value}")
+    if len(u_samples) < 3:
+        raise IllConditionedFit("need at least 3 u samples")
+
+    fjets = [f.at(u) for u in u_samples]
+    fsq = [j.d1 * j.d1 for j in fjets]
+    if max(fsq) - min(fsq) < 1e-9:
+        raise IllConditionedFit("f'^2 is constant across samples")
+
+    with_g = case is CaseId.E_M_I and len(v_samples) > 0
+    rows, rhs = [], []
+    for j, s in zip(fjets, fsq):
+        rows.append([0.5 * s, 1.0, 0.0] if with_g else [0.5 * s, 1.0])
+        rhs.append(j.d2)
+    if with_g:
+        for v in v_samples:
+            gj = g.at(v)
+            rows.append([-0.5 * gj.d1 * gj.d1, 0.0, 1.0])
+            rhs.append(gj.d2)
+
+    a = np.asarray(rows, dtype=float)
+    b = np.asarray(rhs, dtype=float)
+    solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    if rank < a.shape[1]:
+        raise IllConditionedFit("separation fit is rank deficient")
+    deviation = float(np.max(np.abs(a @ solution - b)))
+    c2 = float(solution[2]) if with_g else None
+    return SeparationConstants(float(solution[0]), float(solution[1]), c2, deviation)
+
+
+def integrate_profile_scalar(phi: Callable[[float], float], value0: float,
+                             h0: float, t_span: tuple[float, float], step: float,
+                             label: str = "rk4-profile") -> Profile:
+    """Joint RK4 on (value, h) yielding a node-lookup profile.
+
+    The returned profile evaluates only at trajectory node times; d2 comes
+    from the right-hand side, so the profile is an RK4-backed oracle for
+    closed forms fitted elsewhere.
+    """
+    _check_span_step(t_span, step)
+    t0, t1 = t_span
+    n_full = int(math.floor((t1 - t0) / step + 1e-9))
+    values = [value0]
+    slopes = [h0]
+    y, h = value0, h0
+    for _ in range(n_full):
+        # one RK4 step of the joint system y' = h, h' = phi(h)
+        k1y, k1h = h, phi(h)
+        k2y, k2h = h + 0.5 * step * k1h, phi(h + 0.5 * step * k1h)
+        k3y, k3h = h + 0.5 * step * k2h, phi(h + 0.5 * step * k2h)
+        k4y, k4h = h + step * k3h, phi(h + step * k3h)
+        y = y + step / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        h = _rk4_step(phi, h, step)
+        if not (math.isfinite(y) and math.isfinite(h)) or abs(h) > BLOWUP_THRESHOLD:
+            raise BlowUp(f"{label}: blow-up during joint integration")
+        values.append(y)
+        slopes.append(h)
+    t_end = t0 + n_full * step
+
+    def fn(u: float) -> Jet2:
+        i = round((u - t0) / step)
+        if i < 0 or i > n_full or abs(t0 + i * step - u) > 1e-9:
+            raise DomainError(f"trajectory profile defined only at node times, got {u!r}")
+        return Jet2(values[i], slopes[i], phi(slopes[i]))
+
+    return Profile(fn, Interval(t0 - 1e-9, t_end + 1e-9), label)
+
+
+def substitution_check(case: OdeCase, h0: float, v_span: tuple[float, float],
+                       n_samples: int = 40, step: float = 1e-4) -> float:
+    """Verify the reciprocal-square substitution W = h^-2 linearizes the cubic cases.
+
+    Along an RK4 trajectory of h, W' (by five-point finite differences of the
+    discrete W) must follow W' = 4/(c^2+1) + 4 W for O2_36 and
+    W' = 4/(c^2+1) - 4 W for O3_28.  Returns the worst of: pointwise deviation
+    from the known line and the error of the least-squares fitted (a, b)
+    against the known coefficients.
+    """
+    if case.kind is OdeId.O2_36:
+        slope = 4.0
+    elif case.kind is OdeId.O3_28:
+        slope = -4.0
+    else:
+        raise UnknownCase(f"substitution check applies to O2_36/O3_28, not {case.kind.value}")
+    intercept = 4.0 / (case.param("c0_hat") ** 2 + 1.0)
+
+    traj = integrate(case, h0, v_span, step)
+    ts = np.asarray(traj.times)
+    hs = np.asarray(traj.values)
+    # the stencil needs a uniform grid: drop the shorter tail step, if any
+    if len(ts) >= 2 and abs((ts[-1] - ts[-2]) - step) > 1e-12:
+        hs = hs[:-1]
+    if np.min(np.abs(hs)) < 1e-8:
+        raise DomainError("h crosses zero; W = h^-2 undefined")
+    w = 1.0 / (hs * hs)
+    if len(w) < 5:
+        raise InvalidStep("span too short for the difference stencil")
+    # five-point central first derivative on the uniform grid
+    dw = (-w[4:] + 8.0 * w[3:-1] - 8.0 * w[1:-3] + w[:-4]) / (12.0 * step)
+    w_in = w[2:-2]
+    idx = np.linspace(0, len(w_in) - 1, min(n_samples, len(w_in))).astype(int)
+    w_s, dw_s = w_in[idx], dw[idx]
+    if float(np.max(w_s) - np.min(w_s)) < 1e-9:
+        raise IllConditionedFit("W is constant along the trajectory")
+    design = np.column_stack([np.ones_like(w_s), w_s])
+    (a_fit, b_fit), _, _, _ = np.linalg.lstsq(design, dw_s, rcond=None)
+    pointwise = float(np.max(np.abs(dw_s - (intercept + slope * w_s))))
+    return max(abs(a_fit - intercept), abs(b_fit - slope), pointwise)
+
+
+def ode_pointwise_max(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0) -> float:
+    """Worst |h' - phi(h)| over samples, for every reduced-ODE binding of the family."""
+    asm = _assemble(fam)
+    if not asm.ode_checks:
+        return 0.0
+    box_u, box_v = _residual_box(asm)
+    worst = 0.0
+    rng = SplitMix64(rng_seed)
+    for case, which in asm.ode_checks:
+        phi = case.rhs()
+        profile = asm.f if which == "f" else asm.g
+        box = box_u if which == "f" else box_v
+        for _ in range(n_samples):
+            jet = profile.at(rng.uniform(box.lo, box.hi))
+            worst = _worse(worst, abs(jet.d2 - phi(jet.d1)))
+    return worst

@@ -25,18 +25,19 @@ from ssmin.catalog import (
     _moderate_box,
     all_default_settings,
     build,
-    ode_pointwise_max,
     verify_family,
     verify_residual,
 )
 from ssmin.cli import main
-from ssmin.curvature import mean_curvature, mean_curvature_from_jets, second_form_from_jets
+from ssmin.curvature import mean_curvature_from_jets
 from ssmin.errors import EmptyDomain
 from ssmin.jets import Jet2, affine_profile
 from ssmin.ode import OdeCase, OdeId, integrate
 from ssmin.pde import CaseId, equivalence_sweep, residual
 from ssmin.sampling import SplitMix64, child_seed
 from ssmin.surface import TranslationSurface, TranslationType, frame_from_jets
+
+from oracles import ode_pointwise_max
 
 E = Signature.EUCLIDEAN
 L = Signature.LORENTZIAN
@@ -147,10 +148,10 @@ def test_criterion_4_structural_invariants():
                     break
         fj = Jet2(0, f1, rng.uniform(-3, 3))
         gj = Jet2(0, g1, rng.uniform(-3, 3))
-        sm = second_form_from_jets(ttype, space, kind, fj, gj)
+        sm = mean_curvature_from_jets(ttype, space, kind, fj, gj).sigma
         worst_sym = max(worst_sym, abs(sm.s12 - sm.s21))
-        s_lc = second_form_from_jets(ttype, space, LC, fj, gj)
-        s_nm = second_form_from_jets(ttype, space, SSNM, fj, gj)
+        s_lc = mean_curvature_from_jets(ttype, space, LC, fj, gj).sigma
+        s_nm = mean_curvature_from_jets(ttype, space, SSNM, fj, gj).sigma
         worst_nm = max(worst_nm, abs(s_lc.s11 - s_nm.s11), abs(s_lc.s12 - s_nm.s12),
                        abs(s_lc.s21 - s_nm.s21), abs(s_lc.s22 - s_nm.s22))
         if sig is E:
@@ -169,8 +170,9 @@ def test_criterion_5_plane_benchmarks():
     slope residual equals 2(1 - f'^2 - g'^2) > 0 on spacelike samples."""
     plane = TranslationSurface(TranslationType.I, affine_profile(0, 0),
                                affine_profile(0, 0), AmbientSpace(E, SSM))
-    h_metric = mean_curvature(plane, SSM, 0.4, -1.1).H
-    h_non_metric = mean_curvature(plane, SSNM, 0.4, -1.1).H
+    fj, gj = plane.f.at(0.4), plane.g.at(-1.1)
+    h_metric = mean_curvature_from_jets(plane.ttype, plane.space, SSM, fj, gj).H
+    h_non_metric = mean_curvature_from_jets(plane.ttype, plane.space, SSNM, fj, gj).H
     ok = abs(h_metric + 1.0) <= 1e-12 and h_non_metric == 0.0
     rng = SplitMix64(55)
     worst = 0.0

@@ -14,7 +14,6 @@ from ssmin.catalog import (
     all_default_settings,
     build,
     default_settings,
-    family_tolerance,
     make_family,
     verify_auto,
     verify_family,
@@ -209,8 +208,8 @@ def test_branch_settings_present():
 
 
 def test_family_tolerances():
-    assert family_tolerance(make_family(FamilyId.F2_39)) == 1e-6
-    assert family_tolerance(make_family(FamilyId.F2_23)) == 1e-8
+    assert _assemble(make_family(FamilyId.F2_39)).tolerance == 1e-6
+    assert _assemble(make_family(FamilyId.F2_23)).tolerance == 1e-8
 
 
 def test_quadrature_base_point_gap():

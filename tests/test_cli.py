@@ -1,13 +1,19 @@
 """CLI behavior: exit codes, formats, determinism, and config handling."""
 
+import ast
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ssmin
 from ssmin import cli
 from ssmin.catalog import ConvergenceRecord, FamilyReport, OdeComparisonRecord, build
 from ssmin.cli import RunConfig, main
@@ -343,6 +349,8 @@ def test_usage_errors_exit_one(argv):
     (["ode-compare", "--step", "1e9"], None, "step"),
     (["ode-compare", "--step", "0"], None, "step"),
     (["report", "--all", "--step", "0.4"], None, "step"),
+    # one scalar cannot be the bound of families, equivalence sweeps and ODE runs at once
+    (["report", "--all"], {"tolerance": 1e-3}, "tolerance"),
     (["mesh", "--family", "F2_23"], {"format": "xml"}, "format"),
     (["equivalence", "--case", "E_M_I"], {"format": "xml"}, "format"),
     (["verify", "--family", "F2_23"], {"format": "csv"}, "format"),
@@ -398,3 +406,22 @@ def test_mesh_evaluates_each_profile_once_per_grid_line(tmp_path, monkeypatch):
                      "--format", "csv", name="m.csv")
     assert code == 0 and len(text.splitlines()) == 1 + 9 * 7
     assert (calls.count("u"), calls.count("v")) == (9, 7)
+
+
+def test_runtime_imports_only_the_standard_library():
+    # every absolute import of the package, lazy ones inside functions too
+    package = Path(ssmin.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in sys.stdlib_module_names, (path.name, module)
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    subprocess.run([sys.executable, "-c",
+                    "import sys, ssmin, ssmin.cli; assert 'numpy' not in sys.modules"],
+                   env=env, check=True)

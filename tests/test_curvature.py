@@ -14,13 +14,7 @@ from ssmin.ambient import (
     metric_inner,
 )
 from ssmin.catalog import FamilyId, build, make_family
-from ssmin.curvature import (
-    _curvature_kernel,
-    mean_curvature,
-    mean_curvature_from_jets,
-    second_form,
-    second_form_from_jets,
-)
+from ssmin.curvature import _curvature_kernel, mean_curvature_from_jets
 from ssmin.jets import Jet2, affine_profile
 from ssmin.sampling import SplitMix64
 from ssmin.surface import TranslationSurface, TranslationType, frame_from_jets
@@ -40,22 +34,27 @@ def _plane(sig=E):
                               affine_profile(0, 0), AmbientSpace(sig, SSM))
 
 
+def _at(surface, kind, u, v):
+    return mean_curvature_from_jets(surface.ttype, surface.space, kind,
+                                    surface.f.at(u), surface.g.at(v))
+
+
 def test_plane_sigma_metric_connection():
-    sm = second_form(_plane(), SSM, 0.1, 0.2)
+    sm = _at(_plane(), SSM, 0.1, 0.2).sigma
     assert (sm.s11, sm.s12, sm.s21, sm.s22) == (-1.0, 0.0, 0.0, -1.0)
 
 
 def test_plane_mean_curvatures():
-    rep = mean_curvature(_plane(), SSM, 0.0, 0.0)
+    rep = _at(_plane(), SSM, 0.0, 0.0)
     assert rep.numerator == -2.0
     assert rep.H == -1.0
-    rep = mean_curvature(_plane(), SSNM, 0.0, 0.0)
+    rep = _at(_plane(), SSNM, 0.0, 0.0)
     assert rep.H == 0.0
 
 
 def test_scherk_profile_pair_is_minimal_for_non_metric():
     surface = build(make_family(FamilyId.F2_51, c=1.0)).surface
-    rep = mean_curvature(surface, SSNM, 0.2, 0.3)
+    rep = _at(surface, SSNM, 0.2, 0.3)
     assert abs(rep.numerator) <= 1e-10
 
 
@@ -64,7 +63,8 @@ def test_non_metric_type_i_mixed_sigma_vanishes():
     for _ in range(100):
         fj = Jet2(0.0, rng.uniform(-2, 2), rng.uniform(-3, 3))
         gj = Jet2(0.0, rng.uniform(-2, 2), rng.uniform(-3, 3))
-        sm = second_form_from_jets(TranslationType.I, AmbientSpace(E, SSNM), SSNM, fj, gj)
+        sm = mean_curvature_from_jets(TranslationType.I, AmbientSpace(E, SSNM), SSNM,
+                                      fj, gj).sigma
         assert abs(sm.s12) <= 1e-15 and abs(sm.s21) <= 1e-15
 
 
@@ -172,10 +172,10 @@ def test_sigma_symmetry_and_non_metric_equals_levi_civita():
         f1, g1 = _admissible_sample(rng, sig, ttype)
         fj = Jet2(0, f1, rng.uniform(-3, 3))
         gj = Jet2(0, g1, rng.uniform(-3, 3))
-        sm = second_form_from_jets(ttype, space, kind, fj, gj)
+        sm = mean_curvature_from_jets(ttype, space, kind, fj, gj).sigma
         assert abs(sm.s12 - sm.s21) <= 1e-12
-        s_lc = second_form_from_jets(ttype, space, LC, fj, gj)
-        s_nm = second_form_from_jets(ttype, space, SSNM, fj, gj)
+        s_lc = mean_curvature_from_jets(ttype, space, LC, fj, gj).sigma
+        s_nm = mean_curvature_from_jets(ttype, space, SSNM, fj, gj).sigma
         for a, b in ((s_lc.s11, s_nm.s11), (s_lc.s12, s_nm.s12),
                      (s_lc.s21, s_nm.s21), (s_lc.s22, s_nm.s22)):
             assert abs(a - b) <= 1e-12
@@ -225,4 +225,3 @@ def test_scalar_kernel_equals_frame_oracle_exactly(ttype, sig, kind):
         assert (rep.first.E, rep.first.F, rep.first.G, rep.first.det) == got[:4]
         assert (rep.numerator, rep.normalizer) == (numerator, fr.normalizer)
         assert rep.H == numerator / (2.0 * det)
-        assert second_form_from_jets(ttype, space, kind, fj, gj) == rep.sigma

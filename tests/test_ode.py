@@ -9,19 +9,13 @@ from ssmin.catalog import (
     all_default_settings,
     build,
     make_family,
-    ode_pointwise_max,
     ode_reference_runs,
 )
 from ssmin.errors import BlowUp, DomainMismatch, IllConditionedFit, InvalidStep
 from ssmin.jets import Interval, affine_profile
-from ssmin.ode import (
-    OdeCase,
-    OdeId,
-    compare_profile,
-    integrate,
-    sampled_trajectory,
-    substitution_check,
-)
+from ssmin.ode import OdeCase, OdeId, Trajectory, compare_profile, integrate
+
+from oracles import ode_pointwise_max, substitution_check
 
 TAN_CASE = OdeCase.of(OdeId.O2_21, c3=0.0)
 TANH_CASE = OdeCase.of(OdeId.O3_37F, c0=1.0)
@@ -83,7 +77,7 @@ def test_compare_profile_matched_pair():
 def test_compare_profile_identical_is_zero():
     f = build(make_family(FamilyId.F2_23)).surface.f
     times = [0.05 * k for k in range(13)]
-    traj = sampled_trajectory(f, times, 0.05)
+    traj = Trajectory(tuple((t, f.at(t).d1) for t in times), 0.05)
     assert compare_profile(traj, f) == 0.0
 
 
@@ -91,7 +85,7 @@ def test_compare_profile_shifted_control():
     base = build(make_family(FamilyId.F2_23, a=0.0)).surface.f
     shifted = build(make_family(FamilyId.F2_23, a=0.1)).surface.f
     times = [0.05 * k for k in range(13)]
-    traj = sampled_trajectory(base, times, 0.05)
+    traj = Trajectory(tuple((t, base.at(t).d1) for t in times), 0.05)
     assert compare_profile(traj, shifted) > 1e-2
 
 

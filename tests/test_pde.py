@@ -9,17 +9,11 @@ from ssmin.catalog import FamilyId, build, make_family
 from ssmin.curvature import mean_curvature_from_jets
 from ssmin.errors import IllConditionedFit, UnknownCase
 from ssmin.jets import Jet2, affine_profile
-from ssmin.ode import integrate_profile_scalar
-from ssmin.pde import (
-    CaseId,
-    case_for,
-    equivalence_factor,
-    equivalence_sweep,
-    residual,
-    separation_check,
-)
+from ssmin.pde import CASE_SPACE, CaseId, _EQUIVALENCE_SIGN, equivalence_sweep, residual
 from ssmin.sampling import SplitMix64
 from ssmin.surface import TranslationType, frame_from_jets
+
+from oracles import integrate_profile_scalar, separation_check
 
 ZERO_JET = Jet2(0.0, 0.0, 0.0)
 
@@ -46,17 +40,16 @@ def test_l_m_ii_iii_constant_profiles():
     assert abs(r - 2.0 * q) <= 1e-12
 
 
-def test_unknown_case():
-    with pytest.raises(UnknownCase):
-        case_for(Signature.EUCLIDEAN, ConnectionKind.LEVI_CIVITA, TranslationType.I)
-    assert case_for(Signature.LORENTZIAN, ConnectionKind.SEMI_SYMMETRIC_NON_METRIC,
-                    TranslationType.III) is CaseId.L_NM_II_III
+def test_equivalence_signs_cover_exactly_the_case_space():
+    # one sign per (case, type) the sweep iterates, and none it never uses
+    pairs = {(case, ttype) for case, (_, _, types) in CASE_SPACE.items() for ttype in types}
+    assert set(_EQUIVALENCE_SIGN) == pairs
 
 
 def test_equivalence_factor_examples():
     space = AmbientSpace(Signature.EUCLIDEAN, ConnectionKind.SEMI_SYMMETRIC_METRIC)
     fr = frame_from_jets(TranslationType.I, space, ZERO_JET, ZERO_JET)
-    lam = equivalence_factor(CaseId.E_M_I, fr)
+    lam = _EQUIVALENCE_SIGN[(CaseId.E_M_I, fr.ttype)] * fr.normalizer
     assert lam == 1.0
     rep = mean_curvature_from_jets(TranslationType.I, space, space.connection,
                                    ZERO_JET, ZERO_JET)
@@ -67,9 +60,6 @@ def test_equivalence_factor_examples():
     rep = mean_curvature_from_jets(TranslationType.I, nm, nm.connection, fj, gj)
     assert abs(residual(CaseId.E_NM_ALL, fj, gj)) <= 1e-15
     assert abs(rep.numerator) <= 1e-15
-
-    with pytest.raises(UnknownCase):
-        equivalence_factor(CaseId.E_M_II_III, fr)  # Type I frame, Type II/III case
 
 
 @pytest.mark.parametrize("case", list(CaseId), ids=lambda c: c.value)
@@ -105,7 +95,8 @@ def test_type_ii_iii_residual_coincidence():
             for ttype in (TranslationType.II, TranslationType.III):
                 fr = frame_from_jets(ttype, space, fj, gj)
                 rep = mean_curvature_from_jets(ttype, space, kind, fj, gj)
-                values.append(equivalence_factor(case, fr) * rep.numerator)
+                values.append(_EQUIVALENCE_SIGN[(case, ttype)] * fr.normalizer
+                              * rep.numerator)
             res = residual(case, fj, gj)
             assert abs(values[0] - values[1]) <= 1e-10 * (1.0 + abs(res))
             assert abs(values[0] - res) <= 1e-10 * (1.0 + abs(res))

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from ssmin.ambient import AmbientSpace, ConnectionKind, Signature, Vec3, metric_inner
-from ssmin.curvature import mean_curvature_from_jets, second_form_from_jets
+from ssmin.curvature import mean_curvature_from_jets
 from ssmin.errors import DegenerateSurface
 from ssmin.jets import Jet2, affine_profile
 from ssmin.sampling import SplitMix64
@@ -13,7 +13,6 @@ from ssmin.surface import (
     TranslationSurface,
     TranslationType,
     first_fundamental_from_jets,
-    frame,
     frame_from_jets,
     immersion,
 )
@@ -33,7 +32,7 @@ def _space(sig):
 def test_flat_plane_frame_euclidean():
     surface = TranslationSurface(TranslationType.I, affine_profile(0, 0),
                                  affine_profile(0, 0), _space(E))
-    fr = frame(surface, 0.3, -0.7)
+    fr = frame_from_jets(surface.ttype, surface.space, surface.f.at(0.3), surface.g.at(-0.7))
     assert fr.Fu == Vec3(1, 0, 0) and fr.Fv == Vec3(0, 1, 0)
     assert fr.N == Vec3(0, 0, 1)
     assert fr.normalizer == 1.0
@@ -147,8 +146,8 @@ def test_type_ii_iii_duality():
         f3 = first_fundamental_from_jets(TranslationType.III, space, fj, gj)
         assert (f2.E, f2.F, f2.G) == (f3.E, f3.F, f3.G)
         for kind in ConnectionKind:
-            s2 = second_form_from_jets(TranslationType.II, space, kind, fj, gj)
-            s3 = second_form_from_jets(TranslationType.III, space, kind, fj, gj)
+            s2 = mean_curvature_from_jets(TranslationType.II, space, kind, fj, gj).sigma
+            s3 = mean_curvature_from_jets(TranslationType.III, space, kind, fj, gj).sigma
             assert abs(s2.s11 + s3.s11) <= 1e-12
             assert abs(s2.s12 + s3.s12) <= 1e-12
             assert abs(s2.s21 + s3.s21) <= 1e-12
