@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Callable, Mapping
 
 from .ambient import AmbientSpace
-from .curvature import mean_curvature_from_jets
+from .curvature import _curvature_kernel
 from .errors import DomainError, EmptyDomain, ParameterConstraintViolation
 from .jets import (
     Interval,
@@ -553,11 +553,16 @@ def _assemble(fam: SolutionFamily) -> _Assembly:
             )
         params[key] = value
     ttype, case, builder = _FAMILIES[fam.family_id]
-    f, g, checks, domain = builder(params, 1.0 if fam.branch is Branch.PLUS else -1.0)
+    name = fam.family_id.value
+    try:
+        f, g, checks, domain = builder(params, 1.0 if fam.branch is Branch.PLUS else -1.0)
+    except (ArithmeticError, ValueError) as exc:
+        # parameters so large or small that the closed forms overflow or collapse
+        raise ParameterConstraintViolation(
+            f"{name}: parameters out of range ({type(exc).__name__}: {exc})") from None
     admissible, reason = ((domain, None) if isinstance(domain, AdmissibleDomain)
                           else (None, domain))
     signature, connection, _ = CASE_SPACE[case]
-    name = fam.family_id.value
     return _Assembly(ttype, AmbientSpace(signature, connection),
                      replace(f, label=f"{name}.f"), replace(g, label=f"{name}.g"),
                      case, checks, admissible, reason)
@@ -615,10 +620,15 @@ _DEFAULT_SETTINGS: dict[FamilyId, tuple[SolutionFamily, ...]] = {
 def perturb_profile(profile: Profile, eps: float) -> Profile:
     """Profile plus eps*u^2; the negative control for family verification."""
 
-    def fn(u: float) -> Jet2:
-        return profile.fn(u) + Jet2(eps * u * u, 2.0 * eps * u, 2.0 * eps)
+    def plus(evaluate: Callable[[float], Jet2]) -> Callable[[float], Jet2]:
+        def fn(u: float) -> Jet2:
+            jet = evaluate(u)
+            return Jet2(jet.v + eps * u * u, jet.d1 + 2.0 * eps * u, jet.d2 + 2.0 * eps)
+        return fn
 
-    return replace(profile, fn=fn, label=f"{profile.label}+{eps:g}u^2")
+    slopes = None if profile.slopes is None else plus(profile.slopes)
+    return replace(profile, fn=plus(profile.fn), slopes=slopes,
+                   label=f"{profile.label}+{eps:g}u^2")
 
 
 def _moderate_box(profile: Profile, max_slope: float = 2.0,
@@ -629,12 +639,14 @@ def _moderate_box(profile: Profile, max_slope: float = 2.0,
     empty and for finite-difference oracles: it keeps evaluations away from
     poles where cancellation or stencil truncation would swamp the check.
     A profile steeper than max_slope at every candidate (a steep line, say)
-    gets the box under the gentlest slope found instead.
+    gets the box under the gentlest slope found instead.  Where no point one
+    step from the start passes, the search repeats on the candidates' spacing;
+    the box never leaves the profile's domain.
     """
 
     def slope(u: float) -> float:
         try:
-            return abs(profile.at(u).d1)
+            return abs(profile.at(u, value=False).d1)
         except DomainError:
             return math.inf
 
@@ -654,7 +666,11 @@ def _moderate_box(profile: Profile, max_slope: float = 2.0,
     while start - lo < half_width and slope(lo - step) <= max_slope:
         lo -= step
     if hi - lo < step:
-        lo, hi = start - 0.5 * step, start + 0.5 * step
+        fine = clipped.width / 40.0
+        if fine < step:  # the slope bound binds within one step: search on the candidate grid
+            return _moderate_box(profile, max_slope, half_width, fine)
+        lo = max(start - 0.5 * step, profile.domain.lo)
+        hi = min(start + 0.5 * step, profile.domain.hi)
     return Interval(lo, hi)
 
 
@@ -675,13 +691,13 @@ def verify_family(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
     rng = SplitMix64(rng_seed)
     worst_num = 0.0
     worst_res = 0.0
-    kind = asm.space.connection
+    ttype, sig, kind = asm.ttype, asm.space.signature, asm.space.connection
     for _ in range(n_samples):
         u = rng.uniform(box_u.lo, box_u.hi)
         v = rng.uniform(box_v.lo, box_v.hi)
-        fj, gj = asm.f.at(u), asm.g.at(v)
-        report = mean_curvature_from_jets(asm.ttype, asm.space, kind, fj, gj)
-        worst_num = _worse(worst_num, abs(report.numerator))
+        fj, gj = asm.f.at(u, value=False), asm.g.at(v, value=False)
+        numerator = _curvature_kernel(ttype, sig, kind, fj.d1, fj.d2, gj.d1, gj.d2)[-1]
+        worst_num = _worse(worst_num, abs(numerator))
         worst_res = _worse(worst_res, abs(residual(asm.case, fj, gj)))
     return FamilyReport(
         fam.family_id.value, fam.branch.value, fam.param_dict, n_samples, "full",
@@ -701,7 +717,8 @@ def verify_residual(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0
     for _ in range(n_samples):
         u = rng.uniform(box_u.lo, box_u.hi)
         v = rng.uniform(box_v.lo, box_v.hi)
-        worst_res = _worse(worst_res, abs(residual(asm.case, f.at(u), asm.g.at(v))))
+        fj, gj = f.at(u, value=False), asm.g.at(v, value=False)
+        worst_res = _worse(worst_res, abs(residual(asm.case, fj, gj)))
     return FamilyReport(
         fam.family_id.value, fam.branch.value, fam.param_dict, n_samples,
         "residual-only", None, worst_res, tol, worst_res <= tol, asm.empty_reason,
@@ -775,7 +792,7 @@ def _run_errors(fid: FamilyId, which: str, span: tuple[float, float],
     asm = _assemble(make_family(fid))
     profile = asm.f if which == "f" else asm.g
     case = next(c for c, w in asm.ode_checks if w == which)
-    h0 = profile.at(span[0]).d1
+    h0 = profile.at(span[0], value=False).d1
     return case, [compare_profile(integrate(case, h0, span, step), profile) for step in steps]
 
 

@@ -94,6 +94,11 @@ class RunConfig:
                              "their own bounds; it takes no tolerance")
         if self.samples < 1:
             raise UsageError(f"samples must be >= 1, got {self.samples}")
+        if self.command not in _SAMPLING_COMMANDS:
+            for name in ("seed", "samples"):
+                if getattr(self, name) != _RUN_DEFAULTS[name]:
+                    raise UsageError(f"{self.command} samples nothing; it takes no {name}, "
+                                     f"got {getattr(self, name)!r}")
         for name in ("nu", "nv"):
             if getattr(self, name) < 2:
                 raise UsageError(f"{name} must be >= 2 grid points, got {getattr(self, name)}")
@@ -129,6 +134,9 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+_RUN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+# The commands that draw seeded samples; only they take --seed and --samples.
+_SAMPLING_COMMANDS = ("verify", "equivalence", "report")
 
 
 def _conforms(value, hint) -> bool:
@@ -169,8 +177,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file; overrides flags")
         p.add_argument("--format", choices=_COMMANDS[name][1])
         p.add_argument("--output")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
+        if name in _SAMPLING_COMMANDS:
+            p.add_argument("--seed", type=int)
+            p.add_argument("--samples", type=int)
         return p
 
     def family_flags(p):

@@ -1,12 +1,20 @@
 """Second-order jets and profile functions.
 
-A Jet2 carries (value, first derivative, second derivative) of a scalar
-function of one variable and propagates all three through arithmetic and
-elementary functions via the Leibniz and chain rules.  A Profile wraps a
-jet-valued evaluator together with an explicit domain; evaluation outside the
-domain raises, it never returns NaN.  Quadrature-backed profiles obtain their
-value from adaptive Simpson integration while both derivatives stay in closed
-form.
+A Jet2 records (value, first derivative, second derivative) of a scalar
+function of one variable at a point.  A Profile wraps a jet-valued evaluator
+together with an explicit domain; evaluation outside the domain raises, it
+never returns NaN.
+
+Closed-form profiles are scalar kernels.  Each performs the floating-point
+operations of its forward-mode jet composition (Leibniz and chain rules
+through k * ln|.| + offset) in the same order, leaving out only terms that
+add +-0, so its values equal the composition's up to the sign of a zero.  The
+test suite keeps that jet arithmetic as the oracle and checks the equality
+exactly.
+
+Quadrature-backed profiles obtain their value from adaptive Simpson
+integration while both derivatives stay in closed form.  A caller that reads
+only the slopes asks for them alone, and then no quadrature runs.
 """
 
 from __future__ import annotations
@@ -27,72 +35,8 @@ class Jet2:
     d1: float = 0.0
     d2: float = 0.0
 
-    @staticmethod
-    def constant(c: float) -> "Jet2":
-        return Jet2(float(c), 0.0, 0.0)
-
-    @staticmethod
-    def variable(u: float) -> "Jet2":
-        """Seed jet of the independent variable at u."""
-        return Jet2(float(u), 1.0, 0.0)
-
-    def __add__(self, other) -> "Jet2":
-        o = _lift(other)
-        return Jet2(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Jet2":
-        o = _lift(other)
-        return Jet2(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
-
-    def __mul__(self, other) -> "Jet2":
-        o = _lift(other)
-        return Jet2(
-            self.v * o.v,
-            self.d1 * o.v + self.v * o.d1,
-            self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2,
-        )
-
-    __rmul__ = __mul__
-
     def is_finite(self) -> bool:
         return math.isfinite(self.v) and math.isfinite(self.d1) and math.isfinite(self.d2)
-
-
-def _lift(x) -> Jet2:
-    if isinstance(x, Jet2):
-        return x
-    if isinstance(x, (int, float)):
-        return Jet2.constant(x)
-    raise TypeError(f"cannot mix Jet2 with {type(x).__name__}")
-
-
-def _chain(fv: float, f1: float, f2: float, x: Jet2) -> Jet2:
-    """Compose the outer derivatives (fv, f1, f2) at x.v with the inner jet."""
-    return Jet2(fv, f1 * x.d1, f2 * x.d1 * x.d1 + f1 * x.d2)
-
-
-def jet_cos(x: Jet2) -> Jet2:
-    c = math.cos(x.v)
-    return _chain(c, -math.sin(x.v), -c, x)
-
-
-def jet_exp(x: Jet2) -> Jet2:
-    e = math.exp(x.v)
-    return _chain(e, e, e, x)
-
-
-def jet_log_abs(x: Jet2) -> Jet2:
-    """ln|x| with derivative 1/x; valid on each side of zero separately."""
-    if x.v == 0.0:
-        raise DomainError("log|x| at zero")
-    r = 1.0 / x.v
-    return _chain(math.log(abs(x.v)), r, -r * r, x)
-
-
-def jet_log_abs_cos(x: Jet2) -> Jet2:
-    return jet_log_abs(jet_cos(x))
 
 
 @dataclass(frozen=True)
@@ -132,20 +76,31 @@ REAL_LINE = Interval(-math.inf, math.inf)
 
 @dataclass(frozen=True)
 class Profile:
-    """A scalar profile function with jet evaluation on an explicit domain."""
+    """A scalar profile function with jet evaluation on an explicit domain.
+
+    `slopes`, where given, computes d1 and d2 alone, with the value NaN, for
+    profiles whose value costs far more than their derivatives.
+    """
 
     fn: Callable[[float], Jet2]
     domain: Interval = REAL_LINE
     label: str = "profile"
     quadrature: bool = False  # value comes from adaptive Simpson
+    slopes: Callable[[float], Jet2] | None = None
 
-    def at(self, u: float) -> Jet2:
+    def at(self, u: float, value: bool = True) -> Jet2:
+        """The jet at u; with value=False only d1 and d2 are promised."""
         if not (self.domain.contains(u) and math.isfinite(u)):
             raise DomainError(
                 f"{self.label}: u={u!r} outside domain [{self.domain.lo!r}, {self.domain.hi!r}]"
             )
-        jet = self.fn(u)
-        if not jet.is_finite():
+        if value or self.slopes is None:
+            jet = self.fn(u)
+            finite = jet.is_finite()
+        else:
+            jet = self.slopes(u)
+            finite = math.isfinite(jet.d1) and math.isfinite(jet.d2)
+        if not finite:
             raise DomainError(f"{self.label}: non-finite jet at u={u!r}")
         return jet
 
@@ -171,8 +126,19 @@ def log_abs_cos_profile(k: float, q: float, a: float, offset: float = 0.0,
         e2 = (a + math.pi / 2.0) / q
         domain = Interval(min(e1, e2) + SINGULARITY_GUARD, max(e1, e2) - SINGULARITY_GUARD)
 
+    k, q, a, offset = float(k), float(q), float(a), float(offset)
+
     def fn(u: float) -> Jet2:
-        return k * jet_log_abs_cos(q * Jet2.variable(u) - a) + offset
+        # The jet of c = cos(x), x = q*u - a, is (c, c1, c2); that of ln|c|
+        # is (ln|c|, r*c1, -r*r*c1*c1 + r*c2) with r = 1/c.
+        x = u * q - a
+        c = math.cos(x)
+        if c == 0.0:
+            raise DomainError("log|x| at zero")
+        c1 = -math.sin(x) * q
+        r = 1.0 / c
+        return Jet2(math.log(abs(c)) * k + offset, r * c1 * k,
+                    ((-r * r) * c1 * c1 + r * (-c * q * q)) * k)
 
     return Profile(fn, domain, label)
 
@@ -202,10 +168,28 @@ def log_abs_exp_profile(k: float, q: float, coeff_pos: float, coeff_neg: float,
                 else:
                     domain = Interval(SINGULARITY_GUARD, math.inf)
 
+    k, q, cp, cn, offset = float(k), float(q), float(coeff_pos), float(coeff_neg), float(offset)
+    nq = -q
+
     def fn(u: float) -> Jet2:
-        x = Jet2.variable(u)
-        arg = coeff_pos * jet_exp(q * x) + coeff_neg * jet_exp(-q * x)
-        return k * jet_log_abs(arg) + offset
+        # The argument's jet is (av, a1, a2); that of ln|av| is
+        # (ln|av|, r*a1, -r*r*a1*a1 + r*a2) with r = 1/av.
+        try:
+            ep, em = math.exp(u * q), math.exp(u * nq)
+        except OverflowError:
+            raise DomainError(f"e^(+-q*u) overflows at u={u!r}") from None
+        ep1, em1 = ep * q, em * nq
+        if max(abs(ep1), abs(em1)) >= 2.0 ** 1023:
+            # jet arithmetic for c*e^(+-q*u) forms 2*d1*0, which is NaN once 2*d1 overflows
+            raise DomainError(f"q*e^(+-q*u) overflows at u={u!r}")
+        av = ep * cp + em * cn
+        if av == 0.0:
+            raise DomainError("log|x| at zero")
+        a1 = ep1 * cp + em1 * cn
+        a2 = ep1 * q * cp + em1 * nq * cn
+        r = 1.0 / av
+        return Jet2(math.log(abs(av)) * k + offset, r * a1 * k,
+                    ((-r * r) * a1 * a1 + r * a2) * k)
 
     return Profile(fn, domain, label)
 
@@ -272,7 +256,8 @@ def profile_quadrature(integrand: Callable[[float], float],
     """Profile u -> base + integral of integrand from base_point to u.
 
     Only the value needs quadrature; d1 is the integrand itself and d2 its
-    supplied closed-form derivative.  Integrals from base_point to the nodes
+    supplied closed-form derivative, and `at(u, value=False)` evaluates just
+    those two.  Integrals from base_point to the nodes
     base_point + k*_NODE_WIDTH are cached as they are first needed, one
     panel at a time, so an evaluation integrates only from the last node
     between base_point and u.  The node is never past u, so the integrand is
@@ -283,6 +268,9 @@ def profile_quadrature(integrand: Callable[[float], float],
         raise DomainError(f"{label}: base point {base_point!r} outside domain")
     # cumulative[side][k]: integral from base_point to base_point + side*k*_NODE_WIDTH
     cumulative = {1.0: [0.0], -1.0: [0.0]}
+
+    def slopes(u: float) -> Jet2:
+        return Jet2(math.nan, integrand(u), integrand_d1(u))
 
     def fn(u: float) -> Jet2:
         d1 = integrand(u)
@@ -303,4 +291,4 @@ def profile_quadrature(integrand: Callable[[float], float],
         value = base + sums[k] + adaptive_simpson(integrand, node, u, spec)
         return Jet2(value, d1, d2)
 
-    return Profile(fn, domain, label, quadrature=True)
+    return Profile(fn, domain, label, quadrature=True, slopes=slopes)

@@ -168,6 +168,6 @@ def compare_profile(numeric: Trajectory, analytic: Profile) -> float:
                 f"trajectory node t={t!r} outside profile domain "
                 f"[{analytic.domain.lo!r}, {analytic.domain.hi!r}]"
             )
-        worst = _worse(worst, abs(h - analytic.at(t).d1))
+        worst = _worse(worst, abs(h - analytic.at(t, value=False).d1))
     return worst
 

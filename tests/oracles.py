@@ -1,9 +1,11 @@
-"""Test-side oracles: least-squares separation and substitution fits, an
-RK4-backed profile, and the pointwise reduced-ODE check of a family.
+"""Test-side oracles: forward-mode jet arithmetic, least-squares separation
+and substitution fits, an RK4-backed profile, and the pointwise reduced-ODE
+check of a family.
 
 No command runs these; the tests use them as checks that do not share the
-code path they verify.  The least-squares fits use numpy, which the package
-itself does not import.
+code path they verify.  The jet arithmetic is the reference the closed-form
+profile kernels of `ssmin.jets` must equal.  The least-squares fits use numpy,
+which the package itself does not import.
 """
 
 from __future__ import annotations
@@ -26,6 +28,88 @@ from ssmin.jets import Interval, Jet2, Profile
 from ssmin.ode import BLOWUP_THRESHOLD, OdeCase, OdeId, _check_span_step, _rk4_step, integrate
 from ssmin.pde import CaseId
 from ssmin.sampling import SplitMix64, _worse
+
+
+class Jet(Jet2):
+    """A Jet2 that propagates all three entries through arithmetic and
+    elementary functions by the Leibniz and chain rules."""
+
+    @staticmethod
+    def constant(c: float) -> "Jet":
+        return Jet(float(c), 0.0, 0.0)
+
+    @staticmethod
+    def variable(u: float) -> "Jet":
+        """Seed jet of the independent variable at u."""
+        return Jet(float(u), 1.0, 0.0)
+
+    def __add__(self, other) -> "Jet":
+        o = _lift(other)
+        return Jet(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Jet":
+        o = _lift(other)
+        return Jet(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
+
+    def __mul__(self, other) -> "Jet":
+        o = _lift(other)
+        return Jet(
+            self.v * o.v,
+            self.d1 * o.v + self.v * o.d1,
+            self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2,
+        )
+
+    __rmul__ = __mul__
+
+
+def _lift(x) -> Jet:
+    if isinstance(x, Jet):
+        return x
+    if isinstance(x, (int, float)):
+        return Jet.constant(x)
+    raise TypeError(f"cannot mix Jet with {type(x).__name__}")
+
+
+def _chain(fv: float, f1: float, f2: float, x: Jet) -> Jet:
+    """Compose the outer derivatives (fv, f1, f2) at x.v with the inner jet."""
+    return Jet(fv, f1 * x.d1, f2 * x.d1 * x.d1 + f1 * x.d2)
+
+
+def jet_cos(x: Jet) -> Jet:
+    c = math.cos(x.v)
+    return _chain(c, -math.sin(x.v), -c, x)
+
+
+def jet_exp(x: Jet) -> Jet:
+    e = math.exp(x.v)
+    return _chain(e, e, e, x)
+
+
+def jet_log_abs(x: Jet) -> Jet:
+    """ln|x| with derivative 1/x; valid on each side of zero separately."""
+    if x.v == 0.0:
+        raise DomainError("log|x| at zero")
+    r = 1.0 / x.v
+    return _chain(math.log(abs(x.v)), r, -r * r, x)
+
+
+def jet_log_abs_cos(x: Jet) -> Jet:
+    return jet_log_abs(jet_cos(x))
+
+
+def log_abs_cos_jet(k: float, q: float, a: float, offset: float, u: float) -> Jet:
+    """k * ln|cos(q*u - a)| + offset by jet arithmetic (`log_abs_cos_profile`)."""
+    return k * jet_log_abs_cos(q * Jet.variable(u) - a) + offset
+
+
+def log_abs_exp_jet(k: float, q: float, coeff_pos: float, coeff_neg: float,
+                    offset: float, u: float) -> Jet:
+    """k * ln|coeff_pos*e^(q*u) + coeff_neg*e^(-q*u)| + offset by jet arithmetic
+    (`log_abs_exp_profile`)."""
+    x = Jet.variable(u)
+    return k * jet_log_abs(coeff_pos * jet_exp(q * x) + coeff_neg * jet_exp(-q * x)) + offset
 
 
 @dataclass(frozen=True)

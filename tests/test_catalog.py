@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ssmin import catalog, curvature
+from ssmin import catalog, curvature, pde
 from ssmin.catalog import (
     Branch,
     FamilyId,
@@ -190,6 +190,21 @@ def test_f3_43_negative_orientation_parameter():
     assert report.verdict
 
 
+def test_moderate_box_fallback_stays_in_the_domain():
+    # f' = tan(400u) keeps |f'| <= 2 only for |u| < 0.0028, inside the first step
+    # of the box search, and the pole-free branch is |u| < 0.0039
+    fam = make_family(FamilyId.F3_43, c0_bar=400.0, c3=-1.0)
+    f = _assemble(fam).f
+    box = catalog._moderate_box(f)
+    assert f.domain.lo < box.lo < 0.0 < box.hi < f.domain.hi
+    assert box.width > 0.004
+    assert all(abs(f.at(u).d1) <= 2.0 for u in (box.lo, box.hi))
+    # the residual-only check now runs instead of raising DomainError.  Its
+    # record fails: g = ln(e^(400v) + e^(-400v))/400 loses g'' where |400v| > ~355,
+    # since the kernel's r*r = (1/(e^(400v) + ...))^2 underflows there
+    assert verify_residual(fam, 50, 3).mode == "residual-only"
+
+
 def test_default_settings_cover_all_families():
     for fid in FamilyId:
         settings = default_settings(fid)
@@ -265,15 +280,16 @@ def test_nan_residual_sample_fails_the_record(monkeypatch):
 
 
 def test_nan_numerator_sample_fails_the_record(monkeypatch):
+    # the checks call the kernel by the name each module imports
     fam = make_family(FamilyId.F2_51, c=1.0)
     kernel = curvature._curvature_kernel
-    monkeypatch.setattr(curvature, "_curvature_kernel", _nan_at(kernel, 5, _nan_numerator))
+    monkeypatch.setattr(catalog, "_curvature_kernel", _nan_at(kernel, 5, _nan_numerator))
     report = verify_family(fam, 20, 7)
     assert math.isnan(report.max_abs_numerator)
     assert report.verdict is False
 
-    monkeypatch.setattr(curvature, "_curvature_kernel", _nan_at(kernel, 5, _nan_numerator))
+    monkeypatch.setattr(pde, "_curvature_kernel", _nan_at(kernel, 5, _nan_numerator))
     assert math.isnan(equivalence_sweep(CaseId.E_NM_ALL, 20, 7).max_rel_deviation)
-    monkeypatch.setattr(curvature, "_curvature_kernel", _nan_at(kernel, 5, _nan_numerator))
+    monkeypatch.setattr(pde, "_curvature_kernel", _nan_at(kernel, 5, _nan_numerator))
     [record] = [_record(r) for r in _sweeps([CaseId.E_NM_ALL], 20, 7, 1e-10)]
     assert record["verdict"] == "fail"

@@ -38,10 +38,19 @@ def test_verify_single_family(tmp_path):
     assert record["verdict"] == "pass"
 
 
-def test_verify_constraint_violation_exit_code(tmp_path, capsys):
-    code = main(["verify", "--family", "F2_39", "--a-hat", "-1"])
+@pytest.mark.parametrize("argv,needle", [
+    (["verify", "--family", "F2_39", "--a-hat", "-1"], "a_hat"),
+    # parameters whose closed forms overflow or collapse while the family is built
+    (["verify", "--family", "F2_23", "--c3", "1e200"], "F2_23"),
+    (["mesh", "--family", "F2_23", "--c3", "1e200"], "F2_23"),
+    (["verify", "--family", "F2_35", "--c0-tilde", "1e200"], "F2_35"),
+    (["verify", "--family", "F2_51", "--c", "1e-320"], "F2_51"),
+])
+def test_verify_constraint_violation_exit_code(tmp_path, capsys, argv, needle):
+    code = main(argv)
     assert code == 1
-    assert "a_hat" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("ssmin: ParameterConstraintViolation: ") and needle in err
 
 
 def test_verify_all(tmp_path):
@@ -358,6 +367,14 @@ def test_usage_errors_exit_one(argv):
       "--format", "markdown"], None, "format"),
     (["mesh", "--family", "F2_23", "--nu", "1"], None, "nu"),
     (["mesh", "--family", "F2_23"], {"nv": 0}, "nv"),
+    # only verify, equivalence and report draw samples
+    (["ode-compare", "--seed", "9", "--samples", "7"], None, "seed"),
+    (["ode-compare"], {"seed": 9}, "seed"),
+    (["ode-compare"], {"samples": 7}, "samples"),
+    (["mesh", "--family", "F2_23", "--samples", "7"], None, "samples"),
+    (["mesh", "--family", "F2_23"], {"seed": 1}, "seed"),
+    (["residual", "--case", "E_M_I", "--fjet", "0,0,0", "--gjet", "0,0,0"],
+     {"samples": 7}, "samples"),
 ])
 def test_bad_input_rejected_once(tmp_path, capsys, argv, config, field):
     # no vacuous pass, no traceback: RunConfig rejects the input with exit 1
@@ -372,18 +389,49 @@ def test_bad_input_rejected_once(tmp_path, capsys, argv, config, field):
 
 @pytest.mark.parametrize("argv,exit_code", [
     # the admissible box itself reaches where a_hat*e^(4v) overflows
-    (["verify", "--family", "F2_39", "--a-hat", "1e-300"], 1),
+    (["verify", "--family", "F2_39", "--a-hat", "1e-300", "--samples", "50"], 1),
     # overflowing probes of the residual-only box search count as off-domain
-    (["verify", "--family", "F3_12", "--c", "0.99995"], 0),
-    (["verify", "--family", "F3_14", "--c-hat", "0.99995"], 0),
+    (["verify", "--family", "F3_12", "--c", "0.99995", "--samples", "50"], 0),
+    (["verify", "--family", "F3_14", "--c-hat", "0.99995", "--samples", "50"], 0),
+    # so do probes where e^(q*u) overflows; the box found then fails its residual
+    # check, since ln|e^(q*u) - c_hat*e^(-q*u)| loses g'' where |q*u| > ~355
+    (["verify", "--family", "F3_38", "--c0", "400", "--c-hat", "1"], 2),
 ])
 def test_integrand_overflow_is_a_domain_error(tmp_path, capsys, argv, exit_code):
-    code, text = run(tmp_path, *argv, "--samples", "50")
+    code, text = run(tmp_path, *argv)
     assert code == exit_code
-    if exit_code:
+    if exit_code == 1:
         assert capsys.readouterr().err.startswith("ssmin: DomainError: ")
     else:
-        assert json.loads(text)["summary"]["all_pass"] is True
+        assert json.loads(text)["summary"]["all_pass"] is (exit_code == 0)
+
+
+class _Integrated(Exception):
+    pass
+
+
+def test_no_check_integrates(capsys, monkeypatch):
+    # every check reads only d1 and d2, so none may run quadrature; mesh reads
+    # values and must reach the patch, or the guard would be vacuous
+    from ssmin import jets
+
+    def refuse(*args, **kwargs):
+        raise _Integrated()
+
+    checks = [["verify", "--all", "--samples", "20"], ["report", "--all", "--samples", "20"],
+              ["ode-compare"]]
+    outputs = []
+    for patched in (False, True):
+        with monkeypatch.context() as mp:
+            if patched:
+                mp.setattr(jets, "adaptive_simpson", refuse)
+            codes = [main(argv) for argv in checks]
+            outputs.append((codes, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == [0, 0, 0]
+    monkeypatch.setattr(jets, "adaptive_simpson", refuse)
+    with pytest.raises(_Integrated):
+        main(["mesh", "--family", "F2_39", "--nu", "5", "--nv", "4"])
 
 
 def test_mesh_evaluates_each_profile_once_per_grid_line(tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
 """Second fundamental form and mean curvature, checked against the printed
-per-case covariant-derivative tables."""
+per-case covariant-derivative tables; the scalar kernels, checked against the
+frame chain and the jet arithmetic they replace."""
 
+import functools
+import inspect
 import math
 
 import pytest
@@ -13,11 +16,15 @@ from ssmin.ambient import (
     covariant_derivative,
     metric_inner,
 )
+from ssmin import catalog, jets
 from ssmin.catalog import FamilyId, build, make_family
 from ssmin.curvature import _curvature_kernel, mean_curvature_from_jets
+from ssmin.errors import DomainError
 from ssmin.jets import Jet2, affine_profile
 from ssmin.sampling import SplitMix64
 from ssmin.surface import TranslationSurface, TranslationType, frame_from_jets
+
+from oracles import log_abs_cos_jet, log_abs_exp_jet
 
 E = Signature.EUCLIDEAN
 L = Signature.LORENTZIAN
@@ -225,3 +232,101 @@ def test_scalar_kernel_equals_frame_oracle_exactly(ttype, sig, kind):
         assert (rep.first.E, rep.first.F, rep.first.G, rep.first.det) == got[:4]
         assert (rep.numerator, rep.normalizer) == (numerator, fr.normalizer)
         assert rep.H == numerator / (2.0 * det)
+
+
+# Closed-form profile makers, their jet-arithmetic oracles and the oracle's arguments.
+_CLOSED_FORMS = (
+    (jets.log_abs_cos_profile, log_abs_cos_jet, ("k", "q", "a", "offset")),
+    (jets.log_abs_exp_profile, log_abs_exp_jet, ("k", "q", "coeff_pos", "coeff_neg", "offset")),
+)
+
+
+def _catalog_closed_forms():
+    """(profile, oracle) of every closed-form profile of the catalog's default and
+    second settings; oracle(u) evaluates the same function by jet arithmetic."""
+    made = {}
+
+    def recording(make, oracle, names):
+        signature = inspect.signature(make)
+
+        def record(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            profile = make(*args, **kwargs)
+            made[profile.fn] = functools.partial(oracle, *(bound.arguments[n] for n in names))
+            return profile
+        return record
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        for make, oracle, names in _CLOSED_FORMS:
+            mp.setattr(catalog, make.__name__, recording(make, oracle, names))
+        for fam in catalog.all_default_settings():
+            asm = catalog._assemble(fam)
+            out += [(p, made[p.fn]) for p in (asm.f, asm.g) if p.fn in made]
+    return out
+
+
+def _probe_points(domain, rng, n=200):
+    """Seeded points across the domain, within 1e-3 of each finite end (a pole
+    sits 1e-6 past it), and far out along each infinite end, where e^(q*u)
+    overflows."""
+    box = domain.clipped(catalog.SAMPLING_CAP)
+    points = [rng.uniform(box.lo, box.hi) for _ in range(n)]
+    for end, inward in ((domain.lo, 1.0), (domain.hi, -1.0)):
+        if math.isfinite(end):
+            points += [end + inward * 1e-3 * rng.uniform(0.0, 1.0) for _ in range(n // 4)]
+            points.append(end)
+        else:
+            points += [-inward * 10.0 ** e for e in range(1, 7)]
+    return points
+
+
+def _outcome(evaluate, u):
+    """(v, d1, d2) at u, or the type of error raised.  Overflow and a non-finite
+    jet count as DomainError, as `Profile.at` reports them."""
+    try:
+        jet = evaluate(u)
+    except OverflowError:
+        return DomainError
+    except Exception as exc:  # noqa: BLE001  the type is the outcome
+        return type(exc)
+    return (jet.v, jet.d1, jet.d2) if jet.is_finite() else DomainError
+
+
+def test_closed_form_kernels_equal_jet_oracle_exactly():
+    # == (not approx): the kernels repeat the jet composition's operations in order
+    rng = SplitMix64(2718)
+    profiles = _catalog_closed_forms()
+    assert {p.label.split(".")[0] for p, _ in profiles} == {
+        "F2_23", "F2_24", "F2_35", "F2_51", "F3_10", "F3_13", "F3_25", "F3_38", "F3_43"}
+    kinds = set()
+    for profile, oracle in profiles:
+        for u in _probe_points(profile.domain, rng):
+            expected = _outcome(oracle, u)
+            assert _outcome(profile.fn, u) == expected, (profile.label, u)
+            kinds.add(expected if isinstance(expected, type) else tuple)
+    assert kinds == {tuple, DomainError}
+
+
+def _signed(rng, lo, hi):
+    """A log-uniform magnitude in [lo, hi] with a random sign."""
+    magnitude = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    return magnitude if rng.uniform() < 0.5 else -magnitude
+
+
+def test_closed_form_kernels_equal_jet_oracle_on_random_parameters():
+    rng = SplitMix64(1414)
+    for _ in range(300):
+        k, q = _signed(rng, 1e-3, 1e3), _signed(rng, 1e-2, 1e3)
+        a, offset = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        cp, cn = _signed(rng, 1e-3, 1e3), _signed(rng, 1e-3, 1e3)
+        cases = ((jets.log_abs_cos_profile(k, q, a, offset),
+                  functools.partial(log_abs_cos_jet, k, q, a, offset)),
+                 (jets.log_abs_exp_profile(k, q, cp, cn, offset),
+                  functools.partial(log_abs_exp_jet, k, q, cp, cn, offset)))
+        # |q*u| near 709.8, where e^(q*u) or q*e^(q*u) overflows
+        edge = [side * rng.uniform(709.0, 710.0) / abs(q) for side in (-1.0, 1.0)]
+        for profile, oracle in cases:
+            for u in _probe_points(profile.domain, rng, n=20) + edge:
+                assert _outcome(profile.fn, u) == _outcome(oracle, u), (k, q, a, cp, cn, u)

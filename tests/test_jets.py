@@ -1,4 +1,4 @@
-"""Jet arithmetic, elementary functions, profiles, and quadrature."""
+"""Jet arithmetic (the test oracle), elementary functions, profiles, and quadrature."""
 
 import math
 import random
@@ -17,15 +17,14 @@ from ssmin.jets import (
     REAL_LINE,
     adaptive_simpson,
     affine_profile,
-    jet_exp,
-    jet_log_abs,
     log_abs_cos_profile,
     log_abs_exp_profile,
     profile_quadrature,
 )
+from oracles import Jet, jet_exp, jet_log_abs
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
-jets = st.builds(Jet2, finite, finite, finite)
+jets = st.builds(Jet, finite, finite, finite)
 
 
 def central_d1(fn, u, h=1e-5):
@@ -37,12 +36,12 @@ def central_d2(fn, u, h=1e-5):
 
 
 def test_elementary_examples():
-    assert jet_exp(Jet2(0, 1, 0)) == Jet2(1, 1, 1)
+    assert jet_exp(Jet(0, 1, 0)) == Jet(1, 1, 1)
 
 
 def test_elementary_domain_errors():
     with pytest.raises(DomainError):
-        jet_log_abs(Jet2(0.0, 1, 0))
+        jet_log_abs(Jet(0.0, 1, 0))
 
 
 @given(jets, jets)
@@ -194,6 +193,34 @@ def test_quadrature_profile_derivatives_are_closed_form(scale, shift):
     assert jet.d2 == scale * math.cos(scale * u + shift)
     exact = (math.cos(shift) - math.cos(scale * u + shift)) / scale
     assert abs(jet.v - exact) <= 1e-9
+
+
+def test_quadrature_slopes_skip_the_value():
+    calls = []
+
+    def integrand(x):
+        calls.append(x)
+        return math.cos(x)
+
+    p = profile_quadrature(integrand, lambda x: -math.sin(x))
+    jet = p.at(1.3, value=False)
+    assert math.isnan(jet.v) and (jet.d1, jet.d2) == (math.cos(1.3), -math.sin(1.3))
+    assert calls == [1.3]  # the integrand at u itself; no quadrature ran
+    full = p.at(1.3)
+    assert (full.d1, full.d2) == (jet.d1, jet.d2) and abs(full.v - math.sin(1.3)) <= 1e-10
+    # the negative control adds eps*u^2 on both paths
+    perturbed = catalog.perturb_profile(p, 0.5)
+    slopes, full = perturbed.at(1.3, value=False), perturbed.at(1.3)
+    assert math.isnan(slopes.v) and (slopes.d1, slopes.d2) == (full.d1, full.d2)
+    assert (full.d1, full.d2) == (math.cos(1.3) + 1.3, -math.sin(1.3) + 1.0)
+    # the domain check and the finiteness of d1 and d2 still hold
+    p = profile_quadrature(lambda x: math.inf if x > 1.0 else 1.0, lambda x: 0.0,
+                           domain=Interval(-5.0, 5.0))
+    with pytest.raises(DomainError):
+        p.at(2.0, value=False)
+    with pytest.raises(DomainError):
+        p.at(6.0, value=False)
+    assert p.at(0.5, value=False).d1 == 1.0
 
 
 def _catalog_quadratures():
