@@ -235,6 +235,20 @@ def _radicand_integrands(fid: str, sign: float, ah: float, rate: float, shift: f
     """g' = sign / sqrt(ah*e^(rate*v) + shift) and its derivative (F2_39, F3_30)."""
     coeff = -0.5 * rate * sign
 
+    def overflowed(x: float) -> tuple[float, float]:
+        """(ah*e^(rate*x), radicand) where e^(rate*x) alone overflows.
+
+        A tiny ah can keep the product finite, so it is retried as e^(rate*x + ln ah).
+        """
+        try:
+            ae = math.exp(rate * x + math.log(ah))
+        except (OverflowError, ValueError):
+            raise DomainError(f"{fid}: radicand overflows at v={x!r}") from None
+        r = ae + shift
+        if r <= 0.0:
+            raise DomainError(f"{fid}: radicand {r!r} nonpositive at v={x!r}")
+        return ae, r
+
     def integrand(x: float) -> float:
         try:
             r = ah * math.exp(rate * x) + shift
@@ -242,7 +256,7 @@ def _radicand_integrands(fid: str, sign: float, ah: float, rate: float, shift: f
                 raise DomainError(f"{fid}: radicand {r!r} nonpositive at v={x!r}")
             return sign / math.sqrt(r)
         except OverflowError:
-            raise DomainError(f"{fid}: radicand overflows at v={x!r}") from None
+            return sign / math.sqrt(overflowed(x)[1])
 
     def integrand_d1(x: float) -> float:
         try:
@@ -252,7 +266,8 @@ def _radicand_integrands(fid: str, sign: float, ah: float, rate: float, shift: f
                 raise DomainError(f"{fid}: radicand {r!r} nonpositive at v={x!r}")
             return coeff * ah * e * r ** -1.5
         except OverflowError:
-            raise DomainError(f"{fid}: radicand overflows at v={x!r}") from None
+            ae, r = overflowed(x)
+            return coeff * ae * r ** -1.5
 
     return integrand, integrand_d1
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .ambient import ConnectionKind, Signature
 from .curvature import _curvature_kernel
@@ -70,27 +71,28 @@ CASE_SPACE: dict[CaseId, tuple[Signature, ConnectionKind, tuple[TranslationType,
 }
 
 
+# Closed-form residual of each case as a function of (f', f'', g', g'').
+_RESIDUALS: dict[CaseId, Callable[[float, float, float, float], float]] = {
+    CaseId.E_M_I: lambda f1, f2, g1, g2: (
+        f2 * g1 * g1 - 2.0 * f1 * f1 - 2.0 * g1 * g1 + f1 * f1 * g2 + f2 + g2 - 2.0),
+    CaseId.E_M_II_III: lambda f1, f2, g1, g2: (
+        2.0 * g1 ** 3 + 2.0 * f1 * f1 * g1 + g1 * g1 * f2 + f1 * f1 * g2 + f2 + g2 + 2.0 * g1),
+    CaseId.E_NM_ALL: lambda f1, f2, g1, g2: (1.0 + g1 * g1) * f2 + (1.0 + f1 * f1) * g2,
+    CaseId.L_M_I: lambda f1, f2, g1, g2: (
+        f2 * g1 * g1 - 2.0 * f1 * f1 - 2.0 * g1 * g1 + f1 * f1 * g2 - f2 - g2 + 2.0),
+    CaseId.L_M_II_III: lambda f1, f2, g1, g2: (
+        2.0 * g1 ** 3 - 2.0 * f1 * f1 * g1 + g1 * g1 * f2 + f1 * f1 * g2 - f2 + g2 - 2.0 * g1),
+    CaseId.L_NM_I: lambda f1, f2, g1, g2: (1.0 - g1 * g1) * f2 + (1.0 - f1 * f1) * g2,
+    CaseId.L_NM_II_III: lambda f1, f2, g1, g2: (1.0 - g1 * g1) * f2 - (1.0 + f1 * f1) * g2,
+}
+
+
 def residual(case: CaseId, fj: Jet2, gj: Jet2) -> float:
     """Closed-form minimality residual; zero exactly on minimal surfaces."""
-    f1, f2 = fj.d1, fj.d2
-    g1, g2 = gj.d1, gj.d2
-    if case is CaseId.E_M_I:
-        return f2 * g1 * g1 - 2.0 * f1 * f1 - 2.0 * g1 * g1 + f1 * f1 * g2 + f2 + g2 - 2.0
-    if case is CaseId.E_M_II_III:
-        return (2.0 * g1 ** 3 + 2.0 * f1 * f1 * g1 + g1 * g1 * f2
-                + f1 * f1 * g2 + f2 + g2 + 2.0 * g1)
-    if case is CaseId.E_NM_ALL:
-        return (1.0 + g1 * g1) * f2 + (1.0 + f1 * f1) * g2
-    if case is CaseId.L_M_I:
-        return f2 * g1 * g1 - 2.0 * f1 * f1 - 2.0 * g1 * g1 + f1 * f1 * g2 - f2 - g2 + 2.0
-    if case is CaseId.L_M_II_III:
-        return (2.0 * g1 ** 3 - 2.0 * f1 * f1 * g1 + g1 * g1 * f2
-                + f1 * f1 * g2 - f2 + g2 - 2.0 * g1)
-    if case is CaseId.L_NM_I:
-        return (1.0 - g1 * g1) * f2 + (1.0 - f1 * f1) * g2
-    if case is CaseId.L_NM_II_III:
-        return (1.0 - g1 * g1) * f2 - (1.0 + f1 * f1) * g2
-    raise UnknownCase(repr(case))
+    fn = _RESIDUALS.get(case)
+    if fn is None:
+        raise UnknownCase(repr(case))
+    return fn(fj.d1, fj.d2, gj.d1, gj.d2)
 
 
 # Sign of lambda in lambda * numerator = residual.  The sign flips between
@@ -127,53 +129,49 @@ class EquivalenceRecord:
     verdict: bool
 
 
-def _draw_first_derivatives(rng: SplitMix64, sig: Signature,
-                            ttype: TranslationType) -> tuple[float, float]:
-    if sig is Signature.EUCLIDEAN:
-        return rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)
-    if ttype is TranslationType.I:
-        return rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)
-    return rng.uniform(-1.5, 1.5), rng.uniform(-2.6, 2.6)
-
-
-def _admissible(sig: Signature, ttype: TranslationType, f1: float, g1: float) -> bool:
-    if sig is Signature.EUCLIDEAN:
-        return True
-    if ttype is TranslationType.I:
-        return 1.0 - f1 * f1 - g1 * g1 >= 1e-3
-    return g1 * g1 - f1 * f1 - 1.0 >= 1e-3
-
-
 def equivalence_sweep(case: CaseId, n_samples: int, seed: int,
                       tolerance: float | None = None) -> EquivalenceRecord:
     """Check lambda * numerator = residual on seeded admissible jet samples.
 
     Cases spanning Types II and III alternate between the two types so both
     frame bindings are exercised.  Lorentzian samples outside the spacelike
-    region are rejected and counted.
+    region are rejected and counted.  Each draws f' then g' from its type's
+    box, and f'' then g'' only once the pair is admitted.
     """
     sig, kind, types = CASE_SPACE[case]
-    signs = tuple(_EQUIVALENCE_SIGN[(case, ttype)] for ttype in types)
-    rng = SplitMix64(seed)
+    kernel, res_fn, draw = _curvature_kernel, _RESIDUALS[case], SplitMix64(seed).uniform
+    # per type: (type, sign, f' half-width, g' half-width, spacelike gate);
+    # Lorentzian gate 1 (Type I) admits 1 - f'^2 - g'^2 >= 1e-3, gate 2 g'^2 - f'^2 - 1 >= 1e-3
+    slots = []
+    for ttype in types:
+        if sig is Signature.EUCLIDEAN:
+            box = (2.5, 2.5, 0)
+        elif ttype is TranslationType.I:
+            box = (1.2, 1.2, 1)
+        else:
+            box = (1.5, 2.6, 2)
+        slots.append((ttype, _EQUIVALENCE_SIGN[(case, ttype)], *box))
+    n_slots, cap = len(slots), 1000 * n_samples
     worst = 0.0
     attempts = 0
     accepted = 0
     while accepted < n_samples:
         attempts += 1
-        if attempts > 1000 * n_samples:
+        if attempts > cap:
             raise IllConditionedFit(f"sampler starved for case {case.value}")
-        which = accepted % len(types)
-        ttype = types[which]
-        f1, g1 = _draw_first_derivatives(rng, sig, ttype)
-        if not _admissible(sig, ttype, f1, g1):
+        ttype, sign, fw, gw, gate = slots[accepted % n_slots]
+        f1 = draw(-fw, fw)
+        g1 = draw(-gw, gw)
+        if gate == 1 and not 1.0 - f1 * f1 - g1 * g1 >= 1e-3:
             continue
-        fj = Jet2(0.0, f1, rng.uniform(-3.0, 3.0))
-        gj = Jet2(0.0, g1, rng.uniform(-3.0, 3.0))
-        kernel = _curvature_kernel(ttype, sig, kind, f1, fj.d2, g1, gj.d2)
-        res = residual(case, fj, gj)
-        lam = signs[which] * kernel[4]  # the normalizer; kernel[-1] is the numerator
-        dev = abs(lam * kernel[-1] - res) / (1.0 + abs(res))
-        worst = _worse(worst, dev)
+        if gate == 2 and not g1 * g1 - f1 * f1 - 1.0 >= 1e-3:
+            continue
+        f2 = draw(-3.0, 3.0)
+        g2 = draw(-3.0, 3.0)
+        k = kernel(ttype, sig, kind, f1, f2, g1, g2)
+        res = res_fn(f1, f2, g1, g2)
+        # k[4] is the normalizer and k[-1] the numerator
+        worst = _worse(worst, abs((sign * k[4]) * k[-1] - res) / (1.0 + abs(res)))
         accepted += 1
     tol = tolerance if tolerance is not None else EQUIVALENCE_TOLERANCE
     return EquivalenceRecord(case, n_samples, attempts, accepted / attempts, worst,

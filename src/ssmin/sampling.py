@@ -18,15 +18,11 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        z = self._state
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        self._state = z = (self._state + _GOLDEN) & _MASK
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
-
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0 ** -53)
+        return lo + (hi - lo) * (((z ^ (z >> 31)) >> 11) * 2.0 ** -53)
 
 
 def child_seed(seed: int, tag: int) -> int:

@@ -1,10 +1,12 @@
 """Test-side oracles: forward-mode jet arithmetic, least-squares separation
-and substitution fits, an RK4-backed profile, and the pointwise reduced-ODE
-check of a family.
+and substitution fits, an RK4-backed profile, the pointwise reduced-ODE
+check of a family, and the per-sample equivalence sweep.
 
 No command runs these; the tests use them as checks that do not share the
 code path they verify.  The jet arithmetic is the reference the closed-form
-profile kernels of `ssmin.jets` must equal.  The least-squares fits use numpy,
+profile kernels of `ssmin.jets` must equal, and the per-sample sweep (one
+`Jet2` pair and one `residual` call per sample) is the reference the flat
+`ssmin.pde.equivalence_sweep` must equal.  The least-squares fits use numpy,
 which the package itself does not import.
 """
 
@@ -16,7 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ssmin.ambient import Signature
 from ssmin.catalog import SolutionFamily, _assemble, _residual_box
+from ssmin.curvature import _curvature_kernel
 from ssmin.errors import (
     BlowUp,
     DomainError,
@@ -26,8 +30,16 @@ from ssmin.errors import (
 )
 from ssmin.jets import Interval, Jet2, Profile
 from ssmin.ode import BLOWUP_THRESHOLD, OdeCase, OdeId, _check_span_step, _rk4_step, integrate
-from ssmin.pde import CaseId
+from ssmin.pde import (
+    CASE_SPACE,
+    EQUIVALENCE_TOLERANCE,
+    CaseId,
+    EquivalenceRecord,
+    _EQUIVALENCE_SIGN,
+    residual,
+)
 from ssmin.sampling import SplitMix64, _worse
+from ssmin.surface import TranslationType
 
 
 class Jet(Jet2):
@@ -258,3 +270,51 @@ def ode_pointwise_max(fam: SolutionFamily, n_samples: int = 200, rng_seed: int =
             jet = profile.at(rng.uniform(box.lo, box.hi))
             worst = _worse(worst, abs(jet.d2 - phi(jet.d1)))
     return worst
+
+
+def _draw_first_derivatives(rng: SplitMix64, sig: Signature,
+                            ttype: TranslationType) -> tuple[float, float]:
+    if sig is Signature.EUCLIDEAN:
+        return rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)
+    if ttype is TranslationType.I:
+        return rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)
+    return rng.uniform(-1.5, 1.5), rng.uniform(-2.6, 2.6)
+
+
+def _admissible(sig: Signature, ttype: TranslationType, f1: float, g1: float) -> bool:
+    if sig is Signature.EUCLIDEAN:
+        return True
+    if ttype is TranslationType.I:
+        return 1.0 - f1 * f1 - g1 * g1 >= 1e-3
+    return g1 * g1 - f1 * f1 - 1.0 >= 1e-3
+
+
+def reference_equivalence_sweep(case: CaseId, n_samples: int, seed: int,
+                                tolerance: float | None = None) -> EquivalenceRecord:
+    """`equivalence_sweep` one call per step: jets, draw and gate helpers, `residual`."""
+    sig, kind, types = CASE_SPACE[case]
+    signs = tuple(_EQUIVALENCE_SIGN[(case, ttype)] for ttype in types)
+    rng = SplitMix64(seed)
+    worst = 0.0
+    attempts = 0
+    accepted = 0
+    while accepted < n_samples:
+        attempts += 1
+        if attempts > 1000 * n_samples:
+            raise IllConditionedFit(f"sampler starved for case {case.value}")
+        which = accepted % len(types)
+        ttype = types[which]
+        f1, g1 = _draw_first_derivatives(rng, sig, ttype)
+        if not _admissible(sig, ttype, f1, g1):
+            continue
+        fj = Jet2(0.0, f1, rng.uniform(-3.0, 3.0))
+        gj = Jet2(0.0, g1, rng.uniform(-3.0, 3.0))
+        kernel = _curvature_kernel(ttype, sig, kind, f1, fj.d2, g1, gj.d2)
+        res = residual(case, fj, gj)
+        lam = signs[which] * kernel[4]  # the normalizer; kernel[-1] is the numerator
+        dev = abs(lam * kernel[-1] - res) / (1.0 + abs(res))
+        worst = _worse(worst, dev)
+        accepted += 1
+    tol = tolerance if tolerance is not None else EQUIVALENCE_TOLERANCE
+    return EquivalenceRecord(case, n_samples, attempts, accepted / attempts, worst,
+                             tol, worst <= tol)

@@ -205,6 +205,18 @@ def test_moderate_box_fallback_stays_in_the_domain():
     assert verify_residual(fam, 50, 3).mode == "residual-only"
 
 
+def test_tiny_a_hat_radicand_crosses_the_exp_overflow():
+    # e^(4v) overflows past v = 177.45, where a_hat*e^(4v) = e^(4v + ln a_hat) is
+    # about e^19; the slopes then scale as e^(-2v), so dv = 0.02 gives e^(-0.04)
+    g = build(make_family(FamilyId.F2_39, a_hat=1e-300)).surface.g
+    below, above = g.at(177.44, value=False), g.at(177.46, value=False)
+    assert above.d1 / below.d1 == pytest.approx(math.exp(-0.04), rel=1e-8)
+    assert above.d2 / below.d2 == pytest.approx(math.exp(-0.04), rel=1e-8)
+    # past v = 350 the product itself overflows
+    with pytest.raises(DomainError, match="radicand overflows"):
+        g.at(400.0, value=False)
+
+
 def test_default_settings_cover_all_families():
     for fid in FamilyId:
         settings = default_settings(fid)

@@ -1,9 +1,11 @@
 """Closed-form residuals, the residual/numerator equivalence, and separation fits."""
 
+import itertools
 import math
 
 import pytest
 
+from ssmin import pde
 from ssmin.ambient import AmbientSpace, ConnectionKind, Signature
 from ssmin.catalog import FamilyId, build, make_family
 from ssmin.curvature import mean_curvature_from_jets
@@ -13,7 +15,7 @@ from ssmin.pde import CASE_SPACE, CaseId, _EQUIVALENCE_SIGN, equivalence_sweep, 
 from ssmin.sampling import SplitMix64
 from ssmin.surface import TranslationType, frame_from_jets
 
-from oracles import integrate_profile_scalar, separation_check
+from oracles import integrate_profile_scalar, reference_equivalence_sweep, separation_check
 
 ZERO_JET = Jet2(0.0, 0.0, 0.0)
 
@@ -70,6 +72,44 @@ def test_equivalence_sweep_all_cases(case):
         assert 0.0 < rec.acceptance_rate < 1.0
     else:
         assert rec.acceptance_rate == 1.0
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 7, 301])
+@pytest.mark.parametrize("seed", [0, 2718, 2**64 - 1])
+def test_flat_sweep_equals_per_sample_reference(seed, n_samples):
+    # same draws, same gate, same arithmetic: the whole record is equal
+    for case in CaseId:
+        assert (equivalence_sweep(case, n_samples, seed)
+                == reference_equivalence_sweep(case, n_samples, seed))
+
+
+def test_residual_unknown_case():
+    with pytest.raises(UnknownCase):
+        residual("E_M_I", ZERO_JET, ZERO_JET)
+
+
+def test_nan_residual_fails_the_sweep(monkeypatch):
+    case = CaseId.L_M_II_III
+    calls = itertools.count(1)
+    table_entry = pde._RESIDUALS[case]
+
+    def nan_on_fifth(*args):
+        value = table_entry(*args)
+        return math.nan if next(calls) == 5 else value
+    assert equivalence_sweep(case, 20, 7).verdict
+    monkeypatch.setitem(pde._RESIDUALS, case, nan_on_fifth)
+    record = equivalence_sweep(case, 20, 7)
+    assert math.isnan(record.max_rel_deviation)
+    assert record.verdict is False
+
+
+@pytest.mark.parametrize("key", list(_EQUIVALENCE_SIGN), ids=lambda k: f"{k[0].value}-{k[1].name}")
+def test_flipped_sign_fails_the_sweep(monkeypatch, key):
+    assert equivalence_sweep(key[0], 20, 7).verdict
+    monkeypatch.setitem(pde._EQUIVALENCE_SIGN, key, -_EQUIVALENCE_SIGN[key])
+    record = equivalence_sweep(key[0], 20, 7)
+    assert record.max_rel_deviation > 1e-3
+    assert record.verdict is False
 
 
 def test_type_ii_iii_residual_coincidence():

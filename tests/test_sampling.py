@@ -1,0 +1,31 @@
+"""splitmix64 against published reference outputs, and the uniform-double map."""
+
+import pytest
+
+from ssmin.sampling import SplitMix64
+
+# Reference outputs of Vigna's splitmix64.c: the first five for seed 1234567,
+# and the first for seed 0.
+REFERENCE = {
+    1234567: [6457827717110365317, 3203168211198807973, 9817491932198370423,
+              4593380528125082431, 16408922859458223821],
+    0: [0xE220A8397B1DCDAF],
+}
+
+
+@pytest.mark.parametrize("seed", list(REFERENCE))
+def test_uniform_reads_the_top_53_reference_bits(seed):
+    rng = SplitMix64(seed)
+    for k in REFERENCE[seed]:
+        assert rng.uniform(0.0, 1.0) == (k >> 11) * 2.0 ** -53
+
+
+@pytest.mark.parametrize("lo,hi", [(-2.5, 2.5), (-1.5, 1.5), (0.05, 1.5), (-3, 3)])
+def test_uniform_scales_as_lo_plus_width_times_unit(lo, hi):
+    rng = SplitMix64(1234567)
+    for k in REFERENCE[1234567]:
+        assert rng.uniform(lo, hi) == lo + (hi - lo) * ((k >> 11) * 2.0 ** -53)
+
+
+def test_seed_is_reduced_mod_2_64():
+    assert SplitMix64(2**64).uniform() == SplitMix64(0).uniform()
