@@ -45,8 +45,7 @@ from .catalog import (
     build,
     default_settings,
     make_family,
-    verify_family,
-    verify_residual,
+    verify_auto,
 )
 from . import errors
 

@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 
 from .ambient import AmbientSpace
 from .curvature import _curvature_kernel
-from .errors import DomainError, EmptyDomain, ParameterConstraintViolation
+from .errors import DomainError, EmptyDomain, ParameterConstraintViolation, VerifierError
 from .jets import (
     Interval,
     Jet2,
@@ -89,6 +89,16 @@ class SolutionFamily:
     params: tuple[tuple[str, float], ...]
     branch: Branch = Branch.PLUS
 
+    def __post_init__(self) -> None:
+        """Complete params from the family's defaults; reject names it does not have."""
+        merged = dict(_DEFAULTS[self.family_id])
+        for key, value in self.params:
+            if key not in merged:
+                raise ParameterConstraintViolation(f"{self.family_id.value} has no parameter "
+                                                   f"{key!r} (expected {sorted(merged)})")
+            merged[key] = float(value)
+        object.__setattr__(self, "params", tuple(sorted(merged.items())))
+
     @property
     def param_dict(self) -> dict[str, float]:
         return dict(self.params)
@@ -96,16 +106,7 @@ class SolutionFamily:
 
 def make_family(fid: FamilyId, branch: Branch | str = Branch.PLUS,
                 **params: float) -> SolutionFamily:
-    if isinstance(branch, str):
-        branch = Branch(branch)
-    merged = dict(_DEFAULTS[fid])
-    for key, value in params.items():
-        if key not in merged:
-            raise ParameterConstraintViolation(
-                f"{fid.value} has no parameter {key!r} (expected {sorted(merged)})"
-            )
-        merged[key] = float(value)
-    return SolutionFamily(fid, tuple(sorted(merged.items())), branch)
+    return SolutionFamily(fid, tuple(params.items()), Branch(branch))
 
 
 @dataclass(frozen=True)
@@ -113,33 +114,24 @@ class AdmissibleDomain:
     u: Interval
     v: Interval
 
-    def sampling_box(self, cap: float = SAMPLING_CAP) -> tuple[Interval, Interval]:
-        return self.u.clipped(cap), self.v.clipped(cap)
+    def sampling_box(self) -> tuple[Interval, Interval]:
+        return self.u.clipped(SAMPLING_CAP), self.v.clipped(SAMPLING_CAP)
 
 
 @dataclass(frozen=True)
 class FamilyBuild:
-    family: SolutionFamily
+    """An assembled family; `domain` is None, with its reason, where it is never spacelike."""
+
     surface: TranslationSurface
     case: CaseId
-    domain: AdmissibleDomain
-
-
-@dataclass(frozen=True)
-class _Assembly:
-    ttype: TranslationType
-    space: AmbientSpace
-    f: Profile
-    g: Profile
-    case: CaseId
     ode_checks: tuple[tuple[OdeCase, str], ...]
-    admissible: AdmissibleDomain | None
+    domain: AdmissibleDomain | None
     empty_reason: str | None
 
     @property
     def tolerance(self) -> float:
         """Verification tolerance: quadrature-backed families get the looser bound."""
-        if self.f.quadrature or self.g.quadrature:
+        if self.surface.f.quadrature or self.surface.g.quadrature:
             return QUADRATURE_TOLERANCE
         return CLOSED_FORM_TOLERANCE
 
@@ -559,37 +551,31 @@ _FAMILIES: dict[FamilyId, tuple[TranslationType, CaseId,
 }
 
 
-def _assemble(fam: SolutionFamily) -> _Assembly:
-    params = dict(_DEFAULTS[fam.family_id])
-    for key, value in fam.params:
-        if key not in params:
-            raise ParameterConstraintViolation(
-                f"{fam.family_id.value} has no parameter {key!r}"
-            )
-        params[key] = value
+def _assemble(fam: SolutionFamily) -> FamilyBuild:
     ttype, case, builder = _FAMILIES[fam.family_id]
     name = fam.family_id.value
     try:
-        f, g, checks, domain = builder(params, 1.0 if fam.branch is Branch.PLUS else -1.0)
+        f, g, checks, domain = builder(fam.param_dict,
+                                       1.0 if fam.branch is Branch.PLUS else -1.0)
     except (ArithmeticError, ValueError) as exc:
         # parameters so large or small that the closed forms overflow or collapse
         raise ParameterConstraintViolation(
             f"{name}: parameters out of range ({type(exc).__name__}: {exc})") from None
-    admissible, reason = ((domain, None) if isinstance(domain, AdmissibleDomain)
-                          else (None, domain))
+    domain, reason = ((domain, None) if isinstance(domain, AdmissibleDomain)
+                      else (None, domain))
     signature, connection, _ = CASE_SPACE[case]
-    return _Assembly(ttype, AmbientSpace(signature, connection),
-                     replace(f, label=f"{name}.f"), replace(g, label=f"{name}.g"),
-                     case, checks, admissible, reason)
+    surface = TranslationSurface(ttype, replace(f, label=f"{name}.f"),
+                                 replace(g, label=f"{name}.g"),
+                                 AmbientSpace(signature, connection))
+    return FamilyBuild(surface, case, checks, domain, reason)
 
 
 def build(fam: SolutionFamily) -> FamilyBuild:
-    """Construct the surface of a family; EmptyDomain if it is never spacelike."""
-    asm = _assemble(fam)
-    if asm.admissible is None:
-        raise EmptyDomain(f"{fam.family_id.value}: {asm.empty_reason}")
-    surface = TranslationSurface(asm.ttype, asm.f, asm.g, asm.space)
-    return FamilyBuild(fam, surface, asm.case, asm.admissible)
+    """Assemble a family with its admissible domain; EmptyDomain if it is never spacelike."""
+    built = _assemble(fam)
+    if built.domain is None:
+        raise EmptyDomain(f"{fam.family_id.value}: {built.empty_reason}")
+    return built
 
 
 def default_settings(fid: FamilyId) -> tuple[SolutionFamily, ...]:
@@ -646,9 +632,8 @@ def perturb_profile(profile: Profile, eps: float) -> Profile:
                    label=f"{profile.label}+{eps:g}u^2")
 
 
-def _moderate_box(profile: Profile, max_slope: float = 2.0,
-                  half_width: float = 2.0, step: float = 0.05) -> Interval:
-    """Interval around a well-behaved point where |d1| stays moderate.
+def _moderate_box(profile: Profile, max_slope: float = 2.0, step: float = 0.05) -> Interval:
+    """Interval reaching up to 2 either side of a point where |d1| stays moderate.
 
     Used for residual-only sampling of families whose spacelike region is
     empty and for finite-difference oracles: it keeps evaluations away from
@@ -674,81 +659,59 @@ def _moderate_box(profile: Profile, max_slope: float = 2.0,
         gentlest = min(map(slope, candidates), default=math.inf)
         if math.isinf(gentlest):
             raise DomainError(f"{profile.label}: no moderate-slope point found")
-        return _moderate_box(profile, gentlest, half_width, step)
+        return _moderate_box(profile, gentlest, step)
     lo = hi = start
-    while hi - start < half_width and slope(hi + step) <= max_slope:
+    while hi - start < 2.0 and slope(hi + step) <= max_slope:
         hi += step
-    while start - lo < half_width and slope(lo - step) <= max_slope:
+    while start - lo < 2.0 and slope(lo - step) <= max_slope:
         lo -= step
     if hi - lo < step:
         fine = clipped.width / 40.0
         if fine < step:  # the slope bound binds within one step: search on the candidate grid
-            return _moderate_box(profile, max_slope, half_width, fine)
+            return _moderate_box(profile, max_slope, fine)
         lo = max(start - 0.5 * step, profile.domain.lo)
         hi = min(start + 0.5 * step, profile.domain.hi)
     return Interval(lo, hi)
 
 
-def _residual_box(asm: _Assembly) -> tuple[Interval, Interval]:
-    if asm.admissible is not None:
-        return asm.admissible.sampling_box()
-    return _moderate_box(asm.f), _moderate_box(asm.g)
-
-
-def verify_family(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
-                  tolerance: float | None = None) -> FamilyReport:
-    """Sample the admissible box; report worst |numerator| and |residual|."""
-    asm = _assemble(fam)
-    if asm.admissible is None:
-        raise EmptyDomain(f"{fam.family_id.value}: {asm.empty_reason}")
-    tol = tolerance if tolerance is not None else asm.tolerance
-    box_u, box_v = asm.admissible.sampling_box()
-    rng = SplitMix64(rng_seed)
-    worst_num = 0.0
-    worst_res = 0.0
-    ttype, sig, kind = asm.ttype, asm.space.signature, asm.space.connection
-    for _ in range(n_samples):
-        u = rng.uniform(box_u.lo, box_u.hi)
-        v = rng.uniform(box_v.lo, box_v.hi)
-        fj, gj = asm.f.at(u, value=False), asm.g.at(v, value=False)
-        numerator = _curvature_kernel(ttype, sig, kind, fj.d1, fj.d2, gj.d1, gj.d2)[-1]
-        worst_num = _worse(worst_num, abs(numerator))
-        worst_res = _worse(worst_res, abs(residual(asm.case, fj, gj)))
-    return FamilyReport(
-        fam.family_id.value, fam.branch.value, fam.param_dict, n_samples, "full",
-        worst_num, worst_res, tol, worst_num <= tol and worst_res <= tol, None,
-    )
-
-
-def verify_residual(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
-                    tolerance: float | None = None, perturb: float = 0.0) -> FamilyReport:
-    """Sample the PDE residual only; works for empty-domain families and controls."""
-    asm = _assemble(fam)
-    tol = tolerance if tolerance is not None else asm.tolerance
-    box_u, box_v = _residual_box(asm)
-    f = perturb_profile(asm.f, perturb) if perturb else asm.f
-    rng = SplitMix64(rng_seed)
-    worst_res = 0.0
-    for _ in range(n_samples):
-        u = rng.uniform(box_u.lo, box_u.hi)
-        v = rng.uniform(box_v.lo, box_v.hi)
-        fj, gj = f.at(u, value=False), asm.g.at(v, value=False)
-        worst_res = _worse(worst_res, abs(residual(asm.case, fj, gj)))
-    return FamilyReport(
-        fam.family_id.value, fam.branch.value, fam.param_dict, n_samples,
-        "residual-only", None, worst_res, tol, worst_res <= tol, asm.empty_reason,
-    )
+def _residual_box(built: FamilyBuild) -> tuple[Interval, Interval]:
+    if built.domain is not None:
+        return built.domain.sampling_box()
+    return _moderate_box(built.surface.f), _moderate_box(built.surface.g)
 
 
 def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
                 tolerance: float | None = None, perturb: float = 0.0) -> FamilyReport:
-    """Full verification where the family has spacelike points, residual-only otherwise."""
-    if perturb:
-        return verify_residual(fam, n_samples, rng_seed, tolerance, perturb)
-    asm = _assemble(fam)
-    if asm.admissible is None:
-        return verify_residual(fam, n_samples, rng_seed, tolerance)
-    return verify_family(fam, n_samples, rng_seed, tolerance)
+    """Sample a family and report its worst |residual|, and its worst |numerator| in full mode.
+
+    The mode is full where the family has spacelike points and f is not
+    perturbed; empty-domain families and the perturbed negative control are
+    checked on the PDE residual alone.
+    """
+    if n_samples < 1:
+        raise VerifierError(f"n_samples must be >= 1, got {n_samples}")
+    built = _assemble(fam)
+    full = built.domain is not None and not perturb
+    tol = tolerance if tolerance is not None else built.tolerance
+    box_u, box_v = _residual_box(built)
+    surface = built.surface
+    f = perturb_profile(surface.f, perturb) if perturb else surface.f
+    ttype, sig, kind = surface.ttype, surface.space.signature, surface.space.connection
+    rng = SplitMix64(rng_seed)
+    worst_num = worst_res = 0.0
+    for _ in range(n_samples):
+        u = rng.uniform(box_u.lo, box_u.hi)
+        v = rng.uniform(box_v.lo, box_v.hi)
+        fj, gj = f.at(u, value=False), surface.g.at(v, value=False)
+        if full:
+            numerator = _curvature_kernel(ttype, sig, kind, fj.d1, fj.d2, gj.d1, gj.d2)[-1]
+            worst_num = _worse(worst_num, abs(numerator))
+        worst_res = _worse(worst_res, abs(residual(built.case, fj, gj)))
+    return FamilyReport(
+        fam.family_id.value, fam.branch.value, fam.param_dict, n_samples,
+        "full" if full else "residual-only", worst_num if full else None, worst_res, tol,
+        worst_res <= tol and (not full or worst_num <= tol), built.empty_reason,
+    )
 
 
 # Bounds of the RK4 cross-checks: the sup-norm gap between a reference run
@@ -804,9 +767,9 @@ _ORDER_PROBES = ((FamilyId.F2_23, "f"), (FamilyId.F3_38, "f"))
 def _run_errors(fid: FamilyId, which: str, span: tuple[float, float],
                 steps: tuple[float, ...]) -> tuple[OdeCase, list[float]]:
     """The reduced ODE of a reference run and its RK4 sup-norm error at each step."""
-    asm = _assemble(make_family(fid))
-    profile = asm.f if which == "f" else asm.g
-    case = next(c for c, w in asm.ode_checks if w == which)
+    built = _assemble(make_family(fid))
+    profile = built.surface.f if which == "f" else built.surface.g
+    case = next(c for c, w in built.ode_checks if w == which)
     h0 = profile.at(span[0], value=False).d1
     return case, [compare_profile(integrate(case, h0, span, step), profile) for step in steps]
 

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 import types
 import typing
@@ -44,6 +45,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-0.5:0.5", "-1,0,0" and "-1e-3" are flag values, not unknown options
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # argparse default exits with code 2
         raise UsageError(message)
 
@@ -113,6 +119,13 @@ class RunConfig:
         if not 0.0 < self.step < SHORTEST_ODE_SPAN:
             raise UsageError(f"step must lie in (0, {SHORTEST_ODE_SPAN:g}), the shortest "
                              f"reference ODE span; got {self.step!r}")
+        if self.all:
+            if self.params:
+                raise UsageError("--all does not take family parameters")
+            for name in ("family", "branch", "case"):
+                if getattr(self, name) is not None:
+                    raise UsageError(f"--all does not take a {name}, "
+                                     f"got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -340,12 +353,7 @@ def cmd_residual(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.all:
-        if cfg.params:
-            raise UsageError("--all does not take family parameters")
-        families = all_default_settings()
-    else:
-        families = [_family_from_config(cfg)]
+    families = all_default_settings() if cfg.all else [_family_from_config(cfg)]
     records = [verify_auto(fam, cfg.samples, child_seed(cfg.seed, index),
                            cfg.tolerance, cfg.perturb)
                for index, fam in enumerate(families)]

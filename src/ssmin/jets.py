@@ -48,8 +48,8 @@ class Interval:
         if not self.lo < self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def contains(self, u: float, margin: float = 0.0) -> bool:
-        return self.lo + margin <= u <= self.hi - margin
+    def contains(self, u: float) -> bool:
+        return self.lo <= u <= self.hi
 
     def clipped(self, cap: float) -> "Interval":
         """Finite interval for sampling: infinite ends are cut at +-cap."""
@@ -85,8 +85,12 @@ class Profile:
     fn: Callable[[float], Jet2]
     domain: Interval = REAL_LINE
     label: str = "profile"
-    quadrature: bool = False  # value comes from adaptive Simpson
     slopes: Callable[[float], Jet2] | None = None
+
+    @property
+    def quadrature(self) -> bool:
+        """Whether the value comes from adaptive Simpson: only such profiles have `slopes`."""
+        return self.slopes is not None
 
     def at(self, u: float, value: bool = True) -> Jet2:
         """The jet at u; with value=False only d1 and d2 are promised."""
@@ -105,15 +109,13 @@ class Profile:
         return jet
 
 
-def affine_profile(slope: float, intercept: float, domain: Interval = REAL_LINE,
-                   label: str = "affine") -> Profile:
+def affine_profile(slope: float, intercept: float) -> Profile:
     s, b = float(slope), float(intercept)
-    return Profile(lambda u: Jet2(s * u + b, s, 0.0), domain, label)
+    return Profile(lambda u: Jet2(s * u + b, s, 0.0), REAL_LINE, "affine")
 
 
 def log_abs_cos_profile(k: float, q: float, a: float, offset: float = 0.0,
-                        domain: Interval | None = None,
-                        label: str = "k*log|cos|") -> Profile:
+                        domain: Interval | None = None) -> Profile:
     """k * ln|cos(q*u - a)| + offset on one branch of the cosine.
 
     Without an explicit domain the branch is the component where |q*u - a| < pi/2,
@@ -140,12 +142,11 @@ def log_abs_cos_profile(k: float, q: float, a: float, offset: float = 0.0,
         return Jet2(math.log(abs(c)) * k + offset, r * c1 * k,
                     ((-r * r) * c1 * c1 + r * (-c * q * q)) * k)
 
-    return Profile(fn, domain, label)
+    return Profile(fn, domain, "k*log|cos|")
 
 
 def log_abs_exp_profile(k: float, q: float, coeff_pos: float, coeff_neg: float,
-                        offset: float = 0.0, domain: Interval | None = None,
-                        label: str = "k*log|exp|") -> Profile:
+                        offset: float = 0.0, domain: Interval | None = None) -> Profile:
     """k * ln|coeff_pos*e^(q*u) + coeff_neg*e^(-q*u)| + offset.
 
     The argument vanishes at most once; without an explicit domain the
@@ -191,7 +192,7 @@ def log_abs_exp_profile(k: float, q: float, coeff_pos: float, coeff_neg: float,
         return Jet2(math.log(abs(av)) * k + offset, r * a1 * k,
                     ((-r * r) * a1 * a1 + r * a2) * k)
 
-    return Profile(fn, domain, label)
+    return Profile(fn, domain, "k*log|exp|")
 
 
 @dataclass(frozen=True)
@@ -251,8 +252,7 @@ def profile_quadrature(integrand: Callable[[float], float],
                        base: float = 0.0,
                        spec: QuadratureSpec = QuadratureSpec(),
                        domain: Interval = REAL_LINE,
-                       base_point: float = 0.0,
-                       label: str = "quadrature") -> Profile:
+                       base_point: float = 0.0) -> Profile:
     """Profile u -> base + integral of integrand from base_point to u.
 
     Only the value needs quadrature; d1 is the integrand itself and d2 its
@@ -265,7 +265,7 @@ def profile_quadrature(integrand: Callable[[float], float],
     its own, so a value does not depend on the order of evaluations.
     """
     if not domain.contains(base_point):
-        raise DomainError(f"{label}: base point {base_point!r} outside domain")
+        raise DomainError(f"quadrature: base point {base_point!r} outside domain")
     # cumulative[side][k]: integral from base_point to base_point + side*k*_NODE_WIDTH
     cumulative = {1.0: [0.0], -1.0: [0.0]}
 
@@ -291,4 +291,4 @@ def profile_quadrature(integrand: Callable[[float], float],
         value = base + sums[k] + adaptive_simpson(integrand, node, u, spec)
         return Jet2(value, d1, d2)
 
-    return Profile(fn, domain, label, quadrature=True, slopes=slopes)
+    return Profile(fn, domain, "quadrature", slopes)

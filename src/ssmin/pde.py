@@ -20,7 +20,7 @@ from typing import Callable
 
 from .ambient import ConnectionKind, Signature
 from .curvature import _curvature_kernel
-from .errors import IllConditionedFit, UnknownCase
+from .errors import IllConditionedFit, UnknownCase, VerifierError
 from .jets import Jet2
 from .sampling import SplitMix64, _worse
 from .surface import (
@@ -138,6 +138,8 @@ def equivalence_sweep(case: CaseId, n_samples: int, seed: int,
     region are rejected and counted.  Each draws f' then g' from its type's
     box, and f'' then g'' only once the pair is admitted.
     """
+    if n_samples < 1:
+        raise VerifierError(f"n_samples must be >= 1, got {n_samples}")
     sig, kind, types = CASE_SPACE[case]
     kernel, res_fn, draw = _curvature_kernel, _RESIDUALS[case], SplitMix64(seed).uniform
     # per type: (type, sign, f' half-width, g' half-width, spacelike gate);

@@ -256,15 +256,15 @@ def substitution_check(case: OdeCase, h0: float, v_span: tuple[float, float],
 
 def ode_pointwise_max(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0) -> float:
     """Worst |h' - phi(h)| over samples, for every reduced-ODE binding of the family."""
-    asm = _assemble(fam)
-    if not asm.ode_checks:
+    built = _assemble(fam)
+    if not built.ode_checks:
         return 0.0
-    box_u, box_v = _residual_box(asm)
+    box_u, box_v = _residual_box(built)
     worst = 0.0
     rng = SplitMix64(rng_seed)
-    for case, which in asm.ode_checks:
+    for case, which in built.ode_checks:
         phi = case.rhs()
-        profile = asm.f if which == "f" else asm.g
+        profile = built.surface.f if which == "f" else built.surface.g
         box = box_u if which == "f" else box_v
         for _ in range(n_samples):
             jet = profile.at(rng.uniform(box.lo, box.hi))

@@ -25,8 +25,7 @@ from ssmin.catalog import (
     _moderate_box,
     all_default_settings,
     build,
-    verify_family,
-    verify_residual,
+    verify_auto,
 )
 from ssmin.cli import main
 from ssmin.curvature import mean_curvature_from_jets
@@ -105,18 +104,17 @@ def test_criterion_3_theorem_suites():
     details = []
     for index, fam in enumerate(all_default_settings()):
         seed = child_seed(3, index)
-        if fam.family_id in EMPTY_SPACELIKE or _assemble(fam).admissible is None:
+        report = verify_auto(fam, 200, seed)
+        if fam.family_id in EMPTY_SPACELIKE or _assemble(fam).domain is None:
             raised_empty = False
             try:
                 build(fam)
             except EmptyDomain:
                 raised_empty = True
-            report = verify_residual(fam, 200, seed)
-            good = raised_empty and report.verdict
+            good = raised_empty and report.verdict and report.mode == "residual-only"
         else:
-            report = verify_family(fam, 200, seed)
-            good = report.verdict
-        control = verify_residual(fam, 200, seed, perturb=0.01)
+            good = report.verdict and report.mode == "full"
+        control = verify_auto(fam, 200, seed, perturb=0.01)
         good = good and control.max_abs_residual > 1e-3
         if not good:
             details.append(f"{fam.family_id.value}:{report}")
@@ -222,12 +220,12 @@ def test_criterion_7_derivative_oracle():
     h = 1e-4
     worst_d1 = worst_d2 = 0.0
     for index, fam in enumerate(all_default_settings()):
-        asm = _assemble(fam)
+        surface = _assemble(fam).surface
         # sampling boxes keep |d1| moderate: truncation of the h = 1e-4
         # stencils explodes with the third derivative near profile poles
-        box_u, box_v = _moderate_box(asm.f), _moderate_box(asm.g)
+        box_u, box_v = _moderate_box(surface.f), _moderate_box(surface.g)
         for offset, (which, profile, box) in enumerate(
-                (("f", asm.f, box_u), ("g", asm.g, box_v))):
+                (("f", surface.f, box_u), ("g", surface.g, box_v))):
             quad_backed = QUAD_PROFILE.get(fam.family_id) == which
             rng = SplitMix64(child_seed(7, 2 * index + offset))
             lo, hi = box.lo + 2.5 * h, box.hi - 2.5 * h

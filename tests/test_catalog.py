@@ -9,6 +9,7 @@ from ssmin import catalog, curvature, pde
 from ssmin.catalog import (
     Branch,
     FamilyId,
+    SolutionFamily,
     THEOREM_SUITES,
     _assemble,
     all_default_settings,
@@ -16,10 +17,8 @@ from ssmin.catalog import (
     default_settings,
     make_family,
     verify_auto,
-    verify_family,
-    verify_residual,
 )
-from ssmin.errors import DomainError, EmptyDomain, ParameterConstraintViolation
+from ssmin.errors import DomainError, EmptyDomain, ParameterConstraintViolation, VerifierError
 from ssmin.cli import _record, _sweeps
 from ssmin.pde import CaseId, equivalence_sweep, residual
 from ssmin.sampling import _worse
@@ -77,8 +76,13 @@ def test_parameter_constraints(fid, params):
 
 
 def test_unknown_parameter_name():
-    with pytest.raises(ParameterConstraintViolation):
-        make_family(FamilyId.F2_23, nonsense=1.0)
+    # one check, whether the family comes from make_family or is built directly
+    message = r"F2_23 has no parameter 'x' \(expected \['a', 'c3', 'c5'\]\)"
+    with pytest.raises(ParameterConstraintViolation, match=message):
+        make_family(FamilyId.F2_23, x=1.0)
+    with pytest.raises(ParameterConstraintViolation, match=message):
+        SolutionFamily(FamilyId.F2_23, (("x", 1.0),))
+    assert SolutionFamily(FamilyId.F2_23, (("c3", 1),)) == make_family(FamilyId.F2_23, c3=1.0)
 
 
 @pytest.mark.parametrize("fid,params", [
@@ -100,37 +104,41 @@ def test_empty_spacelike_domains(fid, params):
     with pytest.raises(EmptyDomain):
         build(make_family(fid, **params))
     # the PDE residual still vanishes on the formula's own domain
-    report = verify_residual(make_family(fid, **params), 100, 3)
+    report = verify_auto(make_family(fid, **params), 100, 3)
     assert report.mode == "residual-only"
     assert report.max_abs_residual <= report.tolerance
     assert report.empty_reason
 
 
 def test_verify_family_scherk():
-    report = verify_family(make_family(FamilyId.F2_51, c=1.0), 200, 7)
+    report = verify_auto(make_family(FamilyId.F2_51, c=1.0), 200, 7)
+    assert report.mode == "full"
     assert report.max_abs_numerator <= 1e-9
     assert report.verdict
 
 
 def test_verify_family_quadrature():
-    report = verify_family(
+    report = verify_auto(
         make_family(FamilyId.F2_39, branch=Branch.PLUS, c0_hat=1.0, a_hat=2.0),
         100, 11,
     )
+    assert report.mode == "full"
     assert report.max_abs_numerator <= 1e-7
     assert report.verdict
 
 
 def test_verify_family_is_deterministic():
     fam = make_family(FamilyId.F3_43)
-    a = verify_family(fam, 64, 99)
-    b = verify_family(fam, 64, 99)
+    a = verify_auto(fam, 64, 99)
+    b = verify_auto(fam, 64, 99)
+    assert a.mode == "full"
     assert a.max_abs_numerator == b.max_abs_numerator
     assert a.max_abs_residual == b.max_abs_residual
 
 
 def test_f3_31_zero_slope_branch_solves_exactly():
-    report = verify_residual(make_family(FamilyId.F3_31, c0_prime=1.0, c1_prime=0.0), 200, 5)
+    report = verify_auto(make_family(FamilyId.F3_31, c0_prime=1.0, c1_prime=0.0), 200, 5)
+    assert report.mode == "residual-only"
     assert report.max_abs_residual == 0.0
 
 
@@ -139,14 +147,16 @@ def test_f3_31_printed_constant_branch_is_not_minimal():
     # plane whose residual is 2*c1', not zero; the verifier exposes it
     fam = make_family(FamilyId.F3_31, c0_prime=1.0, c1_prime=math.sqrt(3.0))
     built = build(fam)  # spacelike: g'^2 - f'^2 - 1 = 1
-    report = verify_family(fam, 100, 13)
+    report = verify_auto(fam, 100, 13)
+    assert report.mode == "full"
     assert not report.verdict
     assert report.max_abs_residual == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-12)
 
 
 def test_perturbation_controls_every_family():
     for fam in all_default_settings():
-        report = verify_residual(fam, 200, 21, perturb=0.01)
+        report = verify_auto(fam, 200, 21, perturb=0.01)
+        assert report.mode == "residual-only"
         assert report.max_abs_residual > 1e-3, fam.family_id
         assert not report.verdict
 
@@ -167,16 +177,17 @@ def test_swapped_profile_roles_match():
     for fam, mirror in MIRROR_PAIRS:
         uv, vu = _assemble(fam), _assemble(mirror)
         assert uv.case is vu.case
+        uf, ug, vf, vg = uv.surface.f, uv.surface.g, vu.surface.f, vu.surface.g
         for s, t in [(0.1, -0.4), (0.3, 0.8), (0.0, 0.0)]:
-            assert uv.f.at(s) == vu.g.at(s) and uv.g.at(t) == vu.f.at(t)
-            r_uv = residual(uv.case, uv.f.at(s), uv.g.at(t))
-            r_vu = residual(vu.case, vu.f.at(t), vu.g.at(s))
+            assert uf.at(s) == vg.at(s) and ug.at(t) == vf.at(t)
+            r_uv = residual(uv.case, uf.at(s), ug.at(t))
+            r_vu = residual(vu.case, vf.at(t), vg.at(s))
             assert r_uv == pytest.approx(r_vu, abs=1e-13)
         assert [(c, "g" if w == "f" else "f") for c, w in uv.ode_checks] == list(vu.ode_checks)
-        if uv.admissible is None:
-            assert vu.admissible is None
+        if uv.domain is None:
+            assert vu.domain is None
         else:
-            assert (uv.admissible.u, uv.admissible.v) == (vu.admissible.v, vu.admissible.u)
+            assert (uv.domain.u, uv.domain.v) == (vu.domain.v, vu.domain.u)
 
 
 def test_f3_43_negative_orientation_parameter():
@@ -186,7 +197,8 @@ def test_f3_43_negative_orientation_parameter():
     built = build(fam)
     v_star = 0.5 * math.log(2.0) / -0.5
     assert built.domain.v.hi == pytest.approx(v_star - 1e-3, abs=1e-12)
-    report = verify_family(fam, 150, 5)
+    report = verify_auto(fam, 150, 5)
+    assert report.mode == "full"
     assert report.verdict
 
 
@@ -194,7 +206,7 @@ def test_moderate_box_fallback_stays_in_the_domain():
     # f' = tan(400u) keeps |f'| <= 2 only for |u| < 0.0028, inside the first step
     # of the box search, and the pole-free branch is |u| < 0.0039
     fam = make_family(FamilyId.F3_43, c0_bar=400.0, c3=-1.0)
-    f = _assemble(fam).f
+    f = _assemble(fam).surface.f
     box = catalog._moderate_box(f)
     assert f.domain.lo < box.lo < 0.0 < box.hi < f.domain.hi
     assert box.width > 0.004
@@ -202,7 +214,7 @@ def test_moderate_box_fallback_stays_in_the_domain():
     # the residual-only check now runs instead of raising DomainError.  Its
     # record fails: g = ln(e^(400v) + e^(-400v))/400 loses g'' where |400v| > ~355,
     # since the kernel's r*r = (1/(e^(400v) + ...))^2 underflows there
-    assert verify_residual(fam, 50, 3).mode == "residual-only"
+    assert verify_auto(fam, 50, 3).mode == "residual-only"
 
 
 def test_tiny_a_hat_radicand_crosses_the_exp_overflow():
@@ -257,6 +269,17 @@ def test_all_defaults_verify_within_tolerance():
         assert report.verdict, (fam.family_id, report)
 
 
+@pytest.mark.parametrize("check", [
+    lambda n: verify_auto(make_family(FamilyId.F2_23), n, 1),
+    lambda n: verify_auto(make_family(FamilyId.F3_10), n, 1),
+    lambda n: equivalence_sweep(CaseId.E_M_I, n, 1),
+], ids=["full", "residual-only", "equivalence"])
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_no_verdict_without_samples(check, n_samples):
+    with pytest.raises(VerifierError, match="n_samples must be >= 1"):
+        check(n_samples)
+
+
 def _nan_at(fn, index, pick=lambda value: math.nan):
     """`fn` with its result passed through `pick` on call number `index`."""
     calls = itertools.count()
@@ -282,11 +305,15 @@ def test_worse_matches_max_and_keeps_nan():
 
 
 def test_nan_residual_sample_fails_the_record(monkeypatch):
-    fam = make_family(FamilyId.F2_51, c=1.0)
-    assert verify_family(fam, 20, 7).verdict and verify_residual(fam, 20, 7).verdict
-    for check in (verify_family, verify_residual):
-        monkeypatch.setattr(catalog, "residual", _nan_at(residual, 5))
-        report = check(fam, 20, 7)
+    # both modes of the sampling loop: full on F2_51, residual-only on the
+    # never-spacelike F3_10
+    for fam, mode in ((make_family(FamilyId.F2_51, c=1.0), "full"),
+                      (make_family(FamilyId.F3_10), "residual-only")):
+        report = verify_auto(fam, 20, 7)
+        assert report.verdict and report.mode == mode
+        with monkeypatch.context() as mp:
+            mp.setattr(catalog, "residual", _nan_at(residual, 5))
+            report = verify_auto(fam, 20, 7)
         assert math.isnan(report.max_abs_residual)
         assert report.verdict is False
 
@@ -296,7 +323,7 @@ def test_nan_numerator_sample_fails_the_record(monkeypatch):
     fam = make_family(FamilyId.F2_51, c=1.0)
     kernel = curvature._curvature_kernel
     monkeypatch.setattr(catalog, "_curvature_kernel", _nan_at(kernel, 5, _nan_numerator))
-    report = verify_family(fam, 20, 7)
+    report = verify_auto(fam, 20, 7)
     assert math.isnan(report.max_abs_numerator)
     assert report.verdict is False
 

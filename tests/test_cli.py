@@ -278,21 +278,40 @@ def test_report_determinism(tmp_path):
 
 # sha256 of stdout; any change to these outputs must be deliberate
 _OUTPUT_SHA256 = [
-    (["report", "--all", "--seed", "42", "--format", "json"],
-     "b0ff652564b1ce1b0878646b4a2131ace54f0ceacbfbf1c9e6f5273431cc62a2"),
-    (["equivalence", "--all", "--samples", "300", "--seed", "3"],
-     "b69cd26ce8b8864506d2ba01dc815aadb1035550b362cdad3357ffd2edebd586"),
-    (["verify", "--all", "--seed", "3"],
-     "0abb8cdbaf2ace8db0a9d37e0c5b647cf2888bf88419b6f2c3f5cf75df132529"),
-    (["ode-compare"],
-     "db7e07e303616e0c84021d99945fefbe93fd6ca78e75cbcdb5a337e71775c47e"),
+    pytest.param(["report", "--all", "--seed", "42", "--format", "json"], 0,
+                 "b0ff652564b1ce1b0878646b4a2131ace54f0ceacbfbf1c9e6f5273431cc62a2",
+                 id="report"),
+    pytest.param(["report", "--all", "--seed", "42", "--format", "markdown"], 0,
+                 "db0a4c461e339634dc7bce0cd576cf8bd2f78aeb309d6f4a250d9ab4167f3f5b",
+                 id="report-markdown"),
+    pytest.param(["report", "--all", "--perturb", "0.01"], 2,
+                 "c56342330052d63618abeefddbcd7cec5dfb131abb21d49d41c4674d0f9dd69d",
+                 id="report-perturb"),
+    pytest.param(["equivalence", "--all", "--samples", "300", "--seed", "3"], 0,
+                 "b69cd26ce8b8864506d2ba01dc815aadb1035550b362cdad3357ffd2edebd586",
+                 id="equivalence"),
+    pytest.param(["verify", "--all", "--seed", "3"], 0,
+                 "0abb8cdbaf2ace8db0a9d37e0c5b647cf2888bf88419b6f2c3f5cf75df132529",
+                 id="verify"),
+    pytest.param(["verify", "--all", "--seed", "3", "--format", "markdown"], 0,
+                 "a942f26bc0161562fe8af7b0705610b658ac28edab79aa46da3cccb99e6a5e34",
+                 id="verify-markdown"),
+    pytest.param(["ode-compare"], 0,
+                 "db7e07e303616e0c84021d99945fefbe93fd6ca78e75cbcdb5a337e71775c47e",
+                 id="ode-compare"),
+    # a quadrature-backed and a closed-form family, 64x64
+    pytest.param(["mesh", "--family", "F2_39", "--format", "csv"], 0,
+                 "1177d01ab82aa08e6c71469729e9715ea5a91b68d051d0ad0fc343cd6249cffd",
+                 id="mesh-F2_39"),
+    pytest.param(["mesh", "--family", "F2_51"], 0,
+                 "cf11bb2ea8f8c99a89c962afe3945853f3f2f007ab327fb8a78f2dd09286d8d4",
+                 id="mesh-F2_51"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", _OUTPUT_SHA256,
-                         ids=[argv[0] for argv, _ in _OUTPUT_SHA256])
-def test_output_is_byte_identical(capsys, argv, digest):
-    assert main(argv) == 0
+@pytest.mark.parametrize("argv,exit_code,digest", _OUTPUT_SHA256)
+def test_output_is_byte_identical(capsys, argv, exit_code, digest):
+    assert main(argv) == exit_code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
@@ -397,6 +416,12 @@ def test_usage_errors_exit_one(argv):
     (["mesh", "--family", "F2_23"], {"seed": 1}, "seed"),
     (["residual", "--case", "E_M_I", "--fjet", "0,0,0", "--gjet", "0,0,0"],
      {"samples": 7}, "samples"),
+    # --all runs every setting or case, so a selector next to it is refused
+    (["verify", "--all", "--c3", "1"], None, "family parameters"),
+    (["verify", "--all", "--family", "F2_23"], None, "family"),
+    (["verify", "--all", "--branch", "minus"], None, "branch"),
+    (["equivalence", "--all", "--case", "E_M_I"], None, "case"),
+    (["report", "--all"], {"family": "F2_23"}, "family"),
 ])
 def test_bad_input_rejected_once(tmp_path, capsys, argv, config, field):
     # no vacuous pass, no traceback: RunConfig rejects the input with exit 1
@@ -407,6 +432,23 @@ def test_bad_input_rejected_once(tmp_path, capsys, argv, config, field):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("ssmin: error: ") and field in err
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (["mesh", "--family", "F2_23", "--nu", "3", "--nv", "3"], "--u-range", "-0.5:0.5"),
+    (["residual", "--case", "E_M_I", "--gjet", "0,0,0"], "--fjet", "-1,0,0"),
+    (["verify", "--family", "F3_30", "--samples", "20"], "--a-hat", "-1e-3"),
+    (["verify", "--family", "F2_23", "--samples", "20"], "--c3", "-.5"),
+])
+def test_negative_flag_values_parse(capsys, argv, flag, value):
+    # a value opening with "-" and a digit, or "-." and a digit, is a number, not a flag
+    assert main([*argv, flag, value]) == 0
+    spaced = capsys.readouterr().out
+    assert main([*argv, f"{flag}={value}"]) == 0
+    assert capsys.readouterr().out == spaced
+    for unknown in (["--bogus", "1"], ["-x"]):
+        assert main([*argv, *unknown]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,exit_code", [

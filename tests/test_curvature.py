@@ -262,8 +262,8 @@ def _catalog_closed_forms():
         for make, oracle, names in _CLOSED_FORMS:
             mp.setattr(catalog, make.__name__, recording(make, oracle, names))
         for fam in catalog.all_default_settings():
-            asm = catalog._assemble(fam)
-            out += [(p, made[p.fn]) for p in (asm.f, asm.g) if p.fn in made]
+            surface = catalog._assemble(fam).surface
+            out += [(p, made[p.fn]) for p in (surface.f, surface.g) if p.fn in made]
     return out
 
 

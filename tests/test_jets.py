@@ -239,8 +239,8 @@ def _catalog_quadratures():
         for fam in catalog.all_default_settings():
             # the box search evaluates profiles, so sample a second assembly
             box_u, box_v = catalog._residual_box(catalog._assemble(fam))
-            asm = catalog._assemble(fam)
-            for profile, box in ((asm.f, box_u), (asm.g, box_v)):
+            surface = catalog._assemble(fam).surface
+            for profile, box in ((surface.f, box_u), (surface.g, box_v)):
                 if profile.quadrature:
                     out.append((profile, *made[profile.fn], box))
     return out
