@@ -95,6 +95,8 @@ class RunConfig:
         if self.format not in formats:
             raise UsageError(f"format of {self.command} must be one of {', '.join(formats)}; "
                              f"got {self.format!r}")
+        if self.command == "report" and not self.all:
+            raise UsageError("report covers every family; pass --all")
         if self.command == "report" and self.tolerance is not None:
             raise UsageError("report judges families, equivalence sweeps and ODE runs by "
                              "their own bounds; it takes no tolerance")

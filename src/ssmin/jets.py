@@ -10,7 +10,8 @@ operations of its forward-mode jet composition (Leibniz and chain rules
 through k * ln|.| + offset) in the same order, leaving out only terms that
 add +-0, so its values equal the composition's up to the sign of a zero.  The
 test suite keeps that jet arithmetic as the oracle and checks the equality
-exactly.
+exactly.  The one departure is the log|exp| kernel's d2 where the
+composition's r*r underflows: there it squares r*a1 instead.
 
 Quadrature-backed profiles obtain their value from adaptive Simpson
 integration while both derivatives stay in closed form.  A caller that reads
@@ -20,6 +21,7 @@ only the slopes asks for them alone, and then no quadrature runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,6 +29,8 @@ from .errors import DomainError, QuadratureFailure
 
 # Half-width kept clear around singular endpoints of closed-form profiles.
 SINGULARITY_GUARD = 1e-6
+
+_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -189,8 +193,13 @@ def log_abs_exp_profile(k: float, q: float, coeff_pos: float, coeff_neg: float,
         a1 = ep1 * cp + em1 * cn
         a2 = ep1 * q * cp + em1 * nq * cn
         r = 1.0 / av
-        return Jet2(math.log(abs(av)) * k + offset, r * a1 * k,
-                    ((-r * r) * a1 * a1 + r * a2) * k)
+        rr = r * r
+        if rr < _MIN_NORMAL:
+            # -r*r underflows (|q*u| beyond about 355); r*a1 stays in range
+            d2 = -((r * a1) * (r * a1)) + r * a2
+        else:
+            d2 = (-rr) * a1 * a1 + r * a2
+        return Jet2(math.log(abs(av)) * k + offset, r * a1 * k, d2 * k)
 
     return Profile(fn, domain, "k*log|exp|")
 

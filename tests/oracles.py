@@ -1,11 +1,13 @@
-"""Test-side oracles: forward-mode jet arithmetic, least-squares separation
-and substitution fits, an RK4-backed profile, the pointwise reduced-ODE
-check of a family, and the per-sample equivalence sweep.
+"""Test-side oracles: scalar splitmix64, forward-mode jet arithmetic,
+least-squares separation and substitution fits, an RK4-backed profile, the
+pointwise reduced-ODE check of a family, and the per-sample equivalence sweep.
 
 No command runs these; the tests use them as checks that do not share the
 code path they verify.  The jet arithmetic is the reference the closed-form
-profile kernels of `ssmin.jets` must equal, and the per-sample sweep (one
-`Jet2` pair and one `residual` call per sample) is the reference the flat
+profile kernels of `ssmin.jets` must equal, the scalar splitmix64 (one draw
+per integer pass) is the reference the block stream of `ssmin.sampling` must
+equal, and the per-sample sweep (scalar draws, one `Jet2` pair and one
+`residual` call per sample) is the reference the flat
 `ssmin.pde.equivalence_sweep` must equal.  The least-squares fits use numpy,
 which the package itself does not import.
 """
@@ -40,6 +42,23 @@ from ssmin.pde import (
 )
 from ssmin.sampling import SplitMix64, _worse
 from ssmin.surface import TranslationType
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+class ScalarSplitMix64:
+    """splitmix64 one draw per call (Steele, Lea & Flood 2014); uniform
+    doubles use the top 53 bits."""
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        self._state = z = (self._state + _GOLDEN) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return lo + (hi - lo) * (((z ^ (z >> 31)) >> 11) * 2.0 ** -53)
 
 
 class Jet(Jet2):
@@ -272,7 +291,7 @@ def ode_pointwise_max(fam: SolutionFamily, n_samples: int = 200, rng_seed: int =
     return worst
 
 
-def _draw_first_derivatives(rng: SplitMix64, sig: Signature,
+def _draw_first_derivatives(rng: ScalarSplitMix64, sig: Signature,
                             ttype: TranslationType) -> tuple[float, float]:
     if sig is Signature.EUCLIDEAN:
         return rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)
@@ -291,10 +310,11 @@ def _admissible(sig: Signature, ttype: TranslationType, f1: float, g1: float) ->
 
 def reference_equivalence_sweep(case: CaseId, n_samples: int, seed: int,
                                 tolerance: float | None = None) -> EquivalenceRecord:
-    """`equivalence_sweep` one call per step: jets, draw and gate helpers, `residual`."""
+    """`equivalence_sweep` one call per step: scalar draws, jets, draw and gate
+    helpers, `residual`."""
     sig, kind, types = CASE_SPACE[case]
     signs = tuple(_EQUIVALENCE_SIGN[(case, ttype)] for ttype in types)
-    rng = SplitMix64(seed)
+    rng = ScalarSplitMix64(seed)
     worst = 0.0
     attempts = 0
     accepted = 0

@@ -290,6 +290,10 @@ _OUTPUT_SHA256 = [
     pytest.param(["equivalence", "--all", "--samples", "300", "--seed", "3"], 0,
                  "b69cd26ce8b8864506d2ba01dc815aadb1035550b362cdad3357ffd2edebd586",
                  id="equivalence"),
+    # hundreds of 256-draw sampler blocks per case
+    pytest.param(["equivalence", "--all", "--samples", "6000", "--seed", "5"], 0,
+                 "3b6b5b2b191f4be60de8e3c82c671455613de3527ab3c66f0f79e4cf96286aaf",
+                 id="equivalence-6000"),
     pytest.param(["verify", "--all", "--seed", "3"], 0,
                  "0abb8cdbaf2ace8db0a9d37e0c5b647cf2888bf88419b6f2c3f5cf75df132529",
                  id="verify"),
@@ -422,6 +426,8 @@ def test_usage_errors_exit_one(argv):
     (["verify", "--all", "--branch", "minus"], None, "branch"),
     (["equivalence", "--all", "--case", "E_M_I"], None, "case"),
     (["report", "--all"], {"family": "F2_23"}, "family"),
+    # report always covers every family
+    (["report", "--samples", "5"], None, "report covers every family; pass --all"),
 ])
 def test_bad_input_rejected_once(tmp_path, capsys, argv, config, field):
     # no vacuous pass, no traceback: RunConfig rejects the input with exit 1
@@ -457,9 +463,10 @@ def test_negative_flag_values_parse(capsys, argv, flag, value):
     # overflowing probes of the residual-only box search count as off-domain
     (["verify", "--family", "F3_12", "--c", "0.99995", "--samples", "50"], 0),
     (["verify", "--family", "F3_14", "--c-hat", "0.99995", "--samples", "50"], 0),
-    # so do probes where e^(q*u) overflows; the box found then fails its residual
-    # check, since ln|e^(q*u) - c_hat*e^(-q*u)| loses g'' where |q*u| > ~355
-    (["verify", "--family", "F3_38", "--c0", "400", "--c-hat", "1"], 2),
+    # so do probes where e^(q*u) overflows; the box found reaches |q*u| > ~355,
+    # where 1/a^2 underflows, yet g'' of ln|a| stays right there
+    (["verify", "--family", "F3_38", "--c0", "400", "--c-hat", "1"], 0),
+    (["verify", "--family", "F3_43", "--c0-bar", "400", "--c3", "-1"], 0),
 ])
 def test_integrand_overflow_is_a_domain_error(tmp_path, capsys, argv, exit_code):
     code, text = run(tmp_path, *argv)

@@ -1,7 +1,9 @@
-"""splitmix64 against published reference outputs, and the uniform-double map."""
+"""splitmix64 against published reference outputs and the scalar oracle, and
+the uniform-double map."""
 
 import pytest
 
+from oracles import ScalarSplitMix64
 from ssmin.sampling import SplitMix64
 
 # Reference outputs of Vigna's splitmix64.c: the first five for seed 1234567,
@@ -29,3 +31,13 @@ def test_uniform_scales_as_lo_plus_width_times_unit(lo, hi):
 
 def test_seed_is_reduced_mod_2_64():
     assert SplitMix64(2**64).uniform() == SplitMix64(0).uniform()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1234567, 2**63, 2**64 - 1, 2**64, 2**70 + 3])
+def test_block_stream_equals_scalar_reference(seed):
+    # four 256-draw blocks and part of a fifth: every lane and four block carries
+    ranges = [(0.0, 1.0), (-2.5, 2.5), (-3, 3), (0.05, 1.5), (-1e-300, 1e300)]
+    n = 1124
+    block, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
+    got = [block.uniform(*ranges[i % len(ranges)]) for i in range(n)]
+    assert got == [scalar.uniform(*ranges[i % len(ranges)]) for i in range(n)]
