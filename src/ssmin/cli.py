@@ -21,6 +21,7 @@ from enum import Enum
 from . import __version__
 from .catalog import (
     BRANCHED_FAMILIES,
+    Branch,
     FamilyId,
     SHORTEST_ODE_SPAN,
     THEOREM_SUITES,
@@ -89,7 +90,11 @@ class RunConfig:
                                  f"got {value!r}")
         if self.command not in _COMMANDS:
             raise UsageError(f"unknown command {self.command!r}; known: {', '.join(_COMMANDS)}")
-        formats = _COMMANDS[self.command][1]
+        _, formats, reads, _ = _COMMANDS[self.command]
+        for name, default in _SETTINGS.items():
+            if name not in reads and getattr(self, name) != default:
+                raise UsageError(f"{self.command} does not read {name}; "
+                                 f"got {getattr(self, name)!r}")
         if self.format is None:
             self.format = formats[0]
         if self.format not in formats:
@@ -97,16 +102,13 @@ class RunConfig:
                              f"got {self.format!r}")
         if self.command == "report" and not self.all:
             raise UsageError("report covers every family; pass --all")
-        if self.command == "report" and self.tolerance is not None:
-            raise UsageError("report judges families, equivalence sweeps and ODE runs by "
-                             "their own bounds; it takes no tolerance")
         if self.samples < 1:
             raise UsageError(f"samples must be >= 1, got {self.samples}")
-        if self.command not in _SAMPLING_COMMANDS:
-            for name in ("seed", "samples"):
-                if getattr(self, name) != _RUN_DEFAULTS[name]:
-                    raise UsageError(f"{self.command} samples nothing; it takes no {name}, "
-                                     f"got {getattr(self, name)!r}")
+        if self.tolerance is not None and self.tolerance < 0:
+            raise UsageError(f"tolerance must be >= 0, got {self.tolerance!r}")
+        if self.branch is not None and self.branch not in _BRANCHES:
+            raise UsageError(f"branch must be one of {', '.join(_BRANCHES)}; "
+                             f"got {self.branch!r}")
         for name in ("nu", "nv"):
             if getattr(self, name) < 2:
                 raise UsageError(f"{name} must be >= 2 grid points, got {getattr(self, name)}")
@@ -149,9 +151,12 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
-_RUN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-# The commands that draw seeded samples; only they take --seed and --samples.
-_SAMPLING_COMMANDS = ("verify", "equivalence", "report")
+# Each setting with its default, in field order: every field but command, format
+# and output, which all commands read.  _COMMANDS says which commands read each.
+_SETTINGS = {f.name: f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+             for f in dataclasses.fields(RunConfig)
+             if f.name not in ("command", "format", "output")}
+_BRANCHES = tuple(b.value for b in Branch)
 
 
 def _conforms(value, hint) -> bool:
@@ -181,60 +186,39 @@ def _float_list(sep: str):
     return parse
 
 
+# The argparse keywords of each setting's flag.  "params" has none of its own: it
+# is one float flag per family parameter.
+_FLAGS = {
+    "family": {}, "branch": {"choices": _BRANCHES}, "case": {}, "all": {"action": "store_true"},
+    "fjet": {"type": _float_list(","), "help": "f jet as v,d1,d2"},
+    "gjet": {"type": _float_list(","), "help": "g jet as v,d1,d2"},
+    "samples": {"type": int}, "seed": {"type": int}, "nu": {"type": int}, "nv": {"type": int},
+    "tolerance": {"type": float}, "perturb": {"type": float}, "step": {"type": float},
+    "u_range": {"type": _float_list(":"), "help": "lo:hi"},
+    "v_range": {"type": _float_list(":"), "help": "lo:hi"},
+}
+
+
 def _build_parser() -> _Parser:
-    """Flags left unset stay None, so RunConfig's own defaults apply to them."""
+    """Each command takes the flags of the settings it reads.  Flags left unset
+    stay None, so RunConfig's own defaults apply to them."""
     parser = _Parser(prog="ssmin", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ssmin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help):
-        p = sub.add_parser(name, help=help)
+    for command, (_, formats, reads, help) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help)
         p.add_argument("--config", help="JSON config file; overrides flags")
-        p.add_argument("--format", choices=_COMMANDS[name][1])
+        p.add_argument("--format", choices=formats)
         p.add_argument("--output")
-        if name in _SAMPLING_COMMANDS:
-            p.add_argument("--seed", type=int)
-            p.add_argument("--samples", type=int)
-        return p
-
-    def family_flags(p):
-        p.add_argument("--family")
-        p.add_argument("--branch", choices=("plus", "minus"))
-        for name in _PARAM_FLAGS:
-            p.add_argument(f"--{name.replace('_', '-')}", dest=f"param_{name}", type=float)
-
-    p_res = command("residual", "evaluate one closed-form minimality residual")
-    p_res.add_argument("--case")
-    p_res.add_argument("--fjet", type=_float_list(","), help="f jet as v,d1,d2")
-    p_res.add_argument("--gjet", type=_float_list(","), help="g jet as v,d1,d2")
-
-    p_ver = command("verify", "verify classified solution families")
-    family_flags(p_ver)
-    p_ver.add_argument("--all", action="store_true")
-    p_ver.add_argument("--tolerance", type=float)
-    p_ver.add_argument("--perturb", type=float)
-
-    p_eq = command("equivalence", "check residual vs mean-curvature numerator")
-    p_eq.add_argument("--case")
-    p_eq.add_argument("--all", action="store_true")
-    p_eq.add_argument("--tolerance", type=float)
-    p_eq.set_defaults(samples=1000)
-
-    p_ode = command("ode-compare", "RK4 trajectories against closed forms")
-    p_ode.add_argument("--step", type=float)
-    p_ode.add_argument("--tolerance", type=float)
-
-    p_mesh = command("mesh", "export a surface mesh")
-    family_flags(p_mesh)
-    p_mesh.add_argument("--nu", type=int)
-    p_mesh.add_argument("--nv", type=int)
-    p_mesh.add_argument("--u-range", type=_float_list(":"), help="lo:hi")
-    p_mesh.add_argument("--v-range", type=_float_list(":"), help="lo:hi")
-
-    p_rep = command("report", "full verification report")
-    p_rep.add_argument("--all", action="store_true")
-    p_rep.add_argument("--step", type=float)
-    p_rep.add_argument("--perturb", type=float)
+        for name in _SETTINGS:
+            if name == "params" and name in reads:
+                for param in _PARAM_FLAGS:
+                    p.add_argument(f"--{param.replace('_', '-')}", dest=f"param_{param}",
+                                   type=float)
+            elif name in reads:
+                p.add_argument(f"--{name.replace('_', '-')}", **_FLAGS[name])
+        if command == "equivalence":
+            p.set_defaults(samples=1000)
     return parser
 
 
@@ -256,9 +240,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_dict(values)
 
 
-def _member(enum, name: str | None, flag: str):
+def _member(enum, cfg: RunConfig, flag: str):
+    name = getattr(cfg, flag)
     if name is None:
-        raise UsageError(f"--{flag} is required (or use --all)")
+        alternative = " (or use --all)" if "all" in _COMMANDS[cfg.command][2] else ""
+        raise UsageError(f"--{flag} is required{alternative}")
     try:
         return enum(name)
     except ValueError:
@@ -268,7 +254,7 @@ def _member(enum, name: str | None, flag: str):
 
 
 def _family_from_config(cfg: RunConfig):
-    fid = _member(FamilyId, cfg.family, "family")
+    fid = _member(FamilyId, cfg, "family")
     if cfg.branch is not None and fid not in BRANCHED_FAMILIES:
         raise UsageError(f"{fid.value} has no +- branch")
     return make_family(fid, branch=cfg.branch or "plus", **cfg.params)
@@ -335,7 +321,7 @@ def _emit_records(cfg: RunConfig, engine_records, markdown_renderer,
 
 
 def cmd_residual(cfg: RunConfig) -> int:
-    case = _member(CaseId, cfg.case, "case")
+    case = _member(CaseId, cfg, "case")
     if cfg.fjet is None or cfg.gjet is None:
         raise UsageError("residual needs --fjet and --gjet as v,d1,d2")
     value = residual(case, Jet2(*cfg.fjet), Jet2(*cfg.gjet))
@@ -363,7 +349,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_equivalence(cfg: RunConfig) -> int:
-    cases = list(CaseId) if cfg.all else [_member(CaseId, cfg.case, "case")]
+    cases = list(CaseId) if cfg.all else [_member(CaseId, cfg, "case")]
     return _emit_records(cfg, _sweeps(cases, cfg.samples, cfg.seed, cfg.tolerance),
                          _render_equivalence_markdown)
 
@@ -527,14 +513,25 @@ def _render_report_markdown(payload: dict) -> str:
     return "\n".join(lines + [""])
 
 
-# Every command with its output formats, the first being the default.
+# Every command: its handler, its output formats (the first is the default), the
+# settings it reads, which are its flags and the only settings it accepts other
+# than their defaults, and its help.
 _COMMANDS = {
-    "residual": (cmd_residual, ("json",)),
-    "verify": (cmd_verify, ("json", "markdown")),
-    "equivalence": (cmd_equivalence, ("json", "markdown")),
-    "ode-compare": (cmd_ode_compare, ("json", "markdown")),
-    "mesh": (cmd_mesh, ("obj", "csv")),
-    "report": (cmd_report, ("json", "markdown")),
+    "residual": (cmd_residual, ("json",), frozenset("case fjet gjet".split()),
+                 "evaluate one closed-form minimality residual"),
+    "verify": (cmd_verify, ("json", "markdown"),
+               frozenset("family params branch all samples seed tolerance perturb".split()),
+               "verify classified solution families"),
+    "equivalence": (cmd_equivalence, ("json", "markdown"),
+                    frozenset("case all samples seed tolerance".split()),
+                    "check residual vs mean-curvature numerator"),
+    "ode-compare": (cmd_ode_compare, ("json", "markdown"), frozenset("step tolerance".split()),
+                    "RK4 trajectories against closed forms"),
+    "mesh": (cmd_mesh, ("obj", "csv"),
+             frozenset("family params branch nu nv u_range v_range".split()),
+             "export a surface mesh"),
+    "report": (cmd_report, ("json", "markdown"),
+               frozenset("all samples seed step perturb".split()), "full verification report"),
 }
 
 

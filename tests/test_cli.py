@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -340,9 +341,11 @@ def test_report_perturbed_fails(tmp_path):
 
 def test_run_config_round_trip():
     cfg = RunConfig(command="verify", family="F2_23", params={"c3": 0.5},
-                    branch="plus", samples=123, seed=9, u_range=[0.0, 0.5])
-    data = json.loads(json.dumps(cfg.to_dict()))
-    assert RunConfig.from_dict(data) == cfg
+                    branch="plus", samples=123, seed=9)
+    mesh = RunConfig(command="mesh", family="F2_23", u_range=[0.0, 0.5])
+    for config in (cfg, mesh):
+        data = json.loads(json.dumps(config.to_dict()))
+        assert RunConfig.from_dict(data) == config
     assert (cfg.format, RunConfig(command="mesh").format) == ("json", "obj")
 
 
@@ -428,6 +431,18 @@ def test_usage_errors_exit_one(argv):
     (["report", "--all"], {"family": "F2_23"}, "family"),
     # report always covers every family
     (["report", "--samples", "5"], None, "report covers every family; pass --all"),
+    # no command takes a setting it does not read
+    (["equivalence", "--all", "--samples", "10"], {"nu": 7}, "nu"),
+    (["ode-compare"], {"family": "F2_23"}, "family"),
+    (["ode-compare"], {"all": True}, "all"),
+    (["mesh", "--family", "F2_23"], {"tolerance": 1e-3}, "tolerance"),
+    # no verdict can meet a negative bound
+    (["verify", "--family", "F2_23", "--tolerance", "-1"], None, "tolerance"),
+    (["ode-compare", "--tolerance", "-1"], None, "tolerance"),
+    (["equivalence", "--case", "E_M_I"], {"tolerance": -1e-3}, "tolerance"),
+    # a config branch is checked against the same names as --branch
+    (["verify", "--family", "F2_39", "--samples", "5"], {"branch": "sideways"}, "branch"),
+    (["mesh", "--family", "F2_39"], {"branch": "sideways"}, "branch"),
 ])
 def test_bad_input_rejected_once(tmp_path, capsys, argv, config, field):
     # no vacuous pass, no traceback: RunConfig rejects the input with exit 1
@@ -438,6 +453,84 @@ def test_bad_input_rejected_once(tmp_path, capsys, argv, config, field):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("ssmin: error: ") and field in err
+
+
+@pytest.mark.parametrize("argv,advice", [
+    (["residual", "--fjet", "0,0,0", "--gjet", "0,0,0"], False),
+    (["mesh"], False),
+    (["verify"], True),
+    (["equivalence"], True),
+])
+def test_missing_selector_advises_all_only_where_taken(capsys, argv, advice):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "is required" in err and ("--all" in err) is advice
+
+
+def test_zero_tolerance_is_accepted(tmp_path):
+    # a bound of 0 is strict, not malformed: the run goes ahead and fails
+    code, text = run(tmp_path, "ode-compare", "--step", "0.01", "--tolerance", "0")
+    assert code == 2
+    assert json.loads(text)["config"]["tolerance"] == 0.0
+
+
+# A small run of each command, and a value other than the default for each
+# setting: every RunConfig field but command, format and output.
+_SMALL_RUNS = {
+    "residual": ["residual", "--case", "E_M_I", "--fjet", "0,0,0", "--gjet", "0,0,0"],
+    "verify": ["verify", "--family", "F2_39", "--samples", "3"],
+    "equivalence": ["equivalence", "--case", "L_M_I", "--samples", "3"],
+    "ode-compare": ["ode-compare", "--step", "0.01"],
+    "mesh": ["mesh", "--family", "F2_39", "--nu", "3", "--nv", "3"],
+    "report": ["report", "--all", "--samples", "3", "--step", "0.01"],
+}
+_PROBES = {
+    "family": "F2_51", "params": {"a_hat": 3.0}, "branch": "minus", "case": "E_NM_ALL",
+    "fjet": [0.0, 1.0, 0.0], "gjet": [0.0, 0.0, 1.0], "all": True, "samples": 4, "seed": 1,
+    "tolerance": 1e-3, "perturb": 0.01, "nu": 4, "nv": 4, "u_range": [-1.0, 1.0],
+    "v_range": [0.0, 1.0], "step": 0.02,
+}
+# The settings each command reads.  Written out rather than taken from the CLI,
+# so that a wrong entry in its command table fails the test either way.
+_READS = {
+    "residual": {"case", "fjet", "gjet"},
+    "verify": {"family", "params", "branch", "all", "samples", "seed", "tolerance", "perturb"},
+    "equivalence": {"case", "all", "samples", "seed", "tolerance"},
+    "ode-compare": {"step", "tolerance"},
+    "mesh": {"family", "params", "branch", "nu", "nv", "u_range", "v_range"},
+    "report": {"all", "samples", "seed", "step", "perturb"},
+}
+
+
+def test_every_accepted_setting_is_read(tmp_path, capsys):
+    # a setting either exits 1 naming it or changes the output: the payload
+    # without its config echo, or the whole output of mesh and residual
+    def outcome(argv, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = main([*argv, "--config", str(path)])
+        out, err = capsys.readouterr()
+        if out.startswith("{"):
+            out = json.loads(out)
+            out.pop("config", None)
+        return code, out, err
+
+    defaults = {f.name: f.default if f.default_factory is dataclasses.MISSING
+                else f.default_factory() for f in dataclasses.fields(RunConfig)}
+    assert set(_PROBES) == set(defaults) - {"command", "format", "output"}
+    read = set()
+    for command, argv in _SMALL_RUNS.items():
+        for name, value in _PROBES.items():
+            assert value != defaults[name]
+            # every family or case: the selectors go
+            probe = {name: value, "family": None, "case": None} if name == "all" else {name: value}
+            code, out, err = outcome(argv, probe)
+            if code == 1 and re.search(rf"\b{name}\b", err):
+                continue
+            assert (code, out) != outcome(argv, {name: defaults[name]})[:2], (command, name)
+            read.add((command, name))
+    assert {name for _, name in read} == set(_PROBES)  # no setting is dead
+    assert read == {(command, name) for command, names in _READS.items() for name in names}
 
 
 @pytest.mark.parametrize("argv,flag,value", [
