@@ -15,8 +15,9 @@ import re
 import sys
 import types
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 from . import __version__
 from .catalog import (
@@ -35,7 +36,7 @@ from .catalog import (
     verify_auto,
 )
 from .errors import DomainError, EmptyDomain, VerifierError
-from .jets import Interval, Jet2, Profile
+from .jets import Interval, Jet2
 from .pde import CaseId, EquivalenceRecord, equivalence_sweep, residual
 from .sampling import child_seed
 from .surface import immersion
@@ -120,6 +121,8 @@ class RunConfig:
             span = getattr(self, name)
             if span is not None and not (len(span) == 2 and span[0] < span[1]):
                 raise UsageError(f"{name} must be an increasing lo:hi, got {span!r}")
+            if span is not None and not math.isfinite(span[1] - span[0]):
+                raise UsageError(f"{name} must have a finite width hi - lo, got {span!r}")
         if not 0.0 < self.step < SHORTEST_ODE_SPAN:
             raise UsageError(f"step must lie in (0, {SHORTEST_ODE_SPAN:g}), the shortest "
                              f"reference ODE span; got {self.step!r}")
@@ -361,10 +364,6 @@ def cmd_ode_compare(cfg: RunConfig) -> int:
                          convergence=[_record(o) for o in orders])
 
 
-def _grid(lo: float, hi: float, n: int) -> list[float]:
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-
-
 def _mesh_box(axis: str, allowed: Interval, box: Interval,
               chosen: list[float] | None) -> Interval:
     if chosen is None:
@@ -378,32 +377,56 @@ def _mesh_box(axis: str, allowed: Interval, box: Interval,
     return Interval(lo, hi)
 
 
-def _tabulated(profile: Profile, xs: list[float]) -> Profile:
-    """The profile evaluated once at each grid line xs, served from that table."""
-    table = {x: profile.at(x) for x in xs}
-    return replace(profile, fn=table.__getitem__)
+def _grid(axis: str, box: Interval, n: int) -> list[float]:
+    """n evenly spaced grid lines from box.lo to box.hi."""
+    lo, hi = box.lo, box.hi
+    if not math.isfinite((hi - lo) * (n - 1)):
+        raise DomainError(f"{axis} range [{lo!r}, {hi!r}] is too wide for {n} grid lines: "
+                          f"(hi - lo) * {n - 1} overflows; narrow it with --{axis}-range")
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def _require_finite_heights(us: list[float], fs: list[float],
+                            vs: list[float], gs: list[float]) -> None:
+    """Raise at the first (u, v) whose height f(u) + g(v) overflows.  Every f(u)
+    and g(v) is finite, so a finite max|f| + max|g| bounds every sum."""
+    if math.isfinite(max(map(abs, fs)) + max(map(abs, gs))):
+        return
+    for u, fu in zip(us, fs):
+        for v, gv in zip(vs, gs):
+            if not math.isfinite(fu + gv):
+                raise DomainError(f"height f(u) + g(v) = {fu + gv!r} at u={u!r}, v={v!r}: "
+                                  f"f(u)={fu!r} and g(v)={gv!r} overflow when summed")
 
 
 def cmd_mesh(cfg: RunConfig) -> int:
+    """Each profile is evaluated, each grid coordinate formatted and each u line's
+    vertices joined once per grid line; per vertex only the height f(u) + g(v)
+    is summed and formatted."""
     built = build(_family_from_config(cfg))  # EmptyDomain propagates as a usage-level failure
     box_u, box_v = built.domain.sampling_box()
     box_u = _mesh_box("u", built.domain.u, box_u, cfg.u_range)
     box_v = _mesh_box("v", built.domain.v, box_v, cfg.v_range)
-    us = _grid(box_u.lo, box_u.hi, cfg.nu)
-    vs = _grid(box_v.lo, box_v.hi, cfg.nv)
-    surface = replace(built.surface, f=_tabulated(built.surface.f, us),
-                      g=_tabulated(built.surface.g, vs))
-    points = ((u, v, immersion(surface, u, v)) for u in us for v in vs)
-    if cfg.format == "csv":
-        lines = ["u,v,x,y,z"] + [f"{u:.17g},{v:.17g},{pt.c1:.17g},{pt.c2:.17g},{pt.c3:.17g}"
-                                 for u, v, pt in points]
-    else:
-        lines = [f"v {pt.c1:.17g} {pt.c2:.17g} {pt.c3:.17g}" for _, _, pt in points]
+    us = _grid("u", box_u, cfg.nu)
+    vs = _grid("v", box_v, cfg.nv)
+    fs = [built.surface.f.at(u).v for u in us]
+    gs = [built.surface.g.at(v).v for v in vs]
+    _require_finite_heights(us, fs, vs, gs)
+    v_text = [f"{v:.17g}" for v in vs]
+    csv = cfg.format == "csv"
+    sep = "," if csv else " "
+    chunks = ["u,v,x,y,z"] if csv else []
+    for u_text, fu in zip([f"{u:.17g}" for u in us], fs):
+        u_column = [u_text] * cfg.nv
+        xyz = immersion(built.surface.ttype, u_column, v_text, [f"{fu + g:.17g}" for g in gs])
+        fields = zip(u_column, v_text, *xyz) if csv else zip(repeat("v"), *xyz)
+        chunks.append("\n".join(map(sep.join, fields)))
+    if not csv:
         for i in range(cfg.nu - 1):
             for j in range(cfg.nv - 1):
                 base = i * cfg.nv + j + 1
-                lines.append(f"f {base} {base + 1} {base + cfg.nv + 1} {base + cfg.nv}")
-    _emit("\n".join(lines) + "\n", cfg)
+                chunks.append(f"f {base} {base + 1} {base + cfg.nv + 1} {base + cfg.nv}")
+    _emit("\n".join(chunks) + "\n", cfg)
     return 0
 
 

@@ -133,11 +133,11 @@ def first_fundamental_from_jets(ttype: TranslationType, space: AmbientSpace,
     return first
 
 
-def immersion(surface: TranslationSurface, u: float, v: float) -> Vec3:
-    """Ambient coordinates of the surface point at (u, v)."""
-    h = surface.f.at(u).v + surface.g.at(v).v
-    if surface.ttype is TranslationType.I:
-        return Vec3(u, v, h)
-    if surface.ttype is TranslationType.II:
-        return Vec3(u, h, v)
-    return Vec3(h, u, v)
+def immersion(ttype: TranslationType, u, v, h):
+    """Ambient coordinates in the slot order of the type, h = f(u) + g(v) being the
+    height.  u, v and h may be numbers or whole columns alike, such as text."""
+    if ttype is TranslationType.I:
+        return u, v, h
+    if ttype is TranslationType.II:
+        return u, h, v
+    return h, u, v

@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import ssmin
 from ssmin import cli
-from ssmin.catalog import ConvergenceRecord, FamilyReport, OdeComparisonRecord, build
+from ssmin.catalog import (ConvergenceRecord, FamilyId, FamilyReport, OdeComparisonRecord,
+                           build)
 from ssmin.cli import RunConfig, main
 from ssmin.pde import EquivalenceRecord
 
@@ -246,6 +247,35 @@ def test_mesh_range_crossing_singularity(capsys):
     assert "suggested" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    # f(u) and g(v) are finite, but at u = v = -3 their sum is -inf
+    (["mesh", "--family", "F2_50", "--c0", "5e307", "--c1", "5e307", "--format", "csv"],
+     "ssmin: DomainError: height f(u) + g(v) = -inf at u=-3.0, v=-3.0"),
+    # the admissible box of F2_51 at a tiny c is finite, but too wide to space 64 lines
+    (["mesh", "--family", "F2_51", "--c", "1e-308"],
+     "ssmin: DomainError: u range [-1.520837931072954e+308, 1.520837931072954e+308] "
+     "is too wide for 64 grid lines"),
+    (["mesh", "--family", "F2_50", "--v-range", "-5e307:5e307", "--nv", "3"],
+     "ssmin: DomainError: v range [-5e+307, 5e+307] is too wide for 3 grid lines"),
+])
+def test_mesh_overflow_is_a_domain_error(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and "nan" not in captured.err
+    assert captured.out == ""
+
+
+def test_mesh_large_heights_that_sum_finitely(tmp_path):
+    # max|f| + max|g| overflows, yet f >= 5e307 and g <= -5e307 here, so no sum does
+    code, text = run(tmp_path, "mesh", "--family", "F2_50", "--c0", "5e307", "--c1", "-5e307",
+                     "--u-range", "1:3", "--v-range", "1:3", "--nu", "3", "--nv", "3",
+                     "--format", "csv", name="m.csv")
+    assert code == 0
+    rows = [[float(x) for x in line.split(",")] for line in text.splitlines()[1:]]
+    assert len(rows) == 9 and all(math.isfinite(x) for row in rows for x in row)
+    assert [row[4] for row in rows[:3]] == [5e307 + g for g in (-5e307, -1e308, -1.5e308)]
+
+
 def test_mesh_empty_domain_family(capsys):
     code = main(["mesh", "--family", "F3_10", "--format", "obj"])
     assert code == 1
@@ -319,6 +349,62 @@ def test_output_is_byte_identical(capsys, argv, exit_code, digest):
     assert main(argv) == exit_code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of json [exit code, stdout, stderr] of mesh for every family: csv at the
+# default 64x64, then obj at 2x7.  Four families have no spacelike points, so both
+# of their commands give the same EmptyDomain error.
+_MESH_SHA256 = {
+    "F2_23": ("93e2c45c8b3327df01272801a452922d07b3f9f6446bf625490bbd057d44ef42",
+              "237c8c63ffef91d6dfe26b5ee99e9cbe39ae1a72f276d3c084a688a9f5bcc3b4"),
+    "F2_24": ("16ca9e45cc30592940b730321a5a35f8e135f44696cb0e410ec194cd4c4dc1c1",
+              "003df128fecb39dc3271f34a3ab66fbfc226fd8165e1357a3efecc84c106a071"),
+    "F2_35": ("60179b2b196fe3daa26d5b7d16db0c528e812c49a6bacd702565253a301c390d",
+              "b020b414080a72a7537c37fe72bbbe3cdc183cb0cd3b708b6a935de056fb3510"),
+    "F2_39": ("536f751193df10787577f8e00d7d93a9d5e7046c1ae49690f7108cc42d5ed0ef",
+              "64a7ca7644c3d663da7b15b68f009e2f535856edc016f5131122a46fc7c758b3"),
+    "F2_40": ("b810a2c170f9b86078b56a9c9626b9b2778bf21893aec555f610e32436ef1b4f",
+              "3afe538014cbd37fd3b036b90bcf93c73e321e2fe9857e248d47886fe8bc64aa"),
+    "F2_50": ("81e9376b4e2f51441ed8345be6a7a53cb31f29a934c6fe1239a7123af2c0379c",
+              "e3afceaa7d9591dda3e59eb101a2522e59ffbf0ccad891290f4f28503bdc5672"),
+    "F2_51": ("5a323e3a5b910adc6ff5e9e85927415127c41bf07026535c9d627ac6585dd87b",
+              "964a57b19d46b97d47ed0319f0a34ca04b16573dc02def1baa28e137293f1556"),
+    "F3_10": ("33ded9dcc0a7ed04abdf73b65c4506231db4a425141f1fab62fefb8d897f43af",
+              "33ded9dcc0a7ed04abdf73b65c4506231db4a425141f1fab62fefb8d897f43af"),
+    "F3_12": ("4cc751f473c9271dec725a6bbbc7d6c6aed9d40fccf9503205ee2f034e8cda04",
+              "1ff4e595bb28a00733f464bf2b7e96d7ee9b3370962752e3c4264bb1c9639707"),
+    "F3_13": ("c999c236b9c118f407ebc5815e4db962ef2459182b78c0c52b4a2e550653c145",
+              "c999c236b9c118f407ebc5815e4db962ef2459182b78c0c52b4a2e550653c145"),
+    "F3_14": ("a953d2e0a388da0de1ead4b966d6191d5a3a8539b5668f953118348132954afc",
+              "a91ce401b887f39e102be86f6df317755eddf508d048de05bef5b548b9fe4def"),
+    "F3_25": ("8ab63a716922fc6f95c6c406e0f14021e22b1dd32799ab8188c92ac37dc9a95a",
+              "8ab63a716922fc6f95c6c406e0f14021e22b1dd32799ab8188c92ac37dc9a95a"),
+    "F3_27": ("1e8fb7ca8cc204c7cb22734909900a5243aede827671978fd35f0ada19a0cfb7",
+              "b3ce8e881632d039a62b1ca868b5be3fee2b2afe9b3a866f623def5551499a2e"),
+    "F3_30": ("bd99c76fe2200a3637879cca1b28ff3dace28c52d4c9881ec8d8ffbc5d96b848",
+              "8b1a338049b4ebff157a78547b220f80ea84d4fb6bcc2a79a231a0b5c506dcb7"),
+    "F3_31": ("62de86fa6b21f8481b9284ee7035263c65d40182efe2bd0d4fc4644e58bda642",
+              "62de86fa6b21f8481b9284ee7035263c65d40182efe2bd0d4fc4644e58bda642"),
+    "F3_36": ("4bbbd473271c1466d7a8ecd59fc66171241d1e1dba994ddc1fe254c85239b75a",
+              "41ba27e982ffa7dbe28cedb795788d2d233e4e00bdbf00da03c018faf5e78658"),
+    "F3_38": ("1a7be6eb24bbe8f94543608cca6d8ae2d555ebbfb502e8613702c65c8b8eb0e9",
+              "8f061dc49b36ca10623cc752ce578e09e456a386fc3005f201ac3271270ae71f"),
+    "F3_41": ("5f4fec1c90fca343ffa3e8aae0691a08b129387f7c972e457e210f8c34770279",
+              "565e088e9acfa3ce364d45d274a205b735c663ef6c354469af6ba5943520afca"),
+    "F3_43": ("c88d047811394a84e71cf6f28e8f1fce592e834969884f0a270175a05f8b7cc7",
+              "fb4da0e796a90c3c35dca45b6aca7a43961072ca380fc1d3349b47cb55bdba3a"),
+}
+
+
+@pytest.mark.parametrize("family", list(FamilyId), ids=lambda fid: fid.value)
+def test_mesh_of_every_family_is_byte_identical(capsys, family):
+    digests = []
+    for extra in (["--format", "csv"], ["--format", "obj", "--nu", "2", "--nv", "7"]):
+        code = main(["mesh", "--family", family.value, *extra])
+        captured = capsys.readouterr()
+        blob = json.dumps([code, captured.out, captured.err])
+        digests.append(hashlib.sha256(blob.encode("utf-8")).hexdigest())
+    assert tuple(digests) == _MESH_SHA256[family.value]
 
 
 def test_report_markdown_structure(tmp_path):
@@ -403,6 +489,9 @@ def test_usage_errors_exit_one(argv):
     (["residual", "--case", "E_M_I", "--fjet", "0,0,0"], {"gjet": [0.0] * 4}, "gjet"),
     (["mesh", "--family", "F2_23"], {"u_range": [1.0, 0.0]}, "u_range"),
     (["mesh", "--family", "F2_23"], {"v_range": [0.0]}, "v_range"),
+    # hi - lo overflows, so the grid could not be spaced
+    (["mesh", "--family", "F2_50", "--u-range", "-1e308:1e308"], None, "u_range"),
+    (["mesh", "--family", "F2_50"], {"v_range": [-1e308, 1e308]}, "v_range"),
     (["ode-compare", "--step", "1e9"], None, "step"),
     (["ode-compare", "--step", "0"], None, "step"),
     (["report", "--all", "--step", "0.4"], None, "step"),

@@ -36,7 +36,29 @@ def test_flat_plane_frame_euclidean():
     assert fr.Fu == Vec3(1, 0, 0) and fr.Fv == Vec3(0, 1, 0)
     assert fr.N == Vec3(0, 0, 1)
     assert fr.normalizer == 1.0
-    assert immersion(surface, 0.3, -0.7) == Vec3(0.3, -0.7, 0.0)
+    height = surface.f.at(0.3).v + surface.g.at(-0.7).v
+    assert immersion(surface.ttype, 0.3, -0.7, height) == (0.3, -0.7, 0.0)
+
+
+@pytest.mark.parametrize("ttype,slots", [
+    (TranslationType.I, "uvh"), (TranslationType.II, "uhv"), (TranslationType.III, "huv"),
+])
+def test_immersion_places_the_height_in_its_type_slot(ttype, slots):
+    point = {"u": 0.25, "v": -1.5, "h": 3.0}
+    assert immersion(ttype, point["u"], point["v"], point["h"]) == tuple(point[s] for s in slots)
+    # mesh output passes whole columns of text through the same slot order
+    columns = {"u": ["0.25", "0.25"], "v": ["-1.5", "2"], "h": ["3", "-4"]}
+    assert (immersion(ttype, columns["u"], columns["v"], columns["h"])
+            == tuple(columns[s] for s in slots))
+    # the u and v steps of the placed point are the frame's tangents
+    f, g = affine_profile(2.0, 0.5), affine_profile(-3.0, 1.0)
+
+    def placed(u, v):
+        return Vec3(*immersion(ttype, u, v, f.at(u).v + g.at(v).v))
+
+    fr = frame_from_jets(ttype, _space(E), f.at(0.0), g.at(0.0))
+    assert placed(1.0, 0.0) - placed(0.0, 0.0) == fr.Fu
+    assert placed(0.0, 1.0) - placed(0.0, 0.0) == fr.Fv
 
 
 def test_flat_plane_frame_lorentzian():
