@@ -36,8 +36,8 @@ from .jets import (
     profile_quadrature,
 )
 from .ode import OdeCase, OdeId, compare_profile, integrate
-from .pde import CASE_SPACE, CaseId, residual
-from .sampling import SplitMix64, _worse
+from .pde import CASE_SPACE, CaseId, _residual_of
+from .sampling import SplitMix64
 from .surface import TranslationSurface, TranslationType
 
 # Admissible boxes keep this much distance (in u or v) from closed-form
@@ -686,7 +686,9 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
 
     The mode is full where the family has spacelike points and f is not
     perturbed; empty-domain families and the perturbed negative control are
-    checked on the PDE residual alone.
+    checked on the PDE residual alone.  Each sample draws u then v and
+    evaluates f then g by inlining `Profile.at(u, value=False)`: a failed
+    domain or finiteness test raises the profile's `error_at`.
     """
     if n_samples < 1:
         raise VerifierError(f"n_samples must be >= 1, got {n_samples}")
@@ -696,17 +698,37 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
     box_u, box_v = _residual_box(built)
     surface = built.surface
     f = perturb_profile(surface.f, perturb) if perturb else surface.f
+    g = surface.g
     ttype, sig, kind = surface.ttype, surface.space.signature, surface.space.connection
-    rng = SplitMix64(rng_seed)
+    f_lo, f_hi, f_eval, f_whole = f.slope_evaluator()
+    g_lo, g_hi, g_eval, g_whole = g.slope_evaluator()
+    kernel, res_fn, isfinite = _curvature_kernel, _residual_of(built.case), math.isfinite
+    draw = SplitMix64(rng_seed).uniform
+    u_lo, u_hi, v_lo, v_hi = box_u.lo, box_u.hi, box_v.lo, box_v.hi
     worst_num = worst_res = 0.0
     for _ in range(n_samples):
-        u = rng.uniform(box_u.lo, box_u.hi)
-        v = rng.uniform(box_v.lo, box_v.hi)
-        fj, gj = f.at(u, value=False), surface.g.at(v, value=False)
+        u = draw(u_lo, u_hi)
+        v = draw(v_lo, v_hi)
+        if not (f_lo <= u <= f_hi and isfinite(u)):
+            raise f.error_at(u)
+        fj = f_eval(u)
+        f1, f2 = fj.d1, fj.d2
+        if not (isfinite(f1) and isfinite(f2) and (not f_whole or isfinite(fj.v))):
+            raise f.error_at(u)
+        if not (g_lo <= v <= g_hi and isfinite(v)):
+            raise g.error_at(v)
+        gj = g_eval(v)
+        g1, g2 = gj.d1, gj.d2
+        if not (isfinite(g1) and isfinite(g2) and (not g_whole or isfinite(gj.v))):
+            raise g.error_at(v)
+        # running worsts as `_worse` folds them: a NaN sample sticks
         if full:
-            numerator = _curvature_kernel(ttype, sig, kind, fj.d1, fj.d2, gj.d1, gj.d2)[-1]
-            worst_num = _worse(worst_num, abs(numerator))
-        worst_res = _worse(worst_res, abs(residual(built.case, fj, gj)))
+            err = abs(kernel(ttype, sig, kind, f1, f2, g1, g2)[-1])
+            if err > worst_num or err != err:
+                worst_num = err
+        err = abs(res_fn(f1, f2, g1, g2))
+        if err > worst_res or err != err:
+            worst_res = err
     return FamilyReport(
         fam.family_id.value, fam.branch.value, fam.param_dict, n_samples,
         "full" if full else "residual-only", worst_num if full else None, worst_res, tol,

@@ -47,10 +47,19 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, command: str | None = None, **kwargs):
         super().__init__(*args, **kwargs)
         # "-0.5:0.5", "-1,0,0" and "-1e-3" are flag values, not unknown options
         self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # a command's flags are added when its parser first parses, which argparse
+        # does only for the invoked command, `<command> --help` included
+        self._unflagged = command
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._unflagged is not None:
+            _add_flags(self, self._unflagged)
+            self._unflagged = None
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):  # argparse default exits with code 2
         raise UsageError(message)
@@ -203,26 +212,31 @@ _FLAGS = {
 
 
 def _build_parser() -> _Parser:
-    """Each command takes the flags of the settings it reads.  Flags left unset
-    stay None, so RunConfig's own defaults apply to them."""
+    """Each command takes the flags of the settings it reads, added by `_add_flags`
+    once its parser parses.  Flags left unset stay None, so RunConfig's own
+    defaults apply to them."""
     parser = _Parser(prog="ssmin", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ssmin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, formats, reads, help) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help)
-        p.add_argument("--config", help="JSON config file; overrides flags")
-        p.add_argument("--format", choices=formats)
-        p.add_argument("--output")
-        for name in _SETTINGS:
-            if name == "params" and name in reads:
-                for param in _PARAM_FLAGS:
-                    p.add_argument(f"--{param.replace('_', '-')}", dest=f"param_{param}",
-                                   type=float)
-            elif name in reads:
-                p.add_argument(f"--{name.replace('_', '-')}", **_FLAGS[name])
-        if command == "equivalence":
-            p.set_defaults(samples=1000)
+    for command, (_, _, _, help) in _COMMANDS.items():
+        sub.add_parser(command, help=help, command=command)
     return parser
+
+
+def _add_flags(p: _Parser, command: str) -> None:
+    _, formats, reads, _ = _COMMANDS[command]
+    p.add_argument("--config", help="JSON config file; overrides flags")
+    p.add_argument("--format", choices=formats)
+    p.add_argument("--output")
+    for name in _SETTINGS:
+        if name == "params" and name in reads:
+            for param in _PARAM_FLAGS:
+                p.add_argument(f"--{param.replace('_', '-')}", dest=f"param_{param}",
+                               type=float)
+        elif name in reads:
+            p.add_argument(f"--{name.replace('_', '-')}", **_FLAGS[name])
+    if command == "equivalence":
+        p.set_defaults(samples=1000)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -422,10 +436,10 @@ def cmd_mesh(cfg: RunConfig) -> int:
         fields = zip(u_column, v_text, *xyz) if csv else zip(repeat("v"), *xyz)
         chunks.append("\n".join(map(sep.join, fields)))
     if not csv:
-        for i in range(cfg.nu - 1):
-            for j in range(cfg.nv - 1):
-                base = i * cfg.nv + j + 1
-                chunks.append(f"f {base} {base + 1} {base + cfg.nv + 1} {base + cfg.nv}")
+        nv = cfg.nv
+        for row in range(1, (cfg.nu - 1) * nv, nv):  # the 1-based first vertex of each u line
+            chunks.append("\n".join(f"f {b} {b + 1} {b + nv + 1} {b + nv}"
+                                     for b in range(row, row + nv - 1)))
     _emit("\n".join(chunks) + "\n", cfg)
     return 0
 

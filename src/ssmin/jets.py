@@ -1,9 +1,10 @@
 """Second-order jets and profile functions.
 
 A Jet2 records (value, first derivative, second derivative) of a scalar
-function of one variable at a point.  A Profile wraps a jet-valued evaluator
-together with an explicit domain; evaluation outside the domain raises, it
-never returns NaN.
+function of one variable at a point.  It is a named tuple, which is cheap to
+build and immutable, and so compares equal to a plain tuple of its values.  A
+Profile wraps a jet-valued evaluator together with an explicit domain;
+evaluation outside the domain raises, it never returns NaN.
 
 Closed-form profiles are scalar kernels.  Each performs the floating-point
 operations of its forward-mode jet composition (Leibniz and chain rules
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, QuadratureFailure
 
@@ -33,8 +34,7 @@ SINGULARITY_GUARD = 1e-6
 _MIN_NORMAL = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(NamedTuple):
     v: float
     d1: float = 0.0
     d2: float = 0.0
@@ -99,9 +99,7 @@ class Profile:
     def at(self, u: float, value: bool = True) -> Jet2:
         """The jet at u; with value=False only d1 and d2 are promised."""
         if not (self.domain.contains(u) and math.isfinite(u)):
-            raise DomainError(
-                f"{self.label}: u={u!r} outside domain [{self.domain.lo!r}, {self.domain.hi!r}]"
-            )
+            raise self.error_at(u)
         if value or self.slopes is None:
             jet = self.fn(u)
             finite = jet.is_finite()
@@ -109,8 +107,30 @@ class Profile:
             jet = self.slopes(u)
             finite = math.isfinite(jet.d1) and math.isfinite(jet.d2)
         if not finite:
-            raise DomainError(f"{self.label}: non-finite jet at u={u!r}")
+            raise self.error_at(u)
         return jet
+
+    def slope_evaluator(self) -> tuple[float, float, Callable[[float], Jet2], bool]:
+        """What `at(u, value=False)` reads, for a loop that inlines its tests.
+
+        Returns the domain's bounds lo and hi, the evaluator, and whether the
+        jet's value must be finite too (it must where the evaluator is `fn`).
+        The loop tests `lo <= u <= hi` and `isfinite(u)` before it evaluates and
+        the jet's finiteness after, and raises `error_at(u)` where a test fails.
+        """
+        return self.domain.lo, self.domain.hi, self.slopes or self.fn, self.slopes is None
+
+    def error_at(self, u: float) -> DomainError:
+        """The error `at` raises at u: u outside the domain, else a non-finite jet.
+
+        Loops that inline the tests of `at` raise this, so the message has one
+        source and a failed evaluation is not repeated.
+        """
+        if not (self.domain.contains(u) and math.isfinite(u)):
+            return DomainError(
+                f"{self.label}: u={u!r} outside domain [{self.domain.lo!r}, {self.domain.hi!r}]"
+            )
+        return DomainError(f"{self.label}: non-finite jet at u={u!r}")
 
 
 def affine_profile(slope: float, intercept: float) -> Profile:

@@ -16,7 +16,6 @@ from typing import Callable
 
 from .errors import BlowUp, DomainMismatch, InvalidStep, UnknownCase
 from .jets import Profile
-from .sampling import _worse
 
 BLOWUP_THRESHOLD = 1e12
 
@@ -160,14 +159,27 @@ def integrate(case: OdeCase, y0: float, t_span: tuple[float, float],
 
 
 def compare_profile(numeric: Trajectory, analytic: Profile) -> float:
-    """Sup-norm gap between trajectory h-values and the profile's first derivative."""
+    """Sup-norm gap between trajectory h-values and the profile's first derivative.
+
+    Each node is evaluated by inlining `analytic.at(t, value=False)`: a node
+    outside the domain is a DomainMismatch, and any other failed test raises
+    the profile's `error_at`.
+    """
+    lo, hi, evaluate, whole = analytic.slope_evaluator()
+    isfinite = math.isfinite
     worst = 0.0
     for t, h in numeric.nodes:
-        if not analytic.domain.contains(t):
+        if not lo <= t <= hi:
             raise DomainMismatch(
-                f"trajectory node t={t!r} outside profile domain "
-                f"[{analytic.domain.lo!r}, {analytic.domain.hi!r}]"
+                f"trajectory node t={t!r} outside profile domain [{lo!r}, {hi!r}]"
             )
-        worst = _worse(worst, abs(h - analytic.at(t, value=False).d1))
+        if not isfinite(t):
+            raise analytic.error_at(t)
+        jet = evaluate(t)
+        d1 = jet.d1
+        if not (isfinite(d1) and isfinite(jet.d2) and (not whole or isfinite(jet.v))):
+            raise analytic.error_at(t)
+        err = abs(h - d1)
+        if err > worst or err != err:  # as `_worse` folds it: a NaN sample sticks
+            worst = err
     return worst
-

@@ -87,12 +87,17 @@ _RESIDUALS: dict[CaseId, Callable[[float, float, float, float], float]] = {
 }
 
 
-def residual(case: CaseId, fj: Jet2, gj: Jet2) -> float:
-    """Closed-form minimality residual; zero exactly on minimal surfaces."""
+def _residual_of(case: CaseId) -> Callable[[float, float, float, float], float]:
+    """The residual of a case as a function of (f', f'', g', g''); UnknownCase if none."""
     fn = _RESIDUALS.get(case)
     if fn is None:
         raise UnknownCase(repr(case))
-    return fn(fj.d1, fj.d2, gj.d1, gj.d2)
+    return fn
+
+
+def residual(case: CaseId, fj: Jet2, gj: Jet2) -> float:
+    """Closed-form minimality residual; zero exactly on minimal surfaces."""
+    return _residual_of(case)(fj.d1, fj.d2, gj.d1, gj.d2)
 
 
 # Sign of lambda in lambda * numerator = residual.  The sign flips between

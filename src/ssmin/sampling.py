@@ -3,7 +3,7 @@
 Reports and property sweeps must be byte-identical across runs and platforms,
 so sampling is built on splitmix64 (pure 64-bit integer arithmetic) instead of
 a platform RNG.  Every consumer derives child streams from an explicit seed.
-Sampled checks fold their per-sample errors with `_worse`.
+Sampled checks fold their per-sample errors as `_worse` does.
 
 The stream is computed `_BLOCK` draws at a time: successive states sit side
 by side in one Python int, one 128-bit lane each, so every mixing step is a

@@ -1,6 +1,7 @@
 """Test-side oracles: scalar splitmix64, forward-mode jet arithmetic,
 least-squares separation and substitution fits, an RK4-backed profile, the
-pointwise reduced-ODE check of a family, and the per-sample equivalence sweep.
+pointwise reduced-ODE check of a family, the per-sample equivalence sweep, and
+the family check and RK4 comparison by way of `Profile.at`.
 
 No command runs these; the tests use them as checks that do not share the
 code path they verify.  The jet arithmetic is the reference the closed-form
@@ -8,8 +9,11 @@ profile kernels of `ssmin.jets` must equal, the scalar splitmix64 (one draw
 per integer pass) is the reference the block stream of `ssmin.sampling` must
 equal, and the per-sample sweep (scalar draws, one `Jet2` pair and one
 `residual` call per sample) is the reference the flat
-`ssmin.pde.equivalence_sweep` must equal.  The least-squares fits use numpy,
-which the package itself does not import.
+`ssmin.pde.equivalence_sweep` must equal.  The family check and the RK4
+comparison that call `Profile.at` per sample and `residual` per sample are the
+references the flat `ssmin.catalog.verify_auto` and `ssmin.ode.compare_profile`
+must equal, errors included.  The least-squares fits use numpy, which the
+package itself does not import.
 """
 
 from __future__ import annotations
@@ -21,17 +25,33 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ssmin.ambient import Signature
-from ssmin.catalog import SolutionFamily, _assemble, _residual_box
+from ssmin.catalog import (
+    FamilyReport,
+    SolutionFamily,
+    _assemble,
+    _residual_box,
+    perturb_profile,
+)
 from ssmin.curvature import _curvature_kernel
 from ssmin.errors import (
     BlowUp,
     DomainError,
+    DomainMismatch,
     IllConditionedFit,
     InvalidStep,
     UnknownCase,
+    VerifierError,
 )
 from ssmin.jets import Interval, Jet2, Profile
-from ssmin.ode import BLOWUP_THRESHOLD, OdeCase, OdeId, _check_span_step, _rk4_step, integrate
+from ssmin.ode import (
+    BLOWUP_THRESHOLD,
+    OdeCase,
+    OdeId,
+    Trajectory,
+    _check_span_step,
+    _rk4_step,
+    integrate,
+)
 from ssmin.pde import (
     CASE_SPACE,
     EQUIVALENCE_TOLERANCE,
@@ -338,3 +358,47 @@ def reference_equivalence_sweep(case: CaseId, n_samples: int, seed: int,
     tol = tolerance if tolerance is not None else EQUIVALENCE_TOLERANCE
     return EquivalenceRecord(case, n_samples, attempts, accepted / attempts, worst,
                              tol, worst <= tol)
+
+
+def reference_verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
+                          tolerance: float | None = None,
+                          perturb: float = 0.0) -> FamilyReport:
+    """`verify_auto` one `Profile.at` pair, one `_curvature_kernel` call in full
+    mode and one `residual` call per sample."""
+    if n_samples < 1:
+        raise VerifierError(f"n_samples must be >= 1, got {n_samples}")
+    built = _assemble(fam)
+    full = built.domain is not None and not perturb
+    tol = tolerance if tolerance is not None else built.tolerance
+    box_u, box_v = _residual_box(built)
+    surface = built.surface
+    f = perturb_profile(surface.f, perturb) if perturb else surface.f
+    ttype, sig, kind = surface.ttype, surface.space.signature, surface.space.connection
+    rng = SplitMix64(rng_seed)
+    worst_num = worst_res = 0.0
+    for _ in range(n_samples):
+        u = rng.uniform(box_u.lo, box_u.hi)
+        v = rng.uniform(box_v.lo, box_v.hi)
+        fj, gj = f.at(u, value=False), surface.g.at(v, value=False)
+        if full:
+            numerator = _curvature_kernel(ttype, sig, kind, fj.d1, fj.d2, gj.d1, gj.d2)[-1]
+            worst_num = _worse(worst_num, abs(numerator))
+        worst_res = _worse(worst_res, abs(residual(built.case, fj, gj)))
+    return FamilyReport(
+        fam.family_id.value, fam.branch.value, fam.param_dict, n_samples,
+        "full" if full else "residual-only", worst_num if full else None, worst_res, tol,
+        worst_res <= tol and (not full or worst_num <= tol), built.empty_reason,
+    )
+
+
+def reference_compare_profile(numeric: Trajectory, analytic: Profile) -> float:
+    """`compare_profile` one `Profile.at` call per trajectory node."""
+    worst = 0.0
+    for t, h in numeric.nodes:
+        if not analytic.domain.contains(t):
+            raise DomainMismatch(
+                f"trajectory node t={t!r} outside profile domain "
+                f"[{analytic.domain.lo!r}, {analytic.domain.hi!r}]"
+            )
+        worst = _worse(worst, abs(h - analytic.at(t, value=False).d1))
+    return worst

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -18,11 +19,17 @@ from ssmin.catalog import (
     make_family,
     verify_auto,
 )
-from ssmin.errors import DomainError, EmptyDomain, ParameterConstraintViolation, VerifierError
+from ssmin.errors import (DomainError, DomainMismatch, EmptyDomain,
+                          ParameterConstraintViolation, UnknownCase, VerifierError)
 from ssmin.cli import _record, _sweeps
+from ssmin.jets import Interval, Jet2, affine_profile
+from ssmin.ode import Trajectory, compare_profile, integrate
 from ssmin.pde import CaseId, equivalence_sweep, residual
 from ssmin.sampling import _worse
 from ssmin.surface import TranslationType
+
+import oracles
+from oracles import reference_compare_profile, reference_verify_auto
 
 
 def test_scherk_type_build_example():
@@ -311,11 +318,17 @@ def test_nan_residual_sample_fails_the_record(monkeypatch):
                       (make_family(FamilyId.F3_10), "residual-only")):
         report = verify_auto(fam, 20, 7)
         assert report.verdict and report.mode == mode
+        # the check reads the case's residual from the table once per record
+        case = _assemble(fam).case
         with monkeypatch.context() as mp:
-            mp.setattr(catalog, "residual", _nan_at(residual, 5))
+            mp.setitem(pde._RESIDUALS, case, _nan_at(pde._RESIDUALS[case], 5))
             report = verify_auto(fam, 20, 7)
         assert math.isnan(report.max_abs_residual)
         assert report.verdict is False
+        with monkeypatch.context() as mp:
+            mp.delitem(pde._RESIDUALS, case)
+            with pytest.raises(UnknownCase):
+                verify_auto(fam, 20, 7)
 
 
 def test_nan_numerator_sample_fails_the_record(monkeypatch):
@@ -332,3 +345,112 @@ def test_nan_numerator_sample_fails_the_record(monkeypatch):
     monkeypatch.setattr(pde, "_curvature_kernel", _nan_at(kernel, 5, _nan_numerator))
     [record] = [_record(r) for r in _sweeps([CaseId.E_NM_ALL], 20, 7, 1e-10)]
     assert record["verdict"] == "fail"
+
+
+def test_flat_check_equals_its_per_sample_oracle():
+    # same draws, same evaluations, same arithmetic: the whole report is equal
+    for fam in all_default_settings():
+        for perturb in (0.0, 0.01):
+            for seed in (0, 2718, 2**64 - 1):
+                for n_samples in (1, 7, 200):
+                    assert (verify_auto(fam, n_samples, seed, perturb=perturb)
+                            == reference_verify_auto(fam, n_samples, seed, perturb=perturb))
+
+
+def _faulty_d1(jet):
+    return Jet2(jet.v, math.inf, jet.d2)
+
+
+def _nan_value(jet):
+    return Jet2(math.nan, jet.d1, jet.d2)
+
+
+def _patched(profile, fault, box):
+    """`profile` whose evaluator for `at(u, value=False)` passes its sixth jet
+    through `fault`, or where fault is None, `profile` on only the lower half
+    of the box it is sampled on."""
+    if fault is None:
+        return replace(profile, domain=Interval(box.lo, box.midpoint))
+    attr = "slopes" if profile.quadrature else "fn"
+    return replace(profile, **{attr: _nan_at(getattr(profile, attr), 5, fault)})
+
+
+def _raised(check, *args):
+    with pytest.raises(VerifierError) as info:
+        check(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("family,which,fault,message", [
+    # F3_12 has a quadrature f (`slopes`) and a closed-form g (`fn`), F2_39 the reverse
+    (FamilyId.F3_12, "f", _faulty_d1, "non-finite jet"),
+    (FamilyId.F3_12, "g", _faulty_d1, "non-finite jet"),
+    (FamilyId.F2_39, "f", _faulty_d1, "non-finite jet"),
+    (FamilyId.F2_39, "g", _faulty_d1, "non-finite jet"),
+    # a closed form's value must be finite although the check reads only d1 and d2
+    (FamilyId.F2_39, "f", _nan_value, "non-finite jet"),
+    (FamilyId.F3_12, "g", _nan_value, "non-finite jet"),
+    (FamilyId.F3_12, "f", None, "outside domain"),
+    (FamilyId.F2_39, "g", None, "outside domain"),
+])
+def test_flat_check_raises_as_its_oracle(monkeypatch, family, which, fault, message):
+    assemble = catalog._assemble
+
+    def patched(fam):
+        # a fresh patched profile per assembly, so each check counts its own calls
+        built = assemble(fam)
+        box = built.domain.sampling_box()["fg".index(which)]
+        profile = _patched(getattr(built.surface, which), fault, box)
+        return replace(built, surface=replace(built.surface, **{which: profile}))
+
+    monkeypatch.setattr(catalog, "_assemble", patched)
+    monkeypatch.setattr(oracles, "_assemble", patched)
+    fam = make_family(family)
+    raised = _raised(verify_auto, fam, 20, 7)
+    assert raised == _raised(reference_verify_auto, fam, 20, 7)
+    assert raised[0] is DomainError and f"{family.value}.{which}: " in raised[1]
+    assert message in raised[1]
+
+
+def _reference_run(fid, which, span):
+    """The profile and reduced ODE of an RK4 reference run, and the ODE's h0."""
+    built = build(make_family(fid))
+    profile = getattr(built.surface, which)
+    case = next(c for c, w in built.ode_checks if w == which)
+    return profile, case, profile.at(span[0], value=False).d1
+
+
+def test_flat_comparison_equals_its_per_node_oracle():
+    for fid, which, span in catalog._ODE_REFERENCE_RUNS:
+        profile, case, h0 = _reference_run(fid, which, span)
+        for step in (1e-3, 1e-2):
+            trajectory = integrate(case, h0, span, step)
+            assert (compare_profile(trajectory, profile)
+                    == reference_compare_profile(trajectory, profile))
+    # a NaN gap sticks, as `_worse` folds it
+    trajectory = Trajectory(((0.0, 0.5), (0.1, math.nan), (0.2, 0.5)), 0.1)
+    profile = affine_profile(2.0, 1.0)
+    assert math.isnan(compare_profile(trajectory, profile))
+    assert math.isnan(reference_compare_profile(trajectory, profile))
+
+
+@pytest.mark.parametrize("family,which,fault,error,message", [
+    # F3_12.f and F2_39.g are quadrature profiles (`slopes`), F2_23.f and F3_38.g closed forms
+    (FamilyId.F3_12, "f", _faulty_d1, DomainError, "non-finite jet"),
+    (FamilyId.F2_23, "f", _faulty_d1, DomainError, "non-finite jet"),
+    (FamilyId.F2_39, "g", _faulty_d1, DomainError, "non-finite jet"),
+    (FamilyId.F3_38, "g", _faulty_d1, DomainError, "non-finite jet"),
+    (FamilyId.F2_23, "f", _nan_value, DomainError, "non-finite jet"),
+    (FamilyId.F3_38, "g", _nan_value, DomainError, "non-finite jet"),
+    (FamilyId.F2_23, "f", None, DomainMismatch, "outside profile domain"),
+    (FamilyId.F3_43, "g", None, DomainMismatch, "outside profile domain"),
+])
+def test_flat_comparison_raises_as_its_oracle(family, which, fault, error, message):
+    span = next(s for fid, w, s in catalog._ODE_REFERENCE_RUNS if (fid, w) == (family, which))
+    profile, case, h0 = _reference_run(family, which, span)
+    trajectory = integrate(case, h0, span, 1e-2)
+    # a fresh patched profile per comparison, so each counts its own calls
+    raised = _raised(compare_profile, trajectory, _patched(profile, fault, Interval(*span)))
+    assert raised == _raised(reference_compare_profile, trajectory,
+                             _patched(profile, fault, Interval(*span)))
+    assert raised[0] is error and message in raised[1]

@@ -407,6 +407,40 @@ def test_mesh_of_every_family_is_byte_identical(capsys, family):
     assert tuple(digests) == _MESH_SHA256[family.value]
 
 
+# sha256 of json [exit code, stdout, stderr] of the help, version and parse-error
+# paths, at COLUMNS=80; argparse formats help to the terminal width
+_PARSER_SHA256 = [
+    (["--help"], "3d9b83fd64abd9895bf5cb4fab786de4fe7cfdb73bb2e94a324dfa49e9cc877d"),
+    (["residual", "--help"], "7f85125508886b19d9011fd8f2a5492b230b5960bc1b5ff58720731833ae1271"),
+    (["verify", "--help"], "41c89917c2619990f75deab7bf3faac02fedccf596e93b6d19960724df8889c5"),
+    (["equivalence", "--help"],
+     "c14263bfe3e9fa16062c4511202915ebb6b4179afa32985f1cc3cf3d3b2be550"),
+    (["ode-compare", "--help"],
+     "06852c9f229885ea72778ee4e7209ab74406924eabc4ea06e8a5854e1f4a72db"),
+    (["mesh", "--help"], "d1cb122092725c52ee1b51c0928f8cb6b502f82b5cabe6441afe7283398c747a"),
+    (["report", "--help"], "25a540b3055f3e67f7ec29be9a5ccb0aa9468f85def64d9663365a0df0bf10c1"),
+    (["--version"], "d29d0aa1564f36b92f1110a6917654e76aca36a62d239ab7b0f2212e787afc1a"),
+    ([], "ce8cbcfac5960827fbef9b99bd7ef78bf876fb00dc0f51aa570643164e930435"),
+    (["nonsense-command"], "5852a5ee0bda4be47b71fa4d7741f3e6bbe75f111022dbce93244600959ba6d0"),
+    (["mesh", "--bogus"], "96d00670a1f079ce222031c2d3b9c654a6caabb2ca8f26852bfaf0ab4749b3dd"),
+    (["--bogus", "mesh", "--family", "F2_39"],
+     "96d00670a1f079ce222031c2d3b9c654a6caabb2ca8f26852bfaf0ab4749b3dd"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _PARSER_SHA256,
+                         ids=[" ".join(argv) or "no-arguments" for argv, _ in _PARSER_SHA256])
+def test_parser_output_is_byte_identical(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help and --version exit from argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    blob = json.dumps([code, captured.out, captured.err])
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == digest
+
+
 def test_report_markdown_structure(tmp_path):
     code, text = run(tmp_path, "report", "--all", "--format", "markdown",
                      "--samples", "40", name="r.md")

@@ -35,6 +35,24 @@ def central_d2(fn, u, h=1e-5):
     return (fn(u + h) - 2.0 * fn(u) + fn(u - h)) / (h * h)
 
 
+def test_jet2_record_contract():
+    jet = Jet2(1.5, -2.0, 0.25)
+    for name in ("v", "d1", "d2"):
+        with pytest.raises(AttributeError):
+            setattr(jet, name, 0.0)
+    assert repr(jet) == "Jet2(v=1.5, d1=-2.0, d2=0.25)"
+    assert (jet.v, jet.d1, jet.d2) == (1.5, -2.0, 0.25)
+    assert Jet2(3.0) == Jet2(3.0, 0.0, 0.0) and Jet2(3.0).d1 == Jet2(3.0).d2 == 0.0
+    # a named tuple: equal to the plain tuple of its values, and so hashable alike
+    assert jet == (1.5, -2.0, 0.25) and hash(jet) == hash((1.5, -2.0, 0.25))
+    assert jet.is_finite()
+    for bad in (math.nan, math.inf, -math.inf):
+        for slot in range(3):
+            values = [1.0, 2.0, 3.0]
+            values[slot] = bad
+            assert not Jet2(*values).is_finite()
+
+
 def test_elementary_examples():
     assert jet_exp(Jet(0, 1, 0)) == Jet(1, 1, 1)
 
