@@ -703,12 +703,12 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
     f_lo, f_hi, f_eval, f_whole = f.slope_evaluator()
     g_lo, g_hi, g_eval, g_whole = g.slope_evaluator()
     kernel, res_fn, isfinite = _curvature_kernel, _residual_of(built.case), math.isfinite
-    draw = SplitMix64(rng_seed).uniform
-    u_lo, u_hi, v_lo, v_hi = box_u.lo, box_u.hi, box_v.lo, box_v.hi
+    unit = SplitMix64(rng_seed).unit
+    u_lo, u_span, v_lo, v_span = box_u.lo, box_u.hi - box_u.lo, box_v.lo, box_v.hi - box_v.lo
     worst_num = worst_res = 0.0
     for _ in range(n_samples):
-        u = draw(u_lo, u_hi)
-        v = draw(v_lo, v_hi)
+        u = u_lo + u_span * unit()
+        v = v_lo + v_span * unit()
         if not (f_lo <= u <= f_hi and isfinite(u)):
             raise f.error_at(u)
         fj = f_eval(u)
@@ -721,7 +721,7 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
         g1, g2 = gj.d1, gj.d2
         if not (isfinite(g1) and isfinite(g2) and (not g_whole or isfinite(gj.v))):
             raise g.error_at(v)
-        # running worsts as `_worse` folds them: a NaN sample sticks
+        # running worsts, like max except that a NaN sample sticks
         if full:
             err = abs(kernel(ttype, sig, kind, f1, f2, g1, g2)[-1])
             if err > worst_num or err != err:

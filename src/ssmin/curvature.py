@@ -34,6 +34,12 @@ from .surface import (
     frame_from_jets,  # noqa: F401  perfbench's tracer test patches it in this namespace
 )
 
+# The kernel's enum members, bound once: a module global is read several times
+# faster than an enum attribute, and the kernel runs once per sample.
+_EUCLIDEAN, _LEVI_CIVITA = Signature.EUCLIDEAN, ConnectionKind.LEVI_CIVITA
+_METRIC = ConnectionKind.SEMI_SYMMETRIC_METRIC
+_I, _II = TranslationType.I, TranslationType.II
+
 
 @dataclass(frozen=True)
 class SigmaMatrix:
@@ -62,9 +68,9 @@ def _curvature_kernel(ttype: TranslationType, sig: Signature, kind: ConnectionKi
     both semi-symmetric kinds and 0.0 for Levi-Civita; the metric kind also
     subtracts X3 <E_i, E_j>, carried by m11, m12, m22.
     """
-    e = 1.0 if sig is Signature.EUCLIDEAN else -1.0
-    tor = 0.0 if kind is ConnectionKind.LEVI_CIVITA else e
-    if ttype is TranslationType.I:
+    e = 1.0 if sig is _EUCLIDEAN else -1.0
+    tor = 0.0 if kind is _LEVI_CIVITA else e
+    if ttype is _I:
         E = 1.0 + e * (f1 * f1)
         F = e * (f1 * g1)
         G = 1.0 + e * (g1 * g1)
@@ -76,11 +82,11 @@ def _curvature_kernel(ttype: TranslationType, sig: Signature, kind: ConnectionKi
     _require_regular(sig, det, f1, g1)
     normalizer = math.sqrt(det)
     inv = 1.0 / normalizer
-    if kind is ConnectionKind.SEMI_SYMMETRIC_METRIC:
+    if kind is _METRIC:
         m11, m12, m22 = E, F, G
     else:
         m11 = m12 = m22 = 0.0
-    if ttype is TranslationType.I:
+    if ttype is _I:
         # Fu = (1, 0, f1), Fv = (0, 1, g1), N = (-f1, -g1, e) / normalizer.
         a, b = tor * f1, tor * g1
         n1, n2, n3 = -f1 * inv, -g1 * inv, e * inv
@@ -93,7 +99,7 @@ def _curvature_kernel(ttype: TranslationType, sig: Signature, kind: ConnectionKi
         # Type III swaps the first two slots and negates N, so each sigma_ij is
         # the Type II sum negated term by term: nf is N in the slot holding
         # f', g', f'', g'', nc in the other planar slot.
-        o = 1.0 if ttype is TranslationType.II else -1.0
+        o = 1.0 if ttype is _II else -1.0
         nf, nc, n3 = -o * inv, o * (f1 * inv), (o * (e * g1)) * inv
         s11 = f2 * nf - e * (m11 * n3)
         s12 = (tor * nc + (tor * f1) * nf) - e * (m12 * n3)

@@ -180,6 +180,6 @@ def compare_profile(numeric: Trajectory, analytic: Profile) -> float:
         if not (isfinite(d1) and isfinite(jet.d2) and (not whole or isfinite(jet.v))):
             raise analytic.error_at(t)
         err = abs(h - d1)
-        if err > worst or err != err:  # as `_worse` folds it: a NaN sample sticks
+        if err > worst or err != err:  # a running max in which a NaN sample sticks
             worst = err
     return worst

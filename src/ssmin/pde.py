@@ -22,7 +22,7 @@ from .ambient import ConnectionKind, Signature
 from .curvature import _curvature_kernel
 from .errors import IllConditionedFit, UnknownCase, VerifierError
 from .jets import Jet2
-from .sampling import SplitMix64, _worse
+from .sampling import SplitMix64
 from .surface import (
     TranslationType,
     frame_from_jets,  # noqa: F401  perfbench's tracer test patches it in this namespace
@@ -146,18 +146,19 @@ def equivalence_sweep(case: CaseId, n_samples: int, seed: int,
     if n_samples < 1:
         raise VerifierError(f"n_samples must be >= 1, got {n_samples}")
     sig, kind, types = CASE_SPACE[case]
-    kernel, res_fn, draw = _curvature_kernel, _RESIDUALS[case], SplitMix64(seed).uniform
-    # per type: (type, sign, f' half-width, g' half-width, spacelike gate);
+    kernel, res_fn, unit = _curvature_kernel, _RESIDUALS[case], SplitMix64(seed).unit
+    # per type: (type, sign, f' low end and width, g' low end and width, spacelike gate);
     # Lorentzian gate 1 (Type I) admits 1 - f'^2 - g'^2 >= 1e-3, gate 2 g'^2 - f'^2 - 1 >= 1e-3
     slots = []
     for ttype in types:
         if sig is Signature.EUCLIDEAN:
-            box = (2.5, 2.5, 0)
+            fw, gw, gate = 2.5, 2.5, 0
         elif ttype is TranslationType.I:
-            box = (1.2, 1.2, 1)
+            fw, gw, gate = 1.2, 1.2, 1
         else:
-            box = (1.5, 2.6, 2)
-        slots.append((ttype, _EQUIVALENCE_SIGN[(case, ttype)], *box))
+            fw, gw, gate = 1.5, 2.6, 2
+        slots.append((ttype, _EQUIVALENCE_SIGN[(case, ttype)],
+                      -fw, fw - -fw, -gw, gw - -gw, gate))
     n_slots, cap = len(slots), 1000 * n_samples
     worst = 0.0
     attempts = 0
@@ -166,19 +167,22 @@ def equivalence_sweep(case: CaseId, n_samples: int, seed: int,
         attempts += 1
         if attempts > cap:
             raise IllConditionedFit(f"sampler starved for case {case.value}")
-        ttype, sign, fw, gw, gate = slots[accepted % n_slots]
-        f1 = draw(-fw, fw)
-        g1 = draw(-gw, gw)
+        ttype, sign, f_lo, f_span, g_lo, g_span, gate = slots[accepted % n_slots]
+        f1 = f_lo + f_span * unit()
+        g1 = g_lo + g_span * unit()
         if gate == 1 and not 1.0 - f1 * f1 - g1 * g1 >= 1e-3:
             continue
         if gate == 2 and not g1 * g1 - f1 * f1 - 1.0 >= 1e-3:
             continue
-        f2 = draw(-3.0, 3.0)
-        g2 = draw(-3.0, 3.0)
+        # f'' and g'' on [-3, 3]
+        f2 = -3.0 + 6.0 * unit()
+        g2 = -3.0 + 6.0 * unit()
         k = kernel(ttype, sig, kind, f1, f2, g1, g2)
         res = res_fn(f1, f2, g1, g2)
-        # k[4] is the normalizer and k[-1] the numerator
-        worst = _worse(worst, abs((sign * k[4]) * k[-1] - res) / (1.0 + abs(res)))
+        # k[4] is the normalizer and k[-1] the numerator; a NaN deviation sticks as the worst
+        err = abs((sign * k[4]) * k[-1] - res) / (1.0 + abs(res))
+        if err > worst or err != err:
+            worst = err
         accepted += 1
     tol = tolerance if tolerance is not None else EQUIVALENCE_TOLERANCE
     return EquivalenceRecord(case, n_samples, attempts, accepted / attempts, worst,

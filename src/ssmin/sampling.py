@@ -3,7 +3,10 @@
 Reports and property sweeps must be byte-identical across runs and platforms,
 so sampling is built on splitmix64 (pure 64-bit integer arithmetic) instead of
 a platform RNG.  Every consumer derives child streams from an explicit seed.
-Sampled checks fold their per-sample errors as `_worse` does.
+Sampled checks keep a running worst of their per-sample errors, like ``max``
+except that a NaN sample sticks: ``max(worst, nan)`` keeps ``worst``, so a
+NaN would pass a check vacuously, while as the worst it fails every
+``<= tolerance`` test.
 
 The stream is computed `_BLOCK` draws at a time: successive states sit side
 by side in one Python int, one 128-bit lane each, so every mixing step is a
@@ -11,13 +14,16 @@ single big-integer operation over the whole block.  A 64-bit lane times a
 64-bit constant stays below 2**128, and each step masks away the bits a shift
 pulls in from the next lane, so no lane disturbs another and every draw equals
 the scalar splitmix64 output bit for bit.  Lanes are read out little-endian,
-whatever the machine's byte order.
+whatever the machine's byte order.  `SplitMix64.unit` maps each 53-bit word
+to its double in [0, 1) inside C-level iterators, so no Python frame runs per
+draw; the product with 2**-53 is exact.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
-from itertools import chain, count
+from itertools import chain, count, repeat
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -45,25 +51,21 @@ def _block(state: int) -> tuple[int, ...]:
 
 
 class SplitMix64:
-    """splitmix64 stream; uniform doubles use the top 53 bits."""
+    """splitmix64 stream; uniform doubles use the top 53 bits.
+
+    ``unit()`` returns the next double in [0, 1); hot loops bind it once and
+    draw ``lo + (hi - lo) * unit()``, the value ``uniform(lo, hi)`` returns.
+    """
 
     def __init__(self, seed: int):
         # each block starts from the last pre-mix state of the one before
-        self._words = chain.from_iterable(map(_block, count(seed & _MASK, _BLOCK * _GOLDEN)))
+        words = chain.from_iterable(map(_block, count(seed & _MASK, _BLOCK * _GOLDEN)))
+        self.unit = map(operator.mul, words, repeat(2.0 ** -53)).__next__
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return lo + (hi - lo) * (next(self._words) * 2.0 ** -53)
+        return lo + (hi - lo) * self.unit()
 
 
 def child_seed(seed: int, tag: int) -> int:
     """Stable derived seed for per-family / per-case streams."""
     return ((seed * _GOLDEN) ^ ((tag + 1) * 0xBF58476D1CE4E5B9)) & _MASK
-
-
-def _worse(worst: float, sample: float) -> float:
-    """Running worst of sampled errors, like ``max`` but a NaN sample sticks.
-
-    ``max(worst, nan)`` keeps ``worst``, so a NaN sample would pass a check
-    vacuously; here it becomes the worst and fails every ``<= tolerance`` test.
-    """
-    return sample if sample > worst or sample != sample else worst

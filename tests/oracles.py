@@ -1,7 +1,8 @@
-"""Test-side oracles: scalar splitmix64, forward-mode jet arithmetic,
-least-squares separation and substitution fits, an RK4-backed profile, the
-pointwise reduced-ODE check of a family, the per-sample equivalence sweep, and
-the family check and RK4 comparison by way of `Profile.at`.
+"""Test-side oracles: the NaN-sticky running worst, scalar splitmix64,
+forward-mode jet arithmetic, least-squares separation and substitution fits,
+an RK4-backed profile, the pointwise reduced-ODE check of a family, the
+per-sample equivalence sweep, and the family check and RK4 comparison by way
+of `Profile.at`.
 
 No command runs these; the tests use them as checks that do not share the
 code path they verify.  The jet arithmetic is the reference the closed-form
@@ -60,11 +61,20 @@ from ssmin.pde import (
     _EQUIVALENCE_SIGN,
     residual,
 )
-from ssmin.sampling import SplitMix64, _worse
+from ssmin.sampling import SplitMix64
 from ssmin.surface import TranslationType
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _worse(worst: float, sample: float) -> float:
+    """Running worst of sampled errors, like ``max`` but a NaN sample sticks.
+
+    ``max(worst, nan)`` keeps ``worst``, so a NaN sample would pass a check
+    vacuously; here it becomes the worst and fails every ``<= tolerance`` test.
+    """
+    return sample if sample > worst or sample != sample else worst
 
 
 class ScalarSplitMix64:

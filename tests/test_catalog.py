@@ -1,5 +1,6 @@
 """Solution-family construction, constraints, domains, and verification."""
 
+import dis
 import itertools
 import math
 from dataclasses import replace
@@ -25,11 +26,10 @@ from ssmin.cli import _record, _sweeps
 from ssmin.jets import Interval, Jet2, affine_profile
 from ssmin.ode import Trajectory, compare_profile, integrate
 from ssmin.pde import CaseId, equivalence_sweep, residual
-from ssmin.sampling import _worse
 from ssmin.surface import TranslationType
 
 import oracles
-from oracles import reference_compare_profile, reference_verify_auto
+from oracles import _worse, reference_compare_profile, reference_verify_auto
 
 
 def test_scherk_type_build_example():
@@ -454,3 +454,21 @@ def test_flat_comparison_raises_as_its_oracle(family, which, fault, error, messa
     assert raised == _raised(reference_compare_profile, trajectory,
                              _patched(profile, fault, Interval(*span)))
     assert raised[0] is error and message in raised[1]
+
+
+def _loaded(fn, *opnames) -> set[str]:
+    return {ins.argval for ins in dis.get_instructions(fn) if ins.opname in opnames}
+
+
+def test_hot_paths_skip_enum_and_method_lookups():
+    """The sampling hot paths read neither enum attributes nor `uniform`.
+
+    On Python 3.11 each enum attribute lookup such as `Signature.EUCLIDEAN`
+    costs about 150 ns, against about 15 ns for a module global, and the
+    kernel runs once per sample; a `uniform` call runs a Python frame per draw.
+    """
+    assert not _loaded(curvature._curvature_kernel, "LOAD_GLOBAL") & {
+        "Signature", "ConnectionKind", "TranslationType"}
+    for fn in (pde.equivalence_sweep, verify_auto):
+        attrs = _loaded(fn, "LOAD_ATTR", "LOAD_METHOD")
+        assert "uniform" not in attrs and "unit" in attrs

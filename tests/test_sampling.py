@@ -41,3 +41,24 @@ def test_block_stream_equals_scalar_reference(seed):
     block, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
     got = [block.uniform(*ranges[i % len(ranges)]) for i in range(n)]
     assert got == [scalar.uniform(*ranges[i % len(ranges)]) for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", list(REFERENCE))
+def test_unit_reads_the_top_53_reference_bits(seed):
+    unit = SplitMix64(seed).unit
+    for k in REFERENCE[seed]:
+        assert unit() == (k >> 11) * 2.0 ** -53
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1234567, 2**63, 2**64 - 1, 2**64, 2**70 + 3])
+def test_unit_and_uniform_share_one_stream(seed):
+    # unit and uniform calls interleave over four 256-draw blocks and part of a fifth
+    ranges = [(0.0, 1.0), (-2.5, 2.5), (-3, 3), (0.05, 1.5), (-1e-300, 1e300)]
+    n = 1124
+    block, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
+    for i in range(n):
+        if i % 3:
+            lo, hi = ranges[i % len(ranges)]
+            assert block.uniform(lo, hi) == scalar.uniform(lo, hi)
+        else:
+            assert block.unit() == scalar.uniform(0.0, 1.0)
