@@ -15,8 +15,8 @@ it adds nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Signature(Enum):
@@ -30,9 +30,12 @@ class ConnectionKind(Enum):
     SEMI_SYMMETRIC_NON_METRIC = "semi-symmetric-non-metric"
 
 
-@dataclass(frozen=True)
-class Vec3:
-    """Coefficients of a vector in the global frame X1, X2, X3."""
+class Vec3(NamedTuple):
+    """Coefficients of a vector in the global frame X1, X2, X3.
+
+    Its operators are vector arithmetic: they replace the tuple's
+    concatenation and repetition.
+    """
 
     c1: float
     c2: float
@@ -67,8 +70,7 @@ X3 = Vec3(0.0, 0.0, 1.0)
 BASIS = (X1, X2, X3)
 
 
-@dataclass(frozen=True)
-class AmbientSpace:
+class AmbientSpace(NamedTuple):
     """Metric signature plus connection kind; the torsion generator is X3."""
 
     signature: Signature

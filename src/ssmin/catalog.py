@@ -16,9 +16,8 @@ domains, which is the part of the classification that remains checkable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .ambient import AmbientSpace
 from .curvature import _curvature_kernel
@@ -83,21 +82,29 @@ class Branch(Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class _FamilyFields(NamedTuple):
     family_id: FamilyId
     params: tuple[tuple[str, float], ...]
     branch: Branch = Branch.PLUS
 
-    def __post_init__(self) -> None:
+
+class SolutionFamily(_FamilyFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
         """Complete params from the family's defaults; reject names it does not have."""
+        self = super().__new__(cls, *args, **kwargs)
         merged = dict(_DEFAULTS[self.family_id])
         for key, value in self.params:
             if key not in merged:
                 raise ParameterConstraintViolation(f"{self.family_id.value} has no parameter "
                                                    f"{key!r} (expected {sorted(merged)})")
             merged[key] = float(value)
-        object.__setattr__(self, "params", tuple(sorted(merged.items())))
+        return super().__new__(cls, self.family_id, tuple(sorted(merged.items())), self.branch)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     @property
     def param_dict(self) -> dict[str, float]:
@@ -109,8 +116,7 @@ def make_family(fid: FamilyId, branch: Branch | str = Branch.PLUS,
     return SolutionFamily(fid, tuple(params.items()), Branch(branch))
 
 
-@dataclass(frozen=True)
-class AdmissibleDomain:
+class AdmissibleDomain(NamedTuple):
     u: Interval
     v: Interval
 
@@ -118,8 +124,7 @@ class AdmissibleDomain:
         return self.u.clipped(SAMPLING_CAP), self.v.clipped(SAMPLING_CAP)
 
 
-@dataclass(frozen=True)
-class FamilyBuild:
+class FamilyBuild(NamedTuple):
     """An assembled family; `domain` is None, with its reason, where it is never spacelike."""
 
     surface: TranslationSurface
@@ -136,8 +141,7 @@ class FamilyBuild:
         return CLOSED_FORM_TOLERANCE
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     family_id: str
     branch: str
     params: dict[str, float]
@@ -564,8 +568,8 @@ def _assemble(fam: SolutionFamily) -> FamilyBuild:
     domain, reason = ((domain, None) if isinstance(domain, AdmissibleDomain)
                       else (None, domain))
     signature, connection, _ = CASE_SPACE[case]
-    surface = TranslationSurface(ttype, replace(f, label=f"{name}.f"),
-                                 replace(g, label=f"{name}.g"),
+    surface = TranslationSurface(ttype, f._replace(label=f"{name}.f"),
+                                 g._replace(label=f"{name}.g"),
                                  AmbientSpace(signature, connection))
     return FamilyBuild(surface, case, checks, domain, reason)
 
@@ -628,8 +632,8 @@ def perturb_profile(profile: Profile, eps: float) -> Profile:
         return fn
 
     slopes = None if profile.slopes is None else plus(profile.slopes)
-    return replace(profile, fn=plus(profile.fn), slopes=slopes,
-                   label=f"{profile.label}+{eps:g}u^2")
+    return profile._replace(fn=plus(profile.fn), slopes=slopes,
+                            label=f"{profile.label}+{eps:g}u^2")
 
 
 def _moderate_box(profile: Profile, max_slope: float = 2.0, step: float = 0.05) -> Interval:
@@ -742,8 +746,7 @@ ODE_TOLERANCE = 1e-6
 MIN_CONVERGENCE_ORDER = 3.8
 
 
-@dataclass(frozen=True)
-class OdeComparisonRecord:
+class OdeComparisonRecord(NamedTuple):
     ode_case: str
     family_id: str
     profile: str
@@ -754,8 +757,7 @@ class OdeComparisonRecord:
     verdict: bool
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
+class ConvergenceRecord(NamedTuple):
     ode_case: str
     coarse_step: float
     coarse_error: float

@@ -8,14 +8,12 @@ sampling runs on splitmix64 streams and no timing data is serialized.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import re
 import sys
 import types
 import typing
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 
@@ -68,11 +66,10 @@ class _Parser(argparse.ArgumentParser):
 _PARAM_FLAGS = sorted({name for defaults in _DEFAULTS.values() for name in defaults})
 
 
-@dataclass
-class RunConfig:
+class _RunFields(typing.NamedTuple):
     command: str
     family: str | None = None
-    params: dict[str, float] = field(default_factory=dict)
+    params: dict[str, float] = {}  # RunConfig copies it: no two configs share one
     branch: str | None = None
     case: str | None = None
     fjet: list[float] | None = None
@@ -90,13 +87,21 @@ class RunConfig:
     format: str | None = None  # None: the command's first format
     output: str | None = None
 
-    def __post_init__(self) -> None:
+
+# Each field's type as evaluated, for the check, and as written, for its message.
+_HINTS = typing.get_type_hints(_RunFields)
+_TYPE_TEXT = {name: ref.__forward_arg__ for name, ref in _RunFields.__annotations__.items()}
+
+
+class RunConfig(_RunFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
         """Every way in (flags, config file, library call) is checked here, once."""
-        hints = typing.get_type_hints(RunConfig)
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not _conforms(value, hints[f.name]):
-                raise UsageError(f"{f.name} must be {f.type} (finite numbers only), "
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if not _conforms(value, _HINTS[name]):
+                raise UsageError(f"{name} must be {_TYPE_TEXT[name]} (finite numbers only), "
                                  f"got {value!r}")
         if self.command not in _COMMANDS:
             raise UsageError(f"unknown command {self.command!r}; known: {', '.join(_COMMANDS)}")
@@ -105,11 +110,10 @@ class RunConfig:
             if name not in reads and getattr(self, name) != default:
                 raise UsageError(f"{self.command} does not read {name}; "
                                  f"got {getattr(self, name)!r}")
-        if self.format is None:
-            self.format = formats[0]
-        if self.format not in formats:
+        fmt = formats[0] if self.format is None else self.format
+        if fmt not in formats:
             raise UsageError(f"format of {self.command} must be one of {', '.join(formats)}; "
-                             f"got {self.format!r}")
+                             f"got {fmt!r}")
         if self.command == "report" and not self.all:
             raise UsageError("report covers every family; pass --all")
         if self.samples < 1:
@@ -142,9 +146,15 @@ class RunConfig:
                 if getattr(self, name) is not None:
                     raise UsageError(f"--all does not take a {name}, "
                                      f"got {getattr(self, name)!r}")
+        return super().__new__(cls, **{**self._asdict(), "params": dict(self.params),
+                                       "format": fmt})
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
     def echo_dict(self) -> dict:
         """Config as serialized into reports: the output path itself is not
@@ -162,12 +172,11 @@ class RunConfig:
         return RunConfig(**data)
 
 
-_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+_CONFIG_FIELDS = frozenset(RunConfig._fields)
 # Each setting with its default, in field order: every field but command, format
 # and output, which all commands read.  _COMMANDS says which commands read each.
-_SETTINGS = {f.name: f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-             for f in dataclasses.fields(RunConfig)
-             if f.name not in ("command", "format", "output")}
+_SETTINGS = {name: default for name, default in RunConfig._field_defaults.items()
+             if name not in ("format", "output")}
 _BRANCHES = tuple(b.value for b in Branch)
 
 
@@ -281,13 +290,12 @@ def _record(rec) -> dict:
     """An engine record as serialized: its fields in order, enums by value and
     the verdict as pass/fail."""
     out = {}
-    for f in dataclasses.fields(rec):
-        value = getattr(rec, f.name)
-        if f.name == "verdict":
+    for name, value in zip(rec._fields, rec):
+        if name == "verdict":
             value = "pass" if value else "fail"
         elif isinstance(value, Enum):
             value = value.value
-        out[f.name] = value
+        out[name] = value
     return out
 
 

@@ -23,7 +23,7 @@ products with an exact 0.0 and factors of 1.0, so its values equal theirs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ambient import AmbientSpace, ConnectionKind, Signature
 from .jets import Jet2
@@ -41,16 +41,14 @@ _METRIC = ConnectionKind.SEMI_SYMMETRIC_METRIC
 _I, _II = TranslationType.I, TranslationType.II
 
 
-@dataclass(frozen=True)
-class SigmaMatrix:
+class SigmaMatrix(NamedTuple):
     s11: float
     s12: float
     s21: float
     s22: float
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     sigma: SigmaMatrix
     H: float
     numerator: float

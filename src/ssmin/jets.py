@@ -2,9 +2,10 @@
 
 A Jet2 records (value, first derivative, second derivative) of a scalar
 function of one variable at a point.  It is a named tuple, which is cheap to
-build and immutable, and so compares equal to a plain tuple of its values.  A
-Profile wraps a jet-valued evaluator together with an explicit domain;
-evaluation outside the domain raises, it never returns NaN.
+build and immutable, and so compares equal to a plain tuple of its values, as
+every record of the package does.  A Profile wraps a jet-valued evaluator
+together with an explicit domain; evaluation outside the domain raises, it
+never returns NaN.
 
 Closed-form profiles are scalar kernels.  Each performs the floating-point
 operations of its forward-mode jet composition (Leibniz and chain rules
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, QuadratureFailure
@@ -43,14 +43,23 @@ class Jet2(NamedTuple):
         return math.isfinite(self.v) and math.isfinite(self.d1) and math.isfinite(self.d2)
 
 
-@dataclass(frozen=True)
-class Interval:
+class _IntervalFields(NamedTuple):
     lo: float
     hi: float
 
-    def __post_init__(self):
+
+class Interval(_IntervalFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.lo < self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     def contains(self, u: float) -> bool:
         return self.lo <= u <= self.hi
@@ -78,8 +87,7 @@ class Interval:
 REAL_LINE = Interval(-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """A scalar profile function with jet evaluation on an explicit domain.
 
     `slopes`, where given, computes d1 and d2 alone, with the value NaN, for
@@ -224,8 +232,7 @@ def log_abs_exp_profile(k: float, q: float, coeff_pos: float, coeff_neg: float,
     return Profile(fn, domain, "k*log|exp|")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(NamedTuple):
     abs_tol: float = 1e-10
     max_depth: int = 40
 

@@ -10,9 +10,8 @@ reports rather than hides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import BlowUp, DomainMismatch, InvalidStep, UnknownCase
 from .jets import Profile
@@ -33,8 +32,7 @@ class OdeId(Enum):
     O3_42G = "O3_42g"
 
 
-@dataclass(frozen=True)
-class OdeCase:
+class OdeCase(NamedTuple):
     """A reduced equation h' = phi(h) with its named parameters."""
 
     kind: OdeId
@@ -92,8 +90,7 @@ class OdeCase:
         raise UnknownCase(repr(k))
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     nodes: tuple[tuple[float, float], ...]
     step: float
     method_order: int = 4

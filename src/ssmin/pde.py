@@ -14,9 +14,8 @@ normalizer with a fixed per-(case, type) sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .ambient import ConnectionKind, Signature
 from .curvature import _curvature_kernel
@@ -123,8 +122,7 @@ _EQUIVALENCE_SIGN: dict[tuple[CaseId, TranslationType], float] = {
 EQUIVALENCE_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
-class EquivalenceRecord:
+class EquivalenceRecord(NamedTuple):
     case: CaseId
     n_samples: int
     attempts: int

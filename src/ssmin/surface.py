@@ -16,8 +16,8 @@ they are never re-oriented.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .ambient import AmbientSpace, Signature, Vec3, ZERO, metric_inner
 from .errors import DegenerateSurface
@@ -33,16 +33,14 @@ class TranslationType(Enum):
     III = "III"
 
 
-@dataclass(frozen=True)
-class TranslationSurface:
+class TranslationSurface(NamedTuple):
     ttype: TranslationType
     f: Profile
     g: Profile
     space: AmbientSpace
 
 
-@dataclass(frozen=True)
-class FirstFundamental:
+class FirstFundamental(NamedTuple):
     E: float
     F: float
     G: float
@@ -52,8 +50,7 @@ class FirstFundamental:
         return self.E * self.G - self.F * self.F
 
 
-@dataclass(frozen=True)
-class FramePoint:
+class FramePoint(NamedTuple):
     """Tangent vectors, flat second partials, and the unit normal at a point."""
 
     ttype: TranslationType

@@ -3,7 +3,6 @@
 import dis
 import itertools
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -370,9 +369,9 @@ def _patched(profile, fault, box):
     through `fault`, or where fault is None, `profile` on only the lower half
     of the box it is sampled on."""
     if fault is None:
-        return replace(profile, domain=Interval(box.lo, box.midpoint))
+        return profile._replace(domain=Interval(box.lo, box.midpoint))
     attr = "slopes" if profile.quadrature else "fn"
-    return replace(profile, **{attr: _nan_at(getattr(profile, attr), 5, fault)})
+    return profile._replace(**{attr: _nan_at(getattr(profile, attr), 5, fault)})
 
 
 def _raised(check, *args):
@@ -401,7 +400,7 @@ def test_flat_check_raises_as_its_oracle(monkeypatch, family, which, fault, mess
         built = assemble(fam)
         box = built.domain.sampling_box()["fg".index(which)]
         profile = _patched(getattr(built.surface, which), fault, box)
-        return replace(built, surface=replace(built.surface, **{which: profile}))
+        return built._replace(surface=built.surface._replace(**{which: profile}))
 
     monkeypatch.setattr(catalog, "_assemble", patched)
     monkeypatch.setattr(oracles, "_assemble", patched)

@@ -1,7 +1,6 @@
 """CLI behavior: exit codes, formats, determinism, and config handling."""
 
 import ast
-import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -91,10 +89,6 @@ def test_residual_overflow_is_a_domain_error(capsys, case, fjet, gjet):
     assert captured.err.startswith("ssmin: DomainError: ")
 
 
-def _fields(record_type):
-    return [f.name for f in dataclasses.fields(record_type)]
-
-
 def _header(columns):
     return ["| " + " | ".join(header for header, _, _ in columns) + " |",
             "|" + "---|" * len(columns)]
@@ -116,12 +110,12 @@ def test_records_follow_their_engine_schema(tmp_path, argv, record_type, columns
     code, text = run(tmp_path, *argv)
     assert code == 0
     payload = json.loads(text)
-    assert all(list(record) == _fields(record_type) for record in payload["records"])
+    assert all(list(record) == list(record_type._fields) for record in payload["records"])
     code, markdown = run(tmp_path, *argv, "--format", "markdown", name="out.md")
     assert code == 0
     assert _has_lines(markdown, _header(columns))
     if record_type is OdeComparisonRecord:
-        assert all(list(o) == _fields(ConvergenceRecord) for o in payload["convergence"])
+        assert all(list(o) == list(ConvergenceRecord._fields) for o in payload["convergence"])
         assert _has_lines(markdown, _header(cli._CONVERGENCE_COLUMNS))
 
 
@@ -129,7 +123,7 @@ def test_report_compact_records_follow_their_columns(tmp_path):
     code, text = run(tmp_path, "report", "--all", "--samples", "10")
     assert code == 0
     payload = json.loads(text)
-    assert all(list(r) == ["theorem", *_fields(FamilyReport)] for r in payload["records"])
+    assert all(list(r) == ["theorem", *FamilyReport._fields] for r in payload["records"])
     for part, columns in (("equivalence", cli._EQUIVALENCE_COLUMNS), ("ode", cli._ODE_COLUMNS)):
         assert all(list(r) == [key for _, key, _ in columns] for r in payload[part])
 
@@ -578,6 +572,35 @@ def test_bad_input_rejected_once(tmp_path, capsys, argv, config, field):
     assert err.startswith("ssmin: error: ") and field in err
 
 
+# One value of the wrong type per kind of RunConfig annotation, with its exact
+# message: the type is named as written in the class, finite floats only.
+_TYPE_MESSAGES = [
+    ("verify", "samples", "x", "samples must be int (finite numbers only), got 'x'"),
+    ("verify", "all", 1, "all must be bool (finite numbers only), got 1"),
+    ("verify", "tolerance", "1e-3",
+     "tolerance must be float | None (finite numbers only), got '1e-3'"),
+    ("verify", "tolerance", math.inf,
+     "tolerance must be float | None (finite numbers only), got inf"),
+    ("verify", "family", 3, "family must be str | None (finite numbers only), got 3"),
+    ("mesh", "u_range", [0, "a"],
+     "u_range must be list[float] | None (finite numbers only), got [0, 'a']"),
+    ("verify", "params", {"c3": "x"},
+     "params must be dict[str, float] (finite numbers only), got {'c3': 'x'}"),
+]
+
+
+@pytest.mark.parametrize("command,name,value,message", _TYPE_MESSAGES)
+def test_type_messages_are_pinned(tmp_path, capsys, command, name, value, message):
+    # the same text from a library call and from a config file
+    with pytest.raises(cli.UsageError) as info:
+        RunConfig(command, **{name: value})
+    assert str(info.value) == message
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({name: value}))
+    assert main([command, "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"ssmin: error: {message}\n"
+
+
 @pytest.mark.parametrize("argv,advice", [
     (["residual", "--fjet", "0,0,0", "--gjet", "0,0,0"], False),
     (["mesh"], False),
@@ -638,9 +661,8 @@ def test_every_accepted_setting_is_read(tmp_path, capsys):
             out.pop("config", None)
         return code, out, err
 
-    defaults = {f.name: f.default if f.default_factory is dataclasses.MISSING
-                else f.default_factory() for f in dataclasses.fields(RunConfig)}
-    assert set(_PROBES) == set(defaults) - {"command", "format", "output"}
+    defaults = RunConfig._field_defaults
+    assert set(_PROBES) == set(RunConfig._fields) - {"command", "format", "output"}
     read = set()
     for command, argv in _SMALL_RUNS.items():
         for name, value in _PROBES.items():
@@ -728,19 +750,24 @@ def test_mesh_evaluates_each_profile_once_per_grid_line(tmp_path, monkeypatch):
         def fn(x):
             calls.append(axis)
             return profile.fn(x)
-        return replace(profile, fn=fn)
+        return profile._replace(fn=fn)
 
     def counting_build(fam):
         built = build(fam)
-        surface = replace(built.surface, f=counted(built.surface.f, "u"),
-                          g=counted(built.surface.g, "v"))
-        return replace(built, surface=surface)
+        surface = built.surface._replace(f=counted(built.surface.f, "u"),
+                                         g=counted(built.surface.g, "v"))
+        return built._replace(surface=surface)
 
     monkeypatch.setattr(cli, "build", counting_build)
     code, text = run(tmp_path, "mesh", "--family", "F2_39", "--nu", "9", "--nv", "7",
                      "--format", "csv", name="m.csv")
     assert code == 0 and len(text.splitlines()) == 1 + 9 * 7
     assert (calls.count("u"), calls.count("v")) == (9, 7)
+
+
+# Modules that `dataclasses` loads and nothing else in `import ssmin.cli` needs:
+# importing them would double the start-up cost every CLI call pays.
+_UNLOADED = ("numpy", "dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -756,7 +783,10 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for module in modules:
                 assert module.split(".")[0] in sys.stdlib_module_names, (path.name, module)
+                assert module.split(".")[0] != "dataclasses", (path.name, module)
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
-    subprocess.run([sys.executable, "-c",
-                    "import sys, ssmin, ssmin.cli; assert 'numpy' not in sys.modules"],
-                   env=env, check=True)
+    loaded = subprocess.run([sys.executable, "-c",
+                             "import sys, ssmin, ssmin.cli; print(*sorted(sys.modules))"],
+                            env=env, check=True, capture_output=True, text=True).stdout.split()
+    assert "ssmin.cli" in loaded
+    assert not set(_UNLOADED) & set(loaded)

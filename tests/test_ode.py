@@ -1,7 +1,6 @@
 """RK4 integration of the reduced equations and cross-checks against closed forms."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -91,7 +90,7 @@ def test_compare_profile_shifted_control():
 
 
 def test_compare_profile_domain_mismatch():
-    profile = replace(affine_profile(1.0, 0.0), domain=Interval(0.0, 0.5))
+    profile = affine_profile(1.0, 0.0)._replace(domain=Interval(0.0, 0.5))
     traj = integrate(TANH_CASE, 0.0, (0.0, 0.7), 0.01)
     with pytest.raises(DomainMismatch):
         compare_profile(traj, profile)
