@@ -24,7 +24,6 @@ from .curvature import _curvature_kernel
 from .errors import DomainError, EmptyDomain, ParameterConstraintViolation, VerifierError
 from .jets import (
     Interval,
-    Jet2,
     Profile,
     QuadratureSpec,
     REAL_LINE,
@@ -625,10 +624,11 @@ _DEFAULT_SETTINGS: dict[FamilyId, tuple[SolutionFamily, ...]] = {
 def perturb_profile(profile: Profile, eps: float) -> Profile:
     """Profile plus eps*u^2; the negative control for family verification."""
 
-    def plus(evaluate: Callable[[float], Jet2]) -> Callable[[float], Jet2]:
-        def fn(u: float) -> Jet2:
-            jet = evaluate(u)
-            return Jet2(jet.v + eps * u * u, jet.d1 + 2.0 * eps * u, jet.d2 + 2.0 * eps)
+    def plus(evaluate: Callable[[float], tuple[float, float, float]]
+             ) -> Callable[[float], tuple[float, float, float]]:
+        def fn(u: float) -> tuple[float, float, float]:
+            v, d1, d2 = evaluate(u)
+            return (v + eps * u * u, d1 + 2.0 * eps * u, d2 + 2.0 * eps)
         return fn
 
     slopes = None if profile.slopes is None else plus(profile.slopes)
@@ -715,15 +715,13 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
         v = v_lo + v_span * unit()
         if not (f_lo <= u <= f_hi and isfinite(u)):
             raise f.error_at(u)
-        fj = f_eval(u)
-        f1, f2 = fj.d1, fj.d2
-        if not (isfinite(f1) and isfinite(f2) and (not f_whole or isfinite(fj.v))):
+        fv, f1, f2 = f_eval(u)
+        if not (isfinite(f1) and isfinite(f2) and (not f_whole or isfinite(fv))):
             raise f.error_at(u)
         if not (g_lo <= v <= g_hi and isfinite(v)):
             raise g.error_at(v)
-        gj = g_eval(v)
-        g1, g2 = gj.d1, gj.d2
-        if not (isfinite(g1) and isfinite(g2) and (not g_whole or isfinite(gj.v))):
+        gv, g1, g2 = g_eval(v)
+        if not (isfinite(g1) and isfinite(g2) and (not g_whole or isfinite(gv))):
             raise g.error_at(v)
         # running worsts, like max except that a NaN sample sticks
         if full:

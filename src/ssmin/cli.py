@@ -258,7 +258,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 override = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and bytes that are not UTF-8;
+            # JSON nested past the interpreter's recursion limit raises RecursionError
             raise UsageError(f"cannot read config {args.config!r}: {exc}") from None
         if not isinstance(override, dict):
             raise UsageError(f"config {args.config!r} must hold a JSON object")

@@ -3,9 +3,12 @@
 A Jet2 records (value, first derivative, second derivative) of a scalar
 function of one variable at a point.  It is a named tuple, which is cheap to
 build and immutable, and so compares equal to a plain tuple of its values, as
-every record of the package does.  A Profile wraps a jet-valued evaluator
-together with an explicit domain; evaluation outside the domain raises, it
-never returns NaN.
+every record of the package does.  A Profile wraps an evaluator that
+returns the jet as a plain (v, d1, d2) tuple together with an explicit
+domain; `Profile.at` tests the domain and the jet's finiteness and is the one
+place that builds a Jet2.  Evaluation outside the domain raises, it never
+returns NaN.  Check loops call the evaluator and unpack the tuple, so no Jet2
+is built per sample.
 
 Closed-form profiles are scalar kernels.  Each performs the floating-point
 operations of its forward-mode jet composition (Leibniz and chain rules
@@ -38,9 +41,6 @@ class Jet2(NamedTuple):
     v: float
     d1: float = 0.0
     d2: float = 0.0
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.v) and math.isfinite(self.d1) and math.isfinite(self.d2)
 
 
 class _IntervalFields(NamedTuple):
@@ -90,14 +90,17 @@ REAL_LINE = Interval(-math.inf, math.inf)
 class Profile(NamedTuple):
     """A scalar profile function with jet evaluation on an explicit domain.
 
-    `slopes`, where given, computes d1 and d2 alone, with the value NaN, for
-    profiles whose value costs far more than their derivatives.
+    `fn` returns the jet at u as a plain (v, d1, d2) tuple and tests nothing
+    but what its own arithmetic needs; `at` adds the domain and finiteness
+    tests and wraps the tuple in a Jet2.  `slopes`, where given, computes d1
+    and d2 alone, with the value NaN, for profiles whose value costs far more
+    than their derivatives.
     """
 
-    fn: Callable[[float], Jet2]
+    fn: Callable[[float], tuple[float, float, float]]
     domain: Interval = REAL_LINE
     label: str = "profile"
-    slopes: Callable[[float], Jet2] | None = None
+    slopes: Callable[[float], tuple[float, float, float]] | None = None
 
     @property
     def quadrature(self) -> bool:
@@ -108,23 +111,21 @@ class Profile(NamedTuple):
         """The jet at u; with value=False only d1 and d2 are promised."""
         if not (self.domain.contains(u) and math.isfinite(u)):
             raise self.error_at(u)
-        if value or self.slopes is None:
-            jet = self.fn(u)
-            finite = jet.is_finite()
-        else:
-            jet = self.slopes(u)
-            finite = math.isfinite(jet.d1) and math.isfinite(jet.d2)
-        if not finite:
+        whole = value or self.slopes is None
+        v, d1, d2 = self.fn(u) if whole else self.slopes(u)
+        if not (math.isfinite(d1) and math.isfinite(d2) and (not whole or math.isfinite(v))):
             raise self.error_at(u)
-        return jet
+        return Jet2(v, d1, d2)
 
-    def slope_evaluator(self) -> tuple[float, float, Callable[[float], Jet2], bool]:
+    def slope_evaluator(self) -> tuple[float, float,
+                                       Callable[[float], tuple[float, float, float]], bool]:
         """What `at(u, value=False)` reads, for a loop that inlines its tests.
 
         Returns the domain's bounds lo and hi, the evaluator, and whether the
         jet's value must be finite too (it must where the evaluator is `fn`).
-        The loop tests `lo <= u <= hi` and `isfinite(u)` before it evaluates and
-        the jet's finiteness after, and raises `error_at(u)` where a test fails.
+        The evaluator returns a plain (v, d1, d2) tuple.  The loop tests
+        `lo <= u <= hi` and `isfinite(u)` before it evaluates and the tuple's
+        finiteness after, and raises `error_at(u)` where a test fails.
         """
         return self.domain.lo, self.domain.hi, self.slopes or self.fn, self.slopes is None
 
@@ -143,7 +144,7 @@ class Profile(NamedTuple):
 
 def affine_profile(slope: float, intercept: float) -> Profile:
     s, b = float(slope), float(intercept)
-    return Profile(lambda u: Jet2(s * u + b, s, 0.0), REAL_LINE, "affine")
+    return Profile(lambda u: (s * u + b, s, 0.0), REAL_LINE, "affine")
 
 
 def log_abs_cos_profile(k: float, q: float, a: float, offset: float = 0.0,
@@ -162,7 +163,7 @@ def log_abs_cos_profile(k: float, q: float, a: float, offset: float = 0.0,
 
     k, q, a, offset = float(k), float(q), float(a), float(offset)
 
-    def fn(u: float) -> Jet2:
+    def fn(u: float) -> tuple[float, float, float]:
         # The jet of c = cos(x), x = q*u - a, is (c, c1, c2); that of ln|c|
         # is (ln|c|, r*c1, -r*r*c1*c1 + r*c2) with r = 1/c.
         x = u * q - a
@@ -171,8 +172,8 @@ def log_abs_cos_profile(k: float, q: float, a: float, offset: float = 0.0,
             raise DomainError("log|x| at zero")
         c1 = -math.sin(x) * q
         r = 1.0 / c
-        return Jet2(math.log(abs(c)) * k + offset, r * c1 * k,
-                    ((-r * r) * c1 * c1 + r * (-c * q * q)) * k)
+        return (math.log(abs(c)) * k + offset, r * c1 * k,
+                ((-r * r) * c1 * c1 + r * (-c * q * q)) * k)
 
     return Profile(fn, domain, "k*log|cos|")
 
@@ -204,7 +205,7 @@ def log_abs_exp_profile(k: float, q: float, coeff_pos: float, coeff_neg: float,
     k, q, cp, cn, offset = float(k), float(q), float(coeff_pos), float(coeff_neg), float(offset)
     nq = -q
 
-    def fn(u: float) -> Jet2:
+    def fn(u: float) -> tuple[float, float, float]:
         # The argument's jet is (av, a1, a2); that of ln|av| is
         # (ln|av|, r*a1, -r*r*a1*a1 + r*a2) with r = 1/av.
         try:
@@ -227,7 +228,7 @@ def log_abs_exp_profile(k: float, q: float, coeff_pos: float, coeff_neg: float,
             d2 = -((r * a1) * (r * a1)) + r * a2
         else:
             d2 = (-rr) * a1 * a1 + r * a2
-        return Jet2(math.log(abs(av)) * k + offset, r * a1 * k, d2 * k)
+        return (math.log(abs(av)) * k + offset, r * a1 * k, d2 * k)
 
     return Profile(fn, domain, "k*log|exp|")
 
@@ -305,10 +306,10 @@ def profile_quadrature(integrand: Callable[[float], float],
     # cumulative[side][k]: integral from base_point to base_point + side*k*_NODE_WIDTH
     cumulative = {1.0: [0.0], -1.0: [0.0]}
 
-    def slopes(u: float) -> Jet2:
-        return Jet2(math.nan, integrand(u), integrand_d1(u))
+    def slopes(u: float) -> tuple[float, float, float]:
+        return (math.nan, integrand(u), integrand_d1(u))
 
-    def fn(u: float) -> Jet2:
+    def fn(u: float) -> tuple[float, float, float]:
         d1 = integrand(u)
         d2 = integrand_d1(u)
         k = int((u - base_point) / _NODE_WIDTH)
@@ -325,6 +326,6 @@ def profile_quadrature(integrand: Callable[[float], float],
             hi = base_point + side * n * _NODE_WIDTH
             sums.append(sums[-1] + adaptive_simpson(integrand, lo, hi, spec))
         value = base + sums[k] + adaptive_simpson(integrand, node, u, spec)
-        return Jet2(value, d1, d2)
+        return (value, d1, d2)
 
     return Profile(fn, domain, "quadrature", slopes)

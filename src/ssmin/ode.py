@@ -172,9 +172,8 @@ def compare_profile(numeric: Trajectory, analytic: Profile) -> float:
             )
         if not isfinite(t):
             raise analytic.error_at(t)
-        jet = evaluate(t)
-        d1 = jet.d1
-        if not (isfinite(d1) and isfinite(jet.d2) and (not whole or isfinite(jet.v))):
+        v, d1, d2 = evaluate(t)
+        if not (isfinite(d1) and isfinite(d2) and (not whole or isfinite(v))):
             raise analytic.error_at(t)
         err = abs(h - d1)
         if err > worst or err != err:  # a running max in which a NaN sample sticks

@@ -95,6 +95,9 @@ class Jet(Jet2):
     """A Jet2 that propagates all three entries through arithmetic and
     elementary functions by the Leibniz and chain rules."""
 
+    def is_finite(self) -> bool:
+        return math.isfinite(self.v) and math.isfinite(self.d1) and math.isfinite(self.d2)
+
     @staticmethod
     def constant(c: float) -> "Jet":
         return Jet(float(c), 0.0, 0.0)

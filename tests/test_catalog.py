@@ -25,6 +25,7 @@ from ssmin.cli import _record, _sweeps
 from ssmin.jets import Interval, Jet2, affine_profile
 from ssmin.ode import Trajectory, compare_profile, integrate
 from ssmin.pde import CaseId, equivalence_sweep, residual
+from ssmin.sampling import SplitMix64
 from ssmin.surface import TranslationType
 
 import oracles
@@ -356,18 +357,51 @@ def test_flat_check_equals_its_per_sample_oracle():
                             == reference_verify_auto(fam, n_samples, seed, perturb=perturb))
 
 
+def _same(got, expected):
+    """Equal floats, or both NaN."""
+    return got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+def test_evaluators_return_plain_tuples_that_at_wraps():
+    # the check loops unpack `fn` and `slopes` directly: a plain (v, d1, d2)
+    # tuple, equal field by field to the Jet2 that `at` builds around it
+    profiles = []
+    for fam in all_default_settings():
+        built = _assemble(fam)
+        boxes = catalog._residual_box(built)
+        profiles += [(built.surface.f, boxes[0]), (built.surface.g, boxes[1])]
+    # a perturbed quadrature profile keeps both evaluators
+    built = _assemble(make_family(FamilyId.F3_12))
+    assert built.surface.f.quadrature
+    profiles.append((catalog.perturb_profile(built.surface.f, 0.01),
+                     catalog._residual_box(built)[0]))
+    assert len(profiles) == 2 * 38 + 1
+    rng = SplitMix64(4242)
+    for profile, box in profiles:
+        for u in [box.lo + (box.hi - box.lo) * rng.unit() for _ in range(8)]:
+            evaluated = [(profile.fn(u), profile.at(u))]
+            if profile.quadrature:
+                evaluated.append((profile.slopes(u), profile.at(u, value=False)))
+            for raw, jet in evaluated:
+                assert type(raw) is tuple and type(jet) is Jet2, (profile.label, u)
+                v, d1, d2 = raw
+                assert _same(v, jet.v) and d1 == jet.d1 and d2 == jet.d2, (profile.label, u)
+
+
 def _faulty_d1(jet):
-    return Jet2(jet.v, math.inf, jet.d2)
+    v, _, d2 = jet
+    return (v, math.inf, d2)
 
 
 def _nan_value(jet):
-    return Jet2(math.nan, jet.d1, jet.d2)
+    _, d1, d2 = jet
+    return (math.nan, d1, d2)
 
 
 def _patched(profile, fault, box):
-    """`profile` whose evaluator for `at(u, value=False)` passes its sixth jet
-    through `fault`, or where fault is None, `profile` on only the lower half
-    of the box it is sampled on."""
+    """`profile` whose evaluator for `at(u, value=False)` passes its sixth
+    (v, d1, d2) tuple through `fault`, or where fault is None, `profile` on
+    only the lower half of the box it is sampled on."""
     if fault is None:
         return profile._replace(domain=Interval(box.lo, box.midpoint))
     attr = "slopes" if profile.quadrature else "fn"

@@ -560,12 +560,21 @@ def test_usage_errors_exit_one(argv):
     # a config branch is checked against the same names as --branch
     (["verify", "--family", "F2_39", "--samples", "5"], {"branch": "sideways"}, "branch"),
     (["mesh", "--family", "F2_39"], {"branch": "sideways"}, "branch"),
+    # a config file (given as its bytes) that cannot be read: not UTF-8, and
+    # JSON nested past the recursion limit
+    pytest.param(["verify", "--all"], b"\xff\xfe", "cannot read config",
+                 id="config-not-utf8"),
+    pytest.param(["verify", "--all"], b'{"a":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                 "cannot read config", id="config-nested-too-deep"),
 ])
 def test_bad_input_rejected_once(tmp_path, capsys, argv, config, field):
     # no vacuous pass, no traceback: RunConfig rejects the input with exit 1
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
+        if isinstance(config, bytes):
+            cfg_path.write_bytes(config)
+        else:
+            cfg_path.write_text(json.dumps(config))
         argv = [*argv, "--config", str(cfg_path)]
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -26,7 +26,7 @@ from ssmin.jets import Jet2, affine_profile
 from ssmin.sampling import SplitMix64
 from ssmin.surface import TranslationSurface, TranslationType, frame_from_jets
 
-from oracles import log_abs_cos_jet, log_abs_exp_jet
+from oracles import Jet, log_abs_cos_jet, log_abs_exp_jet
 
 E = Signature.EUCLIDEAN
 L = Signature.LORENTZIAN
@@ -288,7 +288,7 @@ def _outcome(evaluate, u):
     """(v, d1, d2) at u, or the type of error raised.  Overflow and a non-finite
     jet count as DomainError, as `Profile.at` reports them."""
     try:
-        jet = evaluate(u)
+        jet = Jet(*evaluate(u))
     except OverflowError:
         return DomainError
     except Exception as exc:  # noqa: BLE001  the type is the outcome

@@ -45,12 +45,12 @@ def test_jet2_record_contract():
     assert Jet2(3.0) == Jet2(3.0, 0.0, 0.0) and Jet2(3.0).d1 == Jet2(3.0).d2 == 0.0
     # a named tuple: equal to the plain tuple of its values, and so hashable alike
     assert jet == (1.5, -2.0, 0.25) and hash(jet) == hash((1.5, -2.0, 0.25))
-    assert jet.is_finite()
+    assert Jet(*jet).is_finite()
     for bad in (math.nan, math.inf, -math.inf):
         for slot in range(3):
             values = [1.0, 2.0, 3.0]
             values[slot] = bad
-            assert not Jet2(*values).is_finite()
+            assert not Jet(*values).is_finite()
 
 
 def test_elementary_examples():
