@@ -20,7 +20,6 @@ from .jets import (
     Interval,
     Jet2,
     Profile,
-    QuadratureSpec,
     adaptive_simpson,
     affine_profile,
     log_abs_cos_profile,

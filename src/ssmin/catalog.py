@@ -9,15 +9,20 @@ admissible box additionally keeps EG - F^2 above a floor.
 Several Minkowski families solve their minimality PDE while having an empty
 spacelike region for every permitted parameter choice (their derivative bounds
 contradict EG - F^2 > 0).  Building such a family raises EmptyDomain; its
-verification falls back to the PDE residual sampled on the profiles' own
-domains, which is the part of the classification that remains checkable.
+verification falls back to the PDE residual, the part of the classification
+that remains checkable.  It is sampled on boxes inside the profiles' domains
+that reach at most 2 either side of a start point while the slope stays
+moderate (`_moderate_box`).
+
+Each family's builder takes its parameters as keywords with float defaults,
+and that signature is the family's one parameter table (`_DEFAULTS`).
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 from .ambient import AmbientSpace
 from .curvature import _curvature_kernel
@@ -25,7 +30,6 @@ from .errors import DomainError, EmptyDomain, ParameterConstraintViolation, Veri
 from .jets import (
     Interval,
     Profile,
-    QuadratureSpec,
     REAL_LINE,
     SINGULARITY_GUARD,
     affine_profile,
@@ -48,10 +52,6 @@ SAMPLING_CAP = 3.0
 # families get the looser bound.
 CLOSED_FORM_TOLERANCE = 1e-8
 QUADRATURE_TOLERANCE = 1e-6
-
-# Catalog quadrature runs tighter than the default spec so finite-difference
-# oracles on profile values stay well below their tolerances.
-_QUAD_SPEC = QuadratureSpec(abs_tol=1e-12, max_depth=40)
 
 
 class FamilyId(Enum):
@@ -153,30 +153,6 @@ class FamilyReport(NamedTuple):
     empty_reason: str | None
 
 
-_DEFAULTS: dict[FamilyId, dict[str, float]] = {
-    FamilyId.F2_23: {"c3": 0.0, "a": 0.0, "c5": 0.0},
-    FamilyId.F2_24: {"c3_bar": 0.0, "a1": 0.0, "c6": 0.0},
-    FamilyId.F2_35: {"c0_tilde": 1.0, "a_tilde": 0.0, "b_tilde": 0.0},
-    FamilyId.F2_39: {"c0_hat": 1.0, "a_hat": 2.0, "b_hat": 0.0},
-    FamilyId.F2_40: {"c0_prime": 1.0, "b_prime": 0.0},
-    FamilyId.F2_50: {"c0": 1.0, "c1": 2.0, "c2": 0.0},
-    FamilyId.F2_51: {"c": 1.0, "c3": 0.0, "c4": 0.0, "c5": 0.0},
-    FamilyId.F3_10: {"c": 1.5, "a": 0.0, "b_bar": 0.0},
-    FamilyId.F3_12: {"c": 0.5, "c_tilde": -1.0, "b_tilde": 0.0},
-    FamilyId.F3_13: {"c_hat": 1.5, "a1": 0.0, "b_bar1": 0.0},
-    FamilyId.F3_14: {"c_hat": 0.5, "c_tilde1": -1.0, "b_tilde": 0.0},
-    FamilyId.F3_25: {"c0_tilde": 0.5, "a_tilde": 0.0, "b_tilde": 0.0},
-    FamilyId.F3_27: {"c0_tilde": 1.5, "c1": -1.0, "b_bar1": 0.0},
-    FamilyId.F3_30: {"c0_hat": 1.0, "a_hat": -0.3, "b_hat": 0.0},
-    FamilyId.F3_31: {"c0_prime": 1.0, "c1_prime": 0.0, "b_prime": 0.0},
-    FamilyId.F3_36: {"c1": 0.3, "c2": 0.4, "c3": 0.0},
-    FamilyId.F3_38: {"c0": 1.0, "c_hat": -1.0, "c_hat1": -1.0, "a": 0.0},
-    FamilyId.F3_41: {"c1": 0.5, "c2": 2.0, "c3": 0.0},
-    FamilyId.F3_43: {"c0_bar": 1.0, "c3": 1.0, "c4": 0.0, "b": 0.0},
-}
-
-BRANCHED_FAMILIES = frozenset({FamilyId.F2_39, FamilyId.F3_30})
-
 # Family ids grouped by the classification suite they belong to.
 THEOREM_SUITES: dict[str, tuple[FamilyId, ...]] = {
     "2.2": (FamilyId.F2_23, FamilyId.F2_24),
@@ -222,8 +198,8 @@ def _quad(integrand: Callable[[float], float], integrand_d1: Callable[[float], f
         anchor = domain.lo + 1.0
     else:
         anchor = domain.hi - 1.0
-    return profile_quadrature(integrand, integrand_d1, base=base, spec=_QUAD_SPEC,
-                              domain=domain, base_point=anchor)
+    return profile_quadrature(integrand, integrand_d1, base=base, domain=domain,
+                              base_point=anchor)
 
 
 def _radicand_integrands(fid: str, sign: float, ah: float, rate: float, shift: float):
@@ -305,10 +281,12 @@ def _ratio_domain(coeff: float, rate: float) -> Interval:
     return Interval(SINGULARITY_GUARD, math.inf)
 
 
-# A builder maps (parameters, branch sign) to what varies between families:
-# (f, g, reduced-ODE checks, admissible domain or the reason it is empty).
-# Profile labels, the surface type, the case and the ambient space are added
-# by `_assemble` from the `_FAMILIES` table.
+# A builder takes its family's parameters as keywords with float defaults, so
+# its parameter list is the family's parameter table (`_DEFAULTS`); a family
+# with a +- branch also takes the keyword-only `sign`.  It returns what varies
+# between families: (f, g, reduced-ODE checks, admissible domain or the
+# reason it is empty).  Profile labels, the surface type, the case and the
+# ambient space are added by `_assemble` from the `_FAMILIES` table.
 _Parts = tuple[Profile, Profile, tuple[tuple[OdeCase, str], ...], AdmissibleDomain | str]
 _EVERYWHERE = AdmissibleDomain(REAL_LINE, REAL_LINE)
 
@@ -329,44 +307,39 @@ def _plane(f: Profile, g: Profile, gap: float, gap_text: str) -> _Parts:
     return f, g, (), f"no spacelike points: {gap_text} = {gap:.6g} <= 0"
 
 
-def _f2_23(c3: float, a: float, c5: float) -> _Parts:
+def _f2_23(c3=0.0, a=0.0, c5=0.0) -> _Parts:
     """F2_23: log-cos f, affine g; F2_24 is its mirror."""
     scale = c3 ** 2 + 1.0
     q = 2.0 / math.sqrt(scale)
     return (log_abs_cos_profile(-scale / 2.0, q, a), affine_profile(c3, c5),
-            ((OdeCase.of(OdeId.O2_21, c3=c3), "f"),),
+            ((OdeCase(OdeId.O2_21, c3), "f"),),
             AdmissibleDomain(_cos_admissible(-scale / 2.0, q, a), REAL_LINE))
 
 
-def _build_f2_35(p: Mapping[str, float], sign: float) -> _Parts:
-    c0t = p["c0_tilde"]
-    _require(c0t != 0.0, "F2_35 requires c0_tilde != 0")
-    scale = c0t * c0t + 1.0
-    k, q = scale / (2.0 * c0t), 2.0 * c0t / math.sqrt(scale)
-    return (log_abs_cos_profile(k, q, p["a_tilde"], p["b_tilde"]), affine_profile(c0t, 0.0),
-            ((OdeCase.of(OdeId.O2_33, c0_tilde=c0t), "f"),),
-            AdmissibleDomain(_cos_admissible(k, q, p["a_tilde"]), REAL_LINE))
+def _f2_35(c0_tilde=1.0, a_tilde=0.0, b_tilde=0.0) -> _Parts:
+    _require(c0_tilde != 0.0, "F2_35 requires c0_tilde != 0")
+    scale = c0_tilde * c0_tilde + 1.0
+    k, q = scale / (2.0 * c0_tilde), 2.0 * c0_tilde / math.sqrt(scale)
+    return (log_abs_cos_profile(k, q, a_tilde, b_tilde), affine_profile(c0_tilde, 0.0),
+            ((OdeCase(OdeId.O2_33, c0_tilde), "f"),),
+            AdmissibleDomain(_cos_admissible(k, q, a_tilde), REAL_LINE))
 
 
-def _build_f2_39(p: Mapping[str, float], sign: float) -> _Parts:
-    c0h, ah = p["c0_hat"], p["a_hat"]
-    _require(ah > 0.0, "F2_39 requires a_hat > 0")
-    kk = 1.0 / (c0h * c0h + 1.0)
-    v_star = 0.25 * math.log(kk / ah)
-    prof_lo = 0.25 * math.log((kk + 1e-9) / ah)
-    g = _quad(*_radicand_integrands("F2_39", sign, ah, 4.0, -kk),
-              Interval(prof_lo, math.inf), p["b_hat"])
-    return (affine_profile(c0h, 0.0), g, ((OdeCase.of(OdeId.O2_36, c0_hat=c0h), "g"),),
+def _f2_39(c0_hat=1.0, a_hat=2.0, b_hat=0.0, *, sign: float) -> _Parts:
+    _require(a_hat > 0.0, "F2_39 requires a_hat > 0")
+    kk = 1.0 / (c0_hat * c0_hat + 1.0)
+    v_star = 0.25 * math.log(kk / a_hat)
+    prof_lo = 0.25 * math.log((kk + 1e-9) / a_hat)
+    g = _quad(*_radicand_integrands("F2_39", sign, a_hat, 4.0, -kk),
+              Interval(prof_lo, math.inf), b_hat)
+    return (affine_profile(c0_hat, 0.0), g, ((OdeCase(OdeId.O2_36, c0_hat), "g"),),
             AdmissibleDomain(REAL_LINE, Interval(v_star + EDGE_MARGIN, math.inf)))
 
 
-def _build_f2_51(p: Mapping[str, float], sign: float) -> _Parts:
-    c = p["c"]
+def _f2_51(c=1.0, c3=0.0, c4=0.0, c5=0.0) -> _Parts:
     _require(c != 0.0, "F2_51 requires c != 0")
-    return (log_abs_cos_profile(1.0 / c, c, p["c3"]),
-            log_abs_cos_profile(-1.0 / c, c, p["c4"], p["c5"]), (),
-            AdmissibleDomain(_cos_admissible(1.0 / c, c, p["c3"]),
-                             _cos_admissible(1.0 / c, c, p["c4"])))
+    return (log_abs_cos_profile(1.0 / c, c, c3), log_abs_cos_profile(-1.0 / c, c, c4, c5), (),
+            AdmissibleDomain(_cos_admissible(1.0 / c, c, c3), _cos_admissible(1.0 / c, c, c4)))
 
 
 def _f3_10(fid: str, c_name: str, c: float, a: float, b: float) -> _Parts:
@@ -374,7 +347,7 @@ def _f3_10(fid: str, c_name: str, c: float, a: float, b: float) -> _Parts:
     _require(c * c > 1.0, f"{fid} requires {c_name}^2 > 1")
     scale = c * c - 1.0
     return (log_abs_cos_profile(-scale / 2.0, 2.0 / math.sqrt(scale), a),
-            affine_profile(c, b), ((OdeCase.of(OdeId.O3_8, c=c), "f"),),
+            affine_profile(c, b), ((OdeCase(OdeId.O3_8, c), "f"),),
             f"no spacelike points: 1 - f'^2 - g'^2 <= 1 - {c_name}^2 = {1.0 - c * c:.6g} < 0")
 
 
@@ -389,7 +362,7 @@ def _f3_12(fid: str, side: str, c_name: str, ct_name: str, c: float, ct: float,
     s = math.sqrt(1.0 - c * c)
     rate = -4.0 / s
     f = _quad(*_tanh_ratio_integrands(s, ct, rate), _ratio_domain(ct, rate), b_quad)
-    parts = (f, affine_profile(c, b_line), ((OdeCase.of(OdeId.O3_8, c=c), "f"),))
+    parts = (f, affine_profile(c, b_line), ((OdeCase(OdeId.O3_8, c), "f"),))
     if ct > 0.0:
         return *parts, (f"no spacelike points: {side}'^2 > 1 - {c_name}^2 "
                         f"everywhere for {ct_name} > 0")
@@ -402,26 +375,23 @@ def _f3_12(fid: str, side: str, c_name: str, ct_name: str, c: float, ct: float,
     return *parts, AdmissibleDomain(box, REAL_LINE)
 
 
-def _build_f3_25(p: Mapping[str, float], sign: float) -> _Parts:
-    c0t = p["c0_tilde"]
-    _require(c0t != 0.0 and c0t * c0t < 1.0, "F3_25 requires 0 < c0_tilde^2 < 1")
-    s = math.sqrt(1.0 - c0t * c0t)
-    f = log_abs_cos_profile((1.0 - c0t * c0t) / (2.0 * c0t), 2.0 * c0t / s,
-                            p["a_tilde"], p["b_tilde"])
-    return (f, affine_profile(c0t, 0.0), ((OdeCase.of(OdeId.O3_23, c0_tilde=c0t), "f"),),
-            f"no spacelike points: g'^2 - f'^2 - 1 <= c0_tilde^2 - 1 = "
-            f"{c0t * c0t - 1.0:.6g} < 0")
+def _f3_25(c0_tilde=0.5, a_tilde=0.0, b_tilde=0.0) -> _Parts:
+    squared = c0_tilde * c0_tilde
+    _require(c0_tilde != 0.0 and squared < 1.0, "F3_25 requires 0 < c0_tilde^2 < 1")
+    s = math.sqrt(1.0 - squared)
+    f = log_abs_cos_profile((1.0 - squared) / (2.0 * c0_tilde), 2.0 * c0_tilde / s,
+                            a_tilde, b_tilde)
+    return (f, affine_profile(c0_tilde, 0.0), ((OdeCase(OdeId.O3_23, c0_tilde), "f"),),
+            f"no spacelike points: g'^2 - f'^2 - 1 <= c0_tilde^2 - 1 = {squared - 1.0:.6g} < 0")
 
 
-def _build_f3_27(p: Mapping[str, float], sign: float) -> _Parts:
-    c0t, c1 = p["c0_tilde"], p["c1"]
-    _require(c0t * c0t > 1.0, "F3_27 requires c0_tilde^2 > 1")
+def _f3_27(c0_tilde=1.5, c1=-1.0, b_bar1=0.0) -> _Parts:
+    _require(c0_tilde * c0_tilde > 1.0, "F3_27 requires c0_tilde^2 > 1")
     _require(c1 != 0.0, "F3_27 requires c1 != 0")
-    s = math.sqrt(c0t * c0t - 1.0)
-    rate = 4.0 * c0t / s
+    s = math.sqrt(c0_tilde * c0_tilde - 1.0)
+    rate = 4.0 * c0_tilde / s
     f = _quad(*_tanh_ratio_integrands(s, c1, rate), _ratio_domain(c1, rate))
-    parts = (f, affine_profile(c0t, p["b_bar1"]),
-             ((OdeCase.of(OdeId.O3_23, c0_tilde=c0t), "f"),))
+    parts = (f, affine_profile(c0_tilde, b_bar1), ((OdeCase(OdeId.O3_23, c0_tilde), "f"),))
     if c1 > 0.0:
         return *parts, "no spacelike points: f'^2 > c0_tilde^2 - 1 everywhere for c1 > 0"
     if 100.0 * s <= 1.02:
@@ -433,133 +403,137 @@ def _build_f3_27(p: Mapping[str, float], sign: float) -> _Parts:
     return *parts, AdmissibleDomain(box, REAL_LINE)
 
 
-def _build_f3_30(p: Mapping[str, float], sign: float) -> _Parts:
-    c0h, ah = p["c0_hat"], p["a_hat"]
-    _require(ah != 0.0, "F3_30 requires a_hat != 0")
-    kk = 1.0 / (c0h * c0h + 1.0)
-    integrands = _radicand_integrands("F3_30", sign, ah, -4.0, kk)
-    f = affine_profile(c0h, 0.0)
-    checks = ((OdeCase.of(OdeId.O3_28, c0_hat=c0h), "g"),)
-    if ah > 0.0:
-        return (f, _quad(*integrands, REAL_LINE, p["b_hat"]), checks,
+def _f3_30(c0_hat=1.0, a_hat=-0.3, b_hat=0.0, *, sign: float) -> _Parts:
+    _require(a_hat != 0.0, "F3_30 requires a_hat != 0")
+    kk = 1.0 / (c0_hat * c0_hat + 1.0)
+    integrands = _radicand_integrands("F3_30", sign, a_hat, -4.0, kk)
+    f = affine_profile(c0_hat, 0.0)
+    checks = ((OdeCase(OdeId.O3_28, c0_hat), "g"),)
+    if a_hat > 0.0:
+        return (f, _quad(*integrands, REAL_LINE, b_hat), checks,
                 "no spacelike points: g'^2 < 1 + c0_hat^2 everywhere for a_hat > 0")
-    v_star = 0.25 * math.log(-ah / kk)
-    prof_lo = -0.25 * math.log((kk - 1e-9) / -ah)
-    v_hi = 0.25 * math.log(-ah / (SPACELIKE_FLOOR * kk * kk))
-    g = _quad(*integrands, Interval(prof_lo, math.inf), p["b_hat"])
+    v_star = 0.25 * math.log(-a_hat / kk)
+    prof_lo = -0.25 * math.log((kk - 1e-9) / -a_hat)
+    v_hi = 0.25 * math.log(-a_hat / (SPACELIKE_FLOOR * kk * kk))
+    g = _quad(*integrands, Interval(prof_lo, math.inf), b_hat)
     return f, g, checks, AdmissibleDomain(REAL_LINE, Interval(v_star + EDGE_MARGIN, v_hi))
 
 
-def _build_f3_31(p: Mapping[str, float], sign: float) -> _Parts:
-    c0p, c1p = p["c0_prime"], p["c1_prime"]
-    _require(c1p == 0.0 or abs(c1p * c1p - c0p * c0p - 2.0) < 1e-9,
+def _f3_31(c0_prime=1.0, c1_prime=0.0, b_prime=0.0) -> _Parts:
+    _require(c1_prime == 0.0 or abs(c1_prime * c1_prime - c0_prime * c0_prime - 2.0) < 1e-9,
              "F3_31 requires c1_prime = 0 or c1_prime^2 - c0_prime^2 - 2 = 0")
-    return _plane(affine_profile(c0p, p["b_prime"]), affine_profile(c1p, 0.0),
-                  c1p * c1p - c0p * c0p - 1.0, "g'^2 - f'^2 - 1")
+    return _plane(affine_profile(c0_prime, b_prime), affine_profile(c1_prime, 0.0),
+                  c1_prime * c1_prime - c0_prime * c0_prime - 1.0, "g'^2 - f'^2 - 1")
 
 
-def _build_f3_36(p: Mapping[str, float], sign: float) -> _Parts:
-    c1, c2 = p["c1"], p["c2"]
-    return _plane(affine_profile(c1, 0.0), affine_profile(c2, p["c3"]),
+def _f3_36(c1=0.3, c2=0.4, c3=0.0) -> _Parts:
+    return _plane(affine_profile(c1, 0.0), affine_profile(c2, c3),
                   1.0 - c1 * c1 - c2 * c2, "1 - f'^2 - g'^2")
 
 
-def _build_f3_38(p: Mapping[str, float], sign: float) -> _Parts:
-    c0, ch, ch1 = p["c0"], p["c_hat"], p["c_hat1"]
+def _f3_38(c0=1.0, c_hat=-1.0, c_hat1=-1.0, a=0.0) -> _Parts:
     _require(c0 != 0.0, "F3_38 requires c0 != 0")
-    _require(ch != 0.0 and ch1 != 0.0, "F3_38 requires c_hat, c_hat1 != 0")
-    parts = (log_abs_exp_profile(1.0 / c0, c0, 1.0, -ch, p["a"]),
-             log_abs_exp_profile(-1.0 / c0, c0, -ch1, 1.0, 0.0),
-             ((OdeCase.of(OdeId.O3_37F, c0=c0), "f"), (OdeCase.of(OdeId.O3_37G, c0=c0), "g")))
-    if ch > 0.0:
+    _require(c_hat != 0.0 and c_hat1 != 0.0, "F3_38 requires c_hat, c_hat1 != 0")
+    parts = (log_abs_exp_profile(1.0 / c0, c0, 1.0, -c_hat, a),
+             log_abs_exp_profile(-1.0 / c0, c0, -c_hat1, 1.0, 0.0),
+             ((OdeCase(OdeId.O3_37F, c0), "f"), (OdeCase(OdeId.O3_37G, c0), "g")))
+    if c_hat > 0.0:
         return *parts, "no spacelike points: 1 - f'^2 < 0 everywhere for c_hat > 0"
-    if ch1 > 0.0:
+    if c_hat1 > 0.0:
         return *parts, "no spacelike points: 1 - g'^2 < 0 everywhere for c_hat1 > 0"
-    # f' = tanh(c0*u - ln|ch|/2), g' = -tanh(c0*v + ln|ch1|/2); boxes with
+    # f' = tanh(c0*u - ln|c_hat|/2), g' = -tanh(c0*v + ln|c_hat1|/2); boxes with
     # |f'|, |g'| <= 0.7 keep 1 - f'^2 - g'^2 >= 0.02.
     reach = math.atanh(0.7)
-    fu_center = 0.5 * math.log(-ch) / c0
-    gv_center = -0.5 * math.log(-ch1) / c0
+    fu_center = 0.5 * math.log(-c_hat) / c0
+    gv_center = -0.5 * math.log(-c_hat1) / c0
     return *parts, AdmissibleDomain(
         _sorted_interval(fu_center - reach / c0, fu_center + reach / c0),
         _sorted_interval(gv_center - reach / c0, gv_center + reach / c0))
 
 
-def _build_f3_41(p: Mapping[str, float], sign: float) -> _Parts:
-    c1, c2 = p["c1"], p["c2"]
-    return _plane(affine_profile(c1, p["c3"]), affine_profile(c2, 0.0),
+def _f3_41(c1=0.5, c2=2.0, c3=0.0) -> _Parts:
+    return _plane(affine_profile(c1, c3), affine_profile(c2, 0.0),
                   c2 * c2 - c1 * c1 - 1.0, "g'^2 - f'^2 - 1")
 
 
-def _build_f3_43(p: Mapping[str, float], sign: float) -> _Parts:
-    c0b, c3 = p["c0_bar"], p["c3"]
-    _require(c0b != 0.0, "F3_43 requires c0_bar != 0")
+def _f3_43(c0_bar=1.0, c3=1.0, c4=0.0, b=0.0) -> _Parts:
+    _require(c0_bar != 0.0, "F3_43 requires c0_bar != 0")
     _require(c3 != 0.0, "F3_43 requires c3 != 0")
-    f = log_abs_cos_profile(-1.0 / c0b, c0b, -p["c4"])
-    checks = ((OdeCase.of(OdeId.O3_42F, c0_bar=c0b), "f"),
-              (OdeCase.of(OdeId.O3_42G, c0_bar=c0b), "g"))
+    f = log_abs_cos_profile(-1.0 / c0_bar, c0_bar, -c4)
+    checks = ((OdeCase(OdeId.O3_42F, c0_bar), "f"), (OdeCase(OdeId.O3_42G, c0_bar), "g"))
     if c3 < 0.0:
-        return (f, log_abs_exp_profile(1.0 / c0b, c0b, 1.0, -c3, p["b"]), checks,
+        return (f, log_abs_exp_profile(1.0 / c0_bar, c0_bar, 1.0, -c3, b), checks,
                 "no spacelike points: g'^2 < 1 <= 1 + f'^2 everywhere for c3 < 0")
-    # g' = (A + c3)/(A - c3) with A = e^(2*c0b*v); stay on the A > c3 side where
+    # g' = (A + c3)/(A - c3) with A = e^(2*c0_bar*v); stay on the A > c3 side where
     # g' > 1, between the singularity and the point where g'^2 = 2 + 0.02.
-    v_star = 0.5 * math.log(c3) / c0b
-    g_domain = (Interval(v_star + SINGULARITY_GUARD, math.inf) if c0b > 0.0
+    v_star = 0.5 * math.log(c3) / c0_bar
+    g_domain = (Interval(v_star + SINGULARITY_GUARD, math.inf) if c0_bar > 0.0
                 else Interval(-math.inf, v_star - SINGULARITY_GUARD))
-    g = log_abs_exp_profile(1.0 / c0b, c0b, 1.0, -c3, p["b"], domain=g_domain)
+    g = log_abs_exp_profile(1.0 / c0_bar, c0_bar, 1.0, -c3, b, domain=g_domain)
     rho = math.sqrt(2.0 + 0.02)
-    v_far = 0.5 * math.log(c3 * (rho + 1.0) / (rho - 1.0)) / c0b
+    v_far = 0.5 * math.log(c3 * (rho + 1.0) / (rho - 1.0)) / c0_bar
     if v_star < v_far:
         v_interval = Interval(v_star + EDGE_MARGIN, v_far)
     else:
         v_interval = Interval(v_far, v_star - EDGE_MARGIN)
     # |f'| <= 1 on the u box, so g'^2 - f'^2 - 1 >= rho^2 - 2 = 0.02 there.
-    quarter = _sorted_interval((-math.pi / 4.0 - p["c4"]) / c0b,
-                               (math.pi / 4.0 - p["c4"]) / c0b)
+    quarter = _sorted_interval((-math.pi / 4.0 - c4) / c0_bar, (math.pi / 4.0 - c4) / c0_bar)
     return f, g, checks, AdmissibleDomain(quarter, v_interval)
 
 
 _I, _II = TranslationType.I, TranslationType.II
 
 # Surface type, minimality case and builder of every family; the ambient
-# space follows from the case.
-_FAMILIES: dict[FamilyId, tuple[TranslationType, CaseId,
-                                Callable[[Mapping[str, float], float], _Parts]]] = {
-    FamilyId.F2_23: (_I, CaseId.E_M_I, lambda p, sign: _f2_23(p["c3"], p["a"], p["c5"])),
+# space follows from the case.  The lambdas name the parameters of a family
+# that shares another's builder.
+_FAMILIES: dict[FamilyId, tuple[TranslationType, CaseId, Callable[..., _Parts]]] = {
+    FamilyId.F2_23: (_I, CaseId.E_M_I, _f2_23),
     FamilyId.F2_24: (_I, CaseId.E_M_I,
-                     lambda p, sign: _swap(_f2_23(p["c3_bar"], p["a1"], p["c6"]))),
-    FamilyId.F2_35: (_II, CaseId.E_M_II_III, _build_f2_35),
-    FamilyId.F2_39: (_II, CaseId.E_M_II_III, _build_f2_39),
-    FamilyId.F2_40: (_II, CaseId.E_M_II_III, lambda p, sign: (
-        affine_profile(p["c0_prime"], p["b_prime"]), affine_profile(0.0, 0.0), (), _EVERYWHERE)),
-    FamilyId.F2_50: (_I, CaseId.E_NM_ALL, lambda p, sign: (
-        affine_profile(p["c0"], 0.0), affine_profile(p["c1"], p["c2"]), (), _EVERYWHERE)),
-    FamilyId.F2_51: (_I, CaseId.E_NM_ALL, _build_f2_51),
+                     lambda c3_bar=0.0, a1=0.0, c6=0.0: _swap(_f2_23(c3_bar, a1, c6))),
+    FamilyId.F2_35: (_II, CaseId.E_M_II_III, _f2_35),
+    FamilyId.F2_39: (_II, CaseId.E_M_II_III, _f2_39),
+    FamilyId.F2_40: (_II, CaseId.E_M_II_III, lambda c0_prime=1.0, b_prime=0.0: (
+        affine_profile(c0_prime, b_prime), affine_profile(0.0, 0.0), (), _EVERYWHERE)),
+    FamilyId.F2_50: (_I, CaseId.E_NM_ALL, lambda c0=1.0, c1=2.0, c2=0.0: (
+        affine_profile(c0, 0.0), affine_profile(c1, c2), (), _EVERYWHERE)),
+    FamilyId.F2_51: (_I, CaseId.E_NM_ALL, _f2_51),
     FamilyId.F3_10: (_I, CaseId.L_M_I,
-                     lambda p, sign: _f3_10("F3_10", "c", p["c"], p["a"], p["b_bar"])),
-    FamilyId.F3_12: (_I, CaseId.L_M_I, lambda p, sign: _f3_12(
-        "F3_12", "f", "c", "c_tilde", p["c"], p["c_tilde"], 0.0, p["b_tilde"])),
-    FamilyId.F3_13: (_I, CaseId.L_M_I, lambda p, sign: _swap(
-        _f3_10("F3_13", "c_hat", p["c_hat"], p["a1"], p["b_bar1"]))),
-    FamilyId.F3_14: (_I, CaseId.L_M_I, lambda p, sign: _swap(_f3_12(
-        "F3_14", "g", "c_hat", "c_tilde1", p["c_hat"], p["c_tilde1"], p["b_tilde"], 0.0))),
-    FamilyId.F3_25: (_II, CaseId.L_M_II_III, _build_f3_25),
-    FamilyId.F3_27: (_II, CaseId.L_M_II_III, _build_f3_27),
-    FamilyId.F3_30: (_II, CaseId.L_M_II_III, _build_f3_30),
-    FamilyId.F3_31: (_II, CaseId.L_M_II_III, _build_f3_31),
-    FamilyId.F3_36: (_I, CaseId.L_NM_I, _build_f3_36),
-    FamilyId.F3_38: (_I, CaseId.L_NM_I, _build_f3_38),
-    FamilyId.F3_41: (_II, CaseId.L_NM_II_III, _build_f3_41),
-    FamilyId.F3_43: (_II, CaseId.L_NM_II_III, _build_f3_43),
+                     lambda c=1.5, a=0.0, b_bar=0.0: _f3_10("F3_10", "c", c, a, b_bar)),
+    FamilyId.F3_12: (_I, CaseId.L_M_I, lambda c=0.5, c_tilde=-1.0, b_tilde=0.0: _f3_12(
+        "F3_12", "f", "c", "c_tilde", c, c_tilde, 0.0, b_tilde)),
+    FamilyId.F3_13: (_I, CaseId.L_M_I, lambda c_hat=1.5, a1=0.0, b_bar1=0.0: _swap(
+        _f3_10("F3_13", "c_hat", c_hat, a1, b_bar1))),
+    FamilyId.F3_14: (_I, CaseId.L_M_I, lambda c_hat=0.5, c_tilde1=-1.0, b_tilde=0.0: _swap(
+        _f3_12("F3_14", "g", "c_hat", "c_tilde1", c_hat, c_tilde1, b_tilde, 0.0))),
+    FamilyId.F3_25: (_II, CaseId.L_M_II_III, _f3_25),
+    FamilyId.F3_27: (_II, CaseId.L_M_II_III, _f3_27),
+    FamilyId.F3_30: (_II, CaseId.L_M_II_III, _f3_30),
+    FamilyId.F3_31: (_II, CaseId.L_M_II_III, _f3_31),
+    FamilyId.F3_36: (_I, CaseId.L_NM_I, _f3_36),
+    FamilyId.F3_38: (_I, CaseId.L_NM_I, _f3_38),
+    FamilyId.F3_41: (_II, CaseId.L_NM_II_III, _f3_41),
+    FamilyId.F3_43: (_II, CaseId.L_NM_II_III, _f3_43),
 }
+
+# Each family's parameters and their defaults, in order: its builder's
+# positional parameters.  The families with a +- branch are those whose
+# builder takes the keyword-only sign.
+_DEFAULTS: dict[FamilyId, dict[str, float]] = {
+    fid: dict(zip(b.__code__.co_varnames[:b.__code__.co_argcount], b.__defaults__))
+    for fid, (_, _, b) in _FAMILIES.items()
+}
+BRANCHED_FAMILIES = frozenset(fid for fid, (_, _, b) in _FAMILIES.items()
+                              if b.__code__.co_kwonlyargcount)
 
 
 def _assemble(fam: SolutionFamily) -> FamilyBuild:
     ttype, case, builder = _FAMILIES[fam.family_id]
     name = fam.family_id.value
+    params = fam.param_dict
+    if fam.family_id in BRANCHED_FAMILIES:
+        params["sign"] = 1.0 if fam.branch is Branch.PLUS else -1.0
     try:
-        f, g, checks, domain = builder(fam.param_dict,
-                                       1.0 if fam.branch is Branch.PLUS else -1.0)
+        f, g, checks, domain = builder(**params)
     except (ArithmeticError, ValueError) as exc:
         # parameters so large or small that the closed forms overflow or collapse
         raise ParameterConstraintViolation(
@@ -780,10 +754,14 @@ _ODE_REFERENCE_RUNS: tuple[tuple[FamilyId, str, tuple[float, float]], ...] = (
     (FamilyId.F3_43, "f", (0.0, 0.6)),
     (FamilyId.F3_43, "g", (0.3, 1.5)),
 )
-# An RK4 step must be shorter than this for every reference run to take one.
+# An RK4 step must be shorter than this for every reference run to take one,
 SHORTEST_ODE_SPAN = min(hi - lo for _, _, (lo, hi) in _ODE_REFERENCE_RUNS)
-# The reference runs whose observed convergence order is measured.
+# and no shorter than this, so that none takes more than 100,000 steps.
+SHORTEST_ODE_STEP = max(hi - lo for _, _, (lo, hi) in _ODE_REFERENCE_RUNS) / 100_000
+# The reference runs whose observed convergence order is measured, and the
+# coarse step of each measurement.
 _ORDER_PROBES = ((FamilyId.F2_23, "f"), (FamilyId.F3_38, "f"))
+_COARSE_STEP = 0.02
 
 
 def _run_errors(fid: FamilyId, which: str, span: tuple[float, float],
@@ -808,12 +786,12 @@ def ode_reference_runs(step: float = 1e-3,
     return tuple(records)
 
 
-def convergence_orders(coarse: float = 0.02) -> tuple[ConvergenceRecord, ...]:
-    """Observed RK4 order of each probe run from its errors at step coarse and coarse/2."""
+def convergence_orders() -> tuple[ConvergenceRecord, ...]:
+    """Observed RK4 order of each probe run from its errors at the coarse step and half it."""
     spans = {(fid, which): span for fid, which, span in _ODE_REFERENCE_RUNS}
     records = []
     for probe in _ORDER_PROBES:
-        case, (err, fine) = _run_errors(*probe, spans[probe], (coarse, coarse / 2.0))
+        case, (err, fine) = _run_errors(*probe, spans[probe], (_COARSE_STEP, _COARSE_STEP / 2.0))
         order = math.log2(err / fine) if fine > 0.0 else math.inf
-        records.append(ConvergenceRecord(case.kind.value, coarse, err, fine, order))
+        records.append(ConvergenceRecord(case.kind.value, _COARSE_STEP, err, fine, order))
     return tuple(records)

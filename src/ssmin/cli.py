@@ -23,6 +23,7 @@ from .catalog import (
     Branch,
     FamilyId,
     SHORTEST_ODE_SPAN,
+    SHORTEST_ODE_STEP,
     THEOREM_SUITES,
     _DEFAULTS,
     all_default_settings,
@@ -136,9 +137,12 @@ class RunConfig(_RunFields):
                 raise UsageError(f"{name} must be an increasing lo:hi, got {span!r}")
             if span is not None and not math.isfinite(span[1] - span[0]):
                 raise UsageError(f"{name} must have a finite width hi - lo, got {span!r}")
-        if not 0.0 < self.step < SHORTEST_ODE_SPAN:
-            raise UsageError(f"step must lie in (0, {SHORTEST_ODE_SPAN:g}), the shortest "
-                             f"reference ODE span; got {self.step!r}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise UsageError(f"seed must lie in [0, 2^64), got {self.seed}")
+        if not SHORTEST_ODE_STEP <= self.step < SHORTEST_ODE_SPAN:
+            raise UsageError(f"step must lie in [{SHORTEST_ODE_STEP:g}, {SHORTEST_ODE_SPAN:g}), "
+                             f"so that every reference ODE run takes from 1 to 100,000 RK4 "
+                             f"steps; got {self.step!r}")
         if self.all:
             if self.params:
                 raise UsageError("--all does not take family parameters")

@@ -147,19 +147,14 @@ def affine_profile(slope: float, intercept: float) -> Profile:
     return Profile(lambda u: (s * u + b, s, 0.0), REAL_LINE, "affine")
 
 
-def log_abs_cos_profile(k: float, q: float, a: float, offset: float = 0.0,
-                        domain: Interval | None = None) -> Profile:
-    """k * ln|cos(q*u - a)| + offset on one branch of the cosine.
-
-    Without an explicit domain the branch is the component where |q*u - a| < pi/2,
-    shrunk by the singularity guard.
-    """
+def log_abs_cos_profile(k: float, q: float, a: float, offset: float = 0.0) -> Profile:
+    """k * ln|cos(q*u - a)| + offset on the branch of the cosine where |q*u - a| < pi/2,
+    shrunk by the singularity guard."""
     if q == 0.0:
         raise ValueError("q must be nonzero")
-    if domain is None:
-        e1 = (a - math.pi / 2.0) / q
-        e2 = (a + math.pi / 2.0) / q
-        domain = Interval(min(e1, e2) + SINGULARITY_GUARD, max(e1, e2) - SINGULARITY_GUARD)
+    e1 = (a - math.pi / 2.0) / q
+    e2 = (a + math.pi / 2.0) / q
+    domain = Interval(min(e1, e2) + SINGULARITY_GUARD, max(e1, e2) - SINGULARITY_GUARD)
 
     k, q, a, offset = float(k), float(q), float(a), float(offset)
 
@@ -233,10 +228,10 @@ def log_abs_exp_profile(k: float, q: float, coeff_pos: float, coeff_neg: float,
     return Profile(fn, domain, "k*log|exp|")
 
 
-class QuadratureSpec(NamedTuple):
-    abs_tol: float = 1e-10
-    max_depth: int = 40
-
+# Adaptive Simpson's absolute tolerance and recursion depth: tight enough that
+# finite-difference oracles on profile values stay well below their tolerances.
+QUAD_ABS_TOL = 1e-12
+QUAD_MAX_DEPTH = 40
 
 # Panels are always split this many times before the error estimate may
 # accept: a smooth integrand sampled at five points can fool the Richardson
@@ -250,19 +245,18 @@ _NODE_WIDTH = 1.0 / 32.0
 _MAX_NODES = 4096
 
 
-def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
-                     spec: QuadratureSpec = QuadratureSpec()) -> float:
+def adaptive_simpson(fn: Callable[[float], float], a: float, b: float) -> float:
     """Integral of fn over [a, b] by adaptive Simpson with Richardson correction."""
     if a == b:
         return 0.0
     if b < a:
-        return -adaptive_simpson(fn, b, a, spec)
+        return -adaptive_simpson(fn, b, a)
     fa, fb = fn(a), fn(b)
     m = 0.5 * (a + b)
     fm = fn(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_split(fn, a, fa, b, fb, m, fm, whole, spec.abs_tol,
-                          spec.max_depth, _MIN_SPLITS)
+    return _simpson_split(fn, a, fa, b, fb, m, fm, whole, QUAD_ABS_TOL, QUAD_MAX_DEPTH,
+                          _MIN_SPLITS)
 
 
 def _simpson_split(fn, a, fa, b, fb, m, fm, whole, eps, depth, force):
@@ -287,7 +281,6 @@ def _simpson_split(fn, a, fa, b, fb, m, fm, whole, eps, depth, force):
 def profile_quadrature(integrand: Callable[[float], float],
                        integrand_d1: Callable[[float], float],
                        base: float = 0.0,
-                       spec: QuadratureSpec = QuadratureSpec(),
                        domain: Interval = REAL_LINE,
                        base_point: float = 0.0) -> Profile:
     """Profile u -> base + integral of integrand from base_point to u.
@@ -324,8 +317,8 @@ def profile_quadrature(integrand: Callable[[float], float],
             n = len(sums)
             lo = base_point + side * (n - 1) * _NODE_WIDTH
             hi = base_point + side * n * _NODE_WIDTH
-            sums.append(sums[-1] + adaptive_simpson(integrand, lo, hi, spec))
-        value = base + sums[k] + adaptive_simpson(integrand, node, u, spec)
+            sums.append(sums[-1] + adaptive_simpson(integrand, lo, hi))
+        value = base + sums[k] + adaptive_simpson(integrand, node, u)
         return (value, d1, d2)
 
     return Profile(fn, domain, "quadrature", slopes)

@@ -33,59 +33,47 @@ class OdeId(Enum):
 
 
 class OdeCase(NamedTuple):
-    """A reduced equation h' = phi(h) with its named parameters."""
+    """A reduced equation h' = phi(h) with its one constant c.
+
+    c is the paper's constant of the family the equation comes from: c3 for
+    O2_21, c0_tilde for O2_33 and O3_23, c0_hat for O2_36 and O3_28, c (or
+    c_hat) for O3_8, c0 for O3_37f and O3_37g, and c0_bar for O3_42f and O3_42g.
+    """
 
     kind: OdeId
-    params: tuple[tuple[str, float], ...]
-
-    @staticmethod
-    def of(kind: OdeId, **params: float) -> "OdeCase":
-        return OdeCase(kind, tuple(sorted((k, float(v)) for k, v in params.items())))
-
-    def param(self, name: str) -> float:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise UnknownCase(f"{self.kind.value} has no parameter {name!r}")
+    c: float
 
     def rhs(self) -> Callable[[float], float]:
-        k = self.kind
+        k, c = self.kind, self.c
         if k is OdeId.O2_21:
-            d = self.param("c3") ** 2 + 1.0
+            d = c ** 2 + 1.0
             return lambda h: 2.0 + 2.0 * h * h / d
         if k is OdeId.O2_33:
-            c = self.param("c0_tilde")
             d = c * c + 1.0
             return lambda h: -2.0 * c - 2.0 * c * h * h / d
         if k is OdeId.O2_36:
-            d = self.param("c0_hat") ** 2 + 1.0
+            d = c ** 2 + 1.0
             return lambda h: -2.0 * h ** 3 / d - 2.0 * h
         if k is OdeId.O3_8:
-            c = self.param("c")
             d = c * c - 1.0
             if d == 0.0:
                 raise UnknownCase("O3_8 requires c^2 != 1")
             return lambda h: 2.0 + 2.0 * h * h / d
         if k is OdeId.O3_23:
-            c = self.param("c0_tilde")
             d = c * c - 1.0
             if d == 0.0:
                 raise UnknownCase("O3_23 requires c0_tilde^2 != 1")
             return lambda h: 2.0 * c * h * h / d - 2.0 * c
         if k is OdeId.O3_28:
-            d = self.param("c0_hat") ** 2 + 1.0
+            d = c ** 2 + 1.0
             return lambda h: -2.0 * h ** 3 / d + 2.0 * h
         if k is OdeId.O3_37F:
-            c = self.param("c0")
             return lambda h: c * (1.0 - h * h)
         if k is OdeId.O3_37G:
-            c = self.param("c0")
             return lambda h: c * (h * h - 1.0)
         if k is OdeId.O3_42F:
-            c = self.param("c0_bar")
             return lambda h: c * (1.0 + h * h)
         if k is OdeId.O3_42G:
-            c = self.param("c0_bar")
             return lambda h: c * (1.0 - h * h)
         raise UnknownCase(repr(k))
 
@@ -93,7 +81,6 @@ class OdeCase(NamedTuple):
 class Trajectory(NamedTuple):
     nodes: tuple[tuple[float, float], ...]
     step: float
-    method_order: int = 4
 
     @property
     def times(self) -> tuple[float, ...]:

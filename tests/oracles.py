@@ -280,7 +280,7 @@ def substitution_check(case: OdeCase, h0: float, v_span: tuple[float, float],
         slope = -4.0
     else:
         raise UnknownCase(f"substitution check applies to O2_36/O3_28, not {case.kind.value}")
-    intercept = 4.0 / (case.param("c0_hat") ** 2 + 1.0)
+    intercept = 4.0 / (case.c ** 2 + 1.0)
 
     traj = integrate(case, h0, v_span, step)
     ts = np.asarray(traj.times)

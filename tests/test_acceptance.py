@@ -191,8 +191,8 @@ def test_criterion_5_plane_benchmarks():
 def test_criterion_6_ode_certification():
     """RK4 matches tan/tanh at step 1e-4 within 1e-7 with order >= 3.8, and
     every catalog profile satisfies its reduced ODE pointwise to 1e-9."""
-    tan_case = OdeCase.of(OdeId.O2_21, c3=0.0)
-    tanh_case = OdeCase.of(OdeId.O3_37F, c0=1.0)
+    tan_case = OdeCase(OdeId.O2_21, 0.0)
+    tanh_case = OdeCase(OdeId.O3_37F, 1.0)
     err_tan = abs(integrate(tan_case, 0.0, (0.0, 0.6), 1e-4).end_value - math.tan(1.2))
     err_tanh = abs(integrate(tanh_case, 0.0, (0.0, 1.0), 1e-4).end_value - math.tanh(1.0))
     orders = []

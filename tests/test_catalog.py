@@ -3,6 +3,8 @@
 import dis
 import itertools
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +253,73 @@ def test_branch_settings_present():
     assert branches == {Branch.PLUS, Branch.MINUS}
     branches = {fam.branch for fam in default_settings(FamilyId.F3_30)}
     assert branches == {Branch.PLUS, Branch.MINUS}
+
+
+# Each family's parameters, in order, with their defaults: the table the
+# builders' signatures replaced.
+_PINNED_DEFAULTS = {
+    "F2_23": [("c3", 0.0), ("a", 0.0), ("c5", 0.0)],
+    "F2_24": [("c3_bar", 0.0), ("a1", 0.0), ("c6", 0.0)],
+    "F2_35": [("c0_tilde", 1.0), ("a_tilde", 0.0), ("b_tilde", 0.0)],
+    "F2_39": [("c0_hat", 1.0), ("a_hat", 2.0), ("b_hat", 0.0)],
+    "F2_40": [("c0_prime", 1.0), ("b_prime", 0.0)],
+    "F2_50": [("c0", 1.0), ("c1", 2.0), ("c2", 0.0)],
+    "F2_51": [("c", 1.0), ("c3", 0.0), ("c4", 0.0), ("c5", 0.0)],
+    "F3_10": [("c", 1.5), ("a", 0.0), ("b_bar", 0.0)],
+    "F3_12": [("c", 0.5), ("c_tilde", -1.0), ("b_tilde", 0.0)],
+    "F3_13": [("c_hat", 1.5), ("a1", 0.0), ("b_bar1", 0.0)],
+    "F3_14": [("c_hat", 0.5), ("c_tilde1", -1.0), ("b_tilde", 0.0)],
+    "F3_25": [("c0_tilde", 0.5), ("a_tilde", 0.0), ("b_tilde", 0.0)],
+    "F3_27": [("c0_tilde", 1.5), ("c1", -1.0), ("b_bar1", 0.0)],
+    "F3_30": [("c0_hat", 1.0), ("a_hat", -0.3), ("b_hat", 0.0)],
+    "F3_31": [("c0_prime", 1.0), ("c1_prime", 0.0), ("b_prime", 0.0)],
+    "F3_36": [("c1", 0.3), ("c2", 0.4), ("c3", 0.0)],
+    "F3_38": [("c0", 1.0), ("c_hat", -1.0), ("c_hat1", -1.0), ("a", 0.0)],
+    "F3_41": [("c1", 0.5), ("c2", 2.0), ("c3", 0.0)],
+    "F3_43": [("c0_bar", 1.0), ("c3", 1.0), ("c4", 0.0), ("b", 0.0)],
+}
+
+
+def test_family_parameters_are_pinned():
+    got = {fid.value: list(defaults.items()) for fid, defaults in catalog._DEFAULTS.items()}
+    assert got == _PINNED_DEFAULTS
+    assert all(type(value) is float for pairs in got.values() for _, value in pairs)
+    assert catalog.BRANCHED_FAMILIES == {FamilyId.F2_39, FamilyId.F3_30}
+
+
+def test_every_builder_parameter_has_a_float_default():
+    # _DEFAULTS zips the positional names with the defaults, which would
+    # misalign if a parameter had none
+    for fid, (_, _, builder) in catalog._FAMILIES.items():
+        code = builder.__code__
+        names = code.co_varnames[:code.co_argcount]
+        defaults = builder.__defaults__ or ()
+        assert names and len(defaults) == len(names), fid
+        assert all(type(value) is float for value in defaults), fid
+        # the one keyword-only parameter is the branch sign, without a default
+        keyword_only = code.co_varnames[code.co_argcount:][:code.co_kwonlyargcount]
+        assert keyword_only in ((), ("sign",)) and builder.__kwdefaults__ is None, fid
+
+
+def test_readme_family_table_matches_the_catalog():
+    # each row of README's "Solution families" table names its family's
+    # parameters in order (constraint text aside) and marks exactly the
+    # branched families with "branch"
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## Solution families\n", 1)[1].split("\n#", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `F"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            rows[cells[0].strip("`")] = cells[-1]
+    assert list(rows) == [fid.value for fid in FamilyId]
+    for fid in FamilyId:
+        parts = [part.strip() for part in rows[fid.value].split(",")]
+        branched = parts[-1] == "branch"
+        names = [re.search(r"[A-Za-z_]\w*", part.strip("`")).group()
+                 for part in (parts[:-1] if branched else parts)]
+        assert names == list(catalog._DEFAULTS[fid]), fid
+        assert branched is (fid in catalog.BRANCHED_FAMILIES), fid
 
 
 def test_family_tolerances():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ssmin
-from ssmin import cli
+from ssmin import catalog, cli
 from ssmin.catalog import (ConvergenceRecord, FamilyId, FamilyReport, OdeComparisonRecord,
                            build)
 from ssmin.cli import RunConfig, main
@@ -171,8 +171,6 @@ def test_ode_compare(tmp_path):
 
 def test_ode_compare_fails_below_the_convergence_order(tmp_path, monkeypatch):
     # negative control: the observed orders (about 4.0 and 4.1) miss a bound of 5
-    from ssmin import catalog
-
     monkeypatch.setattr(catalog, "MIN_CONVERGENCE_ORDER", 5.0)
     code, text = run(tmp_path, "ode-compare", "--step", "0.01")
     assert code == 2
@@ -566,6 +564,13 @@ def test_usage_errors_exit_one(argv):
                  id="config-not-utf8"),
     pytest.param(["verify", "--all"], b'{"a":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
                  "cannot read config", id="config-nested-too-deep"),
+    # a step so small that a reference run would take more than 100,000 RK4 steps
+    (["ode-compare", "--step", "1e-300"], None, "step"),
+    (["report", "--all", "--step", "1e-300"], None, "step"),
+    # a seed outside [0, 2^64) would alias one inside it
+    (["verify", "--family", "F2_23", "--seed", "-1"], None, "seed"),
+    (["verify", "--all", "--seed", "18446744073709551616"], None, "seed"),
+    (["equivalence", "--all"], {"seed": -18446744073709551616}, "seed"),
 ])
 def test_bad_input_rejected_once(tmp_path, capsys, argv, config, field):
     # no vacuous pass, no traceback: RunConfig rejects the input with exit 1
@@ -608,6 +613,25 @@ def test_type_messages_are_pinned(tmp_path, capsys, command, name, value, messag
     cfg_path.write_text(json.dumps({name: value}))
     assert main([command, "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == f"ssmin: error: {message}\n"
+
+
+def test_seed_must_lie_in_the_splitmix64_range():
+    # splitmix64 reduces a seed mod 2^64, so one outside [0, 2^64) would alias
+    assert RunConfig("verify", all=True, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+    for seed in (-1, 2 ** 64, -2 ** 64):
+        with pytest.raises(cli.UsageError, match=rf"^seed must lie in \[0, 2\^64\), got {seed}$"):
+            RunConfig("verify", all=True, seed=seed)
+
+
+def test_step_has_a_lower_bound():
+    for step in (1e-300, 1.19e-5):
+        with pytest.raises(cli.UsageError, match="^step must lie in"):
+            RunConfig("ode-compare", step=step)
+        with pytest.raises(cli.UsageError, match="^step must lie in"):
+            RunConfig("report", all=True, step=step)
+    # the smallest step takes 100,000 RK4 steps over the longest reference span (1.2)
+    assert catalog.SHORTEST_ODE_STEP == 1.2 / 100_000
+    assert RunConfig("ode-compare", step=catalog.SHORTEST_ODE_STEP).step == 1.2e-5
 
 
 @pytest.mark.parametrize("argv,advice", [

@@ -13,7 +13,6 @@ from ssmin.jets import (
     _NODE_WIDTH,
     Interval,
     Jet2,
-    QuadratureSpec,
     REAL_LINE,
     adaptive_simpson,
     affine_profile,
@@ -157,7 +156,7 @@ def test_quadrature_cos_example():
 def test_quadrature_depth_exhaustion():
     step_fn = lambda x: 1.0 if x < 0.3 else 0.0
     with pytest.raises(QuadratureFailure):
-        adaptive_simpson(step_fn, 0.0, 1.0, QuadratureSpec(abs_tol=1e-12, max_depth=3))
+        adaptive_simpson(step_fn, 0.0, 1.0)
 
 
 def test_profile_quadrature_examples():
@@ -196,7 +195,7 @@ def test_quadrature_against_scipy_oracle():
     ]
     for fn, (a, b) in integrands:
         reference, ref_err = quad(fn, a, b, epsabs=1e-13, epsrel=1e-13)
-        got = adaptive_simpson(fn, a, b, QuadratureSpec(abs_tol=1e-12))
+        got = adaptive_simpson(fn, a, b)
         assert abs(got - reference) <= 1e-10 + 10.0 * ref_err
 
 
@@ -280,7 +279,7 @@ def test_catalog_quadrature_profiles_match_one_shot_simpson():
     for profile, integrand, anchor, box in profiles:
         base = profile.at(anchor).v
         for u in _cache_points(anchor, box):
-            one_shot = base + adaptive_simpson(integrand, anchor, u, catalog._QUAD_SPEC)
+            one_shot = base + adaptive_simpson(integrand, anchor, u)
             assert abs(profile.at(u).v - one_shot) <= 1e-12, (profile.label, u)
             sides.add((u > anchor) - (u < anchor))
     assert sides == {-1, 0, 1}

@@ -11,7 +11,7 @@ from ssmin.catalog import (FamilyId, SolutionFamily, build, convergence_orders, 
 from ssmin.cli import RunConfig, UsageError
 from ssmin.curvature import mean_curvature_from_jets
 from ssmin.errors import ParameterConstraintViolation
-from ssmin.jets import Interval, QuadratureSpec
+from ssmin.jets import Interval
 from ssmin.ode import OdeCase, OdeId, integrate
 from ssmin.pde import CaseId, equivalence_sweep
 from ssmin.surface import frame_from_jets
@@ -24,9 +24,9 @@ def _records():
     fj, gj = surface.f.at(0.1), surface.g.at(0.2)
     curvature = mean_curvature_from_jets(surface.ttype, surface.space,
                                          surface.space.connection, fj, gj)
-    case = OdeCase.of(OdeId.O2_21, c3=0.0)
+    case = OdeCase(OdeId.O2_21, 0.0)
     return [
-        Vec3(1.0, 2.0, 3.0), surface.space, Interval(0.0, 1.0), surface.f, QuadratureSpec(),
+        Vec3(1.0, 2.0, 3.0), surface.space, Interval(0.0, 1.0), surface.f,
         surface, curvature.first, frame_from_jets(surface.ttype, surface.space, fj, gj),
         curvature.sigma, curvature, case, integrate(case, 0.0, (0.0, 0.1), 0.05),
         equivalence_sweep(CaseId.E_M_I, 5, 1), make_family(FamilyId.F2_39, branch="minus"),
@@ -37,7 +37,7 @@ def _records():
 
 def test_every_record_is_an_immutable_named_tuple():
     records = _records()
-    assert len({type(record) for record in records}) == 20
+    assert len({type(record) for record in records}) == 19
     for record in records:
         assert record == tuple(record) and len(record) == len(record._fields)
         for name in record._fields:
