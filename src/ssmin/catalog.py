@@ -6,13 +6,15 @@ are computed constructively: the nearest singularity of each closed form is
 solved for and the interval shrunk by a fixed margin; in Minkowski space the
 admissible box additionally keeps EG - F^2 above a floor.
 
-Several Minkowski families solve their minimality PDE while having an empty
+Several Minkowski families solve their minimality PDE yet have an empty
 spacelike region for every permitted parameter choice (their derivative bounds
 contradict EG - F^2 > 0).  Building such a family raises EmptyDomain; its
 verification falls back to the PDE residual, the part of the classification
-that remains checkable.  It is sampled on boxes inside the profiles' domains
-that reach at most 2 either side of a start point while the slope stays
-moderate (`_moderate_box`).
+that remains checkable.  Its builder still returns a sampling box in closed
+form, inside both profiles' domains: a log|cos| profile keeps its slope cap,
+a bounded slope reaches SAMPLING_CAP either side of its centre in the
+exponent's variable, and a coth-type slope starts near SLOPE_CAP from its
+pole (`_coth_box`) and runs SAMPLING_CAP away from it.
 
 Each family's builder takes its parameters as keywords with float defaults,
 and that signature is the family's one parameter table (`_DEFAULTS`).
@@ -99,6 +101,8 @@ class SolutionFamily(_FamilyFields):
                 raise ParameterConstraintViolation(f"{self.family_id.value} has no parameter "
                                                    f"{key!r} (expected {sorted(merged)})")
             merged[key] = float(value)
+        if self.branch is Branch.MINUS and self.family_id not in BRANCHED_FAMILIES:
+            raise ParameterConstraintViolation(f"{self.family_id.value} has no +- branch")
         return super().__new__(cls, self.family_id, tuple(sorted(merged.items())), self.branch)
 
     @classmethod
@@ -124,12 +128,13 @@ class AdmissibleDomain(NamedTuple):
 
 
 class FamilyBuild(NamedTuple):
-    """An assembled family; `domain` is None, with its reason, where it is never spacelike."""
+    """An assembled family with its sampling box; `empty_reason` says why, where it is
+    never spacelike, and then the box serves the residual check alone."""
 
     surface: TranslationSurface
     case: CaseId
     ode_checks: tuple[tuple[OdeCase, str], ...]
-    domain: AdmissibleDomain | None
+    domain: AdmissibleDomain
     empty_reason: str | None
 
     @property
@@ -174,17 +179,39 @@ def _sorted_interval(a: float, b: float) -> Interval:
     return Interval(min(a, b), max(a, b))
 
 
-# Derivative cap for admissible boxes of log|cos| profiles.  Past it the
-# residual is a difference of terms ~ slope^4 and double rounding alone would
-# exceed the closed-form verification tolerance.
+# Derivative cap for the boxes of log|cos| profiles, and, over its asymptote,
+# for those of coth-type slopes.  Past it the residual is a difference of
+# terms ~ slope^4 and double rounding alone would exceed the closed-form
+# verification tolerance.
 SLOPE_CAP = 20.0
 
 
 def _cos_admissible(k: float, q: float, a: float) -> Interval:
-    """Admissible u box of k*ln|cos(q*u - a)|: away from the pole and |d1| <= cap."""
-    theta_half = min(math.pi / 2.0 - abs(q) * EDGE_MARGIN,
-                     math.atan(SLOPE_CAP / abs(k * q)))
+    """Admissible u box of k*ln|cos(q*u - a)|: away from the pole and |d1| <= cap.
+
+    A branch narrower than twice the edge margin keeps the middle half of its
+    guarded width instead.
+    """
+    theta_half = math.pi / 2.0 - abs(q) * EDGE_MARGIN
+    if theta_half <= 0.0:
+        theta_half = 0.5 * (math.pi / 2.0 - abs(q) * SINGULARITY_GUARD)
+    theta_half = min(theta_half, math.atan(SLOPE_CAP / abs(k * q)))
     return _sorted_interval((a - theta_half) / q, (a + theta_half) / q)
+
+
+def _coth_box(domain: Interval, s: float, scale: float) -> Interval:
+    """Box of a slope s*coth(y), y = (u - pole)/scale, beside the one finite end of
+    its profile's domain.
+
+    It starts where |slope| <= s + cap and |d2| = (s/scale)*csch(y)^2 <= cap^2,
+    which bounds the residual's terms whatever the scale, and runs
+    SAMPLING_CAP further from the pole in y.
+    """
+    y = max(math.atanh(s / (s + SLOPE_CAP)), math.asinh(math.sqrt(s / scale) / SLOPE_CAP))
+    near, far = y * scale, (y + SAMPLING_CAP) * scale
+    if math.isinf(domain.hi):
+        return Interval(domain.lo + near, domain.lo + far)
+    return Interval(domain.hi - far, domain.hi - near)
 
 
 def _quad(integrand: Callable[[float], float], integrand_d1: Callable[[float], float],
@@ -284,27 +311,26 @@ def _ratio_domain(coeff: float, rate: float) -> Interval:
 # A builder takes its family's parameters as keywords with float defaults, so
 # its parameter list is the family's parameter table (`_DEFAULTS`); a family
 # with a +- branch also takes the keyword-only `sign`.  It returns what varies
-# between families: (f, g, reduced-ODE checks, admissible domain or the
-# reason it is empty).  Profile labels, the surface type, the case and the
-# ambient space are added by `_assemble` from the `_FAMILIES` table.
-_Parts = tuple[Profile, Profile, tuple[tuple[OdeCase, str], ...], AdmissibleDomain | str]
+# between families: (f, g, reduced-ODE checks, sampling box, and the reason
+# the family has no spacelike points or None).  Profile labels, the surface
+# type, the case and the ambient space are added by `_assemble` from the
+# `_FAMILIES` table.
+_Parts = tuple[Profile, Profile, tuple[tuple[OdeCase, str], ...], AdmissibleDomain, str | None]
 _EVERYWHERE = AdmissibleDomain(REAL_LINE, REAL_LINE)
 
 
 def _swap(parts: _Parts) -> _Parts:
     """Mirror a family: exchange f and g, u and v, and the side of each ODE check."""
-    f, g, checks, domain = parts
+    f, g, checks, domain, reason = parts
     checks = tuple((case, "g" if side == "f" else "f") for case, side in checks)
-    if isinstance(domain, AdmissibleDomain):
-        domain = AdmissibleDomain(domain.v, domain.u)
-    return g, f, checks, domain
+    return g, f, checks, AdmissibleDomain(domain.v, domain.u), reason
 
 
 def _plane(f: Profile, g: Profile, gap: float, gap_text: str) -> _Parts:
     """Affine f and g: spacelike everywhere when gap = EG - F^2 clears the floor, else nowhere."""
     if gap >= SPACELIKE_FLOOR:
-        return f, g, (), _EVERYWHERE
-    return f, g, (), f"no spacelike points: {gap_text} = {gap:.6g} <= 0"
+        return f, g, (), _EVERYWHERE, None
+    return f, g, (), _EVERYWHERE, f"no spacelike points: {gap_text} = {gap:.6g} <= 0"
 
 
 def _f2_23(c3=0.0, a=0.0, c5=0.0) -> _Parts:
@@ -313,7 +339,7 @@ def _f2_23(c3=0.0, a=0.0, c5=0.0) -> _Parts:
     q = 2.0 / math.sqrt(scale)
     return (log_abs_cos_profile(-scale / 2.0, q, a), affine_profile(c3, c5),
             ((OdeCase(OdeId.O2_21, c3), "f"),),
-            AdmissibleDomain(_cos_admissible(-scale / 2.0, q, a), REAL_LINE))
+            AdmissibleDomain(_cos_admissible(-scale / 2.0, q, a), REAL_LINE), None)
 
 
 def _f2_35(c0_tilde=1.0, a_tilde=0.0, b_tilde=0.0) -> _Parts:
@@ -322,7 +348,7 @@ def _f2_35(c0_tilde=1.0, a_tilde=0.0, b_tilde=0.0) -> _Parts:
     k, q = scale / (2.0 * c0_tilde), 2.0 * c0_tilde / math.sqrt(scale)
     return (log_abs_cos_profile(k, q, a_tilde, b_tilde), affine_profile(c0_tilde, 0.0),
             ((OdeCase(OdeId.O2_33, c0_tilde), "f"),),
-            AdmissibleDomain(_cos_admissible(k, q, a_tilde), REAL_LINE))
+            AdmissibleDomain(_cos_admissible(k, q, a_tilde), REAL_LINE), None)
 
 
 def _f2_39(c0_hat=1.0, a_hat=2.0, b_hat=0.0, *, sign: float) -> _Parts:
@@ -333,21 +359,24 @@ def _f2_39(c0_hat=1.0, a_hat=2.0, b_hat=0.0, *, sign: float) -> _Parts:
     g = _quad(*_radicand_integrands("F2_39", sign, a_hat, 4.0, -kk),
               Interval(prof_lo, math.inf), b_hat)
     return (affine_profile(c0_hat, 0.0), g, ((OdeCase(OdeId.O2_36, c0_hat), "g"),),
-            AdmissibleDomain(REAL_LINE, Interval(v_star + EDGE_MARGIN, math.inf)))
+            AdmissibleDomain(REAL_LINE, Interval(v_star + EDGE_MARGIN, math.inf)), None)
 
 
 def _f2_51(c=1.0, c3=0.0, c4=0.0, c5=0.0) -> _Parts:
     _require(c != 0.0, "F2_51 requires c != 0")
     return (log_abs_cos_profile(1.0 / c, c, c3), log_abs_cos_profile(-1.0 / c, c, c4, c5), (),
-            AdmissibleDomain(_cos_admissible(1.0 / c, c, c3), _cos_admissible(1.0 / c, c, c4)))
+            AdmissibleDomain(_cos_admissible(1.0 / c, c, c3), _cos_admissible(1.0 / c, c, c4)),
+            None)
 
 
 def _f3_10(fid: str, c_name: str, c: float, a: float, b: float) -> _Parts:
     """F3_10: log-cos f, affine g of slope c, never spacelike; F3_13 is its mirror."""
     _require(c * c > 1.0, f"{fid} requires {c_name}^2 > 1")
     scale = c * c - 1.0
-    return (log_abs_cos_profile(-scale / 2.0, 2.0 / math.sqrt(scale), a),
-            affine_profile(c, b), ((OdeCase(OdeId.O3_8, c), "f"),),
+    q = 2.0 / math.sqrt(scale)
+    return (log_abs_cos_profile(-scale / 2.0, q, a), affine_profile(c, b),
+            ((OdeCase(OdeId.O3_8, c), "f"),),
+            AdmissibleDomain(_cos_admissible(-scale / 2.0, q, a), REAL_LINE),
             f"no spacelike points: 1 - f'^2 - g'^2 <= 1 - {c_name}^2 = {1.0 - c * c:.6g} < 0")
 
 
@@ -363,25 +392,26 @@ def _f3_12(fid: str, side: str, c_name: str, ct_name: str, c: float, ct: float,
     rate = -4.0 / s
     f = _quad(*_tanh_ratio_integrands(s, ct, rate), _ratio_domain(ct, rate), b_quad)
     parts = (f, affine_profile(c, b_line), ((OdeCase(OdeId.O3_8, c), "f"),))
-    if ct > 0.0:
-        return *parts, (f"no spacelike points: {side}'^2 > 1 - {c_name}^2 "
-                        f"everywhere for {ct_name} > 0")
-    if 100.0 * s <= 1.02:
-        return *parts, f"spacelike margin below floor: 1 - {c_name}^2 = {s * s:.3g}"
-    # f' = s*tanh(2u/s - ln|ct|/2); keep s^2 sech^2 >= floor
-    y_max = math.acosh(100.0 * s)
+    if ct > 0.0:  # f' = s*coth(2u/s - ln(ct)/2)
+        return *parts, AdmissibleDomain(_coth_box(f.domain, s, 0.5 * s), REAL_LINE), (
+            f"no spacelike points: {side}'^2 > 1 - {c_name}^2 everywhere for {ct_name} > 0")
+    # f' = s*tanh(2u/s - ln|ct|/2); keep s^2 sech^2 >= floor where it can
+    low = 100.0 * s <= 1.02
+    y_max = SAMPLING_CAP if low else math.acosh(100.0 * s)
     shift = 0.5 * math.log(-ct)
     box = _sorted_interval(0.5 * s * (-y_max + shift), 0.5 * s * (y_max + shift))
-    return *parts, AdmissibleDomain(box, REAL_LINE)
+    return *parts, AdmissibleDomain(box, REAL_LINE), (
+        f"spacelike margin below floor: 1 - {c_name}^2 = {s * s:.3g}" if low else None)
 
 
 def _f3_25(c0_tilde=0.5, a_tilde=0.0, b_tilde=0.0) -> _Parts:
     squared = c0_tilde * c0_tilde
     _require(c0_tilde != 0.0 and squared < 1.0, "F3_25 requires 0 < c0_tilde^2 < 1")
     s = math.sqrt(1.0 - squared)
-    f = log_abs_cos_profile((1.0 - squared) / (2.0 * c0_tilde), 2.0 * c0_tilde / s,
-                            a_tilde, b_tilde)
-    return (f, affine_profile(c0_tilde, 0.0), ((OdeCase(OdeId.O3_23, c0_tilde), "f"),),
+    k, q = (1.0 - squared) / (2.0 * c0_tilde), 2.0 * c0_tilde / s
+    return (log_abs_cos_profile(k, q, a_tilde, b_tilde), affine_profile(c0_tilde, 0.0),
+            ((OdeCase(OdeId.O3_23, c0_tilde), "f"),),
+            AdmissibleDomain(_cos_admissible(k, q, a_tilde), REAL_LINE),
             f"no spacelike points: g'^2 - f'^2 - 1 <= c0_tilde^2 - 1 = {squared - 1.0:.6g} < 0")
 
 
@@ -392,15 +422,16 @@ def _f3_27(c0_tilde=1.5, c1=-1.0, b_bar1=0.0) -> _Parts:
     rate = 4.0 * c0_tilde / s
     f = _quad(*_tanh_ratio_integrands(s, c1, rate), _ratio_domain(c1, rate))
     parts = (f, affine_profile(c0_tilde, b_bar1), ((OdeCase(OdeId.O3_23, c0_tilde), "f"),))
-    if c1 > 0.0:
-        return *parts, "no spacelike points: f'^2 > c0_tilde^2 - 1 everywhere for c1 > 0"
-    if 100.0 * s <= 1.02:
-        return *parts, f"spacelike margin below floor: c0_tilde^2 - 1 = {s * s:.3g}"
-    # f' = s*tanh(y) with y = -(rate*u + ln|c1|)/2
-    y_max = math.acosh(100.0 * s)
+    if c1 > 0.0:  # f' = s*coth(y) with y = -(rate*u + ln(c1))/2
+        return *parts, AdmissibleDomain(_coth_box(f.domain, s, 2.0 / abs(rate)), REAL_LINE), (
+            "no spacelike points: f'^2 > c0_tilde^2 - 1 everywhere for c1 > 0")
+    # f' = s*tanh(y) with y = -(rate*u + ln|c1|)/2; keep s^2 sech^2 >= floor where it can
+    low = 100.0 * s <= 1.02
+    y_max = SAMPLING_CAP if low else math.acosh(100.0 * s)
     shift = math.log(-c1)
     box = _sorted_interval(-(2.0 * y_max + shift) / rate, (2.0 * y_max - shift) / rate)
-    return *parts, AdmissibleDomain(box, REAL_LINE)
+    return *parts, AdmissibleDomain(box, REAL_LINE), (
+        f"spacelike margin below floor: c0_tilde^2 - 1 = {s * s:.3g}" if low else None)
 
 
 def _f3_30(c0_hat=1.0, a_hat=-0.3, b_hat=0.0, *, sign: float) -> _Parts:
@@ -410,13 +441,16 @@ def _f3_30(c0_hat=1.0, a_hat=-0.3, b_hat=0.0, *, sign: float) -> _Parts:
     f = affine_profile(c0_hat, 0.0)
     checks = ((OdeCase(OdeId.O3_28, c0_hat), "g"),)
     if a_hat > 0.0:
-        return (f, _quad(*integrands, REAL_LINE, b_hat), checks,
+        # a_hat*e^(-4v) = kk*e^(-y) with y = 4v - ln(a_hat/kk)
+        center = math.log(a_hat) - math.log(kk)
+        box = Interval((center - SAMPLING_CAP) / 4.0, (center + SAMPLING_CAP) / 4.0)
+        return (f, _quad(*integrands, REAL_LINE, b_hat), checks, AdmissibleDomain(REAL_LINE, box),
                 "no spacelike points: g'^2 < 1 + c0_hat^2 everywhere for a_hat > 0")
     v_star = 0.25 * math.log(-a_hat / kk)
     prof_lo = -0.25 * math.log((kk - 1e-9) / -a_hat)
     v_hi = 0.25 * math.log(-a_hat / (SPACELIKE_FLOOR * kk * kk))
     g = _quad(*integrands, Interval(prof_lo, math.inf), b_hat)
-    return f, g, checks, AdmissibleDomain(REAL_LINE, Interval(v_star + EDGE_MARGIN, v_hi))
+    return f, g, checks, AdmissibleDomain(REAL_LINE, Interval(v_star + EDGE_MARGIN, v_hi)), None
 
 
 def _f3_31(c0_prime=1.0, c1_prime=0.0, b_prime=0.0) -> _Parts:
@@ -434,21 +468,26 @@ def _f3_36(c1=0.3, c2=0.4, c3=0.0) -> _Parts:
 def _f3_38(c0=1.0, c_hat=-1.0, c_hat1=-1.0, a=0.0) -> _Parts:
     _require(c0 != 0.0, "F3_38 requires c0 != 0")
     _require(c_hat != 0.0 and c_hat1 != 0.0, "F3_38 requires c_hat, c_hat1 != 0")
-    parts = (log_abs_exp_profile(1.0 / c0, c0, 1.0, -c_hat, a),
-             log_abs_exp_profile(-1.0 / c0, c0, -c_hat1, 1.0, 0.0),
-             ((OdeCase(OdeId.O3_37F, c0), "f"), (OdeCase(OdeId.O3_37G, c0), "g")))
+    f = log_abs_exp_profile(1.0 / c0, c0, 1.0, -c_hat, a)
+    g = log_abs_exp_profile(-1.0 / c0, c0, -c_hat1, 1.0, 0.0)
+    reason = None
     if c_hat > 0.0:
-        return *parts, "no spacelike points: 1 - f'^2 < 0 everywhere for c_hat > 0"
-    if c_hat1 > 0.0:
-        return *parts, "no spacelike points: 1 - g'^2 < 0 everywhere for c_hat1 > 0"
-    # f' = tanh(c0*u - ln|c_hat|/2), g' = -tanh(c0*v + ln|c_hat1|/2); boxes with
-    # |f'|, |g'| <= 0.7 keep 1 - f'^2 - g'^2 >= 0.02.
-    reach = math.atanh(0.7)
-    fu_center = 0.5 * math.log(-c_hat) / c0
-    gv_center = -0.5 * math.log(-c_hat1) / c0
-    return *parts, AdmissibleDomain(
-        _sorted_interval(fu_center - reach / c0, fu_center + reach / c0),
-        _sorted_interval(gv_center - reach / c0, gv_center + reach / c0))
+        reason = "no spacelike points: 1 - f'^2 < 0 everywhere for c_hat > 0"
+    elif c_hat1 > 0.0:
+        reason = "no spacelike points: 1 - g'^2 < 0 everywhere for c_hat1 > 0"
+    # f' = tanh(c0*u - ln|c_hat|/2), g' = -tanh(c0*v + ln|c_hat1|/2) where c_hat,
+    # c_hat1 < 0, coth where > 0.  Spacelike boxes with |f'|, |g'| <= 0.7 keep
+    # 1 - f'^2 - g'^2 >= 0.02.
+    reach = SAMPLING_CAP if reason else math.atanh(0.7)
+
+    def box(profile: Profile, coeff: float, center: float) -> Interval:
+        if coeff > 0.0:
+            return _coth_box(profile.domain, 1.0, 1.0 / abs(c0))
+        return _sorted_interval(center - reach / c0, center + reach / c0)
+
+    return (f, g, ((OdeCase(OdeId.O3_37F, c0), "f"), (OdeCase(OdeId.O3_37G, c0), "g")),
+            AdmissibleDomain(box(f, c_hat, 0.5 * math.log(abs(c_hat)) / c0),
+                             box(g, c_hat1, -0.5 * math.log(abs(c_hat1)) / c0)), reason)
 
 
 def _f3_41(c1=0.5, c2=2.0, c3=0.0) -> _Parts:
@@ -461,8 +500,11 @@ def _f3_43(c0_bar=1.0, c3=1.0, c4=0.0, b=0.0) -> _Parts:
     _require(c3 != 0.0, "F3_43 requires c3 != 0")
     f = log_abs_cos_profile(-1.0 / c0_bar, c0_bar, -c4)
     checks = ((OdeCase(OdeId.O3_42F, c0_bar), "f"), (OdeCase(OdeId.O3_42G, c0_bar), "g"))
-    if c3 < 0.0:
+    if c3 < 0.0:  # g' = tanh(c0_bar*v - ln|c3|/2)
+        center = 0.5 * math.log(-c3)
+        box = _sorted_interval((center - SAMPLING_CAP) / c0_bar, (center + SAMPLING_CAP) / c0_bar)
         return (f, log_abs_exp_profile(1.0 / c0_bar, c0_bar, 1.0, -c3, b), checks,
+                AdmissibleDomain(_cos_admissible(-1.0 / c0_bar, c0_bar, -c4), box),
                 "no spacelike points: g'^2 < 1 <= 1 + f'^2 everywhere for c3 < 0")
     # g' = (A + c3)/(A - c3) with A = e^(2*c0_bar*v); stay on the A > c3 side where
     # g' > 1, between the singularity and the point where g'^2 = 2 + 0.02.
@@ -478,7 +520,7 @@ def _f3_43(c0_bar=1.0, c3=1.0, c4=0.0, b=0.0) -> _Parts:
         v_interval = Interval(v_far, v_star - EDGE_MARGIN)
     # |f'| <= 1 on the u box, so g'^2 - f'^2 - 1 >= rho^2 - 2 = 0.02 there.
     quarter = _sorted_interval((-math.pi / 4.0 - c4) / c0_bar, (math.pi / 4.0 - c4) / c0_bar)
-    return f, g, checks, AdmissibleDomain(quarter, v_interval)
+    return f, g, checks, AdmissibleDomain(quarter, v_interval), None
 
 
 _I, _II = TranslationType.I, TranslationType.II
@@ -493,9 +535,9 @@ _FAMILIES: dict[FamilyId, tuple[TranslationType, CaseId, Callable[..., _Parts]]]
     FamilyId.F2_35: (_II, CaseId.E_M_II_III, _f2_35),
     FamilyId.F2_39: (_II, CaseId.E_M_II_III, _f2_39),
     FamilyId.F2_40: (_II, CaseId.E_M_II_III, lambda c0_prime=1.0, b_prime=0.0: (
-        affine_profile(c0_prime, b_prime), affine_profile(0.0, 0.0), (), _EVERYWHERE)),
+        affine_profile(c0_prime, b_prime), affine_profile(0.0, 0.0), (), _EVERYWHERE, None)),
     FamilyId.F2_50: (_I, CaseId.E_NM_ALL, lambda c0=1.0, c1=2.0, c2=0.0: (
-        affine_profile(c0, 0.0), affine_profile(c1, c2), (), _EVERYWHERE)),
+        affine_profile(c0, 0.0), affine_profile(c1, c2), (), _EVERYWHERE, None)),
     FamilyId.F2_51: (_I, CaseId.E_NM_ALL, _f2_51),
     FamilyId.F3_10: (_I, CaseId.L_M_I,
                      lambda c=1.5, a=0.0, b_bar=0.0: _f3_10("F3_10", "c", c, a, b_bar)),
@@ -533,13 +575,11 @@ def _assemble(fam: SolutionFamily) -> FamilyBuild:
     if fam.family_id in BRANCHED_FAMILIES:
         params["sign"] = 1.0 if fam.branch is Branch.PLUS else -1.0
     try:
-        f, g, checks, domain = builder(**params)
+        f, g, checks, domain, reason = builder(**params)
     except (ArithmeticError, ValueError) as exc:
         # parameters so large or small that the closed forms overflow or collapse
         raise ParameterConstraintViolation(
             f"{name}: parameters out of range ({type(exc).__name__}: {exc})") from None
-    domain, reason = ((domain, None) if isinstance(domain, AdmissibleDomain)
-                      else (None, domain))
     signature, connection, _ = CASE_SPACE[case]
     surface = TranslationSurface(ttype, f._replace(label=f"{name}.f"),
                                  g._replace(label=f"{name}.g"),
@@ -550,7 +590,7 @@ def _assemble(fam: SolutionFamily) -> FamilyBuild:
 def build(fam: SolutionFamily) -> FamilyBuild:
     """Assemble a family with its admissible domain; EmptyDomain if it is never spacelike."""
     built = _assemble(fam)
-    if built.domain is None:
+    if built.empty_reason is not None:
         raise EmptyDomain(f"{fam.family_id.value}: {built.empty_reason}")
     return built
 
@@ -610,54 +650,6 @@ def perturb_profile(profile: Profile, eps: float) -> Profile:
                             label=f"{profile.label}+{eps:g}u^2")
 
 
-def _moderate_box(profile: Profile, max_slope: float = 2.0, step: float = 0.05) -> Interval:
-    """Interval reaching up to 2 either side of a point where |d1| stays moderate.
-
-    Used for residual-only sampling of families whose spacelike region is
-    empty and for finite-difference oracles: it keeps evaluations away from
-    poles where cancellation or stencil truncation would swamp the check.
-    A profile steeper than max_slope at every candidate (a steep line, say)
-    gets the box under the gentlest slope found instead.  Where no point one
-    step from the start passes, the search repeats on the candidates' spacing;
-    the box never leaves the profile's domain.
-    """
-
-    def slope(u: float) -> float:
-        try:
-            return abs(profile.at(u, value=False).d1)
-        except DomainError:
-            return math.inf
-
-    clipped = profile.domain.clipped(SAMPLING_CAP)
-    candidates = [c for c in [0.0, clipped.midpoint] + [
-        clipped.lo + k * clipped.width / 40.0 for k in range(1, 40)
-    ] if profile.domain.contains(c)]
-    start = next((c for c in candidates if slope(c) <= max_slope), None)
-    if start is None:
-        gentlest = min(map(slope, candidates), default=math.inf)
-        if math.isinf(gentlest):
-            raise DomainError(f"{profile.label}: no moderate-slope point found")
-        return _moderate_box(profile, gentlest, step)
-    lo = hi = start
-    while hi - start < 2.0 and slope(hi + step) <= max_slope:
-        hi += step
-    while start - lo < 2.0 and slope(lo - step) <= max_slope:
-        lo -= step
-    if hi - lo < step:
-        fine = clipped.width / 40.0
-        if fine < step:  # the slope bound binds within one step: search on the candidate grid
-            return _moderate_box(profile, max_slope, fine)
-        lo = max(start - 0.5 * step, profile.domain.lo)
-        hi = min(start + 0.5 * step, profile.domain.hi)
-    return Interval(lo, hi)
-
-
-def _residual_box(built: FamilyBuild) -> tuple[Interval, Interval]:
-    if built.domain is not None:
-        return built.domain.sampling_box()
-    return _moderate_box(built.surface.f), _moderate_box(built.surface.g)
-
-
 def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
                 tolerance: float | None = None, perturb: float = 0.0) -> FamilyReport:
     """Sample a family and report its worst |residual|, and its worst |numerator| in full mode.
@@ -671,9 +663,9 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
     if n_samples < 1:
         raise VerifierError(f"n_samples must be >= 1, got {n_samples}")
     built = _assemble(fam)
-    full = built.domain is not None and not perturb
+    full = built.empty_reason is None and not perturb
     tol = tolerance if tolerance is not None else built.tolerance
-    box_u, box_v = _residual_box(built)
+    box_u, box_v = built.domain.sampling_box()
     surface = built.surface
     f = perturb_profile(surface.f, perturb) if perturb else surface.f
     g = surface.g

@@ -1,7 +1,8 @@
 """Test-side oracles: the NaN-sticky running worst, scalar splitmix64,
 forward-mode jet arithmetic, least-squares separation and substitution fits,
 an RK4-backed profile, the pointwise reduced-ODE check of a family, the
-per-sample equivalence sweep, and the family check and RK4 comparison by way
+slope-bounded box of the finite-difference oracle, the per-sample equivalence
+sweep, and the family check and RK4 comparison by way
 of `Profile.at`.
 
 No command runs these; the tests use them as checks that do not share the
@@ -27,10 +28,10 @@ import numpy as np
 
 from ssmin.ambient import Signature
 from ssmin.catalog import (
+    SAMPLING_CAP,
     FamilyReport,
     SolutionFamily,
     _assemble,
-    _residual_box,
     perturb_profile,
 )
 from ssmin.curvature import _curvature_kernel
@@ -311,7 +312,7 @@ def ode_pointwise_max(fam: SolutionFamily, n_samples: int = 200, rng_seed: int =
     built = _assemble(fam)
     if not built.ode_checks:
         return 0.0
-    box_u, box_v = _residual_box(built)
+    box_u, box_v = built.domain.sampling_box()
     worst = 0.0
     rng = SplitMix64(rng_seed)
     for case, which in built.ode_checks:
@@ -322,6 +323,47 @@ def ode_pointwise_max(fam: SolutionFamily, n_samples: int = 200, rng_seed: int =
             jet = profile.at(rng.uniform(box.lo, box.hi))
             worst = _worse(worst, abs(jet.d2 - phi(jet.d1)))
     return worst
+
+
+def moderate_box(profile: Profile, max_slope: float = 2.0, step: float = 0.05) -> Interval:
+    """Interval reaching up to 2 either side of a point where |d1| stays moderate.
+
+    The box of the finite-difference oracle: it keeps the stencils away from
+    poles, where their truncation error grows with the third derivative.
+    A profile steeper than max_slope at every candidate (a steep line, say)
+    gets the box under the gentlest slope found instead.  Where no point one
+    step from the start passes, the search repeats on the candidates' spacing;
+    the box never leaves the profile's domain.
+    """
+
+    def slope(u: float) -> float:
+        try:
+            return abs(profile.at(u, value=False).d1)
+        except DomainError:
+            return math.inf
+
+    clipped = profile.domain.clipped(SAMPLING_CAP)
+    candidates = [c for c in [0.0, clipped.midpoint] + [
+        clipped.lo + k * clipped.width / 40.0 for k in range(1, 40)
+    ] if profile.domain.contains(c)]
+    start = next((c for c in candidates if slope(c) <= max_slope), None)
+    if start is None:
+        gentlest = min(map(slope, candidates), default=math.inf)
+        if math.isinf(gentlest):
+            raise DomainError(f"{profile.label}: no moderate-slope point found")
+        return moderate_box(profile, gentlest, step)
+    lo = hi = start
+    while hi - start < 2.0 and slope(hi + step) <= max_slope:
+        hi += step
+    while start - lo < 2.0 and slope(lo - step) <= max_slope:
+        lo -= step
+    if hi - lo < step:
+        fine = clipped.width / 40.0
+        if fine < step:  # the slope bound binds within one step: search on the candidate grid
+            return moderate_box(profile, max_slope, fine)
+        lo = max(start - 0.5 * step, profile.domain.lo)
+        hi = min(start + 0.5 * step, profile.domain.hi)
+    return Interval(lo, hi)
 
 
 def _draw_first_derivatives(rng: ScalarSplitMix64, sig: Signature,
@@ -381,9 +423,9 @@ def reference_verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: i
     if n_samples < 1:
         raise VerifierError(f"n_samples must be >= 1, got {n_samples}")
     built = _assemble(fam)
-    full = built.domain is not None and not perturb
+    full = built.empty_reason is None and not perturb
     tol = tolerance if tolerance is not None else built.tolerance
-    box_u, box_v = _residual_box(built)
+    box_u, box_v = built.domain.sampling_box()
     surface = built.surface
     f = perturb_profile(surface.f, perturb) if perturb else surface.f
     ttype, sig, kind = surface.ttype, surface.space.signature, surface.space.connection

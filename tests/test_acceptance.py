@@ -22,7 +22,6 @@ from ssmin.ambient import (
 from ssmin.catalog import (
     FamilyId,
     _assemble,
-    _moderate_box,
     all_default_settings,
     build,
     verify_auto,
@@ -36,7 +35,7 @@ from ssmin.pde import CaseId, equivalence_sweep, residual
 from ssmin.sampling import SplitMix64, child_seed
 from ssmin.surface import TranslationSurface, TranslationType, frame_from_jets
 
-from oracles import ode_pointwise_max
+from oracles import moderate_box, ode_pointwise_max
 
 E = Signature.EUCLIDEAN
 L = Signature.LORENTZIAN
@@ -105,7 +104,7 @@ def test_criterion_3_theorem_suites():
     for index, fam in enumerate(all_default_settings()):
         seed = child_seed(3, index)
         report = verify_auto(fam, 200, seed)
-        if fam.family_id in EMPTY_SPACELIKE or _assemble(fam).domain is None:
+        if fam.family_id in EMPTY_SPACELIKE or _assemble(fam).empty_reason is not None:
             raised_empty = False
             try:
                 build(fam)
@@ -221,9 +220,10 @@ def test_criterion_7_derivative_oracle():
     worst_d1 = worst_d2 = 0.0
     for index, fam in enumerate(all_default_settings()):
         surface = _assemble(fam).surface
-        # sampling boxes keep |d1| moderate: truncation of the h = 1e-4
-        # stencils explodes with the third derivative near profile poles
-        box_u, box_v = _moderate_box(surface.f), _moderate_box(surface.g)
+        # stencil boxes keep |d1| <= 2: truncation of the h = 1e-4 stencils
+        # explodes with the third derivative near profile poles, and the
+        # sampling boxes reach slope 20
+        box_u, box_v = moderate_box(surface.f), moderate_box(surface.g)
         for offset, (which, profile, box) in enumerate(
                 (("f", surface.f, box_u), ("g", surface.g, box_v))):
             quad_backed = QUAD_PROFILE.get(fam.family_id) == which

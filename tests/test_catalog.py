@@ -23,8 +23,8 @@ from ssmin.catalog import (
 )
 from ssmin.errors import (DomainError, DomainMismatch, EmptyDomain,
                           ParameterConstraintViolation, UnknownCase, VerifierError)
-from ssmin.cli import _record, _sweeps
-from ssmin.jets import Interval, Jet2, affine_profile
+from ssmin.cli import _record, _sweeps, main
+from ssmin.jets import Interval, Jet2, Profile, affine_profile
 from ssmin.ode import Trajectory, compare_profile, integrate
 from ssmin.pde import CaseId, equivalence_sweep, residual
 from ssmin.sampling import SplitMix64
@@ -94,6 +94,11 @@ def test_unknown_parameter_name():
     assert SolutionFamily(FamilyId.F2_23, (("c3", 1),)) == make_family(FamilyId.F2_23, c3=1.0)
 
 
+def _assert_box_inside_both_domains(built):
+    for profile, box in zip((built.surface.f, built.surface.g), built.domain.sampling_box()):
+        assert profile.domain.lo <= box.lo < box.hi <= profile.domain.hi, profile.label
+
+
 @pytest.mark.parametrize("fid,params", [
     (FamilyId.F3_10, {}),
     (FamilyId.F3_13, {}),
@@ -112,11 +117,104 @@ def test_unknown_parameter_name():
 def test_empty_spacelike_domains(fid, params):
     with pytest.raises(EmptyDomain):
         build(make_family(fid, **params))
+    # the builder's box lies inside both profiles' own domains
+    built = _assemble(make_family(fid, **params))
+    _assert_box_inside_both_domains(built)
     # the PDE residual still vanishes on the formula's own domain
     report = verify_auto(make_family(fid, **params), 100, 3)
     assert report.mode == "residual-only"
     assert report.max_abs_residual <= report.tolerance
     assert report.empty_reason
+
+
+@pytest.mark.parametrize("fid,params", [
+    (FamilyId.F3_10, {"c": 1.0000001}),
+    (FamilyId.F3_10, {"c": 1.0 + 1e-12}),
+    (FamilyId.F3_13, {"c_hat": -1.0000001}),
+    (FamilyId.F3_25, {"c0_tilde": 0.999999999}),
+    (FamilyId.F3_12, {"c": 0.9999999999, "c_tilde": 1.0}),
+    (FamilyId.F3_14, {"c_hat": 0.9999999999, "c_tilde1": 1.0}),
+    (FamilyId.F3_27, {"c0_tilde": 1.0000001, "c1": 5.0}),
+    (FamilyId.F3_30, {"a_hat": 1e307}),
+    # boxes reaching 2 in u put |q*u| past where e^(+-q*u) overflows
+    (FamilyId.F3_38, {"c0": 1e5, "c_hat1": 3.0}),
+    (FamilyId.F3_43, {"c0_bar": 1e5, "c3": -1.0}),
+])
+def test_residual_only_boxes_at_the_edges_of_parameter_space(fid, params):
+    # poles closer than the edge margin, slopes near their asymptote, a radicand
+    # term near overflow: each closed-form box stays in its profile's domain
+    # and off every overflow, and the record passes
+    fam = make_family(fid, **params)
+    built = _assemble(fam)
+    _assert_box_inside_both_domains(built)
+    report = verify_auto(fam, 200, 1)
+    assert report.mode == "residual-only"
+    assert report.verdict, report
+
+
+@pytest.mark.parametrize("fid,params,asymptotes", [
+    (FamilyId.F3_38, {"c0": 316.0, "c_hat": 1.0, "c_hat1": 1.0}, (1.0, 1.0)),
+    (FamilyId.F3_38, {"c0": -0.01, "c_hat": 2.0}, (1.0, None)),
+    (FamilyId.F3_12, {"c_tilde": 1.0}, (math.sqrt(0.75), None)),
+    (FamilyId.F3_27, {"c0_tilde": 316.0, "c1": 1.0}, (math.sqrt(316.0 ** 2 - 1.0), None)),
+])
+def test_coth_boxes_bound_slope_and_curvature(fid, params, asymptotes):
+    # the residual's terms grow as slope^2 * |d2|, and d2 carries the rate of the
+    # exponent: on a coth-type box |d1| <= s + SLOPE_CAP and |d2| <= SLOPE_CAP^2
+    fam = make_family(fid, **params)
+    built = _assemble(fam)
+    cap = catalog.SLOPE_CAP
+    for profile, box, s in zip((built.surface.f, built.surface.g),
+                               built.domain.sampling_box(), asymptotes):
+        if s is None:
+            continue
+        for k in range(9):
+            jet = profile.at(box.lo + box.width * k / 8.0, value=False)
+            assert s < abs(jet.d1) <= (s + cap) * (1.0 + 1e-12), (profile.label, k)
+            assert abs(jet.d2) <= cap * cap * (1.0 + 1e-9), (profile.label, k)
+    # with two coth slopes at rate 316, the slope bound alone left residuals at
+    # 0.9 of the tolerance
+    report = verify_auto(fam, 200, 1)
+    assert report.max_abs_residual <= 0.05 * report.tolerance
+
+
+@pytest.mark.parametrize("c", [2000.0, 4000.0])
+def test_cos_box_of_a_branch_narrower_than_the_margin(c):
+    # the branch |c*u| < pi/2 is narrower than 2*EDGE_MARGIN, so the box keeps
+    # the middle half of the guarded branch, inside the profile's domain
+    fam = make_family(FamilyId.F2_51, c=c)
+    built = build(fam)
+    half = 0.5 * (math.pi / 2.0 - c * catalog.SINGULARITY_GUARD) / c
+    for profile, box in zip((built.surface.f, built.surface.g), built.domain.sampling_box()):
+        assert profile.domain.lo < box.lo < box.hi < profile.domain.hi
+        assert box.lo == pytest.approx(-half, rel=1e-12)
+        assert box.hi == pytest.approx(half, rel=1e-12)
+    assert verify_auto(fam, 200, 1).verdict
+
+
+def test_unbranched_family_rejects_the_minus_branch():
+    with pytest.raises(ParameterConstraintViolation, match=r"F2_23 has no \+- branch"):
+        make_family(FamilyId.F2_23, branch="minus")
+    with pytest.raises(ParameterConstraintViolation, match="F3_43"):
+        SolutionFamily(FamilyId.F3_43, (), Branch.MINUS)
+    assert make_family(FamilyId.F2_39, branch="minus").branch is Branch.MINUS
+
+
+def test_verify_all_makes_no_profile_at_call(monkeypatch, capsys):
+    # the check loop inlines the tests of `at`, and every box is closed form
+    calls = []
+    at = Profile.at
+
+    def counting(self, u, value=True):
+        calls.append((self.label, u))
+        return at(self, u, value)
+
+    monkeypatch.setattr(Profile, "at", counting)
+    assert main(["verify", "--all", "--seed", "3"]) == 0
+    assert calls == []
+    # the patch is live: a direct call is counted
+    _assemble(make_family(FamilyId.F3_10)).surface.f.at(0.0)
+    assert len(calls) == 1
 
 
 def test_verify_family_scherk():
@@ -193,10 +291,8 @@ def test_swapped_profile_roles_match():
             r_vu = residual(vu.case, vf.at(t), vg.at(s))
             assert r_uv == pytest.approx(r_vu, abs=1e-13)
         assert [(c, "g" if w == "f" else "f") for c, w in uv.ode_checks] == list(vu.ode_checks)
-        if uv.domain is None:
-            assert vu.domain is None
-        else:
-            assert (uv.domain.u, uv.domain.v) == (vu.domain.v, vu.domain.u)
+        assert (uv.empty_reason is None) is (vu.empty_reason is None)
+        assert (uv.domain.u, uv.domain.v) == (vu.domain.v, vu.domain.u)
 
 
 def test_f3_43_negative_orientation_parameter():
@@ -211,19 +307,22 @@ def test_f3_43_negative_orientation_parameter():
     assert report.verdict
 
 
-def test_moderate_box_fallback_stays_in_the_domain():
-    # f' = tan(400u) keeps |f'| <= 2 only for |u| < 0.0028, inside the first step
-    # of the box search, and the pole-free branch is |u| < 0.0039
+def test_steep_cos_branch_box_stays_in_the_domain():
+    # f' = tan(400u) has its poles at |u| = pi/800 = 0.0039; the builder's box
+    # keeps the edge margin from both, where |f'| = tan(pi/2 - 0.4) < SLOPE_CAP
     fam = make_family(FamilyId.F3_43, c0_bar=400.0, c3=-1.0)
-    f = _assemble(fam).surface.f
-    box = catalog._moderate_box(f)
+    built = _assemble(fam)
+    f, box = built.surface.f, built.domain.sampling_box()[0]
     assert f.domain.lo < box.lo < 0.0 < box.hi < f.domain.hi
+    assert box.hi == pytest.approx(math.pi / 800.0 - catalog.EDGE_MARGIN, rel=1e-12)
     assert box.width > 0.004
-    assert all(abs(f.at(u).d1) <= 2.0 for u in (box.lo, box.hi))
-    # the residual-only check now runs instead of raising DomainError.  Its
-    # record fails: g = ln(e^(400v) + e^(-400v))/400 loses g'' where |400v| > ~355,
-    # since the kernel's r*r = (1/(e^(400v) + ...))^2 underflows there
-    assert verify_auto(fam, 50, 3).mode == "residual-only"
+    assert all(abs(f.at(u).d1) <= catalog.SLOPE_CAP for u in (box.lo, box.hi))
+    # g = ln(e^(400v) + e^(-400v))/400 is sampled where |400v| <= 3, far from
+    # |400v| > ~355, where the kernel's r*r = (1/(e^(400v) + ...))^2 underflows
+    assert built.domain.v == Interval(-3.0 / 400.0, 3.0 / 400.0)
+    report = verify_auto(fam, 50, 3)
+    assert report.mode == "residual-only"
+    assert report.verdict
 
 
 def test_tiny_a_hat_radicand_crosses_the_exp_overflow():
@@ -437,13 +536,13 @@ def test_evaluators_return_plain_tuples_that_at_wraps():
     profiles = []
     for fam in all_default_settings():
         built = _assemble(fam)
-        boxes = catalog._residual_box(built)
+        boxes = built.domain.sampling_box()
         profiles += [(built.surface.f, boxes[0]), (built.surface.g, boxes[1])]
     # a perturbed quadrature profile keeps both evaluators
     built = _assemble(make_family(FamilyId.F3_12))
     assert built.surface.f.quadrature
     profiles.append((catalog.perturb_profile(built.surface.f, 0.01),
-                     catalog._residual_box(built)[0]))
+                     built.domain.sampling_box()[0]))
     assert len(profiles) == 2 * 38 + 1
     rng = SplitMix64(4242)
     for profile, box in profiles:

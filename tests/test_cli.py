@@ -282,7 +282,7 @@ def test_mesh_empty_domain_family(capsys):
     ["verify", "--family", "F3_41", "--c1", "3"],
 ])
 def test_verify_steep_affine_profile_residual_only(tmp_path, argv):
-    # a line steeper than the moderate-slope cap still gets a residual box
+    # a line of any slope is sampled on the whole line, clipped at SAMPLING_CAP
     code, text = run(tmp_path, *argv, "--samples", "50")
     assert code == 0
     record = json.loads(text)["records"][0]
@@ -302,13 +302,13 @@ def test_report_determinism(tmp_path):
 # sha256 of stdout; any change to these outputs must be deliberate
 _OUTPUT_SHA256 = [
     pytest.param(["report", "--all", "--seed", "42", "--format", "json"], 0,
-                 "b0ff652564b1ce1b0878646b4a2131ace54f0ceacbfbf1c9e6f5273431cc62a2",
+                 "c592e40a680e1d3bf3a9aec4fd4aff34d95e5d95fc885b85a8a1d71dfbb81b54",
                  id="report"),
     pytest.param(["report", "--all", "--seed", "42", "--format", "markdown"], 0,
-                 "db0a4c461e339634dc7bce0cd576cf8bd2f78aeb309d6f4a250d9ab4167f3f5b",
+                 "5a7c5f94ecd1dde486f976196beed5004335dfbd5a5bb0294b8b47f878d5e91b",
                  id="report-markdown"),
     pytest.param(["report", "--all", "--perturb", "0.01"], 2,
-                 "c56342330052d63618abeefddbcd7cec5dfb131abb21d49d41c4674d0f9dd69d",
+                 "1adbdaecc037c17b692951c8969b1a642c5dfcb8391865fecd97f1b7e12b0203",
                  id="report-perturb"),
     pytest.param(["equivalence", "--all", "--samples", "300", "--seed", "3"], 0,
                  "b69cd26ce8b8864506d2ba01dc815aadb1035550b362cdad3357ffd2edebd586",
@@ -318,10 +318,10 @@ _OUTPUT_SHA256 = [
                  "3b6b5b2b191f4be60de8e3c82c671455613de3527ab3c66f0f79e4cf96286aaf",
                  id="equivalence-6000"),
     pytest.param(["verify", "--all", "--seed", "3"], 0,
-                 "0abb8cdbaf2ace8db0a9d37e0c5b647cf2888bf88419b6f2c3f5cf75df132529",
+                 "bac05e6b3fea75c4c54ff06e64292698cc312b367de3727d1d60a7312adc8e41",
                  id="verify"),
     pytest.param(["verify", "--all", "--seed", "3", "--format", "markdown"], 0,
-                 "a942f26bc0161562fe8af7b0705610b658ac28edab79aa46da3cccb99e6a5e34",
+                 "fdd0ec6b9a993d298c1d402260f92aadcf1fb8daa828b85006ae37be9a1b1df1",
                  id="verify-markdown"),
     pytest.param(["ode-compare"], 0,
                  "db7e07e303616e0c84021d99945fefbe93fd6ca78e75cbcdb5a337e71775c47e",
@@ -731,11 +731,11 @@ def test_negative_flag_values_parse(capsys, argv, flag, value):
 @pytest.mark.parametrize("argv,exit_code", [
     # the admissible box reaches where e^(4v) overflows, yet a_hat*e^(4v) is finite
     (["verify", "--family", "F2_39", "--a-hat", "1e-300", "--samples", "50"], 0),
-    # overflowing probes of the residual-only box search count as off-domain
+    # residual-only boxes reach SAMPLING_CAP in the exponent's variable, short of
+    # where the ratio's exponential overflows
     (["verify", "--family", "F3_12", "--c", "0.99995", "--samples", "50"], 0),
     (["verify", "--family", "F3_14", "--c-hat", "0.99995", "--samples", "50"], 0),
-    # so do probes where e^(q*u) overflows; the box found reaches |q*u| > ~355,
-    # where 1/a^2 underflows, yet g'' of ln|a| stays right there
+    # and short of where e^(q*u) overflows, or 1/a^2 underflows (|q*u| > ~355)
     (["verify", "--family", "F3_38", "--c0", "400", "--c-hat", "1"], 0),
     (["verify", "--family", "F3_43", "--c0-bar", "400", "--c3", "-1"], 0),
 ])

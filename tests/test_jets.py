@@ -254,9 +254,9 @@ def _catalog_quadratures():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(catalog, "profile_quadrature", recording)
         for fam in catalog.all_default_settings():
-            # the box search evaluates profiles, so sample a second assembly
-            box_u, box_v = catalog._residual_box(catalog._assemble(fam))
-            surface = catalog._assemble(fam).surface
+            built = catalog._assemble(fam)
+            box_u, box_v = built.domain.sampling_box()
+            surface = built.surface
             for profile, box in ((surface.f, box_u), (surface.g, box_v)):
                 if profile.quadrature:
                     out.append((profile, *made[profile.fn], box))

@@ -56,7 +56,7 @@ def test_every_record_is_an_immutable_named_tuple():
     (lambda: verify_auto(make_family(FamilyId.F3_10), 5, 1),
      "FamilyReport(family_id='F3_10', branch='plus', params={'a': 0.0, 'b_bar': 0.0, "
      "'c': 1.5}, n_samples=5, mode='residual-only', max_abs_numerator=None, "
-     "max_abs_residual=1.7763568394002505e-15, tolerance=1e-08, verdict=True, "
+     "max_abs_residual=3.552713678800501e-15, tolerance=1e-08, verdict=True, "
      "empty_reason=\"no spacelike points: 1 - f'^2 - g'^2 <= 1 - c^2 = -1.25 < 0\")"),
     (lambda: equivalence_sweep(CaseId.L_M_I, 5, 1),
      "EquivalenceRecord(case=<CaseId.L_M_I: 'L_M_I'>, n_samples=5, attempts=5, "
