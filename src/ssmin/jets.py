@@ -20,7 +20,12 @@ composition's r*r underflows: there it squares r*a1 instead.
 
 Quadrature-backed profiles obtain their value from adaptive Simpson
 integration while both derivatives stay in closed form.  A caller that reads
-only the slopes asks for them alone, and then no quadrature runs.
+only the slopes asks for them alone, and then no quadrature runs.  Before its
+error estimate may accept, adaptive Simpson splits a panel until each piece is
+at most one node width of the profiles' integral cache wide: once at least,
+four times at most.  A five-point estimate can be fooled on a wide panel, so
+panels wider than eight node widths keep all four splits; the cache's node
+panels, and the pieces from a node to u, are split once.
 """
 
 from __future__ import annotations
@@ -233,9 +238,11 @@ def log_abs_exp_profile(k: float, q: float, coeff_pos: float, coeff_neg: float,
 QUAD_ABS_TOL = 1e-12
 QUAD_MAX_DEPTH = 40
 
-# Panels are always split this many times before the error estimate may
-# accept: a smooth integrand sampled at five points can fool the Richardson
-# estimate on a wide panel.
+# Before the error estimate may accept, a panel is split until each piece is
+# at most _NODE_WIDTH wide: once at least, and at most this many times.  A
+# smooth integrand sampled at five points can fool the Richardson estimate on
+# a wide panel, so panels wider than 8 node widths keep all four splits (65
+# points); a node panel of the quadrature cache is split once (9 points).
 _MIN_SPLITS = 4
 
 # Quadrature profiles cache cumulative integrals at nodes this far apart,
@@ -255,8 +262,11 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float) -> float:
     m = 0.5 * (a + b)
     fm = fn(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_split(fn, a, fa, b, fb, m, fm, whole, QUAD_ABS_TOL, QUAD_MAX_DEPTH,
-                          _MIN_SPLITS)
+    force, width = 1, 0.5 * (b - a)
+    while width > _NODE_WIDTH and force < _MIN_SPLITS:
+        force += 1
+        width *= 0.5
+    return _simpson_split(fn, a, fa, b, fb, m, fm, whole, QUAD_ABS_TOL, QUAD_MAX_DEPTH, force)
 
 
 def _simpson_split(fn, a, fa, b, fb, m, fm, whole, eps, depth, force):

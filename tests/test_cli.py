@@ -328,7 +328,7 @@ _OUTPUT_SHA256 = [
                  id="ode-compare"),
     # a quadrature-backed and a closed-form family, 64x64
     pytest.param(["mesh", "--family", "F2_39", "--format", "csv"], 0,
-                 "1177d01ab82aa08e6c71469729e9715ea5a91b68d051d0ad0fc343cd6249cffd",
+                 "3f8cfbd907fa9c9ddab568b34309d3045a9cdd811ccc8f93b89e55962b6a80d7",
                  id="mesh-F2_39"),
     pytest.param(["mesh", "--family", "F2_51"], 0,
                  "cf11bb2ea8f8c99a89c962afe3945853f3f2f007ab327fb8a78f2dd09286d8d4",
@@ -353,8 +353,8 @@ _MESH_SHA256 = {
               "003df128fecb39dc3271f34a3ab66fbfc226fd8165e1357a3efecc84c106a071"),
     "F2_35": ("60179b2b196fe3daa26d5b7d16db0c528e812c49a6bacd702565253a301c390d",
               "b020b414080a72a7537c37fe72bbbe3cdc183cb0cd3b708b6a935de056fb3510"),
-    "F2_39": ("536f751193df10787577f8e00d7d93a9d5e7046c1ae49690f7108cc42d5ed0ef",
-              "64a7ca7644c3d663da7b15b68f009e2f535856edc016f5131122a46fc7c758b3"),
+    "F2_39": ("c941be87ee8f9f71632203a3594d33128251c8cd89b138c9e68f84c1e362acda",
+              "8043aa3aa19a706a3255e60b077c6670874f2c0d05c1b769625267cadfd6588e"),
     "F2_40": ("b810a2c170f9b86078b56a9c9626b9b2778bf21893aec555f610e32436ef1b4f",
               "3afe538014cbd37fd3b036b90bcf93c73e321e2fe9857e248d47886fe8bc64aa"),
     "F2_50": ("81e9376b4e2f51441ed8345be6a7a53cb31f29a934c6fe1239a7123af2c0379c",
@@ -363,18 +363,18 @@ _MESH_SHA256 = {
               "964a57b19d46b97d47ed0319f0a34ca04b16573dc02def1baa28e137293f1556"),
     "F3_10": ("33ded9dcc0a7ed04abdf73b65c4506231db4a425141f1fab62fefb8d897f43af",
               "33ded9dcc0a7ed04abdf73b65c4506231db4a425141f1fab62fefb8d897f43af"),
-    "F3_12": ("4cc751f473c9271dec725a6bbbc7d6c6aed9d40fccf9503205ee2f034e8cda04",
-              "1ff4e595bb28a00733f464bf2b7e96d7ee9b3370962752e3c4264bb1c9639707"),
+    "F3_12": ("c32da7d9bccc09f04c7f69548e32a6b2799579913ee295830ea38eedf73b778c",
+              "7a33df45da9a2514300cc0c1b1ad9af4db5adcdc303fd0e4519b3600b6f5de16"),
     "F3_13": ("c999c236b9c118f407ebc5815e4db962ef2459182b78c0c52b4a2e550653c145",
               "c999c236b9c118f407ebc5815e4db962ef2459182b78c0c52b4a2e550653c145"),
-    "F3_14": ("a953d2e0a388da0de1ead4b966d6191d5a3a8539b5668f953118348132954afc",
-              "a91ce401b887f39e102be86f6df317755eddf508d048de05bef5b548b9fe4def"),
+    "F3_14": ("6f6b88d2fe0fdd42cfc9497c18ee69f8f1f79ea26ac27fd6d5f1dd717c411256",
+              "cfdbf3c06424878bebe0ff0cb6b0c135bfd999bc4d4be02e40469234b3f9b1f5"),
     "F3_25": ("8ab63a716922fc6f95c6c406e0f14021e22b1dd32799ab8188c92ac37dc9a95a",
               "8ab63a716922fc6f95c6c406e0f14021e22b1dd32799ab8188c92ac37dc9a95a"),
-    "F3_27": ("1e8fb7ca8cc204c7cb22734909900a5243aede827671978fd35f0ada19a0cfb7",
-              "b3ce8e881632d039a62b1ca868b5be3fee2b2afe9b3a866f623def5551499a2e"),
-    "F3_30": ("bd99c76fe2200a3637879cca1b28ff3dace28c52d4c9881ec8d8ffbc5d96b848",
-              "8b1a338049b4ebff157a78547b220f80ea84d4fb6bcc2a79a231a0b5c506dcb7"),
+    "F3_27": ("dc8e860103294e9fcc946d3527efa27bae9c30ee9c869703463f96c4f9f6b6f1",
+              "9810601c04c0fee7378e81c25dca7b2f7a0256477528a2e963c39807d0639f17"),
+    "F3_30": ("b510021747341003a69333cbfef11da450535bbdc3fd7a8afa7fc2fbd2324876",
+              "bcbab75cc9513f7864dc192aeb388b4cf7ee170d9296a127f40900d7afe3206f"),
     "F3_31": ("62de86fa6b21f8481b9284ee7035263c65d40182efe2bd0d4fc4644e58bda642",
               "62de86fa6b21f8481b9284ee7035263c65d40182efe2bd0d4fc4644e58bda642"),
     "F3_36": ("4bbbd473271c1466d7a8ecd59fc66171241d1e1dba994ddc1fe254c85239b75a",

@@ -2,18 +2,24 @@
 
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ssmin import catalog
+from ssmin.cli import _grid, main
 from ssmin.errors import DomainError, QuadratureFailure
 from ssmin.jets import (
     _MAX_NODES,
+    _MIN_SPLITS,
     _NODE_WIDTH,
+    QUAD_ABS_TOL,
+    QUAD_MAX_DEPTH,
     Interval,
     Jet2,
     REAL_LINE,
+    _simpson_split,
     adaptive_simpson,
     affine_profile,
     log_abs_cos_profile,
@@ -149,8 +155,53 @@ def test_quadrature_on_polynomials():
         assert abs(got - (antiderivative(b) - antiderivative(a))) <= 1e-10
 
 
+def _counted(fn):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fn(x)
+
+    return counted, calls
+
+
 def test_quadrature_cos_example():
-    assert abs(adaptive_simpson(math.cos, 0.0, math.pi / 2.0) - 1.0) <= 1e-10
+    cos, calls = _counted(math.cos)
+    assert adaptive_simpson(cos, 0.0, math.pi / 2.0) == 1.0 and len(calls) == 501
+
+
+def test_forced_splits_follow_the_panel_width():
+    # a constant is accepted as soon as the forced splits allow: after one, or
+    # after as many as leave each piece a node width wide, at most _MIN_SPLITS
+    for width, points in ((_NODE_WIDTH, 9), (2 * _NODE_WIDTH, 9), (4 * _NODE_WIDTH, 17),
+                          (8 * _NODE_WIDTH, 33), (8.5 * _NODE_WIDTH, 65), (100.0, 65)):
+        const, calls = _counted(lambda x: 2.0)
+        assert abs(adaptive_simpson(const, 0.0, width) - 2.0 * width) <= 1e-12
+        assert len(calls) == points, width
+
+
+def _four_split_simpson(fn, a, b):
+    """adaptive_simpson with _MIN_SPLITS forced splits whatever the panel's width."""
+    if b < a:
+        return -_four_split_simpson(fn, b, a)
+    fa, fb = fn(a), fn(b)
+    m = 0.5 * (a + b)
+    fm = fn(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson_split(fn, a, fa, b, fb, m, fm, whole, QUAD_ABS_TOL, QUAD_MAX_DEPTH,
+                          _MIN_SPLITS)
+
+
+def test_panels_wider_than_eight_node_widths_keep_four_forced_splits():
+    rng = random.Random(19)
+    for _ in range(40):
+        a = rng.uniform(-3.0, 3.0)
+        b = a + rng.choice((-1.0, 1.0)) * rng.uniform(8.001 * _NODE_WIDTH, 6.0)
+        for integrand in (math.cos, lambda x: math.exp(-x * x) * math.sin(4.0 * x)):
+            fn, calls = _counted(integrand)
+            ref_fn, ref_calls = _counted(integrand)
+            assert adaptive_simpson(fn, a, b) == _four_split_simpson(ref_fn, a, b)
+            assert calls == ref_calls
 
 
 def test_quadrature_depth_exhaustion():
@@ -311,5 +362,46 @@ def test_quadrature_cache_stops_at_max_nodes():
     p = profile_quadrature(integrand, lambda x: 0.0)
     assert abs(p.at(far).v - far) <= 1e-9
     assert abs(p.at(-far).v + far) <= 1e-9
-    assert len(calls) < 2 * 100 * _MAX_NODES  # two sides, < 100 evaluations a panel
+    assert len(calls) < 2 * 20 * _MAX_NODES  # two sides, < 20 evaluations a panel
     assert min(calls) == -far and max(calls) == far
+
+
+def test_catalog_quadratures_match_quadpack_on_the_mesh_grid():
+    # an oracle independent of adaptive Simpson: QUADPACK over each interval of
+    # the 64-line grid that mesh evaluates, summed exactly.  The worst error
+    # reads about 4e-15; with no forced split on node panels it reads 4e-14
+    from scipy.integrate import IntegrationWarning, quad
+
+    profiles = _catalog_quadratures()
+    assert len(profiles) == 10
+    for profile, _, _, box in profiles:
+        grid = _grid("u", box, 64)
+        pieces = [0.0]
+        with warnings.catch_warnings():
+            # QUADPACK reports roundoff at a 1e-15 tolerance; the bound below decides
+            warnings.simplefilter("ignore", IntegrationWarning)
+            for lo, hi in zip(grid, grid[1:]):
+                pieces.append(quad(lambda x: profile.at(x, value=False).d1, lo, hi,
+                                   epsabs=1e-15, epsrel=1e-15)[0])
+        base = profile.at(grid[0]).v
+        for i, u in enumerate(grid):
+            reference = math.fsum(pieces[:i + 1])
+            assert abs(profile.at(u).v - base - reference) <= 1e-14, (profile.label, u)
+
+
+def test_mesh_of_a_quadrature_family_stays_within_its_integrand_budget(capsys, monkeypatch):
+    # how often adaptive_simpson runs does not depend on its forced splits, so
+    # count the integrand: 4,527 calls with node panels split once, 18,123 with
+    # them split four times
+    calls = []
+
+    def counting(integrand, integrand_d1, **kwargs):
+        counted, made = _counted(integrand)
+        calls.append(made)
+        return profile_quadrature(counted, integrand_d1, **kwargs)
+
+    monkeypatch.setattr(catalog, "profile_quadrature", counting)
+    assert main(["mesh", "--family", "F2_39", "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 64 * 64
+    total = sum(map(len, calls))
+    assert 0 < total <= 5000, total
