@@ -14,7 +14,6 @@ it adds nothing.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import NamedTuple
 
@@ -54,13 +53,6 @@ class Vec3(NamedTuple):
         return Vec3(self.c1 * s, self.c2 * s, self.c3 * s)
 
     __rmul__ = __mul__
-
-    def is_finite(self) -> bool:
-        return (
-            math.isfinite(self.c1)
-            and math.isfinite(self.c2)
-            and math.isfinite(self.c3)
-        )
 
 
 ZERO = Vec3(0.0, 0.0, 0.0)

@@ -28,7 +28,8 @@ from typing import Callable, NamedTuple
 
 from .ambient import AmbientSpace
 from .curvature import _curvature_kernel
-from .errors import DomainError, EmptyDomain, ParameterConstraintViolation, VerifierError
+from .errors import (DomainError, EmptyDomain, ParameterConstraintViolation, VerifierError,
+                     _row_of)
 from .jets import (
     Interval,
     Profile,
@@ -40,7 +41,7 @@ from .jets import (
     profile_quadrature,
 )
 from .ode import OdeCase, OdeId, compare_profile, integrate
-from .pde import CASE_SPACE, CaseId, _residual_of
+from .pde import CaseId, _CASES
 from .sampling import SplitMix64
 from .surface import TranslationSurface, TranslationType
 
@@ -54,28 +55,6 @@ SAMPLING_CAP = 3.0
 # families get the looser bound.
 CLOSED_FORM_TOLERANCE = 1e-8
 QUADRATURE_TOLERANCE = 1e-6
-
-
-class FamilyId(Enum):
-    F2_23 = "F2_23"
-    F2_24 = "F2_24"
-    F2_35 = "F2_35"
-    F2_39 = "F2_39"
-    F2_40 = "F2_40"
-    F2_50 = "F2_50"
-    F2_51 = "F2_51"
-    F3_10 = "F3_10"
-    F3_12 = "F3_12"
-    F3_13 = "F3_13"
-    F3_14 = "F3_14"
-    F3_25 = "F3_25"
-    F3_27 = "F3_27"
-    F3_30 = "F3_30"
-    F3_31 = "F3_31"
-    F3_36 = "F3_36"
-    F3_38 = "F3_38"
-    F3_41 = "F3_41"
-    F3_43 = "F3_43"
 
 
 class Branch(Enum):
@@ -95,7 +74,7 @@ class SolutionFamily(_FamilyFields):
     def __new__(cls, *args, **kwargs):
         """Complete params from the family's defaults; reject names it does not have."""
         self = super().__new__(cls, *args, **kwargs)
-        merged = dict(_DEFAULTS[self.family_id])
+        merged = dict(_row_of(_DEFAULTS, FamilyId, self.family_id))
         for key, value in self.params:
             if key not in merged:
                 raise ParameterConstraintViolation(f"{self.family_id.value} has no parameter "
@@ -156,18 +135,6 @@ class FamilyReport(NamedTuple):
     tolerance: float
     verdict: bool
     empty_reason: str | None
-
-
-# Family ids grouped by the classification suite they belong to.
-THEOREM_SUITES: dict[str, tuple[FamilyId, ...]] = {
-    "2.2": (FamilyId.F2_23, FamilyId.F2_24),
-    "2.3": (FamilyId.F2_35, FamilyId.F2_39, FamilyId.F2_40),
-    "2.4": (FamilyId.F2_50, FamilyId.F2_51),
-    "3.1": (FamilyId.F3_10, FamilyId.F3_12, FamilyId.F3_13, FamilyId.F3_14),
-    "3.2": (FamilyId.F3_25, FamilyId.F3_27, FamilyId.F3_30, FamilyId.F3_31),
-    "3.3": (FamilyId.F3_36, FamilyId.F3_38),
-    "3.4": (FamilyId.F3_41, FamilyId.F3_43),
-}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -523,53 +490,87 @@ def _f3_43(c0_bar=1.0, c3=1.0, c4=0.0, b=0.0) -> _Parts:
     return f, g, checks, AdmissibleDomain(quarter, v_interval), None
 
 
+class _Family(NamedTuple):
+    """One classified family: the theorem whose suite it belongs to, its surface
+    type, the minimality case it solves (which fixes the ambient space), its
+    builder, and its second representative setting.  The first setting is its
+    defaults; a family with a +- branch takes its minus branch in the second."""
+
+    theorem: str
+    ttype: TranslationType
+    case: CaseId
+    builder: Callable[..., _Parts]
+    second: dict[str, float]
+
+
 _I, _II = TranslationType.I, TranslationType.II
 
-# Surface type, minimality case and builder of every family; the ambient
-# space follows from the case.  The lambdas name the parameters of a family
-# that shares another's builder.
-_FAMILIES: dict[FamilyId, tuple[TranslationType, CaseId, Callable[..., _Parts]]] = {
-    FamilyId.F2_23: (_I, CaseId.E_M_I, _f2_23),
-    FamilyId.F2_24: (_I, CaseId.E_M_I,
-                     lambda c3_bar=0.0, a1=0.0, c6=0.0: _swap(_f2_23(c3_bar, a1, c6))),
-    FamilyId.F2_35: (_II, CaseId.E_M_II_III, _f2_35),
-    FamilyId.F2_39: (_II, CaseId.E_M_II_III, _f2_39),
-    FamilyId.F2_40: (_II, CaseId.E_M_II_III, lambda c0_prime=1.0, b_prime=0.0: (
-        affine_profile(c0_prime, b_prime), affine_profile(0.0, 0.0), (), _EVERYWHERE, None)),
-    FamilyId.F2_50: (_I, CaseId.E_NM_ALL, lambda c0=1.0, c1=2.0, c2=0.0: (
-        affine_profile(c0, 0.0), affine_profile(c1, c2), (), _EVERYWHERE, None)),
-    FamilyId.F2_51: (_I, CaseId.E_NM_ALL, _f2_51),
-    FamilyId.F3_10: (_I, CaseId.L_M_I,
-                     lambda c=1.5, a=0.0, b_bar=0.0: _f3_10("F3_10", "c", c, a, b_bar)),
-    FamilyId.F3_12: (_I, CaseId.L_M_I, lambda c=0.5, c_tilde=-1.0, b_tilde=0.0: _f3_12(
-        "F3_12", "f", "c", "c_tilde", c, c_tilde, 0.0, b_tilde)),
-    FamilyId.F3_13: (_I, CaseId.L_M_I, lambda c_hat=1.5, a1=0.0, b_bar1=0.0: _swap(
-        _f3_10("F3_13", "c_hat", c_hat, a1, b_bar1))),
-    FamilyId.F3_14: (_I, CaseId.L_M_I, lambda c_hat=0.5, c_tilde1=-1.0, b_tilde=0.0: _swap(
-        _f3_12("F3_14", "g", "c_hat", "c_tilde1", c_hat, c_tilde1, b_tilde, 0.0))),
-    FamilyId.F3_25: (_II, CaseId.L_M_II_III, _f3_25),
-    FamilyId.F3_27: (_II, CaseId.L_M_II_III, _f3_27),
-    FamilyId.F3_30: (_II, CaseId.L_M_II_III, _f3_30),
-    FamilyId.F3_31: (_II, CaseId.L_M_II_III, _f3_31),
-    FamilyId.F3_36: (_I, CaseId.L_NM_I, _f3_36),
-    FamilyId.F3_38: (_I, CaseId.L_NM_I, _f3_38),
-    FamilyId.F3_41: (_II, CaseId.L_NM_II_III, _f3_41),
-    FamilyId.F3_43: (_II, CaseId.L_NM_II_III, _f3_43),
+# The lambdas name the parameters of a family that shares another's builder.
+_FAMILIES: dict[str, _Family] = {
+    "F2_23": _Family("2.2", _I, CaseId.E_M_I, _f2_23, {"c3": 1.5, "a": 0.4, "c5": 2.0}),
+    "F2_24": _Family("2.2", _I, CaseId.E_M_I,
+                     lambda c3_bar=0.0, a1=0.0, c6=0.0: _swap(_f2_23(c3_bar, a1, c6)),
+                     {"c3_bar": -0.8, "a1": -0.2, "c6": 1.0}),
+    "F2_35": _Family("2.3", _II, CaseId.E_M_II_III, _f2_35,
+                     {"c0_tilde": -2.0, "a_tilde": 0.3, "b_tilde": -1.0}),
+    "F2_39": _Family("2.3", _II, CaseId.E_M_II_III, _f2_39,
+                     {"c0_hat": 0.5, "a_hat": 1.5, "b_hat": 0.5}),
+    "F2_40": _Family("2.3", _II, CaseId.E_M_II_III, lambda c0_prime=1.0, b_prime=0.0: (
+        affine_profile(c0_prime, b_prime), affine_profile(0.0, 0.0), (), _EVERYWHERE, None),
+        {"c0_prime": -2.0, "b_prime": 3.0}),
+    "F2_50": _Family("2.4", _I, CaseId.E_NM_ALL, lambda c0=1.0, c1=2.0, c2=0.0: (
+        affine_profile(c0, 0.0), affine_profile(c1, c2), (), _EVERYWHERE, None),
+        {"c0": -0.5, "c1": 0.25, "c2": 1.0}),
+    "F2_51": _Family("2.4", _I, CaseId.E_NM_ALL, _f2_51,
+                     {"c": 2.0, "c3": 0.2, "c4": -0.3, "c5": 1.0}),
+    "F3_10": _Family("3.1", _I, CaseId.L_M_I,
+                     lambda c=1.5, a=0.0, b_bar=0.0: _f3_10("F3_10", "c", c, a, b_bar),
+                     {"c": -2.0, "a": 0.5, "b_bar": 1.0}),
+    "F3_12": _Family("3.1", _I, CaseId.L_M_I, lambda c=0.5, c_tilde=-1.0, b_tilde=0.0: _f3_12(
+        "F3_12", "f", "c", "c_tilde", c, c_tilde, 0.0, b_tilde),
+        {"c": -0.6, "c_tilde": -0.2, "b_tilde": 1.0}),
+    "F3_13": _Family("3.1", _I, CaseId.L_M_I, lambda c_hat=1.5, a1=0.0, b_bar1=0.0: _swap(
+        _f3_10("F3_13", "c_hat", c_hat, a1, b_bar1)),
+        {"c_hat": -1.2, "a1": 0.3, "b_bar1": -1.0}),
+    "F3_14": _Family("3.1", _I, CaseId.L_M_I, lambda c_hat=0.5, c_tilde1=-1.0, b_tilde=0.0: _swap(
+        _f3_12("F3_14", "g", "c_hat", "c_tilde1", c_hat, c_tilde1, b_tilde, 0.0)),
+        {"c_hat": 0.0, "c_tilde1": -2.0, "b_tilde": 0.5}),
+    "F3_25": _Family("3.2", _II, CaseId.L_M_II_III, _f3_25,
+                     {"c0_tilde": -0.7, "a_tilde": 0.1, "b_tilde": 0.5}),
+    "F3_27": _Family("3.2", _II, CaseId.L_M_II_III, _f3_27,
+                     {"c0_tilde": -2.0, "c1": -0.5, "b_bar1": 1.0}),
+    "F3_30": _Family("3.2", _II, CaseId.L_M_II_III, _f3_30,
+                     {"c0_hat": 0.0, "a_hat": -0.5, "b_hat": 1.0}),
+    "F3_31": _Family("3.2", _II, CaseId.L_M_II_III, _f3_31,
+                     {"c0_prime": 0.5, "c1_prime": 0.0, "b_prime": 2.0}),
+    "F3_36": _Family("3.3", _I, CaseId.L_NM_I, _f3_36, {"c1": 0.0, "c2": 0.0, "c3": 5.0}),
+    "F3_38": _Family("3.3", _I, CaseId.L_NM_I, _f3_38,
+                     {"c0": 2.0, "c_hat": -0.5, "c_hat1": -2.0, "a": 1.0}),
+    "F3_41": _Family("3.4", _II, CaseId.L_NM_II_III, _f3_41, {"c1": 0.0, "c2": 1.5, "c3": -1.0}),
+    "F3_43": _Family("3.4", _II, CaseId.L_NM_II_III, _f3_43,
+                     {"c0_bar": 0.5, "c3": 2.0, "c4": 0.3, "b": 1.0}),
+}
+FamilyId = Enum("FamilyId", [(name, name) for name in _FAMILIES])
+
+# Family ids grouped by the theorem whose suite they belong to, in table order.
+THEOREM_SUITES: dict[str, tuple[FamilyId, ...]] = {
+    theorem: tuple(fid for fid in FamilyId if _FAMILIES[fid.value].theorem == theorem)
+    for theorem in dict.fromkeys(row.theorem for row in _FAMILIES.values())
 }
 
 # Each family's parameters and their defaults, in order: its builder's
 # positional parameters.  The families with a +- branch are those whose
 # builder takes the keyword-only sign.
-_DEFAULTS: dict[FamilyId, dict[str, float]] = {
-    fid: dict(zip(b.__code__.co_varnames[:b.__code__.co_argcount], b.__defaults__))
-    for fid, (_, _, b) in _FAMILIES.items()
+_DEFAULTS: dict[str, dict[str, float]] = {
+    name: dict(zip(b.__code__.co_varnames[:b.__code__.co_argcount], b.__defaults__))
+    for name, (_, _, _, b, _) in _FAMILIES.items()
 }
-BRANCHED_FAMILIES = frozenset(fid for fid, (_, _, b) in _FAMILIES.items()
-                              if b.__code__.co_kwonlyargcount)
+BRANCHED_FAMILIES = frozenset(FamilyId(name) for name, row in _FAMILIES.items()
+                              if row.builder.__code__.co_kwonlyargcount)
 
 
 def _assemble(fam: SolutionFamily) -> FamilyBuild:
-    ttype, case, builder = _FAMILIES[fam.family_id]
+    _, ttype, case, builder, _ = _row_of(_FAMILIES, FamilyId, fam.family_id)
     name = fam.family_id.value
     params = fam.param_dict
     if fam.family_id in BRANCHED_FAMILIES:
@@ -580,7 +581,7 @@ def _assemble(fam: SolutionFamily) -> FamilyBuild:
         # parameters so large or small that the closed forms overflow or collapse
         raise ParameterConstraintViolation(
             f"{name}: parameters out of range ({type(exc).__name__}: {exc})") from None
-    signature, connection, _ = CASE_SPACE[case]
+    signature, connection, _, _ = _row_of(_CASES, CaseId, case)
     surface = TranslationSurface(ttype, f._replace(label=f"{name}.f"),
                                  g._replace(label=f"{name}.g"),
                                  AmbientSpace(signature, connection))
@@ -596,43 +597,15 @@ def build(fam: SolutionFamily) -> FamilyBuild:
 
 
 def default_settings(fid: FamilyId) -> tuple[SolutionFamily, ...]:
-    """Two representative parameter settings per family (both branches where present)."""
-    return _DEFAULT_SETTINGS[fid]
+    """Two representative parameter settings per family: its defaults, and its
+    second setting on the minus branch where it has one."""
+    second = _row_of(_FAMILIES, FamilyId, fid).second
+    return (make_family(fid), make_family(
+        fid, Branch.MINUS if fid in BRANCHED_FAMILIES else Branch.PLUS, **second))
 
 
 def all_default_settings() -> tuple[SolutionFamily, ...]:
-    return tuple(fam for fid in FamilyId for fam in _DEFAULT_SETTINGS[fid])
-
-
-# The second representative setting of every family; the first is its
-# defaults.  Branched families take their minus branch in the second.
-_SECOND_SETTINGS: dict[FamilyId, dict[str, float]] = {
-    FamilyId.F2_23: {"c3": 1.5, "a": 0.4, "c5": 2.0},
-    FamilyId.F2_24: {"c3_bar": -0.8, "a1": -0.2, "c6": 1.0},
-    FamilyId.F2_35: {"c0_tilde": -2.0, "a_tilde": 0.3, "b_tilde": -1.0},
-    FamilyId.F2_39: {"c0_hat": 0.5, "a_hat": 1.5, "b_hat": 0.5},
-    FamilyId.F2_40: {"c0_prime": -2.0, "b_prime": 3.0},
-    FamilyId.F2_50: {"c0": -0.5, "c1": 0.25, "c2": 1.0},
-    FamilyId.F2_51: {"c": 2.0, "c3": 0.2, "c4": -0.3, "c5": 1.0},
-    FamilyId.F3_10: {"c": -2.0, "a": 0.5, "b_bar": 1.0},
-    FamilyId.F3_12: {"c": -0.6, "c_tilde": -0.2, "b_tilde": 1.0},
-    FamilyId.F3_13: {"c_hat": -1.2, "a1": 0.3, "b_bar1": -1.0},
-    FamilyId.F3_14: {"c_hat": 0.0, "c_tilde1": -2.0, "b_tilde": 0.5},
-    FamilyId.F3_25: {"c0_tilde": -0.7, "a_tilde": 0.1, "b_tilde": 0.5},
-    FamilyId.F3_27: {"c0_tilde": -2.0, "c1": -0.5, "b_bar1": 1.0},
-    FamilyId.F3_30: {"c0_hat": 0.0, "a_hat": -0.5, "b_hat": 1.0},
-    FamilyId.F3_31: {"c0_prime": 0.5, "c1_prime": 0.0, "b_prime": 2.0},
-    FamilyId.F3_36: {"c1": 0.0, "c2": 0.0, "c3": 5.0},
-    FamilyId.F3_38: {"c0": 2.0, "c_hat": -0.5, "c_hat1": -2.0, "a": 1.0},
-    FamilyId.F3_41: {"c1": 0.0, "c2": 1.5, "c3": -1.0},
-    FamilyId.F3_43: {"c0_bar": 0.5, "c3": 2.0, "c4": 0.3, "b": 1.0},
-}
-
-_DEFAULT_SETTINGS: dict[FamilyId, tuple[SolutionFamily, ...]] = {
-    fid: (make_family(fid), make_family(
-        fid, Branch.MINUS if fid in BRANCHED_FAMILIES else Branch.PLUS, **second))
-    for fid, second in _SECOND_SETTINGS.items()
-}
+    return tuple(fam for fid in FamilyId for fam in default_settings(fid))
 
 
 def perturb_profile(profile: Profile, eps: float) -> Profile:
@@ -672,7 +645,8 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
     ttype, sig, kind = surface.ttype, surface.space.signature, surface.space.connection
     f_lo, f_hi, f_eval, f_whole = f.slope_evaluator()
     g_lo, g_hi, g_eval, g_whole = g.slope_evaluator()
-    kernel, res_fn, isfinite = _curvature_kernel, _residual_of(built.case), math.isfinite
+    kernel, isfinite = _curvature_kernel, math.isfinite
+    res_fn = _row_of(_CASES, CaseId, built.case).residual
     unit = SplitMix64(rng_seed).unit
     u_lo, u_span, v_lo, v_span = box_u.lo, box_u.hi - box_u.lo, box_v.lo, box_v.hi - box_v.lo
     worst_num = worst_res = 0.0

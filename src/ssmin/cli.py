@@ -66,6 +66,10 @@ class _Parser(argparse.ArgumentParser):
 
 _PARAM_FLAGS = sorted({name for defaults in _DEFAULTS.values() for name in defaults})
 
+# Most vertices a mesh may have.  The export holds every vertex's text at once,
+# at about 285 bytes per vertex, so the cap keeps a mesh under about 1.2 GB.
+MAX_MESH_VERTICES = 2 ** 22
+
 
 class _RunFields(typing.NamedTuple):
     command: str
@@ -127,6 +131,9 @@ class RunConfig(_RunFields):
         for name in ("nu", "nv"):
             if getattr(self, name) < 2:
                 raise UsageError(f"{name} must be >= 2 grid points, got {getattr(self, name)}")
+        if self.nu * self.nv > MAX_MESH_VERTICES:
+            raise UsageError(f"nu * nv must be at most {MAX_MESH_VERTICES:,} vertices, "
+                             f"got {self.nu} * {self.nv} = {self.nu * self.nv:,}")
         for name in ("fjet", "gjet"):
             jet = getattr(self, name)
             if jet is not None and len(jet) != 3:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the lookup of a classification row."""
+
+from __future__ import annotations
+
+from enum import Enum
 
 
 class VerifierError(Exception):
@@ -18,7 +22,15 @@ class DegenerateSurface(VerifierError):
 
 
 class UnknownCase(VerifierError):
-    """Identifier does not name a classified minimality case."""
+    """Identifier names no case, family or reduced ODE of the classification."""
+
+
+def _row_of(table: dict, ids: type[Enum], member: Enum):
+    """The row of `member` in a table keyed by the values of `ids`; UnknownCase for
+    anything that is not a member with a row."""
+    if isinstance(member, ids) and member.value in table:
+        return table[member.value]
+    raise UnknownCase(repr(member))
 
 
 class IllConditionedFit(VerifierError):

@@ -13,23 +13,36 @@ import math
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .errors import BlowUp, DomainMismatch, InvalidStep, UnknownCase
+from .errors import BlowUp, DomainMismatch, InvalidStep, UnknownCase, _row_of
 from .jets import Profile
 
 BLOWUP_THRESHOLD = 1e12
 
 
-class OdeId(Enum):
-    O2_21 = "O2_21"
-    O2_33 = "O2_33"
-    O2_36 = "O2_36"
-    O3_8 = "O3_8"
-    O3_23 = "O3_23"
-    O3_28 = "O3_28"
-    O3_37F = "O3_37f"
-    O3_37G = "O3_37g"
-    O3_42F = "O3_42f"
-    O3_42G = "O3_42g"
+def _nonzero(d: float, message: str) -> float:
+    """A denominator c^2 - 1 of a Minkowski equation; UnknownCase where it vanishes."""
+    if d == 0.0:
+        raise UnknownCase(message)
+    return d
+
+
+# Each reduced equation as a factory c -> phi.  A denominator d of c is bound
+# once per c, as phi's default argument.
+_ODES: dict[str, Callable[[float], Callable[[float], float]]] = {
+    "O2_21": lambda c: lambda h, d=c ** 2 + 1.0: 2.0 + 2.0 * h * h / d,
+    "O2_33": lambda c: lambda h, d=c * c + 1.0: -2.0 * c - 2.0 * c * h * h / d,
+    "O2_36": lambda c: lambda h, d=c ** 2 + 1.0: -2.0 * h ** 3 / d - 2.0 * h,
+    "O3_8": lambda c: lambda h, d=_nonzero(c * c - 1.0, "O3_8 requires c^2 != 1"): (
+        2.0 + 2.0 * h * h / d),
+    "O3_23": lambda c: lambda h, d=_nonzero(c * c - 1.0, "O3_23 requires c0_tilde^2 != 1"): (
+        2.0 * c * h * h / d - 2.0 * c),
+    "O3_28": lambda c: lambda h, d=c ** 2 + 1.0: -2.0 * h ** 3 / d + 2.0 * h,
+    "O3_37f": lambda c: lambda h: c * (1.0 - h * h),
+    "O3_37g": lambda c: lambda h: c * (h * h - 1.0),
+    "O3_42f": lambda c: lambda h: c * (1.0 + h * h),
+    "O3_42g": lambda c: lambda h: c * (1.0 - h * h),
+}
+OdeId = Enum("OdeId", [(name.upper(), name) for name in _ODES])
 
 
 class OdeCase(NamedTuple):
@@ -44,38 +57,7 @@ class OdeCase(NamedTuple):
     c: float
 
     def rhs(self) -> Callable[[float], float]:
-        k, c = self.kind, self.c
-        if k is OdeId.O2_21:
-            d = c ** 2 + 1.0
-            return lambda h: 2.0 + 2.0 * h * h / d
-        if k is OdeId.O2_33:
-            d = c * c + 1.0
-            return lambda h: -2.0 * c - 2.0 * c * h * h / d
-        if k is OdeId.O2_36:
-            d = c ** 2 + 1.0
-            return lambda h: -2.0 * h ** 3 / d - 2.0 * h
-        if k is OdeId.O3_8:
-            d = c * c - 1.0
-            if d == 0.0:
-                raise UnknownCase("O3_8 requires c^2 != 1")
-            return lambda h: 2.0 + 2.0 * h * h / d
-        if k is OdeId.O3_23:
-            d = c * c - 1.0
-            if d == 0.0:
-                raise UnknownCase("O3_23 requires c0_tilde^2 != 1")
-            return lambda h: 2.0 * c * h * h / d - 2.0 * c
-        if k is OdeId.O3_28:
-            d = c ** 2 + 1.0
-            return lambda h: -2.0 * h ** 3 / d + 2.0 * h
-        if k is OdeId.O3_37F:
-            return lambda h: c * (1.0 - h * h)
-        if k is OdeId.O3_37G:
-            return lambda h: c * (h * h - 1.0)
-        if k is OdeId.O3_42F:
-            return lambda h: c * (1.0 + h * h)
-        if k is OdeId.O3_42G:
-            return lambda h: c * (1.0 - h * h)
-        raise UnknownCase(repr(k))
+        return _row_of(_ODES, OdeId, self.kind)(self.c)
 
 
 class Trajectory(NamedTuple):

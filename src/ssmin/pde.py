@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from .ambient import ConnectionKind, Signature
 from .curvature import _curvature_kernel
-from .errors import IllConditionedFit, UnknownCase, VerifierError
+from .errors import IllConditionedFit, VerifierError, _row_of
 from .jets import Jet2
 from .sampling import SplitMix64
 from .surface import (
@@ -28,94 +28,47 @@ from .surface import (
 )
 
 
-class CaseId(Enum):
-    E_M_I = "E_M_I"
-    E_M_II_III = "E_M_II_III"
-    E_NM_ALL = "E_NM_ALL"
-    L_M_I = "L_M_I"
-    L_M_II_III = "L_M_II_III"
-    L_NM_I = "L_NM_I"
-    L_NM_II_III = "L_NM_II_III"
+class _Case(NamedTuple):
+    """One classified case: ambient signature, connection kind, the sign of
+    lambda in lambda * numerator = residual for each surface type sharing the
+    minimality PDE, and the closed-form residual as a function of (f', f'', g', g'').
+
+    The sign flips between Type II and Type III because their fixed normal
+    orientations are opposite under the coordinate swap relating the two types.
+    """
+
+    signature: Signature
+    connection: ConnectionKind
+    signs: dict[TranslationType, float]
+    residual: Callable[[float, float, float, float], float]
 
 
-CASE_SPACE: dict[CaseId, tuple[Signature, ConnectionKind, tuple[TranslationType, ...]]] = {
-    CaseId.E_M_I: (
-        Signature.EUCLIDEAN, ConnectionKind.SEMI_SYMMETRIC_METRIC,
-        (TranslationType.I,),
-    ),
-    CaseId.E_M_II_III: (
-        Signature.EUCLIDEAN, ConnectionKind.SEMI_SYMMETRIC_METRIC,
-        (TranslationType.II, TranslationType.III),
-    ),
-    CaseId.E_NM_ALL: (
-        Signature.EUCLIDEAN, ConnectionKind.SEMI_SYMMETRIC_NON_METRIC,
-        (TranslationType.I, TranslationType.II, TranslationType.III),
-    ),
-    CaseId.L_M_I: (
-        Signature.LORENTZIAN, ConnectionKind.SEMI_SYMMETRIC_METRIC,
-        (TranslationType.I,),
-    ),
-    CaseId.L_M_II_III: (
-        Signature.LORENTZIAN, ConnectionKind.SEMI_SYMMETRIC_METRIC,
-        (TranslationType.II, TranslationType.III),
-    ),
-    CaseId.L_NM_I: (
-        Signature.LORENTZIAN, ConnectionKind.SEMI_SYMMETRIC_NON_METRIC,
-        (TranslationType.I,),
-    ),
-    CaseId.L_NM_II_III: (
-        Signature.LORENTZIAN, ConnectionKind.SEMI_SYMMETRIC_NON_METRIC,
-        (TranslationType.II, TranslationType.III),
-    ),
+_E, _L = Signature.EUCLIDEAN, Signature.LORENTZIAN
+_M, _NM = ConnectionKind.SEMI_SYMMETRIC_METRIC, ConnectionKind.SEMI_SYMMETRIC_NON_METRIC
+_I, _II, _III = TranslationType.I, TranslationType.II, TranslationType.III
+
+_CASES: dict[str, _Case] = {
+    "E_M_I": _Case(_E, _M, {_I: 1.0}, lambda f1, f2, g1, g2: (
+        f2 * g1 * g1 - 2.0 * f1 * f1 - 2.0 * g1 * g1 + f1 * f1 * g2 + f2 + g2 - 2.0)),
+    "E_M_II_III": _Case(_E, _M, {_II: -1.0, _III: 1.0}, lambda f1, f2, g1, g2: (
+        2.0 * g1 ** 3 + 2.0 * f1 * f1 * g1 + g1 * g1 * f2 + f1 * f1 * g2 + f2 + g2 + 2.0 * g1)),
+    "E_NM_ALL": _Case(_E, _NM, {_I: 1.0, _II: -1.0, _III: 1.0}, lambda f1, f2, g1, g2: (
+        (1.0 + g1 * g1) * f2 + (1.0 + f1 * f1) * g2)),
+    "L_M_I": _Case(_L, _M, {_I: -1.0}, lambda f1, f2, g1, g2: (
+        f2 * g1 * g1 - 2.0 * f1 * f1 - 2.0 * g1 * g1 + f1 * f1 * g2 - f2 - g2 + 2.0)),
+    "L_M_II_III": _Case(_L, _M, {_II: -1.0, _III: 1.0}, lambda f1, f2, g1, g2: (
+        2.0 * g1 ** 3 - 2.0 * f1 * f1 * g1 + g1 * g1 * f2 + f1 * f1 * g2 - f2 + g2 - 2.0 * g1)),
+    "L_NM_I": _Case(_L, _NM, {_I: 1.0}, lambda f1, f2, g1, g2: (
+        (1.0 - g1 * g1) * f2 + (1.0 - f1 * f1) * g2)),
+    "L_NM_II_III": _Case(_L, _NM, {_II: 1.0, _III: -1.0}, lambda f1, f2, g1, g2: (
+        (1.0 - g1 * g1) * f2 - (1.0 + f1 * f1) * g2)),
 }
-
-
-# Closed-form residual of each case as a function of (f', f'', g', g'').
-_RESIDUALS: dict[CaseId, Callable[[float, float, float, float], float]] = {
-    CaseId.E_M_I: lambda f1, f2, g1, g2: (
-        f2 * g1 * g1 - 2.0 * f1 * f1 - 2.0 * g1 * g1 + f1 * f1 * g2 + f2 + g2 - 2.0),
-    CaseId.E_M_II_III: lambda f1, f2, g1, g2: (
-        2.0 * g1 ** 3 + 2.0 * f1 * f1 * g1 + g1 * g1 * f2 + f1 * f1 * g2 + f2 + g2 + 2.0 * g1),
-    CaseId.E_NM_ALL: lambda f1, f2, g1, g2: (1.0 + g1 * g1) * f2 + (1.0 + f1 * f1) * g2,
-    CaseId.L_M_I: lambda f1, f2, g1, g2: (
-        f2 * g1 * g1 - 2.0 * f1 * f1 - 2.0 * g1 * g1 + f1 * f1 * g2 - f2 - g2 + 2.0),
-    CaseId.L_M_II_III: lambda f1, f2, g1, g2: (
-        2.0 * g1 ** 3 - 2.0 * f1 * f1 * g1 + g1 * g1 * f2 + f1 * f1 * g2 - f2 + g2 - 2.0 * g1),
-    CaseId.L_NM_I: lambda f1, f2, g1, g2: (1.0 - g1 * g1) * f2 + (1.0 - f1 * f1) * g2,
-    CaseId.L_NM_II_III: lambda f1, f2, g1, g2: (1.0 - g1 * g1) * f2 - (1.0 + f1 * f1) * g2,
-}
-
-
-def _residual_of(case: CaseId) -> Callable[[float, float, float, float], float]:
-    """The residual of a case as a function of (f', f'', g', g''); UnknownCase if none."""
-    fn = _RESIDUALS.get(case)
-    if fn is None:
-        raise UnknownCase(repr(case))
-    return fn
+CaseId = Enum("CaseId", [(name, name) for name in _CASES])
 
 
 def residual(case: CaseId, fj: Jet2, gj: Jet2) -> float:
     """Closed-form minimality residual; zero exactly on minimal surfaces."""
-    return _residual_of(case)(fj.d1, fj.d2, gj.d1, gj.d2)
-
-
-# Sign of lambda in lambda * numerator = residual.  The sign flips between
-# Type II and Type III because their fixed normal orientations are opposite
-# under the coordinate swap relating the two types.
-_EQUIVALENCE_SIGN: dict[tuple[CaseId, TranslationType], float] = {
-    (CaseId.E_M_I, TranslationType.I): 1.0,
-    (CaseId.E_M_II_III, TranslationType.II): -1.0,
-    (CaseId.E_M_II_III, TranslationType.III): 1.0,
-    (CaseId.E_NM_ALL, TranslationType.I): 1.0,
-    (CaseId.E_NM_ALL, TranslationType.II): -1.0,
-    (CaseId.E_NM_ALL, TranslationType.III): 1.0,
-    (CaseId.L_M_I, TranslationType.I): -1.0,
-    (CaseId.L_M_II_III, TranslationType.II): -1.0,
-    (CaseId.L_M_II_III, TranslationType.III): 1.0,
-    (CaseId.L_NM_I, TranslationType.I): 1.0,
-    (CaseId.L_NM_II_III, TranslationType.II): 1.0,
-    (CaseId.L_NM_II_III, TranslationType.III): -1.0,
-}
+    return _row_of(_CASES, CaseId, case).residual(fj.d1, fj.d2, gj.d1, gj.d2)
 
 
 # Bound on the relative deviation |lambda * numerator - residual| / (1 + |residual|).
@@ -143,20 +96,19 @@ def equivalence_sweep(case: CaseId, n_samples: int, seed: int,
     """
     if n_samples < 1:
         raise VerifierError(f"n_samples must be >= 1, got {n_samples}")
-    sig, kind, types = CASE_SPACE[case]
-    kernel, res_fn, unit = _curvature_kernel, _RESIDUALS[case], SplitMix64(seed).unit
+    sig, kind, signs, res_fn = _row_of(_CASES, CaseId, case)
+    kernel, unit = _curvature_kernel, SplitMix64(seed).unit
     # per type: (type, sign, f' low end and width, g' low end and width, spacelike gate);
     # Lorentzian gate 1 (Type I) admits 1 - f'^2 - g'^2 >= 1e-3, gate 2 g'^2 - f'^2 - 1 >= 1e-3
     slots = []
-    for ttype in types:
+    for ttype, sign in signs.items():
         if sig is Signature.EUCLIDEAN:
             fw, gw, gate = 2.5, 2.5, 0
         elif ttype is TranslationType.I:
             fw, gw, gate = 1.2, 1.2, 1
         else:
             fw, gw, gate = 1.5, 2.6, 2
-        slots.append((ttype, _EQUIVALENCE_SIGN[(case, ttype)],
-                      -fw, fw - -fw, -gw, gw - -gw, gate))
+        slots.append((ttype, sign, -fw, fw - -fw, -gw, gw - -gw, gate))
     n_slots, cap = len(slots), 1000 * n_samples
     worst = 0.0
     attempts = 0

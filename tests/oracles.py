@@ -55,11 +55,10 @@ from ssmin.ode import (
     integrate,
 )
 from ssmin.pde import (
-    CASE_SPACE,
     EQUIVALENCE_TOLERANCE,
     CaseId,
     EquivalenceRecord,
-    _EQUIVALENCE_SIGN,
+    _CASES,
     residual,
 )
 from ssmin.sampling import SplitMix64
@@ -387,8 +386,8 @@ def reference_equivalence_sweep(case: CaseId, n_samples: int, seed: int,
                                 tolerance: float | None = None) -> EquivalenceRecord:
     """`equivalence_sweep` one call per step: scalar draws, jets, draw and gate
     helpers, `residual`."""
-    sig, kind, types = CASE_SPACE[case]
-    signs = tuple(_EQUIVALENCE_SIGN[(case, ttype)] for ttype in types)
+    sig, kind, sign_of, _ = _CASES[case.value]
+    types, signs = tuple(sign_of), tuple(sign_of.values())
     rng = ScalarSplitMix64(seed)
     worst = 0.0
     attempts = 0

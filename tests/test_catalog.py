@@ -13,7 +13,6 @@ from ssmin.catalog import (
     Branch,
     FamilyId,
     SolutionFamily,
-    THEOREM_SUITES,
     _assemble,
     all_default_settings,
     build,
@@ -343,8 +342,19 @@ def test_default_settings_cover_all_families():
         assert len(settings) >= 2
         for fam in settings:
             assert fam.family_id is fid
-    covered = {fid for fids in THEOREM_SUITES.values() for fid in fids}
-    assert covered == set(FamilyId)
+
+
+def test_every_family_type_is_one_its_case_spans():
+    for name, row in catalog._FAMILIES.items():
+        assert row.ttype in pde._CASES[row.case.value].signs, name
+
+
+def test_unknown_family_id():
+    # a family id's value is not the id
+    with pytest.raises(UnknownCase):
+        make_family("F2_23")
+    with pytest.raises(UnknownCase):
+        default_settings("F2_23")
 
 
 def test_branch_settings_present():
@@ -380,7 +390,7 @@ _PINNED_DEFAULTS = {
 
 
 def test_family_parameters_are_pinned():
-    got = {fid.value: list(defaults.items()) for fid, defaults in catalog._DEFAULTS.items()}
+    got = {fid: list(defaults.items()) for fid, defaults in catalog._DEFAULTS.items()}
     assert got == _PINNED_DEFAULTS
     assert all(type(value) is float for pairs in got.values() for _, value in pairs)
     assert catalog.BRANCHED_FAMILIES == {FamilyId.F2_39, FamilyId.F3_30}
@@ -389,7 +399,8 @@ def test_family_parameters_are_pinned():
 def test_every_builder_parameter_has_a_float_default():
     # _DEFAULTS zips the positional names with the defaults, which would
     # misalign if a parameter had none
-    for fid, (_, _, builder) in catalog._FAMILIES.items():
+    for fid, row in catalog._FAMILIES.items():
+        builder = row.builder
         code = builder.__code__
         names = code.co_varnames[:code.co_argcount]
         defaults = builder.__defaults__ or ()
@@ -417,7 +428,7 @@ def test_readme_family_table_matches_the_catalog():
         branched = parts[-1] == "branch"
         names = [re.search(r"[A-Za-z_]\w*", part.strip("`")).group()
                  for part in (parts[:-1] if branched else parts)]
-        assert names == list(catalog._DEFAULTS[fid]), fid
+        assert names == list(catalog._DEFAULTS[fid.value]), fid
         assert branched is (fid in catalog.BRANCHED_FAMILIES), fid
 
 
@@ -487,14 +498,15 @@ def test_nan_residual_sample_fails_the_record(monkeypatch):
         report = verify_auto(fam, 20, 7)
         assert report.verdict and report.mode == mode
         # the check reads the case's residual from the table once per record
-        case = _assemble(fam).case
+        case = _assemble(fam).case.value
+        row = pde._CASES[case]
         with monkeypatch.context() as mp:
-            mp.setitem(pde._RESIDUALS, case, _nan_at(pde._RESIDUALS[case], 5))
+            mp.setitem(pde._CASES, case, row._replace(residual=_nan_at(row.residual, 5)))
             report = verify_auto(fam, 20, 7)
         assert math.isnan(report.max_abs_residual)
         assert report.verdict is False
         with monkeypatch.context() as mp:
-            mp.delitem(pde._RESIDUALS, case)
+            mp.delitem(pde._CASES, case)
             with pytest.raises(UnknownCase):
                 verify_auto(fam, 20, 7)
 

@@ -634,6 +634,16 @@ def test_step_has_a_lower_bound():
     assert RunConfig("ode-compare", step=catalog.SHORTEST_ODE_STEP).step == 1.2e-5
 
 
+def test_mesh_vertex_count_has_an_upper_bound():
+    # only configs are built: a grid at the cap would take about a gigabyte
+    cap = cli.MAX_MESH_VERTICES
+    assert RunConfig("mesh", family="F2_51", nu=2, nv=cap // 2).nv == cap // 2
+    for nu, nv in ((100_000_000, 2), (20_000, 20_000), (2, cap // 2 + 1)):
+        with pytest.raises(cli.UsageError, match=rf"^nu \* nv must be at most {cap:,} vertices, "
+                                                 rf"got {nu} \* {nv} = {nu * nv:,}$"):
+            RunConfig("mesh", family="F2_51", nu=nu, nv=nv)
+
+
 @pytest.mark.parametrize("argv,advice", [
     (["residual", "--fjet", "0,0,0", "--gjet", "0,0,0"], False),
     (["mesh"], False),

@@ -11,7 +11,7 @@ from ssmin.catalog import (
     make_family,
     ode_reference_runs,
 )
-from ssmin.errors import BlowUp, DomainMismatch, IllConditionedFit, InvalidStep
+from ssmin.errors import BlowUp, DomainMismatch, IllConditionedFit, InvalidStep, UnknownCase
 from ssmin.jets import Interval, affine_profile
 from ssmin.ode import OdeCase, OdeId, Trajectory, compare_profile, integrate
 
@@ -50,6 +50,15 @@ def test_invalid_step():
         integrate(TAN_CASE, 0.0, (0.0, 1.0), 0.0)
     with pytest.raises(InvalidStep):
         integrate(TAN_CASE, 0.0, (1.0, 0.0), 1e-3)
+
+
+def test_unknown_ode_and_vanishing_denominator():
+    # an ODE id's value is not the id
+    with pytest.raises(UnknownCase):
+        OdeCase("O2_21", 0.0).rhs()
+    for kind in (OdeId.O3_8, OdeId.O3_23):
+        with pytest.raises(UnknownCase, match=r"\^2 != 1"):
+            OdeCase(kind, -1.0).rhs()
 
 
 def test_substitution_check_examples():

@@ -11,7 +11,7 @@ from ssmin.catalog import FamilyId, build, make_family
 from ssmin.curvature import mean_curvature_from_jets
 from ssmin.errors import IllConditionedFit, UnknownCase
 from ssmin.jets import Jet2, affine_profile
-from ssmin.pde import CASE_SPACE, CaseId, _EQUIVALENCE_SIGN, equivalence_sweep, residual
+from ssmin.pde import CaseId, _CASES, equivalence_sweep, residual
 from ssmin.sampling import SplitMix64
 from ssmin.surface import TranslationType, frame_from_jets
 
@@ -42,16 +42,10 @@ def test_l_m_ii_iii_constant_profiles():
     assert abs(r - 2.0 * q) <= 1e-12
 
 
-def test_equivalence_signs_cover_exactly_the_case_space():
-    # one sign per (case, type) the sweep iterates, and none it never uses
-    pairs = {(case, ttype) for case, (_, _, types) in CASE_SPACE.items() for ttype in types}
-    assert set(_EQUIVALENCE_SIGN) == pairs
-
-
 def test_equivalence_factor_examples():
     space = AmbientSpace(Signature.EUCLIDEAN, ConnectionKind.SEMI_SYMMETRIC_METRIC)
     fr = frame_from_jets(TranslationType.I, space, ZERO_JET, ZERO_JET)
-    lam = _EQUIVALENCE_SIGN[(CaseId.E_M_I, fr.ttype)] * fr.normalizer
+    lam = _CASES["E_M_I"].signs[fr.ttype] * fr.normalizer
     assert lam == 1.0
     rep = mean_curvature_from_jets(TranslationType.I, space, space.connection,
                                    ZERO_JET, ZERO_JET)
@@ -88,26 +82,37 @@ def test_residual_unknown_case():
         residual("E_M_I", ZERO_JET, ZERO_JET)
 
 
+def test_equivalence_sweep_unknown_case():
+    # a case id's value is not the id
+    with pytest.raises(UnknownCase):
+        equivalence_sweep("E_M_I", 5, 0)
+
+
 def test_nan_residual_fails_the_sweep(monkeypatch):
     case = CaseId.L_M_II_III
     calls = itertools.count(1)
-    table_entry = pde._RESIDUALS[case]
+    row = pde._CASES[case.value]
 
     def nan_on_fifth(*args):
-        value = table_entry(*args)
+        value = row.residual(*args)
         return math.nan if next(calls) == 5 else value
     assert equivalence_sweep(case, 20, 7).verdict
-    monkeypatch.setitem(pde._RESIDUALS, case, nan_on_fifth)
+    monkeypatch.setitem(pde._CASES, case.value, row._replace(residual=nan_on_fifth))
     record = equivalence_sweep(case, 20, 7)
     assert math.isnan(record.max_rel_deviation)
     assert record.verdict is False
 
 
-@pytest.mark.parametrize("key", list(_EQUIVALENCE_SIGN), ids=lambda k: f"{k[0].value}-{k[1].name}")
+@pytest.mark.parametrize("key", [(CaseId(name), ttype) for name, row in _CASES.items()
+                                 for ttype in row.signs],
+                         ids=lambda k: f"{k[0].value}-{k[1].name}")
 def test_flipped_sign_fails_the_sweep(monkeypatch, key):
-    assert equivalence_sweep(key[0], 20, 7).verdict
-    monkeypatch.setitem(pde._EQUIVALENCE_SIGN, key, -_EQUIVALENCE_SIGN[key])
-    record = equivalence_sweep(key[0], 20, 7)
+    case, ttype = key
+    assert equivalence_sweep(case, 20, 7).verdict
+    row = _CASES[case.value]
+    monkeypatch.setitem(pde._CASES, case.value,
+                        row._replace(signs={**row.signs, ttype: -row.signs[ttype]}))
+    record = equivalence_sweep(case, 20, 7)
     assert record.max_rel_deviation > 1e-3
     assert record.verdict is False
 
@@ -135,7 +140,7 @@ def test_type_ii_iii_residual_coincidence():
             for ttype in (TranslationType.II, TranslationType.III):
                 fr = frame_from_jets(ttype, space, fj, gj)
                 rep = mean_curvature_from_jets(ttype, space, kind, fj, gj)
-                values.append(_EQUIVALENCE_SIGN[(case, ttype)] * fr.normalizer
+                values.append(_CASES[case.value].signs[ttype] * fr.normalizer
                               * rep.numerator)
             res = residual(case, fj, gj)
             assert abs(values[0] - values[1]) <= 1e-10 * (1.0 + abs(res))
