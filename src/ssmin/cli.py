@@ -15,7 +15,7 @@ import sys
 import types
 import typing
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 
 from . import __version__
 from .catalog import (
@@ -66,8 +66,11 @@ class _Parser(argparse.ArgumentParser):
 
 _PARAM_FLAGS = sorted({name for defaults in _DEFAULTS.values() for name in defaults})
 
-# Most vertices a mesh may have.  The export holds every vertex's text at once,
-# at about 285 bytes per vertex, so the cap keeps a mesh under about 1.2 GB.
+# Most vertices a mesh may have.  The export writes one grid line at a time, so
+# its memory does not grow with the mesh; the cap bounds its time and output
+# instead.  At up to 1.5 us and 100 bytes per vertex (1024 x 1024 F2_51, obj or
+# csv, 2-vCPU x86-64 VM, Python 3.11), a mesh at the cap takes about 6 s and
+# writes about 420 MB.
 MAX_MESH_VERTICES = 2 ** 22
 
 
@@ -330,21 +333,21 @@ def _family_summary(records: list[dict]) -> dict:
             "n_fail": len(records) - n_pass, "all_pass": n_pass == len(records)}
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
+def _write(chunks, cfg: RunConfig) -> None:
+    """Write each chunk of text as it comes, to the --output file or stdout."""
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(chunks)
 
 
 def _emit_payload(payload: dict, cfg: RunConfig, markdown_renderer=None) -> None:
+    """Every renderer's text, like the JSON's, ends in a newline."""
     if cfg.format == "markdown":
-        _emit(markdown_renderer(payload), cfg)
+        _write([markdown_renderer(payload)], cfg)
     else:
-        _emit(json.dumps(payload, indent=2) + "\n", cfg)
+        _write([json.dumps(payload, indent=2) + "\n"], cfg)
 
 
 def _emit_records(cfg: RunConfig, engine_records, markdown_renderer,
@@ -435,9 +438,10 @@ def _require_finite_heights(us: list[float], fs: list[float],
 
 
 def cmd_mesh(cfg: RunConfig) -> int:
-    """Each profile is evaluated, each grid coordinate formatted and each u line's
-    vertices joined once per grid line; per vertex only the height f(u) + g(v)
-    is summed and formatted."""
+    """Each profile is evaluated and each grid coordinate formatted once per grid
+    line.  The text is written as it is made, one u line (then one row of OBJ
+    faces) at a time, so memory stays at one grid line; heights that overflow
+    fail before anything is written, so no --output file is made."""
     built = build(_family_from_config(cfg))  # EmptyDomain propagates as a usage-level failure
     box_u, box_v = built.domain.sampling_box()
     box_u = _mesh_box("u", built.domain.u, box_u, cfg.u_range)
@@ -447,22 +451,39 @@ def cmd_mesh(cfg: RunConfig) -> int:
     fs = [built.surface.f.at(u).v for u in us]
     gs = [built.surface.g.at(v).v for v in vs]
     _require_finite_heights(us, fs, vs, gs)
-    v_text = [f"{v:.17g}" for v in vs]
-    csv = cfg.format == "csv"
-    sep = "," if csv else " "
-    chunks = ["u,v,x,y,z"] if csv else []
-    for u_text, fu in zip([f"{u:.17g}" for u in us], fs):
-        u_column = [u_text] * cfg.nv
-        xyz = immersion(built.surface.ttype, u_column, v_text, [f"{fu + g:.17g}" for g in gs])
-        fields = zip(u_column, v_text, *xyz) if csv else zip(repeat("v"), *xyz)
-        chunks.append("\n".join(map(sep.join, fields)))
-    if not csv:
-        nv = cfg.nv
-        for row in range(1, (cfg.nu - 1) * nv, nv):  # the 1-based first vertex of each u line
-            chunks.append("\n".join(f"f {b} {b + 1} {b + nv + 1} {b + nv}"
-                                     for b in range(row, row + nv - 1)))
-    _emit("\n".join(chunks) + "\n", cfg)
+    _write(_mesh_chunks(cfg, built.surface.ttype, us, fs, vs, gs), cfg)
     return 0
+
+
+def _mesh_chunks(cfg: RunConfig, ttype, us: list[float], fs: list[float],
+                 vs: list[float], gs: list[float]):
+    """The mesh text, one u line (then one row of OBJ faces) at a time.
+
+    One line template per mesh holds the v texts, a "\\0" for the u text and a
+    %.17g for each height, in the slot order of `immersion`; a u line is that
+    template with its u text put in and its nv heights f(u) + g(v) formatted
+    in one `%`."""
+    v_text = [f"{v:.17g}" for v in vs]  # "%.17g" % x is f"{x:.17g}" for every float
+    xyz = immersion(ttype, repeat("\0"), v_text, repeat("%.17g"))
+    if cfg.format == "csv":
+        yield "u,v,x,y,z\n"
+        template = "".join(",".join(fields) + "\n"
+                           for fields in zip(repeat("\0"), v_text, *xyz))
+    else:
+        template = "".join(" ".join(fields) + "\n" for fields in zip(repeat("v"), *xyz))
+    for u, fu in zip(us, fs):
+        yield template.replace("\0", f"{u:.17g}") % tuple(map(fu.__add__, gs))
+    if cfg.format == "obj":
+        nv = cfg.nv
+        faces = "f %s %s %s %s\n" * (nv - 1)
+        # the face at 1-based vertex b of a u line has corners b, b + 1, b + nv + 1
+        # and b + nv; each line's vertex numbers are formatted once, for both rows
+        # of faces it borders
+        below = [str(b) for b in range(1, nv + 1)]
+        for first in range(1 + nv, cfg.nu * nv, nv):  # the first vertex of the next u line
+            above = list(map(str, range(first, first + nv)))
+            yield faces % tuple(chain.from_iterable(zip(below, below[1:], above[1:], above)))
+            below = above
 
 
 def cmd_report(cfg: RunConfig) -> int:
@@ -593,10 +614,20 @@ _COMMANDS = {
 }
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the invoked command's parser alone, built as `_build_parser`
+    builds it; the whole parser only where the first word is not a command."""
+    if argv and argv[0] in _COMMANDS:
+        command = argv[0]
+        return _Parser(prog=f"ssmin {command}", command=command).parse_args(
+            argv[1:], argparse.Namespace(command=command))
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         cfg = _config_from_args(args)
         return _COMMANDS[cfg.command][0](cfg)
     except UsageError as exc:

@@ -13,7 +13,8 @@ import math
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .errors import BlowUp, DomainMismatch, InvalidStep, UnknownCase, _row_of
+from .errors import (BlowUp, DomainMismatch, InvalidStep, ParameterConstraintViolation,
+                     UnknownCase, _row_of)
 from .jets import Profile
 
 BLOWUP_THRESHOLD = 1e12
@@ -57,7 +58,12 @@ class OdeCase(NamedTuple):
     c: float
 
     def rhs(self) -> Callable[[float], float]:
-        return _row_of(_ODES, OdeId, self.kind)(self.c)
+        factory = _row_of(_ODES, OdeId, self.kind)
+        try:
+            return factory(self.c)
+        except OverflowError:  # c ** 2 of a denominator
+            raise ParameterConstraintViolation(
+                f"{self.kind.value} denominator overflows at c={self.c!r}") from None
 
 
 class Trajectory(NamedTuple):
@@ -93,28 +99,37 @@ def _rk4_step(phi: Callable[[float], float], y: float, h: float) -> float:
     return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _blow_up(label: str, t: float) -> BlowUp:
+    return BlowUp(f"{label}: |y| exceeded {BLOWUP_THRESHOLD:g} at t={t!r}", t=t)
+
+
 def integrate_scalar(phi: Callable[[float], float], y0: float,
                      t_span: tuple[float, float], step: float,
                      label: str = "ode") -> Trajectory:
-    """RK4 trajectory of y' = phi(y); aborts with BlowUp past 1e12."""
+    """RK4 trajectory of y' = phi(y); aborts with BlowUp past 1e12, or where a
+    power such as h ** 3 inside phi overflows first."""
     _check_span_step(t_span, step)
     t0, t1 = t_span
     n_full = int(math.floor((t1 - t0) / step + 1e-9))
     nodes = [(t0, y0)]
     y = y0
     t = t0
-    for i in range(1, n_full + 1):
-        y = _rk4_step(phi, y, step)
-        t = t0 + i * step
-        if not math.isfinite(y) or abs(y) > BLOWUP_THRESHOLD:
-            raise BlowUp(f"{label}: |y| exceeded {BLOWUP_THRESHOLD:g} at t={t!r}", t=t)
-        nodes.append((t, y))
-    tail = t1 - t
-    if tail > 1e-12:
-        y = _rk4_step(phi, y, tail)
-        if not math.isfinite(y) or abs(y) > BLOWUP_THRESHOLD:
-            raise BlowUp(f"{label}: |y| exceeded {BLOWUP_THRESHOLD:g} at t={t1!r}", t=t1)
-        nodes.append((t1, y))
+    try:
+        for i in range(1, n_full + 1):
+            y = _rk4_step(phi, y, step)
+            t = t0 + i * step
+            if not math.isfinite(y) or abs(y) > BLOWUP_THRESHOLD:
+                raise _blow_up(label, t)
+            nodes.append((t, y))
+        tail = t1 - t
+        if tail > 1e-12:
+            y = _rk4_step(phi, y, tail)
+            if not math.isfinite(y) or abs(y) > BLOWUP_THRESHOLD:
+                raise _blow_up(label, t1)
+            nodes.append((t1, y))
+    except OverflowError:  # raised in the step to node len(nodes); the tail step ends at t1
+        k = len(nodes)
+        raise _blow_up(label, t0 + k * step if k <= n_full else t1) from None
     return Trajectory(tuple(nodes), step)
 
 

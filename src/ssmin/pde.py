@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from .ambient import ConnectionKind, Signature
 from .curvature import _curvature_kernel
-from .errors import IllConditionedFit, VerifierError, _row_of
+from .errors import DomainError, IllConditionedFit, VerifierError, _row_of
 from .jets import Jet2
 from .sampling import SplitMix64
 from .surface import (
@@ -67,8 +67,16 @@ CaseId = Enum("CaseId", [(name, name) for name in _CASES])
 
 
 def residual(case: CaseId, fj: Jet2, gj: Jet2) -> float:
-    """Closed-form minimality residual; zero exactly on minimal surfaces."""
-    return _row_of(_CASES, CaseId, case).residual(fj.d1, fj.d2, gj.d1, gj.d2)
+    """Closed-form minimality residual; zero exactly on minimal surfaces.
+
+    Jets that overflow give inf or NaN, except through a power such as g1 ** 3,
+    which raises OverflowError; that is raised as a DomainError."""
+    row = _row_of(_CASES, CaseId, case)
+    try:
+        return row.residual(fj.d1, fj.d2, gj.d1, gj.d2)
+    except OverflowError:
+        raise DomainError(f"{case.value} residual overflows at f'={fj.d1!r}, f''={fj.d2!r}, "
+                          f"g'={gj.d1!r}, g''={gj.d2!r}") from None
 
 
 # Bound on the relative deviation |lambda * numerator - residual| / (1 + |residual|).

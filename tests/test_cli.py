@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ssmin
 from ssmin import catalog, cli
@@ -80,13 +80,14 @@ def test_residual_command(tmp_path):
 @pytest.mark.parametrize("case,fjet,gjet", [
     ("E_M_I", "0,1e200,0", "0,1e200,1"),  # 0 * inf: NaN
     ("E_NM_ALL", "0,1e200,1e200", "0,1e200,1e200"),  # inf
+    ("E_M_II_III", "0,0,0", "0,-1e300,0"),  # g1 ** 3 raises OverflowError
 ])
 def test_residual_overflow_is_a_domain_error(capsys, case, fjet, gjet):
     # finite jets whose residual overflows print no NaN or Infinity
     assert main(["residual", "--case", case, "--fjet", fjet, "--gjet", gjet]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("ssmin: DomainError: ")
+    assert captured.err.startswith("ssmin: DomainError: ") and "Traceback" not in captured.err
 
 
 def _header(columns):
@@ -250,11 +251,15 @@ def test_mesh_range_crossing_singularity(capsys):
     (["mesh", "--family", "F2_50", "--v-range", "-5e307:5e307", "--nv", "3"],
      "ssmin: DomainError: v range [-5e+307, 5e+307] is too wide for 3 grid lines"),
 ])
-def test_mesh_overflow_is_a_domain_error(capsys, argv, message):
+def test_mesh_overflow_is_a_domain_error(tmp_path, capsys, argv, message):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(message) and "nan" not in captured.err
     assert captured.out == ""
+    # the mesh is streamed, but its output file is opened only once every height is finite
+    out = tmp_path / "mesh.out"
+    assert main([*argv, "--output", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_mesh_large_heights_that_sum_finitely(tmp_path):
@@ -431,6 +436,63 @@ def test_parser_output_is_byte_identical(capsys, monkeypatch, argv, digest):
     captured = capsys.readouterr()
     blob = json.dumps([code, captured.out, captured.err])
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == digest
+
+
+# A representative argv of each command: flags of every kind, "=" and negative values
+_COMMAND_ARGV = {
+    "residual": ["residual", "--case", "E_M_I", "--fjet", "0,-1,0", "--gjet", "-1e-3,0,0.5"],
+    "verify": ["verify", "--family", "F2_51", "--c", "-0.5", "--samples", "9", "--seed=4",
+               "--tolerance", "1e-3", "--perturb", "0", "--format", "markdown"],
+    "equivalence": ["equivalence", "--all", "--samples", "30", "--output", "eq.json"],
+    "ode-compare": ["ode-compare", "--step", "0.01", "--config", "c.json"],
+    "mesh": ["mesh", "--family", "F2_39", "--nu", "5", "--nv=4", "--u-range", "-0.5:0.5",
+             "--format", "csv"],
+    "report": ["report", "--all", "--step", "2e-3"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch, command):
+    argv = _COMMAND_ARGV[command]
+    whole = vars(cli._build_parser().parse_args(argv))
+
+    def refuse():
+        raise AssertionError("the whole parser was built for a command")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    assert vars(cli._parse(argv)) == whole
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(-2.225073858507201e-308)  # the largest subnormal, negated
+@example(1.7976931348623157e308)
+def test_percent_format_is_the_format_spec(x):
+    # the mesh fills its line templates with "%", the rest of its text with f-strings
+    assert "%.17g" % x == f"{x:.17g}"
+
+
+def test_mesh_memory_stays_flat(tmp_path):
+    # a 512 x 512 OBJ is about 24 MB of text, streamed one grid line at a time.  The
+    # peak is read from VmHWM: ru_maxrss would carry over the peak of this process.
+    status = Path("/proc/self/status")
+    if not (status.exists() and "VmHWM" in status.read_text()):
+        pytest.skip("no VmHWM in /proc/self/status")
+    script = ("import re, sys, ssmin.cli\n"
+              "assert not sys.argv[1:] or ssmin.cli.main(sys.argv[1:]) == 0\n"
+              "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])")
+    env = {**os.environ, "PYTHONPATH": str(Path(ssmin.__file__).parent.parent)}
+
+    def peak_kib(*argv):
+        return int(subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True,
+                                  capture_output=True, text=True).stdout)
+
+    out = tmp_path / "m.obj"
+    grown = peak_kib("mesh", "--family", "F2_51", "--nu", "512", "--nv", "512",
+                     "--output", str(out)) - peak_kib()
+    assert out.stat().st_size > 20_000_000
+    assert grown < 16 * 1024
 
 
 def test_report_markdown_structure(tmp_path):
@@ -635,7 +697,7 @@ def test_step_has_a_lower_bound():
 
 
 def test_mesh_vertex_count_has_an_upper_bound():
-    # only configs are built: a grid at the cap would take about a gigabyte
+    # only configs are built: a mesh at the cap would take seconds
     cap = cli.MAX_MESH_VERTICES
     assert RunConfig("mesh", family="F2_51", nu=2, nv=cap // 2).nv == cap // 2
     for nu, nv in ((100_000_000, 2), (20_000, 20_000), (2, cap // 2 + 1)):

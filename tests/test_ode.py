@@ -11,7 +11,8 @@ from ssmin.catalog import (
     make_family,
     ode_reference_runs,
 )
-from ssmin.errors import BlowUp, DomainMismatch, IllConditionedFit, InvalidStep, UnknownCase
+from ssmin.errors import (BlowUp, DomainMismatch, IllConditionedFit, InvalidStep,
+                          ParameterConstraintViolation, UnknownCase)
 from ssmin.jets import Interval, affine_profile
 from ssmin.ode import OdeCase, OdeId, Trajectory, compare_profile, integrate
 
@@ -43,6 +44,25 @@ def test_blowup_past_the_pole():
         integrate(TAN_CASE, 0.0, (0.0, 0.9), 1e-4)
     # tan(2u) blows up at u = pi/4
     assert err.value.t == pytest.approx(math.pi / 4.0, abs=1e-2)
+
+
+@pytest.mark.parametrize("kind", [OdeId.O3_28, OdeId.O2_36])
+@pytest.mark.parametrize("y0,t_span,t", [
+    (1e5, (0.0, 1.0), 0.01),  # h ** 3 overflows in the first full step
+    (1e6, (0.0, 0.005), 0.005),  # and in a tail step, the span being shorter than one step
+])
+def test_blowup_where_a_cube_overflows(kind, y0, t_span, t):
+    # the power raises OverflowError before y can pass the threshold
+    with pytest.raises(BlowUp) as err:
+        integrate(OdeCase(kind, 1.0), y0, t_span, 0.01)
+    assert err.value.t == t
+
+
+@pytest.mark.parametrize("kind", [OdeId.O2_21, OdeId.O2_36, OdeId.O3_28])
+def test_overflowing_denominator_violates_the_constraints(kind):
+    # the denominator c ** 2 + 1 raises OverflowError at c = 1e200
+    with pytest.raises(ParameterConstraintViolation, match=r"overflows at c=1e\+200$"):
+        OdeCase(kind, 1e200).rhs()
 
 
 def test_invalid_step():
