@@ -12,8 +12,6 @@ The Levi-Civita connection of either metric has all frame derivatives zero, so
 it adds nothing.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple
 

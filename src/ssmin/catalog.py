@@ -20,8 +20,6 @@ Each family's builder takes its parameters as keywords with float defaults,
 and that signature is the family's one parameter table (`_DEFAULTS`).
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -63,7 +61,7 @@ class Branch(Enum):
 
 
 class _FamilyFields(NamedTuple):
-    family_id: FamilyId
+    family_id: "FamilyId"
     params: tuple[tuple[str, float], ...]
     branch: Branch = Branch.PLUS
 
@@ -93,7 +91,7 @@ class SolutionFamily(_FamilyFields):
         return dict(self.params)
 
 
-def make_family(fid: FamilyId, branch: Branch | str = Branch.PLUS,
+def make_family(fid: "FamilyId", branch: Branch | str = Branch.PLUS,
                 **params: float) -> SolutionFamily:
     return SolutionFamily(fid, tuple(params.items()), Branch(branch))
 

@@ -20,8 +20,6 @@ products with an exact 0.0 and factors of 1.0, so its values equal theirs
 (up to the sign of a zero); the test suite checks that equality exactly.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

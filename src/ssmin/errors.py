@@ -1,7 +1,5 @@
 """Exception types shared across the package, and the lookup of a classification row."""
 
-from __future__ import annotations
-
 from enum import Enum
 
 

@@ -28,8 +28,6 @@ panels wider than eight node widths keep all four splits; the cache's node
 panels, and the pieces from a node to u, are split once.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from typing import Callable, NamedTuple

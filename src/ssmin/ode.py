@@ -7,8 +7,6 @@ tan-type solutions genuinely blow up in finite time, which the integrator
 reports rather than hides.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -89,6 +87,8 @@ def _check_span_step(t_span: tuple[float, float], step: float) -> None:
         raise InvalidStep(f"step must be positive and finite, got {step!r}")
     if not t1 > t0:
         raise InvalidStep(f"t_span must be increasing, got {t_span!r}")
+    if not math.isfinite((t1 - t0) / step):
+        raise InvalidStep(f"t_span {t_span!r} is too wide to count in steps of {step!r}")
 
 
 def _rk4_step(phi: Callable[[float], float], y: float, h: float) -> float:

@@ -12,8 +12,6 @@ curvature numerator: lambda * numerator = residual, where lambda is the frame
 normalizer with a fixed per-(case, type) sign.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import Callable, NamedTuple
 

@@ -19,8 +19,6 @@ to its double in [0, 1) inside C-level iterators, so no Python frame runs per
 draw; the product with 2**-53 is exact.
 """
 
-from __future__ import annotations
-
 import operator
 import struct
 from itertools import chain, count, repeat

@@ -13,8 +13,6 @@ normal is positive.  Normal orientations follow fixed per-type sign patterns;
 they are never re-oriented.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 from typing import NamedTuple

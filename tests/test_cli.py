@@ -495,6 +495,45 @@ def test_mesh_memory_stays_flat(tmp_path):
     assert grown < 16 * 1024
 
 
+def _ssmin_process(*argv, stdout):
+    env = {**os.environ, "PYTHONPATH": str(Path(ssmin.__file__).parent.parent)}
+    return subprocess.Popen([sys.executable, "-m", "ssmin.cli", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+def test_a_reader_that_closes_early_ends_the_output_not_the_command():
+    # `ssmin mesh ... | head -1`: the reader closes after one line of a 6 MB mesh
+    proc = _ssmin_process("mesh", "--family", "F2_51", "--nu", "256", "--nv", "256",
+                          stdout=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"v ")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    (["report", "--all", "--perturb", "0.01"], 2),
+    # output this short fails only when stdout is flushed
+    (["residual", "--case", "E_M_I", "--fjet", "0,0,0", "--gjet", "0,0,0"], 0),
+])
+def test_a_closed_stdout_keeps_the_commands_exit_code(argv, exit_code):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _ssmin_process(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.wait(timeout=120) == exit_code
+    assert proc.stderr.read() == b""
+
+
+def test_an_unwritable_output_file_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    assert main(["residual", "--case", "E_M_I", "--fjet", "0,0,0", "--gjet", "0,0,0",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("ssmin: io error: ")
+
+
 def test_report_markdown_structure(tmp_path):
     code, text = run(tmp_path, "report", "--all", "--format", "markdown",
                      "--samples", "40", name="r.md")
@@ -694,6 +733,19 @@ def test_step_has_a_lower_bound():
     # the smallest step takes 100,000 RK4 steps over the longest reference span (1.2)
     assert catalog.SHORTEST_ODE_STEP == 1.2 / 100_000
     assert RunConfig("ode-compare", step=catalog.SHORTEST_ODE_STEP).step == 1.2e-5
+
+
+def test_samples_have_an_upper_bound(capsys):
+    # refused while the config is built: a report at the cap would take minutes
+    assert main(["report", "--all", "--samples", "1000000000"]) == 1
+    assert capsys.readouterr().err.startswith("ssmin: error: samples must be at most ")
+    cap = cli.MAX_SAMPLES
+    assert RunConfig("report", all=True, samples=cap).samples == cap
+    for command in ("report", "verify", "equivalence"):
+        for samples in (cap + 1, 1_000_000_000):
+            with pytest.raises(cli.UsageError, match=rf"^samples must be at most {cap:,}, "
+                                                     rf"got {samples:,}$"):
+                RunConfig(command, all=True, samples=samples)
 
 
 def test_mesh_vertex_count_has_an_upper_bound():

@@ -70,6 +70,10 @@ def test_invalid_step():
         integrate(TAN_CASE, 0.0, (0.0, 1.0), 0.0)
     with pytest.raises(InvalidStep):
         integrate(TAN_CASE, 0.0, (1.0, 0.0), 1e-3)
+    # the width, or the number of steps in it, overflows: no step count exists
+    for t_span, step in (((-1e308, 1e308), 1.0), ((0.0, 1e308), 0.5)):
+        with pytest.raises(InvalidStep, match="too wide to count"):
+            integrate(TAN_CASE, 0.0, t_span, step)
 
 
 def test_unknown_ode_and_vanishing_denominator():

@@ -1,9 +1,15 @@
 """The engine records: immutable named tuples whose checks run on every way in."""
 
+import ast
+import importlib
 import json
+import pkgutil
+import typing
+from pathlib import Path
 
 import pytest
 
+import ssmin
 from ssmin import cli
 from ssmin.ambient import Vec3
 from ssmin.catalog import (FamilyId, SolutionFamily, build, convergence_orders, make_family,
@@ -115,3 +121,25 @@ def test_checked_records_normalise_on_replace():
     given = {"c3": 1.0}
     assert RunConfig("verify", family="F2_23", params=given).params is not given
     assert cfg.params == {} and cfg.params is not RunConfig("verify", all=True).params
+
+
+def test_annotations_are_evaluated_at_definition():
+    # PEP 563 string annotations cost one ForwardRef per record field at import
+    # time, and nothing reads them: a name used before its definition is quoted
+    package = Path(ssmin.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                assert "annotations" not in {alias.name for alias in node.names}, path.name
+    records, unevaluated = 0, set()
+    for info in pkgutil.iter_modules(ssmin.__path__):
+        module = importlib.import_module(f"ssmin.{info.name}")
+        for name, cls in vars(module).items():
+            if not (isinstance(cls, type) and issubclass(cls, tuple)
+                    and cls.__module__ == module.__name__ and "__annotations__" in vars(cls)):
+                continue
+            records += 1
+            unevaluated |= {(name, field) for field, hint in cls.__annotations__.items()
+                            if isinstance(hint, (str, typing.ForwardRef))}
+    assert records == 22
+    assert unevaluated == {("_FamilyFields", "family_id")}

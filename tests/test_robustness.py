@@ -1,0 +1,176 @@
+"""Every input ends in exit 0, 1 or 2; the library raises only VerifierError.
+
+The argv and config fuzz is built from the CLI's own tables (`_COMMANDS`,
+`_FLAGS`, `_PARAM_FLAGS`, the `RunConfig` fields), so a new command, setting
+or family parameter is fuzzed with no edit here.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+
+from hypothesis import example, given, settings, strategies as st
+
+from ssmin import catalog, cli
+from ssmin.catalog import Branch, FamilyId
+from ssmin.errors import VerifierError
+from ssmin.jets import Jet2
+from ssmin.ode import OdeCase, OdeId, Trajectory, integrate
+from ssmin.pde import CaseId, residual
+
+EXTREME_FLOATS = (0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324,
+                  math.inf, -math.inf, math.nan)
+# Sizes stay small so that a command which runs ends in milliseconds; the huge
+# ones must be refused before anything runs.
+INTS = (-1, 0, 1, 2, 3, 5, 2 ** 64, -10 ** 30)
+NAMES = tuple(m.value for ids in (FamilyId, CaseId, Branch) for m in ids) + ("nope", "")
+OUTPUTS = ("out.txt", "missing/out.txt")  # relative to a fresh directory
+
+floats = st.sampled_from((-1.0, 0.5, 1.0, 3.0)) | st.sampled_from(EXTREME_FLOATS)
+ints = st.sampled_from(INTS)
+names = st.sampled_from(NAMES)
+
+
+def _words(values):
+    """A flag's value as one argv word."""
+    return values.map(lambda value: [str(value)])
+
+
+def _flag_values(keywords: dict):
+    """The argv words after a flag declared with these argparse keywords."""
+    if keywords.get("action") == "store_true":
+        return st.just([])
+    if "choices" in keywords:
+        return _words(st.sampled_from(keywords["choices"]))
+    kind = keywords.get("type")
+    if kind is int:
+        return _words(st.sampled_from((*INTS, 1.5, math.nan)))
+    if kind is float:
+        return _words(floats)
+    if kind is not None:  # numbers joined by the separator that the flag parses
+        sep = next(sep for sep in ",:" if _parses(kind, f"0{sep}0"))
+        lists = st.lists(floats, min_size=2, max_size=3) | st.lists(floats, max_size=4)
+        return lists.map(lambda xs: [sep.join(map(repr, xs))])
+    return _words(names)
+
+
+def _parses(parse, text: str) -> bool:
+    try:
+        parse(text)
+    except cli.UsageError:
+        return False
+    return True
+
+
+def _options(command: str, params: list[str]) -> list:
+    """(flag, value words) strategies: one pair per setting the command reads,
+    with the family parameters `params` as one, plus --format and --output."""
+    _, formats, reads, _ = cli._COMMANDS[command]
+    options = [(st.just("--format"), _words(st.sampled_from(formats))),
+               (st.just("--output"), _words(st.sampled_from(OUTPUTS)))]
+    for name in cli._SETTINGS:
+        if name == "params" and name in reads:
+            options.append((st.sampled_from([f"--{param.replace('_', '-')}"
+                                             for param in params]), _words(floats)))
+        elif name in reads:
+            options.append((st.just(f"--{name.replace('_', '-')}"),
+                            _flag_values(cli._FLAGS[name])))
+    return options
+
+
+# A config holds settings of the right type or the wrong one, nested or not,
+# and may hold an unknown key: a family parameter outside "params", or "bogus".
+_json_values = st.recursive(
+    st.none() | st.booleans() | ints | floats | names | st.sampled_from(OUTPUTS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(cli._PARAM_FLAGS), inner, max_size=3),
+    max_leaves=6)
+configs = st.builds(
+    lambda known, unknown: {**known, **unknown},
+    st.dictionaries(st.sampled_from(sorted(cli._CONFIG_FIELDS)), _json_values, max_size=3),
+    st.just({}) | st.dictionaries(st.sampled_from(["bogus", *cli._PARAM_FLAGS]),
+                                  _json_values, max_size=1)) | _json_values
+
+
+@st.composite
+def invocations(draw):
+    """An argv, with the config file it names (or None)."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    reads = cli._COMMANDS[command][2]
+    argv, params = [command], cli._PARAM_FLAGS
+    # half the draws name a real family (then its own parameters) or case, or
+    # take --all, so that the command runs on the drawn values
+    if "family" in reads and draw(st.booleans()):
+        family = draw(st.sampled_from(list(catalog._DEFAULTS)))
+        argv += ["--family", family]
+        params = sorted(catalog._DEFAULTS[family])
+    if "case" in reads and draw(st.booleans()):
+        argv += ["--case", draw(st.sampled_from([case.value for case in CaseId]))]
+    if "all" in reads and draw(st.booleans()):
+        argv.append("--all")
+    for flags, values in draw(st.lists(st.sampled_from(_options(command, params)),
+                                       max_size=5)):
+        argv += [draw(flags), *draw(values)]
+    config = draw(configs) if draw(st.integers(0, 2)) == 0 else None
+    if config is not None:
+        argv += ["--config", "config.json"]
+    return argv, config
+
+
+@settings(max_examples=250, deadline=None)
+@given(invocations())
+def test_every_argv_and_config_exits_0_1_or_2(invocation):
+    argv, config = invocation
+    out, err = io.StringIO(), io.StringIO()
+    # relative --output and --config paths land in a directory of their own
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            if config is not None:
+                with open("config.json", "w", encoding="utf-8") as fh:
+                    json.dump(config, fh)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, config, err.getvalue())
+    if code == 1:
+        assert err.getvalue().startswith("ssmin:"), (argv, config, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0])
+jets = st.builds(Jet2, finite, finite, finite)
+
+
+@given(st.sampled_from(list(CaseId)), jets, jets)
+@example(CaseId.E_M_II_III, Jet2(0.0, 0.0, 0.0), Jet2(0.0, -1e300, 0.0))
+def test_residual_returns_a_float_or_raises_a_verifier_error(case, fj, gj):
+    try:
+        value = residual(case, fj, gj)
+    except VerifierError:
+        return
+    assert isinstance(value, float)
+
+
+@given(st.sampled_from(list(OdeId)), finite, finite, finite, finite,
+       st.integers(1, 10_000) | st.sampled_from([0, -1]))
+@example(OdeId.O3_28, 1.0, 1e5, 0.0, 1.0, 100)
+@example(OdeId.O2_21, 1e200, 0.0, 0.0, 1.0, 1)
+@example(OdeId.O3_8, 1.0, 0.0, 0.0, 1.0, 1)
+def test_integrate_returns_a_trajectory_or_raises_a_verifier_error(kind, c, y0, t0, t1, n):
+    # the step splits the span into n pieces, so at most 10^4 RK4 steps; n <= 0
+    # gives a step that is not positive
+    step = (t1 - t0) / n if n > 0 else float(n)
+    try:
+        trajectory = integrate(OdeCase(kind, c), y0, (t0, t1), step)
+    except VerifierError:
+        return
+    assert isinstance(trajectory, Trajectory)
+    assert all(math.isfinite(y) for _, y in trajectory.nodes)
+
