@@ -38,7 +38,7 @@ from .jets import (
     log_abs_exp_profile,
     profile_quadrature,
 )
-from .ode import OdeCase, OdeId, compare_profile, integrate
+from .ode import MAX_RK4_STEPS, OdeCase, OdeId, compare_profile, integrate
 from .pde import CaseId, _CASES
 from .sampling import SplitMix64
 from .surface import TranslationSurface, TranslationType
@@ -720,8 +720,8 @@ _ODE_REFERENCE_RUNS: tuple[tuple[FamilyId, str, tuple[float, float]], ...] = (
 )
 # An RK4 step must be shorter than this for every reference run to take one,
 SHORTEST_ODE_SPAN = min(hi - lo for _, _, (lo, hi) in _ODE_REFERENCE_RUNS)
-# and no shorter than this, so that none takes more than 100,000 steps.
-SHORTEST_ODE_STEP = max(hi - lo for _, _, (lo, hi) in _ODE_REFERENCE_RUNS) / 100_000
+# and no shorter than this, so that none takes more than MAX_RK4_STEPS steps.
+SHORTEST_ODE_STEP = max(hi - lo for _, _, (lo, hi) in _ODE_REFERENCE_RUNS) / MAX_RK4_STEPS
 # The reference runs whose observed convergence order is measured, and the
 # coarse step of each measurement.
 _ORDER_PROBES = ((FamilyId.F2_23, "f"), (FamilyId.F3_38, "f"))

@@ -35,6 +35,7 @@ from .catalog import (
 )
 from .errors import DomainError, EmptyDomain, VerifierError
 from .jets import Interval, Jet2
+from .ode import MAX_RK4_STEPS
 from .pde import CaseId, EquivalenceRecord, equivalence_sweep, residual
 from .sampling import child_seed
 from .surface import immersion
@@ -44,11 +45,14 @@ class UsageError(Exception):
     pass
 
 
+# "-0.5:0.5", "-1,0,0" and "-1e-3" are flag values, not unknown options
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, command: str | None = None, **kwargs):
         super().__init__(*args, **kwargs)
-        # "-0.5:0.5", "-1,0,0" and "-1e-3" are flag values, not unknown options
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
         # a command's flags are added when its parser first parses, which argparse
         # does only for the invoked command, `<command> --help` included
         self._unflagged = command
@@ -160,8 +164,8 @@ class RunConfig(_RunFields):
             raise UsageError(f"seed must lie in [0, 2^64), got {self.seed}")
         if not SHORTEST_ODE_STEP <= self.step < SHORTEST_ODE_SPAN:
             raise UsageError(f"step must lie in [{SHORTEST_ODE_STEP:g}, {SHORTEST_ODE_SPAN:g}), "
-                             f"so that every reference ODE run takes from 1 to 100,000 RK4 "
-                             f"steps; got {self.step!r}")
+                             f"so that every reference ODE run takes from 1 to "
+                             f"{MAX_RK4_STEPS:,} RK4 steps; got {self.step!r}")
         if self.all:
             if self.params:
                 raise UsageError("--all does not take family parameters")
@@ -233,7 +237,8 @@ def _float_list(sep: str):
 # The argparse keywords of each setting's flag.  "params" has none of its own: it
 # is one float flag per family parameter.
 _FLAGS = {
-    "family": {}, "branch": {"choices": _BRANCHES}, "case": {}, "all": {"action": "store_true"},
+    "family": {}, "branch": {"choices": _BRANCHES}, "case": {},
+    "all": {"action": "store_true", "default": False},
     "fjet": {"type": _float_list(","), "help": "f jet as v,d1,d2"},
     "gjet": {"type": _float_list(","), "help": "g jet as v,d1,d2"},
     "samples": {"type": int}, "seed": {"type": int}, "nu": {"type": int}, "nv": {"type": int},
@@ -255,20 +260,65 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _add_flags(p: _Parser, command: str) -> None:
+def _flag_table(command: str) -> dict[str, dict]:
+    """The argparse keywords of each flag of a command, dest and default
+    included, in the order its help lists them: --config, --format and
+    --output, then the flags of the settings it reads."""
     _, formats, reads, _ = _COMMANDS[command]
-    p.add_argument("--config", help="JSON config file; overrides flags")
-    p.add_argument("--format", choices=formats)
-    p.add_argument("--output")
+    table = {"--config": {"dest": "config", "help": "JSON config file; overrides flags"},
+             "--format": {"dest": "format", "choices": formats},
+             "--output": {"dest": "output"}}
     for name in _SETTINGS:
         if name == "params" and name in reads:
             for param in _PARAM_FLAGS:
-                p.add_argument(f"--{param.replace('_', '-')}", dest=f"param_{param}",
-                               type=float)
+                table[f"--{param.replace('_', '-')}"] = {"dest": f"param_{param}", "type": float}
         elif name in reads:
-            p.add_argument(f"--{name.replace('_', '-')}", **_FLAGS[name])
+            table[f"--{name.replace('_', '-')}"] = {"dest": name, **_FLAGS[name]}
     if command == "equivalence":
-        p.set_defaults(samples=1000)
+        table["--samples"]["default"] = 1000
+    return table
+
+
+def _add_flags(p: _Parser, command: str) -> None:
+    for flag, keywords in _flag_table(command).items():
+        p.add_argument(flag, **keywords)
+
+
+def _parse_flags(command: str, words: list[str]) -> argparse.Namespace | None:
+    """words parsed as the command's _Parser parses them, from its flag table
+    alone; None for any argv but exact `--flag value`, `--flag=value` and a
+    bare store_true flag, each value of its flag's type and choices.  So help,
+    an unknown, abbreviated or dangling flag and a bad value are left to
+    _Parser, whose messages they get."""
+    table = _flag_table(command)
+    values = {"command": command, **{keywords["dest"]: keywords.get("default")
+                                     for keywords in table.values()}}
+    words = iter(words)
+    for word in words:
+        flag, eq, text = word.partition("=")
+        keywords = table.get(flag)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            if eq:
+                return None
+            values[keywords["dest"]] = True
+            continue
+        if not eq:
+            text = next(words, None)
+            if text is None:
+                return None
+        if text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
+            return None
+        kind = keywords.get("type")
+        try:
+            value = text if kind is None else kind(text)
+        except (ValueError, UsageError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[keywords["dest"]] = value
+    return argparse.Namespace(**values)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -636,10 +686,14 @@ _COMMANDS = {
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed by the invoked command's parser alone, built as `_build_parser`
-    builds it; the whole parser only where the first word is not a command."""
+    """argv parsed from the invoked command's flag table, or where that cannot,
+    by the command's parser alone, built as `_build_parser` builds it; the whole
+    parser only where the first word is not a command."""
     if argv and argv[0] in _COMMANDS:
         command = argv[0]
+        args = _parse_flags(command, argv[1:])
+        if args is not None:
+            return args
         return _Parser(prog=f"ssmin {command}", command=command).parse_args(
             argv[1:], argparse.Namespace(command=command))
     return _build_parser().parse_args(argv)

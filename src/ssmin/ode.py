@@ -16,6 +16,9 @@ from .errors import (BlowUp, DomainMismatch, InvalidStep, ParameterConstraintVio
 from .jets import Profile
 
 BLOWUP_THRESHOLD = 1e12
+# Most RK4 steps one run may take, the tail step included: a bound on its time
+# and on the nodes it keeps.
+MAX_RK4_STEPS = 100_000
 
 
 def _nonzero(d: float, message: str) -> float:
@@ -81,7 +84,9 @@ class Trajectory(NamedTuple):
         return self.nodes[-1][1]
 
 
-def _check_span_step(t_span: tuple[float, float], step: float) -> None:
+def _check_span_step(t_span: tuple[float, float], step: float) -> int:
+    """The number of full steps in the span; InvalidStep unless the run takes
+    from 1 to MAX_RK4_STEPS steps."""
     t0, t1 = t_span
     if not (math.isfinite(step) and step > 0.0):
         raise InvalidStep(f"step must be positive and finite, got {step!r}")
@@ -89,6 +94,12 @@ def _check_span_step(t_span: tuple[float, float], step: float) -> None:
         raise InvalidStep(f"t_span must be increasing, got {t_span!r}")
     if not math.isfinite((t1 - t0) / step):
         raise InvalidStep(f"t_span {t_span!r} is too wide to count in steps of {step!r}")
+    n_full = int(math.floor((t1 - t0) / step + 1e-9))
+    n_steps = n_full + (t1 - (t0 + n_full * step) > 1e-12)  # and the tail step
+    if n_steps > MAX_RK4_STEPS:
+        raise InvalidStep(f"t_span {t_span!r} in steps of {step!r} takes more than "
+                          f"{MAX_RK4_STEPS:,} RK4 steps")
+    return n_full
 
 
 def _rk4_step(phi: Callable[[float], float], y: float, h: float) -> float:
@@ -108,9 +119,8 @@ def integrate_scalar(phi: Callable[[float], float], y0: float,
                      label: str = "ode") -> Trajectory:
     """RK4 trajectory of y' = phi(y); aborts with BlowUp past 1e12, or where a
     power such as h ** 3 inside phi overflows first."""
-    _check_span_step(t_span, step)
+    n_full = _check_span_step(t_span, step)
     t0, t1 = t_span
-    n_full = int(math.floor((t1 - t0) / step + 1e-9))
     nodes = [(t0, y0)]
     y = y0
     t = t0

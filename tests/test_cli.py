@@ -456,10 +456,12 @@ def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch, command):
     argv = _COMMAND_ARGV[command]
     whole = vars(cli._build_parser().parse_args(argv))
 
-    def refuse():
-        raise AssertionError("the whole parser was built for a command")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parser was built for a well-formed command")
 
+    # nor its own parser: the command's flag table parses a well-formed argv
     monkeypatch.setattr(cli, "_build_parser", refuse)
+    monkeypatch.setattr(cli, "_Parser", refuse)
     assert vars(cli._parse(argv)) == whole
 
 
@@ -947,3 +949,19 @@ def test_runtime_imports_only_the_standard_library():
                             env=env, check=True, capture_output=True, text=True).stdout.split()
     assert "ssmin.cli" in loaded
     assert not set(_UNLOADED) & set(loaded)
+
+
+def test_a_well_formed_command_imports_nothing_after_the_cli():
+    # argparse loads its help and error machinery as it builds a parser (the
+    # first message lookup imports locale); a well-formed argv builds none
+    script = ("import contextlib, io, json, sys, ssmin.cli\n"
+              "before = set(sys.modules)\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert ssmin.cli.main(argv) == 0, argv\n"
+              "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(Path(ssmin.__file__).parent.parent)}
+    runs = json.dumps(list(_SMALL_RUNS.values()))
+    imported = subprocess.run([sys.executable, "-c", script, runs], env=env, check=True,
+                              capture_output=True, text=True).stdout
+    assert imported.split() == []

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from ssmin.catalog import (
+    SHORTEST_ODE_STEP,
     FamilyId,
     all_default_settings,
     build,
@@ -14,7 +15,7 @@ from ssmin.catalog import (
 from ssmin.errors import (BlowUp, DomainMismatch, IllConditionedFit, InvalidStep,
                           ParameterConstraintViolation, UnknownCase)
 from ssmin.jets import Interval, affine_profile
-from ssmin.ode import OdeCase, OdeId, Trajectory, compare_profile, integrate
+from ssmin.ode import MAX_RK4_STEPS, OdeCase, OdeId, Trajectory, compare_profile, integrate
 
 from oracles import ode_pointwise_max, substitution_check
 
@@ -74,6 +75,15 @@ def test_invalid_step():
     for t_span, step in (((-1e308, 1e308), 1.0), ((0.0, 1e308), 0.5)):
         with pytest.raises(InvalidStep, match="too wide to count"):
             integrate(TAN_CASE, 0.0, t_span, step)
+    # more steps than the cap: the run would keep a node a step until memory ran out
+    with pytest.raises(InvalidStep, match="more than 100,000 RK4 steps"):
+        integrate(OdeCase(OdeId.O3_37F, 0.0), 0.0, (0.0, 1.0), 1e-300)
+    with pytest.raises(InvalidStep, match="more than 100,000 RK4 steps"):
+        integrate(TANH_CASE, 0.0, (0.0, 1.0), 0.99999e-5)
+    # the longest reference span at the shortest step the CLI takes runs at the cap
+    assert MAX_RK4_STEPS == 100_000
+    traj = integrate(TANH_CASE, 0.0, (0.3, 1.5), SHORTEST_ODE_STEP)
+    assert len(traj.nodes) == MAX_RK4_STEPS + 1
 
 
 def test_unknown_ode_and_vanishing_denominator():

@@ -5,6 +5,7 @@ The argv and config fuzz is built from the CLI's own tables (`_COMMANDS`,
 or family parameter is fuzzed with no edit here.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -141,6 +142,83 @@ def test_every_argv_and_config_exits_0_1_or_2(invocation):
     if code == 1:
         assert err.getvalue().startswith("ssmin:"), (argv, config, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+# Values that start with "-": numbers, which are values, and words that argparse
+# takes for a flag ("-h" is left out: it would print help)
+DASHED = ("-1", "-.5", "-1e-3", "-1,0,0", "-0.5:0.5", "-inf", "-x", "-", "--", "-1 2")
+MUTATIONS = ("abbreviate", "store_true value", "dangle", "dashed value", "dashed value after =")
+
+
+@st.composite
+def parser_inputs(draw):
+    """An argv of `invocations`, as drawn (mutation None) or with one mutation:
+    a flag cut short, a value on --all, a flag with no value, or a flag whose
+    value starts with "-"."""
+    argv = list(draw(invocations())[0])
+    mutation = draw(st.none() | st.sampled_from(MUTATIONS))
+    flags = list(cli._flag_table(argv[0]))
+    if mutation == "abbreviate":
+        at = [i for i, word in enumerate(argv) if word.startswith("--")]
+        if not at:
+            return argv, None
+        i = draw(st.sampled_from(at))
+        argv[i] = argv[i][:draw(st.integers(3, max(3, len(argv[i]) - 1)))]
+    elif mutation == "store_true value":
+        argv.append("--all=" + draw(st.sampled_from(["", "1", "x"])))
+    elif mutation == "dangle":
+        argv.append(draw(st.sampled_from(flags)))
+    elif mutation is not None:
+        flag, value = draw(st.sampled_from(flags)), draw(st.sampled_from(DASHED))
+        argv += [f"{flag}={value}"] if mutation.endswith("=") else [flag, value]
+    return argv, mutation
+
+
+def _parsed(parse):
+    """The repr of each parsed value (so that nan is nan and -0.0 is not 0.0),
+    or the UsageError text."""
+    try:
+        return {name: repr(value) for name, value in vars(parse()).items()}
+    except cli.UsageError as exc:
+        return str(exc)
+
+
+def test_the_flag_table_parses_as_the_commands_parser_does(monkeypatch):
+    argparse_parser = cli._Parser
+    built = []
+
+    class CountedParser(argparse_parser):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountedParser)
+    handled = []  # (argv, mutation, whether argparse accepts it, whether the table parsed it)
+
+    @settings(max_examples=200, deadline=None)
+    @given(parser_inputs())
+    def check(inputs):
+        argv, mutation = inputs
+        command = argv[0]
+        expected = _parsed(lambda: argparse_parser(prog=f"ssmin {command}", command=command)
+                           .parse_args(argv[1:], argparse.Namespace(command=command)))
+        before = len(built)
+        assert _parsed(lambda: cli._parse(argv)) == expected, argv
+        handled.append((argv, mutation, isinstance(expected, dict), len(built) == before))
+
+    check()
+    # the table parses every well-formed draw (unmutated, and argparse accepts
+    # it), and at least a quarter of the draws are well-formed
+    well_formed = [by_table for _, mutation, accepted, by_table in handled
+                   if accepted and mutation is None]
+    assert all(well_formed) and len(well_formed) >= len(handled) // 4
+    for argv, mutation, accepted, by_table in handled:
+        # every argv argparse refuses goes to argparse, and the table declines
+        # an argv that argparse accepts only for a unique abbreviation, a value
+        # after "=" that starts with "-" and is no number, or a lone "-"
+        assert accepted or not by_table
+        assert by_table or not accepted or mutation in ("abbreviate", "dashed value after =") \
+            or argv[-1] == "-", argv
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
