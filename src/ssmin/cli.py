@@ -5,8 +5,6 @@ verification check failed.  Reports are deterministic for a fixed seed: all
 sampling runs on splitmix64 streams and no timing data is serialized.
 """
 
-import argparse
-import json
 import math
 import os
 import re
@@ -33,7 +31,7 @@ from .catalog import (
     ode_reference_runs,
     verify_auto,
 )
-from .errors import DomainError, EmptyDomain, VerifierError
+from .errors import DomainError, EmptyDomain, UsageError, VerifierError
 from .jets import Interval, Jet2
 from .ode import MAX_RK4_STEPS
 from .pde import CaseId, EquivalenceRecord, equivalence_sweep, residual
@@ -41,31 +39,8 @@ from .sampling import child_seed
 from .surface import immersion
 
 
-class UsageError(Exception):
-    pass
-
-
 # "-0.5:0.5", "-1,0,0" and "-1e-3" are flag values, not unknown options
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, command: str | None = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-        # a command's flags are added when its parser first parses, which argparse
-        # does only for the invoked command, `<command> --help` included
-        self._unflagged = command
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._unflagged is not None:
-            _add_flags(self, self._unflagged)
-            self._unflagged = None
-        return super().parse_known_args(args, namespace)
-
-    def error(self, message):  # argparse default exits with code 2
-        raise UsageError(message)
-
 
 _PARAM_FLAGS = sorted({name for defaults in _DEFAULTS.values() for name in defaults})
 
@@ -248,18 +223,6 @@ _FLAGS = {
 }
 
 
-def _build_parser() -> _Parser:
-    """Each command takes the flags of the settings it reads, added by `_add_flags`
-    once its parser parses.  Flags left unset stay None, so RunConfig's own
-    defaults apply to them."""
-    parser = _Parser(prog="ssmin", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"ssmin {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, _, _, help) in _COMMANDS.items():
-        sub.add_parser(command, help=help, command=command)
-    return parser
-
-
 def _flag_table(command: str) -> dict[str, dict]:
     """The argparse keywords of each flag of a command, dest and default
     included, in the order its help lists them: --config, --format and
@@ -279,17 +242,12 @@ def _flag_table(command: str) -> dict[str, dict]:
     return table
 
 
-def _add_flags(p: _Parser, command: str) -> None:
-    for flag, keywords in _flag_table(command).items():
-        p.add_argument(flag, **keywords)
-
-
-def _parse_flags(command: str, words: list[str]) -> argparse.Namespace | None:
-    """words parsed as the command's _Parser parses them, from its flag table
-    alone; None for any argv but exact `--flag value`, `--flag=value` and a
-    bare store_true flag, each value of its flag's type and choices.  So help,
-    an unknown, abbreviated or dangling flag and a bad value are left to
-    _Parser, whose messages they get."""
+def _parse_flags(command: str, words: list[str]) -> types.SimpleNamespace | None:
+    """words parsed as the command's argparse parser (`_parser._Parser`) parses
+    them, from its flag table alone; None for any argv but exact `--flag value`,
+    `--flag=value` and a bare store_true flag, each value of its flag's type and
+    choices.  So help, an unknown, abbreviated or dangling flag and a bad value
+    are left to argparse, whose messages they get."""
     table = _flag_table(command)
     values = {"command": command, **{keywords["dest"]: keywords.get("default")
                                      for keywords in table.values()}}
@@ -318,16 +276,17 @@ def _parse_flags(command: str, words: list[str]) -> argparse.Namespace | None:
         if "choices" in keywords and value not in keywords["choices"]:
             return None
         values[keywords["dest"]] = value
-    return argparse.Namespace(**values)
+    return types.SimpleNamespace(**values)
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: types.SimpleNamespace) -> RunConfig:
     given = vars(args)
     values = {key: value for key, value in given.items()
               if key in _CONFIG_FIELDS and value is not None}
     values["params"] = {name: given[f"param_{name}"] for name in _PARAM_FLAGS
                         if given.get(f"param_{name}") is not None}
     if args.config is not None:
+        import json  # only a config file or a JSON report needs it
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 override = json.load(fh)
@@ -393,12 +352,13 @@ def _family_summary(records: list[dict]) -> dict:
 
 
 def _write(chunks, cfg: RunConfig) -> None:
-    """Write each chunk of text as it comes, to the --output file or stdout.
+    """Write each chunk of text as it comes, to the --output file, or to stdout
+    where --output is unset or "-".
 
     A reader that closes stdout early (`| head`) ends the output, not the
     command, which still exits with its own code.  The rest of stdout goes to
     devnull, so that the interpreter's final flush cannot fail again."""
-    if cfg.output:
+    if cfg.output and cfg.output != "-":
         with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         return
@@ -418,6 +378,7 @@ def _emit_payload(payload: dict, cfg: RunConfig, markdown_renderer=None) -> None
     if cfg.format == "markdown":
         _write([markdown_renderer(payload)], cfg)
     else:
+        import json
         _write([json.dumps(payload, indent=2) + "\n"], cfg)
 
 
@@ -685,18 +646,19 @@ _COMMANDS = {
 }
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]) -> types.SimpleNamespace:
     """argv parsed from the invoked command's flag table, or where that cannot,
-    by the command's parser alone, built as `_build_parser` builds it; the whole
-    parser only where the first word is not a command."""
-    if argv and argv[0] in _COMMANDS:
-        command = argv[0]
-        args = _parse_flags(command, argv[1:])
-        if args is not None:
-            return args
-        return _Parser(prog=f"ssmin {command}", command=command).parse_args(
-            argv[1:], argparse.Namespace(command=command))
-    return _build_parser().parse_args(argv)
+    by the command's argparse parser alone, built as `_parser._build_parser`
+    builds it; the whole parser only where the first word is not a command."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = None if command is None else _parse_flags(command, argv[1:])
+    if args is not None:
+        return args
+    from . import _parser  # argparse, for help, version and error messages alone
+    if command is None:
+        return _parser._build_parser().parse_args(argv, types.SimpleNamespace())
+    return _parser._Parser(prog=f"ssmin {command}", command=command).parse_args(
+        argv[1:], types.SimpleNamespace(command=command))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,6 +3,10 @@
 from enum import Enum
 
 
+class UsageError(Exception):
+    """A command line or config the CLI cannot run (exit code 1)."""
+
+
 class VerifierError(Exception):
     """Base class for every error raised by this package."""
 

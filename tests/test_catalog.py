@@ -156,12 +156,16 @@ def test_residual_only_boxes_at_the_edges_of_parameter_space(fid, params):
     (FamilyId.F3_38, {"c0": -0.01, "c_hat": 2.0}, (1.0, None)),
     (FamilyId.F3_12, {"c_tilde": 1.0}, (math.sqrt(0.75), None)),
     (FamilyId.F3_27, {"c0_tilde": 316.0, "c1": 1.0}, (math.sqrt(316.0 ** 2 - 1.0), None)),
+    # domains with a finite upper end, so the box ends below it
+    (FamilyId.F3_12, {"c_tilde": 2.0}, (math.sqrt(0.75), None)),
+    (FamilyId.F3_27, {"c1": 0.5}, (math.sqrt(1.5 ** 2 - 1.0), None)),
 ])
 def test_coth_boxes_bound_slope_and_curvature(fid, params, asymptotes):
     # the residual's terms grow as slope^2 * |d2|, and d2 carries the rate of the
     # exponent: on a coth-type box |d1| <= s + SLOPE_CAP and |d2| <= SLOPE_CAP^2
     fam = make_family(fid, **params)
     built = _assemble(fam)
+    _assert_box_inside_both_domains(built)
     cap = catalog.SLOPE_CAP
     for profile, box, s in zip((built.surface.f, built.surface.g),
                                built.domain.sampling_box(), asymptotes):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ssmin
-from ssmin import catalog, cli
+from ssmin import _parser, catalog, cli
 from ssmin.catalog import (ConvergenceRecord, FamilyId, FamilyReport, OdeComparisonRecord,
                            build)
 from ssmin.cli import RunConfig, main
@@ -454,14 +454,14 @@ _COMMAND_ARGV = {
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch, command):
     argv = _COMMAND_ARGV[command]
-    whole = vars(cli._build_parser().parse_args(argv))
+    whole = vars(_parser._build_parser().parse_args(argv))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a parser was built for a well-formed command")
 
     # nor its own parser: the command's flag table parses a well-formed argv
-    monkeypatch.setattr(cli, "_build_parser", refuse)
-    monkeypatch.setattr(cli, "_Parser", refuse)
+    monkeypatch.setattr(_parser, "_build_parser", refuse)
+    monkeypatch.setattr(_parser, "_Parser", refuse)
     assert vars(cli._parse(argv)) == whole
 
 
@@ -513,6 +513,21 @@ def test_a_reader_that_closes_early_ends_the_output_not_the_command():
     assert proc.stderr.read() == b""
 
 
+@pytest.mark.parametrize("argv", [["mesh", "--bogus"], ["nonsense-command"], ["verify", "--help"]])
+def test_the_module_entry_parses_as_main_does(capsys, monkeypatch, argv):
+    # `python3 -m ssmin.cli` runs the module as __main__, beside the ssmin.cli
+    # whose tables the argparse parser reads: its help and errors are main's
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help exits from argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    proc = _ssmin_process(*argv, stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out.decode(), err.decode()) == (code, captured.out, captured.err)
+
+
 @pytest.mark.parametrize("argv,exit_code", [
     (["report", "--all", "--perturb", "0.01"], 2),
     # output this short fails only when stdout is flushed
@@ -527,6 +542,16 @@ def test_a_closed_stdout_keeps_the_commands_exit_code(argv, exit_code):
         os.close(write_end)
     assert proc.wait(timeout=120) == exit_code
     assert proc.stderr.read() == b""
+
+
+def test_output_dash_is_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["mesh", "--family", "F2_39", "--nu", "2", "--nv", "2"]
+    assert main(argv) == 0
+    mesh = capsys.readouterr().out
+    assert main(["mesh", "--output", "-", *argv[1:]]) == 0
+    assert capsys.readouterr().out == mesh and mesh.startswith("v ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_unwritable_output_file_is_an_io_error(tmp_path, capsys):
@@ -925,8 +950,11 @@ def test_mesh_evaluates_each_profile_once_per_grid_line(tmp_path, monkeypatch):
 
 
 # Modules that `dataclasses` loads and nothing else in `import ssmin.cli` needs:
-# importing them would double the start-up cost every CLI call pays.
-_UNLOADED = ("numpy", "dataclasses", "inspect", "ast", "dis", "tokenize")
+# importing them would double the start-up cost every CLI call pays.  argparse
+# (with gettext) builds only help and error messages, and json is read and
+# written only by --config and JSON output: each is imported where it runs.
+_UNLOADED = ("numpy", "dataclasses", "inspect", "ast", "dis", "tokenize",
+             "argparse", "gettext", "json")
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -953,15 +981,24 @@ def test_runtime_imports_only_the_standard_library():
 
 def test_a_well_formed_command_imports_nothing_after_the_cli():
     # argparse loads its help and error machinery as it builds a parser (the
-    # first message lookup imports locale); a well-formed argv builds none
-    script = ("import contextlib, io, json, sys, ssmin.cli\n"
-              "before = set(sys.modules)\n"
-              "for argv in json.loads(sys.argv[1]):\n"
+    # first message lookup imports locale); a well-formed argv builds none.
+    # The probe imports nothing before ssmin.cli, json included: a JSON
+    # command imports json as it writes, and nothing else does.
+    script = ("import contextlib, io, sys, ssmin.cli\n"
+              "for argv in sys.argv[1:]:\n"
+              "    before = set(sys.modules)\n"
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
-              "        assert ssmin.cli.main(argv) == 0, argv\n"
-              "print(*sorted(set(sys.modules) - before))")
+              "        assert ssmin.cli.main(argv.split()) == 0, argv\n"
+              "    print(*sorted(set(sys.modules) - before), sep=',')")
     env = {**os.environ, "PYTHONPATH": str(Path(ssmin.__file__).parent.parent)}
-    runs = json.dumps(list(_SMALL_RUNS.values()))
-    imported = subprocess.run([sys.executable, "-c", script, runs], env=env, check=True,
-                              capture_output=True, text=True).stdout
-    assert imported.split() == []
+    markdown = [*_SMALL_RUNS["verify"], "--format", "markdown"]
+    runs = [_SMALL_RUNS["mesh"], markdown, *_SMALL_RUNS.values()]
+    imported = subprocess.run([sys.executable, "-c", script, *map(" ".join, runs)], env=env,
+                              check=True, capture_output=True, text=True).stdout
+    imports = [line.split(",") if line else [] for line in imported.splitlines()]
+    assert len(imports) == len(runs)
+    assert imports[:2] == [[], []]  # mesh, then a markdown run
+    first_json = imports[2]  # residual
+    assert "json" in first_json
+    assert all(name == "_json" or name.split(".")[0] == "json" for name in first_json)
+    assert imports[3:] == [[]] * (len(runs) - 3)

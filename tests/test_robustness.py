@@ -15,7 +15,7 @@ import tempfile
 
 from hypothesis import example, given, settings, strategies as st
 
-from ssmin import catalog, cli
+from ssmin import _parser, catalog, cli
 from ssmin.catalog import Branch, FamilyId
 from ssmin.errors import VerifierError
 from ssmin.jets import Jet2
@@ -184,7 +184,7 @@ def _parsed(parse):
 
 
 def test_the_flag_table_parses_as_the_commands_parser_does(monkeypatch):
-    argparse_parser = cli._Parser
+    argparse_parser = _parser._Parser
     built = []
 
     class CountedParser(argparse_parser):
@@ -192,7 +192,7 @@ def test_the_flag_table_parses_as_the_commands_parser_does(monkeypatch):
             built.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_Parser", CountedParser)
+    monkeypatch.setattr(_parser, "_Parser", CountedParser)
     handled = []  # (argv, mutation, whether argparse accepts it, whether the table parsed it)
 
     @settings(max_examples=200, deadline=None)
