@@ -12,7 +12,7 @@ import sys
 import types
 import typing
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, repeat, takewhile
 
 from . import __version__
 from .catalog import (
@@ -108,6 +108,8 @@ class RunConfig(_RunFields):
         if fmt not in formats:
             raise UsageError(f"format of {self.command} must be one of {', '.join(formats)}; "
                              f"got {fmt!r}")
+        if self.output == "":
+            raise UsageError("output must name a file, or - for stdout; got ''")
         if self.command == "report" and not self.all:
             raise UsageError("report covers every family; pass --all")
         if self.samples < 1:
@@ -200,7 +202,7 @@ def _conforms(value, hint) -> bool:
 
 
 def _float_list(sep: str):
-    """argparse type for numbers joined by sep; RunConfig checks length and order."""
+    """Flag type for numbers joined by sep; RunConfig checks length and order."""
     def parse(text: str) -> list[float]:
         try:
             return [float(part) for part in text.split(sep)]
@@ -209,8 +211,8 @@ def _float_list(sep: str):
     return parse
 
 
-# The argparse keywords of each setting's flag.  "params" has none of its own: it
-# is one float flag per family parameter.
+# The keywords of each setting's flag, by argparse's names: the tests check `_parse`
+# against argparse.  "params" has none of its own: one float flag per family parameter.
 _FLAGS = {
     "family": {}, "branch": {"choices": _BRANCHES}, "case": {},
     "all": {"action": "store_true", "default": False},
@@ -242,60 +244,52 @@ def _flag_table(command: str) -> dict[str, dict]:
     return table
 
 
-def _parse_flags(command: str, words: list[str]) -> types.SimpleNamespace | None:
-    """words parsed as the command's argparse parser (`_parser._Parser`) parses
-    them, from its flag table alone; None for any argv but exact `--flag value`,
-    `--flag=value` and a bare store_true flag, each value of its flag's type and
-    choices.  So help, an unknown, abbreviated or dangling flag and a bad value
-    are left to argparse, whose messages they get."""
-    table = _flag_table(command)
-    values = {"command": command, **{keywords["dest"]: keywords.get("default")
-                                     for keywords in table.values()}}
-    words = iter(words)
-    for word in words:
-        flag, eq, text = word.partition("=")
-        keywords = table.get(flag)
-        if keywords is None:
-            return None
-        if keywords.get("action") == "store_true":
-            if eq:
-                return None
-            values[keywords["dest"]] = True
-            continue
-        if not eq:
-            text = next(words, None)
-            if text is None:
-                return None
-        if text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
-            return None
-        kind = keywords.get("type")
-        try:
-            value = text if kind is None else kind(text)
-        except (ValueError, UsageError):
-            return None
-        if "choices" in keywords and value not in keywords["choices"]:
-            return None
-        values[keywords["dest"]] = value
-    return types.SimpleNamespace(**values)
+# The options of `ssmin` itself.  A command takes "-h", "--help" and its flags.
+_HELP = {"action": "help", "help": "show this help and exit"}
+_TOP = {"-h": _HELP, "--help": _HELP,
+        "--version": {"action": "version", "version": f"ssmin {__version__}\n"}}
 
 
-def _config_from_args(args: types.SimpleNamespace) -> RunConfig:
-    given = vars(args)
+def _named(word: str, table: dict):
+    """How argparse reads word: (flag, keywords, text after "=" or None), a long
+    flag cut to a unique prefix or "-h" run on into its text, keywords None if
+    unknown; or None for a value: no "-" first, "-", "-1" or a word with a space."""
+    if word[:1] != "-" or word == "-":
+        return None
+    flag, eq, text = word.partition("=")
+    text = text if eq else None
+    if flag in table:
+        return flag, table[flag], text
+    if word[1] == "-":
+        matches = [name for name in table if name.startswith(flag)]
+    else:
+        matches, text = [word[:2]] if word[:2] in table else [], word[2:]
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {word} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], table[matches[0]], text
+    return None if _NEGATIVE_NUMBER.match(word) or " " in word else (word, None, None)
+
+
+def _config_from_args(given: dict) -> RunConfig:
     values = {key: value for key, value in given.items()
               if key in _CONFIG_FIELDS and value is not None}
     values["params"] = {name: given[f"param_{name}"] for name in _PARAM_FLAGS
                         if given.get(f"param_{name}") is not None}
-    if args.config is not None:
+    path, command = given["config"], given["command"]
+    if path is not None:
         import json  # only a config file or a JSON report needs it
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 override = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:
             # ValueError covers malformed JSON and bytes that are not UTF-8;
             # JSON nested past the interpreter's recursion limit raises RecursionError
-            raise UsageError(f"cannot read config {args.config!r}: {exc}") from None
+            raise UsageError(f"cannot read config {path!r}: {exc}") from None
         if not isinstance(override, dict):
-            raise UsageError(f"config {args.config!r} must hold a JSON object")
+            raise UsageError(f"config {path!r} must hold a JSON object")
+        if (other := override.get("command", command)) != command:
+            raise UsageError(f"config {path!r} is for command {other!r}, not {command}")
         values.update(override)
     return RunConfig.from_dict(values)
 
@@ -358,7 +352,7 @@ def _write(chunks, cfg: RunConfig) -> None:
     A reader that closes stdout early (`| head`) ends the output, not the
     command, which still exits with its own code.  The rest of stdout goes to
     devnull, so that the interpreter's final flush cannot fail again."""
-    if cfg.output and cfg.output != "-":
+    if cfg.output not in (None, "-"):
         with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         return
@@ -646,25 +640,87 @@ _COMMANDS = {
 }
 
 
-def _parse(argv: list[str]) -> types.SimpleNamespace:
-    """argv parsed from the invoked command's flag table, or where that cannot,
-    by the command's argparse parser alone, built as `_parser._build_parser`
-    builds it; the whole parser only where the first word is not a command."""
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = None if command is None else _parse_flags(command, argv[1:])
-    if args is not None:
-        return args
-    from . import _parser  # argparse, for help, version and error messages alone
+def _parse(argv: list[str], command: str | None = None, extras=()) -> dict | str:
+    """argv parsed as argparse parses it: each flag's dest with its value or
+    default, or the help or version text asked for.  With no command, the options
+    of `ssmin` are read up to the command, and the rest of argv and the unknown
+    options met go to the call for it.  "--" after "=" is kept, not dropped."""
+    table, values, extras = _TOP, {"command": command}, list(extras)
+    if command is not None:
+        table = {"-h": _HELP, "--help": _HELP, **_flag_table(command)}
+        values.update({keywords["dest"]: keywords.get("default")
+                       for keywords in table.values() if "dest" in keywords})
+    # every word is named before any is read, so an ambiguous flag is the first
+    # error; the first "--" is no flag, and every word after it a value
+    named = [_named(word, table) for word in takewhile("--".__ne__, argv)]
+    named += [("--", None, None)] + [None] * len(argv)
+    i = 0
+    while i < len(argv):
+        word, name = argv[i], named[i]
+        i += 1
+        if command is None and (name is None or word == "--" and i < len(argv)):
+            if word not in _COMMANDS:
+                raise UsageError(f"argument command: invalid choice: {word!r} "
+                                 f"(choose from {', '.join(map(repr, _COMMANDS))})")
+            return _parse(argv[i:], word, extras)
+        if name is None or name[1] is None:
+            extras.append(word)
+            continue
+        flag, keywords, text = name
+        if "action" in keywords:  # help, version or store_true: no value
+            if flag == "-h" and text:  # "-hh" is "-h -h"
+                text = text.lstrip("h") or None
+            if text is not None:
+                flag = "-h/--help" if keywords is _HELP else flag
+                raise UsageError(f"argument {flag}: ignored explicit argument {text!r}")
+            if keywords["action"] != "store_true":  # help or version
+                return _help(command) if keywords is _HELP else keywords["version"]
+            values[keywords["dest"]] = True
+            continue
+        if text is None:
+            if i == len(argv) or named[i] is not None:
+                raise UsageError(f"argument {flag}: expected one argument")
+            text, i = argv[i], i + 1
+        kind, choices = keywords.get("type", str), keywords.get("choices")
+        try:
+            value = kind(text)
+        except ValueError:
+            raise UsageError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
+        if choices is not None and value not in choices:
+            raise UsageError(f"argument {flag}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
+        values[keywords["dest"]] = value
     if command is None:
-        return _parser._build_parser().parse_args(argv, types.SimpleNamespace())
-    return _parser._Parser(prog=f"ssmin {command}", command=command).parse_args(
-        argv[1:], types.SimpleNamespace(command=command))
+        raise UsageError("the following arguments are required: command")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return values
+
+
+def _help(command: str | None) -> str:
+    """A usage line and the help of `ssmin` (command None) or of a command, then a
+    line per command or flag, with its value name or {choices} and help, unwrapped."""
+    if command is None:
+        text = f"usage: ssmin [-h] [--version] COMMAND [FLAG ...]\n\n{__doc__}\ncommands:\n"
+        rows = [(name, help) for name, (*_, help) in _COMMANDS.items()]
+    else:
+        text = f"usage: ssmin {command} [FLAG ...]\n\n{_COMMANDS[command][3]}\n\nflags:\n"
+        rows = [("-h, --help", _HELP["help"])]
+        for flag, keywords in _flag_table(command).items():
+            value = ("{%s}" % ",".join(keywords["choices"]) if "choices" in keywords
+                     else "" if "action" in keywords else flag[2:].upper().replace("-", "_"))
+            rows.append((f"{flag} {value}".rstrip(), keywords.get("help", "")))
+    width = max(len(left) for left, _ in rows) + 2
+    return text + "".join(f"  {left:{width}}{right}".rstrip() + "\n" for left, right in rows)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse(argv)
+        if isinstance(args, str):  # help or version
+            sys.stdout.write(args)
+            return 0
         cfg = _config_from_args(args)
         return _COMMANDS[cfg.command][0](cfg)
     except UsageError as exc:

@@ -1,15 +1,14 @@
-"""The argparse parser of the `ssmin` command.
+"""The argparse parser of the `ssmin` command, built from the CLI's own tables.
 
-`cli._parse` parses a well-formed argv from its command's flag table and
-imports this module only for any other argv (help, version, an unknown,
-abbreviated or dangling flag, a bad value), so that every help text and error
-message is argparse's and a well-formed command never loads argparse.
+It is the oracle of `cli._parse`, which parses every argv from the same flag
+tables without argparse: the tests compare the values and error messages of
+the two.
 """
 
 import argparse
 
-from . import __version__, cli
-from .errors import UsageError
+from ssmin import __version__, cli
+from ssmin.errors import UsageError
 
 
 class _Parser(argparse.ArgumentParser):

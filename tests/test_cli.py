@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import _parser
 import ssmin
-from ssmin import _parser, catalog, cli
+from ssmin import catalog, cli
 from ssmin.catalog import (ConvergenceRecord, FamilyId, FamilyReport, OdeComparisonRecord,
                            build)
 from ssmin.cli import RunConfig, main
@@ -405,17 +406,17 @@ def test_mesh_of_every_family_is_byte_identical(capsys, family):
 
 
 # sha256 of json [exit code, stdout, stderr] of the help, version and parse-error
-# paths, at COLUMNS=80; argparse formats help to the terminal width
+# paths; the help is rendered from the flag tables, unwrapped
 _PARSER_SHA256 = [
-    (["--help"], "3d9b83fd64abd9895bf5cb4fab786de4fe7cfdb73bb2e94a324dfa49e9cc877d"),
-    (["residual", "--help"], "7f85125508886b19d9011fd8f2a5492b230b5960bc1b5ff58720731833ae1271"),
-    (["verify", "--help"], "41c89917c2619990f75deab7bf3faac02fedccf596e93b6d19960724df8889c5"),
+    (["--help"], "3a7096e4efc041ad6b9643d9d54261de08d9221faf3fc08d5c05a8854ae29d5e"),
+    (["residual", "--help"], "ea0f0d733b6dc2c53673b2c595c2e25334a4ab9bdf7a716298413fcfdc5a44ef"),
+    (["verify", "--help"], "c59246cbe59f60de090aa6dc1009ca2ca818972f533fe124152a5132281ad7ea"),
     (["equivalence", "--help"],
-     "c14263bfe3e9fa16062c4511202915ebb6b4179afa32985f1cc3cf3d3b2be550"),
+     "9c71b2265554368726dc6b24ddc74eba759fc4e6fbfb4fc3e087ac7c1ddb6273"),
     (["ode-compare", "--help"],
-     "06852c9f229885ea72778ee4e7209ab74406924eabc4ea06e8a5854e1f4a72db"),
-    (["mesh", "--help"], "d1cb122092725c52ee1b51c0928f8cb6b502f82b5cabe6441afe7283398c747a"),
-    (["report", "--help"], "25a540b3055f3e67f7ec29be9a5ccb0aa9468f85def64d9663365a0df0bf10c1"),
+     "eb410d43d7107fa1a1bedf34b81515cc0f7b529a15058ace58b27eb6ecf15efe"),
+    (["mesh", "--help"], "35c4657265ccfc0c4a339bd1fd918638190c30ac6b9db1ec9e066018abe18a8a"),
+    (["report", "--help"], "e982b83c47341141649e827ea624a40392e7f70a60ca940e91ca629b8f9c3743"),
     (["--version"], "d29d0aa1564f36b92f1110a6917654e76aca36a62d239ab7b0f2212e787afc1a"),
     ([], "ce8cbcfac5960827fbef9b99bd7ef78bf876fb00dc0f51aa570643164e930435"),
     (["nonsense-command"], "5852a5ee0bda4be47b71fa4d7741f3e6bbe75f111022dbce93244600959ba6d0"),
@@ -427,12 +428,8 @@ _PARSER_SHA256 = [
 
 @pytest.mark.parametrize("argv,digest", _PARSER_SHA256,
                          ids=[" ".join(argv) or "no-arguments" for argv, _ in _PARSER_SHA256])
-def test_parser_output_is_byte_identical(capsys, monkeypatch, argv, digest):
-    monkeypatch.setenv("COLUMNS", "80")
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # --help and --version exit from argparse
-        code = exc.code
+def test_parser_output_is_byte_identical(capsys, argv, digest):
+    code = main(argv)
     captured = capsys.readouterr()
     blob = json.dumps([code, captured.out, captured.err])
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == digest
@@ -452,17 +449,39 @@ _COMMAND_ARGV = {
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
-def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch, command):
+def test_a_command_is_parsed_by_its_own_parser_alone(command):
+    # the command's flag table gives the values that argparse gives, built
+    # from the same table (the test oracle in tests/_parser.py)
     argv = _COMMAND_ARGV[command]
-    whole = vars(_parser._build_parser().parse_args(argv))
+    assert cli._parse(argv) == vars(_parser._build_parser().parse_args(argv))
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a parser was built for a well-formed command")
 
-    # nor its own parser: the command's flag table parses a well-formed argv
-    monkeypatch.setattr(_parser, "_build_parser", refuse)
-    monkeypatch.setattr(_parser, "_Parser", refuse)
-    assert vars(cli._parse(argv)) == whole
+@pytest.mark.parametrize("argv,message", [
+    (["residual", "--config=--"], "ssmin: error: cannot read config '--': "),
+    (["verify", "--seed=--"], "ssmin: error: argument --seed: invalid int value: '--'\n"),
+    # without "=", "--" ends the flags, so no value follows
+    (["verify", "--seed", "--"], "ssmin: error: argument --seed: expected one argument\n"),
+])
+def test_a_dash_dash_value_after_equals_is_taken_as_written(capsys, argv, message):
+    # argparse drops it, leaving an empty list where the flag's value belongs
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_help_does_not_depend_on_the_terminal(capsys, monkeypatch):
+    helps = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(["verify", "--help"]) == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1] and helps[0].err == ""
+    lines = helps[0].out.splitlines()
+    assert lines[:3] == ["usage: ssmin verify [FLAG ...]", "",
+                         "verify classified solution families"]
+    # one line per flag, in table order, each with its value name or choices
+    flags = [line.split()[0] for line in lines if line.startswith("  --")]
+    assert flags == list(cli._flag_table("verify"))
+    assert {"  --format {json,markdown}", "  --all", "  --a-hat A_HAT"} <= set(lines)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -514,14 +533,9 @@ def test_a_reader_that_closes_early_ends_the_output_not_the_command():
 
 
 @pytest.mark.parametrize("argv", [["mesh", "--bogus"], ["nonsense-command"], ["verify", "--help"]])
-def test_the_module_entry_parses_as_main_does(capsys, monkeypatch, argv):
-    # `python3 -m ssmin.cli` runs the module as __main__, beside the ssmin.cli
-    # whose tables the argparse parser reads: its help and errors are main's
-    monkeypatch.setenv("COLUMNS", "80")
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # --help exits from argparse
-        code = exc.code
+def test_the_module_entry_parses_as_main_does(capsys, argv):
+    # `python3 -m ssmin.cli` runs the module as __main__: its help and errors are main's
+    code = main(argv)
     captured = capsys.readouterr()
     proc = _ssmin_process(*argv, stdout=subprocess.PIPE)
     out, err = proc.communicate(timeout=120)
@@ -606,6 +620,37 @@ def test_config_unknown_key(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"no_such_field": 1}))
     assert main(["verify", "--family", "F2_23", "--config", str(cfg_path)]) == 1
+
+
+def test_a_config_names_no_other_command(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    for argv, config in ((["verify", "--family", "F2_23"], {"command": "ode-compare"}),
+                         (["residual", "--case", "E_M_I", "--fjet", "0,0,0", "--gjet", "0,0,0"],
+                          {"command": "report", "all": True})):
+        cfg_path.write_text(json.dumps(config))
+        assert main([*argv, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr() == ("", f"ssmin: error: config {str(cfg_path)!r} is for "
+                                           f"command {config['command']!r}, not {argv[0]}\n")
+    # the config that a run echoes names its own command, and runs it again
+    first = run(tmp_path, "verify", "--family", "F2_23", "--samples", "5")
+    cfg_path.write_text(json.dumps(json.loads(first[1])["config"]))
+    assert run(tmp_path, "verify", "--config", str(cfg_path)) == first
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["--output", ""], None), (["--output="], None), ([], {"output": ""})])
+def test_an_empty_output_is_refused(tmp_path, monkeypatch, capsys, flags, config):
+    # it would write to stdout, as if --output were not given
+    monkeypatch.chdir(tmp_path)
+    argv = ["mesh", "--family", "F2_39", "--nu", "2", "--nv", "2", *flags]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", "cfg.json"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "ssmin: error: output must name a file, or - for "
+                                       "stdout; got ''\n")
+    with pytest.raises(cli.UsageError):
+        RunConfig(command="mesh", output="")
 
 
 BAD_INVOCATIONS = [
@@ -950,9 +995,10 @@ def test_mesh_evaluates_each_profile_once_per_grid_line(tmp_path, monkeypatch):
 
 
 # Modules that `dataclasses` loads and nothing else in `import ssmin.cli` needs:
-# importing them would double the start-up cost every CLI call pays.  argparse
-# (with gettext) builds only help and error messages, and json is read and
-# written only by --config and JSON output: each is imported where it runs.
+# importing them would double the start-up cost every CLI call pays.  No module
+# imports argparse (with gettext): the flag tables parse every argv and render
+# its help.  json is read and written only by --config and JSON output, and is
+# imported where it runs.
 _UNLOADED = ("numpy", "dataclasses", "inspect", "ast", "dis", "tokenize",
              "argparse", "gettext", "json")
 
@@ -970,7 +1016,9 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for module in modules:
                 assert module.split(".")[0] in sys.stdlib_module_names, (path.name, module)
-                assert module.split(".")[0] != "dataclasses", (path.name, module)
+                # argparse is only the tests' oracle of the flag-table parser
+                assert module.split(".")[0] not in ("dataclasses", "argparse"), \
+                    (path.name, module)
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
     loaded = subprocess.run([sys.executable, "-c",
                              "import sys, ssmin, ssmin.cli; print(*sorted(sys.modules))"],
@@ -980,25 +1028,28 @@ def test_runtime_imports_only_the_standard_library():
 
 
 def test_a_well_formed_command_imports_nothing_after_the_cli():
-    # argparse loads its help and error machinery as it builds a parser (the
-    # first message lookup imports locale); a well-formed argv builds none.
-    # The probe imports nothing before ssmin.cli, json included: a JSON
-    # command imports json as it writes, and nothing else does.
+    # nor do help, version and a parse error: the flag tables parse every argv
+    # and render the help.  The probe imports nothing before ssmin.cli, json
+    # included: a JSON command imports json as it writes, and nothing else does.
     script = ("import contextlib, io, sys, ssmin.cli\n"
               "for argv in sys.argv[1:]:\n"
               "    before = set(sys.modules)\n"
-              "    with contextlib.redirect_stdout(io.StringIO()):\n"
-              "        assert ssmin.cli.main(argv.split()) == 0, argv\n"
-              "    print(*sorted(set(sys.modules) - before), sep=',')")
+              "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+              "            contextlib.redirect_stderr(io.StringIO()):\n"
+              "        code = ssmin.cli.main(argv.split())\n"
+              "    print(code, *sorted(set(sys.modules) - before), sep=',')")
     env = {**os.environ, "PYTHONPATH": str(Path(ssmin.__file__).parent.parent)}
     markdown = [*_SMALL_RUNS["verify"], "--format", "markdown"]
-    runs = [_SMALL_RUNS["mesh"], markdown, *_SMALL_RUNS.values()]
+    parsed_only = [["--help"], ["mesh", "--help"], ["--version"], ["mesh", "--bogus"]]
+    runs = [*parsed_only, _SMALL_RUNS["mesh"], markdown, *_SMALL_RUNS.values()]
     imported = subprocess.run([sys.executable, "-c", script, *map(" ".join, runs)], env=env,
                               check=True, capture_output=True, text=True).stdout
-    imports = [line.split(",") if line else [] for line in imported.splitlines()]
-    assert len(imports) == len(runs)
-    assert imports[:2] == [[], []]  # mesh, then a markdown run
-    first_json = imports[2]  # residual
+    lines = [line.split(",") for line in imported.splitlines()]
+    assert [int(line[0]) for line in lines] == [0, 0, 0, 1] + [0] * (len(runs) - 4)
+    imports = [line[1:] for line in lines]
+    quiet = len(parsed_only) + 2  # then mesh and a markdown run
+    assert imports[:quiet] == [[]] * quiet
+    first_json = imports[quiet]  # residual
     assert "json" in first_json
     assert all(name == "_json" or name.split(".")[0] == "json" for name in first_json)
-    assert imports[3:] == [[]] * (len(runs) - 3)
+    assert imports[quiet + 1:] == [[]] * (len(runs) - quiet - 1)

@@ -5,17 +5,18 @@ The argv and config fuzz is built from the CLI's own tables (`_COMMANDS`,
 or family parameter is fuzzed with no edit here.
 """
 
-import argparse
 import contextlib
 import io
 import json
 import math
 import os
 import tempfile
+import types
 
 from hypothesis import example, given, settings, strategies as st
 
-from ssmin import _parser, catalog, cli
+import _parser
+from ssmin import catalog, cli
 from ssmin.catalog import Branch, FamilyId
 from ssmin.errors import VerifierError
 from ssmin.jets import Jet2
@@ -121,10 +122,43 @@ def invocations(draw):
     return argv, config
 
 
+# Values that start with "-": numbers, which are values, and words that argparse
+# takes for a flag ("-h" is left out: it would print help)
+DASHED = ("-1", "-.5", "-1e-3", "-1,0,0", "-0.5:0.5", "-inf", "-x", "-", "--", "-1 2")
+MUTATIONS = ("abbreviate", "store_true value", "dangle", "dashed value", "dashed value after =")
+
+
+@st.composite
+def parser_inputs(draw):
+    """An invocation (argv, config) as drawn (mutation None) or with one mutation
+    of its argv: a flag cut short, a value on --all, a flag with no value, or a
+    flag whose value starts with "-"."""
+    argv, config = draw(invocations())
+    argv = list(argv)
+    mutation = draw(st.none() | st.sampled_from(MUTATIONS))
+    flags = list(cli._flag_table(argv[0]))
+    if mutation == "abbreviate":
+        at = [i for i, word in enumerate(argv) if word.startswith("--")]
+        if not at:
+            return argv, config, None
+        i = draw(st.sampled_from(at))
+        argv[i] = argv[i][:draw(st.integers(3, max(3, len(argv[i]) - 1)))]
+    elif mutation == "store_true value":
+        argv.append("--all=" + draw(st.sampled_from(["", "1", "x"])))
+    elif mutation == "dangle":
+        argv.append(draw(st.sampled_from(flags)))
+    elif mutation is not None:
+        flag, value = draw(st.sampled_from(flags)), draw(st.sampled_from(DASHED))
+        argv += [f"{flag}={value}"] if mutation.endswith("=") else [flag, value]
+    return argv, config, mutation
+
+
 @settings(max_examples=250, deadline=None)
-@given(invocations())
+@given(parser_inputs())
+# argparse drops a "--" after "=", which left the config path an empty list
+@example((["residual", "--config=--"], None, "dashed value after ="))
 def test_every_argv_and_config_exits_0_1_or_2(invocation):
-    argv, config = invocation
+    argv, config, _ = invocation
     out, err = io.StringIO(), io.StringIO()
     # relative --output and --config paths land in a directory of their own
     cwd = os.getcwd()
@@ -144,81 +178,56 @@ def test_every_argv_and_config_exits_0_1_or_2(invocation):
         assert "Traceback" not in err.getvalue()
 
 
-# Values that start with "-": numbers, which are values, and words that argparse
-# takes for a flag ("-h" is left out: it would print help)
-DASHED = ("-1", "-.5", "-1e-3", "-1,0,0", "-0.5:0.5", "-inf", "-x", "-", "--", "-1 2")
-MUTATIONS = ("abbreviate", "store_true value", "dangle", "dashed value", "dashed value after =")
+class _KeepsDashDash(_parser._Parser):
+    """argparse, but with the value "--" after "=" kept, as `cli._parse` keeps it;
+    argparse drops it and stores an empty list (only "=" can carry a "--" that
+    is a flag's value: a "--" word of its own ends the flags)."""
 
-
-@st.composite
-def parser_inputs(draw):
-    """An argv of `invocations`, as drawn (mutation None) or with one mutation:
-    a flag cut short, a value on --all, a flag with no value, or a flag whose
-    value starts with "-"."""
-    argv = list(draw(invocations())[0])
-    mutation = draw(st.none() | st.sampled_from(MUTATIONS))
-    flags = list(cli._flag_table(argv[0]))
-    if mutation == "abbreviate":
-        at = [i for i, word in enumerate(argv) if word.startswith("--")]
-        if not at:
-            return argv, None
-        i = draw(st.sampled_from(at))
-        argv[i] = argv[i][:draw(st.integers(3, max(3, len(argv[i]) - 1)))]
-    elif mutation == "store_true value":
-        argv.append("--all=" + draw(st.sampled_from(["", "1", "x"])))
-    elif mutation == "dangle":
-        argv.append(draw(st.sampled_from(flags)))
-    elif mutation is not None:
-        flag, value = draw(st.sampled_from(flags)), draw(st.sampled_from(DASHED))
-        argv += [f"{flag}={value}"] if mutation.endswith("=") else [flag, value]
-    return argv, mutation
+    def _get_values(self, action, arg_strings):
+        if arg_strings == ["--"] and action.option_strings:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
 
 def _parsed(parse):
     """The repr of each parsed value (so that nan is nan and -0.0 is not 0.0),
     or the UsageError text."""
     try:
-        return {name: repr(value) for name, value in vars(parse()).items()}
+        return {name: repr(value) for name, value in parse().items()}
     except cli.UsageError as exc:
         return str(exc)
 
 
 def test_the_flag_table_parses_as_the_commands_parser_does(monkeypatch):
-    argparse_parser = _parser._Parser
-    built = []
+    plain = _parser._Parser
 
-    class CountedParser(argparse_parser):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
+    def argparse_parse(argv, parser):
+        monkeypatch.setattr(_parser, "_Parser", parser)
+        return _parsed(lambda: vars(_parser._build_parser().parse_args(
+            argv, types.SimpleNamespace())))
 
-    monkeypatch.setattr(_parser, "_Parser", CountedParser)
-    handled = []  # (argv, mutation, whether argparse accepts it, whether the table parsed it)
+    handled = []  # (mutation, accepted, whether argv holds a "--" after "=")
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=250, deadline=None)
     @given(parser_inputs())
+    @example((["verify", "--seed=--"], None, "dashed value after ="))
+    @example((["verify", "--config=--", "--all"], None, "dashed value after ="))
     def check(inputs):
-        argv, mutation = inputs
-        command = argv[0]
-        expected = _parsed(lambda: argparse_parser(prog=f"ssmin {command}", command=command)
-                           .parse_args(argv[1:], argparse.Namespace(command=command)))
-        before = len(built)
+        argv, _, mutation = inputs
+        literal = any(word.endswith("=--") for word in argv)
+        expected = argparse_parse(argv, _KeepsDashDash if literal else plain)
         assert _parsed(lambda: cli._parse(argv)) == expected, argv
-        handled.append((argv, mutation, isinstance(expected, dict), len(built) == before))
+        handled.append((mutation, isinstance(expected, dict), literal))
 
     check()
-    # the table parses every well-formed draw (unmutated, and argparse accepts
-    # it), and at least a quarter of the draws are well-formed
-    well_formed = [by_table for _, mutation, accepted, by_table in handled
-                   if accepted and mutation is None]
-    assert all(well_formed) and len(well_formed) >= len(handled) // 4
-    for argv, mutation, accepted, by_table in handled:
-        # every argv argparse refuses goes to argparse, and the table declines
-        # an argv that argparse accepts only for a unique abbreviation, a value
-        # after "=" that starts with "-" and is no number, or a lone "-"
-        assert accepted or not by_table
-        assert by_table or not accepted or mutation in ("abbreviate", "dashed value after =") \
-            or argv[-1] == "-", argv
+    # at least 200 argvs, a quarter of them well-formed (unmutated, and argparse
+    # accepts them), and "--" after "=" among them
+    assert len(handled) >= 200
+    assert sum(accepted and mutation is None for mutation, accepted, _ in handled) \
+        >= len(handled) // 4
+    assert any(literal for _, _, literal in handled)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
