@@ -9,12 +9,7 @@ from .ambient import (
     ConnectionKind,
     Signature,
     Vec3,
-    X1,
-    X2,
-    X3,
-    covariant_derivative,
     metric_inner,
-    torsion,
 )
 from .jets import (
     Interval,
@@ -33,7 +28,6 @@ from .surface import (
     TranslationType,
     immersion,
 )
-from .curvature import CurvatureReport, SigmaMatrix
 from .pde import CaseId, equivalence_sweep, residual
 from .ode import OdeCase, OdeId, Trajectory, compare_profile, integrate
 from .catalog import (

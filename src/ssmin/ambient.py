@@ -10,6 +10,10 @@ flat directional derivative D_X W:
 
 The Levi-Civita connection of either metric has all frame derivatives zero, so
 it adds nothing.
+
+The connections run in closed form inside `curvature._curvature_kernel`; as
+vector functions on the frame X1, X2, X3 they are test oracles, in
+`tests/oracles.py`.
 """
 
 from enum import Enum
@@ -54,10 +58,6 @@ class Vec3(NamedTuple):
 
 
 ZERO = Vec3(0.0, 0.0, 0.0)
-X1 = Vec3(1.0, 0.0, 0.0)
-X2 = Vec3(0.0, 1.0, 0.0)
-X3 = Vec3(0.0, 0.0, 1.0)
-BASIS = (X1, X2, X3)
 
 
 class AmbientSpace(NamedTuple):
@@ -74,29 +74,3 @@ def metric_inner(sig: Signature, a: Vec3, b: Vec3) -> float:
         return planar + a.c3 * b.c3
     return planar - a.c3 * b.c3
 
-
-def covariant_derivative(space: AmbientSpace, x: Vec3, w: Vec3, dw_along_x: Vec3) -> Vec3:
-    """Covariant derivative of W along X given the flat derivative D_X W.
-
-    The correction depends only on the pointwise values of X and W, so the
-    same formula serves constant frame fields and surface tangent fields.
-    """
-    kind = space.connection
-    if kind is ConnectionKind.LEVI_CIVITA:
-        return dw_along_x
-    out = dw_along_x + x * metric_inner(space.signature, w, X3)
-    if kind is ConnectionKind.SEMI_SYMMETRIC_METRIC:
-        out = out - X3 * metric_inner(space.signature, x, w)
-    return out
-
-
-def torsion(space: AmbientSpace, x: Vec3, y: Vec3) -> Vec3:
-    """Torsion T(X, Y) for constant-coefficient fields.
-
-    Both semi-symmetric kinds share <Y, X3> X - <X, X3> Y; the Levi-Civita
-    connection is torsion free.
-    """
-    if space.connection is ConnectionKind.LEVI_CIVITA:
-        return ZERO
-    sig = space.signature
-    return x * metric_inner(sig, y, X3) - y * metric_inner(sig, x, X3)

@@ -181,11 +181,10 @@ def _coth_box(domain: Interval, s: float, scale: float) -> Interval:
 
 def _quad(integrand: Callable[[float], float], integrand_d1: Callable[[float], float],
           domain: Interval, base: float = 0.0) -> Profile:
-    """Catalog quadrature profile, anchored at 0 or else at a point inside its domain."""
+    """Catalog quadrature profile, anchored at 0 or else one unit inside its domain's
+    finite end.  Every domain here is the real line or a half-line."""
     if domain.contains(0.0):
         anchor = 0.0
-    elif math.isfinite(domain.lo) and math.isfinite(domain.hi):
-        anchor = domain.midpoint
     elif math.isfinite(domain.lo):
         anchor = domain.lo + 1.0
     else:
@@ -320,9 +319,8 @@ def _f2_39(c0_hat=1.0, a_hat=2.0, b_hat=0.0, *, sign: float) -> _Parts:
     _require(a_hat > 0.0, "F2_39 requires a_hat > 0")
     kk = 1.0 / (c0_hat * c0_hat + 1.0)
     v_star = 0.25 * math.log(kk / a_hat)
-    prof_lo = 0.25 * math.log((kk + 1e-9) / a_hat)
     g = _quad(*_radicand_integrands("F2_39", sign, a_hat, 4.0, -kk),
-              Interval(prof_lo, math.inf), b_hat)
+              Interval(v_star + SINGULARITY_GUARD, math.inf), b_hat)
     return (affine_profile(c0_hat, 0.0), g, ((OdeCase(OdeId.O2_36, c0_hat), "g"),),
             AdmissibleDomain(REAL_LINE, Interval(v_star + EDGE_MARGIN, math.inf)), None)
 
@@ -412,9 +410,8 @@ def _f3_30(c0_hat=1.0, a_hat=-0.3, b_hat=0.0, *, sign: float) -> _Parts:
         return (f, _quad(*integrands, REAL_LINE, b_hat), checks, AdmissibleDomain(REAL_LINE, box),
                 "no spacelike points: g'^2 < 1 + c0_hat^2 everywhere for a_hat > 0")
     v_star = 0.25 * math.log(-a_hat / kk)
-    prof_lo = -0.25 * math.log((kk - 1e-9) / -a_hat)
     v_hi = 0.25 * math.log(-a_hat / (SPACELIKE_FLOOR * kk * kk))
-    g = _quad(*integrands, Interval(prof_lo, math.inf), b_hat)
+    g = _quad(*integrands, Interval(v_star + SINGULARITY_GUARD, math.inf), b_hat)
     return f, g, checks, AdmissibleDomain(REAL_LINE, Interval(v_star + EDGE_MARGIN, v_hi)), None
 
 

@@ -10,23 +10,22 @@ curvature is
 
     H = [G*s11 - F*s12 - F*s21 + E*s22] / (2 (EG - F^2))
 
-applied verbatim in both signatures; the numerator is reported alongside H so
-minimality checks never divide by a small EG - F^2.
+applied verbatim in both signatures; the kernel reports the numerator, not H,
+so minimality checks never divide by a small EG - F^2.
 
 `_curvature_kernel` evaluates this from the four jet derivatives with plain
 floats.  It performs the floating-point operations of `frame_from_jets`,
 `covariant_derivative` and `metric_inner` in the same order, leaving out only
 products with an exact 0.0 and factors of 1.0, so its values equal theirs
-(up to the sign of a zero); the test suite checks that equality exactly.
+(up to the sign of a zero); the test suite checks that equality exactly, with
+`covariant_derivative` and the record form `mean_curvature_from_jets` kept in
+`tests/oracles.py`.
 """
 
 import math
-from typing import NamedTuple
 
-from .ambient import AmbientSpace, ConnectionKind, Signature
-from .jets import Jet2
+from .ambient import ConnectionKind, Signature
 from .surface import (
-    FirstFundamental,
     TranslationType,
     _require_regular,
     frame_from_jets,  # noqa: F401  perfbench's tracer test patches it in this namespace
@@ -37,21 +36,6 @@ from .surface import (
 _EUCLIDEAN, _LEVI_CIVITA = Signature.EUCLIDEAN, ConnectionKind.LEVI_CIVITA
 _METRIC = ConnectionKind.SEMI_SYMMETRIC_METRIC
 _I, _II = TranslationType.I, TranslationType.II
-
-
-class SigmaMatrix(NamedTuple):
-    s11: float
-    s12: float
-    s21: float
-    s22: float
-
-
-class CurvatureReport(NamedTuple):
-    sigma: SigmaMatrix
-    H: float
-    numerator: float
-    first: FirstFundamental
-    normalizer: float
 
 
 def _curvature_kernel(ttype: TranslationType, sig: Signature, kind: ConnectionKind,
@@ -103,13 +87,4 @@ def _curvature_kernel(ttype: TranslationType, sig: Signature, kind: ConnectionKi
         s22 = (g2 + g1 * tor) * nf + e * ((tor - m22) * n3)
     numerator = G * s11 - F * s12 - F * s21 + E * s22
     return E, F, G, det, normalizer, s11, s12, s21, s22, numerator
-
-
-def mean_curvature_from_jets(ttype: TranslationType, space: AmbientSpace,
-                             kind: ConnectionKind, fj: Jet2, gj: Jet2) -> CurvatureReport:
-    E, F, G, det, normalizer, s11, s12, s21, s22, numerator = _curvature_kernel(
-        ttype, space.signature, kind, fj.d1, fj.d2, gj.d1, gj.d2
-    )
-    return CurvatureReport(SigmaMatrix(s11, s12, s21, s22), numerator / (2.0 * det),
-                           numerator, FirstFundamental(E, F, G), normalizer)
 

@@ -36,7 +36,8 @@ def _row_of(table: dict, ids: type[Enum], member: Enum):
 
 
 class IllConditionedFit(VerifierError):
-    """Least-squares fit is rank deficient or otherwise meaningless."""
+    """Too few usable samples: the equivalence sweep's sampler starved, or (in
+    `tests/oracles.py`) a least-squares fit met rank-deficient or constant data."""
 
 
 class BlowUp(VerifierError):

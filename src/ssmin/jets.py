@@ -78,14 +78,6 @@ class Interval(_IntervalFields):
             return Interval(min(-cap, hi - 2.0 * cap), hi)
         return self
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
 
 REAL_LINE = Interval(-math.inf, math.inf)
 

@@ -71,18 +71,6 @@ class Trajectory(NamedTuple):
     nodes: tuple[tuple[float, float], ...]
     step: float
 
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.nodes)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(y for _, y in self.nodes)
-
-    @property
-    def end_value(self) -> float:
-        return self.nodes[-1][1]
-
 
 def _check_span_step(t_span: tuple[float, float], step: float) -> int:
     """The number of full steps in the span; InvalidStep unless the run takes

@@ -120,14 +120,6 @@ def frame_from_jets(ttype: TranslationType, space: AmbientSpace,
     return FramePoint(ttype, Fu, Fv, duu, ZERO, ZERO, dvv, n, normalizer)
 
 
-def first_fundamental_from_jets(ttype: TranslationType, space: AmbientSpace,
-                                fj: Jet2, gj: Jet2) -> FirstFundamental:
-    Fu, Fv = _tangents(ttype, fj.d1, gj.d1)
-    first = _fundamental(space.signature, Fu, Fv)
-    _require_regular(space.signature, first.det, fj.d1, gj.d1)
-    return first
-
-
 def immersion(ttype: TranslationType, u, v, h):
     """Ambient coordinates in the slot order of the type, h = f(u) + g(v) being the
     height.  u, v and h may be numbers or whole columns alike, such as text."""

@@ -1,16 +1,21 @@
-"""Test-side oracles: the NaN-sticky running worst, scalar splitmix64,
-forward-mode jet arithmetic, least-squares separation and substitution fits,
-an RK4-backed profile, the pointwise reduced-ODE check of a family, the
-slope-bounded box of the finite-difference oracle, the per-sample equivalence
-sweep, and the family check and RK4 comparison by way
-of `Profile.at`.
+"""Test-side oracles: the connections as vector functions, the record form of
+the mean curvature and the first fundamental form, the NaN-sticky running
+worst, scalar splitmix64, forward-mode jet arithmetic, least-squares
+separation and substitution fits, an RK4-backed profile, the pointwise
+reduced-ODE check of a family, the slope-bounded box of the finite-difference
+oracle, the per-sample equivalence sweep, and the family check and RK4
+comparison by way of `Profile.at`.
 
 No command runs these; the tests use them as checks that do not share the
-code path they verify.  The jet arithmetic is the reference the closed-form
-profile kernels of `ssmin.jets` must equal, the scalar splitmix64 (one draw
-per integer pass) is the reference the block stream of `ssmin.sampling` must
-equal, and the per-sample sweep (scalar draws, one `Jet2` pair and one
-`residual` call per sample) is the reference the flat
+code path they verify.  `covariant_derivative` and `torsion` on the frame
+X1, X2, X3 are the printed connection tables, and with `frame_from_jets` they
+are the chain the scalar `ssmin.curvature._curvature_kernel` must equal;
+`mean_curvature_from_jets` wraps that kernel's values in the `SigmaMatrix`,
+`CurvatureReport` and `FirstFundamental` records.  The jet arithmetic is the
+reference the closed-form profile kernels of `ssmin.jets` must equal, the
+scalar splitmix64 (one draw per integer pass) is the reference the block
+stream of `ssmin.sampling` must equal, and the per-sample sweep (scalar draws,
+one `Jet2` pair and one `residual` call per sample) is the reference the flat
 `ssmin.pde.equivalence_sweep` must equal.  The family check and the RK4
 comparison that call `Profile.at` per sample and `residual` per sample are the
 references the flat `ssmin.catalog.verify_auto` and `ssmin.ode.compare_profile`
@@ -22,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ssmin.ambient import Signature
+from ssmin.ambient import (AmbientSpace, ConnectionKind, Signature, Vec3, ZERO,
+                           metric_inner)
 from ssmin.catalog import (
     SAMPLING_CAP,
     FamilyReport,
@@ -62,10 +68,75 @@ from ssmin.pde import (
     residual,
 )
 from ssmin.sampling import SplitMix64
-from ssmin.surface import TranslationType
+from ssmin.surface import (FirstFundamental, TranslationType, _fundamental,
+                           _require_regular, _tangents)
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+X1 = Vec3(1.0, 0.0, 0.0)
+X2 = Vec3(0.0, 1.0, 0.0)
+X3 = Vec3(0.0, 0.0, 1.0)
+BASIS = (X1, X2, X3)
+
+
+def covariant_derivative(space: AmbientSpace, x: Vec3, w: Vec3, dw_along_x: Vec3) -> Vec3:
+    """Covariant derivative of W along X given the flat derivative D_X W.
+
+    The correction depends only on the pointwise values of X and W, so the
+    same formula serves constant frame fields and surface tangent fields.
+    """
+    kind = space.connection
+    if kind is ConnectionKind.LEVI_CIVITA:
+        return dw_along_x
+    out = dw_along_x + x * metric_inner(space.signature, w, X3)
+    if kind is ConnectionKind.SEMI_SYMMETRIC_METRIC:
+        out = out - X3 * metric_inner(space.signature, x, w)
+    return out
+
+
+def torsion(space: AmbientSpace, x: Vec3, y: Vec3) -> Vec3:
+    """Torsion T(X, Y) for constant-coefficient fields.
+
+    Both semi-symmetric kinds share <Y, X3> X - <X, X3> Y; the Levi-Civita
+    connection is torsion free.
+    """
+    if space.connection is ConnectionKind.LEVI_CIVITA:
+        return ZERO
+    sig = space.signature
+    return x * metric_inner(sig, y, X3) - y * metric_inner(sig, x, X3)
+
+
+class SigmaMatrix(NamedTuple):
+    s11: float
+    s12: float
+    s21: float
+    s22: float
+
+
+class CurvatureReport(NamedTuple):
+    sigma: SigmaMatrix
+    H: float
+    numerator: float
+    first: FirstFundamental
+    normalizer: float
+
+
+def mean_curvature_from_jets(ttype: TranslationType, space: AmbientSpace,
+                             kind: ConnectionKind, fj: Jet2, gj: Jet2) -> CurvatureReport:
+    E, F, G, det, normalizer, s11, s12, s21, s22, numerator = _curvature_kernel(
+        ttype, space.signature, kind, fj.d1, fj.d2, gj.d1, gj.d2
+    )
+    return CurvatureReport(SigmaMatrix(s11, s12, s21, s22), numerator / (2.0 * det),
+                           numerator, FirstFundamental(E, F, G), normalizer)
+
+
+def first_fundamental_from_jets(ttype: TranslationType, space: AmbientSpace,
+                                fj: Jet2, gj: Jet2) -> FirstFundamental:
+    Fu, Fv = _tangents(ttype, fj.d1, gj.d1)
+    first = _fundamental(space.signature, Fu, Fv)
+    _require_regular(space.signature, first.det, fj.d1, gj.d1)
+    return first
 
 
 def _worse(worst: float, sample: float) -> float:
@@ -283,8 +354,7 @@ def substitution_check(case: OdeCase, h0: float, v_span: tuple[float, float],
     intercept = 4.0 / (case.c ** 2 + 1.0)
 
     traj = integrate(case, h0, v_span, step)
-    ts = np.asarray(traj.times)
-    hs = np.asarray(traj.values)
+    ts, hs = np.asarray(traj.nodes).T
     # the stencil needs a uniform grid: drop the shorter tail step, if any
     if len(ts) >= 2 and abs((ts[-1] - ts[-2]) - step) > 1e-12:
         hs = hs[:-1]
@@ -342,8 +412,9 @@ def moderate_box(profile: Profile, max_slope: float = 2.0, step: float = 0.05) -
             return math.inf
 
     clipped = profile.domain.clipped(SAMPLING_CAP)
-    candidates = [c for c in [0.0, clipped.midpoint] + [
-        clipped.lo + k * clipped.width / 40.0 for k in range(1, 40)
+    width = clipped.hi - clipped.lo
+    candidates = [c for c in [0.0, 0.5 * (clipped.lo + clipped.hi)] + [
+        clipped.lo + k * width / 40.0 for k in range(1, 40)
     ] if profile.domain.contains(c)]
     start = next((c for c in candidates if slope(c) <= max_slope), None)
     if start is None:
@@ -357,7 +428,7 @@ def moderate_box(profile: Profile, max_slope: float = 2.0, step: float = 0.05) -
     while start - lo < 2.0 and slope(lo - step) <= max_slope:
         lo -= step
     if hi - lo < step:
-        fine = clipped.width / 40.0
+        fine = width / 40.0
         if fine < step:  # the slope bound binds within one step: search on the candidate grid
             return moderate_box(profile, max_slope, fine)
         lo = max(start - 0.5 * step, profile.domain.lo)

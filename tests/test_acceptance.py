@@ -11,12 +11,10 @@ import time
 
 from ssmin.ambient import (
     AmbientSpace,
-    BASIS,
     ConnectionKind,
     Signature,
     Vec3,
     ZERO,
-    covariant_derivative,
     metric_inner,
 )
 from ssmin.catalog import (
@@ -27,7 +25,6 @@ from ssmin.catalog import (
     verify_auto,
 )
 from ssmin.cli import main
-from ssmin.curvature import mean_curvature_from_jets
 from ssmin.errors import EmptyDomain
 from ssmin.jets import Jet2, affine_profile
 from ssmin.ode import OdeCase, OdeId, integrate
@@ -35,7 +32,8 @@ from ssmin.pde import CaseId, equivalence_sweep, residual
 from ssmin.sampling import SplitMix64, child_seed
 from ssmin.surface import TranslationSurface, TranslationType, frame_from_jets
 
-from oracles import moderate_box, ode_pointwise_max
+from oracles import (BASIS, covariant_derivative, mean_curvature_from_jets, moderate_box,
+                     ode_pointwise_max)
 
 E = Signature.EUCLIDEAN
 L = Signature.LORENTZIAN
@@ -192,13 +190,13 @@ def test_criterion_6_ode_certification():
     every catalog profile satisfies its reduced ODE pointwise to 1e-9."""
     tan_case = OdeCase(OdeId.O2_21, 0.0)
     tanh_case = OdeCase(OdeId.O3_37F, 1.0)
-    err_tan = abs(integrate(tan_case, 0.0, (0.0, 0.6), 1e-4).end_value - math.tan(1.2))
-    err_tanh = abs(integrate(tanh_case, 0.0, (0.0, 1.0), 1e-4).end_value - math.tanh(1.0))
+    err_tan = abs(integrate(tan_case, 0.0, (0.0, 0.6), 1e-4).nodes[-1][1] - math.tan(1.2))
+    err_tanh = abs(integrate(tanh_case, 0.0, (0.0, 1.0), 1e-4).nodes[-1][1] - math.tanh(1.0))
     orders = []
     for case, span, exact in ((tan_case, (0.0, 0.6), math.tan(1.2)),
                               (tanh_case, (0.0, 1.0), math.tanh(1.0))):
-        coarse = abs(integrate(case, 0.0, span, 0.02).end_value - exact)
-        fine = abs(integrate(case, 0.0, span, 0.01).end_value - exact)
+        coarse = abs(integrate(case, 0.0, span, 0.02).nodes[-1][1] - exact)
+        fine = abs(integrate(case, 0.0, span, 0.01).nodes[-1][1] - exact)
         orders.append(math.log2(coarse / fine))
     worst_pointwise = 0.0
     for index, fam in enumerate(all_default_settings()):

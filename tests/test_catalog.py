@@ -172,13 +172,43 @@ def test_coth_boxes_bound_slope_and_curvature(fid, params, asymptotes):
         if s is None:
             continue
         for k in range(9):
-            jet = profile.at(box.lo + box.width * k / 8.0, value=False)
+            jet = profile.at(box.lo + (box.hi - box.lo) * k / 8.0, value=False)
             assert s < abs(jet.d1) <= (s + cap) * (1.0 + 1e-12), (profile.label, k)
             assert abs(jet.d2) <= cap * cap * (1.0 + 1e-9), (profile.label, k)
     # with two coth slopes at rate 316, the slope bound alone left residuals at
     # 0.9 of the tolerance
     report = verify_auto(fam, 200, 1)
     assert report.max_abs_residual <= 0.05 * report.tolerance
+
+
+def test_every_sampling_box_lies_inside_both_profile_domains():
+    # the two default settings of every family, the settings at which F2_39's
+    # and F3_30's radicand domains once started inside their boxes (`ssmin mesh
+    # --family F2_39 --c0-hat 2100` and `--family F3_30 --c0-hat 3000 --a-hat
+    # -0.3` sampled outside them), and seeded draws with each parameter
+    # +-10^U(-6, 6), on either branch
+    settings = [*all_default_settings(), make_family(FamilyId.F2_39, c0_hat=2100.0),
+                make_family(FamilyId.F3_30, c0_hat=3000.0, a_hat=-0.3)]
+    rng, families = SplitMix64(1), list(FamilyId)
+    for _ in range(2000):
+        fid = families[int(rng.unit() * len(families))]
+        params = {name: (1.0 if rng.unit() < 0.5 else -1.0) * 10.0 ** rng.uniform(-6.0, 6.0)
+                  for name in catalog._DEFAULTS[fid.value]}
+        minus = fid in catalog.BRANCHED_FAMILIES and rng.unit() < 0.5
+        settings.append(make_family(fid, Branch.MINUS if minus else Branch.PLUS, **params))
+    checked = 0
+    for fam in settings:
+        try:
+            built = _assemble(fam)
+        except ParameterConstraintViolation:
+            continue
+        checked += 1
+        for profile, box in zip((built.surface.f, built.surface.g),
+                                built.domain.sampling_box()):
+            # box.lo + (box.hi - box.lo) bounds the largest draw of verify_auto
+            assert profile.domain.lo <= box.lo, fam
+            assert box.lo + (box.hi - box.lo) <= profile.domain.hi, fam
+    assert checked > 1000
 
 
 @pytest.mark.parametrize("c", [2000.0, 4000.0])
@@ -318,7 +348,7 @@ def test_steep_cos_branch_box_stays_in_the_domain():
     f, box = built.surface.f, built.domain.sampling_box()[0]
     assert f.domain.lo < box.lo < 0.0 < box.hi < f.domain.hi
     assert box.hi == pytest.approx(math.pi / 800.0 - catalog.EDGE_MARGIN, rel=1e-12)
-    assert box.width > 0.004
+    assert box.hi - box.lo > 0.004
     assert all(abs(f.at(u).d1) <= catalog.SLOPE_CAP for u in (box.lo, box.hi))
     # g = ln(e^(400v) + e^(-400v))/400 is sampled where |400v| <= 3, far from
     # |400v| > ~355, where the kernel's r*r = (1/(e^(400v) + ...))^2 underflows
@@ -587,7 +617,7 @@ def _patched(profile, fault, box):
     (v, d1, d2) tuple through `fault`, or where fault is None, `profile` on
     only the lower half of the box it is sampled on."""
     if fault is None:
-        return profile._replace(domain=Interval(box.lo, box.midpoint))
+        return profile._replace(domain=Interval(box.lo, 0.5 * (box.lo + box.hi)))
     attr = "slopes" if profile.quadrature else "fn"
     return profile._replace(**{attr: _nan_at(getattr(profile, attr), 5, fault)})
 

@@ -15,18 +15,18 @@ from ssmin.ambient import (
     ConnectionKind,
     Signature,
     Vec3,
-    covariant_derivative,
     metric_inner,
 )
 from ssmin import catalog, jets
 from ssmin.catalog import FamilyId, build, make_family
-from ssmin.curvature import _curvature_kernel, mean_curvature_from_jets
+from ssmin.curvature import _curvature_kernel
 from ssmin.errors import DomainError
 from ssmin.jets import Jet2, affine_profile
 from ssmin.sampling import SplitMix64
 from ssmin.surface import TranslationSurface, TranslationType, frame_from_jets
 
-from oracles import Jet, log_abs_cos_jet, log_abs_exp_jet
+from oracles import (Jet, covariant_derivative, log_abs_cos_jet, log_abs_exp_jet,
+                     mean_curvature_from_jets)
 
 E = Signature.EUCLIDEAN
 L = Signature.LORENTZIAN

@@ -317,7 +317,7 @@ def _catalog_quadratures():
 def _cache_points(anchor, box):
     """Box points on both sides of the anchor, the anchor and nodes, in the box."""
     nodes = [anchor + k * _NODE_WIDTH for k in range(-200, 201)]
-    spread = [box.lo + box.width * i / 16.0 for i in range(17)]
+    spread = [box.lo + (box.hi - box.lo) * i / 16.0 for i in range(17)]
     on_nodes = [x for x in nodes if box.lo <= x <= box.hi][::7]
     return sorted({x for x in spread + on_nodes + [anchor] if box.lo <= x <= box.hi})
 

@@ -15,7 +15,8 @@ from ssmin.catalog import (
 from ssmin.errors import (BlowUp, DomainMismatch, IllConditionedFit, InvalidStep,
                           ParameterConstraintViolation, UnknownCase)
 from ssmin.jets import Interval, affine_profile
-from ssmin.ode import MAX_RK4_STEPS, OdeCase, OdeId, Trajectory, compare_profile, integrate
+from ssmin.ode import (MAX_RK4_STEPS, OdeCase, OdeId, Trajectory, compare_profile, integrate,
+                       integrate_scalar)
 
 from oracles import ode_pointwise_max, substitution_check
 
@@ -25,19 +26,19 @@ TANH_CASE = OdeCase(OdeId.O3_37F, 1.0)
 
 def test_integrate_tan_example():
     traj = integrate(TAN_CASE, 0.0, (0.0, 0.6), 1e-4)
-    assert abs(traj.end_value - math.tan(1.2)) <= 1e-8
-    times = traj.times
+    assert abs(traj.nodes[-1][1] - math.tan(1.2)) <= 1e-8
+    times = [t for t, _ in traj.nodes]
     assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
 
 
 def test_integrate_tanh_example():
     traj = integrate(TANH_CASE, 0.0, (0.0, 1.0), 1e-4)
-    assert abs(traj.end_value - math.tanh(1.0)) <= 1e-8
+    assert abs(traj.nodes[-1][1] - math.tanh(1.0)) <= 1e-8
 
 
 def test_equilibrium_is_constant():
     traj = integrate(TANH_CASE, 1.0, (0.0, 2.0), 1e-3)
-    assert all(y == 1.0 for y in traj.values)
+    assert all(y == 1.0 for _, y in traj.nodes)
 
 
 def test_blowup_past_the_pole():
@@ -57,6 +58,16 @@ def test_blowup_where_a_cube_overflows(kind, y0, t_span, t):
     with pytest.raises(BlowUp) as err:
         integrate(OdeCase(kind, 1.0), y0, t_span, 0.01)
     assert err.value.t == t
+
+
+@pytest.mark.parametrize("phi", [lambda y: y * y * y * y, lambda y: y ** 4],
+                         ids=["product-to-inf", "power-overflow-error"])
+def test_blowup_in_the_tail_step(phi):
+    # the full step to t = 1 leaves y near 1e8; in the tail step to 1.25 the
+    # product overflows to inf and the power raises OverflowError
+    with pytest.raises(BlowUp) as err:
+        integrate_scalar(phi, 1.0, (0.0, 1.25), 1.0)
+    assert err.value.t == 1.25
 
 
 @pytest.mark.parametrize("kind", [OdeId.O2_21, OdeId.O2_36, OdeId.O3_28])

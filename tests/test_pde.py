@@ -8,14 +8,14 @@ import pytest
 from ssmin import pde
 from ssmin.ambient import AmbientSpace, ConnectionKind, Signature
 from ssmin.catalog import FamilyId, build, make_family
-from ssmin.curvature import mean_curvature_from_jets
 from ssmin.errors import IllConditionedFit, UnknownCase
 from ssmin.jets import Jet2, affine_profile
 from ssmin.pde import CaseId, _CASES, equivalence_sweep, residual
 from ssmin.sampling import SplitMix64
 from ssmin.surface import TranslationType, frame_from_jets
 
-from oracles import integrate_profile_scalar, reference_equivalence_sweep, separation_check
+from oracles import (integrate_profile_scalar, mean_curvature_from_jets,
+                     reference_equivalence_sweep, separation_check)
 
 ZERO_JET = Jet2(0.0, 0.0, 0.0)
 

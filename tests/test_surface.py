@@ -5,17 +5,17 @@ import math
 import pytest
 
 from ssmin.ambient import AmbientSpace, ConnectionKind, Signature, Vec3, metric_inner
-from ssmin.curvature import mean_curvature_from_jets
 from ssmin.errors import DegenerateSurface
 from ssmin.jets import Jet2, affine_profile
 from ssmin.sampling import SplitMix64
 from ssmin.surface import (
     TranslationSurface,
     TranslationType,
-    first_fundamental_from_jets,
     frame_from_jets,
     immersion,
 )
+
+from oracles import first_fundamental_from_jets, mean_curvature_from_jets
 
 E = Signature.EUCLIDEAN
 L = Signature.LORENTZIAN
