@@ -12,6 +12,7 @@ import sys
 import types
 import typing
 from enum import Enum
+from functools import partial
 from itertools import chain, repeat, takewhile
 
 from . import __version__
@@ -56,6 +57,11 @@ MAX_MESH_VERTICES = 2 ** 22
 # on the machine above; a report at the cap takes about 3.5 minutes, where
 # --samples 1000000000 would run for about two days.
 MAX_SAMPLES = 2 ** 20
+
+# Fewest samples per equivalence sweep at which the sweeps are split across two
+# processes (see `_on_two_cpus`).  Forking and reaping the second process costs
+# about 2 ms; below this the split saved nothing measurable.
+SPLIT_SAMPLES = 1000
 
 
 class _RunFields(typing.NamedTuple):
@@ -327,11 +333,74 @@ def _record(rec) -> dict:
     return out
 
 
+def _run_share(indexed) -> tuple[list, tuple[int, Exception] | None]:
+    """The results of the (index, task) pairs' tasks, run in order up to the first
+    that raises, and that task's index and exception (None if none raises)."""
+    results = []
+    for index, task in indexed:
+        try:
+            results.append(task())
+        except Exception as exc:
+            return results, (index, exc)
+    return results, None
+
+
+def _on_two_cpus(tasks: list) -> list:
+    """The results of the zero-argument `tasks`, in task order.
+
+    Where this process may run on two CPUs and can fork, a child made with
+    `os.fork` runs the odd-indexed tasks while this process runs the even-indexed
+    ones; the child sends back its results, or the exception that stopped it,
+    pickled through a pipe.  The first exception in task order is raised, so the
+    output and exit code are those of running the tasks one after another in
+    this process, which is what happens otherwise.  The child writes nothing to
+    stdout or stderr, always ends in `os._exit`, and is always reaped."""
+    if len(tasks) < 2 or not hasattr(os, "fork") or len(os.sched_getaffinity(0)) < 2:
+        return [task() for task in tasks]
+    import pickle
+    indexed = list(enumerate(tasks))
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: its share, then out, past the parent's cleanup
+        code = 1
+        try:
+            os.close(read_end)
+            blob = pickle.dumps(_run_share(indexed[1::2]))
+            with open(write_end, "wb") as pipe:
+                pipe.write(blob)
+            code = 0
+        finally:
+            os._exit(code)
+    try:
+        os.close(write_end)
+        mine, my_failure = _run_share(indexed[::2])
+        with open(read_end, "rb", closefd=False) as pipe:
+            blob = pipe.read()
+    finally:
+        os.close(read_end)
+        _, status = os.waitpid(pid, 0)
+    if status != 0:  # so the blob may be cut short
+        raise VerifierError(f"the process running tasks 1, 3, ... of {len(tasks)} ended "
+                            f"without sending their results "
+                            f"(exit code {os.waitstatus_to_exitcode(status)})")
+    theirs, their_failure = pickle.loads(blob)
+    failures = [failure for failure in (my_failure, their_failure) if failure]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(tasks)
+    results[::2], results[1::2] = mine, theirs
+    return results
+
+
 def _sweeps(cases, n_samples: int, seed: int, tolerance: float | None = None,
             first_tag: int = 0) -> list[EquivalenceRecord]:
-    """One equivalence sweep per case, each on child stream first_tag + its index."""
-    return [equivalence_sweep(case, n_samples, child_seed(seed, tag), tolerance)
-            for tag, case in enumerate(cases, first_tag)]
+    """One equivalence sweep per case, each on child stream first_tag + its index;
+    on two CPUs where each sweep draws at least SPLIT_SAMPLES samples."""
+    sweeps = [partial(equivalence_sweep, case, n_samples, child_seed(seed, tag), tolerance)
+              for tag, case in enumerate(cases, first_tag)]
+    if n_samples < SPLIT_SAMPLES:
+        return [sweep() for sweep in sweeps]
+    return _on_two_cpus(sweeps)
 
 
 def _pick(records: list[dict], columns) -> list[dict]:

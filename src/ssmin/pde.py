@@ -97,13 +97,15 @@ def equivalence_sweep(case: CaseId, n_samples: int, seed: int,
 
     Cases spanning Types II and III alternate between the two types so both
     frame bindings are exercised.  Lorentzian samples outside the spacelike
-    region are rejected and counted.  Each draws f' then g' from its type's
-    box, and f'' then g'' only once the pair is admitted.
+    region are rejected and counted.  The draws are read in pairs: each
+    attempt takes (f', g') from one pair, scaled to its type's box, and an
+    admitted attempt takes (f'', g'') from the next.
     """
     if n_samples < 1:
         raise VerifierError(f"n_samples must be >= 1, got {n_samples}")
     sig, kind, signs, res_fn = _row_of(_CASES, CaseId, case)
-    kernel, unit = _curvature_kernel, SplitMix64(seed).unit
+    kernel, draws = _curvature_kernel, SplitMix64(seed).draws
+    pairs = zip(draws, draws)
     # per type: (type, sign, f' low end and width, g' low end and width, spacelike gate);
     # Lorentzian gate 1 (Type I) admits 1 - f'^2 - g'^2 >= 1e-3, gate 2 g'^2 - f'^2 - 1 >= 1e-3
     slots = []
@@ -118,28 +120,27 @@ def equivalence_sweep(case: CaseId, n_samples: int, seed: int,
     n_slots, cap = len(slots), 1000 * n_samples
     worst = 0.0
     attempts = 0
-    accepted = 0
-    while accepted < n_samples:
-        attempts += 1
-        if attempts > cap:
-            raise IllConditionedFit(f"sampler starved for case {case.value}")
+    for accepted in range(n_samples):
         ttype, sign, f_lo, f_span, g_lo, g_span, gate = slots[accepted % n_slots]
-        f1 = f_lo + f_span * unit()
-        g1 = g_lo + g_span * unit()
-        if gate == 1 and not 1.0 - f1 * f1 - g1 * g1 >= 1e-3:
-            continue
-        if gate == 2 and not g1 * g1 - f1 * f1 - 1.0 >= 1e-3:
-            continue
+        for a, b in pairs:  # endless: the stream never runs out
+            attempts += 1
+            if attempts > cap:
+                raise IllConditionedFit(f"sampler starved for case {case.value}")
+            f1 = f_lo + f_span * a
+            g1 = g_lo + g_span * b
+            if (gate == 0 or gate == 1 and 1.0 - f1 * f1 - g1 * g1 >= 1e-3
+                    or gate == 2 and g1 * g1 - f1 * f1 - 1.0 >= 1e-3):
+                break
+        a, b = next(pairs)
         # f'' and g'' on [-3, 3]
-        f2 = -3.0 + 6.0 * unit()
-        g2 = -3.0 + 6.0 * unit()
+        f2 = -3.0 + 6.0 * a
+        g2 = -3.0 + 6.0 * b
         k = kernel(ttype, sig, kind, f1, f2, g1, g2)
         res = res_fn(f1, f2, g1, g2)
         # k[4] is the normalizer and k[-1] the numerator; a NaN deviation sticks as the worst
         err = abs((sign * k[4]) * k[-1] - res) / (1.0 + abs(res))
         if err > worst or err != err:
             worst = err
-        accepted += 1
     tol = tolerance if tolerance is not None else EQUIVALENCE_TOLERANCE
-    return EquivalenceRecord(case, n_samples, attempts, accepted / attempts, worst,
+    return EquivalenceRecord(case, n_samples, attempts, n_samples / attempts, worst,
                              tol, worst <= tol)

@@ -14,7 +14,7 @@ single big-integer operation over the whole block.  A 64-bit lane times a
 64-bit constant stays below 2**128, and each step masks away the bits a shift
 pulls in from the next lane, so no lane disturbs another and every draw equals
 the scalar splitmix64 output bit for bit.  Lanes are read out little-endian,
-whatever the machine's byte order.  `SplitMix64.unit` maps each 53-bit word
+whatever the machine's byte order.  `SplitMix64.draws` maps each 53-bit word
 to its double in [0, 1) inside C-level iterators, so no Python frame runs per
 draw; the product with 2**-53 is exact.
 """
@@ -51,14 +51,16 @@ def _block(state: int) -> tuple[int, ...]:
 class SplitMix64:
     """splitmix64 stream; uniform doubles use the top 53 bits.
 
-    ``unit()`` returns the next double in [0, 1); hot loops bind it once and
-    draw ``lo + (hi - lo) * unit()``, the value ``uniform(lo, hi)`` returns.
+    ``draws`` iterates over the stream's doubles in [0, 1), and ``unit()``
+    returns the next of them; hot loops bind either once and draw
+    ``lo + (hi - lo) * unit()``, the value ``uniform(lo, hi)`` returns.
     """
 
     def __init__(self, seed: int):
         # each block starts from the last pre-mix state of the one before
         words = chain.from_iterable(map(_block, count(seed & _MASK, _BLOCK * _GOLDEN)))
-        self.unit = map(operator.mul, words, repeat(2.0 ** -53)).__next__
+        self.draws = map(operator.mul, words, repeat(2.0 ** -53))
+        self.unit = self.draws.__next__
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return lo + (hi - lo) * self.unit()

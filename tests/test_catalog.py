@@ -712,10 +712,11 @@ def test_hot_paths_skip_enum_and_method_lookups():
 
     On Python 3.11 each enum attribute lookup such as `Signature.EUCLIDEAN`
     costs about 150 ns, against about 15 ns for a module global, and the
-    kernel runs once per sample; a `uniform` call runs a Python frame per draw.
+    kernel runs once per sample; a `uniform` call runs a Python frame per draw,
+    where `unit` and `draws` run none.
     """
     assert not _loaded(curvature._curvature_kernel, "LOAD_GLOBAL") & {
         "Signature", "ConnectionKind", "TranslationType"}
-    for fn in (pde.equivalence_sweep, verify_auto):
+    for fn, draw in ((pde.equivalence_sweep, "draws"), (verify_auto, "unit")):
         attrs = _loaded(fn, "LOAD_ATTR", "LOAD_METHOD")
-        assert "uniform" not in attrs and "unit" in attrs
+        assert "uniform" not in attrs and draw in attrs

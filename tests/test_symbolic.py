@@ -2,8 +2,9 @@
 table's lambda * numerator = residual, as identities.
 
 The production kernel `curvature._curvature_kernel` runs on sympy symbols, with
-`math.sqrt` replaced by `sympy.sqrt` and the regularity check switched off, so
-the proof covers the code that runs and not a transcription of it.  E, F, G
+`math.sqrt` replaced by `sympy.sqrt` and the regularity margin by -oo, which
+every symbolic det clears, so the proof covers the code that runs and not a
+transcription of it.  E, F, G
 and det must equal the Gram entries of the paper's tangents for each surface
 type and signature; lambda * numerator alone cannot see det.  Each of the 12
 (case, surface type) pairs must reduce to zero exactly, which also certifies
@@ -27,7 +28,7 @@ _PAIRS = [(CaseId(name), ttype) for name, row in _CASES.items() for ttype in row
 @pytest.mark.parametrize("ttype", list(TranslationType), ids=lambda t: t.value)
 def test_first_fundamental_form_is_the_gram_matrix_of_the_tangents(monkeypatch, sig, ttype):
     monkeypatch.setattr(curvature, "math", types.SimpleNamespace(sqrt=sympy.sqrt))
-    monkeypatch.setattr(curvature, "_require_regular", lambda *args: None)
+    monkeypatch.setattr(curvature, "DEGENERACY_MARGIN", -sympy.oo)
     f1, f2, g1, g2 = sympy.symbols("f1 f2 g1 g2", real=True)
     # the coordinate tangents (E_u, E_v) of each type, as the paper writes them
     fu, fv = {
@@ -51,7 +52,7 @@ def test_first_fundamental_form_is_the_gram_matrix_of_the_tangents(monkeypatch, 
 @pytest.mark.parametrize("case, ttype", _PAIRS, ids=lambda x: x.value)
 def test_signed_normalizer_times_numerator_is_the_residual(monkeypatch, case, ttype):
     monkeypatch.setattr(curvature, "math", types.SimpleNamespace(sqrt=sympy.sqrt))
-    monkeypatch.setattr(curvature, "_require_regular", lambda *args: None)
+    monkeypatch.setattr(curvature, "DEGENERACY_MARGIN", -sympy.oo)
     f1, f2, g1, g2 = sympy.symbols("f1 f2 g1 g2", real=True)
     sig, kind, signs, residual = _CASES[case.value]
     k = curvature._curvature_kernel(ttype, sig, kind, f1, f2, g1, g2)
