@@ -23,6 +23,7 @@ products with an exact 0.0 and factors of 1.0, so its values equal theirs
 """
 
 import math
+from math import inf
 
 from .ambient import ConnectionKind, Signature
 from .surface import (
@@ -51,16 +52,18 @@ def _curvature_kernel(ttype: TranslationType, sig: Signature, kind: ConnectionKi
     """
     e = 1.0 if sig is _EUCLIDEAN else -1.0
     tor = 0.0 if kind is _LEVI_CIVITA else e
+    # det = EG - F^2 in the cancellation-free form of `surface._fundamental`
     if ttype is _I:
         E = 1.0 + e * (f1 * f1)
         F = e * (f1 * g1)
         G = 1.0 + e * (g1 * g1)
+        det = 1.0 + e * (f1 * f1 + g1 * g1)
     else:
         E = 1.0 + f1 * f1
         F = f1 * g1
         G = g1 * g1 + e
-    det = E * G - F * F
-    if not det >= DEGENERACY_MARGIN:
+        det = g1 * g1 + e * E
+    if not DEGENERACY_MARGIN <= det < inf:
         _require_regular(sig, det, f1, g1)
     normalizer = math.sqrt(det)
     inv = 1.0 / normalizer

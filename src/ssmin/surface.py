@@ -39,13 +39,12 @@ class TranslationSurface(NamedTuple):
 
 
 class FirstFundamental(NamedTuple):
+    """E, F, G and det = EG - F^2, det in the form of `_fundamental`."""
+
     E: float
     F: float
     G: float
-
-    @property
-    def det(self) -> float:
-        return self.E * self.G - self.F * self.F
+    det: float
 
 
 class FramePoint(NamedTuple):
@@ -93,16 +92,29 @@ def _normal_direction(ttype: TranslationType, sig: Signature, f1: float, g1: flo
 
 
 def _fundamental(sig: Signature, Fu: Vec3, Fv: Vec3) -> FirstFundamental:
+    """The inner products of the tangents, and det = EG - F^2 from the tangents'
+    2x2 minors m_ij (Cauchy-Binet under diag(1, 1, e)): m12^2 + e (m13^2 + m23^2).
+
+    E*G and F*F grow as f'^2 g'^2 and cancel, so at large slopes their rounding
+    swamps a small det; the minors of the paper's tangents are 1, f' and g', so
+    det is 1 + e (f'^2 + g'^2) for Type I and g'^2 + e (1 + f'^2) for Types II
+    and III, each free of that cancellation."""
+    e = 1.0 if sig is Signature.EUCLIDEAN else -1.0
+    m12 = Fu.c1 * Fv.c2 - Fu.c2 * Fv.c1
+    m13 = Fu.c1 * Fv.c3 - Fu.c3 * Fv.c1
+    m23 = Fu.c2 * Fv.c3 - Fu.c3 * Fv.c2
     return FirstFundamental(
         metric_inner(sig, Fu, Fu),
         metric_inner(sig, Fu, Fv),
         metric_inner(sig, Fv, Fv),
+        m12 * m12 + e * (m13 * m13 + m23 * m23),
     )
 
 
 def _require_regular(sig: Signature, det: float, f1: float, g1: float) -> None:
-    """Raise unless EG - F^2 clears the margin; a NaN determinant never does."""
-    if not det >= DEGENERACY_MARGIN:
+    """Raise unless EG - F^2 clears the margin and is finite; a NaN determinant
+    never is, and an infinite one has overflowed."""
+    if not DEGENERACY_MARGIN <= det < math.inf:
         reason = "degenerate" if sig is Signature.EUCLIDEAN else "degenerate or not spacelike"
         raise DegenerateSurface(f"{reason}: EG - F^2 = {det!r} at f'={f1!r}, g'={g1!r}")
 

@@ -128,7 +128,7 @@ def mean_curvature_from_jets(ttype: TranslationType, space: AmbientSpace,
         ttype, space.signature, kind, fj.d1, fj.d2, gj.d1, gj.d2
     )
     return CurvatureReport(SigmaMatrix(s11, s12, s21, s22), numerator / (2.0 * det),
-                           numerator, FirstFundamental(E, F, G), normalizer)
+                           numerator, FirstFundamental(E, F, G, det), normalizer)
 
 
 def first_fundamental_from_jets(ttype: TranslationType, space: AmbientSpace,

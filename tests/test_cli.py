@@ -91,6 +91,18 @@ def test_residual_overflow_is_a_domain_error(capsys, case, fjet, gjet):
     assert captured.err.startswith("ssmin: DomainError: ") and "Traceback" not in captured.err
 
 
+def test_large_slopes_reach_a_verdict(capsys):
+    # at the far end of this box f' = 3000 and g' - f' is about 1.7e-4, so E*G and
+    # F*F are about 8.1e13, and their difference lost the true det of about 0.0033
+    # to rounding: EG - F^2 read -0.015625 and the command exited 1
+    argv = ["verify", "--family", "F3_30", "--c0-hat", "3000", "--a-hat", "-0.3"]
+    assert main(argv) in (0, 2)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [record] = json.loads(captured.out)["records"]
+    assert record["n_samples"] == 200 and record["verdict"] in ("pass", "fail")
+
+
 def _header(columns):
     return ["| " + " | ".join(header for header, _, _ in columns) + " |",
             "|" + "---|" * len(columns)]
@@ -308,26 +320,26 @@ def test_report_determinism(tmp_path):
 # sha256 of stdout; any change to these outputs must be deliberate
 _OUTPUT_SHA256 = [
     pytest.param(["report", "--all", "--seed", "42", "--format", "json"], 0,
-                 "c592e40a680e1d3bf3a9aec4fd4aff34d95e5d95fc885b85a8a1d71dfbb81b54",
+                 "bd32c1348bf61ef88b132ef6ba91b237986fddd4f059285ec4be3fcee59c0296",
                  id="report"),
     pytest.param(["report", "--all", "--seed", "42", "--format", "markdown"], 0,
-                 "5a7c5f94ecd1dde486f976196beed5004335dfbd5a5bb0294b8b47f878d5e91b",
+                 "02c0175d6d0d8ecb2276b7be937b6788e2d83e50aaf8af0b42a260a962a6020e",
                  id="report-markdown"),
     pytest.param(["report", "--all", "--perturb", "0.01"], 2,
-                 "1adbdaecc037c17b692951c8969b1a642c5dfcb8391865fecd97f1b7e12b0203",
+                 "bf7644e07a0541cf691a10b4fb7e35b3fdc9e7b148e944ce052d7bfb8edb2b3e",
                  id="report-perturb"),
     pytest.param(["equivalence", "--all", "--samples", "300", "--seed", "3"], 0,
-                 "b69cd26ce8b8864506d2ba01dc815aadb1035550b362cdad3357ffd2edebd586",
+                 "14e6b7f0d54e3e045c19d1b7d51b1d98f47fe2f1e0719f16e60e0ccb66e802cf",
                  id="equivalence"),
     # hundreds of 256-draw sampler blocks per case
     pytest.param(["equivalence", "--all", "--samples", "6000", "--seed", "5"], 0,
-                 "3b6b5b2b191f4be60de8e3c82c671455613de3527ab3c66f0f79e4cf96286aaf",
+                 "4b96e26b9a74cf56687584c1b6bf2c5666b8112524e73d0139c112743668a1d5",
                  id="equivalence-6000"),
     pytest.param(["verify", "--all", "--seed", "3"], 0,
-                 "bac05e6b3fea75c4c54ff06e64292698cc312b367de3727d1d60a7312adc8e41",
+                 "d73c3c10aad283c72fae6e1b661135b93e8c37d0443409e1bb437fd8c44cae52",
                  id="verify"),
     pytest.param(["verify", "--all", "--seed", "3", "--format", "markdown"], 0,
-                 "fdd0ec6b9a993d298c1d402260f92aadcf1fb8daa828b85006ae37be9a1b1df1",
+                 "162f5e27922175e90670c3a281c147be8b9cb6c576ead780bbb9df39bed4539b",
                  id="verify-markdown"),
     pytest.param(["ode-compare"], 0,
                  "db7e07e303616e0c84021d99945fefbe93fd6ca78e75cbcdb5a337e71775c47e",

@@ -25,8 +25,8 @@ from ssmin.jets import Jet2, affine_profile
 from ssmin.sampling import SplitMix64
 from ssmin.surface import TranslationSurface, TranslationType, frame_from_jets
 
-from oracles import (Jet, covariant_derivative, log_abs_cos_jet, log_abs_exp_jet,
-                     mean_curvature_from_jets)
+from oracles import (Jet, covariant_derivative, first_fundamental_from_jets, log_abs_cos_jet,
+                     log_abs_exp_jet, mean_curvature_from_jets)
 
 E = Signature.EUCLIDEAN
 L = Signature.LORENTZIAN
@@ -225,7 +225,7 @@ def test_scalar_kernel_equals_frame_oracle_exactly(ttype, sig, kind):
         )
         e_, f_, g_ = (metric_inner(sig, fr.Fu, fr.Fu), metric_inner(sig, fr.Fu, fr.Fv),
                       metric_inner(sig, fr.Fv, fr.Fv))
-        det = e_ * g_ - f_ * f_
+        det = first_fundamental_from_jets(ttype, space, fj, gj).det
         numerator = g_ * s11 - f_ * s12 - f_ * s21 + e_ * s22
         got = _curvature_kernel(ttype, sig, kind, fj.d1, fj.d2, gj.d1, gj.d2)
         assert got == (e_, f_, g_, det, fr.normalizer, s11, s12, s21, s22, numerator)

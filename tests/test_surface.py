@@ -1,10 +1,12 @@
 """Surface frames, first fundamental form, and the Type II/III duality."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from ssmin.ambient import AmbientSpace, ConnectionKind, Signature, Vec3, metric_inner
+from ssmin.curvature import _curvature_kernel
 from ssmin.errors import DegenerateSurface
 from ssmin.jets import Jet2, affine_profile
 from ssmin.sampling import SplitMix64
@@ -177,12 +179,34 @@ def test_type_ii_iii_duality():
 
 
 def test_nan_determinant_is_degenerate():
-    # E = F = G = inf, so EG - F^2 = inf - inf = NaN, which compares False with any margin.
-    huge = Jet2(0.0, 1e200, 0.0)
+    # A NaN slope gives a NaN EG - F^2, which compares False with any margin; f'^2
+    # overflows at f' = 1e200, so EG - F^2 = 1 + (inf + inf) = inf, which is no
+    # determinant either.
     space = _space(E)
-    with pytest.raises(DegenerateSurface, match=r"degenerate: EG - F\^2 = nan at f'=1e\+200"):
-        frame_from_jets(TranslationType.I, space, huge, huge)
-    with pytest.raises(DegenerateSurface):
-        first_fundamental_from_jets(TranslationType.I, space, huge, huge)
-    with pytest.raises(DegenerateSurface):
-        mean_curvature_from_jets(TranslationType.I, space, SSM, huge, huge)
+    for slope, det, text in ((math.nan, "nan", "nan"), (1e200, "inf", r"1e\+200")):
+        jet = Jet2(0.0, slope, 0.0)
+        with pytest.raises(DegenerateSurface,
+                           match=rf"degenerate: EG - F\^2 = {det} at f'={text}"):
+            frame_from_jets(TranslationType.I, space, jet, jet)
+        with pytest.raises(DegenerateSurface):
+            first_fundamental_from_jets(TranslationType.I, space, jet, jet)
+        with pytest.raises(DegenerateSurface, match=rf"EG - F\^2 = {det} "):
+            mean_curvature_from_jets(TranslationType.I, space, SSM, jet, jet)
+
+
+@pytest.mark.parametrize("ttype,sig,f1,g1", [
+    (TranslationType.II, L, 3000.0, 3000.0001672136445),
+    (TranslationType.III, L, -3000.0, 3000.0001672136445),
+    (TranslationType.I, L, 0.6, 0.7999999),
+    (TranslationType.I, E, 1e7, -1e7),
+])
+def test_det_does_not_cancel_at_large_slopes(ttype, sig, f1, g1):
+    # the exact EG - F^2 is 1 + e (f'^2 + g'^2) for Type I and g'^2 + e (1 + f'^2)
+    # otherwise; E*G - F*F lost all of it at the first setting (it read -0.015625)
+    e = 1 if sig is E else -1
+    f, g = Fraction(f1), Fraction(g1)
+    exact = 1 + e * (f * f + g * g) if ttype is TranslationType.I else g * g + e * (1 + f * f)
+    space = _space(sig)
+    first = first_fundamental_from_jets(ttype, space, Jet2(0.0, f1, 0.0), Jet2(0.0, g1, 0.0))
+    assert abs(Fraction(first.det) - exact) <= 1e-15 * abs(f * f + g * g + 1)
+    assert _curvature_kernel(ttype, sig, SSM, f1, 0.0, g1, 0.0)[3] == first.det
