@@ -59,8 +59,10 @@ MAX_MESH_VERTICES = 2 ** 22
 MAX_SAMPLES = 2 ** 20
 
 # Fewest samples per equivalence sweep at which the sweeps are split across two
-# processes (see `_on_two_cpus`).  Forking and reaping the second process costs
-# about 2 ms; below this the split saved nothing measurable.
+# processes (see `_on_two_cpus`).  Importing pickle, forking and reaping cost
+# about 6 ms.  On the machine above, `equivalence --all` took 0.0128 s in one
+# process and 0.0171 s split at 500 samples per sweep, and 0.0266 s against
+# 0.0225 s at 1000 (medians of 8 runs each).
 SPLIT_SAMPLES = 1000
 
 
