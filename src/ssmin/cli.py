@@ -350,14 +350,19 @@ def _run_share(indexed) -> tuple[list, tuple[int, Exception] | None]:
 def _on_two_cpus(tasks: list) -> list:
     """The results of the zero-argument `tasks`, in task order.
 
-    Where this process may run on two CPUs and can fork, a child made with
-    `os.fork` runs the odd-indexed tasks while this process runs the even-indexed
-    ones; the child sends back its results, or the exception that stopped it,
-    pickled through a pipe.  The first exception in task order is raised, so the
-    output and exit code are those of running the tasks one after another in
-    this process, which is what happens otherwise.  The child writes nothing to
-    stdout or stderr, always ends in `os._exit`, and is always reaped."""
-    if len(tasks) < 2 or not hasattr(os, "fork") or len(os.sched_getaffinity(0)) < 2:
+    Where this process may run on two CPUs, can fork and runs no other thread, a
+    child made with `os.fork` runs the odd-indexed tasks while this process runs
+    the even-indexed ones; the child sends back its results, or the exception
+    that stopped it, pickled through a pipe.  The first exception in task order
+    is raised, so the output and exit code are those of running the tasks one
+    after another in this process, which is what happens otherwise.  The child
+    writes nothing to stdout or stderr, always ends in `os._exit`, and is always
+    reaped.  (A forked child has only the forking thread, and a lock another
+    thread held stays locked in it, hence no fork beside other threads.)"""
+    threading = sys.modules.get("threading")
+    if (len(tasks) < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2
+            or threading is not None and threading.active_count() > 1):
         return [task() for task in tasks]
     import pickle
     indexed = list(enumerate(tasks))

@@ -4,6 +4,7 @@ errors, stderr and exit code as one process, and no process left behind."""
 import inspect
 import os
 import pickle
+import threading
 
 import pytest
 
@@ -55,6 +56,22 @@ def test_results_come_back_in_task_order(two_cpus, capfd):
 def test_one_cpu_runs_every_task_here(monkeypatch):
     _cpus(monkeypatch, {1})
     assert cli._on_two_cpus([os.getpid] * 3) == [os.getpid()] * 3
+    monkeypatch.delattr(cli.os, "sched_getaffinity")  # as on macOS
+    assert cli._on_two_cpus([os.getpid] * 3) == [os.getpid()] * 3
+
+
+def test_no_fork_beside_another_thread(two_cpus):
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        assert cli._on_two_cpus([os.getpid] * 3) == [os.getpid()] * 3
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    assert cli._on_two_cpus([os.getpid] * 3)[1] != os.getpid()
+    _no_children_left()
 
 
 def test_sweeps_below_the_split_size_stay_in_this_process(two_cpus, monkeypatch, capsys):
