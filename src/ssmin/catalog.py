@@ -34,6 +34,7 @@ from .jets import (
     REAL_LINE,
     SINGULARITY_GUARD,
     affine_profile,
+    beside,
     log_abs_cos_profile,
     log_abs_exp_profile,
     profile_quadrature,
@@ -197,39 +198,37 @@ def _radicand_integrands(fid: str, sign: float, ah: float, rate: float, shift: f
     """g' = sign / sqrt(ah*e^(rate*v) + shift) and its derivative (F2_39, F3_30)."""
     coeff = -0.5 * rate * sign
 
-    def overflowed(x: float) -> tuple[float, float]:
-        """(ah*e^(rate*x), radicand) where e^(rate*x) alone overflows.
-
-        A tiny ah can keep the product finite, so it is retried as e^(rate*x + ln ah).
-        """
+    def radicand(x: float) -> tuple[float, float, float]:
+        """(a, e, r): r = a*e + shift > 0, with a = ah and e = e^(rate*x) unless that overflows."""
         try:
-            ae = math.exp(rate * x + math.log(ah))
-        except (OverflowError, ValueError):
-            raise DomainError(f"{fid}: radicand overflows at v={x!r}") from None
-        r = ae + shift
+            a, e = ah, math.exp(rate * x)
+        except OverflowError:  # a tiny ah can keep a*e finite: a = 1, e = e^(rate*x + ln ah)
+            try:
+                a, e = 1.0, math.exp(rate * x + math.log(ah))
+            except (OverflowError, ValueError):
+                raise DomainError(f"{fid}: radicand overflows at v={x!r}") from None
+        r = a * e + shift
         if r <= 0.0:
             raise DomainError(f"{fid}: radicand {r!r} nonpositive at v={x!r}")
-        return ae, r
+        return a, e, r
 
     def integrand(x: float) -> float:
+        # adaptive Simpson calls this at every point, so only a refusal or an overflow
+        # goes through radicand
         try:
             r = ah * math.exp(rate * x) + shift
-            if r <= 0.0:
-                raise DomainError(f"{fid}: radicand {r!r} nonpositive at v={x!r}")
-            return sign / math.sqrt(r)
+            if r > 0.0:
+                return sign / math.sqrt(r)
         except OverflowError:
-            return sign / math.sqrt(overflowed(x)[1])
+            pass
+        return sign / math.sqrt(radicand(x)[2])
 
     def integrand_d1(x: float) -> float:
+        a, e, r = radicand(x)
         try:
-            e = math.exp(rate * x)
-            r = ah * e + shift
-            if r <= 0.0:
-                raise DomainError(f"{fid}: radicand {r!r} nonpositive at v={x!r}")
-            return coeff * ah * e * r ** -1.5
+            return coeff * a * e * r ** -1.5
         except OverflowError:
-            ae, r = overflowed(x)
-            return coeff * ae * r ** -1.5
+            raise DomainError(f"{fid}: g'' overflows at v={x!r}") from None
 
     return integrand, integrand_d1
 
@@ -265,11 +264,7 @@ def _ratio_domain(coeff: float, rate: float) -> Interval:
     if coeff <= 0.0:
         return REAL_LINE
     x_star = -math.log(coeff) / rate
-    if x_star > 0.0:
-        return Interval(-math.inf, x_star - SINGULARITY_GUARD)
-    if x_star < 0.0:
-        return Interval(x_star + SINGULARITY_GUARD, math.inf)
-    return Interval(SINGULARITY_GUARD, math.inf)
+    return beside(x_star, x_star <= 0.0)
 
 
 # A builder takes its family's parameters as keywords with float defaults, so
@@ -319,8 +314,7 @@ def _f2_39(c0_hat=1.0, a_hat=2.0, b_hat=0.0, *, sign: float) -> _Parts:
     _require(a_hat > 0.0, "F2_39 requires a_hat > 0")
     kk = 1.0 / (c0_hat * c0_hat + 1.0)
     v_star = 0.25 * math.log(kk / a_hat)
-    g = _quad(*_radicand_integrands("F2_39", sign, a_hat, 4.0, -kk),
-              Interval(v_star + SINGULARITY_GUARD, math.inf), b_hat)
+    g = _quad(*_radicand_integrands("F2_39", sign, a_hat, 4.0, -kk), beside(v_star, True), b_hat)
     return (affine_profile(c0_hat, 0.0), g, ((OdeCase(OdeId.O2_36, c0_hat), "g"),),
             AdmissibleDomain(REAL_LINE, Interval(v_star + EDGE_MARGIN, math.inf)), None)
 
@@ -411,7 +405,7 @@ def _f3_30(c0_hat=1.0, a_hat=-0.3, b_hat=0.0, *, sign: float) -> _Parts:
                 "no spacelike points: g'^2 < 1 + c0_hat^2 everywhere for a_hat > 0")
     v_star = 0.25 * math.log(-a_hat / kk)
     v_hi = 0.25 * math.log(-a_hat / (SPACELIKE_FLOOR * kk * kk))
-    g = _quad(*integrands, Interval(v_star + SINGULARITY_GUARD, math.inf), b_hat)
+    g = _quad(*integrands, beside(v_star, True), b_hat)
     return f, g, checks, AdmissibleDomain(REAL_LINE, Interval(v_star + EDGE_MARGIN, v_hi)), None
 
 
@@ -471,9 +465,8 @@ def _f3_43(c0_bar=1.0, c3=1.0, c4=0.0, b=0.0) -> _Parts:
     # g' = (A + c3)/(A - c3) with A = e^(2*c0_bar*v); stay on the A > c3 side where
     # g' > 1, between the singularity and the point where g'^2 = 2 + 0.02.
     v_star = 0.5 * math.log(c3) / c0_bar
-    g_domain = (Interval(v_star + SINGULARITY_GUARD, math.inf) if c0_bar > 0.0
-                else Interval(-math.inf, v_star - SINGULARITY_GUARD))
-    g = log_abs_exp_profile(1.0 / c0_bar, c0_bar, 1.0, -c3, b, domain=g_domain)
+    g = log_abs_exp_profile(1.0 / c0_bar, c0_bar, 1.0, -c3, b,
+                            domain=beside(v_star, c0_bar > 0.0))
     rho = math.sqrt(2.0 + 0.02)
     v_far = 0.5 * math.log(c3 * (rho + 1.0) / (rho - 1.0)) / c0_bar
     if v_star < v_far:
@@ -663,7 +656,11 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
             err = abs(kernel(ttype, sig, kind, f1, f2, g1, g2)[-1])
             if err > worst_num or err != err:
                 worst_num = err
-        err = abs(res_fn(f1, f2, g1, g2))
+        try:
+            err = abs(res_fn(f1, f2, g1, g2))
+        except OverflowError:  # a power such as g1 ** 3, mapped as `pde.residual` maps it
+            raise DomainError(f"{fam.family_id.value}: {built.case.value} residual overflows "
+                              f"at u={u!r}, v={v!r}") from None
         if err > worst_res or err != err:
             worst_res = err
     return FamilyReport(

@@ -82,6 +82,13 @@ class Interval(_IntervalFields):
 REAL_LINE = Interval(-math.inf, math.inf)
 
 
+def beside(pole: float, right: bool) -> Interval:
+    """The half-line right of pole, or left where `right` is false, SINGULARITY_GUARD clear."""
+    if right:
+        return Interval(pole + SINGULARITY_GUARD, math.inf)
+    return Interval(-math.inf, pole - SINGULARITY_GUARD)
+
+
 class Profile(NamedTuple):
     """A scalar profile function with jet evaluation on an explicit domain.
 
@@ -185,12 +192,7 @@ def log_abs_exp_profile(k: float, q: float, coeff_pos: float, coeff_neg: float,
             ratio = -coeff_neg / coeff_pos
             if ratio > 0.0:
                 u_star = math.log(ratio) / (2.0 * q)
-                if u_star < 0.0:
-                    domain = Interval(u_star + SINGULARITY_GUARD, math.inf)
-                elif u_star > 0.0:
-                    domain = Interval(-math.inf, u_star - SINGULARITY_GUARD)
-                else:
-                    domain = Interval(SINGULARITY_GUARD, math.inf)
+                domain = beside(u_star, u_star <= 0.0)
 
     k, q, cp, cn, offset = float(k), float(q), float(coeff_pos), float(coeff_neg), float(offset)
     nq = -q

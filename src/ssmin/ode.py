@@ -69,7 +69,6 @@ class OdeCase(NamedTuple):
 
 class Trajectory(NamedTuple):
     nodes: tuple[tuple[float, float], ...]
-    step: float
 
 
 def _check_span_step(t_span: tuple[float, float], step: float) -> int:
@@ -128,7 +127,7 @@ def integrate_scalar(phi: Callable[[float], float], y0: float,
     except OverflowError:  # raised in the step to node len(nodes); the tail step ends at t1
         k = len(nodes)
         raise _blow_up(label, t0 + k * step if k <= n_full else t1) from None
-    return Trajectory(tuple(nodes), step)
+    return Trajectory(tuple(nodes))
 
 
 def integrate(case: OdeCase, y0: float, t_span: tuple[float, float],

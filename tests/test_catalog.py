@@ -675,7 +675,7 @@ def test_flat_comparison_equals_its_per_node_oracle():
             assert (compare_profile(trajectory, profile)
                     == reference_compare_profile(trajectory, profile))
     # a NaN gap sticks, as `_worse` folds it
-    trajectory = Trajectory(((0.0, 0.5), (0.1, math.nan), (0.2, 0.5)), 0.1)
+    trajectory = Trajectory(((0.0, 0.5), (0.1, math.nan), (0.2, 0.5)))
     profile = affine_profile(2.0, 1.0)
     assert math.isnan(compare_profile(trajectory, profile))
     assert math.isnan(reference_compare_profile(trajectory, profile))

@@ -351,6 +351,17 @@ _OUTPUT_SHA256 = [
     pytest.param(["mesh", "--family", "F2_51"], 0,
                  "cf11bb2ea8f8c99a89c962afe3945853f3f2f007ab327fb8a78f2dd09286d8d4",
                  id="mesh-F2_51"),
+    # the boxes reach where an exponential alone overflows (see
+    # test_integrand_overflow_is_a_domain_error); the first takes the log-space radicand
+    pytest.param(["verify", "--family", "F2_39", "--a-hat", "1e-300"], 0,
+                 "a37907c488ef27726cf0256d3eda38eddd161931e83facec7e544b0f05c1245d",
+                 id="verify-F2_39-tiny-a-hat"),
+    pytest.param(["verify", "--family", "F3_12", "--c", "0.99995"], 0,
+                 "1219a4fed215fa7b662c57de89f07fd0191aa19a66b111473000084116202eef",
+                 id="verify-F3_12-steep"),
+    pytest.param(["verify", "--family", "F3_14", "--c-hat", "0.99995"], 0,
+                 "6b03099f80aebd6e31ca0d80057a61c9de662dc4b0cf426a4bce03bf777d3f42",
+                 id="verify-F3_14-steep"),
 ]
 
 
@@ -946,6 +957,14 @@ def test_negative_flag_values_parse(capsys, argv, flag, value):
     # and short of where e^(q*u) overflows, or 1/a^2 underflows (|q*u| > ~355)
     (["verify", "--family", "F3_38", "--c0", "400", "--c-hat", "1"], 0),
     (["verify", "--family", "F3_43", "--c0-bar", "400", "--c3", "-1"], 0),
+    # the residual's g' ** 3 overflows while g' is finite
+    (["verify", "--family", "F2_35", "--c0-tilde", "1e105"], 1),
+    (["verify", "--family", "F2_35", "--c0-tilde", "-1e105"], 1),
+    # g'' = coeff*a*e*r ** -1.5 overflows where the radicand r is tiny
+    *[(["mesh", "--family", "F2_39", "--c0-hat", c0_hat, "--nu", "3", "--nv", "3", *branch], 1)
+      for c0_hat in ("1e105", "-1e105") for branch in ([], ["--branch", "minus"])],
+    (["verify", "--family", "F2_39", "--c0-hat", "1e110", "--a-hat", "1e-300"], 1),
+    (["verify", "--family", "F3_30", "--c0-hat", "1e105", "--a-hat", "0.3"], 1),
 ])
 def test_integrand_overflow_is_a_domain_error(tmp_path, capsys, argv, exit_code):
     code, text = run(tmp_path, *argv)

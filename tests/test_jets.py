@@ -19,6 +19,7 @@ from ssmin.jets import (
     Interval,
     Jet2,
     REAL_LINE,
+    SINGULARITY_GUARD,
     _simpson_split,
     adaptive_simpson,
     affine_profile,
@@ -135,6 +136,8 @@ def test_log_abs_exp_domain_components():
     p = log_abs_exp_profile(1.0, 1.0, 2.0, -1.0)
     assert p.domain.lo == pytest.approx(-math.log(2.0) / 2.0, abs=1e-5)
     assert p.domain.contains(0.0)
+    # zero at u* = 0: the right component, kept the guard clear of it
+    assert log_abs_exp_profile(1.0, 1.0, 1.0, -1.0).domain == Interval(SINGULARITY_GUARD, math.inf)
 
 
 def test_quadrature_on_polynomials():

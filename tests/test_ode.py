@@ -130,7 +130,7 @@ def test_compare_profile_matched_pair():
 def test_compare_profile_identical_is_zero():
     f = build(make_family(FamilyId.F2_23)).surface.f
     times = [0.05 * k for k in range(13)]
-    traj = Trajectory(tuple((t, f.at(t).d1) for t in times), 0.05)
+    traj = Trajectory(tuple((t, f.at(t).d1) for t in times))
     assert compare_profile(traj, f) == 0.0
 
 
@@ -138,7 +138,7 @@ def test_compare_profile_shifted_control():
     base = build(make_family(FamilyId.F2_23, a=0.0)).surface.f
     shifted = build(make_family(FamilyId.F2_23, a=0.1)).surface.f
     times = [0.05 * k for k in range(13)]
-    traj = Trajectory(tuple((t, base.at(t).d1) for t in times), 0.05)
+    traj = Trajectory(tuple((t, base.at(t).d1) for t in times))
     assert compare_profile(traj, shifted) > 1e-2
 
 

@@ -7,6 +7,7 @@ or family parameter is fuzzed with no edit here.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -176,6 +177,31 @@ def test_every_argv_and_config_exits_0_1_or_2(invocation):
     if code == 1:
         assert err.getvalue().startswith("ssmin:"), (argv, config, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+# Magnitudes between the fuzz's 3.0 and 1e300: a cube of 1e105 overflows while its
+# square stays finite, a square of 1e155 overflows, and 1e-300 squared underflows.
+MAGNITUDES = (1e105, -1e105, 1e155, 1e-300)
+
+
+def test_each_parameter_at_each_magnitude_exits_0_1_or_2():
+    """Every family parameter in turn at each magnitude, the others at their
+    defaults, under verify and mesh on every branch."""
+    for family, defaults in catalog._DEFAULTS.items():
+        branches = [[]]
+        if FamilyId(family) in catalog.BRANCHED_FAMILIES:
+            branches.append(["--branch", "minus"])
+        for name, value, branch, command in itertools.product(
+                defaults, MAGNITUDES, branches,
+                (["verify", "--samples", "20"], ["mesh", "--nu", "3", "--nv", "3"])):
+            argv = [*command, "--family", family, f"--{name.replace('_', '-')}", repr(value),
+                    *branch]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert err.getvalue().startswith("ssmin: "), (argv, err.getvalue())
 
 
 class _KeepsDashDash(_parser._Parser):
