@@ -22,6 +22,7 @@ and that signature is the family's one parameter table (`_DEFAULTS`).
 
 import math
 from enum import Enum
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .ambient import AmbientSpace
@@ -732,16 +733,25 @@ def _run_errors(fid: FamilyId, which: str, span: tuple[float, float],
     return case, [compare_profile(integrate(case, h0, span, step), profile) for step in steps]
 
 
+def _reference_run(fid: FamilyId, which: str, span: tuple[float, float], step: float,
+                   tol: float) -> OdeComparisonRecord:
+    case, [err] = _run_errors(fid, which, span, (step,))
+    return OdeComparisonRecord(case.kind.value, fid.value, which, span, step, err, tol, err <= tol)
+
+
+def ode_reference_tasks(step: float = 1e-3, tolerance: float | None = None
+                        ) -> list[Callable[[], OdeComparisonRecord]]:
+    """One zero-argument task per reference run, in table order, each returning
+    the record of its RK4 trajectory against its closed-form profile."""
+    tol = tolerance if tolerance is not None else ODE_TOLERANCE
+    return [partial(_reference_run, fid, which, span, step, tol)
+            for fid, which, span in _ODE_REFERENCE_RUNS]
+
+
 def ode_reference_runs(step: float = 1e-3,
                        tolerance: float | None = None) -> tuple[OdeComparisonRecord, ...]:
     """RK4 trajectories of every reduced ODE against its closed-form profile."""
-    tol = tolerance if tolerance is not None else ODE_TOLERANCE
-    records = []
-    for fid, which, span in _ODE_REFERENCE_RUNS:
-        case, [err] = _run_errors(fid, which, span, (step,))
-        records.append(OdeComparisonRecord(case.kind.value, fid.value, which, span,
-                                           step, err, tol, err <= tol))
-    return tuple(records)
+    return tuple(task() for task in ode_reference_tasks(step, tolerance))
 
 
 def convergence_orders() -> tuple[ConvergenceRecord, ...]:

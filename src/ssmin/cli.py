@@ -30,6 +30,7 @@ from .catalog import (
     default_settings,
     make_family,
     ode_reference_runs,
+    ode_reference_tasks,
     verify_auto,
 )
 from .errors import DomainError, EmptyDomain, UsageError, VerifierError
@@ -347,21 +348,37 @@ def _run_share(indexed) -> tuple[list, tuple[int, Exception] | None]:
     return results, None
 
 
+def _start_on(cpu: int, cpus: set[int]) -> None:
+    """Move this process onto `cpu`, then let it run on all of `cpus` again.
+
+    A forked child starts on its parent's CPU, and the scheduler may leave it
+    there for tens of milliseconds, so that the two share one CPU; once moved
+    apart, they stay apart.  A refused call (OSError) leaves the process where
+    it is."""
+    for mask in ({cpu}, cpus):
+        try:
+            os.sched_setaffinity(0, mask)
+        except OSError:
+            pass
+
+
 def _on_two_cpus(tasks: list) -> list:
     """The results of the zero-argument `tasks`, in task order.
 
     Where this process may run on two CPUs, can fork and runs no other thread, a
     child made with `os.fork` runs the odd-indexed tasks while this process runs
     the even-indexed ones; the child sends back its results, or the exception
-    that stopped it, pickled through a pipe.  The first exception in task order
-    is raised, so the output and exit code are those of running the tasks one
-    after another in this process, which is what happens otherwise.  The child
-    writes nothing to stdout or stderr, always ends in `os._exit`, and is always
-    reaped.  (A forked child has only the forking thread, and a lock another
-    thread held stays locked in it, hence no fork beside other threads.)"""
+    that stopped it, pickled through a pipe.  Right after the fork this process
+    moves to the lowest of its CPUs and the child to the highest (`_start_on`).
+    The first exception in task order is raised, so the output and exit code
+    are those of running the tasks one after another in this process, which is
+    what happens otherwise.  The child writes nothing to stdout or stderr,
+    always ends in `os._exit`, and is always reaped.  (A forked child has only
+    the forking thread, and a lock another thread held stays locked in it,
+    hence no fork beside other threads.)"""
     threading = sys.modules.get("threading")
-    if (len(tasks) < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    if (len(tasks) < 2 or not hasattr(os, "fork") or len(cpus) < 2
             or threading is not None and threading.active_count() > 1):
         return [task() for task in tasks]
     import pickle
@@ -371,6 +388,7 @@ def _on_two_cpus(tasks: list) -> list:
     if pid == 0:  # the child: its share, then out, past the parent's cleanup
         code = 1
         try:
+            _start_on(max(cpus), cpus)
             os.close(read_end)
             blob = pickle.dumps(_run_share(indexed[1::2]))
             with open(write_end, "wb") as pipe:
@@ -379,6 +397,7 @@ def _on_two_cpus(tasks: list) -> list:
         finally:
             os._exit(code)
     try:
+        _start_on(min(cpus), cpus)
         os.close(write_end)
         mine, my_failure = _run_share(indexed[::2])
         with open(read_end, "rb", closefd=False) as pipe:
@@ -400,14 +419,10 @@ def _on_two_cpus(tasks: list) -> list:
 
 
 def _sweeps(cases, n_samples: int, seed: int, tolerance: float | None = None,
-            first_tag: int = 0) -> list[EquivalenceRecord]:
-    """One equivalence sweep per case, each on child stream first_tag + its index;
-    on two CPUs where each sweep draws at least SPLIT_SAMPLES samples."""
-    sweeps = [partial(equivalence_sweep, case, n_samples, child_seed(seed, tag), tolerance)
-              for tag, case in enumerate(cases, first_tag)]
-    if n_samples < SPLIT_SAMPLES:
-        return [sweep() for sweep in sweeps]
-    return _on_two_cpus(sweeps)
+            first_tag: int = 0) -> list[typing.Callable[[], EquivalenceRecord]]:
+    """One equivalence sweep task per case, each on child stream first_tag + its index."""
+    return [partial(equivalence_sweep, case, n_samples, child_seed(seed, tag), tolerance)
+            for tag, case in enumerate(cases, first_tag)]
 
 
 def _pick(records: list[dict], columns) -> list[dict]:
@@ -493,8 +508,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_equivalence(cfg: RunConfig) -> int:
     cases = list(CaseId) if cfg.all else [_member(CaseId, cfg, "case")]
-    return _emit_records(cfg, _sweeps(cases, cfg.samples, cfg.seed, cfg.tolerance),
-                         _render_equivalence_markdown)
+    sweeps = _sweeps(cases, cfg.samples, cfg.seed, cfg.tolerance)
+    records = (_on_two_cpus(sweeps) if cfg.samples >= SPLIT_SAMPLES
+               else [sweep() for sweep in sweeps])
+    return _emit_records(cfg, records, _render_equivalence_markdown)
 
 
 def cmd_ode_compare(cfg: RunConfig) -> int:
@@ -589,16 +606,21 @@ def _mesh_chunks(cfg: RunConfig, ttype, us: list[float], fs: list[float],
 
 
 def cmd_report(cfg: RunConfig) -> int:
+    """The family checks, equivalence sweeps and ODE runs are one task list, in
+    that order, run by one `_on_two_cpus` call."""
     suites = [(theorem, fam) for theorem, fids in THEOREM_SUITES.items()
               for fid in fids for fam in default_settings(fid)]
-    family_records = [
-        {"theorem": theorem, **_record(verify_auto(fam, cfg.samples, child_seed(cfg.seed, index),
-                                                   perturb=cfg.perturb))}
-        for index, (theorem, fam) in enumerate(suites)
-    ]
+    checks = [partial(verify_auto, fam, cfg.samples, child_seed(cfg.seed, index),
+                      perturb=cfg.perturb)
+              for index, (_, fam) in enumerate(suites)]
     sweeps = _sweeps(list(CaseId), max(cfg.samples, 500), cfg.seed, first_tag=1000)
-    eq_records = _pick([_record(r) for r in sweeps], _EQUIVALENCE_COLUMNS)
-    ode_records = _pick([_record(r) for r in ode_reference_runs(cfg.step)], _ODE_COLUMNS)
+    results = _on_two_cpus([*checks, *sweeps, *ode_reference_tasks(cfg.step)])
+    first_ode = len(checks) + len(sweeps)
+    family_records = [{"theorem": theorem, **_record(rec)}
+                      for (theorem, _), rec in zip(suites, results)]
+    eq_records = _pick([_record(r) for r in results[len(checks):first_ode]],
+                       _EQUIVALENCE_COLUMNS)
+    ode_records = _pick([_record(r) for r in results[first_ode:]], _ODE_COLUMNS)
     summary = {"families": _family_summary(family_records),
                "equivalence": _family_summary(eq_records),
                "ode": _family_summary(ode_records)}

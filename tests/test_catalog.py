@@ -557,7 +557,7 @@ def test_nan_numerator_sample_fails_the_record(monkeypatch):
     monkeypatch.setattr(pde, "_curvature_kernel", _nan_at(kernel, 5, _nan_numerator))
     assert math.isnan(equivalence_sweep(CaseId.E_NM_ALL, 20, 7).max_rel_deviation)
     monkeypatch.setattr(pde, "_curvature_kernel", _nan_at(kernel, 5, _nan_numerator))
-    [record] = [_record(r) for r in _sweeps([CaseId.E_NM_ALL], 20, 7, 1e-10)]
+    [record] = [_record(sweep()) for sweep in _sweeps([CaseId.E_NM_ALL], 20, 7, 1e-10)]
     assert record["verdict"] == "fail"
 
 

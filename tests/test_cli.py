@@ -1083,4 +1083,9 @@ def test_a_well_formed_command_imports_nothing_after_the_cli():
     first_json = imports[quiet]  # residual
     assert "json" in first_json
     assert all(name == "_json" or name.split(".")[0] == "json" for name in first_json)
-    assert imports[quiet + 1:] == [[]] * (len(runs) - quiet - 1)
+    # but report forks (`cli._on_two_cpus`) where it may run on two CPUs, and
+    # pickles what comes back from the child
+    assert runs[-1] == _SMALL_RUNS["report"]
+    forks = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    assert imports[-1] == (["_compat_pickle", "_pickle", "pickle"] if forks else [])
+    assert imports[quiet + 1:-1] == [[]] * (len(runs) - quiet - 2)

@@ -1,5 +1,6 @@
-"""The split of equivalence sweeps across two processes: the same results,
-errors, stderr and exit code as one process, and no process left behind."""
+"""The split of equivalence sweeps and of report's tasks across two processes:
+the same results, errors, stderr and exit code as one process, no process left
+behind, and none left pinned to a CPU."""
 
 import inspect
 import os
@@ -8,10 +9,11 @@ import threading
 
 import pytest
 
-from ssmin import cli, errors
+from ssmin import catalog, cli, errors
 from ssmin.cli import main
 from ssmin.errors import BlowUp, DomainError, IllConditionedFit, VerifierError
 from ssmin.pde import CaseId
+from ssmin.sampling import child_seed
 
 _ERRORS = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
            if issubclass(cls, Exception) and cls.__module__ == errors.__name__]
@@ -161,3 +163,107 @@ def test_split_and_in_process_outputs_are_byte_identical(monkeypatch, capfd):
     _cpus(monkeypatch, {0})
     assert split == (main(argv), capfd.readouterr())
     assert split[0] == 0 and split[1].err == ""
+
+
+def _split_and_in_process(monkeypatch, capfd, argv):
+    """(exit code, (stdout, stderr)) of argv split across two processes, then in one."""
+    _cpus(monkeypatch, {0, 1})
+    split = main(argv), capfd.readouterr()
+    _no_children_left()
+    _cpus(monkeypatch, {0})
+    return split, (main(argv), capfd.readouterr())
+
+
+def test_report_split_and_in_process_outputs_are_byte_identical(monkeypatch, capfd):
+    for fmt in ("json", "markdown"):
+        argv = ["report", "--all", "--samples", "20", "--seed", "5", "--format", fmt]
+        split, in_process = _split_and_in_process(monkeypatch, capfd, argv)
+        assert split == in_process
+        assert split[0] == 0 and split[1].err == ""
+
+
+# report's tasks: 38 family checks (0-37), 7 sweeps (38-44), 10 ODE runs (45-54);
+# this process runs the even-indexed ones and the child the odd-indexed ones
+@pytest.mark.parametrize("index", [2, 3], ids=["parent-share", "child-share"])
+def test_a_failing_family_check_in_report_gives_the_in_process_stderr_and_exit_code(
+        monkeypatch, capfd, index):
+    check = cli.verify_auto
+    seed = child_seed(5, index)
+
+    def failing(fam, n_samples, rng_seed, *args, **kwargs):
+        if rng_seed == seed:
+            raise DomainError(f"check {index} failed")
+        return check(fam, n_samples, rng_seed, *args, **kwargs)
+    monkeypatch.setattr(cli, "verify_auto", failing)
+    argv = ["report", "--all", "--samples", "20", "--seed", "5"]
+    split, in_process = _split_and_in_process(monkeypatch, capfd, argv)
+    assert split == in_process
+    assert split == (1, ("", f"ssmin: DomainError: check {index} failed\n"))
+
+
+def test_a_failing_ode_run_in_report_gives_the_in_process_stderr_and_exit_code(
+        monkeypatch, capfd):
+    run = catalog._reference_run
+
+    def failing(fid, which, *args):
+        if (fid, which) == (catalog.FamilyId.F3_27, "f"):  # task 49, the child's
+            raise BlowUp("F3_27: RK4 blew up", t=0.5)
+        return run(fid, which, *args)
+    monkeypatch.setattr(catalog, "_reference_run", failing)
+    argv = ["report", "--all", "--samples", "20"]
+    split, in_process = _split_and_in_process(monkeypatch, capfd, argv)
+    assert split == in_process
+    assert split == (1, ("", "ssmin: BlowUp: F3_27: RK4 blew up\n"))
+
+
+def test_report_forks_once_even_where_its_sweeps_reach_the_split_size(
+        two_cpus, monkeypatch, capsys):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+    monkeypatch.setattr(cli.os, "fork", counted)
+    argv = ["report", "--all", "--samples", str(cli.SPLIT_SAMPLES), "--step", "0.01"]
+    assert main(argv) == 0
+    assert forks == [os.getpid()]
+    _no_children_left()
+
+
+def _recorded_moves(monkeypatch, fails=False):
+    """The masks this process passes to os.sched_setaffinity (a forked child
+    records into its own copy); each call raises OSError if fails."""
+    moves = []
+    move = os.sched_setaffinity
+
+    def recorded(pid, mask):
+        moves.append(set(mask))
+        if fails:
+            raise OSError(22, "Invalid argument")
+        move(pid, mask)
+    monkeypatch.setattr(cli.os, "sched_setaffinity", recorded)
+    return moves
+
+
+def test_each_process_starts_on_its_own_cpu_and_none_stays_pinned(monkeypatch):
+    before = os.sched_getaffinity(0)
+    usable = before if len(before) >= 2 else {0, 1}
+    _cpus(monkeypatch, usable)
+    moves = _recorded_moves(monkeypatch)
+    results = cli._on_two_cpus([lambda: list(moves)] * 2)
+    _no_children_left()
+    assert results == [[{min(usable)}, usable], [{max(usable)}, usable]]
+    monkeypatch.undo()
+    assert os.sched_getaffinity(0) == before
+
+
+def test_a_refused_move_costs_no_result(two_cpus, monkeypatch, capfd):
+    moves = _recorded_moves(monkeypatch, fails=True)
+    tasks = [lambda i=i: (i, os.getpid()) for i in range(7)]
+    results = cli._on_two_cpus(tasks)
+    assert [i for i, _ in results] == list(range(7))
+    assert os.getpid() not in {pid for _, pid in results[1::2]}
+    assert moves == [{0}, {0, 1}]  # this process tried, and went on where it was
+    _no_children_left()
+    assert capfd.readouterr() == ("", "")
