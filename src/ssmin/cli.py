@@ -59,11 +59,13 @@ MAX_MESH_VERTICES = 2 ** 22
 # --samples 1000000000 would run for about two days.
 MAX_SAMPLES = 2 ** 20
 
-# Fewest samples per equivalence sweep at which the sweeps are split across two
-# processes (see `_on_two_cpus`).  Importing pickle, forking and reaping cost
-# about 6 ms.  On the machine above, `equivalence --all` took 0.0128 s in one
-# process and 0.0171 s split at 500 samples per sweep, and 0.0266 s against
-# 0.0225 s at 1000 (medians of 8 runs each).
+# Fewest samples per equivalence sweep at which `equivalence` splits its sweeps
+# across two processes (see `_on_two_cpus`; `report` always splits its whole task
+# list).  Importing pickle, forking and reaping cost a few ms.  On the machine
+# above, the seven sweeps took, in one process against split (medians of 12
+# fresh processes each): 8.1 against 11.5 ms at 250 samples per sweep, 15.4
+# against 17.0 ms at 500, 30.3 against 25.8 ms at 1000 and 61.5 against 41.4 ms
+# at 2000.
 SPLIT_SAMPLES = 1000
 
 
@@ -353,8 +355,8 @@ def _start_on(cpu: int, cpus: set[int]) -> None:
 
     A forked child starts on its parent's CPU, and the scheduler may leave it
     there for tens of milliseconds, so that the two share one CPU; once moved
-    apart, they stay apart.  A refused call (OSError) leaves the process where
-    it is."""
+    apart, the scheduler leaves them apart.  A refused call (OSError) leaves
+    the process where it is."""
     for mask in ({cpu}, cpus):
         try:
             os.sched_setaffinity(0, mask)

@@ -118,6 +118,15 @@ def test_a_child_that_ends_without_results_is_a_typed_error(two_cpus, capfd):
     assert capfd.readouterr() == ("written once", "")
 
 
+def _split_and_in_process(monkeypatch, capfd, argv):
+    """(exit code, (stdout, stderr)) of argv split across two processes, then in one."""
+    _cpus(monkeypatch, {0, 1})
+    split = main(argv), capfd.readouterr()
+    _no_children_left()
+    _cpus(monkeypatch, {0})
+    return split, (main(argv), capfd.readouterr())
+
+
 def _failing_sweep(monkeypatch, case, exc):
     sweep = cli.equivalence_sweep
 
@@ -131,16 +140,12 @@ def _failing_sweep(monkeypatch, case, exc):
 @pytest.mark.parametrize("index", [2, 3], ids=["parent-share", "child-share"])
 def test_a_failing_sweep_gives_the_in_process_stderr_and_exit_code(
         monkeypatch, capfd, index):
-    _cpus(monkeypatch, {0, 1})
     case = list(CaseId)[index]
     _failing_sweep(monkeypatch, case, IllConditionedFit(f"sampler starved for case {case.value}"))
     argv = ["equivalence", "--all", "--samples", str(cli.SPLIT_SAMPLES), "--seed", "3"]
-    split = main(argv), capfd.readouterr()
-    _no_children_left()
-    _cpus(monkeypatch, {0})
-    assert split == (main(argv), capfd.readouterr())
-    assert split[0] == 1
-    assert split[1] == ("", f"ssmin: IllConditionedFit: sampler starved for case {case.value}\n")
+    split, in_process = _split_and_in_process(monkeypatch, capfd, argv)
+    assert split == in_process
+    assert split == (1, ("", f"ssmin: IllConditionedFit: sampler starved for case {case.value}\n"))
 
 
 def test_a_lost_sweep_process_is_a_typed_error(two_cpus, monkeypatch, capfd):
@@ -155,23 +160,11 @@ def test_a_lost_sweep_process_is_a_typed_error(two_cpus, monkeypatch, capfd):
 
 
 def test_split_and_in_process_outputs_are_byte_identical(monkeypatch, capfd):
-    _cpus(monkeypatch, {0, 1})
     argv = ["equivalence", "--all", "--samples", str(cli.SPLIT_SAMPLES), "--seed", "11",
             "--format", "markdown"]
-    split = main(argv), capfd.readouterr()
-    _no_children_left()
-    _cpus(monkeypatch, {0})
-    assert split == (main(argv), capfd.readouterr())
+    split, in_process = _split_and_in_process(monkeypatch, capfd, argv)
+    assert split == in_process
     assert split[0] == 0 and split[1].err == ""
-
-
-def _split_and_in_process(monkeypatch, capfd, argv):
-    """(exit code, (stdout, stderr)) of argv split across two processes, then in one."""
-    _cpus(monkeypatch, {0, 1})
-    split = main(argv), capfd.readouterr()
-    _no_children_left()
-    _cpus(monkeypatch, {0})
-    return split, (main(argv), capfd.readouterr())
 
 
 def test_report_split_and_in_process_outputs_are_byte_identical(monkeypatch, capfd):
