@@ -11,9 +11,10 @@ flat directional derivative D_X W:
 The Levi-Civita connection of either metric has all frame derivatives zero, so
 it adds nothing.
 
-The connections run in closed form inside `curvature._curvature_kernel`; as
-vector functions on the frame X1, X2, X3 they are test oracles, in
-`tests/oracles.py`.
+On a surface only the normal parts of these corrections reach the mean
+curvature, and `<W, X3> X` is tangent, so `curvature._curvature_kernel` keeps
+only the metric kind's `-<X, W> X3`.  As vector functions on the frame X1, X2,
+X3 the connections are test oracles, in `tests/oracles.py`.
 """
 
 from enum import Enum

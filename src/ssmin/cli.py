@@ -12,7 +12,7 @@ import sys
 import types
 import typing
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from itertools import chain, repeat, takewhile
 
 from . import __version__
@@ -236,10 +236,12 @@ _FLAGS = {
 }
 
 
+@cache
 def _flag_table(command: str) -> dict[str, dict]:
     """The argparse keywords of each flag of a command, dest and default
     included, in the order its help lists them: --config, --format and
-    --output, then the flags of the settings it reads."""
+    --output, then the flags of the settings it reads.  Built once per command,
+    on first use; callers share the dicts and only read them."""
     _, formats, reads, _ = _COMMANDS[command]
     table = {"--config": {"dest": "config", "help": "JSON config file; overrides flags"},
              "--format": {"dest": "format", "choices": formats},

@@ -1,17 +1,20 @@
-"""Test-side oracles: the connections as vector functions, the record form of
-the mean curvature and the first fundamental form, the NaN-sticky running
-worst, scalar splitmix64, forward-mode jet arithmetic, least-squares
-separation and substitution fits, an RK4-backed profile, the pointwise
-reduced-ODE check of a family, the slope-bounded box of the finite-difference
-oracle, the per-sample equivalence sweep, and the family check and RK4
-comparison by way of `Profile.at`.
+"""Test-side oracles: the connections as vector functions, the sigma form of
+the curvature kernel, the record form of the mean curvature and the first
+fundamental form, the NaN-sticky running worst, scalar splitmix64,
+forward-mode jet arithmetic, least-squares separation and substitution fits,
+an RK4-backed profile, the pointwise reduced-ODE check of a family, the
+slope-bounded box of the finite-difference oracle, the per-sample equivalence
+sweep, and the family check and RK4 comparison by way of `Profile.at`.
 
 No command runs these; the tests use them as checks that do not share the
 code path they verify.  `covariant_derivative` and `torsion` on the frame
 X1, X2, X3 are the printed connection tables, and with `frame_from_jets` they
-are the chain the scalar `ssmin.curvature._curvature_kernel` must equal;
-`mean_curvature_from_jets` wraps that kernel's values in the `SigmaMatrix`,
-`CurvatureReport` and `FirstFundamental` records.  The jet arithmetic is the
+are the chain the paper's sigma form `sigma_kernel` must equal bit for bit.
+The production `ssmin.curvature._curvature_kernel`, written from the
+Levi-Civita-plus-one-term identity, must equal `sigma_kernel` symbolically and
+within a rounding bound.  `mean_curvature_from_jets` wraps the sigma form's
+values in the `SigmaMatrix`, `CurvatureReport` and `FirstFundamental`
+records.  The jet arithmetic is the
 reference the closed-form profile kernels of `ssmin.jets` must equal, the
 scalar splitmix64 (one draw per integer pass) is the reference the block
 stream of `ssmin.sampling` must equal, and the per-sample sweep (scalar draws,
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -68,7 +72,7 @@ from ssmin.pde import (
     residual,
 )
 from ssmin.sampling import SplitMix64
-from ssmin.surface import (FirstFundamental, TranslationType, _fundamental,
+from ssmin.surface import (DEGENERACY_MARGIN, FirstFundamental, TranslationType, _fundamental,
                            _require_regular, _tangents)
 
 _MASK = (1 << 64) - 1
@@ -122,9 +126,71 @@ class CurvatureReport(NamedTuple):
     normalizer: float
 
 
+# sigma_kernel's enum members, bound at module level as the production kernel binds its own
+_EUCLIDEAN, _LEVI_CIVITA = Signature.EUCLIDEAN, ConnectionKind.LEVI_CIVITA
+_METRIC = ConnectionKind.SEMI_SYMMETRIC_METRIC
+_I, _II = TranslationType.I, TranslationType.II
+
+
+def sigma_kernel(ttype: TranslationType, sig: Signature, kind: ConnectionKind,
+                 f1: float, f2: float, g1: float, g2: float) -> tuple[float, ...]:
+    """(E, F, G, det, normalizer, s11, s12, s21, s22, numerator) at one point, in
+    the paper's sigma form: the kernel `ssmin.curvature._curvature_kernel` ran
+    before it was written from the Levi-Civita-plus-one-term identity.
+
+    With e = <X3, X3> = +-1, the tangents, normal and second partials are
+    those of `surface._tangents`, `_normal_direction` and `_second_partials`.
+    The torsion part of nabla_{E_i} E_j is E_i <E_j, X3>, so `tor` is e for
+    both semi-symmetric kinds and 0.0 for Levi-Civita; the metric kind also
+    subtracts X3 <E_i, E_j>, carried by m11, m12, m22.
+    """
+    e = 1.0 if sig is _EUCLIDEAN else -1.0
+    tor = 0.0 if kind is _LEVI_CIVITA else e
+    # det = EG - F^2 in the cancellation-free form of `surface._fundamental`
+    if ttype is _I:
+        E = 1.0 + e * (f1 * f1)
+        F = e * (f1 * g1)
+        G = 1.0 + e * (g1 * g1)
+        det = 1.0 + e * (f1 * f1 + g1 * g1)
+    else:
+        E = 1.0 + f1 * f1
+        F = f1 * g1
+        G = g1 * g1 + e
+        det = g1 * g1 + e * E
+    if not DEGENERACY_MARGIN <= det < inf:
+        _require_regular(sig, det, f1, g1)
+    normalizer = math.sqrt(det)
+    inv = 1.0 / normalizer
+    if kind is _METRIC:
+        m11, m12, m22 = E, F, G
+    else:
+        m11 = m12 = m22 = 0.0
+    if ttype is _I:
+        # Fu = (1, 0, f1), Fv = (0, 1, g1), N = (-f1, -g1, e) / normalizer.
+        a, b = tor * f1, tor * g1
+        n1, n2, n3 = -f1 * inv, -g1 * inv, e * inv
+        s11 = a * n1 + e * (((f2 + f1 * a) - m11) * n3)
+        s12 = b * n1 + e * ((f1 * b - m12) * n3)
+        s21 = a * n2 + e * ((g1 * a - m12) * n3)
+        s22 = b * n2 + e * (((g2 + g1 * b) - m22) * n3)
+    else:
+        # Type II: Fu = (1, f1, 0), Fv = (0, g1, 1), N = (f1, -1, e g1) / normalizer.
+        # Type III swaps the first two slots and negates N, so each sigma_ij is
+        # the Type II sum negated term by term: nf is N in the slot holding
+        # f', g', f'', g'', nc in the other planar slot.
+        o = 1.0 if ttype is _II else -1.0
+        nf, nc, n3 = -o * inv, o * (f1 * inv), (o * (e * g1)) * inv
+        s11 = f2 * nf - e * (m11 * n3)
+        s12 = (tor * nc + (tor * f1) * nf) - e * (m12 * n3)
+        s21 = -(e * (m12 * n3))
+        s22 = (g2 + g1 * tor) * nf + e * ((tor - m22) * n3)
+    numerator = G * s11 - F * s12 - F * s21 + E * s22
+    return E, F, G, det, normalizer, s11, s12, s21, s22, numerator
+
+
 def mean_curvature_from_jets(ttype: TranslationType, space: AmbientSpace,
                              kind: ConnectionKind, fj: Jet2, gj: Jet2) -> CurvatureReport:
-    E, F, G, det, normalizer, s11, s12, s21, s22, numerator = _curvature_kernel(
+    E, F, G, det, normalizer, s11, s12, s21, s22, numerator = sigma_kernel(
         ttype, space.signature, kind, fj.d1, fj.d2, gj.d1, gj.d2
     )
     return CurvatureReport(SigmaMatrix(s11, s12, s21, s22), numerator / (2.0 * det),

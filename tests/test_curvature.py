@@ -1,11 +1,14 @@
 """Second fundamental form and mean curvature, checked against the printed
-per-case covariant-derivative tables; the scalar kernels, checked against the
-frame chain and the jet arithmetic they replace."""
+per-case covariant-derivative tables; the sigma-form kernel, checked against
+the frame chain, the production kernel against a 50-digit evaluation of the
+sigma form, and the closed-form profile kernels against the jet arithmetic
+they replace."""
 
 import functools
 import inspect
 import math
 import sys
+import types
 
 import mpmath
 import pytest
@@ -25,8 +28,9 @@ from ssmin.jets import Jet2, affine_profile
 from ssmin.sampling import SplitMix64
 from ssmin.surface import TranslationSurface, TranslationType, frame_from_jets
 
+import oracles
 from oracles import (Jet, covariant_derivative, first_fundamental_from_jets, log_abs_cos_jet,
-                     log_abs_exp_jet, mean_curvature_from_jets)
+                     log_abs_exp_jet, mean_curvature_from_jets, sigma_kernel)
 
 E = Signature.EUCLIDEAN
 L = Signature.LORENTZIAN
@@ -205,18 +209,26 @@ def test_euclidean_metric_offset_identity():
         assert abs((h_metric - h_flat) - offset) <= 1e-10
 
 
+def _exact_test_points(sig, ttype):
+    """400 seeded admissible (f', f'', g', g''), the same for each connection."""
+    rng = SplitMix64(4242)
+    for _ in range(400):
+        f1, g1 = _admissible_sample(rng, sig, ttype)
+        yield f1, rng.uniform(-3, 3), g1, rng.uniform(-3, 3)
+
+
 @pytest.mark.parametrize("ttype", TYPES, ids=lambda t: t.value)
 @pytest.mark.parametrize("sig", (E, L), ids=lambda s: s.value)
 @pytest.mark.parametrize("kind", (LC, SSM, SSNM), ids=lambda k: k.value)
 def test_scalar_kernel_equals_frame_oracle_exactly(ttype, sig, kind):
-    # The kernel must reproduce the frame / covariant-derivative / inner-product
-    # chain bit for bit; == (not approx) is what keeps reports byte-identical.
-    rng = SplitMix64(4242)
+    # The paper's sigma form must reproduce the frame / covariant-derivative /
+    # inner-product chain bit for bit (== , not approx).  The production kernel
+    # is written from the Levi-Civita-plus-one-term identity and performs other
+    # operations; it equals this form symbolically (tests/test_symbolic.py) and
+    # within a rounding bound (test_kernel_numerator_is_within_rounding_bound).
     space = AmbientSpace(sig, kind)
-    for _ in range(400):
-        f1, g1 = _admissible_sample(rng, sig, ttype)
-        fj = Jet2(0.0, f1, rng.uniform(-3, 3))
-        gj = Jet2(0.0, g1, rng.uniform(-3, 3))
+    for f1, f2, g1, g2 in _exact_test_points(sig, ttype):
+        fj, gj = Jet2(0.0, f1, f2), Jet2(0.0, g1, g2)
         fr = frame_from_jets(ttype, space, fj, gj)
         s11, s12, s21, s22 = (
             metric_inner(sig, covariant_derivative(space, x, w, dw), fr.N)
@@ -227,13 +239,84 @@ def test_scalar_kernel_equals_frame_oracle_exactly(ttype, sig, kind):
                       metric_inner(sig, fr.Fv, fr.Fv))
         det = first_fundamental_from_jets(ttype, space, fj, gj).det
         numerator = g_ * s11 - f_ * s12 - f_ * s21 + e_ * s22
-        got = _curvature_kernel(ttype, sig, kind, fj.d1, fj.d2, gj.d1, gj.d2)
+        got = sigma_kernel(ttype, sig, kind, fj.d1, fj.d2, gj.d1, gj.d2)
         assert got == (e_, f_, g_, det, fr.normalizer, s11, s12, s21, s22, numerator)
+        assert _curvature_kernel(ttype, sig, kind, fj.d1, fj.d2, gj.d1, gj.d2)[:5] == got[:5]
         rep = mean_curvature_from_jets(ttype, space, kind, fj, gj)
         assert (rep.sigma.s11, rep.sigma.s12, rep.sigma.s21, rep.sigma.s22) == got[5:9]
         assert (rep.first.E, rep.first.F, rep.first.G, rep.first.det) == got[:4]
         assert (rep.numerator, rep.normalizer) == (numerator, fr.normalizer)
         assert rep.H == numerator / (2.0 * det)
+
+
+# Rounded operations on the kernel's numerator path, Types II and III: f'*f' and
+# + 1 (E), g'*g' and + e (G), + (det; products with e = +-1 and 2 are exact),
+# G*f'', E*g'' and + (lc), *det and + (the metric term), sqrt and the division.
+# Type I has one more addition in det and one product fewer (2*det is exact).
+_NUMERATOR_ROUNDINGS = 12
+_UNIT_ROUNDOFF = sys.float_info.epsilon / 2
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), Accuracy and Stability of Numerical
+    Algorithms (2nd ed., SIAM 2002), section 3.1."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
+def _numerator_scale(ttype, kind, f1, f2, g1, g2, det, numerator):
+    """M in |kernel numerator - exact| <= gamma_c * M.
+
+    D = 1 + f'^2 + g'^2 bounds the magnitudes of det's terms, so det carries an
+    absolute error up to about D u.  A is the sum of the magnitudes of the terms
+    of lc and of the metric term: (1 + g'^2)|f''| + (1 + f'^2)|g''|, plus
+    2 w D for the metric kind with w = 1 for Type I and |g'| otherwise.  The
+    numerator is (lc +- metric term) / sqrt(det); so M = A / sqrt(det) for the
+    rounding of the sum, plus |numerator| D / det for det's relative error,
+    which the square root halves and the division passes on."""
+    big_d = 1 + f1 * f1 + g1 * g1
+    a = (1 + g1 * g1) * abs(f2) + (1 + f1 * f1) * abs(g2)
+    if kind is SSM:
+        a += 2 * big_d * (1 if ttype is TranslationType.I else abs(g1))
+    return a / mpmath.sqrt(det) + abs(numerator) * big_d / det
+
+
+def _far_box_ends():
+    """The (type, signature, connection, f', f'', g', g'') at the four corners
+    of the sampling boxes of three large-slope settings: f' = 3000 with g' - f'
+    about 1.7e-4 (F3_30), f' = 1e4 with g' up to 1.6e5 (F2_39), and g' = 300
+    (F2_23), where `verify` read a sigma-form numerator of 16384, 48 and 4.4e-11."""
+    out = []
+    for fid, params in ((FamilyId.F3_30, {"c0_hat": 3000.0, "a_hat": -0.3}),
+                        (FamilyId.F2_39, {"c0_hat": 1e4}), (FamilyId.F2_23, {"c3": 300.0})):
+        built = catalog._assemble(make_family(fid, **params))
+        surface, (box_u, box_v) = built.surface, built.domain.sampling_box()
+        for u in (box_u.lo, box_u.hi):
+            for v in (box_v.lo, box_v.hi):
+                fj, gj = surface.f.at(u, value=False), surface.g.at(v, value=False)
+                out.append((surface.ttype, surface.space.signature, surface.space.connection,
+                            fj.d1, fj.d2, gj.d1, gj.d2))
+    return out
+
+
+def test_kernel_numerator_is_within_rounding_bound(monkeypatch):
+    # The kernel performs other operations than the frame chain, so the exact
+    # test holds the sigma form instead; this bounds how far the kernel may
+    # differ.  The reference is the sigma form at 50 digits, so it shares no
+    # rounding with the kernel.  The float sigma form exceeds this bound by a
+    # factor of about 8e6 at F2_39's far corner.
+    monkeypatch.setattr(oracles, "math", types.SimpleNamespace(sqrt=mpmath.sqrt))
+    points = [(ttype, sig, kind, *point) for ttype in TYPES for sig in (E, L)
+              for kind in (LC, SSM, SSNM) for point in _exact_test_points(sig, ttype)]
+    points += _far_box_ends()
+    assert len(points) == 18 * 400 + 12
+    bound = _gamma(_NUMERATOR_ROUNDINGS)
+    with mpmath.workdps(50):
+        for ttype, sig, kind, f1, f2, g1, g2 in points:
+            exact = sigma_kernel(ttype, sig, kind, *map(mpmath.mpf, (f1, f2, g1, g2)))
+            det, numerator = exact[3], exact[-1]
+            got = _curvature_kernel(ttype, sig, kind, f1, f2, g1, g2)[-1]
+            scale = _numerator_scale(ttype, kind, f1, f2, g1, g2, det, numerator)
+            assert abs(got - numerator) <= bound * scale, (ttype, sig, kind, f1, f2, g1, g2)
 
 
 # Closed-form profile makers, their jet-arithmetic oracles and the oracle's arguments.

@@ -115,6 +115,50 @@ def test_flipped_sign_fails_the_sweep(monkeypatch, key):
     record = equivalence_sweep(case, 20, 7)
     assert record.max_rel_deviation > 1e-3
     assert record.verdict is False
+    assert equivalence_sweep(case, 300, 3).verdict is False
+
+
+_METRIC_CASES = [case for case in CaseId
+                 if _CASES[case.value].connection is ConnectionKind.SEMI_SYMMETRIC_METRIC]
+
+
+def _metric_term_scaled(scale):
+    """The kernel with its metric term -2 det <X3, N> multiplied by `scale`: the
+    metric numerator less the non-metric one at the same point is that term."""
+    kernel = pde._curvature_kernel
+
+    def scaled(ttype, sig, kind, f1, f2, g1, g2):
+        k = kernel(ttype, sig, kind, f1, f2, g1, g2)
+        if kind is not ConnectionKind.SEMI_SYMMETRIC_METRIC:
+            return k
+        lc = kernel(ttype, sig, ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, f1, f2, g1, g2)[-1]
+        return k[:-1] + (lc + scale * (k[-1] - lc),)
+    return scaled
+
+
+def _residuals_scaled(monkeypatch, factor):
+    for name, row in _CASES.items():
+        res = row.residual
+        monkeypatch.setitem(pde._CASES, name, row._replace(
+            residual=lambda f1, f2, g1, g2, res=res: factor * res(f1, f2, g1, g2)))
+
+
+# Negative controls: the kernel now has the residual table's shape (Levi-Civita
+# numerator plus one metric term), so a mistake both shared could pass the
+# sweep.  Each broken variant must fail every case it touches at 300 samples,
+# and a residual off by a relative 1e-9 (the sweep's detection floor, against
+# its tolerance of 1e-10) must fail every case.
+@pytest.mark.parametrize("control, affected", [
+    (lambda mp: mp.setattr(pde, "_curvature_kernel", _metric_term_scaled(-1.0)), _METRIC_CASES),
+    (lambda mp: mp.setattr(pde, "_curvature_kernel", _metric_term_scaled(0.5)), _METRIC_CASES),
+    (lambda mp: _residuals_scaled(mp, 1.0 + 1e-9), list(CaseId)),
+], ids=["metric-term-sign", "metric-term-factor-1", "residual-1e-9"])
+@pytest.mark.parametrize("seed", [3, 2718])
+def test_negative_controls_fail_every_affected_sweep(monkeypatch, control, affected, seed):
+    assert all(equivalence_sweep(case, 300, seed).verdict for case in CaseId)
+    control(monkeypatch)
+    for case in CaseId:
+        assert equivalence_sweep(case, 300, seed).verdict is (case not in affected), case
 
 
 def test_type_ii_iii_residual_coincidence():

@@ -67,7 +67,7 @@ def test_every_record_is_an_immutable_named_tuple():
      "empty_reason=\"no spacelike points: 1 - f'^2 - g'^2 <= 1 - c^2 = -1.25 < 0\")"),
     (lambda: equivalence_sweep(CaseId.L_M_I, 5, 1),
      "EquivalenceRecord(case=<CaseId.L_M_I: 'L_M_I'>, n_samples=5, attempts=5, "
-     "acceptance_rate=1.0, max_rel_deviation=2.5029989428019175e-16, tolerance=1e-10, "
+     "acceptance_rate=1.0, max_rel_deviation=1.7562452761952818e-16, tolerance=1e-10, "
      "verdict=True)"),
 ], ids=["Interval", "SolutionFamily", "FamilyReport", "EquivalenceRecord"])
 def test_repr_is_pinned(make, text):

@@ -1,5 +1,6 @@
-"""Symbolic certificates of the kernel: the first fundamental form, and the case
-table's lambda * numerator = residual, as identities.
+"""Symbolic certificates of the kernel: the first fundamental form, the
+Levi-Civita-plus-one-term numerator against the paper's sigma form, and the
+case table's lambda * numerator = residual, as identities.
 
 The production kernel `curvature._curvature_kernel` runs on sympy symbols, with
 `math.sqrt` replaced by `sympy.sqrt` and the regularity margin by -oo, which
@@ -8,7 +9,11 @@ transcription of it.  E, F, G
 and det must equal the Gram entries of the paper's tangents for each surface
 type and signature; lambda * numerator alone cannot see det.  Each of the 12
 (case, surface type) pairs must reduce to zero exactly, which also certifies
-the table's signs and its product-cleared non-metric residuals.
+the table's signs and its product-cleared non-metric residuals.  For each of the
+18 (type, signature, connection) triples the kernel's numerator must equal the
+one `oracles.sigma_kernel` builds from all four sigma_ij with their torsion
+terms: that is H~ = H for the non-metric kind and H~ = H - <X3, N> for the
+metric kind.
 """
 
 import types
@@ -16,6 +21,7 @@ import types
 import pytest
 import sympy
 
+import oracles
 from ssmin import curvature
 from ssmin.ambient import ConnectionKind, Signature
 from ssmin.pde import CaseId, _CASES
@@ -24,12 +30,19 @@ from ssmin.surface import TranslationType
 _PAIRS = [(CaseId(name), ttype) for name, row in _CASES.items() for ttype in row.signs]
 
 
+def _symbolic(monkeypatch, *modules):
+    """Run each module's kernel on sympy symbols: sympy's sqrt, and a margin of
+    -oo that every symbolic det clears.  Returns the symbols f1, f2, g1, g2."""
+    for module in modules:
+        monkeypatch.setattr(module, "math", types.SimpleNamespace(sqrt=sympy.sqrt))
+        monkeypatch.setattr(module, "DEGENERACY_MARGIN", -sympy.oo)
+    return sympy.symbols("f1 f2 g1 g2", real=True)
+
+
 @pytest.mark.parametrize("sig", list(Signature), ids=lambda s: s.value)
 @pytest.mark.parametrize("ttype", list(TranslationType), ids=lambda t: t.value)
 def test_first_fundamental_form_is_the_gram_matrix_of_the_tangents(monkeypatch, sig, ttype):
-    monkeypatch.setattr(curvature, "math", types.SimpleNamespace(sqrt=sympy.sqrt))
-    monkeypatch.setattr(curvature, "DEGENERACY_MARGIN", -sympy.oo)
-    f1, f2, g1, g2 = sympy.symbols("f1 f2 g1 g2", real=True)
+    f1, f2, g1, g2 = _symbolic(monkeypatch, curvature)
     # the coordinate tangents (E_u, E_v) of each type, as the paper writes them
     fu, fv = {
         TranslationType.I: ((1, 0, f1), (0, 1, g1)),
@@ -51,12 +64,23 @@ def test_first_fundamental_form_is_the_gram_matrix_of_the_tangents(monkeypatch, 
 
 @pytest.mark.parametrize("case, ttype", _PAIRS, ids=lambda x: x.value)
 def test_signed_normalizer_times_numerator_is_the_residual(monkeypatch, case, ttype):
-    monkeypatch.setattr(curvature, "math", types.SimpleNamespace(sqrt=sympy.sqrt))
-    monkeypatch.setattr(curvature, "DEGENERACY_MARGIN", -sympy.oo)
-    f1, f2, g1, g2 = sympy.symbols("f1 f2 g1 g2", real=True)
+    f1, f2, g1, g2 = _symbolic(monkeypatch, curvature)
     sig, kind, signs, residual = _CASES[case.value]
     k = curvature._curvature_kernel(ttype, sig, kind, f1, f2, g1, g2)
     # k[4] is the normalizer and k[-1] the numerator; every float in the code is
     # a small integer, so nsimplify makes the arithmetic exact
     gap = sympy.nsimplify(signs[ttype] * k[4] * k[-1] - residual(f1, f2, g1, g2))
     assert sympy.simplify(gap) == 0
+
+
+@pytest.mark.parametrize("kind", list(ConnectionKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("sig", list(Signature), ids=lambda s: s.value)
+@pytest.mark.parametrize("ttype", list(TranslationType), ids=lambda t: t.value)
+def test_numerator_is_the_sigma_form_numerator(monkeypatch, ttype, sig, kind):
+    # the torsion terms of sigma are tangent and cancel; only the metric kind's
+    # -<X, Y> <X3, N> survives, so the two forms agree as rational functions
+    f1, f2, g1, g2 = _symbolic(monkeypatch, curvature, oracles)
+    got = curvature._curvature_kernel(ttype, sig, kind, f1, f2, g1, g2)
+    want = oracles.sigma_kernel(ttype, sig, kind, f1, f2, g1, g2)
+    assert got[:5] == want[:5]
+    assert sympy.simplify(sympy.nsimplify(got[-1] - want[-1])) == 0
