@@ -5,6 +5,7 @@ verification check failed.  Reports are deterministic for a fixed seed: all
 sampling runs on splitmix64 streams and no timing data is serialized.
 """
 
+import marshal
 import math
 import os
 import re
@@ -61,12 +62,13 @@ MAX_SAMPLES = 2 ** 20
 
 # Fewest samples per equivalence sweep at which `equivalence` splits its sweeps
 # across two processes (see `_on_two_cpus`; `report` always splits its whole task
-# list).  Importing pickle, forking and reaping cost a few ms.  On the machine
-# above, the seven sweeps took, in one process against split (medians of 12
-# fresh processes each): 8.1 against 11.5 ms at 250 samples per sweep, 15.4
-# against 17.0 ms at 500, 30.3 against 25.8 ms at 1000 and 61.5 against 41.4 ms
-# at 2000.
-SPLIT_SAMPLES = 1000
+# list).  Forking and reaping cost a few ms.  On the machine above, the seven
+# sweeps took, in one process against split (medians of 12 fresh processes
+# each): 5.5 against 5.6 ms at 250 samples per sweep, 11.1 against 9.0 ms at
+# 500, 22.6 against 13.9 ms at 1000 and 47.0 against 30.2 ms at 2000.  At 500
+# the split was the faster in three more such series and tied in a fourth (8.2
+# against 8.3 ms); at 250 it was the slower in three of four.
+SPLIT_SAMPLES = 500
 
 
 class _RunFields(typing.NamedTuple):
@@ -340,6 +342,11 @@ def _record(rec) -> dict:
     return out
 
 
+def _recorded(tasks: list) -> list:
+    """Each task made to return its engine record as serialized (`_record`)."""
+    return [lambda task=task: _record(task()) for task in tasks]
+
+
 def _run_share(indexed) -> tuple[list, tuple[int, Exception] | None]:
     """The results of the (index, task) pairs' tasks, run in order up to the first
     that raises, and that task's index and exception (None if none raises)."""
@@ -371,12 +378,17 @@ def _on_two_cpus(tasks: list) -> list:
 
     Where this process may run on two CPUs, can fork and runs no other thread, a
     child made with `os.fork` runs the odd-indexed tasks while this process runs
-    the even-indexed ones; the child sends back its results, or the exception
-    that stopped it, pickled through a pipe.  Right after the fork this process
-    moves to the lowest of its CPUs and the child to the highest (`_start_on`).
-    The first exception in task order is raised, so the output and exit code
-    are those of running the tasks one after another in this process, which is
-    what happens otherwise.  The child writes nothing to stdout or stderr,
+    the even-indexed ones.  Right after the fork this process moves to the
+    lowest of its CPUs and the child to the highest (`_start_on`).  The child
+    sends back through a pipe, with `marshal`, its results and the index of the
+    task that stopped it, so each result must be a value `marshal` writes, as
+    the dicts of `_record` are.  No exception crosses the pipe: where the
+    child's failing task comes first in task order, this process runs it again,
+    and as the tasks are seeded and pure it raises the same error here (if it
+    returns instead, that is a VerifierError).  So the first exception in task
+    order is raised, and the output and exit code are those of running the
+    tasks one after another in this process, which is what happens otherwise,
+    a refused fork included.  The child writes nothing to stdout or stderr,
     always ends in `os._exit`, and is always reaped.  (A forked child has only
     the forking thread, and a lock another thread held stays locked in it,
     hence no fork beside other threads.)"""
@@ -385,16 +397,21 @@ def _on_two_cpus(tasks: list) -> list:
     if (len(tasks) < 2 or not hasattr(os, "fork") or len(cpus) < 2
             or threading is not None and threading.active_count() > 1):
         return [task() for task in tasks]
-    import pickle
     indexed = list(enumerate(tasks))
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # refused, as at a process limit (EAGAIN): all tasks here
+        os.close(read_end)
+        os.close(write_end)
+        return [task() for task in tasks]
     if pid == 0:  # the child: its share, then out, past the parent's cleanup
         code = 1
         try:
             _start_on(max(cpus), cpus)
             os.close(read_end)
-            blob = pickle.dumps(_run_share(indexed[1::2]))
+            results, failure = _run_share(indexed[1::2])
+            blob = marshal.dumps((results, None if failure is None else failure[0]))
             with open(write_end, "wb") as pipe:
                 pipe.write(blob)
             code = 0
@@ -413,10 +430,13 @@ def _on_two_cpus(tasks: list) -> list:
         raise VerifierError(f"the process running tasks 1, 3, ... of {len(tasks)} ended "
                             f"without sending their results "
                             f"(exit code {os.waitstatus_to_exitcode(status)})")
-    theirs, their_failure = pickle.loads(blob)
-    failures = [failure for failure in (my_failure, their_failure) if failure]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+    theirs, their_failure = marshal.loads(blob)
+    if their_failure is not None and (my_failure is None or their_failure < my_failure[0]):
+        tasks[their_failure]()
+        raise VerifierError(f"task {their_failure} of {len(tasks)} raised in the process "
+                            f"running tasks 1, 3, ... but returned when run again")
+    if my_failure is not None:
+        raise my_failure[1]
     results = [None] * len(tasks)
     results[::2], results[1::2] = mine, theirs
     return results
@@ -471,10 +491,10 @@ def _emit_payload(payload: dict, cfg: RunConfig, markdown_renderer=None) -> None
         _write([json.dumps(payload, indent=2) + "\n"], cfg)
 
 
-def _emit_records(cfg: RunConfig, engine_records, markdown_renderer,
+def _emit_records(cfg: RunConfig, records: list[dict], markdown_renderer,
                   ok: bool = True, **extra) -> int:
-    """Emit a single-table command's payload; exit 0 only if every record passes."""
-    records = [_record(r) for r in engine_records]
+    """Emit a single-table command's payload of serialized records (`_record`);
+    exit 0 only if every record passes."""
     summary = _family_summary(records)
     payload = {"version": __version__, "command": cfg.command, "config": cfg.echo_dict(),
                "records": records, **extra, "summary": summary}
@@ -504,22 +524,22 @@ def cmd_residual(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     families = all_default_settings() if cfg.all else [_family_from_config(cfg)]
-    records = [verify_auto(fam, cfg.samples, child_seed(cfg.seed, index),
-                           cfg.tolerance, cfg.perturb)
+    records = [_record(verify_auto(fam, cfg.samples, child_seed(cfg.seed, index),
+                                   cfg.tolerance, cfg.perturb))
                for index, fam in enumerate(families)]
     return _emit_records(cfg, records, _render_verify_markdown)
 
 
 def cmd_equivalence(cfg: RunConfig) -> int:
     cases = list(CaseId) if cfg.all else [_member(CaseId, cfg, "case")]
-    sweeps = _sweeps(cases, cfg.samples, cfg.seed, cfg.tolerance)
+    sweeps = _recorded(_sweeps(cases, cfg.samples, cfg.seed, cfg.tolerance))
     records = (_on_two_cpus(sweeps) if cfg.samples >= SPLIT_SAMPLES
                else [sweep() for sweep in sweeps])
     return _emit_records(cfg, records, _render_equivalence_markdown)
 
 
 def cmd_ode_compare(cfg: RunConfig) -> int:
-    records = ode_reference_runs(cfg.step, cfg.tolerance)
+    records = [_record(r) for r in ode_reference_runs(cfg.step, cfg.tolerance)]
     orders = convergence_orders()
     return _emit_records(cfg, records, _render_ode_markdown, all(o.verdict for o in orders),
                          convergence=[_record(o) for o in orders])
@@ -611,20 +631,19 @@ def _mesh_chunks(cfg: RunConfig, ttype, us: list[float], fs: list[float],
 
 def cmd_report(cfg: RunConfig) -> int:
     """The family checks, equivalence sweeps and ODE runs are one task list, in
-    that order, run by one `_on_two_cpus` call."""
+    that order, run by one `_on_two_cpus` call that returns their serialized
+    records."""
     suites = [(theorem, fam) for theorem, fids in THEOREM_SUITES.items()
               for fid in fids for fam in default_settings(fid)]
     checks = [partial(verify_auto, fam, cfg.samples, child_seed(cfg.seed, index),
                       perturb=cfg.perturb)
               for index, (_, fam) in enumerate(suites)]
     sweeps = _sweeps(list(CaseId), max(cfg.samples, 500), cfg.seed, first_tag=1000)
-    results = _on_two_cpus([*checks, *sweeps, *ode_reference_tasks(cfg.step)])
+    results = _on_two_cpus(_recorded([*checks, *sweeps, *ode_reference_tasks(cfg.step)]))
     first_ode = len(checks) + len(sweeps)
-    family_records = [{"theorem": theorem, **_record(rec)}
-                      for (theorem, _), rec in zip(suites, results)]
-    eq_records = _pick([_record(r) for r in results[len(checks):first_ode]],
-                       _EQUIVALENCE_COLUMNS)
-    ode_records = _pick([_record(r) for r in results[first_ode:]], _ODE_COLUMNS)
+    family_records = [{"theorem": theorem, **rec} for (theorem, _), rec in zip(suites, results)]
+    eq_records = _pick(results[len(checks):first_ode], _EQUIVALENCE_COLUMNS)
+    ode_records = _pick(results[first_ode:], _ODE_COLUMNS)
     summary = {"families": _family_summary(family_records),
                "equivalence": _family_summary(eq_records),
                "ode": _family_summary(ode_records)}

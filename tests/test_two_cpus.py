@@ -2,7 +2,10 @@
 the same results, errors, stderr and exit code as one process, no process left
 behind, and none left pinned to a CPU."""
 
+import errno
 import inspect
+import json
+import marshal
 import os
 import pickle
 import threading
@@ -12,7 +15,7 @@ import pytest
 from ssmin import catalog, cli, errors
 from ssmin.cli import main
 from ssmin.errors import BlowUp, DomainError, IllConditionedFit, VerifierError
-from ssmin.pde import CaseId
+from ssmin.pde import CaseId, equivalence_sweep
 from ssmin.sampling import child_seed
 
 _ERRORS = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
@@ -116,6 +119,56 @@ def test_a_child_that_ends_without_results_is_a_typed_error(two_cpus, capfd):
         cli._on_two_cpus([lambda: 0, _raise(KeyboardInterrupt())])
     _no_children_left()
     assert capfd.readouterr() == ("written once", "")
+
+
+def test_a_task_that_raises_only_in_the_child_is_a_typed_error(two_cpus, capfd):
+    here = os.getpid()
+
+    def only_there():
+        if os.getpid() != here:
+            raise DomainError("raised in the child only")
+        return 3
+    tasks = [lambda: 0, lambda: 1, lambda: 2, only_there, lambda: 4]
+    with pytest.raises(VerifierError, match=r"^task 3 of 5 raised in the process running "
+                                            r"tasks 1, 3, \.\.\. but returned when run again$"):
+        cli._on_two_cpus(tasks)
+    _no_children_left()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_every_record_the_split_carries_survives_a_marshal_round_trip():
+    # the child sends its records with marshal, which writes only plain types
+    full, residual_only = (catalog.verify_auto(catalog.default_settings(fid)[0], 5, 1)
+                           for fid in (catalog.FamilyId.F2_23, catalog.FamilyId.F3_10))
+    assert full.mode == "full" and full.max_abs_numerator is not None
+    assert residual_only.max_abs_numerator is None and residual_only.empty_reason
+    sweep = equivalence_sweep(CaseId.L_M_II_III, 5, 1)
+    ode_run = catalog.ode_reference_tasks(0.01)[0]()
+    for rec in (full, residual_only, sweep, ode_run):
+        record = cli._record(rec)
+        back = marshal.loads(marshal.dumps(record))
+        assert back == record and list(back) == list(record)
+        assert json.dumps(back, indent=2) == json.dumps(record, indent=2)
+
+
+def _open_fds() -> set[str]:
+    """This process's open file descriptors, where /proc shows them."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+def test_a_refused_fork_runs_every_task_here(monkeypatch, capfd):
+    argv = ["report", "--all", "--samples", "3", "--step", "0.01"]
+    _cpus(monkeypatch, {0})
+    in_process = main(argv), capfd.readouterr()
+
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    monkeypatch.setattr(cli.os, "fork", refused)
+    _cpus(monkeypatch, {0, 1})
+    before = _open_fds()
+    assert (main(argv), capfd.readouterr()) == in_process
+    assert _open_fds() == before
+    assert in_process[0] == 0 and in_process[1].err == ""
 
 
 def _split_and_in_process(monkeypatch, capfd, argv):
