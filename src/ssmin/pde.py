@@ -97,17 +97,20 @@ def equivalence_sweep(case: CaseId, n_samples: int, seed: int,
 
     Cases spanning Types II and III alternate between the two types so both
     frame bindings are exercised.  Lorentzian samples outside the spacelike
-    region are rejected and counted.  The draws are read in pairs: each
+    region are rejected and counted.  The 53-bit words are read in pairs: each
     attempt takes (f', g') from one pair, scaled to its type's box, and an
-    admitted attempt takes (f'', g'') from the next.
+    admitted attempt takes (f'', g'') from the next.  Each affine map has
+    2**-53 folded into its width, exact for every width here (see
+    `ssmin.sampling`), so no float is made per draw.
     """
     if n_samples < 1:
         raise VerifierError(f"n_samples must be >= 1, got {n_samples}")
     sig, kind, signs, res_fn = _row_of(_CASES, CaseId, case)
-    kernel, draws = _curvature_kernel, SplitMix64(seed).draws
-    pairs = zip(draws, draws)
-    # per type: (type, sign, f' low end and width, g' low end and width, spacelike gate);
-    # Lorentzian gate 1 (Type I) admits 1 - f'^2 - g'^2 >= 1e-3, gate 2 g'^2 - f'^2 - 1 >= 1e-3
+    kernel, words = _curvature_kernel, SplitMix64(seed).words
+    pairs = zip(words, words)
+    # per type: (type, sign, f' low end and width * 2**-53, g' low end and width * 2**-53,
+    # spacelike gate); Lorentzian gate 1 (Type I) admits 1 - f'^2 - g'^2 >= 1e-3, gate 2
+    # g'^2 - f'^2 - 1 >= 1e-3
     slots = []
     for ttype, sign in signs.items():
         if sig is Signature.EUCLIDEAN:
@@ -116,25 +119,25 @@ def equivalence_sweep(case: CaseId, n_samples: int, seed: int,
             fw, gw, gate = 1.2, 1.2, 1
         else:
             fw, gw, gate = 1.5, 2.6, 2
-        slots.append((ttype, sign, -fw, fw - -fw, -gw, gw - -gw, gate))
+        slots.append((ttype, sign, -fw, (fw - -fw) * 2 ** -53, -gw, (gw - -gw) * 2 ** -53, gate))
     n_slots, cap = len(slots), 1000 * n_samples
     worst = 0.0
     attempts = 0
     for accepted in range(n_samples):
-        ttype, sign, f_lo, f_span, g_lo, g_span, gate = slots[accepted % n_slots]
+        ttype, sign, f_lo, f_scale, g_lo, g_scale, gate = slots[accepted % n_slots]
         for a, b in pairs:  # endless: the stream never runs out
             attempts += 1
             if attempts > cap:
                 raise IllConditionedFit(f"sampler starved for case {case.value}")
-            f1 = f_lo + f_span * a
-            g1 = g_lo + g_span * b
+            f1 = f_lo + f_scale * a
+            g1 = g_lo + g_scale * b
             if (gate == 0 or gate == 1 and 1.0 - f1 * f1 - g1 * g1 >= 1e-3
                     or gate == 2 and g1 * g1 - f1 * f1 - 1.0 >= 1e-3):
                 break
         a, b = next(pairs)
         # f'' and g'' on [-3, 3]
-        f2 = -3.0 + 6.0 * a
-        g2 = -3.0 + 6.0 * b
+        f2 = -3.0 + (6.0 * 2 ** -53) * a
+        g2 = -3.0 + (6.0 * 2 ** -53) * b
         k = kernel(ttype, sig, kind, f1, f2, g1, g2)
         res = res_fn(f1, f2, g1, g2)
         # k[4] is the normalizer and k[-1] the numerator; a NaN deviation sticks as the worst

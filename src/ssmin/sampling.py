@@ -14,9 +14,17 @@ single big-integer operation over the whole block.  A 64-bit lane times a
 64-bit constant stays below 2**128, and each step masks away the bits a shift
 pulls in from the next lane, so no lane disturbs another and every draw equals
 the scalar splitmix64 output bit for bit.  Lanes are read out little-endian,
-whatever the machine's byte order.  `SplitMix64.draws` maps each 53-bit word
-to its double in [0, 1) inside C-level iterators, so no Python frame runs per
-draw; the product with 2**-53 is exact.
+whatever the machine's byte order.  `SplitMix64.words` yields the 53-bit
+words and `SplitMix64.draws` maps each to its double w * 2**-53 in [0, 1),
+both inside C-level iterators, so no Python frame runs per draw.
+
+Hot loops read `words` and fold 2**-53 into their affine maps: they draw
+``lo + (span * 2**-53) * w`` where ``uniform(lo, lo + span)`` draws
+``lo + span * (w * 2**-53)``, and so skip the float `draws` makes per word.  The
+two are the same double whenever ``span * 2**-53`` is exact, which
+`folds_exactly` tests: w * 2**-53 is exact for w < 2**53, so both forms round
+the one real product span * w * 2**-53 once.  Every span of at least 2**-969
+qualifies; a narrower one may not, and its loop reads `draws` instead.
 """
 
 import operator
@@ -51,15 +59,17 @@ def _block(state: int) -> tuple[int, ...]:
 class SplitMix64:
     """splitmix64 stream; uniform doubles use the top 53 bits.
 
-    ``draws`` iterates over the stream's doubles in [0, 1), and ``unit()``
-    returns the next of them; hot loops bind either once and draw
-    ``lo + (hi - lo) * unit()``, the value ``uniform(lo, hi)`` returns.
+    ``words`` iterates over the stream's 53-bit ints, ``draws`` over their
+    doubles in [0, 1), and ``unit()`` returns the next double; all three read
+    one stream.  ``uniform(lo, hi)`` returns ``lo + (hi - lo) * unit()``.  A hot
+    loop binds ``words`` once and draws ``lo + (span * 2**-53) * w``, the same
+    double wherever ``folds_exactly(span)`` holds.
     """
 
     def __init__(self, seed: int):
         # each block starts from the last pre-mix state of the one before
-        words = chain.from_iterable(map(_block, count(seed & _MASK, _BLOCK * _GOLDEN)))
-        self.draws = map(operator.mul, words, repeat(2.0 ** -53))
+        self.words = chain.from_iterable(map(_block, count(seed & _MASK, _BLOCK * _GOLDEN)))
+        self.draws = map(operator.mul, self.words, repeat(2.0 ** -53))
         self.unit = self.draws.__next__
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
@@ -69,3 +79,9 @@ class SplitMix64:
 def child_seed(seed: int, tag: int) -> int:
     """Stable derived seed for per-family / per-case streams."""
     return ((seed * _GOLDEN) ^ ((tag + 1) * 0xBF58476D1CE4E5B9)) & _MASK
+
+
+def folds_exactly(span: float) -> bool:
+    """Whether ``lo + (span * 2**-53) * w`` equals ``lo + span * (w * 2**-53)``
+    for every word w of a stream: whether ``span * 2**-53`` is exact."""
+    return span * 2 ** -53 / 2 ** -53 == span

@@ -221,11 +221,15 @@ class ScalarSplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK
 
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+    def word(self) -> int:
+        """The top 53 bits of the next output."""
         self._state = z = (self._state + _GOLDEN) & _MASK
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return lo + (hi - lo) * (((z ^ (z >> 31)) >> 11) * 2.0 ** -53)
+        return (z ^ (z >> 31)) >> 11
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        return lo + (hi - lo) * (self.word() * 2.0 ** -53)
 
 
 class Jet(Jet2):

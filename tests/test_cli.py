@@ -280,6 +280,17 @@ def test_mesh_overflow_is_a_domain_error(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("c0", ["1e300", "-1e300"])
+def test_a_box_too_narrow_to_fold_keeps_its_draws(capsys, c0):
+    # the u box is 1.7e-300 wide: 2**-53 folded into its width would round, and
+    # the first sample would lie at u=6.825229296958285e-301
+    assert main(["verify", "--family", "F3_38", "--c0", c0, "--samples", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ssmin: DomainError: F3_38.f: non-finite jet "
+                            "at u=6.825229341670129e-301\n")
+
+
 def test_mesh_large_heights_that_sum_finitely(tmp_path):
     # max|f| + max|g| overflows, yet f >= 5e307 and g <= -5e307 here, so no sum does
     code, text = run(tmp_path, "mesh", "--family", "F2_50", "--c0", "5e307", "--c1", "-5e307",

@@ -1,10 +1,13 @@
-"""splitmix64 against published reference outputs and the scalar oracle, and
-the uniform-double map."""
+"""splitmix64 against published reference outputs and the scalar oracle, the
+uniform-double map, and the affine map with 2**-53 folded into its width."""
+
+import math
+import struct
 
 import pytest
 
 from oracles import ScalarSplitMix64
-from ssmin.sampling import SplitMix64
+from ssmin.sampling import SplitMix64, folds_exactly
 
 # Reference outputs of Vigna's splitmix64.c: the first five for seed 1234567,
 # and the first for seed 0.
@@ -52,13 +55,56 @@ def test_unit_reads_the_top_53_reference_bits(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 1234567, 2**63, 2**64 - 1, 2**64, 2**70 + 3])
 def test_unit_and_uniform_share_one_stream(seed):
-    # unit and uniform calls interleave over four 256-draw blocks and part of a fifth
+    # unit, words, draws and uniform reads interleave over four 256-draw blocks
+    # and part of a fifth
     ranges = [(0.0, 1.0), (-2.5, 2.5), (-3, 3), (0.05, 1.5), (-1e-300, 1e300)]
     n = 1124
     block, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
     for i in range(n):
-        if i % 3:
+        if i % 4 == 0:
+            assert block.unit() == scalar.uniform(0.0, 1.0)
+        elif i % 4 == 1:
+            assert next(block.words) == scalar.word()
+        elif i % 4 == 2:
+            assert next(block.draws) == scalar.uniform(0.0, 1.0)
+        else:
             lo, hi = ranges[i % len(ranges)]
             assert block.uniform(lo, hi) == scalar.uniform(lo, hi)
-        else:
-            assert block.unit() == scalar.uniform(0.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", list(REFERENCE))
+def test_words_are_the_top_53_reference_bits(seed):
+    words = SplitMix64(seed).words
+    assert [next(words) for _ in REFERENCE[seed]] == [k >> 11 for k in REFERENCE[seed]]
+
+
+# the f' and g' box widths of `equivalence_sweep` and its f'' and g'' width
+SWEEP_SPANS = [5.0, 2.4, 3.0, 5.2, 6.0]
+
+
+def _seeded_spans(n):
+    """Spans log-uniform in [2**-969, 1e300], with both ends."""
+    rng = SplitMix64(9)
+    lo, hi = math.log(2.0 ** -969), math.log(1e300)
+    return [2.0 ** -969, 1e300] + [math.exp(rng.uniform(lo, hi)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("span", SWEEP_SPANS + _seeded_spans(40))
+def test_folded_map_equals_the_float_map_bit_for_bit(span):
+    assert folds_exactly(span)
+    rng = SplitMix64(33)
+    # words at both ends of [0, 2**53) and seeded ones between
+    words = [0, 1, 2, 2**52, 2**53 - 1] + [next(rng.words) for _ in range(200)]
+    for lo in (-0.5 * span, 0.0, -3.0, 1e-300, -span):
+        for w in words:
+            folded = lo + (span * 2 ** -53) * w
+            drawn = lo + span * (w * 2 ** -53)
+            assert struct.pack("<d", folded) == struct.pack("<d", drawn), (span, lo, w)
+
+
+def test_a_narrow_span_does_not_fold_exactly():
+    # the width of F3_38's u and v boxes at c0 = 1e300: span * 2**-53 is subnormal
+    span = 1.734601055388106e-300
+    assert not folds_exactly(span)
+    assert span * 2 ** -53 * 5 != span * (5 * 2 ** -53)
+    assert not folds_exactly(math.nan)
