@@ -23,7 +23,6 @@ and that signature is the family's one parameter table (`_DEFAULTS`).
 import math
 from enum import Enum
 from functools import partial
-from itertools import islice
 from typing import Callable, NamedTuple
 
 from .ambient import AmbientSpace
@@ -43,7 +42,7 @@ from .jets import (
 )
 from .ode import MAX_RK4_STEPS, OdeCase, OdeId, compare_profile, integrate
 from .pde import CaseId, _CASES
-from .sampling import SplitMix64, folds_exactly
+from .sampling import SplitMix64
 from .surface import TranslationSurface, TranslationType
 
 # Admissible boxes keep this much distance (in u or v) from closed-form
@@ -621,9 +620,7 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
     perturbed; empty-domain families and the perturbed negative control are
     checked on the PDE residual alone.  Each sample draws u then v and
     evaluates f then g by inlining `Profile.at(u, value=False)`: a failed
-    domain or finiteness test raises the profile's `error_at`.  The draws are
-    53-bit words with 2**-53 folded into the box widths, or, where a width is
-    too narrow for that fold to be exact (see `ssmin.sampling`), doubles.
+    domain or finiteness test raises the profile's `error_at`.
     """
     if n_samples < 1:
         raise VerifierError(f"n_samples must be >= 1, got {n_samples}")
@@ -639,16 +636,12 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
     g_lo, g_hi, g_eval, g_whole = g.slope_evaluator()
     kernel, isfinite = _curvature_kernel, math.isfinite
     res_fn = _row_of(_CASES, CaseId, built.case).residual
-    rng = SplitMix64(rng_seed)
+    unit = SplitMix64(rng_seed).unit
     u_lo, u_span, v_lo, v_span = box_u.lo, box_u.hi - box_u.lo, box_v.lo, box_v.hi - box_v.lo
-    if folds_exactly(u_span) and folds_exactly(v_span):
-        draws, u_span, v_span = rng.words, u_span * 2 ** -53, v_span * 2 ** -53
-    else:
-        draws = rng.draws
     worst_num = worst_res = 0.0
-    for a, b in islice(zip(draws, draws), n_samples):
-        u = u_lo + u_span * a
-        v = v_lo + v_span * b
+    for _ in range(n_samples):
+        u = u_lo + u_span * unit()
+        v = v_lo + v_span * unit()
         if not (f_lo <= u <= f_hi and isfinite(u)):
             raise f.error_at(u)
         fv, f1, f2 = f_eval(u)

@@ -70,12 +70,6 @@ MAX_SAMPLES = 2 ** 20
 # against 8.3 ms); at 250 it was the slower in three of four.
 SPLIT_SAMPLES = 500
 
-# Fewest samples per equivalence sweep in `report`: each of its seven sweeps
-# draws max(--samples, REPORT_SWEEP_SAMPLES), however few samples its family
-# checks draw.  It shares its value with SPLIT_SAMPLES, not its meaning:
-# `report` splits at any sample count.
-REPORT_SWEEP_SAMPLES = 500
-
 
 class _RunFields(typing.NamedTuple):
     command: str
@@ -644,8 +638,7 @@ def cmd_report(cfg: RunConfig) -> int:
     checks = [partial(verify_auto, fam, cfg.samples, child_seed(cfg.seed, index),
                       perturb=cfg.perturb)
               for index, (_, fam) in enumerate(suites)]
-    sweeps = _sweeps(list(CaseId), max(cfg.samples, REPORT_SWEEP_SAMPLES), cfg.seed,
-                     first_tag=1000)
+    sweeps = _sweeps(list(CaseId), max(cfg.samples, 500), cfg.seed, first_tag=1000)
     results = _on_two_cpus(_recorded([*checks, *sweeps, *ode_reference_tasks(cfg.step)]))
     first_ode = len(checks) + len(sweeps)
     family_records = [{"theorem": theorem, **rec} for (theorem, _), rec in zip(suites, results)]

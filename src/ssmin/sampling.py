@@ -18,13 +18,13 @@ whatever the machine's byte order.  `SplitMix64.words` yields the 53-bit
 words and `SplitMix64.draws` maps each to its double w * 2**-53 in [0, 1),
 both inside C-level iterators, so no Python frame runs per draw.
 
-Hot loops read `words` and fold 2**-53 into their affine maps: they draw
+A hot loop may read `words` and fold 2**-53 into its affine map: it draws
 ``lo + (span * 2**-53) * w`` where ``uniform(lo, lo + span)`` draws
-``lo + span * (w * 2**-53)``, and so skip the float `draws` makes per word.  The
-two are the same double whenever ``span * 2**-53`` is exact, which
-`folds_exactly` tests: w * 2**-53 is exact for w < 2**53, so both forms round
-the one real product span * w * 2**-53 once.  Every span of at least 2**-969
-qualifies; a narrower one may not, and its loop reads `draws` instead.
+``lo + span * (w * 2**-53)``, and so skips the float `draws` makes per word.
+The two are the same double whenever ``span * 2**-53`` is exact, as it is for
+every span of at least 2**-969: w * 2**-53 is exact for w < 2**53, so both
+forms round the one real product span * w * 2**-53 once.  A narrower span may
+round, so a loop whose span is not a constant reads `draws` or `unit`.
 """
 
 import operator
@@ -62,8 +62,8 @@ class SplitMix64:
     ``words`` iterates over the stream's 53-bit ints, ``draws`` over their
     doubles in [0, 1), and ``unit()`` returns the next double; all three read
     one stream.  ``uniform(lo, hi)`` returns ``lo + (hi - lo) * unit()``.  A hot
-    loop binds ``words`` once and draws ``lo + (span * 2**-53) * w``, the same
-    double wherever ``folds_exactly(span)`` holds.
+    loop binds one of them once; see the module docstring for when it may read
+    ``words`` with 2**-53 folded into its span.
     """
 
     def __init__(self, seed: int):
@@ -79,9 +79,3 @@ class SplitMix64:
 def child_seed(seed: int, tag: int) -> int:
     """Stable derived seed for per-family / per-case streams."""
     return ((seed * _GOLDEN) ^ ((tag + 1) * 0xBF58476D1CE4E5B9)) & _MASK
-
-
-def folds_exactly(span: float) -> bool:
-    """Whether ``lo + (span * 2**-53) * w`` equals ``lo + span * (w * 2**-53)``
-    for every word w of a stream: whether ``span * 2**-53`` is exact."""
-    return span * 2 ** -53 / 2 ** -53 == span

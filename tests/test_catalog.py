@@ -662,7 +662,7 @@ def test_flat_check_raises_as_its_oracle(monkeypatch, family, which, fault, mess
 @pytest.mark.parametrize("c0", [1e300, -1e300])
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_a_box_too_narrow_to_fold_draws_as_its_oracle(c0, seed):
-    # the u and v boxes are 1.7e-300 wide, so the check draws doubles, not words
+    # the u and v boxes are 1.7e-300 wide: 2**-53 folded into either width rounds
     fam = make_family(FamilyId.F3_38, c0=c0)
     raised = _raised(verify_auto, fam, 20, seed)
     assert raised == _raised(reference_verify_auto, fam, 20, seed)
@@ -719,16 +719,17 @@ def _loaded(fn, *opnames) -> set[str]:
 
 def test_hot_paths_skip_enum_and_method_lookups():
     """The sampling hot paths read neither enum attributes nor `uniform`, and
-    draw from `words`.
+    the equivalence sweep draws from `words`.
 
     On Python 3.11 each enum attribute lookup such as `Signature.EUCLIDEAN`
     costs about 150 ns, against about 15 ns for a module global, and the
     kernel runs once per sample; a `uniform` call runs a Python frame per draw,
-    and a float draw from `draws` or `unit` allocates a float and dispatches a
-    multiply per draw, where a 53-bit word from `words` does neither.
+    where `unit` runs none.  The sweep's spans are constants, so it folds 2**-53
+    into them and reads 53-bit words: a float draw from `draws` allocates a
+    float and dispatches a multiply per draw, where a word does neither.
     """
     assert not _loaded(curvature._curvature_kernel, "LOAD_GLOBAL") & {
         "Signature", "ConnectionKind", "TranslationType"}
-    for fn in (pde.equivalence_sweep, verify_auto):
+    for fn, draw in ((pde.equivalence_sweep, "words"), (verify_auto, "unit")):
         attrs = _loaded(fn, "LOAD_ATTR", "LOAD_METHOD")
-        assert "uniform" not in attrs and "words" in attrs
+        assert "uniform" not in attrs and draw in attrs

@@ -282,8 +282,8 @@ def test_mesh_overflow_is_a_domain_error(tmp_path, capsys, argv, message):
 
 @pytest.mark.parametrize("c0", ["1e300", "-1e300"])
 def test_a_box_too_narrow_to_fold_keeps_its_draws(capsys, c0):
-    # the u box is 1.7e-300 wide: 2**-53 folded into its width would round, and
-    # the first sample would lie at u=6.825229296958285e-301
+    # the u box is 1.7e-300 wide: with 2**-53 folded into its width, the first
+    # sample would lie at u=6.825229296958285e-301
     assert main(["verify", "--family", "F3_38", "--c0", c0, "--samples", "20"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -7,7 +7,7 @@ import struct
 import pytest
 
 from oracles import ScalarSplitMix64
-from ssmin.sampling import SplitMix64, folds_exactly
+from ssmin.sampling import SplitMix64
 
 # Reference outputs of Vigna's splitmix64.c: the first five for seed 1234567,
 # and the first for seed 0.
@@ -89,9 +89,14 @@ def _seeded_spans(n):
     return [2.0 ** -969, 1e300] + [math.exp(rng.uniform(lo, hi)) for _ in range(n)]
 
 
+def _folds_exactly(span):
+    """Whether span * 2**-53 is exact."""
+    return span * 2 ** -53 / 2 ** -53 == span
+
+
 @pytest.mark.parametrize("span", SWEEP_SPANS + _seeded_spans(40))
 def test_folded_map_equals_the_float_map_bit_for_bit(span):
-    assert folds_exactly(span)
+    assert _folds_exactly(span)
     rng = SplitMix64(33)
     # words at both ends of [0, 2**53) and seeded ones between
     words = [0, 1, 2, 2**52, 2**53 - 1] + [next(rng.words) for _ in range(200)]
@@ -105,6 +110,6 @@ def test_folded_map_equals_the_float_map_bit_for_bit(span):
 def test_a_narrow_span_does_not_fold_exactly():
     # the width of F3_38's u and v boxes at c0 = 1e300: span * 2**-53 is subnormal
     span = 1.734601055388106e-300
-    assert not folds_exactly(span)
+    assert not _folds_exactly(span)
     assert span * 2 ** -53 * 5 != span * (5 * 2 ** -53)
-    assert not folds_exactly(math.nan)
+    assert not _folds_exactly(math.nan)
