@@ -237,25 +237,24 @@ def _radicand_integrands(fid: str, sign: float, ah: float, rate: float, shift: f
 def _tanh_ratio_integrands(s: float, coeff: float, rate: float):
     """f' = s (1 + coeff*e^(rate*x)) / (1 - coeff*e^(rate*x)) and its derivative."""
 
-    def integrand(x: float) -> float:
+    def ratio(x: float) -> tuple[float, float]:
+        """(t, 1 - t), t = coeff*e^(rate*x); refuses an overflowing e^(rate*x) or 1 - t near 0."""
         try:
             t = coeff * math.exp(rate * x)
-            den = 1.0 - t
-            if abs(den) < 1e-12:
-                raise DomainError(f"ratio denominator vanishes at x={x!r}")
-            return s * (1.0 + t) / den
         except OverflowError:
             raise DomainError(f"ratio exponential overflows at x={x!r}") from None
+        den = 1.0 - t
+        if abs(den) < 1e-12:
+            raise DomainError(f"ratio denominator vanishes at x={x!r}")
+        return t, den
+
+    def integrand(x: float) -> float:
+        t, den = ratio(x)
+        return s * (1.0 + t) / den
 
     def integrand_d1(x: float) -> float:
-        try:
-            t = coeff * math.exp(rate * x)
-            den = 1.0 - t
-            if abs(den) < 1e-12:
-                raise DomainError(f"ratio denominator vanishes at x={x!r}")
-            return 2.0 * s * rate * t / (den * den)
-        except OverflowError:
-            raise DomainError(f"ratio exponential overflows at x={x!r}") from None
+        t, den = ratio(x)
+        return 2.0 * s * rate * t / (den * den)
 
     return integrand, integrand_d1
 
@@ -746,12 +745,6 @@ def ode_reference_tasks(step: float = 1e-3, tolerance: float | None = None
     tol = tolerance if tolerance is not None else ODE_TOLERANCE
     return [partial(_reference_run, fid, which, span, step, tol)
             for fid, which, span in _ODE_REFERENCE_RUNS]
-
-
-def ode_reference_runs(step: float = 1e-3,
-                       tolerance: float | None = None) -> tuple[OdeComparisonRecord, ...]:
-    """RK4 trajectories of every reduced ODE against its closed-form profile."""
-    return tuple(task() for task in ode_reference_tasks(step, tolerance))
 
 
 def convergence_orders() -> tuple[ConvergenceRecord, ...]:

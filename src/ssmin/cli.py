@@ -21,6 +21,7 @@ from .catalog import (
     BRANCHED_FAMILIES,
     Branch,
     FamilyId,
+    FamilyReport,
     SHORTEST_ODE_SPAN,
     SHORTEST_ODE_STEP,
     THEOREM_SUITES,
@@ -30,7 +31,6 @@ from .catalog import (
     convergence_orders,
     default_settings,
     make_family,
-    ode_reference_runs,
     ode_reference_tasks,
     verify_auto,
 )
@@ -69,6 +69,14 @@ MAX_SAMPLES = 2 ** 20
 # the split was the faster in three more such series and tied in a fourth (8.2
 # against 8.3 ms); at 250 it was the slower in three of four.
 SPLIT_SAMPLES = 500
+
+# Fewest samples per equivalence sweep in `report`.  Its --samples counts the
+# samples of each family check, one family setting each, while a sweep covers a
+# whole case's jet box, so a small --samples (a quick `--samples 3` run) does
+# not thin the sweeps.  At 500 the seven sweeps took 8.8 ms in one process on
+# the machine above, against 19.6 ms for the 38 family checks at the default
+# 200 (best of seven and of five runs).
+REPORT_SWEEP_SAMPLES = 500
 
 
 class _RunFields(typing.NamedTuple):
@@ -347,18 +355,6 @@ def _recorded(tasks: list) -> list:
     return [lambda task=task: _record(task()) for task in tasks]
 
 
-def _run_share(indexed) -> tuple[list, tuple[int, Exception] | None]:
-    """The results of the (index, task) pairs' tasks, run in order up to the first
-    that raises, and that task's index and exception (None if none raises)."""
-    results = []
-    for index, task in indexed:
-        try:
-            results.append(task())
-        except Exception as exc:
-            return results, (index, exc)
-    return results, None
-
-
 def _start_on(cpu: int, cpus: set[int]) -> None:
     """Move this process onto `cpu`, then let it run on all of `cpus` again.
 
@@ -380,24 +376,23 @@ def _on_two_cpus(tasks: list) -> list:
     child made with `os.fork` runs the odd-indexed tasks while this process runs
     the even-indexed ones.  Right after the fork this process moves to the
     lowest of its CPUs and the child to the highest (`_start_on`).  The child
-    sends back through a pipe, with `marshal`, its results and the index of the
-    task that stopped it, so each result must be a value `marshal` writes, as
-    the dicts of `_record` are.  No exception crosses the pipe: where the
-    child's failing task comes first in task order, this process runs it again,
-    and as the tasks are seeded and pure it raises the same error here (if it
-    returns instead, that is a VerifierError).  So the first exception in task
-    order is raised, and the output and exit code are those of running the
-    tasks one after another in this process, which is what happens otherwise,
-    a refused fork included.  The child writes nothing to stdout or stderr,
-    always ends in `os._exit`, and is always reaped.  (A forked child has only
-    the forking thread, and a lock another thread held stays locked in it,
-    hence no fork beside other threads.)"""
+    sends back its results through a pipe with `marshal`, so each result must be
+    a value `marshal` writes, as the dicts of `_record` are.  Whatever keeps the
+    split from delivering every result (a refused fork, a task that raises in
+    either process, a child that ends without sending them), every task runs in
+    this process, one after another, which is also what happens where there is
+    no split.  The tasks are seeded and pure, so the output, the first error in
+    task order and the exit code are those of one process.  A `BaseException`
+    that is not an `Exception` in this process's share, as a Ctrl-C, propagates
+    once the child is reaped, and nothing runs again.  The child writes nothing
+    to stdout or stderr, always ends in `os._exit`, and is always reaped.  (A
+    forked child has only the forking thread, and a lock another thread held
+    stays locked in it, hence no fork beside other threads.)"""
     threading = sys.modules.get("threading")
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
     if (len(tasks) < 2 or not hasattr(os, "fork") or len(cpus) < 2
             or threading is not None and threading.active_count() > 1):
         return [task() for task in tasks]
-    indexed = list(enumerate(tasks))
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -410,8 +405,7 @@ def _on_two_cpus(tasks: list) -> list:
         try:
             _start_on(max(cpus), cpus)
             os.close(read_end)
-            results, failure = _run_share(indexed[1::2])
-            blob = marshal.dumps((results, None if failure is None else failure[0]))
+            blob = marshal.dumps([task() for task in tasks[1::2]])
             with open(write_end, "wb") as pipe:
                 pipe.write(blob)
             code = 0
@@ -420,26 +414,26 @@ def _on_two_cpus(tasks: list) -> list:
     try:
         _start_on(min(cpus), cpus)
         os.close(write_end)
-        mine, my_failure = _run_share(indexed[::2])
+        mine = [task() for task in tasks[::2]]
         with open(read_end, "rb", closefd=False) as pipe:
             blob = pipe.read()
+    except Exception:  # the split failed: every task runs here, below
+        blob = b""
     finally:
         os.close(read_end)
         _, status = os.waitpid(pid, 0)
-    if status != 0:  # so the blob may be cut short
-        raise VerifierError(f"the process running tasks 1, 3, ... of {len(tasks)} ended "
-                            f"without sending their results "
-                            f"(exit code {os.waitstatus_to_exitcode(status)})")
-    theirs, their_failure = marshal.loads(blob)
-    if their_failure is not None and (my_failure is None or their_failure < my_failure[0]):
-        tasks[their_failure]()
-        raise VerifierError(f"task {their_failure} of {len(tasks)} raised in the process "
-                            f"running tasks 1, 3, ... but returned when run again")
-    if my_failure is not None:
-        raise my_failure[1]
+    if status != 0 or not blob:  # a task that ends the child with code 0 sends nothing
+        return [task() for task in tasks]
     results = [None] * len(tasks)
-    results[::2], results[1::2] = mine, theirs
+    results[::2], results[1::2] = mine, marshal.loads(blob)
     return results
+
+
+def _checks(families, cfg: RunConfig) -> list[typing.Callable[[], FamilyReport]]:
+    """One family check task per family, the i-th on child stream i."""
+    return [partial(verify_auto, fam, cfg.samples, child_seed(cfg.seed, index), cfg.tolerance,
+                    cfg.perturb)
+            for index, fam in enumerate(families)]
 
 
 def _sweeps(cases, n_samples: int, seed: int, tolerance: float | None = None,
@@ -524,9 +518,7 @@ def cmd_residual(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     families = all_default_settings() if cfg.all else [_family_from_config(cfg)]
-    records = [_record(verify_auto(fam, cfg.samples, child_seed(cfg.seed, index),
-                                   cfg.tolerance, cfg.perturb))
-               for index, fam in enumerate(families)]
+    records = [_record(check()) for check in _checks(families, cfg)]
     return _emit_records(cfg, records, _render_verify_markdown)
 
 
@@ -539,7 +531,7 @@ def cmd_equivalence(cfg: RunConfig) -> int:
 
 
 def cmd_ode_compare(cfg: RunConfig) -> int:
-    records = [_record(r) for r in ode_reference_runs(cfg.step, cfg.tolerance)]
+    records = [_record(run()) for run in ode_reference_tasks(cfg.step, cfg.tolerance)]
     orders = convergence_orders()
     return _emit_records(cfg, records, _render_ode_markdown, all(o.verdict for o in orders),
                          convergence=[_record(o) for o in orders])
@@ -635,10 +627,9 @@ def cmd_report(cfg: RunConfig) -> int:
     records."""
     suites = [(theorem, fam) for theorem, fids in THEOREM_SUITES.items()
               for fid in fids for fam in default_settings(fid)]
-    checks = [partial(verify_auto, fam, cfg.samples, child_seed(cfg.seed, index),
-                      perturb=cfg.perturb)
-              for index, (_, fam) in enumerate(suites)]
-    sweeps = _sweeps(list(CaseId), max(cfg.samples, 500), cfg.seed, first_tag=1000)
+    checks = _checks([fam for _, fam in suites], cfg)
+    sweeps = _sweeps(list(CaseId), max(cfg.samples, REPORT_SWEEP_SAMPLES), cfg.seed,
+                     first_tag=1000)
     results = _on_two_cpus(_recorded([*checks, *sweeps, *ode_reference_tasks(cfg.step)]))
     first_ode = len(checks) + len(sweeps)
     family_records = [{"theorem": theorem, **rec} for (theorem, _), rec in zip(suites, results)]

@@ -1,5 +1,6 @@
-"""Code with no caller is deleted: every public top-level function and class of
-`src/ssmin` is used somewhere in `src/ssmin` besides its own definition.
+"""Code with no caller is deleted: every top-level function, class and assigned
+name of `src/ssmin`, private ones included, is used somewhere in `src/ssmin`
+besides its own definition.
 
 The scan reads the source with `ast`.  A name counts as used where a loaded
 name or attribute spells it inside another top-level statement of any module.
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import ssmin
 
-# Public names nothing in src/ssmin uses, each with the reason it stays.
+# Names nothing in src/ssmin uses, each with the reason it stays.
 UNCALLED = {
     "surface.frame_from_jets": "perfbench's tracer test patches and counts it in the "
                                "surface, curvature and pde namespaces; it moves to "
@@ -31,6 +32,21 @@ def _loaded_names(node: ast.AST) -> set[str]:
     return names
 
 
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function or class, or the
+    names an assignment binds (dunder names such as `__all__` excepted)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and not sub.id.startswith("__")]
+
+
 def _uncalled() -> set[str]:
     package = Path(ssmin.__file__).parent
     statements = []  # (module, statement, names it loads)
@@ -41,14 +57,19 @@ def _uncalled() -> set[str]:
             statements.append((path.stem, stmt, _loaded_names(stmt)))
     uncalled = set()
     for module, stmt, _ in statements:
-        if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                and not stmt.name.startswith("_")
-                and not any(stmt.name in names
-                            for _, other, names in statements if other is not stmt)):
-            uncalled.add(f"{module}.{stmt.name}")
+        for name in _defined_names(stmt):
+            if not any(name in names for _, other, names in statements if other is not stmt):
+                uncalled.add(f"{module}.{name}")
     return uncalled
 
 
 def test_every_public_function_and_class_has_a_caller_in_the_package():
-    # an allow-list entry whose name gains a caller, or goes, must leave the list
+    # private functions and classes, and assigned names, are held to it too; an
+    # allow-list entry whose name gains a caller, or goes, must leave the list
     assert _uncalled() == set(UNCALLED)
+
+
+def test_the_scan_sees_private_functions_and_assigned_names():
+    module = ast.parse("def _helper(): pass\n_TABLE = 1\nLIMIT: int = 2\n__all__ = []\n")
+    assert [name for stmt in module.body for name in _defined_names(stmt)] == [
+        "_helper", "_TABLE", "LIMIT"]

@@ -10,7 +10,7 @@ from ssmin.catalog import (
     all_default_settings,
     build,
     make_family,
-    ode_reference_runs,
+    ode_reference_tasks,
 )
 from ssmin.errors import (BlowUp, DomainMismatch, IllConditionedFit, InvalidStep,
                           ParameterConstraintViolation, UnknownCase)
@@ -171,5 +171,6 @@ def test_every_catalog_profile_satisfies_its_reduced_ode():
 
 
 def test_reference_runs_match_closed_forms():
-    for rec in ode_reference_runs(step=1e-3):
+    for run in ode_reference_tasks(step=1e-3):
+        rec = run()
         assert rec.max_abs_error <= 1e-6, rec

@@ -13,7 +13,7 @@ import ssmin
 from ssmin import cli
 from ssmin.ambient import Vec3
 from ssmin.catalog import (FamilyId, SolutionFamily, build, convergence_orders, make_family,
-                           ode_reference_runs, verify_auto)
+                           ode_reference_tasks, verify_auto)
 from ssmin.cli import RunConfig, UsageError
 from ssmin.errors import ParameterConstraintViolation
 from ssmin.jets import Interval
@@ -38,7 +38,7 @@ def _records():
         curvature.sigma, curvature, case, integrate(case, 0.0, (0.0, 0.1), 0.05),
         equivalence_sweep(CaseId.E_M_I, 5, 1), make_family(FamilyId.F2_39, branch="minus"),
         built.domain, built, verify_auto(make_family(FamilyId.F2_23), 5, 1),
-        ode_reference_runs(0.01)[0], convergence_orders()[0], RunConfig("verify", all=True),
+        ode_reference_tasks(0.01)[0](), convergence_orders()[0], RunConfig("verify", all=True),
     ]
 
 
@@ -78,7 +78,7 @@ def test_fields_are_the_serialized_key_order(tmp_path):
     # every record a command writes out, and the config it echoes
     for record in (equivalence_sweep(CaseId.E_M_I, 5, 1),
                    verify_auto(make_family(FamilyId.F2_23), 5, 1),
-                   ode_reference_runs(0.01)[0], convergence_orders()[0]):
+                   ode_reference_tasks(0.01)[0](), convergence_orders()[0]):
         text = json.dumps(cli._record(record))
         assert list(json.loads(text)) == list(record._fields)
     out = tmp_path / "out.json"

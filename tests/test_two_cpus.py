@@ -9,12 +9,13 @@ import marshal
 import os
 import pickle
 import threading
+from functools import partial
 
 import pytest
 
 from ssmin import catalog, cli, errors
 from ssmin.cli import main
-from ssmin.errors import BlowUp, DomainError, IllConditionedFit, VerifierError
+from ssmin.errors import BlowUp, DomainError, IllConditionedFit
 from ssmin.pde import CaseId, equivalence_sweep
 from ssmin.sampling import child_seed
 
@@ -109,31 +110,34 @@ def test_the_first_error_in_task_order_is_raised(two_cpus, capfd, failing, expec
     assert capfd.readouterr() == ("", "")
 
 
-def test_a_child_that_ends_without_results_is_a_typed_error(two_cpus, capfd):
-    # unflushed parent output must not be written twice, nor a child traceback at all
-    print("written once", end="")
-    with pytest.raises(VerifierError, match=r"ended without sending their results "
-                                            r"\(exit code 3\)"):
-        cli._on_two_cpus([lambda: 0, lambda: os._exit(3), lambda: 2])
-    with pytest.raises(VerifierError, match=r"\(exit code 1\)"):
-        cli._on_two_cpus([lambda: 0, _raise(KeyboardInterrupt())])
-    _no_children_left()
-    assert capfd.readouterr() == ("written once", "")
-
-
-def test_a_task_that_raises_only_in_the_child_is_a_typed_error(two_cpus, capfd):
+@pytest.mark.parametrize("end", [
+    partial(os._exit, 3), partial(os._exit, 0), _raise(DomainError("raised in the child only")),
+    _raise(KeyboardInterrupt()),
+], ids=["exit-3", "exit-0", "raise", "ctrl-c"])
+def test_a_task_that_ends_the_child_alone_runs_every_task_here(two_cpus, capfd, end):
     here = os.getpid()
 
     def only_there():
         if os.getpid() != here:
-            raise DomainError("raised in the child only")
-        return 3
-    tasks = [lambda: 0, lambda: 1, lambda: 2, only_there, lambda: 4]
-    with pytest.raises(VerifierError, match=r"^task 3 of 5 raised in the process running "
-                                            r"tasks 1, 3, \.\.\. but returned when run again$"):
-        cli._on_two_cpus(tasks)
+            end()
+        return 1
+    # unflushed parent output must not be written twice, nor a child traceback at all
+    print("written once", end="")
+    assert cli._on_two_cpus([lambda: 0, only_there, lambda: 2]) == [0, 1, 2]
     _no_children_left()
-    assert capfd.readouterr() == ("", "")
+    assert capfd.readouterr() == ("written once", "")
+
+
+def test_a_ctrl_c_here_propagates_once_the_child_is_reaped(two_cpus):
+    runs = []
+
+    def interrupted():
+        runs.append(os.getpid())
+        raise KeyboardInterrupt
+    with pytest.raises(KeyboardInterrupt):
+        cli._on_two_cpus([interrupted, lambda: 1])
+    _no_children_left()
+    assert runs == [os.getpid()]  # not run again
 
 
 def test_every_record_the_split_carries_survives_a_marshal_round_trip():
@@ -201,15 +205,17 @@ def test_a_failing_sweep_gives_the_in_process_stderr_and_exit_code(
     assert split == (1, ("", f"ssmin: IllConditionedFit: sampler starved for case {case.value}\n"))
 
 
-def test_a_lost_sweep_process_is_a_typed_error(two_cpus, monkeypatch, capfd):
-    _failing_sweep(monkeypatch, CaseId.E_M_II_III, SystemExit(5))
+def test_a_sweep_that_exits_ends_the_command_as_in_one_process(monkeypatch, capfd):
+    _failing_sweep(monkeypatch, CaseId.E_M_II_III, SystemExit(5))  # task 1, the child's
     argv = ["equivalence", "--all", "--samples", str(cli.SPLIT_SAMPLES)]
-    assert main(argv) == 1
-    _no_children_left()
-    out, err = capfd.readouterr()
-    assert out == ""
-    assert err == ("ssmin: VerifierError: the process running tasks 1, 3, ... of 7 ended "
-                   "without sending their results (exit code 1)\n")
+    ends = []
+    for usable in ({0, 1}, {0}):
+        _cpus(monkeypatch, usable)
+        with pytest.raises(SystemExit) as ended:
+            main(argv)
+        _no_children_left()
+        ends.append((ended.value.code, capfd.readouterr()))
+    assert ends[0] == ends[1] == (5, ("", ""))
 
 
 def test_split_and_in_process_outputs_are_byte_identical(monkeypatch, capfd):
