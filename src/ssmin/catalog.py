@@ -88,10 +88,6 @@ class SolutionFamily(_FamilyFields):
     def _make(cls, iterable):  # so that _replace checks too
         return cls(*iterable)
 
-    @property
-    def param_dict(self) -> dict[str, float]:
-        return dict(self.params)
-
 
 def make_family(fid: "FamilyId", branch: Branch | str = Branch.PLUS,
                 **params: float) -> SolutionFamily:
@@ -560,7 +556,7 @@ BRANCHED_FAMILIES = frozenset(FamilyId(name) for name, row in _FAMILIES.items()
 def _assemble(fam: SolutionFamily) -> FamilyBuild:
     _, ttype, case, builder, _ = _row_of(_FAMILIES, FamilyId, fam.family_id)
     name = fam.family_id.value
-    params = fam.param_dict
+    params = dict(fam.params)
     if fam.family_id in BRANCHED_FAMILIES:
         params["sign"] = 1.0 if fam.branch is Branch.PLUS else -1.0
     try:
@@ -664,7 +660,7 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
         if err > worst_res or err != err:
             worst_res = err
     return FamilyReport(
-        fam.family_id.value, fam.branch.value, fam.param_dict, n_samples,
+        fam.family_id.value, fam.branch.value, dict(fam.params), n_samples,
         "full" if full else "residual-only", worst_num if full else None, worst_res, tol,
         worst_res <= tol and (not full or worst_num <= tol), built.empty_reason,
     )

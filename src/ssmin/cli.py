@@ -13,7 +13,7 @@ import sys
 import types
 import typing
 from enum import Enum
-from functools import cache, partial
+from functools import partial
 from itertools import chain, repeat, takewhile
 
 from . import __version__
@@ -178,14 +178,11 @@ class RunConfig(_RunFields):
     def _make(cls, iterable):  # so that _replace checks too
         return cls(*iterable)
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
     def echo_dict(self) -> dict:
         """Config as serialized into reports: the output path itself is not
         part of the verification semantics, so identical runs stay
         byte-identical wherever they are written."""
-        data = self.to_dict()
+        data = self._asdict()
         data.pop("output")
         return data
 
@@ -246,12 +243,10 @@ _FLAGS = {
 }
 
 
-@cache
 def _flag_table(command: str) -> dict[str, dict]:
     """The argparse keywords of each flag of a command, dest and default
     included, in the order its help lists them: --config, --format and
-    --output, then the flags of the settings it reads.  Built once per command,
-    on first use; callers share the dicts and only read them."""
+    --output, then the flags of the settings it reads."""
     _, formats, reads, _ = _COMMANDS[command]
     table = {"--config": {"dest": "config", "help": "JSON config file; overrides flags"},
              "--format": {"dest": "format", "choices": formats},

@@ -580,7 +580,7 @@ def reference_verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: i
             worst_num = _worse(worst_num, abs(numerator))
         worst_res = _worse(worst_res, abs(residual(built.case, fj, gj)))
     return FamilyReport(
-        fam.family_id.value, fam.branch.value, fam.param_dict, n_samples,
+        fam.family_id.value, fam.branch.value, dict(fam.params), n_samples,
         "full" if full else "residual-only", worst_num if full else None, worst_res, tol,
         worst_res <= tol and (not full or worst_num <= tol), built.empty_reason,
     )

@@ -4,9 +4,9 @@ besides its own definition.
 
 The scan reads the source with `ast`.  A name counts as used where a loaded
 name or attribute spells it inside another top-level statement of any module.
-Import lines bind names without loading them, so they do not count, and
-neither do the package's re-exports in `__init__.py`.  Tests and benchmarks do
-not count either: code only they call belongs in `tests/oracles.py`.
+Import lines bind names without loading them, so they do not count.  Tests
+and benchmarks do not count either: code only they call belongs in
+`tests/oracles.py`.
 """
 
 import ast
@@ -51,8 +51,6 @@ def _uncalled() -> set[str]:
     package = Path(ssmin.__file__).parent
     statements = []  # (module, statement, names it loads)
     for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         for stmt in ast.parse(path.read_text(), str(path)).body:
             statements.append((path.stem, stmt, _loaded_names(stmt)))
     uncalled = set()
@@ -73,3 +71,15 @@ def test_the_scan_sees_private_functions_and_assigned_names():
     module = ast.parse("def _helper(): pass\n_TABLE = 1\nLIMIT: int = 2\n__all__ = []\n")
     assert [name for stmt in module.body for name in _defined_names(stmt)] == [
         "_helper", "_TABLE", "LIMIT"]
+
+
+def test_the_package_binds_only_its_version():
+    # each name is imported from the module that defines it, never from `ssmin`
+    path = Path(ssmin.__file__)
+    body = ast.parse(path.read_text(), str(path)).body
+    assert not [stmt for stmt in body if isinstance(stmt, (ast.Import, ast.ImportFrom))]
+    bound = {sub.id for stmt in body for sub in ast.walk(stmt)
+             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)}
+    bound |= {stmt.name for stmt in body
+              if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert bound == {"__version__"}

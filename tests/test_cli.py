@@ -1,7 +1,6 @@
 """CLI behavior: exit codes, formats, determinism, and config handling."""
 
 import ast
-import copy
 import hashlib
 import json
 import math
@@ -384,59 +383,80 @@ _OUTPUT_SHA256 = [
 @pytest.mark.parametrize("argv,exit_code,digest", _OUTPUT_SHA256)
 def test_output_is_byte_identical(capsys, argv, exit_code, digest):
     assert main(argv) == exit_code
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert err == ""
 
 
 # sha256 of json [exit code, stdout, stderr] of mesh for every family: csv at the
-# default 64x64, then obj at 2x7.  Four families have no spacelike points, so both
-# of their commands give the same EmptyDomain error.
+# default 64x64, then obj at 2x7 and at 8x8.  Four families have no spacelike
+# points, so all three of their commands give the same EmptyDomain error.
 _MESH_SHA256 = {
     "F2_23": ("93e2c45c8b3327df01272801a452922d07b3f9f6446bf625490bbd057d44ef42",
-              "237c8c63ffef91d6dfe26b5ee99e9cbe39ae1a72f276d3c084a688a9f5bcc3b4"),
+              "237c8c63ffef91d6dfe26b5ee99e9cbe39ae1a72f276d3c084a688a9f5bcc3b4",
+              "5df01df76978851b13d5f8985a793a0bede8352f7407d878f7f733c270c80a24"),
     "F2_24": ("16ca9e45cc30592940b730321a5a35f8e135f44696cb0e410ec194cd4c4dc1c1",
-              "003df128fecb39dc3271f34a3ab66fbfc226fd8165e1357a3efecc84c106a071"),
+              "003df128fecb39dc3271f34a3ab66fbfc226fd8165e1357a3efecc84c106a071",
+              "380fc9db2b07d329e7dc4e19d782dd8abea588ceb6a29feb0a8e39ab35d65b3b"),
     "F2_35": ("60179b2b196fe3daa26d5b7d16db0c528e812c49a6bacd702565253a301c390d",
-              "b020b414080a72a7537c37fe72bbbe3cdc183cb0cd3b708b6a935de056fb3510"),
+              "b020b414080a72a7537c37fe72bbbe3cdc183cb0cd3b708b6a935de056fb3510",
+              "c38063d99f2d7cfe332a25b9f055bdbc6bf0033e07555ac2122b16ae7e845e34"),
     "F2_39": ("c941be87ee8f9f71632203a3594d33128251c8cd89b138c9e68f84c1e362acda",
-              "8043aa3aa19a706a3255e60b077c6670874f2c0d05c1b769625267cadfd6588e"),
+              "8043aa3aa19a706a3255e60b077c6670874f2c0d05c1b769625267cadfd6588e",
+              "9a91e0a5131cc7c1fcc660fa194fbb1e7c64780570505649dcbcad5a44608419"),
     "F2_40": ("b810a2c170f9b86078b56a9c9626b9b2778bf21893aec555f610e32436ef1b4f",
-              "3afe538014cbd37fd3b036b90bcf93c73e321e2fe9857e248d47886fe8bc64aa"),
+              "3afe538014cbd37fd3b036b90bcf93c73e321e2fe9857e248d47886fe8bc64aa",
+              "037f211649905985682f498fccb98a699df32800e7be7933816a1c6be9c0c611"),
     "F2_50": ("81e9376b4e2f51441ed8345be6a7a53cb31f29a934c6fe1239a7123af2c0379c",
-              "e3afceaa7d9591dda3e59eb101a2522e59ffbf0ccad891290f4f28503bdc5672"),
+              "e3afceaa7d9591dda3e59eb101a2522e59ffbf0ccad891290f4f28503bdc5672",
+              "1cdab6802e7f4bc43c7f990baf5dd434ef9d3dd3c568d821a55207ab3c20e59f"),
     "F2_51": ("5a323e3a5b910adc6ff5e9e85927415127c41bf07026535c9d627ac6585dd87b",
-              "964a57b19d46b97d47ed0319f0a34ca04b16573dc02def1baa28e137293f1556"),
+              "964a57b19d46b97d47ed0319f0a34ca04b16573dc02def1baa28e137293f1556",
+              "8601319ea5f3cd8aa2b26a1712509ea0a0874d67ecf898cc29331bde4756e8e4"),
     "F3_10": ("33ded9dcc0a7ed04abdf73b65c4506231db4a425141f1fab62fefb8d897f43af",
+              "33ded9dcc0a7ed04abdf73b65c4506231db4a425141f1fab62fefb8d897f43af",
               "33ded9dcc0a7ed04abdf73b65c4506231db4a425141f1fab62fefb8d897f43af"),
     "F3_12": ("c32da7d9bccc09f04c7f69548e32a6b2799579913ee295830ea38eedf73b778c",
-              "7a33df45da9a2514300cc0c1b1ad9af4db5adcdc303fd0e4519b3600b6f5de16"),
+              "7a33df45da9a2514300cc0c1b1ad9af4db5adcdc303fd0e4519b3600b6f5de16",
+              "957886b60a314aa27bbf14c29843f8eae3602d404c3520ca8b6b0ae5d2cf037e"),
     "F3_13": ("c999c236b9c118f407ebc5815e4db962ef2459182b78c0c52b4a2e550653c145",
+              "c999c236b9c118f407ebc5815e4db962ef2459182b78c0c52b4a2e550653c145",
               "c999c236b9c118f407ebc5815e4db962ef2459182b78c0c52b4a2e550653c145"),
     "F3_14": ("6f6b88d2fe0fdd42cfc9497c18ee69f8f1f79ea26ac27fd6d5f1dd717c411256",
-              "cfdbf3c06424878bebe0ff0cb6b0c135bfd999bc4d4be02e40469234b3f9b1f5"),
+              "cfdbf3c06424878bebe0ff0cb6b0c135bfd999bc4d4be02e40469234b3f9b1f5",
+              "1f4c8a05f75e605443ca8d6ca04718040e1714883ff8d9499eb2bd58832b6269"),
     "F3_25": ("8ab63a716922fc6f95c6c406e0f14021e22b1dd32799ab8188c92ac37dc9a95a",
+              "8ab63a716922fc6f95c6c406e0f14021e22b1dd32799ab8188c92ac37dc9a95a",
               "8ab63a716922fc6f95c6c406e0f14021e22b1dd32799ab8188c92ac37dc9a95a"),
     "F3_27": ("dc8e860103294e9fcc946d3527efa27bae9c30ee9c869703463f96c4f9f6b6f1",
-              "9810601c04c0fee7378e81c25dca7b2f7a0256477528a2e963c39807d0639f17"),
+              "9810601c04c0fee7378e81c25dca7b2f7a0256477528a2e963c39807d0639f17",
+              "33186bdedbcafbbc747d83e582c3ce97c148fe208da52d9a99cd1b6c989f4d68"),
     "F3_30": ("b510021747341003a69333cbfef11da450535bbdc3fd7a8afa7fc2fbd2324876",
-              "bcbab75cc9513f7864dc192aeb388b4cf7ee170d9296a127f40900d7afe3206f"),
+              "bcbab75cc9513f7864dc192aeb388b4cf7ee170d9296a127f40900d7afe3206f",
+              "7ed03c67daafcd3b32148a3483f3dd10a472c9f403aeb1f65b4ec3bd00cd6847"),
     "F3_31": ("62de86fa6b21f8481b9284ee7035263c65d40182efe2bd0d4fc4644e58bda642",
+              "62de86fa6b21f8481b9284ee7035263c65d40182efe2bd0d4fc4644e58bda642",
               "62de86fa6b21f8481b9284ee7035263c65d40182efe2bd0d4fc4644e58bda642"),
     "F3_36": ("4bbbd473271c1466d7a8ecd59fc66171241d1e1dba994ddc1fe254c85239b75a",
-              "41ba27e982ffa7dbe28cedb795788d2d233e4e00bdbf00da03c018faf5e78658"),
+              "41ba27e982ffa7dbe28cedb795788d2d233e4e00bdbf00da03c018faf5e78658",
+              "4fb28745e82edeb72d4fc2110f7801d4b82afd12f3604e18fca219acb17569b2"),
     "F3_38": ("1a7be6eb24bbe8f94543608cca6d8ae2d555ebbfb502e8613702c65c8b8eb0e9",
-              "8f061dc49b36ca10623cc752ce578e09e456a386fc3005f201ac3271270ae71f"),
+              "8f061dc49b36ca10623cc752ce578e09e456a386fc3005f201ac3271270ae71f",
+              "afa024b229cf5ee6b40696517d0c5c6462abb4f45f8b14d52de14eae6a5fde4c"),
     "F3_41": ("5f4fec1c90fca343ffa3e8aae0691a08b129387f7c972e457e210f8c34770279",
-              "565e088e9acfa3ce364d45d274a205b735c663ef6c354469af6ba5943520afca"),
+              "565e088e9acfa3ce364d45d274a205b735c663ef6c354469af6ba5943520afca",
+              "d68cb9adc80446cf57f7203e1b40bb3d85ff191c599df0eebabccde69a90e7ca"),
     "F3_43": ("c88d047811394a84e71cf6f28e8f1fce592e834969884f0a270175a05f8b7cc7",
-              "fb4da0e796a90c3c35dca45b6aca7a43961072ca380fc1d3349b47cb55bdba3a"),
+              "fb4da0e796a90c3c35dca45b6aca7a43961072ca380fc1d3349b47cb55bdba3a",
+              "ae90cef9b72651df85a9040c97925780dabfa3db49ce02faf4e2eaaa61bf2742"),
 }
 
 
 @pytest.mark.parametrize("family", list(FamilyId), ids=lambda fid: fid.value)
 def test_mesh_of_every_family_is_byte_identical(capsys, family):
     digests = []
-    for extra in (["--format", "csv"], ["--format", "obj", "--nu", "2", "--nv", "7"]):
+    for extra in (["--format", "csv"], ["--format", "obj", "--nu", "2", "--nv", "7"],
+                  ["--format", "obj", "--nu", "8", "--nv", "8"]):
         code = main(["mesh", "--family", family.value, *extra])
         captured = capsys.readouterr()
         blob = json.dumps([code, captured.out, captured.err])
@@ -521,20 +541,6 @@ def test_help_does_not_depend_on_the_terminal(capsys, monkeypatch):
     flags = [line.split()[0] for line in lines if line.startswith("  --")]
     assert flags == list(cli._flag_table("verify"))
     assert {"  --format {json,markdown}", "  --all", "  --a-hat A_HAT"} <= set(lines)
-
-
-def test_flag_tables_are_built_once_and_only_read(capsys):
-    # _parse and _help share each command's cached table, so a caller that wrote
-    # to it would change every later parse and help text
-    before = {command: copy.deepcopy(cli._flag_table(command)) for command in cli._COMMANDS}
-    for command in cli._COMMANDS:
-        assert cli._flag_table(command) is cli._flag_table(command)
-        assert main([command, "--help"]) == 0
-        assert main([command, "--bogus"]) == 1
-        assert isinstance(cli._parse([command]), dict)
-        _parser._build_parser().parse_known_args([command])
-    capsys.readouterr()
-    assert {command: cli._flag_table(command) for command in cli._COMMANDS} == before
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -651,7 +657,7 @@ def test_run_config_round_trip():
                     branch="plus", samples=123, seed=9)
     mesh = RunConfig(command="mesh", family="F2_23", u_range=[0.0, 0.5])
     for config in (cfg, mesh):
-        data = json.loads(json.dumps(config.to_dict()))
+        data = json.loads(json.dumps(config._asdict()))
         assert RunConfig.from_dict(data) == config
     assert (cfg.format, RunConfig(command="mesh").format) == ("json", "obj")
 

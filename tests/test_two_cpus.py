@@ -3,24 +3,19 @@ the same results, errors, stderr and exit code as one process, no process left
 behind, and none left pinned to a CPU."""
 
 import errno
-import inspect
 import json
 import marshal
 import os
-import pickle
 import threading
 from functools import partial
 
 import pytest
 
-from ssmin import catalog, cli, errors
+from ssmin import catalog, cli
 from ssmin.cli import main
 from ssmin.errors import BlowUp, DomainError, IllConditionedFit
 from ssmin.pde import CaseId, equivalence_sweep
 from ssmin.sampling import child_seed
-
-_ERRORS = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
-           if issubclass(cls, Exception) and cls.__module__ == errors.__name__]
 
 
 def _cpus(monkeypatch, usable):
@@ -36,17 +31,6 @@ def two_cpus(monkeypatch):
 def _no_children_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def test_every_error_class_survives_a_pickle_round_trip():
-    assert len(_ERRORS) == 12
-    for cls in _ERRORS:
-        exc = cls("at u=1.5: what went wrong")
-        back = pickle.loads(pickle.dumps(exc))
-        assert type(back) is cls
-        assert str(back) == str(exc) and back.args == exc.args
-    back = pickle.loads(pickle.dumps(BlowUp("blew up", t=0.25)))
-    assert (str(back), back.t) == ("blew up", 0.25)
 
 
 def test_results_come_back_in_task_order(two_cpus, capfd):
