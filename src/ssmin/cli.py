@@ -14,7 +14,8 @@ import types
 import typing
 from enum import Enum
 from functools import partial
-from itertools import chain, repeat, takewhile
+from itertools import repeat, takewhile
+from operator import itemgetter
 
 from . import __version__
 from .catalog import (
@@ -49,9 +50,9 @@ _PARAM_FLAGS = sorted({name for defaults in _DEFAULTS.values() for name in defau
 
 # Most vertices a mesh may have.  The export writes one grid line at a time, so
 # its memory does not grow with the mesh; the cap bounds its time and output
-# instead.  At up to 1.5 us and 100 bytes per vertex (1024 x 1024 F2_51, obj or
-# csv, 2-vCPU x86-64 VM, Python 3.11), a mesh at the cap takes about 6 s and
-# writes about 420 MB.
+# instead.  At up to 1.0 us and 101 bytes per vertex (1024 x 1024 F2_51: obj
+# 0.98 us and 92 bytes, csv 0.76 us and 101 bytes; 2-vCPU x86-64 VM, Python
+# 3.11), a mesh at the cap takes about 4 s and writes about 420 MB.
 MAX_MESH_VERTICES = 2 ** 22
 
 # Most samples a check may draw: a time bound.  report --all draws them for each
@@ -546,12 +547,13 @@ def _mesh_box(axis: str, allowed: Interval, box: Interval,
 
 
 def _grid(axis: str, box: Interval, n: int) -> list[float]:
-    """n evenly spaced grid lines from box.lo to box.hi."""
+    """n evenly spaced grid lines from box.lo to box.hi.  The last is box.hi itself:
+    lo + (hi - lo) * (n - 1) / (n - 1) can round one ulp past it."""
     lo, hi = box.lo, box.hi
     if not math.isfinite((hi - lo) * (n - 1)):
         raise DomainError(f"{axis} range [{lo!r}, {hi!r}] is too wide for {n} grid lines: "
                           f"(hi - lo) * {n - 1} overflows; narrow it with --{axis}-range")
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return [*(lo + (hi - lo) * i / (n - 1) for i in range(n - 1)), hi]
 
 
 def _require_finite_heights(us: list[float], fs: list[float],
@@ -590,9 +592,10 @@ def _mesh_chunks(cfg: RunConfig, ttype, us: list[float], fs: list[float],
     """The mesh text, one u line (then one row of OBJ faces) at a time.
 
     One line template per mesh holds the v texts, a "\\0" for the u text and a
-    %.17g for each height, in the slot order of `immersion`; a u line is that
-    template with its u text put in and its nv heights f(u) + g(v) formatted
-    in one `%`."""
+    %.17g for each height, in the slot order of `immersion`; it is split at the
+    "\\0"s once, and a u line is its pieces joined by the u text, with its nv
+    heights f(u) + g(v) formatted in one `%`.  A row of OBJ faces is one join
+    of the vertex numbers of the two u lines it lies between."""
     v_text = [f"{v:.17g}" for v in vs]  # "%.17g" % x is f"{x:.17g}" for every float
     xyz = immersion(ttype, repeat("\0"), v_text, repeat("%.17g"))
     if cfg.format == "csv":
@@ -601,18 +604,22 @@ def _mesh_chunks(cfg: RunConfig, ttype, us: list[float], fs: list[float],
                            for fields in zip(repeat("\0"), v_text, *xyz))
     else:
         template = "".join(" ".join(fields) + "\n" for fields in zip(repeat("v"), *xyz))
+    pieces = template.split("\0")
     for u, fu in zip(us, fs):
-        yield template.replace("\0", f"{u:.17g}") % tuple(map(fu.__add__, gs))
+        yield f"{u:.17g}".join(pieces) % tuple(map(fu.__add__, gs))
     if cfg.format == "obj":
         nv = cfg.nv
-        faces = "f %s %s %s %s\n" * (nv - 1)
         # the face at 1-based vertex b of a u line has corners b, b + 1, b + nv + 1
-        # and b + nv; each line's vertex numbers are formatted once, for both rows
-        # of faces it borders
-        below = [str(b) for b in range(1, nv + 1)]
+        # and b + nv.  A row of faces picks "f", its corners and "\n" from
+        # ["f", "\n", *below, *above], where k = 2 + the face's index on the line;
+        # each line's vertex numbers are formatted once, for both rows of faces it
+        # borders, with the space that precedes them
+        row = itemgetter(*[slot for k in range(2, nv + 1)
+                           for slot in (0, k, k + 1, k + nv + 1, k + nv, 1)])
+        below = [f" {b}" for b in range(1, nv + 1)]
         for first in range(1 + nv, cfg.nu * nv, nv):  # the first vertex of the next u line
-            above = list(map(str, range(first, first + nv)))
-            yield faces % tuple(chain.from_iterable(zip(below, below[1:], above[1:], above)))
+            above = [f" {b}" for b in range(first, first + nv)]
+            yield "".join(row(["f", "\n", *below, *above]))
             below = above
 
 

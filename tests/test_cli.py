@@ -17,9 +17,11 @@ import _parser
 import ssmin
 from ssmin import catalog, cli
 from ssmin.catalog import (ConvergenceRecord, FamilyId, FamilyReport, OdeComparisonRecord,
-                           build)
+                           build, default_settings)
 from ssmin.cli import RunConfig, main
+from ssmin.errors import EmptyDomain
 from ssmin.pde import EquivalenceRecord
+from ssmin.surface import TranslationType
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -307,6 +309,48 @@ def test_mesh_empty_domain_family(capsys):
     assert "spacelike" in capsys.readouterr().err
 
 
+def test_mesh_grid_spans_exactly_its_box():
+    # lo + (hi - lo) * i / (n - 1) at i = n - 1 rounds past hi for about one n in
+    # ten; F3_43's defaults at n = 7 on v did
+    boxes = []
+    for fid in FamilyId:
+        for fam in default_settings(fid):
+            try:
+                boxes.extend(zip("uv", build(fam).domain.sampling_box()))
+            except EmptyDomain:
+                continue
+    assert len(boxes) >= 2 * len(FamilyId)
+    for axis, box in boxes:
+        for n in range(2, 301):
+            grid = cli._grid(axis, box, n)
+            assert (len(grid), grid[0], grid[-1]) == (n, box.lo, box.hi), (axis, box, n)
+            assert all(a <= b for a, b in zip(grid, grid[1:])), (axis, box, n)
+
+
+@pytest.mark.parametrize("nu,nv", [(2, 2), (2, 7), (7, 2), (3, 5), (5, 3)])
+def test_mesh_obj_faces_match_the_grid_connectivity(capsys, nu, nv):
+    assert main(["mesh", "--family", "F2_51", "--format", "obj",
+                 "--nu", str(nu), "--nv", str(nv)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    faces = [line for line in lines if line.startswith("f")]
+    assert len(lines) - len(faces) == nu * nv
+    corners = [(a, a + 1, a + nv + 1, a + nv)
+               for a in (i * nv + j + 1 for i in range(nu - 1) for j in range(nv - 1))]
+    assert faces == ["f %d %d %d %d" % face for face in corners]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "obj"])
+def test_mesh_is_written_one_grid_line_at_a_time(fmt):
+    nu, nv = 5, 3
+    cfg = RunConfig(command="mesh", family="F2_51", format=fmt, nu=nu, nv=nv)
+    us, vs = [0.25 * i for i in range(nu)], [0.5 * j for j in range(nv)]
+    chunks = cli._mesh_chunks(cfg, TranslationType.I, us, [1.0] * nu, vs, [2.0] * nv)
+    if fmt == "csv":
+        assert next(chunks) == "u,v,x,y,z\n"
+    face_rows = [nv - 1] * (nu - 1) if fmt == "obj" else []
+    assert [chunk.count("\n") for chunk in chunks] == [nv] * nu + face_rows
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--family", "F3_10", "--c", "3"],
     ["verify", "--family", "F3_13", "--c-hat", "-2.2"],
@@ -447,7 +491,7 @@ _MESH_SHA256 = {
               "565e088e9acfa3ce364d45d274a205b735c663ef6c354469af6ba5943520afca",
               "d68cb9adc80446cf57f7203e1b40bb3d85ff191c599df0eebabccde69a90e7ca"),
     "F3_43": ("c88d047811394a84e71cf6f28e8f1fce592e834969884f0a270175a05f8b7cc7",
-              "fb4da0e796a90c3c35dca45b6aca7a43961072ca380fc1d3349b47cb55bdba3a",
+              "75c384db6c944afd4095337346c1a7b84abfeaa16cc40a615def83c9db6d311c",
               "ae90cef9b72651df85a9040c97925780dabfa3db49ce02faf4e2eaaa61bf2742"),
 }
 
