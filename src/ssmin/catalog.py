@@ -689,10 +689,8 @@ class ConvergenceRecord(NamedTuple):
     coarse_error: float
     fine_error: float
     observed_order: float
-
-    @property
-    def verdict(self) -> bool:
-        return self.observed_order >= MIN_CONVERGENCE_ORDER
+    min_order: float
+    verdict: bool
 
 
 # (family at its defaults, profile, t span) of each RK4 reference run.
@@ -750,5 +748,6 @@ def convergence_orders() -> tuple[ConvergenceRecord, ...]:
     for probe in _ORDER_PROBES:
         case, (err, fine) = _run_errors(*probe, spans[probe], (_COARSE_STEP, _COARSE_STEP / 2.0))
         order = math.log2(err / fine) if fine > 0.0 else math.inf
-        records.append(ConvergenceRecord(case.kind.value, _COARSE_STEP, err, fine, order))
+        records.append(ConvergenceRecord(case.kind.value, _COARSE_STEP, err, fine, order,
+                                         MIN_CONVERGENCE_ORDER, order >= MIN_CONVERGENCE_ORDER))
     return tuple(records)

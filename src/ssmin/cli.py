@@ -56,19 +56,19 @@ _PARAM_FLAGS = sorted({name for defaults in _DEFAULTS.values() for name in defau
 MAX_MESH_VERTICES = 2 ** 22
 
 # Most samples a check may draw: a time bound.  report --all draws them for each
-# of its 38 family checks and 7 equivalence sweeps, at about 0.19 ms per sample
-# on the machine above; a report at the cap takes about 3.5 minutes, where
-# --samples 1000000000 would run for about two days.
+# of its 38 family checks and 7 equivalence sweeps, at about 0.046 ms per sample
+# on the machine above (0.37 s at --samples 8000, median of five); a report at the
+# cap took 48 s, where --samples 1000000000 would run for about 13 hours.
 MAX_SAMPLES = 2 ** 20
 
 # Fewest samples per equivalence sweep at which `equivalence` splits its sweeps
 # across two processes (see `_on_two_cpus`; `report` always splits its whole task
 # list).  Forking and reaping cost a few ms.  On the machine above, the seven
-# sweeps took, in one process against split (medians of 12 fresh processes
-# each): 5.5 against 5.6 ms at 250 samples per sweep, 11.1 against 9.0 ms at
-# 500, 22.6 against 13.9 ms at 1000 and 47.0 against 30.2 ms at 2000.  At 500
-# the split was the faster in three more such series and tied in a fourth (8.2
-# against 8.3 ms); at 250 it was the slower in three of four.
+# sweeps took, in one process against split (medians of 12 alternating
+# fresh-process pairs, two series): 3.1 and 3.4 against 4.6 and 4.4 ms at 250
+# samples per sweep, 6.4 and 11.3 against 6.6 and 9.4 ms at 500 (the split the
+# faster in 7 and 11 of 12 pairs), 12.7 and 13.0 against 11.3 and 12.3 ms at
+# 1000, and 27.6 and 24.3 against 20.1 and 20.2 ms at 2000.
 SPLIT_SAMPLES = 500
 
 # Fewest samples per equivalence sweep in `report`.  Its --samples counts the
@@ -78,6 +78,10 @@ SPLIT_SAMPLES = 500
 # the machine above, against 19.6 ms for the 38 family checks at the default
 # 200 (best of seven and of five runs).
 REPORT_SWEEP_SAMPLES = 500
+
+# Samples per sweep of `equivalence` where none are given, in place of the
+# field default of 200 samples per family check: a sweep covers a case's jet box.
+EQUIVALENCE_SAMPLES = 1000
 
 
 class _RunFields(typing.NamedTuple):
@@ -113,7 +117,8 @@ class RunConfig(_RunFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        """Every way in (flags, config file, library call) is checked here, once."""
+        """Every way in (flags, config file, library call) is checked here, once,
+        and takes its defaults here."""
         self = super().__new__(cls, *args, **kwargs)
         for name, value in zip(self._fields, self):
             if not _conforms(value, _HINTS[name]):
@@ -121,6 +126,9 @@ class RunConfig(_RunFields):
                                  f"got {value!r}")
         if self.command not in _COMMANDS:
             raise UsageError(f"unknown command {self.command!r}; known: {', '.join(_COMMANDS)}")
+        if (self.command == "equivalence" and "samples" not in kwargs
+                and len(args) <= self._fields.index("samples")):  # samples not given
+            return cls(*args, **kwargs, samples=EQUIVALENCE_SAMPLES)
         _, formats, reads, _ = _COMMANDS[self.command]
         for name, default in _SETTINGS.items():
             if name not in reads and getattr(self, name) != default:
@@ -258,8 +266,6 @@ def _flag_table(command: str) -> dict[str, dict]:
                 table[f"--{param.replace('_', '-')}"] = {"dest": f"param_{param}", "type": float}
         elif name in reads:
             table[f"--{name.replace('_', '-')}"] = {"dest": name, **_FLAGS[name]}
-    if command == "equivalence":
-        table["--samples"]["default"] = 1000
     return table
 
 
@@ -439,11 +445,6 @@ def _sweeps(cases, n_samples: int, seed: int, tolerance: float | None = None,
             for tag, case in enumerate(cases, first_tag)]
 
 
-def _pick(records: list[dict], columns) -> list[dict]:
-    """The compact records of a table: only the keys its columns show."""
-    return [{key: record[key] for _, key, _ in columns} for record in records]
-
-
 def _family_summary(records: list[dict]) -> dict:
     n_pass = sum(1 for r in records if r["verdict"] == "pass")
     return {"n_records": len(records), "n_pass": n_pass,
@@ -481,15 +482,15 @@ def _emit_payload(payload: dict, cfg: RunConfig, markdown_renderer=None) -> None
         _write([json.dumps(payload, indent=2) + "\n"], cfg)
 
 
-def _emit_records(cfg: RunConfig, records: list[dict], markdown_renderer,
-                  ok: bool = True, **extra) -> int:
-    """Emit a single-table command's payload of serialized records (`_record`);
-    exit 0 only if every record passes."""
-    summary = _family_summary(records)
+def _emit_records(cfg: RunConfig, records: list[dict], markdown_renderer, **extra) -> int:
+    """Emit a command's payload: its serialized records (`_record`) with their
+    summary, and any `extra` record lists; exit 0 only if every record of every
+    list passes."""
     payload = {"version": __version__, "command": cfg.command, "config": cfg.echo_dict(),
-               "records": records, **extra, "summary": summary}
+               "records": records, **extra, "summary": _family_summary(records)}
     _emit_payload(payload, cfg, markdown_renderer)
-    return 0 if ok and summary["all_pass"] else 2
+    passed = all(r["verdict"] == "pass" for part in (records, *extra.values()) for r in part)
+    return 0 if passed else 2
 
 
 def cmd_residual(cfg: RunConfig) -> int:
@@ -528,9 +529,8 @@ def cmd_equivalence(cfg: RunConfig) -> int:
 
 def cmd_ode_compare(cfg: RunConfig) -> int:
     records = [_record(run()) for run in ode_reference_tasks(cfg.step, cfg.tolerance)]
-    orders = convergence_orders()
-    return _emit_records(cfg, records, _render_ode_markdown, all(o.verdict for o in orders),
-                         convergence=[_record(o) for o in orders])
+    return _emit_records(cfg, records, _render_ode_markdown,
+                         convergence=[_record(o) for o in convergence_orders()])
 
 
 def _mesh_box(axis: str, allowed: Interval, box: Interval,
@@ -635,8 +635,7 @@ def cmd_report(cfg: RunConfig) -> int:
     results = _on_two_cpus(_recorded([*checks, *sweeps, *ode_reference_tasks(cfg.step)]))
     first_ode = len(checks) + len(sweeps)
     family_records = [{"theorem": theorem, **rec} for (theorem, _), rec in zip(suites, results)]
-    eq_records = _pick(results[len(checks):first_ode], _EQUIVALENCE_COLUMNS)
-    ode_records = _pick(results[first_ode:], _ODE_COLUMNS)
+    eq_records, ode_records = results[len(checks):first_ode], results[first_ode:]
     summary = {"families": _family_summary(family_records),
                "equivalence": _family_summary(eq_records),
                "ode": _family_summary(ode_records)}

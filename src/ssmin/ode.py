@@ -11,8 +11,7 @@ import math
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .errors import (BlowUp, DomainMismatch, InvalidStep, ParameterConstraintViolation,
-                     UnknownCase, _row_of)
+from .errors import BlowUp, DomainMismatch, InvalidStep, ParameterConstraintViolation, _row_of
 from .jets import Profile
 
 BLOWUP_THRESHOLD = 1e12
@@ -22,9 +21,10 @@ MAX_RK4_STEPS = 100_000
 
 
 def _nonzero(d: float, message: str) -> float:
-    """A denominator c^2 - 1 of a Minkowski equation; UnknownCase where it vanishes."""
+    """A denominator c^2 - 1 of a Minkowski equation; ParameterConstraintViolation
+    where it vanishes, as where it overflows (`OdeCase.rhs`)."""
     if d == 0.0:
-        raise UnknownCase(message)
+        raise ParameterConstraintViolation(message)
     return d
 
 

@@ -139,13 +139,25 @@ def test_records_follow_their_engine_schema(tmp_path, argv, record_type, columns
         assert _has_lines(markdown, _header(cli._CONVERGENCE_COLUMNS))
 
 
-def test_report_compact_records_follow_their_columns(tmp_path):
-    code, text = run(tmp_path, "report", "--all", "--samples", "10")
-    assert code == 0
-    payload = json.loads(text)
-    assert all(list(r) == ["theorem", *FamilyReport._fields] for r in payload["records"])
-    for part, columns in (("equivalence", cli._EQUIVALENCE_COLUMNS), ("ode", cli._ODE_COLUMNS)):
-        assert all(list(r) == [key for _, key, _ in columns] for r in payload[part])
+def test_each_record_kind_has_one_schema(tmp_path):
+    # report's sections hold the records that the one-table commands write, and
+    # every record of every JSON command carries its verdict and the bound it met
+    def payload(*argv):
+        code, text = run(tmp_path, *argv)
+        assert code == 0
+        return json.loads(text)
+    report = payload("report", "--all", "--samples", "10", "--step", "0.01")
+    ode = payload("ode-compare", "--step", "0.01")
+    assert report["ode"] == ode["records"]
+    assert all(list(r) == ["theorem", *FamilyReport._fields] for r in report["records"])
+    assert all(list(r) == list(EquivalenceRecord._fields) for r in report["equivalence"])
+    record_lists = [report["records"], report["equivalence"], report["ode"], ode["records"],
+                    ode["convergence"],
+                    payload("verify", "--family", "F2_23", "--samples", "5")["records"],
+                    payload("equivalence", "--case", "E_M_I", "--samples", "20")["records"]]
+    for records in record_lists:
+        assert records and all(r["verdict"] in ("pass", "fail")
+                               and r.keys() & {"tolerance", "min_order"} for r in records)
 
 
 def test_equivalence_command(tmp_path):
@@ -194,7 +206,9 @@ def test_ode_compare_fails_below_the_convergence_order(tmp_path, monkeypatch):
     monkeypatch.setattr(catalog, "MIN_CONVERGENCE_ORDER", 5.0)
     code, text = run(tmp_path, "ode-compare", "--step", "0.01")
     assert code == 2
-    assert json.loads(text)["summary"]["all_pass"] is True
+    payload = json.loads(text)
+    assert payload["summary"]["all_pass"] is True
+    assert [(o["min_order"], o["verdict"]) for o in payload["convergence"]] == [(5.0, "fail")] * 2
 
 
 def _parse_obj(text):
@@ -379,13 +393,13 @@ def test_report_determinism(tmp_path):
 # sha256 of stdout; any change to these outputs must be deliberate
 _OUTPUT_SHA256 = [
     pytest.param(["report", "--all", "--seed", "42", "--format", "json"], 0,
-                 "3c168b6e613538d5f49af3a3313e67fa7f37a2499323e988bc8378eeaf62648f",
+                 "5dfe09c1768860157c6ead2b1306877810c020972a04a540bca3c92d521da8b2",
                  id="report"),
     pytest.param(["report", "--all", "--seed", "42", "--format", "markdown"], 0,
                  "c7178e9df87c460ad7ea99b2748f0c07e31f7c1720f8fccc1f2d78898281db86",
                  id="report-markdown"),
     pytest.param(["report", "--all", "--perturb", "0.01"], 2,
-                 "15d5214f152b68f7caf1e94382442c869038d02cf977ea256ac375b35d281456",
+                 "368d103f14b7d70dfb3584702835a47eb81b765b8c5c223a59868eae7ef46408",
                  id="report-perturb"),
     pytest.param(["equivalence", "--all", "--samples", "300", "--seed", "3"], 0,
                  "79e6d0383a8a5ecf2f08fea7912da20001b2c843077cef18a28803dbd70bca91",
@@ -401,7 +415,7 @@ _OUTPUT_SHA256 = [
                  "5a11433bee3c66d233cf7ce607601b6b743f4e9ef435e809d01fedfe58c720db",
                  id="verify-markdown"),
     pytest.param(["ode-compare"], 0,
-                 "db7e07e303616e0c84021d99945fefbe93fd6ca78e75cbcdb5a337e71775c47e",
+                 "e0b599c673bb012f47520d30fadf0dfc1259f2863ae0da30bf377d24309d8d3e",
                  id="ode-compare"),
     # a quadrature-backed and a closed-form family, 64x64
     pytest.param(["mesh", "--family", "F2_39", "--format", "csv"], 0,
@@ -704,6 +718,18 @@ def test_run_config_round_trip():
         data = json.loads(json.dumps(config._asdict()))
         assert RunConfig.from_dict(data) == config
     assert (cfg.format, RunConfig(command="mesh").format) == ("json", "obj")
+
+
+def test_equivalence_takes_one_default_every_way_in(tmp_path):
+    # flags, a config file and a library call give one config: 1000 samples per sweep
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "equivalence", "all": True}))
+    by_flags = cli._config_from_args(cli._parse(["equivalence", "--all"]))
+    by_file = cli._config_from_args(cli._parse(["equivalence", "--config", str(path)]))
+    by_call = RunConfig(command="equivalence", all=True)
+    assert by_flags == by_file == by_call == by_call._replace(seed=0)
+    assert by_call.samples == 1000
+    assert RunConfig("equivalence", all=True, samples=200).samples == 200
 
 
 def test_config_file_overrides_flags(tmp_path):

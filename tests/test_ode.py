@@ -102,7 +102,7 @@ def test_unknown_ode_and_vanishing_denominator():
     with pytest.raises(UnknownCase):
         OdeCase("O2_21", 0.0).rhs()
     for kind in (OdeId.O3_8, OdeId.O3_23):
-        with pytest.raises(UnknownCase, match=r"\^2 != 1"):
+        with pytest.raises(ParameterConstraintViolation, match=r"\^2 != 1"):
             OdeCase(kind, -1.0).rhs()
 
 
