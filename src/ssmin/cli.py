@@ -79,10 +79,6 @@ SPLIT_SAMPLES = 500
 # 200 (best of seven and of five runs).
 REPORT_SWEEP_SAMPLES = 500
 
-# Samples per sweep of `equivalence` where none are given, in place of the
-# field default of 200 samples per family check: a sweep covers a case's jet box.
-EQUIVALENCE_SAMPLES = 1000
-
 
 class _RunFields(typing.NamedTuple):
     command: str
@@ -127,8 +123,9 @@ class RunConfig(_RunFields):
         if self.command not in _COMMANDS:
             raise UsageError(f"unknown command {self.command!r}; known: {', '.join(_COMMANDS)}")
         if (self.command == "equivalence" and "samples" not in kwargs
-                and len(args) <= self._fields.index("samples")):  # samples not given
-            return cls(*args, **kwargs, samples=EQUIVALENCE_SAMPLES)
+                and len(args) <= self._fields.index("samples")):
+            # not given: 1000, not 200, as a sweep covers a case's whole jet box
+            return cls(*args, **kwargs, samples=1000)
         _, formats, reads, _ = _COMMANDS[self.command]
         for name, default in _SETTINGS.items():
             if name not in reads and getattr(self, name) != default:
