@@ -479,15 +479,20 @@ def _emit_payload(payload: dict, cfg: RunConfig, markdown_renderer=None) -> None
         _write([json.dumps(payload, indent=2) + "\n"], cfg)
 
 
-def _emit_records(cfg: RunConfig, records: list[dict], markdown_renderer, **extra) -> int:
-    """Emit a command's payload: its serialized records (`_record`) with their
-    summary, and any `extra` record lists; exit 0 only if every record of every
-    list passes."""
+def _sections(**lists) -> dict:
+    """The summary of a command with several record lists: one `_family_summary`
+    per list, by its name, then whether every list passes."""
+    summary = {name: _family_summary(records) for name, records in lists.items()}
+    return {**summary, "all_pass": all(part["all_pass"] for part in summary.values())}
+
+
+def _emit_records(cfg: RunConfig, markdown_renderer, summary: dict, **lists) -> int:
+    """Emit a command's payload: its serialized record lists (`_record`) in order,
+    then their `summary`; exit 0 exactly when the summary says all pass."""
     payload = {"version": __version__, "command": cfg.command, "config": cfg.echo_dict(),
-               "records": records, **extra, "summary": _family_summary(records)}
+               **lists, "summary": summary}
     _emit_payload(payload, cfg, markdown_renderer)
-    passed = all(r["verdict"] == "pass" for part in (records, *extra.values()) for r in part)
-    return 0 if passed else 2
+    return 0 if summary["all_pass"] else 2
 
 
 def cmd_residual(cfg: RunConfig) -> int:
@@ -513,7 +518,7 @@ def cmd_residual(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     families = all_default_settings() if cfg.all else [_family_from_config(cfg)]
     records = [_record(check()) for check in _checks(families, cfg)]
-    return _emit_records(cfg, records, _render_verify_markdown)
+    return _emit_records(cfg, _render_verify_markdown, _family_summary(records), records=records)
 
 
 def cmd_equivalence(cfg: RunConfig) -> int:
@@ -521,13 +526,16 @@ def cmd_equivalence(cfg: RunConfig) -> int:
     sweeps = _recorded(_sweeps(cases, cfg.samples, cfg.seed, cfg.tolerance))
     records = (_on_two_cpus(sweeps) if cfg.samples >= SPLIT_SAMPLES
                else [sweep() for sweep in sweeps])
-    return _emit_records(cfg, records, _render_equivalence_markdown)
+    return _emit_records(cfg, _render_equivalence_markdown, _family_summary(records),
+                         records=records)
 
 
 def cmd_ode_compare(cfg: RunConfig) -> int:
     records = [_record(run()) for run in ode_reference_tasks(cfg.step, cfg.tolerance)]
-    return _emit_records(cfg, records, _render_ode_markdown,
-                         convergence=[_record(o) for o in convergence_orders()])
+    convergence = [_record(o) for o in convergence_orders()]
+    return _emit_records(cfg, _render_ode_markdown,
+                         _sections(records=records, convergence=convergence),
+                         records=records, convergence=convergence)
 
 
 def _mesh_box(axis: str, allowed: Interval, box: Interval,
@@ -633,21 +641,10 @@ def cmd_report(cfg: RunConfig) -> int:
     first_ode = len(checks) + len(sweeps)
     family_records = [{"theorem": theorem, **rec} for (theorem, _), rec in zip(suites, results)]
     eq_records, ode_records = results[len(checks):first_ode], results[first_ode:]
-    summary = {"families": _family_summary(family_records),
-               "equivalence": _family_summary(eq_records),
-               "ode": _family_summary(ode_records)}
-    all_pass = all(part["all_pass"] for part in summary.values())
-    payload = {
-        "version": __version__,
-        "command": "report",
-        "config": cfg.echo_dict(),
-        "records": family_records,
-        "equivalence": eq_records,
-        "ode": ode_records,
-        "summary": {**summary, "all_pass": all_pass},
-    }
-    _emit_payload(payload, cfg, _render_report_markdown)
-    return 0 if all_pass else 2
+    return _emit_records(cfg, _render_report_markdown,
+                         _sections(families=family_records, equivalence=eq_records,
+                                   ode=ode_records),
+                         records=family_records, equivalence=eq_records, ode=ode_records)
 
 
 def _fmt_params(params: dict[str, float]) -> str:

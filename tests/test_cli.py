@@ -207,8 +207,33 @@ def test_ode_compare_fails_below_the_convergence_order(tmp_path, monkeypatch):
     code, text = run(tmp_path, "ode-compare", "--step", "0.01")
     assert code == 2
     payload = json.loads(text)
-    assert payload["summary"]["all_pass"] is True
     assert [(o["min_order"], o["verdict"]) for o in payload["convergence"]] == [(5.0, "fail")] * 2
+    summary = payload["summary"]
+    assert summary["all_pass"] is False and summary["records"]["all_pass"] is True
+    assert summary["convergence"]["n_fail"] == 2
+
+
+@pytest.mark.parametrize("argv,min_order,passes", [
+    (["verify", "--family", "F2_23", "--samples", "20"], None, True),
+    (["verify", "--family", "F2_23", "--samples", "20", "--perturb", "0.01"], None, False),
+    (["equivalence", "--case", "E_M_I", "--samples", "20"], None, True),
+    (["equivalence", "--case", "E_M_I", "--samples", "20", "--tolerance", "0"], None, False),
+    (["ode-compare", "--step", "0.01"], None, True),
+    (["ode-compare", "--step", "0.01"], 5.0, False),
+    (["report", "--all", "--samples", "10", "--step", "0.01"], None, True),
+    (["report", "--all", "--samples", "10", "--step", "0.01", "--perturb", "0.01"], None, False),
+], ids=["verify", "verify-perturb", "equivalence", "equivalence-tolerance-0", "ode-compare",
+        "ode-compare-order-5", "report", "report-perturb"])
+def test_the_exit_code_is_the_summary_verdict(tmp_path, monkeypatch, argv, min_order, passes):
+    # exit 0 exactly when summary.all_pass, and that is whether every record passes
+    if min_order is not None:
+        monkeypatch.setattr(catalog, "MIN_CONVERGENCE_ORDER", min_order)
+    code, text = run(tmp_path, *argv)
+    payload = json.loads(text)
+    records = [r for part in payload.values() if isinstance(part, list) for r in part]
+    assert payload["summary"]["all_pass"] is passes
+    assert code == (0 if passes else 2)
+    assert all(r["verdict"] == "pass" for r in records) is passes
 
 
 def _parse_obj(text):
@@ -415,7 +440,7 @@ _OUTPUT_SHA256 = [
                  "5a11433bee3c66d233cf7ce607601b6b743f4e9ef435e809d01fedfe58c720db",
                  id="verify-markdown"),
     pytest.param(["ode-compare"], 0,
-                 "e0b599c673bb012f47520d30fadf0dfc1259f2863ae0da30bf377d24309d8d3e",
+                 "26e14c27ed57d69a956b4ab95df02928298898956eac18bbac32439c135c7530",
                  id="ode-compare"),
     # a quadrature-backed and a closed-form family, 64x64
     pytest.param(["mesh", "--family", "F2_39", "--format", "csv"], 0,
