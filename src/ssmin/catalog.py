@@ -121,6 +121,7 @@ class FamilyBuild(NamedTuple):
 
 
 class FamilyReport(NamedTuple):
+    theorem: str
     family_id: str
     branch: str
     params: dict[str, float]
@@ -475,10 +476,11 @@ def _f3_43(c0_bar=1.0, c3=1.0, c4=0.0, b=0.0) -> _Parts:
 
 
 class _Family(NamedTuple):
-    """One classified family: the theorem whose suite it belongs to, its surface
-    type, the minimality case it solves (which fixes the ambient space), its
-    builder, and its second representative setting.  The first setting is its
-    defaults; a family with a +- branch takes its minus branch in the second."""
+    """One classified family: the theorem that states it, which each of its
+    records carries, its surface type, the minimality case it solves (which
+    fixes the ambient space), its builder, and its second representative
+    setting.  The first setting is its defaults; a family with a +- branch
+    takes its minus branch in the second."""
 
     theorem: str
     ttype: TranslationType
@@ -535,12 +537,6 @@ _FAMILIES: dict[str, _Family] = {
                      {"c0_bar": 0.5, "c3": 2.0, "c4": 0.3, "b": 1.0}),
 }
 FamilyId = Enum("FamilyId", [(name, name) for name in _FAMILIES])
-
-# Family ids grouped by the theorem whose suite they belong to, in table order.
-THEOREM_SUITES: dict[str, tuple[FamilyId, ...]] = {
-    theorem: tuple(fid for fid in FamilyId if _FAMILIES[fid.value].theorem == theorem)
-    for theorem in dict.fromkeys(row.theorem for row in _FAMILIES.values())
-}
 
 # Each family's parameters and their defaults, in order: its builder's
 # positional parameters.  The families with a +- branch are those whose
@@ -660,8 +656,9 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
         if err > worst_res or err != err:
             worst_res = err
     return FamilyReport(
-        fam.family_id.value, fam.branch.value, dict(fam.params), n_samples,
-        "full" if full else "residual-only", worst_num if full else None, worst_res, tol,
+        _FAMILIES[fam.family_id.value].theorem, fam.family_id.value, fam.branch.value,
+        dict(fam.params), n_samples, "full" if full else "residual-only",
+        worst_num if full else None, worst_res, tol,
         worst_res <= tol and (not full or worst_num <= tol), built.empty_reason,
     )
 

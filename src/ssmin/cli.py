@@ -25,12 +25,10 @@ from .catalog import (
     FamilyReport,
     SHORTEST_ODE_SPAN,
     SHORTEST_ODE_STEP,
-    THEOREM_SUITES,
     _DEFAULTS,
     all_default_settings,
     build,
     convergence_orders,
-    default_settings,
     make_family,
     ode_reference_tasks,
     verify_auto,
@@ -60,16 +58,6 @@ MAX_MESH_VERTICES = 2 ** 22
 # on the machine above (0.37 s at --samples 8000, median of five); a report at the
 # cap took 48 s, where --samples 1000000000 would run for about 13 hours.
 MAX_SAMPLES = 2 ** 20
-
-# Fewest samples per equivalence sweep at which `equivalence` splits its sweeps
-# across two processes (see `_on_two_cpus`; `report` always splits its whole task
-# list).  Forking and reaping cost a few ms.  On the machine above, the seven
-# sweeps took, in one process against split (medians of 12 alternating
-# fresh-process pairs, two series): 3.1 and 3.4 against 4.6 and 4.4 ms at 250
-# samples per sweep, 6.4 and 11.3 against 6.6 and 9.4 ms at 500 (the split the
-# faster in 7 and 11 of 12 pairs), 12.7 and 13.0 against 11.3 and 12.3 ms at
-# 1000, and 27.6 and 24.3 against 20.1 and 20.2 ms at 2000.
-SPLIT_SAMPLES = 500
 
 # Fewest samples per equivalence sweep in `report`.  Its --samples counts the
 # samples of each family check, one family setting each, while a sweep covers a
@@ -523,9 +511,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_equivalence(cfg: RunConfig) -> int:
     cases = list(CaseId) if cfg.all else [_member(CaseId, cfg, "case")]
-    sweeps = _recorded(_sweeps(cases, cfg.samples, cfg.seed, cfg.tolerance))
-    records = (_on_two_cpus(sweeps) if cfg.samples >= SPLIT_SAMPLES
-               else [sweep() for sweep in sweeps])
+    records = _on_two_cpus(_recorded(_sweeps(cases, cfg.samples, cfg.seed, cfg.tolerance)))
     return _emit_records(cfg, _render_equivalence_markdown, _family_summary(records),
                          records=records)
 
@@ -629,18 +615,16 @@ def _mesh_chunks(cfg: RunConfig, ttype, us: list[float], fs: list[float],
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    """The family checks, equivalence sweeps and ODE runs are one task list, in
-    that order, run by one `_on_two_cpus` call that returns their serialized
-    records."""
-    suites = [(theorem, fam) for theorem, fids in THEOREM_SUITES.items()
-              for fid in fids for fam in default_settings(fid)]
-    checks = _checks([fam for _, fam in suites], cfg)
+    """The family checks of `verify --all`, equivalence sweeps and ODE runs are
+    one task list, in that order, run by one `_on_two_cpus` call that returns
+    their serialized records."""
+    checks = _checks(all_default_settings(), cfg)
     sweeps = _sweeps(list(CaseId), max(cfg.samples, REPORT_SWEEP_SAMPLES), cfg.seed,
                      first_tag=1000)
     results = _on_two_cpus(_recorded([*checks, *sweeps, *ode_reference_tasks(cfg.step)]))
     first_ode = len(checks) + len(sweeps)
-    family_records = [{"theorem": theorem, **rec} for (theorem, _), rec in zip(suites, results)]
-    eq_records, ode_records = results[len(checks):first_ode], results[first_ode:]
+    family_records, eq_records = results[:len(checks)], results[len(checks):first_ode]
+    ode_records = results[first_ode:]
     return _emit_records(cfg, _render_report_markdown,
                          _sections(families=family_records, equivalence=eq_records,
                                    ode=ode_records),
@@ -711,7 +695,7 @@ def _render_report_markdown(payload: dict) -> str:
     config = payload["config"]
     lines = [f"# ssmin verification report (v{payload['version']})", "",
              f"- seed: {config['seed']}", f"- samples per family: {config['samples']}", ""]
-    for theorem in THEOREM_SUITES:
+    for theorem in dict.fromkeys(r["theorem"] for r in payload["records"]):
         rows = [r for r in payload["records"] if r["theorem"] == theorem]
         lines += [f"## Theorem {theorem}", "", *_table(rows, _FAMILY_COLUMNS), ""]
     lines += ["## Minimality equivalence sweeps", "",

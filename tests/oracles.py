@@ -41,6 +41,7 @@ from ssmin.catalog import (
     SAMPLING_CAP,
     FamilyReport,
     SolutionFamily,
+    _FAMILIES,
     _assemble,
     perturb_profile,
 )
@@ -506,7 +507,7 @@ def moderate_box(profile: Profile, max_slope: float = 2.0, step: float = 0.05) -
     return Interval(lo, hi)
 
 
-def _draw_first_derivatives(rng: ScalarSplitMix64, sig: Signature,
+def _draw_first_derivatives(rng: ScalarSplitMix64 | SplitMix64, sig: Signature,
                             ttype: TranslationType) -> tuple[float, float]:
     if sig is Signature.EUCLIDEAN:
         return rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)
@@ -521,6 +522,16 @@ def _admissible(sig: Signature, ttype: TranslationType, f1: float, g1: float) ->
     if ttype is TranslationType.I:
         return 1.0 - f1 * f1 - g1 * g1 >= 1e-3
     return g1 * g1 - f1 * f1 - 1.0 >= 1e-3
+
+
+def admissible_slopes(rng: ScalarSplitMix64 | SplitMix64, sig: Signature,
+                      ttype: TranslationType) -> tuple[float, float]:
+    """The first admissible (f', g') that `rng` draws in the box of (sig, ttype),
+    each attempt drawing f' then g' as `reference_equivalence_sweep` draws them."""
+    while True:
+        f1, g1 = _draw_first_derivatives(rng, sig, ttype)
+        if _admissible(sig, ttype, f1, g1):
+            return f1, g1
 
 
 def reference_equivalence_sweep(case: CaseId, n_samples: int, seed: int,
@@ -580,8 +591,9 @@ def reference_verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: i
             worst_num = _worse(worst_num, abs(numerator))
         worst_res = _worse(worst_res, abs(residual(built.case, fj, gj)))
     return FamilyReport(
-        fam.family_id.value, fam.branch.value, dict(fam.params), n_samples,
-        "full" if full else "residual-only", worst_num if full else None, worst_res, tol,
+        _FAMILIES[fam.family_id.value].theorem, fam.family_id.value, fam.branch.value,
+        dict(fam.params), n_samples, "full" if full else "residual-only",
+        worst_num if full else None, worst_res, tol,
         worst_res <= tol and (not full or worst_num <= tol), built.empty_reason,
     )
 

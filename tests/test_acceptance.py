@@ -32,8 +32,8 @@ from ssmin.pde import CaseId, equivalence_sweep, residual
 from ssmin.sampling import SplitMix64, child_seed
 from ssmin.surface import TranslationSurface, TranslationType, frame_from_jets
 
-from oracles import (BASIS, covariant_derivative, mean_curvature_from_jets, moderate_box,
-                     ode_pointwise_max)
+from oracles import (BASIS, admissible_slopes, covariant_derivative, mean_curvature_from_jets,
+                     moderate_box, ode_pointwise_max)
 
 E = Signature.EUCLIDEAN
 L = Signature.LORENTZIAN
@@ -129,18 +129,7 @@ def test_criterion_4_structural_invariants():
     for i in range(1000):
         ttype, sig, kind = combos[i % len(combos)]
         space = AmbientSpace(sig, kind)
-        while True:
-            if sig is E:
-                f1, g1 = rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)
-                break
-            if ttype is TranslationType.I:
-                f1, g1 = rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)
-                if 1.0 - f1 * f1 - g1 * g1 >= 1e-3:
-                    break
-            else:
-                f1, g1 = rng.uniform(-1.5, 1.5), rng.uniform(-2.6, 2.6)
-                if g1 * g1 - f1 * f1 - 1.0 >= 1e-3:
-                    break
+        f1, g1 = admissible_slopes(rng, sig, ttype)
         fj = Jet2(0, f1, rng.uniform(-3, 3))
         gj = Jet2(0, g1, rng.uniform(-3, 3))
         sm = mean_curvature_from_jets(ttype, space, kind, fj, gj).sigma

@@ -149,7 +149,7 @@ def test_each_record_kind_has_one_schema(tmp_path):
     report = payload("report", "--all", "--samples", "10", "--step", "0.01")
     ode = payload("ode-compare", "--step", "0.01")
     assert report["ode"] == ode["records"]
-    assert all(list(r) == ["theorem", *FamilyReport._fields] for r in report["records"])
+    assert all(list(r) == list(FamilyReport._fields) for r in report["records"])
     assert all(list(r) == list(EquivalenceRecord._fields) for r in report["equivalence"])
     record_lists = [report["records"], report["equivalence"], report["ode"], ode["records"],
                     ode["convergence"],
@@ -158,6 +158,21 @@ def test_each_record_kind_has_one_schema(tmp_path):
     for records in record_lists:
         assert records and all(r["verdict"] in ("pass", "fail")
                                and r.keys() & {"tolerance", "min_order"} for r in records)
+
+
+@pytest.mark.parametrize("settings", [
+    ["--samples", "10", "--seed", "7"], ["--samples", "5", "--perturb", "0.01"],
+], ids=["seed-7", "perturbed"])
+def test_report_family_records_are_verify_all_records(tmp_path, settings):
+    # the same checks on the same child streams, whatever else report runs
+    code, text = run(tmp_path, "report", "--all", "--step", "0.01", *settings)
+    report = json.loads(text)
+    assert code == (0 if report["summary"]["all_pass"] else 2)
+    code, text = run(tmp_path, "verify", "--all", *settings)
+    verify = json.loads(text)
+    assert code == (0 if verify["summary"]["all_pass"] else 2)
+    assert report["records"] == verify["records"]
+    assert report["summary"]["families"] == verify["summary"]
 
 
 def test_equivalence_command(tmp_path):
@@ -434,7 +449,7 @@ _OUTPUT_SHA256 = [
                  "ed0bb951425c748206914f486f8bdc04605764c199738c69897c93e174a392e9",
                  id="equivalence-6000"),
     pytest.param(["verify", "--all", "--seed", "3"], 0,
-                 "8b3512e524226e4dcc82845f6cfbeffc3684f5a3e62af652b58d3cac485d7969",
+                 "ebc3901515b724721692167b34fd6b826fc49ab64acc5b6c47b82693d6875368",
                  id="verify"),
     pytest.param(["verify", "--all", "--seed", "3", "--format", "markdown"], 0,
                  "5a11433bee3c66d233cf7ce607601b6b743f4e9ef435e809d01fedfe58c720db",
@@ -452,13 +467,13 @@ _OUTPUT_SHA256 = [
     # the boxes reach where an exponential alone overflows (see
     # test_integrand_overflow_is_a_domain_error); the first takes the log-space radicand
     pytest.param(["verify", "--family", "F2_39", "--a-hat", "1e-300"], 0,
-                 "6c185cdf61cd273c4772bfd5c560f75fbbb4952b91b39fd565ab3dac59a0f777",
+                 "e0693adf6a1cf1a09511176ef196ab6ce727f96afe0f9fe9abed64c4af8da677",
                  id="verify-F2_39-tiny-a-hat"),
     pytest.param(["verify", "--family", "F3_12", "--c", "0.99995"], 0,
-                 "1219a4fed215fa7b662c57de89f07fd0191aa19a66b111473000084116202eef",
+                 "1391fcadc477a699d2c8c163105f8875527e5ee4812a85cbfe668b981555aec4",
                  id="verify-F3_12-steep"),
     pytest.param(["verify", "--family", "F3_14", "--c-hat", "0.99995"], 0,
-                 "6b03099f80aebd6e31ca0d80057a61c9de662dc4b0cf426a4bce03bf777d3f42",
+                 "e546d8d63acb4838f0429156441cff93f5ad1ff5b85b12806db547ac67e5b57a",
                  id="verify-F3_14-steep"),
 ]
 
@@ -1203,9 +1218,9 @@ def test_a_well_formed_command_imports_nothing_after_the_cli():
     env = {**os.environ, "PYTHONPATH": str(Path(ssmin.__file__).parent.parent)}
     markdown = [*_SMALL_RUNS["verify"], "--format", "markdown"]
     parsed_only = [["--help"], ["mesh", "--help"], ["--version"], ["mesh", "--bogus"]]
-    # report and a split-size equivalence fork (`cli._on_two_cpus`) where they
-    # may run on two CPUs; what comes back from the child loads with marshal
-    split = ["equivalence", "--all", "--samples", str(cli.SPLIT_SAMPLES)]
+    # report and equivalence --all fork (`cli._on_two_cpus`) where they may run
+    # on two CPUs; what comes back from the child loads with marshal
+    split = ["equivalence", "--all", "--samples", "500"]
     runs = [*parsed_only, _SMALL_RUNS["mesh"], markdown, *_SMALL_RUNS.values(), split]
     imported = subprocess.run([sys.executable, "-c", script, *map(" ".join, runs)], env=env,
                               check=True, capture_output=True, text=True).stdout

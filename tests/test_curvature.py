@@ -29,8 +29,8 @@ from ssmin.sampling import SplitMix64
 from ssmin.surface import TranslationSurface, TranslationType, frame_from_jets
 
 import oracles
-from oracles import (Jet, covariant_derivative, first_fundamental_from_jets, log_abs_cos_jet,
-                     log_abs_exp_jet, mean_curvature_from_jets, sigma_kernel)
+from oracles import (Jet, admissible_slopes, covariant_derivative, first_fundamental_from_jets,
+                     log_abs_cos_jet, log_abs_exp_jet, mean_curvature_from_jets, sigma_kernel)
 
 E = Signature.EUCLIDEAN
 L = Signature.LORENTZIAN
@@ -161,28 +161,13 @@ def test_printed_surface_connection_tables(ttype, sig, kind, table):
             assert max(abs(diff.c1), abs(diff.c2), abs(diff.c3)) <= 1e-12
 
 
-def _admissible_sample(rng, sig, ttype):
-    while True:
-        if sig is E:
-            f1, g1 = rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)
-            return f1, g1
-        if ttype is TranslationType.I:
-            f1, g1 = rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)
-            if 1.0 - f1 * f1 - g1 * g1 >= 1e-3:
-                return f1, g1
-        else:
-            f1, g1 = rng.uniform(-1.5, 1.5), rng.uniform(-2.6, 2.6)
-            if g1 * g1 - f1 * f1 - 1.0 >= 1e-3:
-                return f1, g1
-
-
 def test_sigma_symmetry_and_non_metric_equals_levi_civita():
     rng = SplitMix64(99)
     combos = [(t, s, k) for t in TYPES for s in (E, L) for k in (LC, SSM, SSNM)]
     for i in range(1000):
         ttype, sig, kind = combos[i % len(combos)]
         space = AmbientSpace(sig, kind)
-        f1, g1 = _admissible_sample(rng, sig, ttype)
+        f1, g1 = admissible_slopes(rng, sig, ttype)
         fj = Jet2(0, f1, rng.uniform(-3, 3))
         gj = Jet2(0, g1, rng.uniform(-3, 3))
         sm = mean_curvature_from_jets(ttype, space, kind, fj, gj).sigma
@@ -213,7 +198,7 @@ def _exact_test_points(sig, ttype):
     """400 seeded admissible (f', f'', g', g''), the same for each connection."""
     rng = SplitMix64(4242)
     for _ in range(400):
-        f1, g1 = _admissible_sample(rng, sig, ttype)
+        f1, g1 = admissible_slopes(rng, sig, ttype)
         yield f1, rng.uniform(-3, 3), g1, rng.uniform(-3, 3)
 
 

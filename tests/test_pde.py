@@ -2,10 +2,13 @@
 
 import itertools
 import math
+import types
+from fractions import Fraction
 
 import pytest
+import sympy
 
-from ssmin import pde
+from ssmin import curvature, pde
 from ssmin.ambient import AmbientSpace, ConnectionKind, Signature
 from ssmin.catalog import FamilyId, build, make_family
 from ssmin.errors import IllConditionedFit, UnknownCase
@@ -159,6 +162,50 @@ def test_negative_controls_fail_every_affected_sweep(monkeypatch, control, affec
     control(monkeypatch)
     for case in CaseId:
         assert equivalence_sweep(case, 300, seed).verdict is (case not in affected), case
+
+
+def _dyadic_grid(sig: Signature, ttype: TranslationType) -> list[tuple[float, ...]]:
+    """48 points (f', f'', g', g'') inside the regular region of (sig, ttype):
+    three values of f', four of g', and f'', g'' in {-1, 1}."""
+    if sig is Signature.EUCLIDEAN:
+        f1s, g1s = (-1.0, 0.0, 1.0), (-1.5, -0.5, 0.5, 1.5)
+    elif ttype is TranslationType.I:
+        f1s, g1s = (-0.5, 0.0, 0.5), (-0.5, -0.25, 0.25, 0.5)
+    else:
+        f1s, g1s = (-0.5, 0.0, 0.5), (-3.0, -2.0, 2.0, 3.0)
+    return list(itertools.product(f1s, (-1.0, 1.0), g1s, (-1.0, 1.0)))
+
+
+def _exact_at(poly: sympy.Poly, point) -> Fraction:
+    """The polynomial's value at the point, in rational arithmetic."""
+    return sum(Fraction(int(c.p), int(c.q)) * math.prod(map(pow, map(Fraction, point), powers))
+               for powers, c in poly.terms())
+
+
+def test_lc_is_the_residual_exactly_on_a_dyadic_grid(monkeypatch):
+    # With sqrt returning 1, the kernel's last entry is lc, so sign * lc =
+    # residual is a polynomial identity.  Each residual has degree at most 2 in
+    # f', 1 in f'', 3 in g' and 1 in g'' (test_symbolic.py), below the grid's 3,
+    # 2, 4 and 2 values, so a difference that vanishes on the grid vanishes
+    # everywhere (N. Alon, "Combinatorial Nullstellensatz", 1999, Lemma 2.1).
+    # The inputs have few significant bits, so every float operation is exact,
+    # as the rational values confirm, and == decides.
+    monkeypatch.setattr(curvature, "math", types.SimpleNamespace(sqrt=lambda det: 1.0))
+    symbols = sympy.symbols("f1 f2 g1 g2")
+    values = []  # (case, sign * lc, residual, the residual's rational value)
+    for name, (sig, kind, signs, res_fn) in _CASES.items():
+        poly = sympy.Poly(sympy.nsimplify(res_fn(*symbols)), *symbols)
+        for ttype, sign in signs.items():
+            for point in _dyadic_grid(sig, ttype):
+                lc = sign * curvature._curvature_kernel(ttype, sig, kind, *point)[-1]
+                values.append((CaseId(name), lc, res_fn(*point), _exact_at(poly, point)))
+    assert len(values) == 12 * 48
+    assert all(Fraction(lc) == Fraction(res) == exact for _, lc, res, exact in values)
+
+    def failing(scale: float) -> set[CaseId]:
+        return {case for case, lc, res, _ in values if lc != res * scale}
+    assert failing(1.0) == set()
+    assert failing(1.0 + 2.0 ** -52) == set(CaseId)  # the negative control
 
 
 def test_type_ii_iii_residual_coincidence():

@@ -61,7 +61,7 @@ def test_every_record_is_an_immutable_named_tuple():
      "SolutionFamily(family_id=<FamilyId.F2_39: 'F2_39'>, params=(('a_hat', 3.0), "
      "('b_hat', 0.0), ('c0_hat', 1.0)), branch=<Branch.MINUS: 'minus'>)"),
     (lambda: verify_auto(make_family(FamilyId.F3_10), 5, 1),
-     "FamilyReport(family_id='F3_10', branch='plus', params={'a': 0.0, 'b_bar': 0.0, "
+     "FamilyReport(theorem='3.1', family_id='F3_10', branch='plus', params={'a': 0.0, 'b_bar': 0.0, "
      "'c': 1.5}, n_samples=5, mode='residual-only', max_abs_numerator=None, "
      "max_abs_residual=3.552713678800501e-15, tolerance=1e-08, verdict=True, "
      "empty_reason=\"no spacelike points: 1 - f'^2 - g'^2 <= 1 - c^2 = -1.25 < 0\")"),

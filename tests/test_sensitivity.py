@@ -1,13 +1,19 @@
-"""Detection floors: how small an error each family check still sees.
+"""Detection floors: how small an error each family check and RK4 run still sees.
 
-A setting's floor is the smallest eps on the ladder 1e-1 ... 1e-12 at which its
-check fails, or raises, with f perturbed by eps*u^2 (`--perturb`).  Each setting
-is checked as `verify --all --seed 42` checks it: 200 samples on child stream i
-of seed 42.  A change to the family checks may lower a floor, not raise one.
+A floor is the smallest eps on the ladder 1e-1 ... 1e-12 at which a check
+fails, or raises, with its input perturbed by eps.  A family setting's f is
+perturbed by eps*u^2 (`--perturb`), and the setting is checked as `verify --all
+--seed 42` checks it: 200 samples on child stream i of seed 42.  An RK4
+reference run's phi is scaled by 1 + eps, and the run is made as
+`ode-compare` makes it, at step 1e-3.  A change to a check may lower a floor,
+not raise one.
 """
 
-from ssmin.catalog import FamilyId, all_default_settings, verify_auto
+from functools import partial
+
+from ssmin.catalog import FamilyId, all_default_settings, ode_reference_tasks, verify_auto
 from ssmin.errors import VerifierError
+from ssmin.ode import OdeCase
 from ssmin.sampling import child_seed
 
 LADDER = [10.0 ** -k for k in range(1, 13)]
@@ -24,16 +30,37 @@ FLOORS = {
 }
 
 
-def _fails(fam, seed: int, eps: float) -> bool:
+# Each RK4 reference run's floor, in `ode_reference_tasks` order.
+RK4_FLOORS = (1e-6, 1e-6, 1e-5, 1e-5, 1e-5, 1e-5, 1e-5, 1e-5, 1e-5, 1e-5)
+
+_RHS = OdeCase.rhs
+
+
+def _perturbed_check(fam, seed: int, eps: float):
+    return verify_auto(fam, 200, seed, perturb=eps)
+
+
+def _scaled_run(monkeypatch, index: int, eps: float):
+    """RK4 reference run `index` with each reduced ODE's phi scaled by 1 + eps."""
+    def rhs(case):
+        phi = _RHS(case)
+        return lambda h: phi(h) * (1.0 + eps)
+    monkeypatch.setattr(OdeCase, "rhs", rhs)
+    return ode_reference_tasks()[index]()
+
+
+def _fails(check) -> bool:
     try:
-        return not verify_auto(fam, 200, seed, perturb=eps).verdict
+        return not check().verdict
     except VerifierError:
         return True
 
 
-def _floor(fam, seed: int) -> float:
-    """The smallest eps on the ladder that the check sees; inf if it sees none."""
-    return min((eps for eps in LADDER if _fails(fam, seed, eps)), default=float("inf"))
+def _floor(check_at) -> float:
+    """The smallest eps on the ladder at which the check `check_at(eps)` fails;
+    inf if it fails at none."""
+    return min((eps for eps in LADDER if _fails(partial(check_at, eps))),
+               default=float("inf"))
 
 
 def test_no_family_check_floor_rises():
@@ -42,5 +69,14 @@ def test_no_family_check_floor_rises():
     assert set(pinned) <= set(LADDER)
     risen = [(fam.family_id.value, i % 2, floor, pin)
              for i, (fam, pin) in enumerate(zip(all_default_settings(), pinned, strict=True))
-             if (floor := _floor(fam, child_seed(42, i))) > pin]
+             if (floor := _floor(partial(_perturbed_check, fam, child_seed(42, i)))) > pin]
     assert risen == [], "(family, setting, floor, pinned floor) that rose"
+
+
+def test_no_rk4_run_floor_rises(monkeypatch):
+    assert set(RK4_FLOORS) <= set(LADDER)
+    floors = [_floor(partial(_scaled_run, monkeypatch, index))
+              for index in range(len(ode_reference_tasks()))]
+    risen = [(index, floor, pin) for index, (floor, pin) in
+             enumerate(zip(floors, RK4_FLOORS, strict=True)) if floor > pin]
+    assert risen == [], "(run, floor, pinned floor) that rose"

@@ -17,7 +17,7 @@ from ssmin.surface import (
     immersion,
 )
 
-from oracles import first_fundamental_from_jets, mean_curvature_from_jets
+from oracles import admissible_slopes, first_fundamental_from_jets, mean_curvature_from_jets
 
 E = Signature.EUCLIDEAN
 L = Signature.LORENTZIAN
@@ -111,18 +111,7 @@ def _printed_first_fundamental(ttype, sig, f1, g1):
 
 
 def _sample_jets(rng, sig, ttype):
-    while True:
-        if sig is E:
-            f1, g1 = rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)
-            break
-        if ttype is TranslationType.I:
-            f1, g1 = rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)
-            if 1.0 - f1 * f1 - g1 * g1 >= 1e-3:
-                break
-        else:
-            f1, g1 = rng.uniform(-1.5, 1.5), rng.uniform(-2.6, 2.6)
-            if g1 * g1 - f1 * f1 - 1.0 >= 1e-3:
-                break
+    f1, g1 = admissible_slopes(rng, sig, ttype)
     return Jet2(rng.uniform(-1, 1), f1, rng.uniform(-3, 3)), Jet2(
         rng.uniform(-1, 1), g1, rng.uniform(-3, 3))
 

@@ -9,11 +9,12 @@ transcription of it.  E, F, G
 and det must equal the Gram entries of the paper's tangents for each surface
 type and signature; lambda * numerator alone cannot see det.  Each of the 12
 (case, surface type) pairs must reduce to zero exactly, which also certifies
-the table's signs and its product-cleared non-metric residuals.  For each of the
-18 (type, signature, connection) triples the kernel's numerator must equal the
-one `oracles.sigma_kernel` builds from all four sigma_ij with their torsion
-terms: that is H~ = H for the non-metric kind and H~ = H - <X3, N> for the
-metric kind.
+the table's signs and its product-cleared non-metric residuals.  Each
+residual's degree in each variable is pinned, as it sizes test_pde.py's exact
+grid.  For each of the 18 (type, signature, connection) triples the kernel's
+numerator must equal the one `oracles.sigma_kernel` builds from all four
+sigma_ij with their torsion terms: that is H~ = H for the non-metric kind and
+H~ = H - <X3, N> for the metric kind.
 """
 
 import types
@@ -71,6 +72,17 @@ def test_signed_normalizer_times_numerator_is_the_residual(monkeypatch, case, tt
     # a small integer, so nsimplify makes the arithmetic exact
     gap = sympy.nsimplify(signs[ttype] * k[4] * k[-1] - residual(f1, f2, g1, g2))
     assert sympy.simplify(gap) == 0
+
+
+@pytest.mark.parametrize("case", list(CaseId), ids=lambda c: c.value)
+def test_each_residual_has_the_degrees_that_size_the_exact_grid(case):
+    # test_pde.py's dyadic grid takes 3 values of f', 2 of f'', 4 of g' and 2 of
+    # g'': one more than each degree allows (Alon, Combinatorial Nullstellensatz,
+    # Lemma 2.1).  sign * lc has the same degrees, as the identity above shows.
+    f1, f2, g1, g2 = symbols = sympy.symbols("f1 f2 g1 g2", real=True)
+    poly = sympy.Poly(sympy.nsimplify(_CASES[case.value].residual(*symbols)), *symbols)
+    assert (poly.degree(f1), poly.degree(f2), poly.degree(g2)) == (2, 1, 1)
+    assert poly.degree(g1) <= 3
 
 
 @pytest.mark.parametrize("kind", list(ConnectionKind), ids=lambda k: k.value)

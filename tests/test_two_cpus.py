@@ -64,16 +64,6 @@ def test_no_fork_beside_another_thread(two_cpus):
     _no_children_left()
 
 
-def test_sweeps_below_the_split_size_stay_in_this_process(two_cpus, monkeypatch, capsys):
-    def fork():
-        raise AssertionError("forked")
-    monkeypatch.setattr(cli.os, "fork", fork)
-    argv = ["equivalence", "--all", "--samples", str(cli.SPLIT_SAMPLES - 1)]
-    assert main(argv) == 0
-    with pytest.raises(AssertionError, match="forked"):
-        main(argv[:-1] + [str(cli.SPLIT_SAMPLES)])
-
-
 def _raise(exc):
     def task():
         raise exc
@@ -183,7 +173,7 @@ def test_a_failing_sweep_gives_the_in_process_stderr_and_exit_code(
         monkeypatch, capfd, index):
     case = list(CaseId)[index]
     _failing_sweep(monkeypatch, case, IllConditionedFit(f"sampler starved for case {case.value}"))
-    argv = ["equivalence", "--all", "--samples", str(cli.SPLIT_SAMPLES), "--seed", "3"]
+    argv = ["equivalence", "--all", "--samples", "500", "--seed", "3"]
     split, in_process = _split_and_in_process(monkeypatch, capfd, argv)
     assert split == in_process
     assert split == (1, ("", f"ssmin: IllConditionedFit: sampler starved for case {case.value}\n"))
@@ -191,7 +181,7 @@ def test_a_failing_sweep_gives_the_in_process_stderr_and_exit_code(
 
 def test_a_sweep_that_exits_ends_the_command_as_in_one_process(monkeypatch, capfd):
     _failing_sweep(monkeypatch, CaseId.E_M_II_III, SystemExit(5))  # task 1, the child's
-    argv = ["equivalence", "--all", "--samples", str(cli.SPLIT_SAMPLES)]
+    argv = ["equivalence", "--all", "--samples", "500"]
     ends = []
     for usable in ({0, 1}, {0}):
         _cpus(monkeypatch, usable)
@@ -203,7 +193,7 @@ def test_a_sweep_that_exits_ends_the_command_as_in_one_process(monkeypatch, capf
 
 
 def test_split_and_in_process_outputs_are_byte_identical(monkeypatch, capfd):
-    argv = ["equivalence", "--all", "--samples", str(cli.SPLIT_SAMPLES), "--seed", "11",
+    argv = ["equivalence", "--all", "--samples", "500", "--seed", "11",
             "--format", "markdown"]
     split, in_process = _split_and_in_process(monkeypatch, capfd, argv)
     assert split == in_process
@@ -252,8 +242,8 @@ def test_a_failing_ode_run_in_report_gives_the_in_process_stderr_and_exit_code(
     assert split == (1, ("", "ssmin: BlowUp: F3_27: RK4 blew up\n"))
 
 
-def test_report_forks_once_even_where_its_sweeps_reach_the_split_size(
-        two_cpus, monkeypatch, capsys):
+def _counted_forks(monkeypatch) -> list[int]:
+    """The pid of this process, once for each `os.fork` it calls."""
     forks = []
     fork = os.fork
 
@@ -261,8 +251,22 @@ def test_report_forks_once_even_where_its_sweeps_reach_the_split_size(
         forks.append(os.getpid())
         return fork()
     monkeypatch.setattr(cli.os, "fork", counted)
-    argv = ["report", "--all", "--samples", str(cli.SPLIT_SAMPLES), "--step", "0.01"]
+    return forks
+
+
+def test_report_forks_once_even_where_its_sweeps_reach_the_split_size(
+        two_cpus, monkeypatch, capsys):
+    forks = _counted_forks(monkeypatch)
+    argv = ["report", "--all", "--samples", "500", "--step", "0.01"]
     assert main(argv) == 0
+    assert forks == [os.getpid()]
+    _no_children_left()
+
+
+def test_equivalence_splits_at_any_sample_count(two_cpus, monkeypatch, capsys):
+    # `_on_two_cpus` alone decides: one sample per sweep forks as 6000 do
+    forks = _counted_forks(monkeypatch)
+    assert main(["equivalence", "--all", "--samples", "1"]) == 0
     assert forks == [os.getpid()]
     _no_children_left()
 
