@@ -150,8 +150,9 @@ def _sorted_interval(a: float, b: float) -> Interval:
 SLOPE_CAP = 20.0
 
 
-def _cos_admissible(k: float, q: float, a: float) -> Interval:
-    """Admissible u box of k*ln|cos(q*u - a)|: away from the pole and |d1| <= cap.
+def _log_cos(k: float, q: float, a: float, offset: float = 0.0) -> tuple[Profile, Interval]:
+    """k*ln|cos(q*u - a)| + offset and its admissible box: away from the pole and
+    |d1| <= cap.
 
     A branch narrower than twice the edge margin keeps the middle half of its
     guarded width instead.
@@ -160,7 +161,8 @@ def _cos_admissible(k: float, q: float, a: float) -> Interval:
     if theta_half <= 0.0:
         theta_half = 0.5 * (math.pi / 2.0 - abs(q) * SINGULARITY_GUARD)
     theta_half = min(theta_half, math.atan(SLOPE_CAP / abs(k * q)))
-    return _sorted_interval((a - theta_half) / q, (a + theta_half) / q)
+    return (log_abs_cos_profile(k, q, a, offset),
+            _sorted_interval((a - theta_half) / q, (a + theta_half) / q))
 
 
 def _coth_box(domain: Interval, s: float, scale: float) -> Interval:
@@ -292,19 +294,18 @@ def _plane(f: Profile, g: Profile, gap: float, gap_text: str) -> _Parts:
 def _f2_23(c3=0.0, a=0.0, c5=0.0) -> _Parts:
     """F2_23: log-cos f, affine g; F2_24 is its mirror."""
     scale = c3 ** 2 + 1.0
-    q = 2.0 / math.sqrt(scale)
-    return (log_abs_cos_profile(-scale / 2.0, q, a), affine_profile(c3, c5),
-            ((OdeCase(OdeId.O2_21, c3), "f"),),
-            AdmissibleDomain(_cos_admissible(-scale / 2.0, q, a), REAL_LINE), None)
+    f, box = _log_cos(-scale / 2.0, 2.0 / math.sqrt(scale), a)
+    return (f, affine_profile(c3, c5), ((OdeCase(OdeId.O2_21, c3), "f"),),
+            AdmissibleDomain(box, REAL_LINE), None)
 
 
 def _f2_35(c0_tilde=1.0, a_tilde=0.0, b_tilde=0.0) -> _Parts:
     _require(c0_tilde != 0.0, "F2_35 requires c0_tilde != 0")
     scale = c0_tilde * c0_tilde + 1.0
-    k, q = scale / (2.0 * c0_tilde), 2.0 * c0_tilde / math.sqrt(scale)
-    return (log_abs_cos_profile(k, q, a_tilde, b_tilde), affine_profile(c0_tilde, 0.0),
-            ((OdeCase(OdeId.O2_33, c0_tilde), "f"),),
-            AdmissibleDomain(_cos_admissible(k, q, a_tilde), REAL_LINE), None)
+    f, box = _log_cos(scale / (2.0 * c0_tilde), 2.0 * c0_tilde / math.sqrt(scale), a_tilde,
+                      b_tilde)
+    return (f, affine_profile(c0_tilde, 0.0), ((OdeCase(OdeId.O2_33, c0_tilde), "f"),),
+            AdmissibleDomain(box, REAL_LINE), None)
 
 
 def _f2_39(c0_hat=1.0, a_hat=2.0, b_hat=0.0, *, sign: float) -> _Parts:
@@ -318,19 +319,17 @@ def _f2_39(c0_hat=1.0, a_hat=2.0, b_hat=0.0, *, sign: float) -> _Parts:
 
 def _f2_51(c=1.0, c3=0.0, c4=0.0, c5=0.0) -> _Parts:
     _require(c != 0.0, "F2_51 requires c != 0")
-    return (log_abs_cos_profile(1.0 / c, c, c3), log_abs_cos_profile(-1.0 / c, c, c4, c5), (),
-            AdmissibleDomain(_cos_admissible(1.0 / c, c, c3), _cos_admissible(1.0 / c, c, c4)),
-            None)
+    (f, u), (g, v) = _log_cos(1.0 / c, c, c3), _log_cos(-1.0 / c, c, c4, c5)
+    return f, g, (), AdmissibleDomain(u, v), None
 
 
 def _f3_10(fid: str, c_name: str, c: float, a: float, b: float) -> _Parts:
     """F3_10: log-cos f, affine g of slope c, never spacelike; F3_13 is its mirror."""
     _require(c * c > 1.0, f"{fid} requires {c_name}^2 > 1")
     scale = c * c - 1.0
-    q = 2.0 / math.sqrt(scale)
-    return (log_abs_cos_profile(-scale / 2.0, q, a), affine_profile(c, b),
-            ((OdeCase(OdeId.O3_8, c), "f"),),
-            AdmissibleDomain(_cos_admissible(-scale / 2.0, q, a), REAL_LINE),
+    f, box = _log_cos(-scale / 2.0, 2.0 / math.sqrt(scale), a)
+    return (f, affine_profile(c, b), ((OdeCase(OdeId.O3_8, c), "f"),),
+            AdmissibleDomain(box, REAL_LINE),
             f"no spacelike points: 1 - f'^2 - g'^2 <= 1 - {c_name}^2 = {1.0 - c * c:.6g} < 0")
 
 
@@ -362,10 +361,9 @@ def _f3_25(c0_tilde=0.5, a_tilde=0.0, b_tilde=0.0) -> _Parts:
     squared = c0_tilde * c0_tilde
     _require(c0_tilde != 0.0 and squared < 1.0, "F3_25 requires 0 < c0_tilde^2 < 1")
     s = math.sqrt(1.0 - squared)
-    k, q = (1.0 - squared) / (2.0 * c0_tilde), 2.0 * c0_tilde / s
-    return (log_abs_cos_profile(k, q, a_tilde, b_tilde), affine_profile(c0_tilde, 0.0),
-            ((OdeCase(OdeId.O3_23, c0_tilde), "f"),),
-            AdmissibleDomain(_cos_admissible(k, q, a_tilde), REAL_LINE),
+    f, box = _log_cos((1.0 - squared) / (2.0 * c0_tilde), 2.0 * c0_tilde / s, a_tilde, b_tilde)
+    return (f, affine_profile(c0_tilde, 0.0), ((OdeCase(OdeId.O3_23, c0_tilde), "f"),),
+            AdmissibleDomain(box, REAL_LINE),
             f"no spacelike points: g'^2 - f'^2 - 1 <= c0_tilde^2 - 1 = {squared - 1.0:.6g} < 0")
 
 
@@ -451,13 +449,13 @@ def _f3_41(c1=0.5, c2=2.0, c3=0.0) -> _Parts:
 def _f3_43(c0_bar=1.0, c3=1.0, c4=0.0, b=0.0) -> _Parts:
     _require(c0_bar != 0.0, "F3_43 requires c0_bar != 0")
     _require(c3 != 0.0, "F3_43 requires c3 != 0")
-    f = log_abs_cos_profile(-1.0 / c0_bar, c0_bar, -c4)
+    f, u_box = _log_cos(-1.0 / c0_bar, c0_bar, -c4)
     checks = ((OdeCase(OdeId.O3_42F, c0_bar), "f"), (OdeCase(OdeId.O3_42G, c0_bar), "g"))
     if c3 < 0.0:  # g' = tanh(c0_bar*v - ln|c3|/2)
         center = 0.5 * math.log(-c3)
         box = _sorted_interval((center - SAMPLING_CAP) / c0_bar, (center + SAMPLING_CAP) / c0_bar)
         return (f, log_abs_exp_profile(1.0 / c0_bar, c0_bar, 1.0, -c3, b), checks,
-                AdmissibleDomain(_cos_admissible(-1.0 / c0_bar, c0_bar, -c4), box),
+                AdmissibleDomain(u_box, box),
                 "no spacelike points: g'^2 < 1 <= 1 + f'^2 everywhere for c3 < 0")
     # g' = (A + c3)/(A - c3) with A = e^(2*c0_bar*v); stay on the A > c3 side where
     # g' > 1, between the singularity and the point where g'^2 = 2 + 0.02.
@@ -625,7 +623,7 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
     ttype, sig, kind = surface.ttype, surface.space.signature, surface.space.connection
     f_lo, f_hi, f_eval, f_whole = f.slope_evaluator()
     g_lo, g_hi, g_eval, g_whole = g.slope_evaluator()
-    kernel, isfinite = _curvature_kernel, math.isfinite
+    kernel, isfinite, sqrt = _curvature_kernel, math.isfinite, math.sqrt
     res_fn = _row_of(_CASES, CaseId, built.case).residual
     unit = SplitMix64(rng_seed).unit
     u_lo, u_span, v_lo, v_span = box_u.lo, box_u.hi - box_u.lo, box_v.lo, box_v.hi - box_v.lo
@@ -645,7 +643,8 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
             raise g.error_at(v)
         # running worsts, like max except that a NaN sample sticks
         if full:
-            err = abs(kernel(ttype, sig, kind, f1, f2, g1, g2)[-1])
+            lc, det = kernel(ttype, sig, kind, f1, f2, g1, g2)
+            err = abs(lc / sqrt(det))
             if err > worst_num or err != err:
                 worst_num = err
         try:

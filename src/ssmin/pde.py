@@ -7,9 +7,9 @@ minimal exactly where the residual vanishes.  The non-metric residuals are
 stored product-cleared, i.e. multiplied through by (1 +- f'^2)(1 +- g'^2), so
 they are polynomial in the jets and free of spurious singularities.
 
-The equivalence factor lambda ties the residual back to the general mean
-curvature numerator: lambda * numerator = residual, where lambda is the frame
-normalizer with a fixed per-(case, type) sign.
+Each residual is the general mean curvature numerator times the frame
+normalizer, with a fixed per-(case, type) sign: sign * lc = residual, where lc
+is the first value `curvature._curvature_kernel` returns.
 """
 
 from enum import Enum
@@ -27,9 +27,9 @@ from .surface import (
 
 
 class _Case(NamedTuple):
-    """One classified case: ambient signature, connection kind, the sign of
-    lambda in lambda * numerator = residual for each surface type sharing the
-    minimality PDE, and the closed-form residual as a function of (f', f'', g', g'').
+    """One classified case: ambient signature, connection kind, the sign in
+    sign * lc = residual for each surface type sharing the minimality PDE, and
+    the closed-form residual as a function of (f', f'', g', g'').
 
     The sign flips between Type II and Type III because their fixed normal
     orientations are opposite under the coordinate swap relating the two types.
@@ -77,7 +77,7 @@ def residual(case: CaseId, fj: Jet2, gj: Jet2) -> float:
                           f"g'={gj.d1!r}, g''={gj.d2!r}") from None
 
 
-# Bound on the relative deviation |lambda * numerator - residual| / (1 + |residual|).
+# Bound on the relative deviation |sign * lc - residual| / (1 + |residual|).
 EQUIVALENCE_TOLERANCE = 1e-10
 
 
@@ -93,7 +93,7 @@ class EquivalenceRecord(NamedTuple):
 
 def equivalence_sweep(case: CaseId, n_samples: int, seed: int,
                       tolerance: float | None = None) -> EquivalenceRecord:
-    """Check lambda * numerator = residual on seeded admissible jet samples.
+    """Check sign * lc = residual on seeded admissible jet samples.
 
     Cases spanning Types II and III alternate between the two types so both
     frame bindings are exercised.  Lorentzian samples outside the spacelike
@@ -138,10 +138,10 @@ def equivalence_sweep(case: CaseId, n_samples: int, seed: int,
         # f'' and g'' on [-3, 3]
         f2 = -3.0 + (6.0 * 2 ** -53) * a
         g2 = -3.0 + (6.0 * 2 ** -53) * b
-        k = kernel(ttype, sig, kind, f1, f2, g1, g2)
+        lc = kernel(ttype, sig, kind, f1, f2, g1, g2)[0]
         res = res_fn(f1, f2, g1, g2)
-        # k[4] is the normalizer and k[-1] the numerator; a NaN deviation sticks as the worst
-        err = abs((sign * k[4]) * k[-1] - res) / (1.0 + abs(res))
+        # a NaN deviation sticks as the worst
+        err = abs(sign * lc - res) / (1.0 + abs(res))
         if err > worst or err != err:
             worst = err
     tol = tolerance if tolerance is not None else EQUIVALENCE_TOLERANCE

@@ -555,10 +555,9 @@ def reference_equivalence_sweep(case: CaseId, n_samples: int, seed: int,
             continue
         fj = Jet2(0.0, f1, rng.uniform(-3.0, 3.0))
         gj = Jet2(0.0, g1, rng.uniform(-3.0, 3.0))
-        kernel = _curvature_kernel(ttype, sig, kind, f1, fj.d2, g1, gj.d2)
+        lc, _ = _curvature_kernel(ttype, sig, kind, f1, fj.d2, g1, gj.d2)
         res = residual(case, fj, gj)
-        lam = signs[which] * kernel[4]  # the normalizer; kernel[-1] is the numerator
-        dev = abs(lam * kernel[-1] - res) / (1.0 + abs(res))
+        dev = abs(signs[which] * lc - res) / (1.0 + abs(res))
         worst = _worse(worst, dev)
         accepted += 1
     tol = tolerance if tolerance is not None else EQUIVALENCE_TOLERANCE
@@ -587,8 +586,8 @@ def reference_verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: i
         v = rng.uniform(box_v.lo, box_v.hi)
         fj, gj = f.at(u, value=False), surface.g.at(v, value=False)
         if full:
-            numerator = _curvature_kernel(ttype, sig, kind, fj.d1, fj.d2, gj.d1, gj.d2)[-1]
-            worst_num = _worse(worst_num, abs(numerator))
+            lc, det = _curvature_kernel(ttype, sig, kind, fj.d1, fj.d2, gj.d1, gj.d2)
+            worst_num = _worse(worst_num, abs(lc / math.sqrt(det)))
         worst_res = _worse(worst_res, abs(residual(built.case, fj, gj)))
     return FamilyReport(
         _FAMILIES[fam.family_id.value].theorem, fam.family_id.value, fam.branch.value,

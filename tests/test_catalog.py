@@ -511,7 +511,7 @@ def _nan_at(fn, index, pick=lambda value: math.nan):
 
 
 def _nan_numerator(kernel_result):
-    return kernel_result[:-1] + (math.nan,)
+    return math.nan, kernel_result[1]  # (lc, det)
 
 
 def test_worse_matches_max_and_keeps_nan():

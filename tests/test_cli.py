@@ -433,20 +433,20 @@ def test_report_determinism(tmp_path):
 # sha256 of stdout; any change to these outputs must be deliberate
 _OUTPUT_SHA256 = [
     pytest.param(["report", "--all", "--seed", "42", "--format", "json"], 0,
-                 "5dfe09c1768860157c6ead2b1306877810c020972a04a540bca3c92d521da8b2",
+                 "fb28b4f16d26c015ce130f97ea7c912fd0d471c07d7d5b1959b4ce64ce6a2fd6",
                  id="report"),
     pytest.param(["report", "--all", "--seed", "42", "--format", "markdown"], 0,
-                 "c7178e9df87c460ad7ea99b2748f0c07e31f7c1720f8fccc1f2d78898281db86",
+                 "51e6524afb3ec6836318b549dded5d71f3c6a6f67e97e59d3366870334b30d53",
                  id="report-markdown"),
     pytest.param(["report", "--all", "--perturb", "0.01"], 2,
-                 "368d103f14b7d70dfb3584702835a47eb81b765b8c5c223a59868eae7ef46408",
+                 "b8643c11e8615a7b28b26b8631bf3c4965b916e75269a5841b20069fab8e6c35",
                  id="report-perturb"),
     pytest.param(["equivalence", "--all", "--samples", "300", "--seed", "3"], 0,
-                 "79e6d0383a8a5ecf2f08fea7912da20001b2c843077cef18a28803dbd70bca91",
+                 "2bee013dcf0def49416e9e6e7de3222df3dc7b85a29d8a81e3490b78e691eb1d",
                  id="equivalence"),
     # hundreds of 256-draw sampler blocks per case
     pytest.param(["equivalence", "--all", "--samples", "6000", "--seed", "5"], 0,
-                 "ed0bb951425c748206914f486f8bdc04605764c199738c69897c93e174a392e9",
+                 "608763be10bade4993e5e51cff6a4b6460a6d0388a2c30054fd751d790d1cd91",
                  id="equivalence-6000"),
     pytest.param(["verify", "--all", "--seed", "3"], 0,
                  "ebc3901515b724721692167b34fd6b826fc49ab64acc5b6c47b82693d6875368",

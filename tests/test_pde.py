@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import types
 from fractions import Fraction
 
 import pytest
@@ -71,6 +70,14 @@ def test_equivalence_sweep_all_cases(case):
         assert rec.acceptance_rate == 1.0
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2718])
+def test_non_metric_sweeps_are_exact(seed):
+    # without a metric term, sign * lc and the product-cleared residual run the
+    # same float operations (up to exact negations and commuted sums)
+    for case in (CaseId.E_NM_ALL, CaseId.L_NM_I, CaseId.L_NM_II_III):
+        assert equivalence_sweep(case, 2000, seed).max_rel_deviation == 0.0, case
+
+
 @pytest.mark.parametrize("n_samples", [1, 2, 7, 301])
 @pytest.mark.parametrize("seed", [0, 2718, 2**64 - 1])
 def test_flat_sweep_equals_per_sample_reference(seed, n_samples):
@@ -126,16 +133,16 @@ _METRIC_CASES = [case for case in CaseId
 
 
 def _metric_term_scaled(scale):
-    """The kernel with its metric term -2 det <X3, N> multiplied by `scale`: the
-    metric numerator less the non-metric one at the same point is that term."""
+    """The kernel with its metric term multiplied by `scale`: the metric lc less
+    the non-metric one at the same point is that term."""
     kernel = pde._curvature_kernel
 
     def scaled(ttype, sig, kind, f1, f2, g1, g2):
-        k = kernel(ttype, sig, kind, f1, f2, g1, g2)
+        lc, det = kernel(ttype, sig, kind, f1, f2, g1, g2)
         if kind is not ConnectionKind.SEMI_SYMMETRIC_METRIC:
-            return k
-        lc = kernel(ttype, sig, ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, f1, f2, g1, g2)[-1]
-        return k[:-1] + (lc + scale * (k[-1] - lc),)
+            return lc, det
+        plain = kernel(ttype, sig, ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, f1, f2, g1, g2)[0]
+        return plain + scale * (lc - plain), det
     return scaled
 
 
@@ -182,22 +189,20 @@ def _exact_at(poly: sympy.Poly, point) -> Fraction:
                for powers, c in poly.terms())
 
 
-def test_lc_is_the_residual_exactly_on_a_dyadic_grid(monkeypatch):
-    # With sqrt returning 1, the kernel's last entry is lc, so sign * lc =
-    # residual is a polynomial identity.  Each residual has degree at most 2 in
-    # f', 1 in f'', 3 in g' and 1 in g'' (test_symbolic.py), below the grid's 3,
-    # 2, 4 and 2 values, so a difference that vanishes on the grid vanishes
-    # everywhere (N. Alon, "Combinatorial Nullstellensatz", 1999, Lemma 2.1).
-    # The inputs have few significant bits, so every float operation is exact,
-    # as the rational values confirm, and == decides.
-    monkeypatch.setattr(curvature, "math", types.SimpleNamespace(sqrt=lambda det: 1.0))
+def test_lc_is_the_residual_exactly_on_a_dyadic_grid():
+    # sign * lc = residual is a polynomial identity.  Each residual has degree
+    # at most 2 in f', 1 in f'', 3 in g' and 1 in g'' (test_symbolic.py), below
+    # the grid's 3, 2, 4 and 2 values, so a difference that vanishes on the
+    # grid vanishes everywhere (N. Alon, "Combinatorial Nullstellensatz",
+    # 1999, Lemma 2.1).  The inputs have few significant bits, so every float
+    # operation is exact, as the rational values confirm, and == decides.
     symbols = sympy.symbols("f1 f2 g1 g2")
     values = []  # (case, sign * lc, residual, the residual's rational value)
     for name, (sig, kind, signs, res_fn) in _CASES.items():
         poly = sympy.Poly(sympy.nsimplify(res_fn(*symbols)), *symbols)
         for ttype, sign in signs.items():
             for point in _dyadic_grid(sig, ttype):
-                lc = sign * curvature._curvature_kernel(ttype, sig, kind, *point)[-1]
+                lc = sign * curvature._curvature_kernel(ttype, sig, kind, *point)[0]
                 values.append((CaseId(name), lc, res_fn(*point), _exact_at(poly, point)))
     assert len(values) == 12 * 48
     assert all(Fraction(lc) == Fraction(res) == exact for _, lc, res, exact in values)

@@ -1,20 +1,19 @@
-"""Symbolic certificates of the kernel: the first fundamental form, the
-Levi-Civita-plus-one-term numerator against the paper's sigma form, and the
-case table's lambda * numerator = residual, as identities.
+"""Symbolic certificates of the kernel: its det against the Gram matrix of the
+tangents, its lc against the paper's sigma form, and the case table's
+sign * lc = residual, as identities.
 
 The production kernel `curvature._curvature_kernel` runs on sympy symbols, with
-`math.sqrt` replaced by `sympy.sqrt` and the regularity margin by -oo, which
-every symbolic det clears, so the proof covers the code that runs and not a
-transcription of it.  E, F, G
-and det must equal the Gram entries of the paper's tangents for each surface
-type and signature; lambda * numerator alone cannot see det.  Each of the 12
-(case, surface type) pairs must reduce to zero exactly, which also certifies
-the table's signs and its product-cleared non-metric residuals.  Each
-residual's degree in each variable is pinned, as it sizes test_pde.py's exact
-grid.  For each of the 18 (type, signature, connection) triples the kernel's
-numerator must equal the one `oracles.sigma_kernel` builds from all four
-sigma_ij with their torsion terms: that is H~ = H for the non-metric kind and
-H~ = H - <X3, N> for the metric kind.
+the regularity margin replaced by -oo, which every symbolic det clears, so the
+proof covers the code that runs and not a transcription of it.  det must equal
+EG - F^2 of the paper's tangents for each surface type and signature;
+sign * lc = residual alone cannot see det.  Each of the 12 (case, surface
+type) pairs must reduce to zero exactly, which also certifies the table's
+signs and its product-cleared non-metric residuals.  Each residual's degree in
+each variable is pinned, as it sizes test_pde.py's exact grid.  For each of
+the 18 (type, signature, connection) triples the kernel's lc must equal the
+normalizer times the numerator that `oracles.sigma_kernel` builds from all
+four sigma_ij with their torsion terms: that is H~ = H for the non-metric kind
+and H~ = H - <X3, N> for the metric kind.
 """
 
 import types
@@ -31,19 +30,20 @@ from ssmin.surface import TranslationType
 _PAIRS = [(CaseId(name), ttype) for name, row in _CASES.items() for ttype in row.signs]
 
 
-def _symbolic(monkeypatch, *modules):
-    """Run each module's kernel on sympy symbols: sympy's sqrt, and a margin of
-    -oo that every symbolic det clears.  Returns the symbols f1, f2, g1, g2."""
-    for module in modules:
-        monkeypatch.setattr(module, "math", types.SimpleNamespace(sqrt=sympy.sqrt))
+def _symbolic(monkeypatch):
+    """Run the kernel and the sigma form on sympy symbols: a margin of -oo that
+    every symbolic det clears, and sympy's sqrt for the sigma form's normalizer.
+    Returns the symbols f1, f2, g1, g2."""
+    for module in (curvature, oracles):
         monkeypatch.setattr(module, "DEGENERACY_MARGIN", -sympy.oo)
+    monkeypatch.setattr(oracles, "math", types.SimpleNamespace(sqrt=sympy.sqrt))
     return sympy.symbols("f1 f2 g1 g2", real=True)
 
 
 @pytest.mark.parametrize("sig", list(Signature), ids=lambda s: s.value)
 @pytest.mark.parametrize("ttype", list(TranslationType), ids=lambda t: t.value)
 def test_first_fundamental_form_is_the_gram_matrix_of_the_tangents(monkeypatch, sig, ttype):
-    f1, f2, g1, g2 = _symbolic(monkeypatch, curvature)
+    f1, f2, g1, g2 = _symbolic(monkeypatch)
     # the coordinate tangents (E_u, E_v) of each type, as the paper writes them
     fu, fv = {
         TranslationType.I: ((1, 0, f1), (0, 1, g1)),
@@ -54,23 +54,21 @@ def test_first_fundamental_form_is_the_gram_matrix_of_the_tangents(monkeypatch, 
     gram_e, gram_f, gram_g = ((sympy.Matrix(a).T * metric * sympy.Matrix(b))[0]
                               for a, b in ((fu, fu), (fu, fv), (fv, fv)))
     for kind in ConnectionKind:
-        E, F, G, det, normalizer = curvature._curvature_kernel(ttype, sig, kind,
-                                                               f1, f2, g1, g2)[:5]
+        det = curvature._curvature_kernel(ttype, sig, kind, f1, f2, g1, g2)[1]
         # every float in the code is a small integer, so nsimplify makes the
         # arithmetic exact
-        for gap in (E - gram_e, F - gram_f, G - gram_g,
-                    det - (gram_e * gram_g - gram_f ** 2), normalizer ** 2 - det):
-            assert sympy.simplify(sympy.nsimplify(gap)) == 0, (kind, gap)
+        gap = det - (gram_e * gram_g - gram_f ** 2)
+        assert sympy.simplify(sympy.nsimplify(gap)) == 0, (kind, gap)
 
 
 @pytest.mark.parametrize("case, ttype", _PAIRS, ids=lambda x: x.value)
 def test_signed_normalizer_times_numerator_is_the_residual(monkeypatch, case, ttype):
-    f1, f2, g1, g2 = _symbolic(monkeypatch, curvature)
+    f1, f2, g1, g2 = _symbolic(monkeypatch)
     sig, kind, signs, residual = _CASES[case.value]
-    k = curvature._curvature_kernel(ttype, sig, kind, f1, f2, g1, g2)
-    # k[4] is the normalizer and k[-1] the numerator; every float in the code is
-    # a small integer, so nsimplify makes the arithmetic exact
-    gap = sympy.nsimplify(signs[ttype] * k[4] * k[-1] - residual(f1, f2, g1, g2))
+    lc = curvature._curvature_kernel(ttype, sig, kind, f1, f2, g1, g2)[0]
+    # lc is the normalizer times the numerator; every float in the code is a
+    # small integer, so nsimplify makes the arithmetic exact
+    gap = sympy.nsimplify(signs[ttype] * lc - residual(f1, f2, g1, g2))
     assert sympy.simplify(gap) == 0
 
 
@@ -91,8 +89,9 @@ def test_each_residual_has_the_degrees_that_size_the_exact_grid(case):
 def test_numerator_is_the_sigma_form_numerator(monkeypatch, ttype, sig, kind):
     # the torsion terms of sigma are tangent and cancel; only the metric kind's
     # -<X, Y> <X3, N> survives, so the two forms agree as rational functions
-    f1, f2, g1, g2 = _symbolic(monkeypatch, curvature, oracles)
-    got = curvature._curvature_kernel(ttype, sig, kind, f1, f2, g1, g2)
+    f1, f2, g1, g2 = _symbolic(monkeypatch)
+    lc, det = curvature._curvature_kernel(ttype, sig, kind, f1, f2, g1, g2)
     want = oracles.sigma_kernel(ttype, sig, kind, f1, f2, g1, g2)
-    assert got[:5] == want[:5]
-    assert sympy.simplify(sympy.nsimplify(got[-1] - want[-1])) == 0
+    assert det == want[3]
+    # want[4] is the normalizer and want[-1] the numerator
+    assert sympy.simplify(sympy.nsimplify(lc - want[4] * want[-1])) == 0
