@@ -588,17 +588,13 @@ def all_default_settings() -> tuple[SolutionFamily, ...]:
 
 def perturb_profile(profile: Profile, eps: float) -> Profile:
     """Profile plus eps*u^2; the negative control for family verification."""
+    evaluate = profile.fn
 
-    def plus(evaluate: Callable[[float], tuple[float, float, float]]
-             ) -> Callable[[float], tuple[float, float, float]]:
-        def fn(u: float) -> tuple[float, float, float]:
-            v, d1, d2 = evaluate(u)
-            return (v + eps * u * u, d1 + 2.0 * eps * u, d2 + 2.0 * eps)
-        return fn
+    def fn(u: float, value: bool = True) -> tuple[float, float, float]:
+        v, d1, d2 = evaluate(u, value)
+        return (v + eps * u * u, d1 + 2.0 * eps * u, d2 + 2.0 * eps)
 
-    slopes = None if profile.slopes is None else plus(profile.slopes)
-    return profile._replace(fn=plus(profile.fn), slopes=slopes,
-                            label=f"{profile.label}+{eps:g}u^2")
+    return profile._replace(fn=fn, label=f"{profile.label}+{eps:g}u^2")
 
 
 def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
@@ -608,8 +604,9 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
     The mode is full where the family has spacelike points and f is not
     perturbed; empty-domain families and the perturbed negative control are
     checked on the PDE residual alone.  Each sample draws u then v and
-    evaluates f then g by inlining `Profile.at(u, value=False)`: a failed
-    domain or finiteness test raises the profile's `error_at`.
+    evaluates f then g by inlining `Profile.at(u, value=False)`: it calls
+    `fn(u, False)` and tests the domain and d1 and d2 only, as no check reads
+    a value, and a failed test raises the profile's `error_at`.
     """
     if n_samples < 1:
         raise VerifierError(f"n_samples must be >= 1, got {n_samples}")
@@ -621,8 +618,8 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
     f = perturb_profile(surface.f, perturb) if perturb else surface.f
     g = surface.g
     ttype, sig, kind = surface.ttype, surface.space.signature, surface.space.connection
-    f_lo, f_hi, f_eval, f_whole = f.slope_evaluator()
-    g_lo, g_hi, g_eval, g_whole = g.slope_evaluator()
+    (f_lo, f_hi), f_eval = f.domain, f.fn
+    (g_lo, g_hi), g_eval = g.domain, g.fn
     kernel, isfinite, sqrt = _curvature_kernel, math.isfinite, math.sqrt
     res_fn = _row_of(_CASES, CaseId, built.case).residual
     unit = SplitMix64(rng_seed).unit
@@ -633,13 +630,13 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
         v = v_lo + v_span * unit()
         if not (f_lo <= u <= f_hi and isfinite(u)):
             raise f.error_at(u)
-        fv, f1, f2 = f_eval(u)
-        if not (isfinite(f1) and isfinite(f2) and (not f_whole or isfinite(fv))):
+        _, f1, f2 = f_eval(u, False)
+        if not (isfinite(f1) and isfinite(f2)):
             raise f.error_at(u)
         if not (g_lo <= v <= g_hi and isfinite(v)):
             raise g.error_at(v)
-        gv, g1, g2 = g_eval(v)
-        if not (isfinite(g1) and isfinite(g2) and (not g_whole or isfinite(gv))):
+        _, g1, g2 = g_eval(v, False)
+        if not (isfinite(g1) and isfinite(g2)):
             raise g.error_at(v)
         # running worsts, like max except that a NaN sample sticks
         if full:

@@ -3,12 +3,13 @@
 A Jet2 records (value, first derivative, second derivative) of a scalar
 function of one variable at a point.  It is a named tuple, which is cheap to
 build and immutable, and so compares equal to a plain tuple of its values, as
-every record of the package does.  A Profile wraps an evaluator that
-returns the jet as a plain (v, d1, d2) tuple together with an explicit
-domain; `Profile.at` tests the domain and the jet's finiteness and is the one
-place that builds a Jet2.  Evaluation outside the domain raises, it never
-returns NaN.  Check loops call the evaluator and unpack the tuple, so no Jet2
-is built per sample.
+every record of the package does.  A Profile wraps one evaluator, fn(u, value),
+that returns the jet as a plain (v, d1, d2) tuple, together with an explicit
+domain.  With value false the evaluator skips the value and returns NaN in its
+place; the minimality checks read only d1 and d2, so they never compute a
+value.  `Profile.at` tests the domain and the jet's finiteness and is the one
+place that builds a Jet2; outside the domain it raises.  Check loops call the
+evaluator and unpack the tuple, so no Jet2 is built per sample.
 
 Closed-form profiles are scalar kernels.  Each performs the floating-point
 operations of its forward-mode jet composition (Leibniz and chain rules
@@ -19,13 +20,13 @@ exactly.  The one departure is the log|exp| kernel's d2 where the
 composition's r*r underflows: there it squares r*a1 instead.
 
 Quadrature-backed profiles obtain their value from adaptive Simpson
-integration while both derivatives stay in closed form.  A caller that reads
-only the slopes asks for them alone, and then no quadrature runs.  Before its
-error estimate may accept, adaptive Simpson splits a panel until each piece is
-at most one node width of the profiles' integral cache wide: once at least,
-four times at most.  A five-point estimate can be fooled on a wide panel, so
-panels wider than eight node widths keep all four splits; the cache's node
-panels, and the pieces from a node to u, are split once.
+integration while both derivatives stay in closed form, so an evaluation
+without the value runs no quadrature, as it runs no closed form's logarithm.
+Before its error estimate may accept, adaptive Simpson splits a panel until
+each piece is at most one node width of the profiles' integral cache wide:
+once at least, four times at most.  A five-point estimate can be fooled on a
+wide panel, so panels wider than eight node widths keep all four splits; the
+cache's node panels, and the pieces from a node to u, are split once.
 """
 
 import math
@@ -92,50 +93,35 @@ def beside(pole: float, right: bool) -> Interval:
 class Profile(NamedTuple):
     """A scalar profile function with jet evaluation on an explicit domain.
 
-    `fn` returns the jet at u as a plain (v, d1, d2) tuple and tests nothing
-    but what its own arithmetic needs; `at` adds the domain and finiteness
-    tests and wraps the tuple in a Jet2.  `slopes`, where given, computes d1
-    and d2 alone, with the value NaN, for profiles whose value costs far more
-    than their derivatives.
+    `fn(u, value=True)` returns the jet at u as a plain (v, d1, d2) tuple and
+    tests nothing but what its own arithmetic needs; with value false it
+    skips the value and returns NaN in its place, so no logarithm and no
+    quadrature runs.  `at` adds the domain and finiteness tests and wraps the
+    tuple in a Jet2.  `quadrature` says whether the value comes from adaptive
+    Simpson.
     """
 
-    fn: Callable[[float], tuple[float, float, float]]
+    fn: Callable[[float, bool], tuple[float, float, float]]
     domain: Interval = REAL_LINE
     label: str = "profile"
-    slopes: Callable[[float], tuple[float, float, float]] | None = None
-
-    @property
-    def quadrature(self) -> bool:
-        """Whether the value comes from adaptive Simpson: only such profiles have `slopes`."""
-        return self.slopes is not None
+    quadrature: bool = False
 
     def at(self, u: float, value: bool = True) -> Jet2:
-        """The jet at u; with value=False only d1 and d2 are promised."""
+        """The jet at u; with value=False only d1 and d2 are promised and tested."""
         if not (self.domain.contains(u) and math.isfinite(u)):
             raise self.error_at(u)
-        whole = value or self.slopes is None
-        v, d1, d2 = self.fn(u) if whole else self.slopes(u)
-        if not (math.isfinite(d1) and math.isfinite(d2) and (not whole or math.isfinite(v))):
+        v, d1, d2 = self.fn(u, value)
+        if not (math.isfinite(d1) and math.isfinite(d2) and (not value or math.isfinite(v))):
             raise self.error_at(u)
         return Jet2(v, d1, d2)
-
-    def slope_evaluator(self) -> tuple[float, float,
-                                       Callable[[float], tuple[float, float, float]], bool]:
-        """What `at(u, value=False)` reads, for a loop that inlines its tests.
-
-        Returns the domain's bounds lo and hi, the evaluator, and whether the
-        jet's value must be finite too (it must where the evaluator is `fn`).
-        The evaluator returns a plain (v, d1, d2) tuple.  The loop tests
-        `lo <= u <= hi` and `isfinite(u)` before it evaluates and the tuple's
-        finiteness after, and raises `error_at(u)` where a test fails.
-        """
-        return self.domain.lo, self.domain.hi, self.slopes or self.fn, self.slopes is None
 
     def error_at(self, u: float) -> DomainError:
         """The error `at` raises at u: u outside the domain, else a non-finite jet.
 
-        Loops that inline the tests of `at` raise this, so the message has one
-        source and a failed evaluation is not repeated.
+        A loop that inlines `at(u, value=False)` reads `domain` and `fn`, tests
+        `lo <= u <= hi` and `isfinite(u)` before it calls `fn(u, False)` and
+        the finiteness of d1 and d2 after, and raises this where a test fails,
+        so the message has one source and a failed evaluation is not repeated.
         """
         if not (self.domain.contains(u) and math.isfinite(u)):
             return DomainError(
@@ -146,7 +132,8 @@ class Profile(NamedTuple):
 
 def affine_profile(slope: float, intercept: float) -> Profile:
     s, b = float(slope), float(intercept)
-    return Profile(lambda u: (s * u + b, s, 0.0), REAL_LINE, "affine")
+    return Profile(lambda u, value=True: (s * u + b if value else math.nan, s, 0.0),
+                   REAL_LINE, "affine")
 
 
 def log_abs_cos_profile(k: float, q: float, a: float, offset: float = 0.0) -> Profile:
@@ -160,7 +147,7 @@ def log_abs_cos_profile(k: float, q: float, a: float, offset: float = 0.0) -> Pr
 
     k, q, a, offset = float(k), float(q), float(a), float(offset)
 
-    def fn(u: float) -> tuple[float, float, float]:
+    def fn(u: float, value: bool = True) -> tuple[float, float, float]:
         # The jet of c = cos(x), x = q*u - a, is (c, c1, c2); that of ln|c|
         # is (ln|c|, r*c1, -r*r*c1*c1 + r*c2) with r = 1/c.
         x = u * q - a
@@ -169,7 +156,7 @@ def log_abs_cos_profile(k: float, q: float, a: float, offset: float = 0.0) -> Pr
             raise DomainError("log|x| at zero")
         c1 = -math.sin(x) * q
         r = 1.0 / c
-        return (math.log(abs(c)) * k + offset, r * c1 * k,
+        return (math.log(abs(c)) * k + offset if value else math.nan, r * c1 * k,
                 ((-r * r) * c1 * c1 + r * (-c * q * q)) * k)
 
     return Profile(fn, domain, "k*log|cos|")
@@ -197,7 +184,7 @@ def log_abs_exp_profile(k: float, q: float, coeff_pos: float, coeff_neg: float,
     k, q, cp, cn, offset = float(k), float(q), float(coeff_pos), float(coeff_neg), float(offset)
     nq = -q
 
-    def fn(u: float) -> tuple[float, float, float]:
+    def fn(u: float, value: bool = True) -> tuple[float, float, float]:
         # The argument's jet is (av, a1, a2); that of ln|av| is
         # (ln|av|, r*a1, -r*r*a1*a1 + r*a2) with r = 1/av.
         try:
@@ -220,7 +207,7 @@ def log_abs_exp_profile(k: float, q: float, coeff_pos: float, coeff_neg: float,
             d2 = -((r * a1) * (r * a1)) + r * a2
         else:
             d2 = (-rr) * a1 * a1 + r * a2
-        return (math.log(abs(av)) * k + offset, r * a1 * k, d2 * k)
+        return (math.log(abs(av)) * k + offset if value else math.nan, r * a1 * k, d2 * k)
 
     return Profile(fn, domain, "k*log|exp|")
 
@@ -288,8 +275,8 @@ def profile_quadrature(integrand: Callable[[float], float],
     """Profile u -> base + integral of integrand from base_point to u.
 
     Only the value needs quadrature; d1 is the integrand itself and d2 its
-    supplied closed-form derivative, and `at(u, value=False)` evaluates just
-    those two.  Integrals from base_point to the nodes
+    supplied closed-form derivative, and `fn(u, False)` evaluates just those
+    two.  Integrals from base_point to the nodes
     base_point + k*_NODE_WIDTH are cached as they are first needed, one
     panel at a time, so an evaluation integrates only from the last node
     between base_point and u.  The node is never past u, so the integrand is
@@ -301,12 +288,11 @@ def profile_quadrature(integrand: Callable[[float], float],
     # cumulative[side][k]: integral from base_point to base_point + side*k*_NODE_WIDTH
     cumulative = {1.0: [0.0], -1.0: [0.0]}
 
-    def slopes(u: float) -> tuple[float, float, float]:
-        return (math.nan, integrand(u), integrand_d1(u))
-
-    def fn(u: float) -> tuple[float, float, float]:
+    def fn(u: float, value: bool = True) -> tuple[float, float, float]:
         d1 = integrand(u)
         d2 = integrand_d1(u)
+        if not value:
+            return (math.nan, d1, d2)
         k = int((u - base_point) / _NODE_WIDTH)
         side = -1.0 if k < 0 else 1.0
         k = min(abs(k), _MAX_NODES)
@@ -320,7 +306,6 @@ def profile_quadrature(integrand: Callable[[float], float],
             lo = base_point + side * (n - 1) * _NODE_WIDTH
             hi = base_point + side * n * _NODE_WIDTH
             sums.append(sums[-1] + adaptive_simpson(integrand, lo, hi))
-        value = base + sums[k] + adaptive_simpson(integrand, node, u)
-        return (value, d1, d2)
+        return (base + sums[k] + adaptive_simpson(integrand, node, u), d1, d2)
 
-    return Profile(fn, domain, "quadrature", slopes)
+    return Profile(fn, domain, "quadrature", quadrature=True)

@@ -397,11 +397,11 @@ def integrate_profile_scalar(phi: Callable[[float], float], value0: float,
         slopes.append(h)
     t_end = t0 + n_full * step
 
-    def fn(u: float) -> Jet2:
+    def fn(u: float, value: bool = True) -> Jet2:
         i = round((u - t0) / step)
         if i < 0 or i > n_full or abs(t0 + i * step - u) > 1e-9:
             raise DomainError(f"trajectory profile defined only at node times, got {u!r}")
-        return Jet2(values[i], slopes[i], phi(slopes[i]))
+        return Jet2(values[i] if value else math.nan, slopes[i], phi(slopes[i]))
 
     return Profile(fn, Interval(t0 - 1e-9, t_end + 1e-9), label)
 

@@ -577,14 +577,15 @@ def _same(got, expected):
 
 
 def test_evaluators_return_plain_tuples_that_at_wraps():
-    # the check loops unpack `fn` and `slopes` directly: a plain (v, d1, d2)
-    # tuple, equal field by field to the Jet2 that `at` builds around it
+    # the check loops unpack `fn(u, False)` directly: a plain (v, d1, d2)
+    # tuple, equal field by field to the Jet2 that `at` builds around it, whose
+    # value is NaN and whose slopes are those of `fn(u)` bit for bit
     profiles = []
     for fam in all_default_settings():
         built = _assemble(fam)
         boxes = built.domain.sampling_box()
         profiles += [(built.surface.f, boxes[0]), (built.surface.g, boxes[1])]
-    # a perturbed quadrature profile keeps both evaluators
+    # a perturbed quadrature profile passes the flag through
     built = _assemble(make_family(FamilyId.F3_12))
     assert built.surface.f.quadrature
     profiles.append((catalog.perturb_profile(built.surface.f, 0.01),
@@ -593,13 +594,13 @@ def test_evaluators_return_plain_tuples_that_at_wraps():
     rng = SplitMix64(4242)
     for profile, box in profiles:
         for u in [box.lo + (box.hi - box.lo) * rng.unit() for _ in range(8)]:
-            evaluated = [(profile.fn(u), profile.at(u))]
-            if profile.quadrature:
-                evaluated.append((profile.slopes(u), profile.at(u, value=False)))
-            for raw, jet in evaluated:
+            whole, slopes = profile.fn(u), profile.fn(u, False)
+            for raw, jet in ((whole, profile.at(u)), (slopes, profile.at(u, value=False))):
                 assert type(raw) is tuple and type(jet) is Jet2, (profile.label, u)
                 v, d1, d2 = raw
                 assert _same(v, jet.v) and d1 == jet.d1 and d2 == jet.d2, (profile.label, u)
+            assert math.isnan(slopes[0]) and not math.isnan(whole[0]), (profile.label, u)
+            assert repr(slopes[1:]) == repr(whole[1:]), (profile.label, u)
 
 
 def _faulty_d1(jet):
@@ -613,34 +614,16 @@ def _nan_value(jet):
 
 
 def _patched(profile, fault, box):
-    """`profile` whose evaluator for `at(u, value=False)` passes its sixth
-    (v, d1, d2) tuple through `fault`, or where fault is None, `profile` on
-    only the lower half of the box it is sampled on."""
+    """`profile` whose evaluator passes its sixth (v, d1, d2) tuple through
+    `fault`, or where fault is None, `profile` on only the lower half of the
+    box it is sampled on."""
     if fault is None:
         return profile._replace(domain=Interval(box.lo, 0.5 * (box.lo + box.hi)))
-    attr = "slopes" if profile.quadrature else "fn"
-    return profile._replace(**{attr: _nan_at(getattr(profile, attr), 5, fault)})
+    return profile._replace(fn=_nan_at(profile.fn, 5, fault))
 
 
-def _raised(check, *args):
-    with pytest.raises(VerifierError) as info:
-        check(*args)
-    return type(info.value), str(info.value)
-
-
-@pytest.mark.parametrize("family,which,fault,message", [
-    # F3_12 has a quadrature f (`slopes`) and a closed-form g (`fn`), F2_39 the reverse
-    (FamilyId.F3_12, "f", _faulty_d1, "non-finite jet"),
-    (FamilyId.F3_12, "g", _faulty_d1, "non-finite jet"),
-    (FamilyId.F2_39, "f", _faulty_d1, "non-finite jet"),
-    (FamilyId.F2_39, "g", _faulty_d1, "non-finite jet"),
-    # a closed form's value must be finite although the check reads only d1 and d2
-    (FamilyId.F2_39, "f", _nan_value, "non-finite jet"),
-    (FamilyId.F3_12, "g", _nan_value, "non-finite jet"),
-    (FamilyId.F3_12, "f", None, "outside domain"),
-    (FamilyId.F2_39, "g", None, "outside domain"),
-])
-def test_flat_check_raises_as_its_oracle(monkeypatch, family, which, fault, message):
+def _patch_assembly(monkeypatch, which, fault):
+    """Make every check assemble its family with profile `which` patched."""
     assemble = catalog._assemble
 
     def patched(fam):
@@ -652,6 +635,25 @@ def test_flat_check_raises_as_its_oracle(monkeypatch, family, which, fault, mess
 
     monkeypatch.setattr(catalog, "_assemble", patched)
     monkeypatch.setattr(oracles, "_assemble", patched)
+
+
+def _raised(check, *args):
+    with pytest.raises(VerifierError) as info:
+        check(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("family,which,fault,message", [
+    # F3_12 has a quadrature f and a closed-form g, F2_39 the reverse
+    (FamilyId.F3_12, "f", _faulty_d1, "non-finite jet"),
+    (FamilyId.F3_12, "g", _faulty_d1, "non-finite jet"),
+    (FamilyId.F2_39, "f", _faulty_d1, "non-finite jet"),
+    (FamilyId.F2_39, "g", _faulty_d1, "non-finite jet"),
+    (FamilyId.F3_12, "f", None, "outside domain"),
+    (FamilyId.F2_39, "g", None, "outside domain"),
+])
+def test_flat_check_raises_as_its_oracle(monkeypatch, family, which, fault, message):
+    _patch_assembly(monkeypatch, which, fault)
     fam = make_family(family)
     raised = _raised(verify_auto, fam, 20, 7)
     assert raised == _raised(reference_verify_auto, fam, 20, 7)
@@ -692,13 +694,11 @@ def test_flat_comparison_equals_its_per_node_oracle():
 
 
 @pytest.mark.parametrize("family,which,fault,error,message", [
-    # F3_12.f and F2_39.g are quadrature profiles (`slopes`), F2_23.f and F3_38.g closed forms
+    # F3_12.f and F2_39.g are quadrature profiles, F2_23.f and F3_38.g closed forms
     (FamilyId.F3_12, "f", _faulty_d1, DomainError, "non-finite jet"),
     (FamilyId.F2_23, "f", _faulty_d1, DomainError, "non-finite jet"),
     (FamilyId.F2_39, "g", _faulty_d1, DomainError, "non-finite jet"),
     (FamilyId.F3_38, "g", _faulty_d1, DomainError, "non-finite jet"),
-    (FamilyId.F2_23, "f", _nan_value, DomainError, "non-finite jet"),
-    (FamilyId.F3_38, "g", _nan_value, DomainError, "non-finite jet"),
     (FamilyId.F2_23, "f", None, DomainMismatch, "outside profile domain"),
     (FamilyId.F3_43, "g", None, DomainMismatch, "outside profile domain"),
 ])
@@ -711,6 +711,43 @@ def test_flat_comparison_raises_as_its_oracle(family, which, fault, error, messa
     assert raised == _raised(reference_compare_profile, trajectory,
                              _patched(profile, fault, Interval(*span)))
     assert raised[0] is error and message in raised[1]
+
+
+def _check_value_tested(profile, u):
+    """`profile` patched with `_nan_value` passes five `at(u)` calls and fails
+    the sixth, where its value turns NaN: `at` tests the value it was asked for."""
+    patched = _patched(profile, _nan_value, None)
+    for _ in range(5):
+        patched.at(u)
+    with pytest.raises(DomainError, match="non-finite jet"):
+        patched.at(u)
+
+
+@pytest.mark.parametrize("family,which", [(FamilyId.F2_39, "f"), (FamilyId.F3_12, "g")])
+def test_flat_check_reads_no_value(monkeypatch, family, which):
+    # a closed form's NaN value with finite slopes leaves the report as it was,
+    # bit for bit, while `at` with the value still refuses it
+    fam = make_family(family)
+    built = build(fam)
+    profile = getattr(built.surface, which)
+    assert not profile.quadrature
+    _check_value_tested(profile, built.domain.sampling_box()["fg".index(which)].lo)
+    expected = repr(verify_auto(fam, 20, 7))
+    _patch_assembly(monkeypatch, which, _nan_value)
+    assert repr(verify_auto(fam, 20, 7)) == repr(reference_verify_auto(fam, 20, 7)) == expected
+
+
+@pytest.mark.parametrize("family,which", [(FamilyId.F2_23, "f"), (FamilyId.F3_38, "g")])
+def test_flat_comparison_reads_no_value(family, which):
+    span = next(s for fid, w, s in catalog._ODE_REFERENCE_RUNS if (fid, w) == (family, which))
+    profile, case, h0 = _reference_run(family, which, span)
+    assert not profile.quadrature
+    _check_value_tested(profile, span[0])
+    trajectory = integrate(case, h0, span, 1e-2)
+    expected = repr(compare_profile(trajectory, profile))
+    for compare in (compare_profile, reference_compare_profile):
+        # a fresh patched profile per comparison, so each counts its own calls
+        assert repr(compare(trajectory, _patched(profile, _nan_value, None))) == expected
 
 
 def _loaded(fn, *opnames) -> set[str]:

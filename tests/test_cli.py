@@ -15,12 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import _parser
 import ssmin
-from ssmin import catalog, cli
+from ssmin import catalog, cli, jets
 from ssmin.catalog import (ConvergenceRecord, FamilyId, FamilyReport, OdeComparisonRecord,
                            build, default_settings)
-from ssmin.cli import RunConfig, main
+from ssmin.cli import REPORT_SWEEP_SAMPLES, RunConfig, _record, main
 from ssmin.errors import EmptyDomain
-from ssmin.pde import EquivalenceRecord
+from ssmin.pde import CaseId, EquivalenceRecord, equivalence_sweep
+from ssmin.sampling import child_seed
 from ssmin.surface import TranslationType
 
 
@@ -173,6 +174,20 @@ def test_report_family_records_are_verify_all_records(tmp_path, settings):
     assert code == (0 if verify["summary"]["all_pass"] else 2)
     assert report["records"] == verify["records"]
     assert report["summary"]["families"] == verify["summary"]
+
+
+@pytest.mark.parametrize("seed,samples", [(7, 10), (3, 600)])
+def test_report_equivalence_records_are_its_own_sweeps(tmp_path, seed, samples):
+    # each case's sweep on child stream 1000 + its index, at REPORT_SWEEP_SAMPLES
+    # samples at least: streams and counts no `equivalence` command uses
+    code, text = run(tmp_path, "report", "--all", "--step", "0.01", "--seed", str(seed),
+                     "--samples", str(samples))
+    report = json.loads(text)
+    assert code == (0 if report["summary"]["all_pass"] else 2)
+    n_samples = max(samples, REPORT_SWEEP_SAMPLES)
+    expected = [_record(equivalence_sweep(case, n_samples, child_seed(seed, 1000 + i)))
+                for i, case in enumerate(CaseId)]
+    assert report["equivalence"] == json.loads(json.dumps(expected))
 
 
 def test_equivalence_command(tmp_path):
@@ -1128,8 +1143,6 @@ class _Integrated(Exception):
 def test_no_check_integrates(capsys, monkeypatch):
     # every check reads only d1 and d2, so none may run quadrature; mesh reads
     # values and must reach the patch, or the guard would be vacuous
-    from ssmin import jets
-
     def refuse(*args, **kwargs):
         raise _Integrated()
 
@@ -1149,13 +1162,36 @@ def test_no_check_integrates(capsys, monkeypatch):
         main(["mesh", "--family", "F2_39", "--nu", "5", "--nv", "4"])
 
 
+def test_only_mesh_computes_closed_form_values(tmp_path, monkeypatch):
+    # the checks read slopes alone, so `verify --all` and `ode-compare` take no
+    # logarithm in `ssmin.jets`; mesh takes one per grid line of F2_51's two
+    # log|cos| profiles, or the count would be vacuous
+    logs = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def log(self, x):
+            logs.append(x)
+            return math.log(x)
+
+    monkeypatch.setattr(jets, "math", CountingMath())
+    assert run(tmp_path, "verify", "--all", "--seed", "3")[0] == 0
+    assert run(tmp_path, "ode-compare")[0] == 0
+    assert logs == []
+    code, _ = run(tmp_path, "mesh", "--family", "F2_51", "--nu", "9", "--nv", "7",
+                  "--format", "csv", name="m.csv")
+    assert code == 0 and len(logs) == 9 + 7
+
+
 def test_mesh_evaluates_each_profile_once_per_grid_line(tmp_path, monkeypatch):
     calls = []
 
     def counted(profile, axis):
-        def fn(x):
+        def fn(x, value=True):
             calls.append(axis)
-            return profile.fn(x)
+            return profile.fn(x, value)
         return profile._replace(fn=fn)
 
     def counting_build(fam):

@@ -36,6 +36,20 @@ def test_integrate_tanh_example():
     assert abs(traj.nodes[-1][1] - math.tanh(1.0)) <= 1e-8
 
 
+@pytest.mark.parametrize("t_span,n_nodes", [
+    ((0.0, 0.6), 7), ((0.3, 1.5), 13), ((0.0, 0.7), 8),  # t0 + n*0.1 rounds past t1
+    ((0.3, 32.7), 325),  # and short of it, too close for a tail step
+    ((0.0, 0.65), 8),  # a tail step ends at t1
+])
+def test_last_node_is_the_span_end(t_span, n_nodes):
+    t0, t1 = t_span
+    times = [t for t, _ in integrate_scalar(lambda y: 1.0, 0.0, t_span, 0.1).nodes]
+    assert len(times) == n_nodes
+    # every node but the last at t0 + i*step, the last at t1 itself
+    assert times[:-1] == [t0 + i * 0.1 for i in range(n_nodes - 1)]
+    assert times[-1] == t1
+
+
 def test_equilibrium_is_constant():
     traj = integrate(TANH_CASE, 1.0, (0.0, 2.0), 1e-3)
     assert all(y == 1.0 for _, y in traj.nodes)
