@@ -8,13 +8,12 @@ sampling runs on splitmix64 streams and no timing data is serialized.
 import marshal
 import math
 import os
-import re
 import sys
 import types
 import typing
 from enum import Enum
 from functools import partial
-from itertools import repeat, takewhile
+from itertools import repeat
 from operator import itemgetter
 
 from . import __version__
@@ -40,9 +39,6 @@ from .pde import CaseId, EquivalenceRecord, equivalence_sweep, residual
 from .sampling import child_seed
 from .surface import immersion
 
-
-# "-0.5:0.5", "-1,0,0" and "-1e-3" are flag values, not unknown options
-_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 _PARAM_FLAGS = sorted({name for defaults in _DEFAULTS.values() for name in defaults})
 
@@ -223,8 +219,9 @@ def _float_list(sep: str):
     return parse
 
 
-# The keywords of each setting's flag, by argparse's names: the tests check `_parse`
-# against argparse.  "params" has none of its own: one float flag per family parameter.
+# The keywords of each setting's flag, by argparse's names: the tests check the
+# argvs that `_parse` accepts against argparse.  "params" has none of its own: one
+# float flag per family parameter.
 _FLAGS = {
     "family": {}, "branch": {"choices": _BRANCHES}, "case": {},
     "all": {"action": "store_true", "default": False},
@@ -258,27 +255,6 @@ def _flag_table(command: str) -> dict[str, dict]:
 _HELP = {"action": "help", "help": "show this help and exit"}
 _TOP = {"-h": _HELP, "--help": _HELP,
         "--version": {"action": "version", "version": f"ssmin {__version__}\n"}}
-
-
-def _named(word: str, table: dict):
-    """How argparse reads word: (flag, keywords, text after "=" or None), a long
-    flag cut to a unique prefix or "-h" run on into its text, keywords None if
-    unknown; or None for a value: no "-" first, "-", "-1" or a word with a space."""
-    if word[:1] != "-" or word == "-":
-        return None
-    flag, eq, text = word.partition("=")
-    text = text if eq else None
-    if flag in table:
-        return flag, table[flag], text
-    if word[1] == "-":
-        matches = [name for name in table if name.startswith(flag)]
-    else:
-        matches, text = [word[:2]] if word[:2] in table else [], word[2:]
-    if len(matches) > 1:
-        raise UsageError(f"ambiguous option: {word} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], table[matches[0]], text
-    return None if _NEGATIVE_NUMBER.match(word) or " " in word else (word, None, None)
 
 
 def _config_from_args(given: dict) -> RunConfig:
@@ -731,47 +707,45 @@ _COMMANDS = {
 }
 
 
-def _parse(argv: list[str], command: str | None = None, extras=()) -> dict | str:
-    """argv parsed as argparse parses it: each flag's dest with its value or
-    default, or the help or version text asked for.  With no command, the options
-    of `ssmin` are read up to the command, and the rest of argv and the unknown
-    options met go to the call for it.  "--" after "=" is kept, not dropped."""
-    table, values, extras = _TOP, {"command": command}, list(extras)
-    if command is not None:
-        table = {"-h": _HELP, "--help": _HELP, **_flag_table(command)}
-        values.update({keywords["dest"]: keywords.get("default")
-                       for keywords in table.values() if "dest" in keywords})
-    # every word is named before any is read, so an ambiguous flag is the first
-    # error; the first "--" is no flag, and every word after it a value
-    named = [_named(word, table) for word in takewhile("--".__ne__, argv)]
-    named += [("--", None, None)] + [None] * len(argv)
-    i = 0
-    while i < len(argv):
-        word, name = argv[i], named[i]
-        i += 1
-        if command is None and (name is None or word == "--" and i < len(argv)):
+def _parse(argv: list[str]) -> dict | str:
+    """argv read word by word: each flag's dest with its value or default, or the
+    help or version text asked for.  `ssmin` takes -h/--help, --version or a
+    command first; a command takes -h/--help and its own flags.  A flag is written
+    in full or cut to a unique prefix, and its value is the text after "=", or
+    else the next word unless that word opens with "--".  The first word that
+    breaks this is refused."""
+    command, table, values = None, _TOP, {"command": None}
+    words = iter(argv)
+    for word in words:
+        flag, eq, text = word.partition("=")
+        # a long flag may be cut to a unique prefix; "--" alone is no prefix
+        matches = [flag] if flag in table else [
+            name for name in table if flag[2:] and flag[:2] == "--" and name.startswith(flag)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {word} could match {', '.join(matches)}")
+        if not matches:
+            if command is not None or word[:1] == "-":
+                raise UsageError(f"unrecognized arguments: {word}")
             if word not in _COMMANDS:
                 raise UsageError(f"argument command: invalid choice: {word!r} "
                                  f"(choose from {', '.join(map(repr, _COMMANDS))})")
-            return _parse(argv[i:], word, extras)
-        if name is None or name[1] is None:
-            extras.append(word)
+            command, table = word, {"-h": _HELP, "--help": _HELP, **_flag_table(word)}
+            values.update({keywords["dest"]: keywords.get("default")
+                           for keywords in table.values() if "dest" in keywords}, command=word)
             continue
-        flag, keywords, text = name
+        flag, keywords = matches[0], table[matches[0]]
         if "action" in keywords:  # help, version or store_true: no value
-            if flag == "-h" and text:  # "-hh" is "-h -h"
-                text = text.lstrip("h") or None
-            if text is not None:
+            if eq:
                 flag = "-h/--help" if keywords is _HELP else flag
                 raise UsageError(f"argument {flag}: ignored explicit argument {text!r}")
             if keywords["action"] != "store_true":  # help or version
                 return _help(command) if keywords is _HELP else keywords["version"]
             values[keywords["dest"]] = True
             continue
-        if text is None:
-            if i == len(argv) or named[i] is not None:
+        if not eq:
+            text = next(words, "--")  # argv's end, like a flag, leaves no value
+            if text[:2] == "--":
                 raise UsageError(f"argument {flag}: expected one argument")
-            text, i = argv[i], i + 1
         kind, choices = keywords.get("type", str), keywords.get("choices")
         try:
             value = kind(text)
@@ -783,8 +757,6 @@ def _parse(argv: list[str], command: str | None = None, extras=()) -> dict | str
         values[keywords["dest"]] = value
     if command is None:
         raise UsageError("the following arguments are required: command")
-    if extras:
-        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
     return values
 
 

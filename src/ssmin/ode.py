@@ -97,10 +97,6 @@ def _rk4_step(phi: Callable[[float], float], y: float, h: float) -> float:
     return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _blow_up(label: str, t: float) -> BlowUp:
-    return BlowUp(f"{label}: |y| exceeded {BLOWUP_THRESHOLD:g} at t={t!r}", t=t)
-
-
 def integrate_scalar(phi: Callable[[float], float], y0: float,
                      t_span: tuple[float, float], step: float,
                      label: str = "ode") -> Trajectory:
@@ -108,27 +104,20 @@ def integrate_scalar(phi: Callable[[float], float], y0: float,
     power such as h ** 3 inside phi overflows first."""
     n_full = _check_span_step(t_span, step)
     t0, t1 = t_span
+    tail = t1 - (t0 + n_full * step)
+    n_steps = n_full + (tail > 1e-12)  # and the tail step
     nodes = [(t0, y0)]
     y = y0
-    t = t0
-    try:
-        for i in range(1, n_full + 1):
-            y = _rk4_step(phi, y, step)
-            t = t0 + i * step
-            if not math.isfinite(y) or abs(y) > BLOWUP_THRESHOLD:
-                raise _blow_up(label, t)
-            nodes.append((t, y))
-        tail = t1 - t
-        if tail > 1e-12:
-            y = _rk4_step(phi, y, tail)
-            if not math.isfinite(y) or abs(y) > BLOWUP_THRESHOLD:
-                raise _blow_up(label, t1)
-            nodes.append((t1, y))
-        elif n_full:  # the last full step ends at t1; t0 + n_full*step may round off it
-            nodes[-1] = (t1, y)
-    except OverflowError:  # raised in the step to node len(nodes); the tail step ends at t1
-        k = len(nodes)
-        raise _blow_up(label, t0 + k * step if k <= n_full else t1) from None
+    for i in range(1, n_steps + 1):
+        # the last step ends at t1; t0 + n_full*step may round off it
+        t = t1 if i == n_steps else t0 + i * step
+        try:
+            y = _rk4_step(phi, y, step if i <= n_full else tail)
+        except OverflowError:
+            y = math.inf
+        if not math.isfinite(y) or abs(y) > BLOWUP_THRESHOLD:
+            raise BlowUp(f"{label}: |y| exceeded {BLOWUP_THRESHOLD:g} at t={t!r}", t=t)
+        nodes.append((t, y))
     return Trajectory(tuple(nodes))
 
 

@@ -1,20 +1,25 @@
 """The argparse parser of the `ssmin` command, built from the CLI's own tables.
 
-It is the oracle of `cli._parse`, which parses every argv from the same flag
-tables without argparse: the tests compare the values and error messages of
-the two.
+It is the oracle of `cli._parse` for the argvs it accepts: `cli._parse` reads
+every argv from the same flag tables without argparse, and the tests check that
+an argv argparse accepts gets the same values from both, and that one it
+refuses is refused too, unless a value opens with a single "-".
 """
 
 import argparse
+import re
 
 from ssmin import __version__, cli
 from ssmin.errors import UsageError
+
+# "-0.5:0.5", "-1,0,0" and "-1e-3" are flag values, not unknown options
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, command: str | None = None, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = cli._NEGATIVE_NUMBER
+        self._negative_number_matcher = _NEGATIVE_NUMBER
         # a command's flags are added when its parser first parses, which argparse
         # does only for the invoked command, `<command> --help` included
         self._unflagged = command

@@ -595,6 +595,13 @@ _PARSER_SHA256 = [
     (["mesh", "--bogus"], "96d00670a1f079ce222031c2d3b9c654a6caabb2ca8f26852bfaf0ab4749b3dd"),
     (["--bogus", "mesh", "--family", "F2_39"],
      "96d00670a1f079ce222031c2d3b9c654a6caabb2ca8f26852bfaf0ab4749b3dd"),
+    (["verify", "--bogus", "--samples", "x"],
+     "96d00670a1f079ce222031c2d3b9c654a6caabb2ca8f26852bfaf0ab4749b3dd"),
+    (["verify", "--fjet", "1"], "0fa8b4653a3abce81f66cc387e9b4e6b50933e587df2987af538f3f0168153a6"),
+    (["verify", "-hx"], "02bd5564042325712f7106fd2074225c6d3ab9125a699ac69e0a82d4dace3679"),
+    (["-hh"], "56180e0a12182e6cdfac4b01ae3732c11c4385fe600f3aab832a0986a5e06df2"),
+    (["mesh", "--family", "F2_23", "--output", "--format"],
+     "578f3e679511bc4b48de29ab31c293e6e1f8aaab8521291a3ad8a5dc50d76702"),
 ]
 
 
@@ -631,13 +638,93 @@ def test_a_command_is_parsed_by_its_own_parser_alone(command):
 @pytest.mark.parametrize("argv,message", [
     (["residual", "--config=--"], "ssmin: error: cannot read config '--': "),
     (["verify", "--seed=--"], "ssmin: error: argument --seed: invalid int value: '--'\n"),
-    # without "=", "--" ends the flags, so no value follows
+    # without "=", a word that opens with "--" is no value
     (["verify", "--seed", "--"], "ssmin: error: argument --seed: expected one argument\n"),
 ])
 def test_a_dash_dash_value_after_equals_is_taken_as_written(capsys, argv, message):
     # argparse drops it, leaving an empty list where the flag's value belongs
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(message)
+
+
+# The argv grammar, one row per form that parses: the argv and the values it
+# gives, or the help or version text it asks for
+_ACCEPTED = [
+    (["verify", "--samples", "5"], {"command": "verify", "samples": 5}),
+    (["verify", "--sam", "5"], {"samples": 5}),  # a unique prefix
+    (["verify", "--all"], {"all": True}),
+    (["verify", "--seed=4"], {"seed": 4}),
+    (["residual", "--config=--"], {"config": "--"}),  # "=--" taken as written
+    (["mesh", "--branch", "minus"], {"branch": "minus"}),
+    (["verify", "--samples", "5", "--samples", "6"], {"samples": 6}),  # the last wins
+    # a value that opens with a single "-" is the value
+    (["residual", "--fjet", "-1,0,0"], {"fjet": [-1.0, 0.0, 0.0]}),
+    (["mesh", "--u-range", "-0.5:0.5"], {"u_range": [-0.5, 0.5]}),
+    (["verify", "--a-hat", "-1e-3"], {"param_a_hat": -1e-3}),
+    (["mesh", "--output", "-"], {"output": "-"}),
+    (["mesh", "--output", "-x"], {"output": "-x"}),
+    (["mesh", "--family", "-x"], {"family": "-x"}),
+    (["verify", "--tolerance", "-inf"], {"tolerance": -math.inf}),
+    (["--help"], cli._help(None)),
+    (["-h", "verify"], cli._help(None)),
+    (["--he"], cli._help(None)),
+    (["verify", "--he"], cli._help("verify")),
+    (["verify", "--samples", "5", "-h"], cli._help("verify")),
+    (["--vers"], f"ssmin {ssmin.__version__}\n"),
+]
+
+
+@pytest.mark.parametrize("argv,parsed", _ACCEPTED, ids=[" ".join(argv) for argv, _ in _ACCEPTED])
+def test_each_form_of_the_grammar_parses(argv, parsed):
+    got = cli._parse(argv)
+    if isinstance(parsed, str):
+        assert got == parsed
+    else:
+        assert {name: got[name] for name in parsed} == parsed
+
+
+_COMMAND_CHOICES = "'residual', 'verify', 'equivalence', 'ode-compare', 'mesh', 'report'"
+
+# One row per refusal: the argv and its message, which names the first word of
+# argv that breaks the grammar
+_REFUSED = [
+    ([], "the following arguments are required: command"),
+    (["nonsense"], f"argument command: invalid choice: 'nonsense' (choose from {_COMMAND_CHOICES})"),
+    (["--bogus", "verify"], "unrecognized arguments: --bogus"),
+    (["-hh"], "unrecognized arguments: -hh"),
+    (["-1"], "unrecognized arguments: -1"),
+    (["--", "verify"], "unrecognized arguments: --"),
+    (["verify", "extra"], "unrecognized arguments: extra"),
+    (["verify", "--"], "unrecognized arguments: --"),
+    (["verify", "--bogus", "--samples", "x"], "unrecognized arguments: --bogus"),
+    (["verify", "--bogus", "--help"], "unrecognized arguments: --bogus"),
+    (["verify", "--fjet", "1"], "unrecognized arguments: --fjet"),
+    (["verify", "--version"], "unrecognized arguments: --version"),
+    (["verify", "-hx"], "unrecognized arguments: -hx"),
+    (["verify", "--c-h", "1"], "ambiguous option: --c-h could match --c-hat, --c-hat1"),
+    (["verify", "--c-h=1"], "ambiguous option: --c-h=1 could match --c-hat, --c-hat1"),
+    (["verify", "--samples", "x", "--c-h", "1"], "argument --samples: invalid int value: 'x'"),
+    (["verify", "--seed"], "argument --seed: expected one argument"),
+    (["mesh", "--family", "F2_23", "--output", "--format"],
+     "argument --output: expected one argument"),
+    (["verify", "--tolerance", "x"], "argument --tolerance: invalid float value: 'x'"),
+    (["verify", "--samples", "-x"], "argument --samples: invalid int value: '-x'"),
+    (["mesh", "--branch", "x"], "argument --branch: invalid choice: 'x' (choose from 'plus', 'minus')"),
+    (["mesh", "--format", "json"], "argument --format: invalid choice: 'json' (choose from 'obj', 'csv')"),
+    (["residual", "--fjet", "1,x"], "expected numbers separated by ',', got '1,x'"),
+    (["verify", "--all=1"], "argument --all: ignored explicit argument '1'"),
+    (["verify", "--al="], "argument --all: ignored explicit argument ''"),
+    (["--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["verify", "-h=x"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["--vers=x"], "argument --version: ignored explicit argument 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _REFUSED, ids=[" ".join(argv) or "no-arguments"
+                                                        for argv, _ in _REFUSED])
+def test_each_refusal_names_the_first_bad_word(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"ssmin: error: {message}\n")
 
 
 def test_help_does_not_depend_on_the_terminal(capsys, monkeypatch):

@@ -84,6 +84,19 @@ def test_blowup_in_the_tail_step(phi):
     assert err.value.t == 1.25
 
 
+@pytest.mark.parametrize("phi", [lambda y: 60.0 * y,
+                                 lambda y: 60.0 * y * (1.0 + (y / 1e11) ** 400)],
+                         ids=["past-the-threshold", "power-overflow-error"])
+def test_blowup_in_the_last_full_step_is_at_the_span_end(phi):
+    # six steps of 0.1 reach t0 + 6*0.1 = 0.6000000000000001, past t1; y stays
+    # under 1e12 for five steps, and in the sixth it passes 1e12 or the power
+    # raises OverflowError
+    with pytest.raises(BlowUp) as err:
+        integrate_scalar(phi, 1.0, (0.0, 0.6), 0.1)
+    assert err.value.t == 0.6
+    assert str(err.value) == "ode: |y| exceeded 1e+12 at t=0.6"
+
+
 @pytest.mark.parametrize("kind", [OdeId.O2_21, OdeId.O2_36, OdeId.O3_28])
 def test_overflowing_denominator_violates_the_constraints(kind):
     # the denominator c ** 2 + 1 raises OverflowError at c = 1e200

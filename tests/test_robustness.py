@@ -219,33 +219,37 @@ class _KeepsDashDash(_parser._Parser):
 
 def _parsed(parse):
     """The repr of each parsed value (so that nan is nan and -0.0 is not 0.0),
-    or the UsageError text."""
+    or None where the argv is refused."""
     try:
         return {name: repr(value) for name, value in parse().items()}
-    except cli.UsageError as exc:
-        return str(exc)
+    except cli.UsageError:
+        return None
 
 
 def test_the_flag_table_parses_as_the_commands_parser_does(monkeypatch):
-    plain = _parser._Parser
-
-    def argparse_parse(argv, parser):
-        monkeypatch.setattr(_parser, "_Parser", parser)
-        return _parsed(lambda: vars(_parser._build_parser().parse_args(
-            argv, types.SimpleNamespace())))
-
+    # argparse is the oracle of the argvs it accepts; an argv it refuses is
+    # refused too, unless a value opens with a single "-", which argparse takes
+    # for an unknown flag unless it reads as a negative number
+    monkeypatch.setattr(_parser, "_Parser", _KeepsDashDash)
     handled = []  # (mutation, accepted, whether argv holds a "--" after "=")
 
     @settings(max_examples=250, deadline=None)
     @given(parser_inputs())
     @example((["verify", "--seed=--"], None, "dashed value after ="))
     @example((["verify", "--config=--", "--all"], None, "dashed value after ="))
+    @example((["residual", "--config", "config.json", "--config", "-inf"], None, "dashed value"))
     def check(inputs):
         argv, _, mutation = inputs
-        literal = any(word.endswith("=--") for word in argv)
-        expected = argparse_parse(argv, _KeepsDashDash if literal else plain)
-        assert _parsed(lambda: cli._parse(argv)) == expected, argv
-        handled.append((mutation, isinstance(expected, dict), literal))
+        expected = _parsed(lambda: vars(_parser._build_parser().parse_args(
+            argv, types.SimpleNamespace())))
+        parsed = _parsed(lambda: cli._parse(argv))
+        if expected is not None:
+            assert parsed == expected, argv
+        # every flag drawn opens with "--", so a word with a single "-" is a value
+        elif not any(word[:1] == "-" and word[:2] != "--" for word in argv):
+            assert parsed is None, argv
+        handled.append((mutation, expected is not None, any(
+            word.endswith("=--") for word in argv)))
 
     check()
     # at least 200 argvs, a quarter of them well-formed (unmutated, and argparse
