@@ -13,10 +13,12 @@ by side in one Python int, one 128-bit lane each, so every mixing step is a
 single big-integer operation over the whole block.  A 64-bit lane times a
 64-bit constant stays below 2**128, and each step masks away the bits a shift
 pulls in from the next lane, so no lane disturbs another and every draw equals
-the scalar splitmix64 output bit for bit.  Lanes are read out little-endian,
-whatever the machine's byte order.  `SplitMix64.words` yields the 53-bit
-words and `SplitMix64.draws` maps each to its double w * 2**-53 in [0, 1),
-both inside C-level iterators, so no Python frame runs per draw.
+the scalar splitmix64 output bit for bit.  The last, ``>> 11``, needs no mask:
+it fills bits 53-63 from the lane's own bits 64-74, which are zero, and the
+readout ``"Q8x"`` takes bits 0-63 of each lane, little-endian whatever the
+machine's byte order.  `SplitMix64.words` yields the 53-bit words and
+`SplitMix64.draws` maps each to its double w * 2**-53 in [0, 1), both inside
+C-level iterators, so no Python frame runs per draw.
 
 A hot loop may read `words` and fold 2**-53 into its affine map: it draws
 ``lo + (span * 2**-53) * w`` where ``uniform(lo, lo + span)`` draws
@@ -44,7 +46,6 @@ def _lanes(words) -> int:
 _ONES = _lanes([1] * _BLOCK)
 _STEPS = _lanes([(k + 1) * _GOLDEN for k in range(_BLOCK)])  # lane k: state + (k+1)*golden
 _M64 = _lanes([_MASK] * _BLOCK)
-_M53 = _lanes([_MASK >> 11] * _BLOCK)
 _UNPACK = struct.Struct("<" + "Q8x" * _BLOCK).unpack
 
 
@@ -53,7 +54,7 @@ def _block(state: int) -> tuple[int, ...]:
     z = ((state & _MASK) * _ONES + _STEPS) & _M64
     z = ((z ^ (z >> 30)) & _M64) * 0xBF58476D1CE4E5B9 & _M64
     z = ((z ^ (z >> 27)) & _M64) * 0x94D049BB133111EB & _M64
-    return _UNPACK((((z ^ (z >> 31)) >> 11) & _M53).to_bytes(16 * _BLOCK, "little"))
+    return _UNPACK(((z ^ (z >> 31)) >> 11).to_bytes(16 * _BLOCK, "little"))
 
 
 class SplitMix64:

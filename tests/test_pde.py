@@ -78,8 +78,17 @@ def test_non_metric_sweeps_are_exact(seed):
         assert equivalence_sweep(case, 2000, seed).max_rel_deviation == 0.0, case
 
 
-@pytest.mark.parametrize("n_samples", [1, 2, 7, 301])
-@pytest.mark.parametrize("seed", [0, 2718, 2**64 - 1])
+def test_no_lorentzian_case_mixes_type_i_with_types_ii_iii():
+    # the fact that lets one draw box and one spacelike gate serve a whole case
+    for name, row in _CASES.items():
+        if row.signature is Signature.LORENTZIAN:
+            assert (TranslationType.I in row.signs) is (set(row.signs) == {TranslationType.I}), name
+
+
+@pytest.mark.parametrize("seed, n_samples", [
+    *itertools.product([0, 2718, 2**64 - 1], [1, 2, 7, 301]),
+    (5, 6000),  # the size of the benchmark's equivalence workload
+])
 def test_flat_sweep_equals_per_sample_reference(seed, n_samples):
     # same draws, same gate, same arithmetic: the whole record is equal
     for case in CaseId:
@@ -110,6 +119,29 @@ def test_nan_residual_fails_the_sweep(monkeypatch):
     monkeypatch.setitem(pde._CASES, case.value, row._replace(residual=nan_on_fifth))
     record = equivalence_sweep(case, 20, 7)
     assert math.isnan(record.max_rel_deviation)
+    assert record.verdict is False
+
+
+@pytest.mark.parametrize("toward", [math.inf, -math.inf])
+def test_one_ulp_deviation_is_the_worst(monkeypatch, toward):
+    # a non-metric sweep reads a deviation of exactly 0.0 at every sample and so
+    # skips the division; one residual moved by one ulp must still be its worst
+    case, seed = CaseId.L_NM_II_III, 7
+    calls = itertools.count(1)
+    row = pde._CASES[case.value]
+    moved = []
+
+    def one_ulp_off_on_fifth(*args):
+        value = row.residual(*args)
+        if next(calls) == 5:
+            moved.append((value, math.nextafter(value, toward)))
+            return moved[-1][1]
+        return value
+    assert equivalence_sweep(case, 20, seed, tolerance=0.0).verdict
+    monkeypatch.setitem(pde._CASES, case.value, row._replace(residual=one_ulp_off_on_fifth))
+    record = equivalence_sweep(case, 20, seed, tolerance=0.0)
+    (exact, off), = moved
+    assert record.max_rel_deviation == abs(exact - off) / (1.0 + abs(off)) > 0.0
     assert record.verdict is False
 
 
