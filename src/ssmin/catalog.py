@@ -23,6 +23,7 @@ and that signature is the family's one parameter table (`_DEFAULTS`).
 import math
 from enum import Enum
 from functools import partial
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from .ambient import AmbientSpace
@@ -333,6 +334,12 @@ def _f3_10(fid: str, c_name: str, c: float, a: float, b: float) -> _Parts:
             f"no spacelike points: 1 - f'^2 - g'^2 <= 1 - {c_name}^2 = {1.0 - c * c:.6g} < 0")
 
 
+def _tanh_reach(s: float) -> tuple[float, bool]:
+    """y_max with s^2 sech^2 y >= SPACELIKE_FLOOR on [-y_max, y_max], and whether s is too low."""
+    reach = s * (1.0 / math.sqrt(SPACELIKE_FLOOR))  # cosh y_max; s / sqrt(...) rounds otherwise
+    return (math.acosh(reach), False) if reach > 1.02 else (SAMPLING_CAP, True)
+
+
 def _f3_12(fid: str, side: str, c_name: str, ct_name: str, c: float, ct: float,
            b_quad: float, b_line: float) -> _Parts:
     """F3_12: integral f, affine g of slope c; F3_14 is its mirror.
@@ -348,9 +355,7 @@ def _f3_12(fid: str, side: str, c_name: str, ct_name: str, c: float, ct: float,
     if ct > 0.0:  # f' = s*coth(2u/s - ln(ct)/2)
         return *parts, AdmissibleDomain(_coth_box(f.domain, s, 0.5 * s), REAL_LINE), (
             f"no spacelike points: {side}'^2 > 1 - {c_name}^2 everywhere for {ct_name} > 0")
-    # f' = s*tanh(2u/s - ln|ct|/2); keep s^2 sech^2 >= floor where it can
-    low = 100.0 * s <= 1.02
-    y_max = SAMPLING_CAP if low else math.acosh(100.0 * s)
+    y_max, low = _tanh_reach(s)  # f' = s*tanh(2u/s - ln|ct|/2)
     shift = 0.5 * math.log(-ct)
     box = _sorted_interval(0.5 * s * (-y_max + shift), 0.5 * s * (y_max + shift))
     return *parts, AdmissibleDomain(box, REAL_LINE), (
@@ -377,9 +382,7 @@ def _f3_27(c0_tilde=1.5, c1=-1.0, b_bar1=0.0) -> _Parts:
     if c1 > 0.0:  # f' = s*coth(y) with y = -(rate*u + ln(c1))/2
         return *parts, AdmissibleDomain(_coth_box(f.domain, s, 2.0 / abs(rate)), REAL_LINE), (
             "no spacelike points: f'^2 > c0_tilde^2 - 1 everywhere for c1 > 0")
-    # f' = s*tanh(y) with y = -(rate*u + ln|c1|)/2; keep s^2 sech^2 >= floor where it can
-    low = 100.0 * s <= 1.02
-    y_max = SAMPLING_CAP if low else math.acosh(100.0 * s)
+    y_max, low = _tanh_reach(s)  # f' = s*tanh(y) with y = -(rate*u + ln|c1|)/2
     shift = math.log(-c1)
     box = _sorted_interval(-(2.0 * y_max + shift) / rate, (2.0 * y_max - shift) / rate)
     return *parts, AdmissibleDomain(box, REAL_LINE), (
@@ -603,10 +606,12 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
 
     The mode is full where the family has spacelike points and f is not
     perturbed; empty-domain families and the perturbed negative control are
-    checked on the PDE residual alone.  Each sample draws u then v and
-    evaluates f then g by inlining `Profile.at(u, value=False)`: it calls
-    `fn(u, False)` and tests the domain and d1 and d2 only, as no check reads
-    a value, and a failed test raises the profile's `error_at`.
+    checked on the PDE residual alone.  Each sample reads one pair of 53-bit
+    words, u from the first and v from the second, and evaluates f then g by
+    inlining `Profile.at(u, value=False)`: it calls `fn(u, False)` and tests
+    the domain and d1 and d2 only, as no check reads a value, and a failed
+    test raises the profile's `error_at`.  The spans are the family's, so
+    2**-53 is not folded into them (see `ssmin.sampling`).
     """
     if n_samples < 1:
         raise VerifierError(f"n_samples must be >= 1, got {n_samples}")
@@ -622,12 +627,12 @@ def verify_auto(fam: SolutionFamily, n_samples: int = 200, rng_seed: int = 0,
     (g_lo, g_hi), g_eval = g.domain, g.fn
     kernel, isfinite, sqrt = _curvature_kernel, math.isfinite, math.sqrt
     res_fn = _row_of(_CASES, CaseId, built.case).residual
-    unit = SplitMix64(rng_seed).unit
+    words = SplitMix64(rng_seed).words
     u_lo, u_span, v_lo, v_span = box_u.lo, box_u.hi - box_u.lo, box_v.lo, box_v.hi - box_v.lo
     worst_num = worst_res = 0.0
-    for _ in range(n_samples):
-        u = u_lo + u_span * unit()
-        v = v_lo + v_span * unit()
+    for a, b in islice(zip(words, words), n_samples):
+        u = u_lo + u_span * (a * 2 ** -53)
+        v = v_lo + v_span * (b * 2 ** -53)
         if not (f_lo <= u <= f_hi and isfinite(u)):
             raise f.error_at(u)
         _, f1, f2 = f_eval(u, False)

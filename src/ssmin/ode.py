@@ -71,9 +71,9 @@ class Trajectory(NamedTuple):
     nodes: tuple[tuple[float, float], ...]
 
 
-def _check_span_step(t_span: tuple[float, float], step: float) -> int:
-    """The number of full steps in the span; InvalidStep unless the run takes
-    from 1 to MAX_RK4_STEPS steps."""
+def _check_span_step(t_span: tuple[float, float], step: float) -> tuple[int, float, int]:
+    """The step plan (full steps, tail step, all steps) of the span; InvalidStep
+    unless the run takes from 1 to MAX_RK4_STEPS steps."""
     t0, t1 = t_span
     if not (math.isfinite(step) and step > 0.0):
         raise InvalidStep(f"step must be positive and finite, got {step!r}")
@@ -82,11 +82,12 @@ def _check_span_step(t_span: tuple[float, float], step: float) -> int:
     if not math.isfinite((t1 - t0) / step):
         raise InvalidStep(f"t_span {t_span!r} is too wide to count in steps of {step!r}")
     n_full = int(math.floor((t1 - t0) / step + 1e-9))
-    n_steps = n_full + (t1 - (t0 + n_full * step) > 1e-12)  # and the tail step
+    tail = t1 - (t0 + n_full * step)
+    n_steps = n_full + (tail > 1e-12)  # and the tail step
     if n_steps > MAX_RK4_STEPS:
         raise InvalidStep(f"t_span {t_span!r} in steps of {step!r} takes more than "
                           f"{MAX_RK4_STEPS:,} RK4 steps")
-    return n_full
+    return n_full, tail, n_steps
 
 
 def _rk4_step(phi: Callable[[float], float], y: float, h: float) -> float:
@@ -102,10 +103,8 @@ def integrate_scalar(phi: Callable[[float], float], y0: float,
                      label: str = "ode") -> Trajectory:
     """RK4 trajectory of y' = phi(y); aborts with BlowUp past 1e12, or where a
     power such as h ** 3 inside phi overflows first."""
-    n_full = _check_span_step(t_span, step)
+    n_full, tail, n_steps = _check_span_step(t_span, step)
     t0, t1 = t_span
-    tail = t1 - (t0 + n_full * step)
-    n_steps = n_full + (tail > 1e-12)  # and the tail step
     nodes = [(t0, y0)]
     y = y0
     for i in range(1, n_steps + 1):

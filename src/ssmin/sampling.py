@@ -16,22 +16,21 @@ pulls in from the next lane, so no lane disturbs another and every draw equals
 the scalar splitmix64 output bit for bit.  The last, ``>> 11``, needs no mask:
 it fills bits 53-63 from the lane's own bits 64-74, which are zero, and the
 readout ``"Q8x"`` takes bits 0-63 of each lane, little-endian whatever the
-machine's byte order.  `SplitMix64.words` yields the 53-bit words and
-`SplitMix64.draws` maps each to its double w * 2**-53 in [0, 1), both inside
-C-level iterators, so no Python frame runs per draw.
+machine's byte order.  `SplitMix64.words` yields the 53-bit words inside a
+C-level iterator, so no Python frame runs per draw.
 
-A hot loop may read `words` and fold 2**-53 into its affine map: it draws
-``lo + (span * 2**-53) * w`` where ``uniform(lo, lo + span)`` draws
-``lo + span * (w * 2**-53)``, and so skips the float `draws` makes per word.
-The two are the same double whenever ``span * 2**-53`` is exact, as it is for
-every span of at least 2**-969: w * 2**-53 is exact for w < 2**53, so both
-forms round the one real product span * w * 2**-53 once.  A narrower span may
-round, so a loop whose span is not a constant reads `draws` or `unit`.
+Every sampling loop reads `words`.  A loop with constant spans (the sweep)
+may fold 2**-53 into them: it draws ``lo + (span * 2**-53) * w`` where
+``uniform(lo, lo + span)`` draws ``lo + span * (w * 2**-53)``.  The two are
+the same double whenever ``span * 2**-53`` is exact, as it is for every span
+of at least 2**-969: w * 2**-53 is exact for w < 2**53, so both forms round
+the one real product span * w * 2**-53 once.  A narrower span may round, so
+any other loop (the family check) multiplies ``w * 2**-53`` first, as
+`uniform` does.
 """
 
-import operator
 import struct
-from itertools import chain, count, repeat
+from itertools import chain, count
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -60,21 +59,18 @@ def _block(state: int) -> tuple[int, ...]:
 class SplitMix64:
     """splitmix64 stream; uniform doubles use the top 53 bits.
 
-    ``words`` iterates over the stream's 53-bit ints, ``draws`` over their
-    doubles in [0, 1), and ``unit()`` returns the next double; all three read
-    one stream.  ``uniform(lo, hi)`` returns ``lo + (hi - lo) * unit()``.  A hot
-    loop binds one of them once; see the module docstring for when it may read
-    ``words`` with 2**-53 folded into its span.
+    ``words`` iterates over the stream's 53-bit ints, and ``uniform(lo, hi)``
+    returns ``lo + (hi - lo) * (w * 2**-53)`` for the next word w; both read
+    one stream.  A hot loop binds ``words`` once; see the module docstring for
+    when it may fold 2**-53 into its span.
     """
 
     def __init__(self, seed: int):
         # each block starts from the last pre-mix state of the one before
         self.words = chain.from_iterable(map(_block, count(seed & _MASK, _BLOCK * _GOLDEN)))
-        self.draws = map(operator.mul, self.words, repeat(2.0 ** -53))
-        self.unit = self.draws.__next__
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return lo + (hi - lo) * self.unit()
+        return lo + (hi - lo) * (next(self.words) * 2.0 ** -53)
 
 
 def child_seed(seed: int, tag: int) -> int:

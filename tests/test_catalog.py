@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ssmin import catalog, curvature, pde
+from ssmin.ambient import Signature
 from ssmin.catalog import (
     Branch,
     FamilyId,
@@ -191,10 +192,10 @@ def test_every_sampling_box_lies_inside_both_profile_domains():
                 make_family(FamilyId.F3_30, c0_hat=3000.0, a_hat=-0.3)]
     rng, families = SplitMix64(1), list(FamilyId)
     for _ in range(2000):
-        fid = families[int(rng.unit() * len(families))]
-        params = {name: (1.0 if rng.unit() < 0.5 else -1.0) * 10.0 ** rng.uniform(-6.0, 6.0)
+        fid = families[int(rng.uniform() * len(families))]
+        params = {name: (1.0 if rng.uniform() < 0.5 else -1.0) * 10.0 ** rng.uniform(-6.0, 6.0)
                   for name in catalog._DEFAULTS[fid.value]}
-        minus = fid in catalog.BRANCHED_FAMILIES and rng.unit() < 0.5
+        minus = fid in catalog.BRANCHED_FAMILIES and rng.uniform() < 0.5
         settings.append(make_family(fid, Branch.MINUS if minus else Branch.PLUS, **params))
     checked = 0
     for fam in settings:
@@ -209,6 +210,31 @@ def test_every_sampling_box_lies_inside_both_profile_domains():
             assert profile.domain.lo <= box.lo, fam
             assert box.lo + (box.hi - box.lo) <= profile.domain.hi, fam
     assert checked > 1000
+
+
+@pytest.mark.parametrize("floor", [catalog.SPACELIKE_FLOOR, 4e-4, 2.5e-5])
+def test_spacelike_floor_holds_at_the_box_corners(monkeypatch, floor):
+    """EG - F^2 >= SPACELIKE_FLOOR, to rounding, at the 4 corners of the
+    sampling box of every spacelike Lorentzian default setting, at the floor
+    and with the floor moved: each box that keeps the floor reads it when
+    built.  Corners are samples, not a proof over the whole box."""
+    monkeypatch.setattr(catalog, "SPACELIKE_FLOOR", floor)
+    checked = 0
+    for fam in all_default_settings():
+        built = _assemble(fam)
+        surface, (box_u, box_v) = built.surface, built.domain.sampling_box()
+        space = surface.space
+        if built.empty_reason is not None or space.signature is not Signature.LORENTZIAN:
+            continue
+        checked += 1
+        dets = []
+        for u, v in itertools.product((box_u.lo, box_u.hi), (box_v.lo, box_v.hi)):
+            _, f1, f2 = surface.f.at(u, value=False)
+            _, g1, g2 = surface.g.at(v, value=False)
+            dets.append(curvature._curvature_kernel(surface.ttype, space.signature,
+                                                    space.connection, f1, f2, g1, g2)[1])
+        assert min(dets) >= floor * (1.0 - 1e-10), (fam, min(dets) / floor)
+    assert checked == 16
 
 
 @pytest.mark.parametrize("c", [2000.0, 4000.0])
@@ -593,7 +619,7 @@ def test_evaluators_return_plain_tuples_that_at_wraps():
     assert len(profiles) == 2 * 38 + 1
     rng = SplitMix64(4242)
     for profile, box in profiles:
-        for u in [box.lo + (box.hi - box.lo) * rng.unit() for _ in range(8)]:
+        for u in [rng.uniform(box.lo, box.hi) for _ in range(8)]:
             whole, slopes = profile.fn(u), profile.fn(u, False)
             for raw, jet in ((whole, profile.at(u)), (slopes, profile.at(u, value=False))):
                 assert type(raw) is tuple and type(jet) is Jet2, (profile.label, u)
@@ -755,18 +781,18 @@ def _loaded(fn, *opnames) -> set[str]:
 
 
 def test_hot_paths_skip_enum_and_method_lookups():
-    """The sampling hot paths read neither enum attributes nor `uniform`, and
-    the equivalence sweep draws from `words`.
+    """The sampling hot paths read neither enum attributes nor `uniform`: the
+    equivalence sweep and the family check both draw from `words`.
 
     On Python 3.11 each enum attribute lookup such as `Signature.EUCLIDEAN`
     costs about 150 ns, against about 15 ns for a module global, and the
     kernel runs once per sample; a `uniform` call runs a Python frame per draw,
-    where `unit` runs none.  The sweep's spans are constants, so it folds 2**-53
-    into them and reads 53-bit words: a float draw from `draws` allocates a
-    float and dispatches a multiply per draw, where a word does neither.
+    where a word from `words` runs none.  The sweep's spans are constants, so
+    it folds 2**-53 into them; the family check's come from the family's
+    parameters, so it multiplies each word by 2**-53 first.
     """
     assert not _loaded(curvature._curvature_kernel, "LOAD_GLOBAL") & {
         "Signature", "ConnectionKind", "TranslationType"}
-    for fn, draw in ((pde.equivalence_sweep, "words"), (verify_auto, "unit")):
+    for fn in (pde.equivalence_sweep, verify_auto):
         attrs = _loaded(fn, "LOAD_ATTR", "LOAD_METHOD")
-        assert "uniform" not in attrs and draw in attrs
+        assert "words" in attrs and not attrs & {"uniform", "unit", "draws"}

@@ -48,25 +48,27 @@ def test_block_stream_equals_scalar_reference(seed):
 
 @pytest.mark.parametrize("seed", list(REFERENCE))
 def test_unit_reads_the_top_53_reference_bits(seed):
-    unit = SplitMix64(seed).unit
-    for k in REFERENCE[seed]:
-        assert unit() == (k >> 11) * 2.0 ** -53
+    # the unit draw, a word times 2**-53, read from `words` and by `uniform()`
+    rng = SplitMix64(seed)
+    for i, k in enumerate(REFERENCE[seed]):
+        unit = rng.uniform() if i % 2 else next(rng.words) * 2.0 ** -53
+        assert unit == (k >> 11) * 2.0 ** -53
 
 
 @pytest.mark.parametrize("seed", [0, 1, 1234567, 2**63, 2**64 - 1, 2**64, 2**70 + 3])
 def test_unit_and_uniform_share_one_stream(seed):
-    # unit, words, draws and uniform reads interleave over four 256-draw blocks
+    # words, unit draws and uniform reads interleave over four 256-draw blocks
     # and part of a fifth
     ranges = [(0.0, 1.0), (-2.5, 2.5), (-3, 3), (0.05, 1.5), (-1e-300, 1e300)]
     n = 1124
     block, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
     for i in range(n):
         if i % 4 == 0:
-            assert block.unit() == scalar.uniform(0.0, 1.0)
+            assert block.uniform() == scalar.uniform(0.0, 1.0)
         elif i % 4 == 1:
             assert next(block.words) == scalar.word()
         elif i % 4 == 2:
-            assert next(block.draws) == scalar.uniform(0.0, 1.0)
+            assert next(block.words) * 2.0 ** -53 == scalar.uniform(0.0, 1.0)
         else:
             lo, hi = ranges[i % len(ranges)]
             assert block.uniform(lo, hi) == scalar.uniform(lo, hi)
